@@ -66,8 +66,8 @@
 // executing, and ExplainQuery executes and attaches per-run counters
 // (EXPLAIN ANALYZE style); Plan.Text renders it for humans and the struct
 // marshals to JSON. Selector applications whose body is an indexable
-// equality are answered from lazily built, copy-on-write-invalidated hash
-// partitions (the paper's physical access paths) instead of scans.
+// equality over a stored variable are answered from a hash index memoized on
+// the variable's value (the paper's physical access paths) instead of scans.
 //
 //	plan, err := db.Explain(ctx, `Infront{ahead}[hidden_by("table")]`)
 //	fmt.Print(plan.Text())   // pass trace, quantifier order, access paths

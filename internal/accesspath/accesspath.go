@@ -7,16 +7,16 @@
 //	 partitions it according to the different constant values."
 //
 // A Logical path wraps a selector declaration into a closure instantiated
-// per constant. A Physical path pre-partitions the base relation by the
-// parameterized attribute so that each instantiation is a hash lookup; it is
-// maintained incrementally under insertions and deletions (the maintenance
-// concern the paper attributes to [ShTZ 84]).
+// per constant. A Physical path partitions the base relation by the
+// parameterized attribute so that each instantiation is a hash lookup. The
+// partitioning is the relation's own memoized hash index (relation.IndexOn),
+// so the maintenance concern the paper attributes to [ShTZ 84] is handled
+// where the relation changes: a clone inherits the index and overlays the
+// tuples added since, and a deletion invalidates it by version.
 package accesspath
 
 import (
 	"fmt"
-	"hash/fnv"
-	"sync"
 
 	"repro/internal/ast"
 	"repro/internal/eval"
@@ -78,16 +78,26 @@ func PartitionAttr(decl *ast.SelectorDecl) (attr string, ok bool) {
 	return eval.SelectorPartitionAttr(decl)
 }
 
-// Physical is a materialized, partitioned access path: the base relation
-// split by the values of one attribute.
+// Physical is the paper's physical access path: the base relation
+// partitioned by the values of one attribute. It is a typed single-attribute
+// view over the relation's hash index on that attribute, so it shares the
+// index's lifetime rules: memoized on the relation value, inherited by clones
+// as an overlay of the tuples added since, rebuilt after a deletion.
 type Physical struct {
-	base       *relation.Relation
-	attrPos    int
-	attrName   string
-	partitions map[value.Value]*relation.Relation
-	// residual is the selector predicate minus the partition equality; nil
-	// means the partition fully implements the selector.
-	residual func(value.Tuple) (bool, error)
+	idx *relation.Index
+}
+
+// Bucket is one partition of a physical access path: the tuples whose
+// partition attribute equals one constant. It must not be modified.
+type Bucket []value.Tuple
+
+// Each calls fn for every tuple of the partition until fn returns false.
+func (b Bucket) Each(fn func(value.Tuple) bool) {
+	for _, t := range b {
+		if !fn(t) {
+			return
+		}
+	}
 }
 
 // BuildPhysical partitions base by the named attribute.
@@ -105,115 +115,16 @@ func BuildPhysical(base *relation.Relation, attr string) (*Physical, error) {
 // the partition position comes from the re-labelled element type, not the
 // base's own attribute names.
 func BuildPhysicalAt(base *relation.Relation, pos int) (*Physical, error) {
-	elem := base.Type().Element
-	if pos < 0 || pos >= elem.Arity() {
+	if pos < 0 || pos >= base.Type().Element.Arity() {
 		return nil, fmt.Errorf("accesspath: relation %s has no attribute position %d", base.Type().Name, pos)
 	}
-	p := &Physical{
-		base: base, attrPos: pos, attrName: elem.Attrs[pos].Name,
-		partitions: make(map[value.Value]*relation.Relation),
-	}
-	base.Each(func(t value.Tuple) bool {
-		p.add(t)
-		return true
-	})
-	return p, nil
+	return &Physical{idx: base.IndexOn([]int{pos}, 1)}, nil
 }
 
-// BuildPhysicalAtParallel is BuildPhysicalAt with the partition build sharded
-// by attribute value across up to workers goroutines: each worker owns the
-// values hashing into its shard, so the per-value partition maps are disjoint
-// and merge without locking or re-keying. Small bases (or workers <= 1) fall
-// back to the serial build; the result is identical either way.
-func BuildPhysicalAtParallel(base *relation.Relation, pos, workers int) (*Physical, error) {
-	const minTuplesPerWorker = 2048
-	if cap := base.Len() / minTuplesPerWorker; workers > cap {
-		workers = cap
-	}
-	if workers <= 1 {
-		return BuildPhysicalAt(base, pos)
-	}
-	elem := base.Type().Element
-	if pos < 0 || pos >= elem.Arity() {
-		return nil, fmt.Errorf("accesspath: relation %s has no attribute position %d", base.Type().Name, pos)
-	}
-	p := &Physical{
-		base: base, attrPos: pos, attrName: elem.Attrs[pos].Name,
-		partitions: make(map[value.Value]*relation.Relation),
-	}
-	tuples := base.Slice()
-	shards := make([]map[value.Value]*relation.Relation, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			local := make(map[value.Value]*relation.Relation)
-			for _, t := range tuples {
-				k := t[pos]
-				if shardOf(k, workers) != w {
-					continue
-				}
-				part, ok := local[k]
-				if !ok {
-					part = relation.New(base.Type())
-					local[k] = part
-				}
-				part.Add(t)
-			}
-			shards[w] = local
-		}(w)
-	}
-	wg.Wait()
-	for _, local := range shards {
-		for k, part := range local {
-			p.partitions[k] = part
-		}
-	}
-	return p, nil
-}
-
-// shardOf assigns a partition value to a worker shard.
-func shardOf(v value.Value, workers int) int {
-	h := fnv.New32a()
-	h.Write([]byte(value.Tuple{v}.Key()))
-	return int(h.Sum32()) % workers
-}
-
-func (p *Physical) add(t value.Tuple) {
-	k := t[p.attrPos]
-	part, ok := p.partitions[k]
-	if !ok {
-		part = relation.New(p.base.Type())
-		p.partitions[k] = part
-	}
-	part.Add(t)
-}
-
-// Lookup returns the partition for one constant (never nil).
-func (p *Physical) Lookup(v value.Value) *relation.Relation {
-	if part, ok := p.partitions[v]; ok {
-		return part
-	}
-	return relation.New(p.base.Type())
-}
-
-// Insert maintains the path under a base insertion.
-func (p *Physical) Insert(t value.Tuple) { p.add(t) }
-
-// Delete maintains the path under a base deletion; it reports whether the
-// tuple was present.
-func (p *Physical) Delete(t value.Tuple) bool {
-	part, ok := p.partitions[t[p.attrPos]]
-	if !ok {
-		return false
-	}
-	removed := part.Delete(t)
-	if part.IsEmpty() {
-		delete(p.partitions, t[p.attrPos])
-	}
-	return removed
+// Lookup returns the partition for one constant (empty when none matches).
+func (p *Physical) Lookup(v value.Value) Bucket {
+	return p.idx.Probe(value.Tuple{v})
 }
 
 // Partitions returns the number of distinct constants materialized.
-func (p *Physical) Partitions() int { return len(p.partitions) }
+func (p *Physical) Partitions() int { return p.idx.Len() }

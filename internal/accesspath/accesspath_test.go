@@ -80,6 +80,27 @@ END m.
 	}
 }
 
+// agreesWithLogical checks the physical path against the logical path (a
+// filtering scan of the same base) for every constant.
+func agreesWithLogical(t *testing.T, base *relation.Relation, pp *Physical, consts ...string) {
+	t.Helper()
+	lp, err := NewLogical(eval.NewEnv(), selector(t), binT.Element)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range consts {
+		want, err := lp.Instantiate(base, value.Str(c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := relation.New(binT)
+		pp.Lookup(value.Str(c)).Each(func(tup value.Tuple) bool { return got.Add(tup) })
+		if !got.Equal(want) || len(pp.Lookup(value.Str(c))) != want.Len() {
+			t.Errorf("physical/logical disagree on %q: %v vs %s", c, pp.Lookup(value.Str(c)), want)
+		}
+	}
+}
+
 func TestPhysicalPathLookupAndMaintenance(t *testing.T) {
 	base := sample()
 	pp, err := BuildPhysical(base, "front")
@@ -89,35 +110,56 @@ func TestPhysicalPathLookupAndMaintenance(t *testing.T) {
 	if pp.Partitions() != 2 {
 		t.Errorf("partitions: %d", pp.Partitions())
 	}
-	if got := pp.Lookup(value.Str("table")); got.Len() != 2 {
-		t.Errorf("Lookup(table): %s", got)
+	if got := pp.Lookup(value.Str("table")); len(got) != 2 {
+		t.Errorf("Lookup(table): %v", got)
 	}
-	if got := pp.Lookup(value.Str("ghost")); got.Len() != 0 {
-		t.Errorf("Lookup(ghost): %s", got)
+	if got := pp.Lookup(value.Str("ghost")); len(got) != 0 {
+		t.Errorf("Lookup(ghost): %v", got)
 	}
-	// Maintenance under insert/delete ([ShTZ 84] concern).
-	pp.Insert(value.NewTuple(value.Str("ghost"), value.Str("wall")))
-	if pp.Lookup(value.Str("ghost")).Len() != 1 || pp.Partitions() != 3 {
+	agreesWithLogical(t, base, pp, "table", "vase", "ghost")
+
+	// Maintenance under insert/delete ([ShTZ 84] concern) happens where the
+	// relation changes. Growth: the next value is a clone of the base plus
+	// the new tuple, and its path (inherited from the base's, plus the
+	// addition) sees it while the base's own path is untouched.
+	wall := value.NewTuple(value.Str("ghost"), value.Str("wall"))
+	grown := base.Clone()
+	grown.Add(wall)
+	gp, err := BuildPhysical(grown, "front")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gp.Lookup(value.Str("ghost"))) != 1 || gp.Partitions() != 3 {
 		t.Error("insert maintenance failed")
 	}
-	if !pp.Delete(value.NewTuple(value.Str("ghost"), value.Str("wall"))) {
-		t.Error("delete must report presence")
+	agreesWithLogical(t, grown, gp, "table", "vase", "ghost")
+	if len(pp.Lookup(value.Str("ghost"))) != 0 || pp.Partitions() != 2 {
+		t.Error("growing a clone must not change the base's path")
 	}
-	if pp.Partitions() != 2 {
+
+	// Deletion: the path built after the delete no longer holds the tuple,
+	// and its now-empty partition is gone.
+	shrunk := grown.Clone()
+	if !shrunk.Delete(wall) {
+		t.Fatal("delete must report presence")
+	}
+	sp, err := BuildPhysical(shrunk, "front")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp.Partitions() != 2 {
 		t.Error("empty partitions must be pruned")
 	}
-	// The physical path agrees with the logical path for every constant.
-	decl := selector(t)
-	lp, _ := NewLogical(eval.NewEnv(), decl, binT.Element)
-	for _, c := range []string{"table", "vase", "ghost"} {
-		want, err := lp.Instantiate(base, value.Str(c))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := pp.Lookup(value.Str(c)); !got.Equal(want) {
-			t.Errorf("physical/logical disagree on %q: %s vs %s", c, got, want)
-		}
+	agreesWithLogical(t, shrunk, sp, "table", "vase", "ghost")
+
+	// Mutating a relation in place after its path was built invalidates the
+	// memoized index by version: the rebuilt path reflects the mutation.
+	grown.Delete(wall)
+	gp, err = BuildPhysical(grown, "front")
+	if err != nil {
+		t.Fatal(err)
 	}
+	agreesWithLogical(t, grown, gp, "table", "vase", "ghost")
 }
 
 func TestBuildPhysicalUnknownAttr(t *testing.T) {

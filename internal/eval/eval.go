@@ -40,13 +40,13 @@ type ConstructorResolver interface {
 }
 
 // PathProvider resolves physical access paths: given a published (immutable)
-// base relation and an attribute position, it returns the sub-relation whose
-// attribute at that position equals v. Package store supplies the lazily
-// built, copy-on-write-invalidated implementation; ok is false when the
+// base relation and an attribute position, it returns the tuples whose
+// attribute at that position equals v (read-only). Package store serves them
+// from the hash index memoized on the relation value; ok is false when the
 // provider declines (e.g. the relation is not a published store value), in
 // which case the caller falls back to a scan.
 type PathProvider interface {
-	Partition(base *relation.Relation, pos int, v value.Value) (*relation.Relation, bool)
+	Partition(base *relation.Relation, pos int, v value.Value) ([]value.Tuple, bool)
 }
 
 // PathStats counts access-path decisions during one evaluation, surfaced by
@@ -376,23 +376,26 @@ func (e *Env) applySelector(base *relation.Relation, s *ast.Suffix) (*relation.R
 	// the whole base to the hash partition for the argument value. The full
 	// predicate is still evaluated over the partition, so residual conjuncts
 	// beyond the partition equality keep their semantics.
-	iterBase := base
+	var candidates []value.Tuple
+	served := false
 	if e.Paths != nil && len(decl.Params) == 1 && args[0].IsScalar {
 		if attr, okAttr := SelectorPartitionAttr(decl); okAttr {
 			if pos := elem.IndexOf(attr); pos >= 0 {
-				if part, okPart := e.Paths.Partition(base, pos, args[0].Scalar); okPart {
-					iterBase = part
-					if e.PathStats != nil {
-						e.PathStats.PartitionLookups.Add(1)
-					}
-				}
+				candidates, served = e.Paths.Partition(base, pos, args[0].Scalar)
 			}
 		}
 	}
-	if iterBase == base && e.PathStats != nil {
-		e.PathStats.Scans.Add(1)
+	if !served {
+		candidates = base.Slice()
 	}
-	err = scoped.filterRelationInto(iterBase, out, "select["+s.Name+"]",
+	if e.PathStats != nil {
+		if served {
+			e.PathStats.PartitionLookups.Add(1)
+		} else {
+			e.PathStats.Scans.Add(1)
+		}
+	}
+	err = scoped.filterRelationInto(candidates, out, "select["+s.Name+"]",
 		func(env *Env) func(value.Tuple) (bool, error) {
 			var b bindings
 			return func(t value.Tuple) (bool, error) {
@@ -454,20 +457,47 @@ func (e *Env) branchInto(br *ast.Branch, out *relation.Relation) error {
 }
 
 func (e *Env) branchIntoExcluding(br *ast.Branch, out, except *relation.Relation) error {
+	pb, err := e.prepareBranch(br, out.Type())
+	if err != nil {
+		return err
+	}
+	if pb.literal != nil {
+		return out.Insert(pb.literal)
+	}
+	return e.runBranchPipeline(pb, out, except)
+}
+
+// preparedBranch is a branch ready to execute: either its literal tuple, or
+// the (possibly reordered) bindings with their materialized ranges, the probe
+// plan, and the outer binding's scan set.
+type preparedBranch struct {
+	literal value.Tuple
+	br      *ast.Branch
+	rels    []*relation.Relation
+	plan    *branchPlan
+	outer   []value.Tuple
+}
+
+// prepareBranch is the branch prologue shared by the materializing and the
+// streaming driver, so both run the same plan from the same outer side: a
+// literal branch is evaluated and arity-checked against the result type rt;
+// otherwise the ranges are materialized, the bindings reordered, the probes
+// planned, and the outer scan set resolved.
+func (e *Env) prepareBranch(br *ast.Branch, rt schema.RelationType) (*preparedBranch, error) {
 	if br.Literal != nil {
 		tup := make(value.Tuple, len(br.Literal))
 		for i, tm := range br.Literal {
 			v, err := e.Term(tm, nil)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			tup[i] = v
 		}
-		if len(tup) != out.Type().Element.Arity() {
-			return fmt.Errorf("%s: literal tuple arity %d does not match result arity %d",
-				br.Pos, len(tup), out.Type().Element.Arity())
+		if len(tup) != rt.Element.Arity() {
+			return nil, fmt.Errorf("%s: literal tuple arity %d does not match result arity %d",
+				br.Pos, len(tup), rt.Element.Arity())
 		}
-		return out.Insert(tup)
+		return &preparedBranch{literal: tup}, nil
 	}
 
 	// Materialize all ranges up front.
@@ -475,19 +505,20 @@ func (e *Env) branchIntoExcluding(br *ast.Branch, out, except *relation.Relation
 	for i, bd := range br.Binds {
 		r, err := e.Range(bd.Range)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		rels[i] = r
 	}
-
 	br, rels = reorderBinds(br, rels)
-
 	plan, err := e.planBranch(br, rels)
 	if err != nil {
-		return err
+		return nil, err
 	}
-
-	return e.runBranchPipeline(br, plan, rels, out, except)
+	outer, err := e.outerTuples(plan, rels)
+	if err != nil {
+		return nil, err
+	}
+	return &preparedBranch{br: br, rels: rels, plan: plan, outer: outer}, nil
 }
 
 // reorderBinds moves the binding with the smallest materialized range to the

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -263,5 +264,66 @@ func TestEvalWithDeclaredResultType(t *testing.T) {
 	}
 	if got.Type().Element.Attrs[0].Name != "head" {
 		t.Errorf("declared result type not used: %s", got.Type())
+	}
+}
+
+// TestStreamAndMaterializeDriveJoinFromSameSide: a skewed two-binding branch
+// (second range at least 8x smaller) is reordered to scan the small side, and
+// the streaming driver must run that same plan — per-operator rows-in agree
+// between SetExpr and StreamSetExpr.
+func TestStreamAndMaterializeDriveJoinFromSameSide(t *testing.T) {
+	big, small := relation.New(infrontT), relation.New(infrontT)
+	for i := 0; i < 90; i++ {
+		big.Add(value.NewTuple(value.Str(fmt.Sprintf("a%d", i)), value.Str(fmt.Sprintf("b%d", i%9))))
+	}
+	for i := 0; i < 9; i++ {
+		small.Add(value.NewTuple(value.Str(fmt.Sprintf("b%d", i)), value.Str("end")))
+	}
+	s, err := parser.ParseSetExpr(
+		`{<f.front, g.back> OF EACH f IN Big, EACH g IN Small: f.back = g.front}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(stream bool) (*relation.Relation, []OpStat) {
+		e := NewEnv()
+		e.Rels["Big"], e.Rels["Small"] = big, small
+		e.ExecStats = &ExecStats{}
+		var out *relation.Relation
+		if stream {
+			st, err := e.StreamSetExpr(s, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			if out, err = st.Materialize(); err != nil {
+				t.Fatal(err)
+			}
+		} else if out, err = e.SetExpr(s, nil); err != nil {
+			t.Fatal(err)
+		}
+		var ops []OpStat
+		for _, op := range e.ExecStats.Ops() {
+			if op.Op != "dedup" { // the stream dedups in its own sink
+				ops = append(ops, op)
+			}
+		}
+		return out, ops
+	}
+	mat, matOps := run(false)
+	str, strOps := run(true)
+	if mat.Len() != 90 || !mat.Equal(str) {
+		t.Fatalf("results differ: materialized %d rows, streamed %d", mat.Len(), str.Len())
+	}
+	if len(matOps) == 0 || matOps[0].Op != "scan(g)" || matOps[0].RowsIn != 9 {
+		t.Fatalf("materializing path did not scan the small side first: %+v", matOps)
+	}
+	if len(strOps) != len(matOps) {
+		t.Fatalf("operators differ: materialized %+v, streamed %+v", matOps, strOps)
+	}
+	for i := range matOps {
+		if strOps[i].Op != matOps[i].Op || strOps[i].RowsIn != matOps[i].RowsIn {
+			t.Errorf("operator %d: materialized %s rows-in=%d, streamed %s rows-in=%d",
+				i, matOps[i].Op, matOps[i].RowsIn, strOps[i].Op, strOps[i].RowsIn)
+		}
 	}
 }

@@ -502,9 +502,10 @@ func (o *projectOp) next() ([]relation.Keyed, error) {
 // buildBranchPipeline assembles scan → [filter] → (join → [filter])* → project
 // over one partition of the outer relation's tuples. It returns the pipeline
 // tail and the operator counters in pipeline order for post-run aggregation.
-func (e *Env) buildBranchPipeline(br *ast.Branch, plan *branchPlan, rels []*relation.Relation,
-	outer []value.Tuple, except, out *relation.Relation) (tupleOp, []*opCounters) {
+func (e *Env) buildBranchPipeline(pb *preparedBranch, outer []value.Tuple,
+	except, out *relation.Relation) (tupleOp, []*opCounters) {
 
+	br, plan, rels := pb.br, pb.plan, pb.rels
 	pc := &pipeCtx{env: e, binder: newRowBinder(br.Binds, rels)}
 	var counters []*opCounters
 
@@ -610,8 +611,14 @@ func (e *Env) cloneForWorker(ctx context.Context) *Env {
 	return c
 }
 
-// splitChunks partitions tuples into at most n contiguous chunks.
-func splitChunks(tuples []value.Tuple, n int) [][]value.Tuple {
+// splitChunks partitions tuples into one contiguous chunk per worker the
+// environment grants a scan of that size (workersFor); a serial scan is a
+// single chunk holding all of tuples, even when there are none.
+func (e *Env) splitChunks(tuples []value.Tuple) [][]value.Tuple {
+	n := e.workersFor(len(tuples))
+	if n <= 1 {
+		return [][]value.Tuple{tuples}
+	}
 	chunks := make([][]value.Tuple, 0, n)
 	size := (len(tuples) + n - 1) / n
 	for lo := 0; lo < len(tuples); lo += size {
@@ -673,64 +680,30 @@ func (e *Env) outerTuples(plan *branchPlan, rels []*relation.Relation) ([]value.
 	return plan.indexes[0].Probe(key), nil
 }
 
-// runBranchPipeline executes a planned branch into out, excluding tuples
-// already in except (which may be nil). With an effective worker count of 1
-// the pipeline runs on the calling goroutine; otherwise the outer relation is
-// partitioned across workers and their outputs merge in partition order.
-func (e *Env) runBranchPipeline(br *ast.Branch, plan *branchPlan, rels []*relation.Relation,
-	out, except *relation.Relation) error {
-
-	outer, err := e.outerTuples(plan, rels)
-	if err != nil {
-		return err
+// fanOut runs body once per chunk. A single chunk runs on the calling
+// goroutine in e itself; otherwise every chunk gets a worker goroutine over a
+// cloned environment under a shared cancellable context, and the first
+// failing worker cancels its siblings. The returned error prefers a root
+// cause over a sibling's induced cancellation; ties resolve in chunk order,
+// so error selection is deterministic.
+func (e *Env) fanOut(chunks int, body func(wenv *Env, w int) error) error {
+	if chunks == 1 {
+		return body(e, 0)
 	}
-	workers := e.workersFor(len(outer))
-
-	if workers <= 1 {
-		pipe, counters := e.buildBranchPipeline(br, plan, rels, outer, except, out)
-		before := out.Len()
-		var emitted int64
-		err := drainPipe(pipe, func(batch []relation.Keyed) error {
-			for _, kd := range batch {
-				emitted++
-				if err := out.InsertKeyed(kd); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		flushCounters(e.ExecStats, [][]*opCounters{counters}, 1)
-		e.ExecStats.Record("dedup", emitted, int64(out.Len()-before), 0, 1)
-		return err
-	}
-
 	ctx, cancel := context.WithCancel(e.Context())
 	defer cancel()
-	chunks := splitChunks(outer, workers)
-	results := make([][]relation.Keyed, len(chunks))
-	errs := make([]error, len(chunks))
-	counterSets := make([][]*opCounters, len(chunks))
+	errs := make([]error, chunks)
 	var wg sync.WaitGroup
-	for w := range chunks {
+	for w := 0; w < chunks; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			wenv := e.cloneForWorker(ctx)
-			pipe, counters := wenv.buildBranchPipeline(br, plan, rels, chunks[w], except, out)
-			counterSets[w] = counters
-			errs[w] = drainPipe(pipe, func(batch []relation.Keyed) error {
-				results[w] = append(results[w], batch...)
-				return nil
-			})
-			if errs[w] != nil {
+			if errs[w] = body(e.cloneForWorker(ctx), w); errs[w] != nil {
 				cancel() // fail fast: stop sibling workers
 			}
 		}(w)
 	}
 	wg.Wait()
-
-	// Prefer a root-cause error over a sibling's induced cancellation; ties
-	// resolve in partition order, so error selection is deterministic.
 	var firstErr error
 	for _, err := range errs {
 		if err == nil {
@@ -741,108 +714,93 @@ func (e *Env) runBranchPipeline(br *ast.Branch, plan *branchPlan, rels []*relati
 			firstErr = err
 		}
 	}
-	if firstErr != nil {
-		flushCounters(e.ExecStats, counterSets, len(chunks))
-		return firstErr
-	}
+	return firstErr
+}
 
+// runBranchPipeline executes a prepared branch into out, excluding tuples
+// already in except (which may be nil). A single pipeline dedups straight
+// into out; partitioned pipelines buffer per worker and merge in partition
+// order after the barrier, which keeps result sets deterministic.
+func (e *Env) runBranchPipeline(pb *preparedBranch, out, except *relation.Relation) error {
+	chunks := e.splitChunks(pb.outer)
+	results := make([][]relation.Keyed, len(chunks))
+	counterSets := make([][]*opCounters, len(chunks))
 	before := out.Len()
 	var emitted int64
-	for _, acc := range results {
-		for _, kd := range acc {
+	merge := func(batch []relation.Keyed) error {
+		for _, kd := range batch {
 			emitted++
 			if err := out.InsertKeyed(kd); err != nil {
 				return err
 			}
 		}
+		return nil
 	}
+	err := e.fanOut(len(chunks), func(wenv *Env, w int) error {
+		pipe, counters := wenv.buildBranchPipeline(pb, chunks[w], except, out)
+		counterSets[w] = counters
+		if len(chunks) == 1 {
+			return drainPipe(pipe, merge)
+		}
+		return drainPipe(pipe, func(batch []relation.Keyed) error {
+			results[w] = append(results[w], batch...)
+			return nil
+		})
+	})
 	flushCounters(e.ExecStats, counterSets, len(chunks))
+	if err != nil {
+		return err
+	}
+	for _, acc := range results {
+		if err := merge(acc); err != nil {
+			return err
+		}
+	}
 	e.ExecStats.Record("dedup", emitted, int64(out.Len()-before), 0, 1)
 	return nil
 }
 
-// filterRelationInto filters base into out, partitioning the scan across
-// workers for large bases. mkPred builds one predicate closure per worker so
+// filterRelationInto filters tuples into out, partitioning the scan across
+// workers for large inputs. mkPred builds one predicate closure per worker so
 // each can reuse private binding scratch. It is the executor behind selector
 // application; label names the operator in ExecStats (e.g. "select[owner]").
-func (e *Env) filterRelationInto(base, out *relation.Relation, label string,
+func (e *Env) filterRelationInto(tuples []value.Tuple, out *relation.Relation, label string,
 	mkPred func(env *Env) func(value.Tuple) (bool, error)) error {
 
-	tuples := base.Slice()
-	workers := e.workersFor(len(tuples))
-
-	if workers <= 1 {
-		pred := mkPred(e)
-		kept := int64(0)
-		for _, t := range tuples {
-			if err := e.cancelled(); err != nil {
+	chunks := e.splitChunks(tuples)
+	results := make([][]relation.Keyed, len(chunks))
+	kept := int64(0)
+	insert := func(kd relation.Keyed) error {
+		kept++
+		return out.InsertKeyed(kd)
+	}
+	err := e.fanOut(len(chunks), func(wenv *Env, w int) error {
+		pred := mkPred(wenv)
+		for _, t := range chunks[w] {
+			if err := wenv.cancelled(); err != nil {
 				return err
 			}
 			ok, err := pred(t)
 			if err != nil {
 				return err
 			}
-			if ok {
-				kept++
-				if err := out.InsertKeyed(out.KeyedOf(t)); err != nil {
-					return err
-				}
+			if !ok {
+				continue
+			}
+			if len(chunks) > 1 {
+				results[w] = append(results[w], out.KeyedOf(t))
+			} else if err := insert(out.KeyedOf(t)); err != nil {
+				return err
 			}
 		}
-		e.ExecStats.Record(label, int64(len(tuples)), kept, 0, 1)
 		return nil
+	})
+	if err != nil {
+		return err
 	}
-
-	ctx, cancel := context.WithCancel(e.Context())
-	defer cancel()
-	chunks := splitChunks(tuples, workers)
-	results := make([][]relation.Keyed, len(chunks))
-	errs := make([]error, len(chunks))
-	var wg sync.WaitGroup
-	for w := range chunks {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wenv := e.cloneForWorker(ctx)
-			pred := mkPred(wenv)
-			for _, t := range chunks[w] {
-				if err := wenv.cancelled(); err != nil {
-					errs[w] = err
-					cancel()
-					return
-				}
-				ok, err := pred(t)
-				if err != nil {
-					errs[w] = err
-					cancel()
-					return
-				}
-				if ok {
-					results[w] = append(results[w], out.KeyedOf(t))
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	var firstErr error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if firstErr == nil ||
-			(errors.Is(firstErr, context.Canceled) && !errors.Is(err, context.Canceled)) {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-	kept := int64(0)
 	for _, acc := range results {
 		for _, kd := range acc {
-			kept++
-			if err := out.InsertKeyed(kd); err != nil {
+			if err := insert(kd); err != nil {
 				return err
 			}
 		}

@@ -11,7 +11,6 @@ package eval
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 
 	"repro/internal/ast"
@@ -25,7 +24,6 @@ import (
 // background goroutines started by StreamSetExpr.
 type Stream struct {
 	cancel   context.CancelFunc
-	ctx      context.Context
 	finished chan struct{} // closed when the producer has fully exited
 
 	mu   sync.Mutex
@@ -58,7 +56,6 @@ func (e *Env) StreamSetExpr(s *ast.SetExpr, resultType *schema.RelationType, onD
 	senv.Ctx = ctx
 	st := &Stream{
 		cancel:   cancel,
-		ctx:      ctx,
 		finished: make(chan struct{}),
 		rel:      relation.New(rt),
 	}
@@ -163,81 +160,25 @@ func (st *Stream) insertLiteral(tup value.Tuple) error {
 	return nil
 }
 
-// streamBranch evaluates one branch into the stream. It mirrors
-// runBranchPipeline, except that worker batches are delivered to the stream
-// as they are produced instead of merging after the barrier, so consumers see
-// early results while later partitions are still running.
+// streamBranch evaluates one branch into the stream. It differs from
+// runBranchPipeline only in its sink: worker batches are delivered to the
+// stream as they are produced instead of merging after the barrier, so
+// consumers see early results while later partitions are still running.
 func (e *Env) streamBranch(br *ast.Branch, st *Stream) error {
-	if br.Literal != nil {
-		tup := make(value.Tuple, len(br.Literal))
-		for i, tm := range br.Literal {
-			v, err := e.Term(tm, nil)
-			if err != nil {
-				return err
-			}
-			tup[i] = v
-		}
-		if len(tup) != st.rel.Type().Element.Arity() {
-			return fmt.Errorf("%s: literal tuple arity %d does not match result arity %d",
-				br.Pos, len(tup), st.rel.Type().Element.Arity())
-		}
-		return st.insertLiteral(tup)
-	}
-
-	rels := make([]*relation.Relation, len(br.Binds))
-	for i, bd := range br.Binds {
-		r, err := e.Range(bd.Range)
-		if err != nil {
-			return err
-		}
-		rels[i] = r
-	}
-	plan, err := e.planBranch(br, rels)
+	pb, err := e.prepareBranch(br, st.rel.Type())
 	if err != nil {
 		return err
 	}
-	outer, err := e.outerTuples(plan, rels)
-	if err != nil {
-		return err
+	if pb.literal != nil {
+		return st.insertLiteral(pb.literal)
 	}
-	workers := e.workersFor(len(outer))
-
-	if workers <= 1 {
-		pipe, counters := e.buildBranchPipeline(br, plan, rels, outer, nil, st.rel)
-		err := drainPipe(pipe, st.emit)
-		flushCounters(e.ExecStats, [][]*opCounters{counters}, 1)
-		return err
-	}
-
-	chunks := splitChunks(outer, workers)
-	errs := make([]error, len(chunks))
+	chunks := e.splitChunks(pb.outer)
 	counterSets := make([][]*opCounters, len(chunks))
-	var wg sync.WaitGroup
-	for w := range chunks {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wenv := e.cloneForWorker(st.ctx)
-			pipe, counters := wenv.buildBranchPipeline(br, plan, rels, chunks[w], nil, st.rel)
-			counterSets[w] = counters
-			errs[w] = drainPipe(pipe, st.emit)
-			if errs[w] != nil {
-				st.cancel() // fail fast: stop sibling workers
-			}
-		}(w)
-	}
-	wg.Wait()
+	err = e.fanOut(len(chunks), func(wenv *Env, w int) error {
+		pipe, counters := wenv.buildBranchPipeline(pb, chunks[w], nil, st.rel)
+		counterSets[w] = counters
+		return drainPipe(pipe, st.emit)
+	})
 	flushCounters(e.ExecStats, counterSets, len(chunks))
-
-	var firstErr error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if firstErr == nil ||
-			(errors.Is(firstErr, context.Canceled) && !errors.Is(err, context.Canceled)) {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return err
 }

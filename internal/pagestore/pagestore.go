@@ -136,7 +136,6 @@ type Engine struct {
 	lru      *list.List // of *table, front = most recent
 	resBytes int64
 	resCap   int64
-	release  func(old *relation.Relation)
 
 	lastErr       error
 	matEvictions  uint64
@@ -211,13 +210,6 @@ func (e *Engine) Close() error {
 
 // EngineName implements store.Engine.
 func (e *Engine) EngineName() string { return "paged" }
-
-// SetReleaseHook implements store.Engine.
-func (e *Engine) SetReleaseHook(fn func(old *relation.Relation)) {
-	e.mu.Lock()
-	e.release = fn
-	e.mu.Unlock()
-}
 
 // Declare implements store.Engine.
 func (e *Engine) Declare(name string, typ schema.RelationType) {
@@ -574,8 +566,7 @@ func (e *Engine) dropPagesLocked(t *table) {
 
 // setCachedLocked installs a relation's materialization and enforces the
 // residency budget, dropping cold materializations (their pages stay on
-// disk; the release hook lets the store discard access paths built over the
-// dropped values).
+// disk; indexes memoized on a dropped value are freed with it).
 func (e *Engine) setCachedLocked(t *table, rel *relation.Relation) {
 	if t.elem != nil {
 		e.resBytes -= t.resCost
@@ -600,15 +591,11 @@ func (e *Engine) setCachedLocked(t *table, rel *relation.Relation) {
 
 // dropCachedLocked evicts one materialization from residency.
 func (e *Engine) dropCachedLocked(t *table) {
-	old := t.cached
 	t.cached = nil
 	e.lru.Remove(t.elem)
 	t.elem = nil
 	e.resBytes -= t.resCost
 	e.matEvictions++
-	if e.release != nil && old != nil {
-		e.release(old)
-	}
 }
 
 // ---------------------------------------------------------------------------

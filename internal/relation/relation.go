@@ -15,6 +15,7 @@ import (
 	"io"
 	"iter"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -745,16 +746,19 @@ func BuildIndexParallel(r *Relation, positions []int, workers int) *Index {
 // calls are safe (the worst case is two racers building the same index and
 // one winning the memo slot).
 func (r *Relation) IndexOn(positions []int, workers int) *Index {
-	var sb strings.Builder
+	// The signature is built without allocating: selector access paths call
+	// IndexOn once per query, and the memo hit below is their common case.
+	var buf [32]byte
+	key := buf[:0]
 	for _, p := range positions {
-		fmt.Fprintf(&sb, "%d,", p)
+		key = append(strconv.AppendInt(key, int64(p), 10), ',')
 	}
-	sig := sb.String()
 	r.idxMu.Lock()
-	if e, ok := r.idx[sig]; ok && e.ver == r.version {
+	if e, ok := r.idx[string(key)]; ok && e.ver == r.version {
 		r.idxMu.Unlock()
 		return e.idx
 	}
+	sig := string(key)
 	ver := r.version
 	base := r.inherited[sig]
 	pending := r.pending
@@ -773,6 +777,20 @@ func (r *Relation) IndexOn(positions []int, workers int) *Index {
 	r.idx[sig] = idxEntry{ver: ver, idx: idx}
 	r.idxMu.Unlock()
 	return idx
+}
+
+// Indexes reports how many memoized indexes are valid for the relation's
+// current content (for monitoring).
+func (r *Relation) Indexes() int {
+	r.idxMu.Lock()
+	defer r.idxMu.Unlock()
+	n := 0
+	for _, e := range r.idx {
+		if e.ver == r.version {
+			n++
+		}
+	}
+	return n
 }
 
 // overlayIndex layers the tuples added since a clone over the clone source's

@@ -25,7 +25,11 @@ import (
 // Published relation values remain immutable under every engine: Publish and
 // PublishDelta install a fresh pointer and the engine must hand exactly that
 // pointer back from Get until the next publication, so pointer-identity
-// invariants (access-path keys, the matview Observer, NameOf) keep holding.
+// invariants (Partition's published-only gate, the matview Observer, NameOf)
+// keep holding. An engine may drop a resident value at any time (residency
+// eviction) without telling the Database: access-path indexes are memoized on
+// the relation value itself, so they are freed with it and rebuilt on the
+// value a later Get materializes.
 type Engine interface {
 	// EngineName identifies the implementation ("memory", "paged") for
 	// health reporting.
@@ -40,7 +44,8 @@ type Engine interface {
 	Get(name string) (*relation.Relation, bool, error)
 	// Cached returns the variable's published value only if it is resident
 	// in memory right now — no I/O. Used where the pointer is wanted
-	// opportunistically (dropping access paths) and a miss is acceptable.
+	// opportunistically (classifying a Tx write as a delta, counting memoized
+	// indexes) and a miss is acceptable.
 	Cached(name string) (*relation.Relation, bool)
 	// Type returns the declared type of a variable.
 	Type(name string) (schema.RelationType, bool)
@@ -57,11 +62,6 @@ type Engine interface {
 	// PublishDelta publishes growth: next is exactly the previous published
 	// value plus tuples, so an engine can append rather than rewrite.
 	PublishDelta(name string, tuples []value.Tuple, next *relation.Relation)
-	// SetReleaseHook registers fn to be called whenever the engine drops a
-	// previously handed-out published relation from memory (residency
-	// eviction). The Database uses it to discard access paths built over the
-	// evicted value. fn must be callable from inside any Engine method.
-	SetReleaseHook(fn func(old *relation.Relation))
 	// Close releases engine resources (file handles). The Database does not
 	// call it; the owner of the engine does.
 	Close() error
@@ -136,10 +136,6 @@ func (e *memEngine) Publish(name string, rel *relation.Relation) {
 
 func (e *memEngine) PublishDelta(name string, tuples []value.Tuple, next *relation.Relation) {
 	e.vars[name] = next
-}
-
-func (e *memEngine) SetReleaseHook(func(old *relation.Relation)) {
-	// The memory engine never drops a published value.
 }
 
 func (e *memEngine) Close() error { return nil }

@@ -17,7 +17,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/accesspath"
 	"repro/internal/relation"
 	"repro/internal/schema"
 	"repro/internal/value"
@@ -100,21 +99,6 @@ func (e *GuardViolationError) Error() string {
 		e.Variable, e.Guard, e.Tuple)
 }
 
-// maxCachedPaths bounds the physical access-path cache; beyond it, arbitrary
-// entries are evicted (the cache is a performance aid, never a correctness
-// dependency).
-const maxCachedPaths = 64
-
-// pathKey identifies one physical access path: a published relation value
-// partitioned on one attribute position. Because published relations are
-// immutable (writers replace, never mutate), the pointer is a sound identity:
-// any write that changes a variable's value swaps in a new pointer, which
-// simply never matches the stale cache entries (copy-on-write invalidation).
-type pathKey struct {
-	rel *relation.Relation
-	pos int
-}
-
 // Database is a set of named, typed relation variables.
 type Database struct {
 	mu sync.RWMutex
@@ -130,18 +114,12 @@ type Database struct {
 	// point (see Observer).
 	observer Observer
 
-	// pathMu guards the lazily built physical access paths (section 4's
-	// "physical access path ... partitions [the relation] according to the
-	// different constant values"), keyed by published relation pointer and
-	// attribute position.
-	pathMu sync.Mutex
-	paths  map[pathKey]*accesspath.Physical
-	// parallelism bounds the worker fan-out of physical path builds
+	// parallelism bounds the worker fan-out of access-path index builds
 	// (SetParallelism); 0 or 1 builds serially.
 	parallelism int
 }
 
-// SetParallelism sets the worker fan-out for physical access-path builds.
+// SetParallelism sets the worker fan-out for access-path index builds.
 // Call before sharing the database across goroutines (session Open does).
 func (db *Database) SetParallelism(n int) { db.parallelism = n }
 
@@ -151,16 +129,9 @@ func NewDatabase() *Database {
 }
 
 // NewDatabaseWith returns an empty database bound to the given storage
-// engine. The database registers its access-path invalidation as the
-// engine's release hook, so paths built over a relation the engine later
-// evicts from memory are dropped with it.
+// engine.
 func NewDatabaseWith(engine Engine) *Database {
-	db := &Database{
-		engine: engine,
-		paths:  make(map[pathKey]*accesspath.Physical),
-	}
-	engine.SetReleaseHook(db.dropPaths)
-	return db
+	return &Database{engine: engine}
 }
 
 // EngineName identifies the storage engine backing the database.
@@ -468,9 +439,6 @@ func (db *Database) Assign(name string, rex *relation.Relation, guards ...Guard)
 	if err := db.logLocked([]Mutation{{Op: OpAssign, Name: name, Rel: out}}); err != nil {
 		return err
 	}
-	if old, ok := db.engine.Cached(name); ok {
-		db.dropPaths(old)
-	}
 	db.engine.Publish(name, out)
 	db.observeReset(name, out)
 	return nil
@@ -502,59 +470,28 @@ func (db *Database) Insert(name string, tuples ...value.Tuple) error {
 	if err := db.logLocked([]Mutation{{Op: OpInsert, Name: name, Tuples: tuples}}); err != nil {
 		return err
 	}
-	db.dropPaths(r)
 	db.engine.PublishDelta(name, tuples, next)
 	db.observeGrow(name, tuples, next)
 	return nil
 }
 
-// Partition implements eval.PathProvider: it returns the sub-relation of
-// base whose attribute at pos equals v, served from a lazily built physical
-// access path. The path is built on first use for a (relation value, position)
-// pair and reused until the variable is reassigned: writers publish a new
-// relation pointer (copy-on-write), so stale paths are invalidated simply by
-// key mismatch and dropped eagerly by dropPaths.
+// Partition implements eval.PathProvider: it returns the tuples of base whose
+// attribute at pos equals v — the paper's physical access path (section 4: a
+// relation "partitioned according to the different constant values"), served
+// from base's own hash index on that attribute. The index is memoized on the
+// relation value, so it is built on first use, reused until the variable is
+// reassigned, inherited by the next published value as an overlay of the
+// inserted tuples, and freed with the value it indexes.
 //
 // Partition declines (ok false) when base is not a currently published
-// variable value. That is both a correctness condition — non-published
-// relations (transaction overlays, per-execution derived results) may be
-// mutated in place or die after one execution, so a pointer-keyed cache over
-// them would serve stale or dead partitions — and the policy that keeps the
-// cache holding only paths that can actually be reused.
-func (db *Database) Partition(base *relation.Relation, pos int, v value.Value) (*relation.Relation, bool) {
+// variable value: an index memoized on a transaction overlay or a
+// per-execution derived result would die after one execution, so those bases
+// scan instead.
+func (db *Database) Partition(base *relation.Relation, pos int, v value.Value) ([]value.Tuple, bool) {
 	if !db.published(base) {
 		return nil, false
 	}
-	k := pathKey{rel: base, pos: pos}
-	db.pathMu.Lock()
-	p, ok := db.paths[k]
-	db.pathMu.Unlock()
-	if !ok {
-		// Build outside pathMu: a large build must not block concurrent
-		// lookups on other relations. Two racing builders do redundant work
-		// once; last insert wins and both results are correct.
-		var err error
-		p, err = accesspath.BuildPhysicalAtParallel(base, pos, db.parallelism)
-		if err != nil {
-			return nil, false
-		}
-		db.pathMu.Lock()
-		if existing, dup := db.paths[k]; dup {
-			p = existing
-		} else {
-			for key := range db.paths {
-				if len(db.paths) < maxCachedPaths {
-					break
-				}
-				delete(db.paths, key)
-			}
-			db.paths[k] = p
-		}
-		db.pathMu.Unlock()
-	}
-	// Lookup is read-only on the immutable partition map once built; the
-	// returned partition is itself a published value and must not be mutated.
-	return p.Lookup(v), true
+	return base.IndexOn([]int{pos}, db.parallelism).Probe(value.Tuple{v}), true
 }
 
 // published reports whether rel is the current value of some variable. The
@@ -567,28 +504,18 @@ func (db *Database) published(rel *relation.Relation) bool {
 	return ok
 }
 
-// CachedPaths reports the number of materialized physical access paths (for
-// tests and monitoring).
+// CachedPaths reports the number of hash indexes memoized on the currently
+// published, memory-resident variable values (for tests and monitoring).
 func (db *Database) CachedPaths() int {
-	db.pathMu.Lock()
-	defer db.pathMu.Unlock()
-	return len(db.paths)
-}
-
-// dropPaths discards the access paths built over a replaced relation value.
-// Correctness does not depend on it (stale pointers never match a lookup);
-// it just keeps the cache from holding dead partitions alive.
-func (db *Database) dropPaths(old *relation.Relation) {
-	if old == nil {
-		return
-	}
-	db.pathMu.Lock()
-	for k := range db.paths {
-		if k.rel == old {
-			delete(db.paths, k)
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	n := 0
+	for _, name := range db.engine.Names() {
+		if r, ok := db.engine.Cached(name); ok {
+			n += r.Indexes()
 		}
 	}
-	db.pathMu.Unlock()
+	return n
 }
 
 // Snapshot returns the current binding of every variable. The map is a
@@ -737,7 +664,6 @@ func (tx *Tx) Commit() error {
 	tx.done = true
 	for n, r := range tx.overlay {
 		prev, _ := tx.db.engine.Cached(n)
-		tx.db.dropPaths(prev)
 		// The write is an observable delta only if it is pure insert growth
 		// AND the variable still holds the Begin snapshot: a concurrent
 		// writer between Begin and Commit means r is base+inserts over a

@@ -72,9 +72,9 @@ type config struct {
 	// parallelMinRows is the smallest outer cardinality worth splitting
 	// across workers (WithParallelThreshold); 0 means the executor default.
 	parallelMinRows int
-	// matviews is the materialized-view cache capacity; 0 disables
-	// materialization entirely (every read refixpoints from scratch).
-	matviews int
+	// noMatviews disables the materialized-view cache (every read
+	// refixpoints from scratch).
+	noMatviews bool
 	// engine selects the storage engine (WithEngine); EngineMemory unless
 	// overridden. poolPages is the paged engine's buffer-pool budget in
 	// pages (WithBufferPoolPages); 0 means the engine default.
@@ -86,8 +86,9 @@ type config struct {
 // given WithPlanCacheSize.
 const DefaultPlanCacheSize = 128
 
-// DefaultMaterializedViews is the materialized-view cache capacity used when
-// Open is given neither WithMaterialization nor WithoutMaterialization.
+// DefaultMaterializedViews is the capacity of the materialized-view cache: up
+// to this many constructor fixpoints are kept converged and maintained
+// incrementally as base relations grow (least recently used beyond it).
 const DefaultMaterializedViews = 64
 
 func defaultConfig() config {
@@ -96,7 +97,6 @@ func defaultConfig() config {
 		strict:        true,
 		planCacheSize: DefaultPlanCacheSize,
 		parallelism:   runtime.GOMAXPROCS(0),
-		matviews:      DefaultMaterializedViews,
 	}
 }
 
@@ -272,27 +272,13 @@ func WithOptimizer(passes ...string) Option {
 func WithoutOptimization() Option {
 	return func(c *config) {
 		c.noOptimize = true
-		c.matviews = 0
-	}
-}
-
-// WithMaterialization sets the capacity of the materialized derived-relation
-// cache: up to n constructor fixpoints are kept converged and maintained
-// incrementally as base relations grow (least recently used beyond n). The
-// default is DefaultMaterializedViews; n <= 0 disables materialization.
-func WithMaterialization(n int) Option {
-	return func(c *config) {
-		if n < 0 {
-			n = 0
-		}
-		c.matviews = n
+		c.noMatviews = true
 	}
 }
 
 // WithoutMaterialization disables the materialized-view cache: every
-// constructor application recomputes its fixpoint from scratch. Equivalent
-// to WithMaterialization(0); useful as a reference path when testing
-// incremental maintenance.
+// constructor application recomputes its fixpoint from scratch. Useful as a
+// reference path when testing incremental maintenance.
 func WithoutMaterialization() Option {
-	return func(c *config) { c.matviews = 0 }
+	return func(c *config) { c.noMatviews = true }
 }

@@ -92,11 +92,12 @@ type DB struct {
 	// LoadStore guard, and Close.
 	pager *pagestore.Engine
 
-	// views is the materialized derived-relation cache (WithMaterialization;
-	// on by default), registered as the store's commit observer so committed
-	// deltas maintain cached fixpoints incrementally. nil when disabled; the
-	// matview API is nil-safe, so unconditional Reset/Snapshot calls are fine,
-	// but it is never assigned into an interface field when nil.
+	// views is the materialized derived-relation cache (on by default;
+	// WithoutMaterialization), registered as the store's commit observer so
+	// committed deltas maintain cached fixpoints incrementally. nil when
+	// disabled; the matview API is nil-safe, so unconditional Reset/Snapshot
+	// calls are fine, but it is never assigned into an interface field when
+	// nil.
 	views *matview.Cache
 
 	// passes is the optimizer pass pipeline run at Prepare time; nil when the
@@ -223,8 +224,8 @@ func Open(opts ...Option) (*DB, error) {
 	d.Engine.Mode = cfg.mode
 	d.Engine.MaxRounds = cfg.maxRounds
 	d.Engine.Parallelism = cfg.parallelism
-	if cfg.matviews > 0 {
-		d.views = matview.New(cfg.matviews)
+	if !cfg.noMatviews {
+		d.views = matview.New(DefaultMaterializedViews)
 		d.views.Attach(d.Store)
 		d.Engine.Views = d.views
 	}
@@ -404,8 +405,8 @@ func (s StorageStats) HitRate() float64 {
 
 // MatViewStats is the materialized-view section of a health report.
 type MatViewStats struct {
-	// Enabled reports whether materialization is on (WithMaterialization,
-	// the default) for this database.
+	// Enabled reports whether materialization is on (the default) for this
+	// database.
 	Enabled bool
 	// Entries is the number of derived relations currently cached.
 	Entries int
@@ -678,7 +679,7 @@ func (d *DB) baseCallEnv(ctx context.Context) (*eval.Env, *core.Engine, *store.D
 	}
 	if !d.noOptimize {
 		// Selector applications over published relations answer from the
-		// store's lazily built hash partitions instead of scanning.
+		// relation's memoized hash index instead of scanning.
 		env.Paths = st
 	}
 	env.Ctx = ctx

@@ -27,10 +27,10 @@ import (
 //
 // Planning is split across the statement lifecycle: logical rewrites run once
 // at Prepare time; physical structures are per-value. Equi-join probe indexes
-// are built per execution against the relation values of that execution's
-// snapshot, while selector access paths (hash partitions) are built lazily by
-// the store and invalidated copy-on-write when the underlying variable is
-// reassigned, so repeated executions share them.
+// and selector access paths are the same hash indexes, built on first use and
+// memoized on the relation values of the execution's snapshot, so repeated
+// executions share them until the underlying variable is reassigned (an
+// insert's next value inherits them as an overlay).
 //
 // Close invalidates only this handle; it does not touch the DB's plan cache,
 // which holds its own statements (keyed by source text, evicted by LRU and
@@ -204,23 +204,9 @@ func (s *Stmt) QueryRows(ctx context.Context, args ...any) (*Rows, error) {
 // statement. Type and planning errors surface synchronously; runtime
 // evaluation errors surface through the cursor's Err.
 func (s *Stmt) streamRows(ctx context.Context, args []any, release func()) (*Rows, error) {
-	if s.closed.Load() {
-		return nil, ErrStmtClosed
-	}
-	if len(args) != len(s.params) {
-		return nil, fmt.Errorf("dbpl: statement %q expects %d argument(s) %v, got %d",
-			s.src, len(s.params), s.params, len(args))
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	env, en := s.db.callEnv(ctx)
-	for i, name := range s.params {
-		v, err := toValue(args[i])
-		if err != nil {
-			return nil, fmt.Errorf("dbpl: binding parameter %q: %w", name, err)
-		}
-		env.Scalars[name] = v
+	if err := s.bindArgs(ctx, env, args); err != nil {
+		return nil, err
 	}
 	stream, err := env.StreamSetExpr(s.execSet, nil, func() { s.db.recordStats(en) })
 	if err != nil {
@@ -240,6 +226,30 @@ type execStats struct {
 	viewSet bool
 }
 
+// bindArgs is the preamble of every execution: it rejects a closed statement,
+// an argument-count mismatch and an already-dead context, then binds args
+// positionally to the statement's scalar parameters in env.
+func (s *Stmt) bindArgs(ctx context.Context, env *eval.Env, args []any) error {
+	if s.closed.Load() {
+		return ErrStmtClosed
+	}
+	if len(args) != len(s.params) {
+		return fmt.Errorf("dbpl: statement %q expects %d argument(s) %v, got %d",
+			s.src, len(s.params), s.params, len(args))
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	for i, name := range s.params {
+		v, err := toValue(args[i])
+		if err != nil {
+			return fmt.Errorf("dbpl: binding parameter %q: %w", name, err)
+		}
+		env.Scalars[name] = v
+	}
+	return nil
+}
+
 func (s *Stmt) exec(ctx context.Context, args []any, ex *execStats) (*relation.Relation, error) {
 	env, en := s.db.callEnv(ctx)
 	return s.execWith(ctx, env, en, args, ex)
@@ -248,26 +258,12 @@ func (s *Stmt) exec(ctx context.Context, args []any, ex *execStats) (*relation.R
 // execWith runs the compiled plan in a prepared environment (the usual
 // snapshot env from callEnv, or a transaction's view from txCallEnv).
 func (s *Stmt) execWith(ctx context.Context, env *eval.Env, en *core.Engine, args []any, ex *execStats) (*relation.Relation, error) {
-	if s.closed.Load() {
-		return nil, ErrStmtClosed
-	}
-	if len(args) != len(s.params) {
-		return nil, fmt.Errorf("dbpl: statement %q expects %d argument(s) %v, got %d",
-			s.src, len(s.params), s.params, len(args))
-	}
-	if err := ctx.Err(); err != nil {
+	if err := s.bindArgs(ctx, env, args); err != nil {
 		return nil, err
 	}
 	if ex != nil {
 		env.PathStats = &ex.paths
 		env.ExecStats = &ex.exec
-	}
-	for i, name := range s.params {
-		v, err := toValue(args[i])
-		if err != nil {
-			return nil, fmt.Errorf("dbpl: binding parameter %q: %w", name, err)
-		}
-		env.Scalars[name] = v
 	}
 	var rel *relation.Relation
 	var err error
