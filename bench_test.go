@@ -48,7 +48,7 @@ END bench.
 		if _, err := db.Exec(module); err != nil {
 			b.Fatal(err)
 		}
-		inT := db.Checker.RelTypes["infrontrel"]
+		inT, _ := db.StoreSnapshot().Type("Infront")
 		if err := db.Assign("Infront", workload.EdgesToRelation(inT, workload.Chain(64))); err != nil {
 			b.Fatal(err)
 		}
@@ -173,7 +173,7 @@ END bench.
 		if _, err := db.Exec(module); err != nil {
 			b.Fatal(err)
 		}
-		inT := db.Checker.RelTypes["infrontrel"]
+		inT, _ := db.StoreSnapshot().Type("Infront")
 		if err := db.Assign("Infront", workload.EdgesToRelation(inT, workload.Chain(tuples))); err != nil {
 			b.Fatal(err)
 		}
@@ -250,8 +250,10 @@ BEGIN
 END strange;
 END m.
 `
-	db := dbpl.New()
-	db.Strict = false
+	db, err := dbpl.Open(dbpl.WithStrict(false))
+	if err != nil {
+		b.Fatal(err)
+	}
 	if _, err := db.Exec(src); err != nil {
 		b.Fatal(err)
 	}

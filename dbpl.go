@@ -13,9 +13,13 @@
 //
 // # Sessions
 //
-// A DB is opened with functional options and is safe for concurrent use:
-// queries evaluate against a stable snapshot of the relation variables and
-// run in parallel with module execution and assignments.
+// A DB is opened with functional options and is safe for concurrent use.
+// There is one evaluation path: a query, a module statement and a transaction
+// statement each evaluate in a private environment built over the published
+// declarations — one immutable value, replaced as a whole when a module
+// compiles — and a snapshot of the relation variables, so evaluations run in
+// parallel with each other and with assignments. Whole modules are serialized
+// against each other, and a module that fails to compile changes nothing.
 //
 //	db, err := dbpl.Open(dbpl.WithMode(dbpl.SemiNaive))
 //	if err != nil { ... }
@@ -239,10 +243,10 @@ func (d *DB) Declare(name string, typ RelationType) error {
 	if err := d.store().Declare(name, typ); err != nil {
 		return wrapErr(d.noteMutErr(err))
 	}
+	// Publishing also drops the cached plans, which may have classified the
+	// new name as a scalar parameter.
 	d.mu.Lock()
-	d.Checker.Vars[name] = typ
-	// Cached plans may have classified the new name as a scalar parameter.
-	d.plans.clear()
+	d.publishVars(name)
 	d.mu.Unlock()
 	return nil
 }

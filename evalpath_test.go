@@ -1,0 +1,307 @@
+package dbpl_test
+
+import (
+	"context"
+	"fmt"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+)
+
+// pathSchema declares what the statement modules of TestExecAndTxExecAgree
+// run over: a base relation with a recursive constructor, and an integrity
+// guard whose body reads a second relation.
+const pathSchema = `
+MODULE schema;
+TYPE parttype   = STRING;
+TYPE objectrel  = RELATION OF RECORD part: parttype END;
+TYPE infrontrel = RELATION OF RECORD front, back: parttype END;
+TYPE aheadrel   = RELATION OF RECORD head, tail: parttype END;
+VAR Objects: objectrel;
+VAR Infront: infrontrel;
+
+SELECTOR refint () FOR Rel: infrontrel;
+BEGIN EACH r IN Rel: SOME o IN Objects (r.front = o.part) END refint;
+
+SELECTOR hidden_by (Obj: parttype) FOR Rel: infrontrel;
+BEGIN EACH r IN Rel: r.front = Obj END hidden_by;
+
+CONSTRUCTOR ahead FOR Rel: infrontrel (): aheadrel;
+BEGIN
+  EACH r IN Rel: TRUE,
+  <f.front, b.tail> OF EACH f IN Rel, EACH b IN Rel{ahead}: f.back = b.head
+END ahead;
+
+Objects := {<"vase">, <"table">};
+Infront := {<"vase","table">};
+END schema.
+`
+
+// TestExecAndTxExecAgree runs the same statement modules through DB.Exec and
+// through Begin/Tx.Exec/Commit: one statement executor serves both, so SHOW
+// output, errors and the resulting store state must be identical — including
+// a guarded assignment that violates its selector and an assignment through a
+// constructed relation, which both paths reject without touching the state.
+func TestExecAndTxExecAgree(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name, stmts string
+		wantErr     string // substring; "" means success
+		wantShow    string // substring of the SHOW output
+		wantInfront int
+	}{
+		{
+			name: "assign then show sees the write",
+			stmts: `Infront := {<"vase","table">, <"table","chair">};
+			        SHOW Infront{ahead};
+			        SHOW Infront[hidden_by("table")];`,
+			wantShow:    `<"vase", "chair">`,
+			wantInfront: 2,
+		},
+		{
+			name: "guarded assignment passes",
+			stmts: `Infront[refint] := {<"table","vase">, <"vase","table">};
+			        SHOW Infront;`,
+			wantShow:    `<"table", "vase">`,
+			wantInfront: 2,
+		},
+		{
+			name: "guard reads an earlier statement's write",
+			stmts: `Objects := {<"lamp">};
+			        Infront[refint][hidden_by("lamp")] := {<"lamp","desk">};`,
+			wantInfront: 1,
+		},
+		{
+			name: "guard violation leaves the state untouched",
+			stmts: `SHOW Infront;
+			        Infront[refint] := {<"chair","table">};
+			        SHOW Objects;`,
+			wantErr:     `assignment to Infront[refint] rejected`,
+			wantShow:    `Infront = `,
+			wantInfront: 1,
+		},
+		{
+			name:        "assignment through a constructed relation",
+			stmts:       `Infront{ahead} := {<"a","b">};`,
+			wantErr:     "assignment through a constructed relation",
+			wantInfront: 1,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			module := "MODULE s;\n" + tc.stmts + "\nEND s."
+
+			direct := openWith(t, pathSchema)
+			directOut, directErr := direct.ExecContext(ctx, module)
+
+			viaTx := openWith(t, pathSchema)
+			tx, err := viaTx.Begin(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			txOut, txErr := tx.Exec(ctx, module)
+			// Statements are individually atomic on both paths: the writes
+			// before a failed statement stand, so they commit here too.
+			if err := tx.Commit(); err != nil {
+				t.Fatalf("commit: %v", err)
+			}
+
+			if directOut != txOut {
+				t.Errorf("SHOW output differs:\nExec:    %q\nTx.Exec: %q", directOut, txOut)
+			}
+			if !strings.Contains(directOut, tc.wantShow) {
+				t.Errorf("SHOW output %q lacks %q", directOut, tc.wantShow)
+			}
+			if fmt.Sprint(directErr) != fmt.Sprint(txErr) {
+				t.Errorf("errors differ:\nExec:    %v\nTx.Exec: %v", directErr, txErr)
+			}
+			if tc.wantErr == "" && directErr != nil {
+				t.Errorf("unexpected error: %v", directErr)
+			}
+			if tc.wantErr != "" && (directErr == nil || !strings.Contains(directErr.Error(), tc.wantErr)) {
+				t.Errorf("error %v, want one containing %q", directErr, tc.wantErr)
+			}
+			for _, name := range []string{"Objects", "Infront"} {
+				a, _ := direct.Relation(name)
+				b, _ := viaTx.Relation(name)
+				if !a.Equal(b) {
+					t.Errorf("%s differs:\nExec:    %s\nTx.Exec: %s", name, a, b)
+				}
+			}
+			if rel, _ := direct.Relation("Infront"); rel.Len() != tc.wantInfront {
+				t.Errorf("Infront has %d tuples, want %d: %s", rel.Len(), tc.wantInfront, rel)
+			}
+		})
+	}
+}
+
+// TestFailedModuleLeavesDeclarationsUntouched: a module that fails
+// type-checking must not leave its earlier declarations behind — the
+// corrected module would then be rejected as a redefinition, and on a
+// long-lived server one typo would poison the namespace until restart.
+func TestFailedModuleLeavesDeclarationsUntouched(t *testing.T) {
+	db := openWith(t, cadModule)
+	if _, err := db.Query(`Infront{ahead}`); err != nil {
+		t.Fatal(err)
+	}
+	plans, views := db.PlanCacheLen(), db.Health().MatViews.Entries
+	if plans != 1 || views != 1 {
+		t.Fatalf("setup: %d cached plans, %d cached views, want 1 and 1", plans, views)
+	}
+
+	const module = `
+MODULE fix;
+TYPE t = STRING;
+TYPE r = RELATION OF RECORD a: t END;
+VAR X: r;
+SELECTOR pick (V: t) FOR Rel: r;
+BEGIN EACH e IN Rel: e.%s = V END pick;
+X := {<"one">, <"two">};
+SHOW X[pick("one")];
+END fix.
+`
+	if _, err := db.Exec(fmt.Sprintf(module, "nosuch")); err == nil {
+		t.Fatal("module with a bad attribute was accepted")
+	}
+	if got := db.PlanCacheLen(); got != plans {
+		t.Errorf("failed module changed the plan cache: %d entries, want %d", got, plans)
+	}
+	if got := db.Health().MatViews.Entries; got != views {
+		t.Errorf("failed module changed the view cache: %d entries, want %d", got, views)
+	}
+	if _, ok := db.Relation("X"); ok {
+		t.Error("failed module declared its variable")
+	}
+	if _, err := db.Prepare(`Infront[pick("one")]`); err == nil {
+		t.Error("failed module left its selector behind")
+	}
+
+	out, err := db.Exec(fmt.Sprintf(module, "a"))
+	if err != nil {
+		t.Fatalf("corrected module rejected: %v", err)
+	}
+	if want := `X[pick("one")] = {<"one">}`; !strings.Contains(out, want) {
+		t.Errorf("SHOW output %q lacks %q", out, want)
+	}
+}
+
+// TestTxShowRecordsStats: a constructor evaluated by a statement inside a
+// transaction reaches LastStats like any other evaluation.
+func TestTxShowRecordsStats(t *testing.T) {
+	ctx := context.Background()
+	db := openWith(t, cadModule)
+	if s := db.LastStats(); s.Rounds != 0 {
+		t.Fatalf("stats before any evaluation: %+v", s)
+	}
+	tx, err := db.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Rollback()
+	out, err := tx.Exec(ctx, `MODULE s;
+Infront := {<"vase","table">, <"table","chair">};
+SHOW Infront{ahead};
+END s.`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, `<"vase", "chair">`) {
+		t.Errorf("SHOW output: %s", out)
+	}
+	if s := db.LastStats(); s.Rounds == 0 || s.Tuples != 3 {
+		t.Errorf("transactional SHOW not recorded: %+v", s)
+	}
+}
+
+// TestConcurrentDeclaringModulesAndQueries executes declaring modules — each
+// preceded by a rejected draft of itself — while other goroutines prepare and
+// query. A reader must never see part of a module's declarations (its
+// selector without its constructor), and once a module has executed, a
+// one-shot query must not be served by a plan cached before it, in which the
+// module's variable was still classified as a scalar parameter.
+func TestConcurrentDeclaringModulesAndQueries(t *testing.T) {
+	db := openWith(t, cadModule)
+	if _, err := db.Exec(`
+MODULE extra;
+SELECTOR covers (R: infrontrel) FOR Rel: infrontrel;
+BEGIN EACH r IN Rel: SOME x IN R (r.front = x.front) END covers;
+END extra.`); err != nil {
+		t.Fatal(err)
+	}
+
+	const modules = 24
+	const readers = 4
+	module := func(k int, attr string) string {
+		return fmt.Sprintf(`
+MODULE m%[1]d;
+TYPE t%[1]d = STRING;
+VAR W%[1]d: infrontrel;
+SELECTOR sel%[1]d (V: t%[1]d) FOR Rel: infrontrel;
+BEGIN EACH r IN Rel: r.%[2]s = V END sel%[1]d;
+CONSTRUCTOR con%[1]d FOR Rel: infrontrel (): infrontrel;
+BEGIN EACH r IN Rel: TRUE END con%[1]d;
+W%[1]d := {<"vase","x">};
+END m%[1]d.`, k, attr)
+	}
+
+	var executed atomic.Int64 // modules 1..executed have fully executed
+	stop := make(chan struct{})
+	errc := make(chan error, readers+1)
+	var wg sync.WaitGroup
+
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				done := int(executed.Load())
+				k := 1 + (i+r)%modules
+				_, err := db.Prepare(fmt.Sprintf(`Infront[sel%[1]d("vase")]{con%[1]d}`, k))
+				switch {
+				case err == nil:
+				case k <= done:
+					errc <- fmt.Errorf("module %d executed, yet: %v", k, err)
+					return
+				case !strings.Contains(err.Error(), fmt.Sprintf(`unknown selector "sel%d"`, k)):
+					errc <- fmt.Errorf("partial declaration set of module %d: %v", k, err)
+					return
+				}
+				// Before module k, Wk is a scalar parameter and the argument
+				// count is off; that plan must not outlive the module.
+				rel, err := db.Query(fmt.Sprintf(`Infront[covers(W%d)]`, k))
+				if k <= done && (err != nil || rel.Len() != 1) {
+					errc <- fmt.Errorf("stale plan after module %d: %v, %v", k, rel, err)
+					return
+				}
+			}
+		}(r)
+	}
+
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(stop)
+		for k := 1; k <= modules; k++ {
+			if _, err := db.Exec(module(k, "nosuch")); err == nil {
+				errc <- fmt.Errorf("draft of module %d was accepted", k)
+				return
+			}
+			if _, err := db.Exec(module(k, "front")); err != nil {
+				errc <- fmt.Errorf("module %d after its rejected draft: %v", k, err)
+				return
+			}
+			executed.Store(int64(k))
+		}
+	}()
+
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+}

@@ -468,7 +468,7 @@ END ddl.
 	}
 	// Declare also invalidates (the name could have been classified as a
 	// scalar parameter).
-	if err := db.Declare("Other", mustRelType(t, db, "infrontrel")); err != nil {
+	if err := db.Declare("Other", mustVarType(t, db, "Infront")); err != nil {
 		t.Fatal(err)
 	}
 	if n := db.PlanCacheLen(); n != 0 {
@@ -476,11 +476,11 @@ END ddl.
 	}
 }
 
-func mustRelType(t *testing.T, db *dbpl.DB, name string) dbpl.RelationType {
+func mustVarType(t *testing.T, db *dbpl.DB, name string) dbpl.RelationType {
 	t.Helper()
-	rt, ok := db.Checker.RelTypes[name]
+	rt, ok := db.StoreSnapshot().Type(name)
 	if !ok {
-		t.Fatalf("relation type %q not declared", name)
+		t.Fatalf("relation variable %q not declared", name)
 	}
 	return rt
 }

@@ -21,14 +21,13 @@ type incWorkload struct {
 	name    string
 	module  string
 	baseVar string
-	relType string
 	queries []string
 }
 
 func incWorkloads() []incWorkload {
 	return []incWorkload{
 		{
-			name: "cad", module: cadModule, baseVar: "Infront", relType: "infrontrel",
+			name: "cad", module: cadModule, baseVar: "Infront",
 			queries: []string{
 				`Infront{ahead}`,
 				`Infront{ahead}[hidden_by("table")]`, // magic-restricted path
@@ -36,14 +35,14 @@ func incWorkloads() []incWorkload {
 			},
 		},
 		{
-			name: "bom", module: bomModule, baseVar: "Contains", relType: "bomrel",
+			name: "bom", module: bomModule, baseVar: "Contains",
 			queries: []string{
 				`Contains{explode}`,
 				`Contains{invert}`,
 			},
 		},
 		{
-			name: "samegen", module: samegenModule, baseVar: "Parent", relType: "parentrel",
+			name: "samegen", module: samegenModule, baseVar: "Parent",
 			queries: []string{
 				`Parent{samegen}`,
 				`{EACH sg IN Parent{samegen}: sg.left = "n0001"}`,
@@ -139,7 +138,7 @@ func TestIncrementalMetamorphic(t *testing.T) {
 
 				initial, _ := mat.StoreSnapshot().Get(w.baseVar)
 				m := newMutator(0x1985, initial)
-				typ := mustRelType(t, mat, w.relType)
+				typ := mustVarType(t, mat, w.baseVar)
 				ctx := context.Background()
 
 				check := func(step string) {

@@ -13,7 +13,10 @@
 //
 //   - Runtime level: execution of the compiled statements against a
 //     database of relation variables, with selector guards enforced on
-//     assignment.
+//     assignment. RunStmt is that level, one statement at a time: the caller
+//     supplies the environment the statement reads and the store or
+//     transaction it writes through, so module execution and transactions
+//     share one executor.
 package compile
 
 import (
@@ -107,15 +110,18 @@ func Compile(src string, opts Options) (*Program, error) {
 // registry.
 func CompileModule(m *ast.Module, opts Options) (*Program, error) {
 	chk := typecheck.New()
+	chk.Strict = opts.Strict
 	reg := core.NewRegistry()
-	return CompileModuleInto(m, chk, reg, opts)
+	reg.Strict = opts.Strict
+	return CompileModuleInto(m, chk, reg)
 }
 
 // CompileModuleInto compiles a module into an existing checker and registry,
-// accumulating declarations across modules (the package dbpl façade executes
-// successive modules against one database this way).
-func CompileModuleInto(m *ast.Module, chk *typecheck.Checker, reg *core.Registry, opts Options) (*Program, error) {
-	chk.Strict = opts.Strict
+// accumulating declarations across modules, under the strictness they already
+// carry. An error leaves both partially extended: the package dbpl façade,
+// which executes successive modules against one database this way, compiles
+// into clones and keeps them only on success.
+func CompileModuleInto(m *ast.Module, chk *typecheck.Checker, reg *core.Registry) (*Program, error) {
 	if err := chk.CheckModule(m); err != nil {
 		return nil, err
 	}
@@ -126,7 +132,6 @@ func CompileModuleInto(m *ast.Module, chk *typecheck.Checker, reg *core.Registry
 		Registry:   reg,
 		Positivity: make(map[string]positivity.Report),
 	}
-	p.Registry.Strict = opts.Strict
 
 	// Register constructors with the engine registry and record positivity.
 	var decls []*ast.ConstructorDecl
@@ -272,133 +277,90 @@ func walkRangeDeep(r *ast.Range, fn func(*ast.Range)) {
 // Runtime level
 // ---------------------------------------------------------------------------
 
-// Runtime executes a compiled program against a database.
-type Runtime struct {
-	Program *Program
-	DB      *store.Database
-	Engine  *core.Engine
-	Env     *eval.Env
-	// Out receives SHOW output; nil discards it.
-	Out io.Writer
+// Assigner is the write side of the runtime level: the one method
+// *store.Database and *store.Tx share, so a statement executes the same way
+// against the store and inside a transaction.
+type Assigner interface {
+	Assign(name string, rel *relation.Relation, guards ...store.Guard) error
 }
 
-// NewRuntime declares the module's variables in the database (if absent) and
-// wires up the evaluation environment and engine.
-func NewRuntime(p *Program, db *store.Database, out io.Writer) (*Runtime, error) {
-	env := eval.NewEnv()
-	for name, sig := range p.Checker.Selectors {
-		env.Selectors[name] = sig.Decl
-	}
-	for name, rt := range p.Checker.RelTypes {
-		env.RelTypes[name] = rt
-	}
-	for name, rt := range p.Checker.Vars {
-		if _, ok := db.Get(name); !ok {
+// GuardSpec is one selector guard of an executed guarded assignment, with its
+// arguments kept as syntax: a transaction re-resolves them against its final
+// state for the commit-time re-check.
+type GuardSpec struct {
+	Decl *ast.SelectorDecl
+	Elem schema.RecordType
+	Args []ast.Arg
+}
+
+// DeclareVars declares every checked relation variable the database does not
+// have yet, so a module's VAR declarations exist before its statements run.
+func DeclareVars(chk *typecheck.Checker, db *store.Database) error {
+	for name, rt := range chk.Vars {
+		if _, ok := db.Type(name); !ok {
 			if err := db.Declare(name, rt); err != nil {
-				return nil, err
+				return err
 			}
-		}
-	}
-	en := core.NewEngine(p.Registry, env)
-	rt := &Runtime{Program: p, DB: db, Engine: en, Env: env, Out: out}
-	return rt, nil
-}
-
-// refreshEnv re-binds the environment's relation variables to the database's
-// current values.
-func (rt *Runtime) refreshEnv() {
-	for _, name := range rt.DB.Names() {
-		if r, ok := rt.DB.Get(name); ok {
-			rt.Env.Rels[name] = r
-		}
-	}
-	rt.Env.ResetMemo()
-}
-
-// Run executes all statements in order.
-func (rt *Runtime) Run() error {
-	for i, s := range rt.Program.Module.Stmts {
-		if err := rt.runStmt(s); err != nil {
-			return fmt.Errorf("statement %d (%s): %w", i+1, s, err)
 		}
 	}
 	return nil
 }
 
-// Eval evaluates a range expression against the current database state.
-func (rt *Runtime) Eval(r *ast.Range) (*relation.Relation, error) {
-	rt.refreshEnv()
-	return rt.Env.Range(r)
-}
-
-// EvalQuery parses and evaluates an ad-hoc range expression.
-func (rt *Runtime) EvalQuery(src string) (*relation.Relation, error) {
-	r, err := parser.ParseRange(src)
-	if err != nil {
-		return nil, err
-	}
-	return rt.Eval(r)
-}
-
-func (rt *Runtime) runStmt(s ast.Stmt) error {
+// RunStmt executes one statement: env holds the declarations and the relation
+// bindings the statement reads, selectors the checked signatures its guards
+// compile from, db takes its write, and out its SHOW rendering (nil discards
+// it). An assignment reports the variable it wrote and the specs of the
+// guards it passed — the paper's Infront[refint] := rex (section 2.3);
+// target is "" for SHOW.
+func RunStmt(env *eval.Env, selectors map[string]*typecheck.SelectorSig, db Assigner, out io.Writer, s ast.Stmt) (target string, specs []GuardSpec, err error) {
 	switch t := s.(type) {
 	case *ast.Show:
-		rel, err := rt.Eval(t.Expr)
-		if err != nil {
-			return err
+		rel, err := env.Range(t.Expr)
+		if err != nil || out == nil {
+			return "", nil, err
 		}
-		if rt.Out != nil {
-			// Stream tuple by tuple instead of rendering one big string.
-			if _, err := fmt.Fprintf(rt.Out, "%s = ", t.Expr); err != nil {
-				return err
-			}
-			if _, err := rel.WriteTo(rt.Out); err != nil {
-				return err
-			}
-			if _, err := io.WriteString(rt.Out, "\n"); err != nil {
-				return err
-			}
+		// Stream tuple by tuple instead of rendering one big string.
+		if _, err := fmt.Fprintf(out, "%s = ", t.Expr); err != nil {
+			return "", nil, err
 		}
-		return nil
+		if _, err := rel.WriteTo(out); err != nil {
+			return "", nil, err
+		}
+		_, err = io.WriteString(out, "\n")
+		return "", nil, err
 	case *ast.Assign:
-		rel, err := rt.Eval(t.Expr)
+		rel, err := env.Range(t.Expr)
 		if err != nil {
-			return err
+			return "", nil, err
 		}
-		guards, err := rt.guardsFor(t)
-		if err != nil {
-			return err
+		guards := make([]store.Guard, 0, len(t.Suffixes))
+		for i := range t.Suffixes {
+			suf := &t.Suffixes[i]
+			if suf.Kind != ast.SuffixSelector {
+				return "", nil, fmt.Errorf("assignment through a constructed relation %q is not defined (constructors derive, they do not store)", suf.Name)
+			}
+			sig, ok := selectors[suf.Name]
+			if !ok {
+				return "", nil, fmt.Errorf("unknown selector %q", suf.Name)
+			}
+			args, err := env.ResolveArgs(suf.Args)
+			if err != nil {
+				return "", nil, err
+			}
+			g, err := SelectorGuard(env, sig.Decl, sig.ForType.Element, args)
+			if err != nil {
+				return "", nil, err
+			}
+			guards = append(guards, g)
+			specs = append(specs, GuardSpec{Decl: sig.Decl, Elem: sig.ForType.Element, Args: suf.Args})
 		}
-		return rt.DB.Assign(t.Target, rel, guards...)
+		if err := db.Assign(t.Target, rel, guards...); err != nil {
+			return "", nil, err
+		}
+		return t.Target, specs, nil
 	default:
-		return fmt.Errorf("unknown statement %T", s)
+		return "", nil, fmt.Errorf("unknown statement %T", s)
 	}
-}
-
-// guardsFor builds the selector guards for an assignment target: the paper's
-// Infront[refint] := rex semantics.
-func (rt *Runtime) guardsFor(t *ast.Assign) ([]store.Guard, error) {
-	var guards []store.Guard
-	for i := range t.Suffixes {
-		suf := &t.Suffixes[i]
-		if suf.Kind != ast.SuffixSelector {
-			return nil, fmt.Errorf("assignment through a constructed relation %q is not defined (constructors derive, they do not store)", suf.Name)
-		}
-		sig, ok := rt.Program.Checker.Selectors[suf.Name]
-		if !ok {
-			return nil, fmt.Errorf("unknown selector %q", suf.Name)
-		}
-		args, err := rt.Env.ResolveArgs(suf.Args)
-		if err != nil {
-			return nil, err
-		}
-		guard, err := SelectorGuard(rt.Env, sig.Decl, sig.ForType.Element, args)
-		if err != nil {
-			return nil, err
-		}
-		guards = append(guards, guard)
-	}
-	return guards, nil
 }
 
 // SelectorGuard compiles a selector declaration plus actual arguments into a

@@ -2,10 +2,16 @@ package compile
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/eval"
+	"repro/internal/parser"
 	"repro/internal/store"
+	"repro/internal/value"
 )
 
 const cadSrc = `
@@ -73,47 +79,136 @@ func TestDecompileStrategyForNonRecursive(t *testing.T) {
 	}
 }
 
-func TestRuntimeExecution(t *testing.T) {
-	p, err := Compile(cadSrc, Options{Strict: true})
+// runProgram executes a compiled program the way the session layer does: the
+// module's variables are declared, then every statement runs through RunStmt
+// in a fresh environment over the database's current state.
+func runProgram(t *testing.T, p *Program, db *store.Database, out io.Writer) error {
+	t.Helper()
+	if err := DeclareVars(p.Checker, db); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range p.Module.Stmts {
+		env := eval.NewEnv()
+		for name, sig := range p.Checker.Selectors {
+			env.Selectors[name] = sig.Decl
+		}
+		env.RelTypes = p.Checker.RelTypes
+		env.Rels = db.Snapshot()
+		core.NewEngine(p.Registry, env)
+		if _, _, err := RunStmt(env, p.Checker.Selectors, db, out, s); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func TestRunStmtExecution(t *testing.T) {
+	// The ad-hoc selector-then-constructor range rides along as a statement.
+	src := strings.Replace(cadSrc, "SHOW Infront;", `SHOW Infront[hidden_by("a")]{ahead};`, 1)
+	p, err := Compile(src, Options{Strict: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	rt, err := NewRuntime(p, store.NewDatabase(), &out)
+	db := store.NewDatabase()
+	if err := runProgram(t, p, db, &out); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("want one line per SHOW, got:\n%s", out.String())
+	}
+	if !strings.HasPrefix(lines[0], "Infront{ahead} = ") || !strings.Contains(lines[0], `<"a", "c">`) {
+		t.Errorf("SHOW output missing derived tuple: %s", lines[0])
+	}
+	// hidden_by("a") keeps <a,b>; its closure is that one tuple.
+	if strings.Count(lines[1], "<") != 1 || !strings.Contains(lines[1], `<"a", "b">`) {
+		t.Errorf("selector-then-constructor range: %s", lines[1])
+	}
+	// The assignment went through the database, and each statement saw it.
+	if rel, ok := db.Get("Infront"); !ok || rel.Len() != 2 {
+		t.Errorf("assignment not stored: %v", rel)
+	}
+	// A nil writer discards SHOW output.
+	if err := runProgram(t, p, store.NewDatabase(), nil); err != nil {
+		t.Errorf("nil writer: %v", err)
+	}
+}
+
+// TestRunStmtGuards pins the write side: a guarded assignment reports its
+// target and guard specs, writes through whichever Assigner it is given (the
+// database or a transaction), and a violated guard leaves the state alone.
+func TestRunStmtGuards(t *testing.T) {
+	src := strings.Replace(cadSrc, "SHOW Infront;", `Infront[hidden_by("a")] := {<"a","z">};`, 1)
+	p, err := Compile(src, Options{Strict: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.Run(); err != nil {
+	db := store.NewDatabase()
+	if err := runProgram(t, p, db, nil); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), `<"a", "c">`) {
-		t.Errorf("SHOW output missing derived tuple:\n%s", out.String())
-	}
-	// Ad-hoc query through the runtime.
-	rel, err := rt.EvalQuery(`Infront[hidden_by("a")]{ahead}`)
+	env := eval.NewEnv()
+	env.Rels = db.Snapshot()
+	guarded := p.Module.Stmts[2]
+
+	tx := db.Begin()
+	target, specs, err := RunStmt(env, p.Checker.Selectors, tx, nil, guarded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rel.Len() != 1 {
-		t.Errorf("ad-hoc query: %s", rel)
+	if target != "Infront" || len(specs) != 1 || specs[0].Decl.Name != "hidden_by" || len(specs[0].Args) != 1 {
+		t.Errorf("target %q specs %+v", target, specs)
+	}
+	if rel, _ := tx.Get("Infront"); rel.Len() != 1 {
+		t.Errorf("transaction did not take the write: %s", rel)
+	}
+	if rel, _ := db.Get("Infront"); rel.Len() != 1 || !rel.Contains(value.NewTuple(value.Str("a"), value.Str("z"))) {
+		t.Errorf("database state after the module: %s", rel)
+	}
+
+	bad, err := parser.ParseModule(`MODULE b; Infront[hidden_by("q")] := {<"a","z">}; Infront[nosuch] := {<"a","z">}; END b.`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range bad.Stmts {
+		if _, _, err := RunStmt(env, p.Checker.Selectors, db, nil, s); err == nil {
+			t.Errorf("%s must fail", s)
+		}
+	}
+	var gv *store.GuardViolationError
+	if _, _, err := RunStmt(env, p.Checker.Selectors, db, nil, bad.Stmts[0]); !errors.As(err, &gv) {
+		t.Errorf("want a guard violation, got %v", err)
+	}
+	if rel, _ := db.Get("Infront"); rel.Len() != 1 {
+		t.Errorf("failed assignments changed the database: %s", rel)
 	}
 }
 
 func TestAssignThroughConstructorRejected(t *testing.T) {
-	src := strings.Replace(cadSrc,
-		`Infront := {<"a","b">, <"b","c">};`,
-		`Infront{ahead} := {<"a","b">};`, 1)
-	p, err := Compile(src, Options{Strict: true})
-	if err != nil {
-		// The type checker may reject it first; either layer is fine.
-		return
-	}
-	rt, err := NewRuntime(p, store.NewDatabase(), nil)
+	p, err := Compile(cadSrc, Options{Strict: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.Run(); err == nil {
-		t.Error("assignment through a constructed relation must fail")
+	db := store.NewDatabase()
+	if err := runProgram(t, p, db, nil); err != nil {
+		t.Fatal(err)
+	}
+	// A transaction's statements are parsed but not type-checked, so the
+	// runtime level must reject the assignment itself — whether or not the
+	// type checker would have.
+	m, err := parser.ParseModule(`MODULE b; Infront{ahead} := {<"x","y">}; END b.`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := eval.NewEnv()
+	env.Rels = db.Snapshot()
+	_, _, err = RunStmt(env, p.Checker.Selectors, db, nil, m.Stmts[0])
+	if err == nil || !strings.Contains(err.Error(), "assignment through a constructed relation") {
+		t.Errorf("assignment through a constructed relation must fail, got %v", err)
+	}
+	if rel, _ := db.Get("Infront"); rel.Len() != 2 {
+		t.Errorf("rejected assignment changed the database: %s", rel)
 	}
 }
 

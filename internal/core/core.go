@@ -21,6 +21,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -82,6 +83,15 @@ type Registry struct {
 // NewRegistry returns an empty, strict registry.
 func NewRegistry() *Registry {
 	return &Registry{constructors: make(map[string]*Constructor), Strict: true}
+}
+
+// Clone returns an independent registry holding the same definitions, so a
+// module's constructors can be registered into the copy and the copy dropped
+// if the module is rejected.
+func (r *Registry) Clone() *Registry {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return &Registry{constructors: maps.Clone(r.constructors), Strict: r.Strict}
 }
 
 // Register adds a constructor with its resolved result type. It runs the

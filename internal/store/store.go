@@ -14,6 +14,7 @@ package store
 import (
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 	"sync"
 
@@ -688,21 +689,13 @@ func (tx *Tx) Rollback() {
 	tx.overlay = nil
 }
 
-// Names returns the variable names visible inside the transaction (the Begin
-// snapshot plus the transaction's own writes), sorted.
-func (tx *Tx) Names() []string {
-	seen := make(map[string]bool, len(tx.base)+len(tx.overlay))
-	for n := range tx.base {
-		seen[n] = true
-	}
-	for n := range tx.overlay {
-		seen[n] = true
-	}
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Strings(out)
+// Snapshot returns the binding of every variable as the transaction sees it:
+// the Begin snapshot overlaid with the transaction's own writes. Like
+// Database.Snapshot, the map is a private copy.
+func (tx *Tx) Snapshot() map[string]*relation.Relation {
+	out := make(map[string]*relation.Relation, len(tx.base)+len(tx.overlay))
+	maps.Copy(out, tx.base)
+	maps.Copy(out, tx.overlay)
 	return out
 }
 

@@ -8,6 +8,7 @@ package typecheck
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/ast"
 	"repro/internal/positivity"
@@ -85,6 +86,22 @@ func New() *Checker {
 		Selectors:    make(map[string]*SelectorSig),
 		Constructors: make(map[string]*ConstructorSig),
 		Strict:       true,
+	}
+}
+
+// Clone returns an independent copy of the static environment: a module can
+// be checked into the copy and the copy discarded on error, leaving c
+// untouched. The resolved types and signatures themselves are immutable and
+// shared.
+func (c *Checker) Clone() *Checker {
+	return &Checker{
+		Scalars:      maps.Clone(c.Scalars),
+		Records:      maps.Clone(c.Records),
+		RelTypes:     maps.Clone(c.RelTypes),
+		Vars:         maps.Clone(c.Vars),
+		Selectors:    maps.Clone(c.Selectors),
+		Constructors: maps.Clone(c.Constructors),
+		Strict:       c.Strict,
 	}
 }
 

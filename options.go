@@ -45,7 +45,6 @@ const (
 type config struct {
 	mode          Mode
 	strict        bool
-	maxRounds     int
 	planCacheSize int
 	maxOpenRows   int
 	storeReader   io.Reader
@@ -115,12 +114,6 @@ func WithMode(m Mode) Option {
 // detection.
 func WithStrict(strict bool) Option {
 	return func(c *config) { c.strict = strict }
-}
-
-// WithMaxRounds bounds fixpoint iterations; 0 (the default) means a large
-// internal default. Mostly useful together with WithStrict(false).
-func WithMaxRounds(n int) Option {
-	return func(c *config) { c.maxRounds = n }
 }
 
 // WithPlanCacheSize sets the capacity of the LRU cache of compiled query

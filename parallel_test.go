@@ -29,7 +29,7 @@ func parallelOpts(workers int) []dbpl.Option {
 // assignEdges publishes edges as the Infront base relation of cadModule.
 func assignEdges(t testing.TB, db *dbpl.DB, edges []workload.Edge) {
 	t.Helper()
-	inT := db.Checker.RelTypes["infrontrel"]
+	inT, _ := db.StoreSnapshot().Type("Infront")
 	if err := db.Assign("Infront", workload.EdgesToRelation(inT, edges)); err != nil {
 		t.Fatal(err)
 	}

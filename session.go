@@ -15,53 +15,36 @@ import (
 	"repro/internal/pagestore"
 	"repro/internal/parser"
 	"repro/internal/relation"
-	"repro/internal/schema"
 	"repro/internal/store"
 	"repro/internal/typecheck"
-	"repro/internal/value"
 	"repro/internal/wal"
 )
 
 // DB is a DBPL database: relation variables plus the accumulated type,
 // selector, and constructor declarations of every executed module.
 //
-// A DB is safe for concurrent use. Module execution (Exec*) and programmatic
-// writes serialize on an internal lock; queries (Query*, Stmt.Query, Apply)
-// evaluate against a snapshot of the relation variables in a private
-// environment and therefore run in parallel with each other and with
-// writers.
+// A DB is safe for concurrent use. Every statement, query and Apply evaluates
+// in a private environment and engine (newEval) built over the published
+// declarations and a snapshot of the relation variables, so evaluations run
+// in parallel with each other and with writers, which synchronize in the
+// store.
 type DB struct {
-	Store    *store.Database
-	Checker  *typecheck.Checker
-	Registry *core.Registry
-	// Engine is the module-execution engine over the accumulated
-	// environment; queries use private per-call engines.
-	Engine *core.Engine
-	// Strict enforces the positivity constraint (section 3.3) on
-	// constructor declarations; it is on by default, as in the paper's
-	// compiler. Changing it affects subsequently executed modules; set it
-	// before sharing the DB across goroutines (or use WithStrict).
-	Strict bool
+	Store *store.Database
 	// LastProgram is the most recently compiled program (plans, quant
 	// graph, positivity reports).
 	LastProgram *compile.Program
 
-	// execMu serializes module execution (and other users of the shared
-	// exec-path environment and engine) without blocking queries, which
-	// never take it.
+	// execMu serializes whole modules (compile, publish, statements) against
+	// each other and against LoadStore. Queries and transactions never take
+	// it.
 	execMu sync.Mutex
-	// mu guards the accumulated declaration state (env, Checker, Registry
-	// registration, LastProgram, Engine configuration) between module
-	// execution and the query-side snapshot of that state.
+	// mu guards Store, decls, LastProgram and mode.
 	mu sync.RWMutex
-	// env is the accumulated module-execution environment: selector and
-	// type declarations from every executed module plus the exec-path
-	// relation bindings.
-	env *eval.Env
-	// decls is the published declaration snapshot queries share: fresh maps
-	// rebuilt whenever the accumulated declarations change and never
-	// mutated afterwards, so callEnv hands them out without copying.
+	// decls is the published declaration snapshot, replaced as a whole by
+	// publish and never mutated afterwards.
 	decls *declSnapshot
+	// mode is the fixpoint strategy (WithMode, SetMode).
+	mode Mode
 
 	statsMu   sync.Mutex
 	lastStats Stats
@@ -120,22 +103,20 @@ func Open(opts ...Option) (*DB, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	env := eval.NewEnv()
-	reg := core.NewRegistry()
 	d := &DB{
 		Store:           store.NewDatabase(),
-		Checker:         typecheck.New(),
-		Registry:        reg,
-		env:             env,
-		Strict:          cfg.strict,
+		mode:            cfg.mode,
 		plans:           newPlanCache(cfg.planCacheSize),
 		noOptimize:      cfg.noOptimize,
 		maxOpenRows:     cfg.maxOpenRows,
 		parallelism:     cfg.parallelism,
 		parallelMinRows: cfg.parallelMinRows,
 	}
-	env.Parallelism = cfg.parallelism
-	env.ParallelMinRows = cfg.parallelMinRows
+	// Strictness is fixed here: every later checker and registry is a clone
+	// of this pair.
+	chk, reg := typecheck.New(), core.NewRegistry()
+	chk.Strict, reg.Strict = cfg.strict, cfg.strict
+	d.publish(chk, reg)
 	d.Store.SetParallelism(cfg.parallelism)
 	if cfg.engine == EnginePaged && cfg.path == "" {
 		return nil, fmt.Errorf("dbpl: the paged storage engine requires WithPath (the heap file is the primary copy)")
@@ -182,13 +163,9 @@ func Open(opts ...Option) (*DB, error) {
 		d.Store = st
 		st.SetParallelism(cfg.parallelism)
 		d.wal = wlog
-		// Recovered base relations type-check in queries without re-running
-		// the declaring modules.
-		for _, name := range st.Names() {
-			if t, ok := st.Type(name); ok {
-				d.Checker.Vars[name] = t
-			}
-		}
+		// Recovered base relations type-check in later modules without
+		// re-running the declaring ones.
+		d.publishVars(st.Names()...)
 		st.SetLogger(wlog)
 	}
 	// Failures past this point must release the opened write-ahead log; a
@@ -216,20 +193,11 @@ func Open(opts ...Option) (*DB, error) {
 			}
 			d.passes = append(d.passes, p)
 		}
-		// Selector applications on the module-execution path share the
-		// store's physical access paths too.
-		env.Paths = d.Store
 	}
-	d.Engine = core.NewEngine(reg, env)
-	d.Engine.Mode = cfg.mode
-	d.Engine.MaxRounds = cfg.maxRounds
-	d.Engine.Parallelism = cfg.parallelism
 	if !cfg.noMatviews {
 		d.views = matview.New(DefaultMaterializedViews)
 		d.views.Attach(d.Store)
-		d.Engine.Views = d.views
 	}
-	d.rebuildDecls()
 	if cfg.storeReader != nil {
 		if err := d.LoadStore(cfg.storeReader); err != nil {
 			return fail(fmt.Errorf("dbpl: loading initial store: %w", err))
@@ -254,13 +222,19 @@ func (d *DB) StoreSnapshot() *store.Database {
 	return d.store()
 }
 
-// SetMode selects the fixpoint strategy for constructor evaluation.
+// current samples the mutable session state — published declarations, store
+// and fixpoint mode — in one consistent read.
+func (d *DB) current() (*declSnapshot, *store.Database, Mode) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.decls, d.Store, d.mode
+}
+
+// SetMode selects the fixpoint strategy for subsequent evaluations.
 func (d *DB) SetMode(m Mode) {
-	d.execMu.Lock()
 	d.mu.Lock()
-	d.Engine.Mode = m
+	d.mode = m
 	d.mu.Unlock()
-	d.execMu.Unlock()
 }
 
 // LastStats reports the most recent constructor evaluation (by any Exec,
@@ -277,14 +251,7 @@ func (d *DB) LastStats() Stats {
 // LastStats against the zero value — an evaluation can legitimately produce
 // zero-valued stats fields, and it must still replace the previous query's.
 func (d *DB) recordStats(en *core.Engine) {
-	d.recordStatsSince(en, 0)
-}
-
-// recordStatsSince is recordStats for engines that persist across calls (the
-// shared exec-path engine): the caller samples Applies before the call and
-// stats are recorded only if evaluations happened since.
-func (d *DB) recordStatsSince(en *core.Engine, before uint64) {
-	if en.Applies.Load() == before {
+	if en.Applies.Load() == 0 {
 		return // no constructor evaluated: keep the previous stats
 	}
 	d.statsMu.Lock()
@@ -551,9 +518,13 @@ func (d *DB) Close() error {
 }
 
 // ExecToContext compiles and runs a DBPL module with streaming SHOW output
-// and cancellation. Module execution is serialized against other Exec calls;
+// and cancellation. Whole modules are serialized against each other;
 // concurrent queries keep running against their snapshots while the module's
 // statements execute, picking up each assignment as it is published.
+//
+// The module compiles into a scratch copy of the declarations, published only
+// if it compiles: a rejected module leaves the database as it was, so the
+// corrected text can be executed next.
 func (d *DB) ExecToContext(ctx context.Context, out io.Writer, src string) error {
 	m, err := parser.ParseModule(src)
 	if err != nil {
@@ -562,160 +533,154 @@ func (d *DB) ExecToContext(ctx context.Context, out io.Writer, src string) error
 	d.execMu.Lock()
 	defer d.execMu.Unlock()
 
-	// Declaration state mutates under the write lock so query snapshots
-	// never observe a half-compiled module.
+	// Compile and publish under the write lock, so a concurrent Declare is
+	// not lost and no query observes a half-compiled module.
 	d.mu.Lock()
-	d.Checker.Strict = d.Strict
-	d.Registry.Strict = d.Strict
-	p, err := compile.CompileModuleInto(m, d.Checker, d.Registry, compile.Options{Strict: d.Strict})
+	chk, reg := d.decls.checker.Clone(), d.decls.registry.Clone()
+	p, err := compile.CompileModuleInto(m, chk, reg)
+	if err == nil {
+		err = d.noteMutErr(compile.DeclareVars(chk, d.Store))
+	}
 	if err != nil {
 		d.mu.Unlock()
 		return wrapErr(err)
 	}
 	d.LastProgram = p
-	rt, err := compile.NewRuntime(p, d.Store, out)
-	if err != nil {
-		d.mu.Unlock()
-		return wrapErr(err)
-	}
-	// Share the accumulated environment so selectors and variables from
-	// earlier modules stay visible.
-	d.mergeEnv(rt.Env)
-	rt.Env = d.env
-	rt.Engine = d.Engine
-	d.env.Ctx = ctx
-	// The module may have declared new relations, selectors, or
-	// constructors: cached plans resolved against the old declarations.
-	// Cleared before the unlock so no query sees the new declarations but
-	// a stale plan. Materialized views cached fixpoints of constructors the
-	// module may have redeclared, so they reset with the plans.
-	d.plans.clear()
-	d.views.Reset()
+	d.publish(chk, reg)
 	d.mu.Unlock()
 
 	// Statements run outside the declaration lock: writes go through the
-	// store's own synchronization, so queries proceed in parallel.
-	applies := d.Engine.Applies.Load()
-	defer func() {
-		d.env.Ctx = nil
-		d.recordStatsSince(d.Engine, applies)
-	}()
-	// Statement failures on a database whose log has been poisoned surface
-	// as degraded-mode errors (the module's earlier statements that logged
+	// store's own synchronization, so queries proceed in parallel. Statement
+	// failures on a database whose log has been poisoned surface as
+	// degraded-mode errors (the module's earlier statements that logged
 	// successfully stay published — statements are individually atomic).
-	return wrapErr(d.noteMutErr(rt.Run()))
+	return wrapErr(d.noteMutErr(d.runStmts(ctx, out, m.Stmts, nil)))
 }
 
-// mergeEnv folds a freshly built runtime environment into the accumulated
-// one and republishes the declaration snapshot.
-func (d *DB) mergeEnv(src *eval.Env) {
-	for k, v := range src.Selectors {
-		d.env.Selectors[k] = v
+// runStmts is the statement loop behind DB.Exec (tx nil: statements write
+// through the store) and Tx.Exec (they write into the transaction and record
+// their guards for its commit-time re-check). Every statement evaluates its
+// parsed form in a fresh environment, so it sees its predecessors' writes.
+func (d *DB) runStmts(ctx context.Context, out io.Writer, stmts []ast.Stmt, tx *Tx) error {
+	// Sampled once: declarations only accumulate, so a selector found here is
+	// the same in any later snapshot a statement's environment is built from.
+	decls, st, _ := d.current()
+	var view relView
+	var w compile.Assigner = st
+	if tx != nil {
+		view, w = tx.tx, tx.tx
 	}
-	for k, v := range src.RelTypes {
-		d.env.RelTypes[k] = v
+	for i, s := range stmts {
+		env, en := d.newEval(ctx, view, nil)
+		target, specs, err := compile.RunStmt(env, decls.checker.Selectors, w, out, s)
+		d.recordStats(en)
+		if err != nil {
+			return fmt.Errorf("statement %d (%s): %w", i+1, s, err)
+		}
+		if tx != nil && target != "" {
+			// Assignment replaces the value wholesale, so this statement's
+			// guards supersede any recorded by an earlier assignment to the
+			// same target (an unguarded assignment clears them) — matching
+			// the non-transactional semantics, where each assignment is
+			// checked independently.
+			tx.guards[target] = specs
+		}
 	}
-	d.rebuildDecls()
+	return nil
 }
 
-// declSnapshot is an immutable copy of the accumulated declarations, shared
-// by reference into every per-call query environment. The maps are never
-// mutated after publication.
+// declSnapshot is the accumulated declarations as one immutable value: the
+// checker and registry every executed module was compiled into, plus what the
+// evaluator and the optimizer derive from them. Evaluation environments share
+// its maps by reference.
 type declSnapshot struct {
+	checker  *typecheck.Checker
+	registry *core.Registry
+	// selectors is checker.Selectors reduced to the declarations, the form
+	// eval.Env takes; recursive is the set of constructors on cycles of the
+	// application graph, for the optimizer pass pipeline.
 	selectors map[string]*ast.SelectorDecl
-	relTypes  map[string]schema.RelationType
-	scalars   map[string]value.Value
-	// consigs and recursive feed the optimizer pass pipeline: the resolved
-	// constructor signatures accumulated by the type checker and the
-	// constructors on cycles of the application graph.
-	consigs   map[string]*typecheck.ConstructorSig
 	recursive map[string]bool
 }
 
-// rebuildDecls republishes the declaration snapshot from d.env. Caller holds
-// d.mu (or is still single-threaded in Open).
-func (d *DB) rebuildDecls() {
-	snap := &declSnapshot{
-		selectors: make(map[string]*ast.SelectorDecl, len(d.env.Selectors)),
-		relTypes:  make(map[string]schema.RelationType, len(d.env.RelTypes)),
-		scalars:   make(map[string]value.Value, len(d.env.Scalars)),
-		consigs:   make(map[string]*typecheck.ConstructorSig, len(d.Checker.Constructors)),
+// publish installs chk and reg — clones nothing else references — as the
+// declaration snapshot. Cached plans resolved against the old declarations
+// and cached fixpoints were computed under them, so both are dropped before
+// the lock is released: no query sees new declarations with a stale plan.
+// Caller holds d.mu (or is still single-threaded in Open).
+func (d *DB) publish(chk *typecheck.Checker, reg *core.Registry) {
+	selectors := make(map[string]*ast.SelectorDecl, len(chk.Selectors))
+	for name, sig := range chk.Selectors {
+		selectors[name] = sig.Decl
 	}
-	for k, v := range d.env.Selectors {
-		snap.selectors[k] = v
+	d.decls = &declSnapshot{
+		checker:   chk,
+		registry:  reg,
+		selectors: selectors,
+		recursive: optimizer.RecursiveFromSigs(chk.Constructors),
 	}
-	for k, v := range d.env.RelTypes {
-		snap.relTypes[k] = v
-	}
-	for k, v := range d.env.Scalars {
-		snap.scalars[k] = v
-	}
-	for k, v := range d.Checker.Constructors {
-		snap.consigs[k] = v
-	}
-	snap.recursive = optimizer.RecursiveFromSigs(snap.consigs)
-	d.decls = snap
+	d.plans.clear()
+	d.views.Reset()
 }
 
-// baseCallEnv builds a private evaluation environment for one query — the
-// published declaration snapshot (shared by reference — it is immutable)
-// wired to a private engine — leaving the relation bindings to the caller.
-// It returns the store pointer sampled under the same lock.
-func (d *DB) baseCallEnv(ctx context.Context) (*eval.Env, *core.Engine, *store.Database) {
-	d.mu.RLock()
-	decls := d.decls
-	st := d.Store
-	mode := d.Engine.Mode
-	maxRounds := d.Engine.MaxRounds
-	reg := d.Registry
-	d.mu.RUnlock()
+// publishVars republishes the declarations extended with the named store
+// variables, declared outside any module (Declare, recovery, LoadStore), so
+// later modules type-check statements over them. Caller holds d.mu.
+func (d *DB) publishVars(names ...string) {
+	chk := d.decls.checker.Clone()
+	for _, name := range names {
+		if t, ok := d.Store.Type(name); ok {
+			chk.Vars[name] = t
+		}
+	}
+	d.publish(chk, d.decls.registry)
+}
 
+// relView is the relation-variable state an evaluation binds: the store's
+// published values, or a transaction's Begin snapshot plus its own writes.
+type relView interface {
+	Snapshot() map[string]*relation.Relation
+}
+
+// newEval builds the private environment and engine of one evaluation; it is
+// the only place either is configured. The environment binds the published
+// declarations and a snapshot of view (nil: the store's current state), and
+// is independent of the DB once this returns, so evaluation holds no DB lock
+// and writers cannot disturb it.
+//
+// A non-nil private registry — a prepared statement's magic-restricted
+// system — gets the same configuration over a blank environment instead: its
+// rules read only the arguments they are applied to, and its fixpoints stay
+// out of the view cache, which is keyed by the database's constructor names.
+func (d *DB) newEval(ctx context.Context, view relView, private *core.Registry) (*eval.Env, *core.Engine) {
+	decls, st, mode := d.current()
 	env := eval.NewEnv()
-	env.Selectors = decls.selectors
-	env.RelTypes = decls.relTypes
-	// Scalars get per-call parameter bindings, so this map must be private.
-	for k, v := range decls.scalars {
-		env.Scalars[k] = v
-	}
-	if !d.noOptimize {
-		// Selector applications over published relations answer from the
-		// relation's memoized hash index instead of scanning.
-		env.Paths = st
-	}
 	env.Ctx = ctx
 	env.Parallelism = d.parallelism
 	env.ParallelMinRows = d.parallelMinRows
-	en := core.NewEngine(reg, env)
-	en.Mode = mode
-	en.MaxRounds = maxRounds
-	en.Parallelism = d.parallelism
-	if d.views != nil {
-		en.Views = d.views
-	}
-	return env, en, st
-}
-
-// callEnv is baseCallEnv plus a snapshot of the relation variables. The
-// environment is independent of the DB after this returns, so evaluation
-// proceeds without holding any DB lock and writers cannot disturb it.
-func (d *DB) callEnv(ctx context.Context) (*eval.Env, *core.Engine) {
-	env, en, st := d.baseCallEnv(ctx)
-	for name, rel := range st.Snapshot() {
-		env.Rels[name] = rel
-	}
-	return env, en
-}
-
-// txCallEnv is callEnv with the relation bindings taken from a transaction's
-// view (Begin snapshot plus the transaction's own writes) instead of the
-// store's current state.
-func (d *DB) txCallEnv(ctx context.Context, tx *store.Tx) (*eval.Env, *core.Engine) {
-	env, en, _ := d.baseCallEnv(ctx)
-	for _, name := range tx.Names() {
-		if r, ok := tx.Get(name); ok {
-			env.Rels[name] = r
+	reg := private
+	var views core.ViewProvider
+	if reg == nil {
+		reg = decls.registry
+		env.Selectors = decls.selectors
+		env.RelTypes = decls.checker.RelTypes
+		if view == nil {
+			view = st
+		}
+		env.Rels = view.Snapshot()
+		if !d.noOptimize {
+			// Selector applications over published relations answer from the
+			// relation's memoized hash index instead of scanning.
+			env.Paths = st
+		}
+		if d.views != nil { // a nil *matview.Cache must not become a non-nil interface
+			views = d.views
 		}
 	}
+	en := core.NewEngine(reg, env)
+	en.Mode = mode
+	en.Parallelism = d.parallelism
+	en.Views = views
 	return env, en
 }
 
@@ -735,7 +700,7 @@ func (d *DB) ApplyContext(ctx context.Context, constructor string, base *Relatio
 		}
 		resolved[i] = eval.Resolved{Scalar: v, IsScalar: true}
 	}
-	_, en := d.callEnv(ctx)
+	_, en := d.newEval(ctx, nil, nil)
 	out, err := en.ApplyContext(ctx, constructor, base, resolved)
 	if err != nil {
 		return nil, wrapErr(err)
@@ -796,23 +761,11 @@ func (d *DB) LoadStore(r io.Reader) error {
 	}
 	d.Store = db
 	db.SetParallelism(d.parallelism)
-	// Drop the exec-path relation bindings of the previous store so stale
-	// relations do not keep resolving after the swap; the next statement
-	// re-binds from the new store.
-	d.env.Rels = make(map[string]*relation.Relation)
-	if !d.noOptimize {
-		d.env.Paths = db
-	}
-	for _, name := range db.Names() {
-		if t, ok := db.Type(name); ok {
-			d.Checker.Vars[name] = t
-		}
-	}
 	// Cached plans resolved names against the replaced store, and cached
-	// fixpoints were computed over its relations: re-point the view cache at
-	// the new store (which also drops every entry and re-registers the
-	// commit observer there).
-	d.plans.clear()
+	// fixpoints were computed over its relations: publishing drops the plans,
+	// and re-pointing the view cache at the new store drops every entry and
+	// re-registers the commit observer there.
+	d.publishVars(db.Names()...)
 	if d.views != nil {
 		d.views.Attach(db)
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -44,19 +45,15 @@ func chainDB(t testing.TB, n int) *DB {
 }
 
 func TestOpenOptions(t *testing.T) {
-	// Mode and strictness through options.
-	db, err := Open(WithMode(Naive), WithStrict(false))
+	// Mode and strictness through options (no view cache: the second E{tc}
+	// below must evaluate, not hit).
+	db, err := Open(WithMode(Naive), WithStrict(false), WithoutMaterialization())
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if db.Engine.Mode != Naive {
-		t.Errorf("mode: got %v, want Naive", db.Engine.Mode)
-	}
-	if db.Strict {
-		t.Error("WithStrict(false) did not stick")
-	}
-	// A non-positive constructor is admitted when strictness is off.
-	if _, err := db.Exec(`
+	// A non-positive constructor is admitted when strictness is off, and by
+	// every later module: strictness is fixed at Open.
+	const laxModule = `
 MODULE lax;
 TYPE cardrel = RELATION OF RECORD number: CARDINAL END;
 CONSTRUCTOR strange FOR Baserel: cardrel (): cardrel;
@@ -64,8 +61,32 @@ BEGIN
   EACH r IN Baserel: NOT SOME s IN Baserel{strange} (r.number = s.number + 1)
 END strange;
 END lax.
-`); err != nil {
+`
+	if _, err := db.Exec(laxModule); err != nil {
 		t.Errorf("lax mode rejected the strange constructor: %v", err)
+	}
+	if _, err := db.Exec(strings.NewReplacer("lax", "lax2", "cardrel", "cardrel2", "strange", "stranger").Replace(laxModule)); err != nil {
+		t.Errorf("lax mode rejected a second non-positive constructor: %v", err)
+	}
+	// The mode reaches the engine that evaluates.
+	if _, err := db.Exec(chainModule); err != nil {
+		t.Fatalf("exec: %v", err)
+	}
+	if err := db.Insert("E", NewTuple(Str("a"), Str("b")), NewTuple(Str("b"), Str("c"))); err != nil {
+		t.Fatalf("insert: %v", err)
+	}
+	if _, err := db.Query(`E{tc}`); err != nil {
+		t.Fatalf("query: %v", err)
+	}
+	if got := db.LastStats().Mode; got != Naive {
+		t.Errorf("mode: got %v, want Naive", got)
+	}
+	db.SetMode(SemiNaive)
+	if _, err := db.Query(`E{tc}`); err != nil {
+		t.Fatalf("query: %v", err)
+	}
+	if got := db.LastStats().Mode; got != SemiNaive {
+		t.Errorf("mode after SetMode: got %v, want SemiNaive", got)
 	}
 
 	// WithStoreReader seeds the relation variables from a Save image.

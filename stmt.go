@@ -83,10 +83,7 @@ func (d *DB) Prepare(src string) (*Stmt, error) {
 // requirement — they are recorded in the plan's trace instead.
 func (s *Stmt) compile() {
 	d := s.db
-	d.mu.RLock()
-	decls := d.decls
-	st := d.Store
-	d.mu.RUnlock()
+	decls, st, _ := d.current()
 
 	q := &optimizer.Query{}
 	if s.rng != nil {
@@ -98,8 +95,8 @@ func (s *Stmt) compile() {
 	if !d.noOptimize && len(d.passes) > 0 {
 		pctx := &optimizer.Context{
 			Selectors:    decls.selectors,
-			Constructors: decls.consigs,
-			RelTypes:     decls.relTypes,
+			Constructors: decls.checker.Constructors,
+			RelTypes:     decls.checker.RelTypes,
 			Recursive:    decls.recursive,
 			VarType:      st.Type,
 		}
@@ -204,7 +201,7 @@ func (s *Stmt) QueryRows(ctx context.Context, args ...any) (*Rows, error) {
 // statement. Type and planning errors surface synchronously; runtime
 // evaluation errors surface through the cursor's Err.
 func (s *Stmt) streamRows(ctx context.Context, args []any, release func()) (*Rows, error) {
-	env, en := s.db.callEnv(ctx)
+	env, en := s.db.newEval(ctx, nil, nil)
 	if err := s.bindArgs(ctx, env, args); err != nil {
 		return nil, err
 	}
@@ -251,12 +248,12 @@ func (s *Stmt) bindArgs(ctx context.Context, env *eval.Env, args []any) error {
 }
 
 func (s *Stmt) exec(ctx context.Context, args []any, ex *execStats) (*relation.Relation, error) {
-	env, en := s.db.callEnv(ctx)
+	env, en := s.db.newEval(ctx, nil, nil)
 	return s.execWith(ctx, env, en, args, ex)
 }
 
-// execWith runs the compiled plan in a prepared environment (the usual
-// snapshot env from callEnv, or a transaction's view from txCallEnv).
+// execWith runs the compiled plan in an environment newEval built: over the
+// store's current state, or over a transaction's view.
 func (s *Stmt) execWith(ctx context.Context, env *eval.Env, en *core.Engine, args []any, ex *execStats) (*relation.Relation, error) {
 	if err := s.bindArgs(ctx, env, args); err != nil {
 		return nil, err
@@ -316,19 +313,8 @@ func (s *Stmt) execMagic(ctx context.Context, env *eval.Env, outer *core.Engine,
 			return env.ApplySuffixes(full, s.execRng.Suffixes[mp.SuffixFrom:])
 		}
 	}
-	d.mu.RLock()
-	mode := d.Engine.Mode
-	maxRounds := d.Engine.MaxRounds
-	d.mu.RUnlock()
-
-	men := eval.NewEnv()
-	men.Parallelism = env.Parallelism
-	men.ParallelMinRows = env.ParallelMinRows
+	men, en := d.newEval(ctx, nil, s.magicReg)
 	men.ExecStats = env.ExecStats
-	en := core.NewEngine(s.magicReg, men)
-	en.Mode = mode
-	en.MaxRounds = maxRounds
-	en.Parallelism = env.Parallelism
 	args := make([]eval.Resolved, 0, len(mp.Bundle.EDB)+len(mp.Bundle.IDB))
 	for _, pred := range mp.Bundle.EDB {
 		if pred == mp.BasePred {
@@ -468,12 +454,7 @@ func (s *Stmt) resolve() error {
 		q.walkSet(s.set)
 	}
 
-	d := s.db
-	d.mu.RLock()
-	decls := d.decls
-	st := d.Store
-	reg := d.Registry
-	d.mu.RUnlock()
+	decls, st, _ := s.db.current()
 
 	for _, r := range q.rels {
 		if _, ok := st.Type(r.name); !ok {
@@ -492,7 +473,7 @@ func (s *Stmt) resolve() error {
 					sf.pos, sf.name, len(decl.Params), sf.argc)
 			}
 		default:
-			cons, ok := reg.Lookup(sf.name)
+			cons, ok := decls.registry.Lookup(sf.name)
 			if !ok {
 				return fmt.Errorf("dbpl: %s: unknown constructor %q", sf.pos, sf.name)
 			}

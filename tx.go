@@ -4,14 +4,10 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"sync"
 
-	"repro/internal/ast"
 	"repro/internal/compile"
-	"repro/internal/eval"
 	"repro/internal/parser"
-	"repro/internal/schema"
 	"repro/internal/store"
 )
 
@@ -36,20 +32,12 @@ type Tx struct {
 	db *DB
 	tx *store.Tx
 
-	mu     sync.Mutex
-	done   bool
-	guards map[string][]txGuard
-}
-
-// txGuard is a recorded guarded-assignment check, re-evaluated at commit
-// against the transaction's final state. The arguments are kept as syntax,
-// not resolved values, so the commit-time re-check resolves them (and any
-// relations the guard body reads) against the state that actually becomes
-// visible.
-type txGuard struct {
-	decl *ast.SelectorDecl
-	elem schema.RecordType
-	args []ast.Arg
+	mu   sync.Mutex
+	done bool
+	// guards records, per written variable, the guards its latest assignment
+	// passed, as syntax: Commit re-resolves their arguments (and any relation
+	// the guard body reads) against the state that actually becomes visible.
+	guards map[string][]compile.GuardSpec
 }
 
 // Begin starts a transaction over a stable snapshot of the relation
@@ -58,7 +46,7 @@ func (d *DB) Begin(ctx context.Context) (*Tx, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return &Tx{db: d, tx: d.store().Begin(), guards: make(map[string][]txGuard)}, nil
+	return &Tx{db: d, tx: d.store().Begin(), guards: make(map[string][]compile.GuardSpec)}, nil
 }
 
 // Exec runs a DBPL module's statements (SHOW and assignment, including
@@ -79,83 +67,8 @@ func (t *Tx) Exec(ctx context.Context, src string) (string, error) {
 		return "", fmt.Errorf("dbpl: module %s declares inside a transaction; declarations are not transactional (execute them with DB.Exec first)", m.Name)
 	}
 	var out bytes.Buffer
-	for i, s := range m.Stmts {
-		if err := t.runStmt(ctx, s, &out); err != nil {
-			return out.String(), wrapErr(fmt.Errorf("statement %d (%s): %w", i+1, s, err))
-		}
-	}
-	return out.String(), nil
-}
-
-func (t *Tx) runStmt(ctx context.Context, s ast.Stmt, out io.Writer) error {
-	env, _ := t.db.txCallEnv(ctx, t.tx)
-	switch st := s.(type) {
-	case *ast.Show:
-		rel, err := env.Range(st.Expr)
-		if err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(out, "%s = ", st.Expr); err != nil {
-			return err
-		}
-		if _, err := rel.WriteTo(out); err != nil {
-			return err
-		}
-		_, err = io.WriteString(out, "\n")
-		return err
-	case *ast.Assign:
-		rel, err := env.Range(st.Expr)
-		if err != nil {
-			return err
-		}
-		var guards []store.Guard
-		var specs []txGuard
-		for i := range st.Suffixes {
-			suf := &st.Suffixes[i]
-			if suf.Kind != ast.SuffixConstructor {
-				g, spec, err := t.guardFor(env, suf)
-				if err != nil {
-					return err
-				}
-				guards = append(guards, g)
-				specs = append(specs, spec)
-				continue
-			}
-			return fmt.Errorf("assignment through a constructed relation %q is not defined (constructors derive, they do not store)", suf.Name)
-		}
-		if err := t.tx.Assign(st.Target, rel, guards...); err != nil {
-			return err
-		}
-		// Assignment replaces the value wholesale, so this statement's guards
-		// supersede any recorded by an earlier assignment to the same target
-		// (an unguarded assignment clears them) — matching the non-transactional
-		// semantics, where each assignment is checked independently.
-		t.guards[st.Target] = specs
-		return nil
-	default:
-		return fmt.Errorf("unknown statement %T", s)
-	}
-}
-
-// guardFor compiles one guard selector application against the transaction's
-// current view and records its spec for the commit-time re-check.
-func (t *Tx) guardFor(env *eval.Env, suf *ast.Suffix) (store.Guard, txGuard, error) {
-	d := t.db
-	d.mu.RLock()
-	sig, ok := d.Checker.Selectors[suf.Name]
-	d.mu.RUnlock()
-	if !ok {
-		return store.Guard{}, txGuard{}, fmt.Errorf("unknown selector %q", suf.Name)
-	}
-	args, err := env.ResolveArgs(suf.Args)
-	if err != nil {
-		return store.Guard{}, txGuard{}, err
-	}
-	g, err := compile.SelectorGuard(env, sig.Decl, sig.ForType.Element, args)
-	if err != nil {
-		return store.Guard{}, txGuard{}, err
-	}
-	return g, txGuard{decl: sig.Decl, elem: sig.ForType.Element, args: suf.Args}, nil
+	err = t.db.runStmts(ctx, &out, m.Stmts, t)
+	return out.String(), wrapErr(err)
 }
 
 // Query evaluates a query against the transaction's view (snapshot plus own
@@ -170,7 +83,7 @@ func (t *Tx) Query(ctx context.Context, src string, args ...any) (*Relation, err
 	if err != nil {
 		return nil, err
 	}
-	env, en := t.db.txCallEnv(ctx, t.tx)
+	env, en := t.db.newEval(ctx, t.tx, nil)
 	return st.execWith(ctx, env, en, args, nil)
 }
 
@@ -238,7 +151,7 @@ func (t *Tx) Commit() error {
 	if t.db.store() != t.tx.DB() {
 		return fmt.Errorf("dbpl: store was replaced (LoadStore) during the transaction; nothing committed")
 	}
-	env, _ := t.db.txCallEnv(context.Background(), t.tx)
+	env, _ := t.db.newEval(context.Background(), t.tx, nil)
 	for _, name := range t.tx.Writes() {
 		specs := t.guards[name]
 		if len(specs) == 0 {
@@ -249,11 +162,11 @@ func (t *Tx) Commit() error {
 			continue
 		}
 		for _, spec := range specs {
-			args, err := env.ResolveArgs(spec.args)
+			args, err := env.ResolveArgs(spec.Args)
 			if err != nil {
 				return wrapErr(err)
 			}
-			g, err := compile.SelectorGuard(env, spec.decl, spec.elem, args)
+			g, err := compile.SelectorGuard(env, spec.Decl, spec.Elem, args)
 			if err != nil {
 				return wrapErr(err)
 			}
