@@ -398,3 +398,180 @@ func TestDurableConcurrentQueriesDuringCheckpoints(t *testing.T) {
 		t.Fatalf("recovered %d tuples, want %d", rel.Len(), 3+writers*perG)
 	}
 }
+
+// edge builds one Infront tuple.
+func edge(front, back string) dbpl.Tuple {
+	return dbpl.NewTuple(dbpl.Str(front), dbpl.Str(back))
+}
+
+// walSize returns the current size of the single log file in dir.
+func walSize(t testing.TB, dir string) int64 {
+	t.Helper()
+	fi, err := os.Stat(theWalFile(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
+}
+
+// TestTxInsertFailedCallIsAtomic: a Tx.Insert that fails mid-batch on an
+// overlay the transaction already owns must leave none of its tuples behind.
+// A leftover tuple would be published by Commit without ever reaching the
+// observer or the log's insert delta — a stale maintained closure, and a log
+// that diverges from the published state.
+func TestTxInsertFailedCallIsAtomic(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	db := openDurable(t, dir)
+	if _, err := db.Exec(cadModule); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Query(`Infront{ahead}`); err != nil { // install the view
+		t.Fatal(err)
+	}
+
+	tx, err := db.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Insert("Infront", edge("door", "floor")); err != nil { // the tx now owns its overlay
+		t.Fatal(err)
+	}
+	bad := dbpl.NewTuple(dbpl.Str("cellar"), dbpl.Int(7))
+	if err := tx.Insert("Infront", edge("floor", "cellar"), bad); err == nil {
+		t.Fatal("insert of a tuple outside the element type succeeded")
+	}
+	if rel, _ := tx.Relation("Infront"); rel.Contains(edge("floor", "cellar")) {
+		t.Fatal("failed Tx.Insert left an earlier tuple of the call in the overlay")
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	// (a) The maintained closure equals a from-scratch recompute.
+	base, _ := db.Relation("Infront")
+	ref := openWith(t, cadModule, dbpl.WithoutMaterialization())
+	if err := ref.Assign("Infront", base); err != nil {
+		t.Fatal(err)
+	}
+	got, err := db.Query(`Infront{ahead}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Query(`Infront{ahead}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Fatalf("maintained closure has %d tuples, from-scratch recompute %d", got.Len(), want.Len())
+	}
+
+	// (b) The log replays to the published state.
+	image := saveState(t, db)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2 := openDurable(t, dir)
+	defer db2.Close()
+	if got := saveState(t, db2); !bytes.Equal(got, image) {
+		t.Fatal("reopened state differs from the state at close")
+	}
+}
+
+// bulkEdges returns n distinct edges named with the given prefix.
+func bulkEdges(prefix string, n int) []dbpl.Tuple {
+	out := make([]dbpl.Tuple, n)
+	for i := range out {
+		out[i] = edge(fmt.Sprintf("%s%06d", prefix, i), fmt.Sprintf("%s%06d'", prefix, i))
+	}
+	return out
+}
+
+// TestDurableTxInsertLogsDelta: an insert-only transaction costs the log what
+// it changed, not what it touched — 64 tuples into a 50k-row variable grow
+// the log by O(batch) bytes — and the delta record replays byte-equal.
+func TestDurableTxInsertLogsDelta(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	db := openDurable(t, dir, dbpl.WithCheckpointEvery(-1))
+	if _, err := db.Exec(cadSchema); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Insert("Infront", bulkEdges("b", 50_000)...); err != nil {
+		t.Fatal(err)
+	}
+	before := walSize(t, dir)
+
+	tx, err := db.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Insert("Infront", bulkEdges("d", 64)...); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if grew := walSize(t, dir) - before; grew <= 0 || grew >= 8<<10 {
+		t.Fatalf("64-tuple Tx.Insert commit grew the log by %d bytes, want (0, 8 KB)", grew)
+	}
+
+	want := saveState(t, db)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2 := openDurable(t, dir)
+	defer db2.Close()
+	if got := saveState(t, db2); !bytes.Equal(got, want) {
+		t.Fatal("delta commit record did not replay to the state at close")
+	}
+}
+
+// TestDurableOvertakenTxLogsFullValue: two transactions insert from one
+// snapshot and both commit. The first is growth over a base nobody overtook;
+// the second's base is no longer published, so its commit is a last-writer-
+// wins replacement and must log the full value — replaying its inserts over
+// the first's result would resurrect tuples the published state dropped.
+func TestDurableOvertakenTxLogsFullValue(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	db := openDurable(t, dir, dbpl.WithCheckpointEvery(-1))
+	if _, err := db.Exec(cadModule); err != nil {
+		t.Fatal(err)
+	}
+	tx1, err := db.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx2, err := db.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx1.Insert("Infront", edge("one", "one'")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx2.Insert("Infront", edge("two", "two'")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx1.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx2.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	rel, _ := db.Relation("Infront")
+	if rel.Contains(edge("one", "one'")) || !rel.Contains(edge("two", "two'")) || rel.Len() != 4 {
+		t.Fatalf("published state is not the second writer's snapshot plus its insert: %s", rel)
+	}
+
+	want := saveState(t, db)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2 := openDurable(t, dir)
+	defer db2.Close()
+	if got := saveState(t, db2); !bytes.Equal(got, want) {
+		rel2, _ := db2.Relation("Infront")
+		t.Fatalf("recovery diverged from the published last-writer-wins state: %s", rel2)
+	}
+}

@@ -247,6 +247,39 @@ func (r *Relation) Insert(t value.Tuple) error {
 	return nil
 }
 
+// InsertAll inserts the tuples all-or-nothing: on the first domain or key
+// violation the tuples this call already added are taken out again, so the
+// relation holds exactly what it held before the call.
+func (r *Relation) InsertAll(tuples ...value.Tuple) error {
+	if len(tuples) == 1 {
+		return r.Insert(tuples[0])
+	}
+	added := make([]value.Tuple, 0, len(tuples))
+	pending := len(r.pending)
+	for _, t := range tuples {
+		v := r.version
+		if err := r.Insert(t); err != nil {
+			// What this call added sits in the own maps (Insert never writes a
+			// frozen layer), so the undo needs no materialization.
+			for _, u := range added {
+				delete(r.tuples, r.keyOf(u))
+				if r.whole != nil {
+					delete(r.whole, u.Key())
+				}
+			}
+			r.version++
+			if r.inherited != nil {
+				r.pending = r.pending[:pending]
+			}
+			return err
+		}
+		if r.version != v {
+			added = append(added, t)
+		}
+	}
+	return nil
+}
+
 // Add inserts a tuple and reports whether the relation grew. Unlike Insert it
 // treats a key conflict as a panic; it is used by the fixpoint engine, whose
 // derived relations always have whole-tuple keys.

@@ -430,3 +430,41 @@ func TestIndexOnInvalidatedByDelete(t *testing.T) {
 		t.Fatalf("index after delete still serves the victim: %d", got)
 	}
 }
+
+func TestInsertAllIsAllOrNothing(t *testing.T) {
+	kv := func(id int64, v string) value.Tuple { return value.NewTuple(value.Int(id), value.Str(v)) }
+	// A layered clone with own tuples of its own: the shape of a transaction
+	// overlay on its second Insert call.
+	base := New(keyedT)
+	for i := int64(0); i < 2000; i++ {
+		if err := base.Insert(kv(i, "base")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base.IndexOn([]int{1}, 1)
+	r := base.Clone()
+	if err := r.InsertAll(kv(5000, "own")); err != nil {
+		t.Fatal(err)
+	}
+	want := r.Clone()
+
+	// New tuple, a duplicate of an own tuple, a duplicate of a base tuple, a
+	// second new tuple, then a key conflict with the first new one.
+	err := r.InsertAll(kv(6000, "new"), kv(5000, "own"), kv(7, "base"), kv(6001, "new"), kv(6000, "clash"))
+	if _, ok := err.(*KeyConflictError); !ok {
+		t.Fatalf("InsertAll over a conflicting batch: %v, want *KeyConflictError", err)
+	}
+	if !r.Equal(want) || r.Len() != 2001 {
+		t.Fatalf("failed InsertAll changed the relation: %d tuples, want %d", r.Len(), want.Len())
+	}
+	if got := r.IndexOn([]int{1}, 1).Probe(value.NewTuple(value.Str("new"))); len(got) != 0 {
+		t.Fatalf("index over the restored relation still finds %d undone tuples", len(got))
+	}
+	// The same batch without the conflict goes in whole.
+	if err := r.InsertAll(kv(6000, "new"), kv(5000, "own"), kv(7, "base"), kv(6001, "new")); err != nil {
+		t.Fatal(err)
+	}
+	if r.Len() != 2003 || len(r.IndexOn([]int{1}, 1).Probe(value.NewTuple(value.Str("new")))) != 2 {
+		t.Fatalf("InsertAll of a valid batch left %d tuples", r.Len())
+	}
+}

@@ -9,11 +9,13 @@ package server_test
 // fingerprint history), never a partial batch and never an invented state.
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -27,6 +29,8 @@ import (
 	"repro/internal/server"
 	"repro/internal/store"
 	"repro/internal/value"
+	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 func pairType(name string) schema.RelationType {
@@ -77,7 +81,7 @@ func repWorkload() []repStep {
 		{"insert-2", func(db *store.Database) error { return db.Insert("Link", tup("l1", "l2")) }},
 		{"tx-commit", func(db *store.Database) error {
 			// A transaction commit replicates as one batch: the replica must
-			// apply both assignments atomically or not at all.
+			// apply both insert deltas atomically or not at all.
 			tx := db.Begin()
 			if err := tx.Insert("Edge", tup("c", "d")); err != nil {
 				return err
@@ -370,4 +374,127 @@ func TestReplicaFallBehindResync(t *testing.T) {
 	}
 	want := saveBytes(t, st.Save)
 	waitConverged(t, rdb, want, "after a burst past the follow buffer")
+}
+
+const closureSchema = `
+MODULE cad;
+TYPE parttype   = STRING;
+TYPE infrontrel = RELATION OF RECORD front, back: parttype END;
+TYPE aheadrel   = RELATION OF RECORD head, tail: parttype END;
+VAR Infront: infrontrel;
+
+CONSTRUCTOR ahead FOR Rel: infrontrel (): aheadrel;
+BEGIN
+  EACH r IN Rel: TRUE,
+  <f.front, b.tail> OF EACH f IN Rel, EACH b IN Rel{ahead}: f.back = b.head
+END ahead;
+END cad.
+`
+
+// TestReplicationTxInsertShipsDelta: an insert-only transaction on the primary
+// reaches a follower as a frame the size of its batch, not of the variable,
+// and replays on the replica as growth — the replica's materialized closure is
+// maintained from the delta, not invalidated.
+func TestReplicationTxInsertShipsDelta(t *testing.T) {
+	ctx := context.Background()
+	pdb, err := dbpl.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pdb.Close()
+	if _, err := pdb.Exec(closureSchema); err != nil {
+		t.Fatal(err)
+	}
+	const rows, batchRows = 5000, 8
+	edges := make([]value.Tuple, rows)
+	for i := range edges {
+		edges[i] = tup(fmt.Sprintf("n%05d", i), fmt.Sprintf("m%05d", i))
+	}
+	if err := pdb.Insert("Infront", edges...); err != nil {
+		t.Fatal(err)
+	}
+	_, paddr := boot(t, pdb, server.Options{})
+
+	// A raw follower, to see the frames a replica is sent.
+	conn, err := net.Dial("tcp", paddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	if _, err := wire.ClientHello(conn, br, ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.WriteFrame(conn, wire.TFollow, nil); err != nil {
+		t.Fatal(err)
+	}
+	typ, snap, err := wire.ReadFrame(br)
+	if err != nil || typ != wire.TFollowSnap {
+		t.Fatalf("follow bootstrap: frame type %d, err %v", typ, err)
+	}
+
+	rdb, err := dbpl.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rdb.Close()
+	rep := server.NewReplica(rdb, paddr, "", t.Logf)
+	rep.ReconnectDelay = 10 * time.Millisecond
+	tailCtx, stopTail := context.WithCancel(ctx)
+	defer stopTail()
+	go rep.Run(tailCtx) //nolint:errcheck
+	waitConverged(t, rdb, saveBytes(t, pdb.Save), "after bootstrap")
+	if _, err := rdb.Exec(closureSchema); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rdb.Query(`Infront{ahead}`); err != nil { // install the view
+		t.Fatal(err)
+	}
+	before := rdb.Health().MatViews
+
+	tx, err := pdb.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < batchRows; i++ {
+		// Each new edge extends an existing one, so the closure really grows.
+		if err := tx.Insert("Infront", tup(fmt.Sprintf("m%05d", i), fmt.Sprintf("x%05d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	typ, frame, err := wire.ReadFrame(br)
+	if err != nil || typ != wire.TFollowBatch {
+		t.Fatalf("follow stream: frame type %d, err %v", typ, err)
+	}
+	if len(frame) >= 1<<10 || len(frame) >= len(snap)/20 {
+		t.Fatalf("follow frame for a %d-tuple Tx.Insert is %d bytes (snapshot %d): not O(batch)", batchRows, len(frame), len(snap))
+	}
+	batch, err := wal.DecodeBatch(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(batch) != 1 || batch[0].Op != store.OpInsert || len(batch[0].Tuples) != batchRows {
+		t.Fatalf("follow frame is not one %d-tuple insert delta: %+v", batchRows, batch)
+	}
+
+	waitConverged(t, rdb, saveBytes(t, pdb.Save), "after the Tx.Insert commit")
+	got, err := rdb.Query(`Infront{ahead}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := pdb.Query(`Infront{ahead}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) || got.Len() != rows+2*batchRows {
+		t.Fatalf("replica closure has %d tuples, primary %d, expected %d", got.Len(), want.Len(), rows+2*batchRows)
+	}
+	after := rdb.Health().MatViews
+	if after.Maintained <= before.Maintained || after.Invalidations != before.Invalidations {
+		t.Fatalf("replica matview was not maintained from the delta: before %+v, after %+v", before, after)
+	}
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"io"
 	"testing"
 
 	"repro/internal/relation"
@@ -172,5 +173,62 @@ func TestReadLockedSeesPublishedState(t *testing.T) {
 	})
 	if !called {
 		t.Fatal("ReadLocked never invoked the callback")
+	}
+}
+
+// recLogger records the op of every mutation it is handed.
+type recLogger struct{ ops []string }
+
+func (l *recLogger) Append(batch []Mutation, _ func(io.Writer) error) error {
+	for _, m := range batch {
+		switch m.Op {
+		case OpInsert:
+			l.ops = append(l.ops, fmt.Sprintf("insert %s +%d", m.Name, len(m.Tuples)))
+		case OpAssign:
+			l.ops = append(l.ops, fmt.Sprintf("assign %s =%d", m.Name, m.Rel.Len()))
+		}
+	}
+	return nil
+}
+
+func (l *recLogger) Checkpoint(func(io.Writer) error) error { return nil }
+
+// TestTxCommitLogsWhatItObserves: the log record of each written variable
+// follows the same classification as its observer call — a growth delta is
+// logged as the inserted tuples, a reset as the full value — in one batch.
+func TestTxCommitLogsWhatItObserves(t *testing.T) {
+	db := NewDatabase()
+	for _, n := range []string{"Grown", "Overtaken", "Overwritten"} {
+		_ = db.Declare(n, binT)
+		_ = db.Insert(n, pair("a", "b"))
+	}
+	obs, log := &recObserver{}, &recLogger{}
+	db.SetObserver(obs)
+	db.SetLogger(log)
+
+	tx := db.Begin()
+	if err := tx.Insert("Grown", pair("b", "c"), pair("c", "d")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Insert("Overtaken", pair("b", "c")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Assign("Overwritten", relation.MustFromTuples(binT, pair("x", "y"))); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Insert("Overtaken", pair("p", "q")); err != nil {
+		t.Fatal(err)
+	}
+	obs.events, log.ops = nil, nil
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	wantLog := []string{"insert Grown +2", "assign Overtaken =2", "assign Overwritten =1"}
+	wantObs := []string{"grow Grown +2", "reset Overtaken", "reset Overwritten"}
+	if fmt.Sprint(log.ops) != fmt.Sprint(wantLog) {
+		t.Errorf("logged %v, want %v", log.ops, wantLog)
+	}
+	if fmt.Sprint(obs.events) != fmt.Sprint(wantObs) {
+		t.Errorf("observed %v, want %v", obs.events, wantObs)
 	}
 }

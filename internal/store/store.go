@@ -31,9 +31,11 @@ const (
 	// OpDeclare introduces a variable (module DDL or programmatic Declare).
 	OpDeclare Op = 1
 	// OpAssign replaces a variable's value wholesale (assignment statements,
-	// programmatic Assign, and each variable written by a committed Tx).
+	// programmatic Assign, and each variable a committed Tx overwrote or
+	// wrote over an overtaken base).
 	OpAssign Op = 2
-	// OpInsert adds tuples to a variable.
+	// OpInsert adds tuples to a variable (Insert, and each variable a
+	// committed Tx only inserted into while its base stayed published).
 	OpInsert Op = 3
 )
 
@@ -451,7 +453,8 @@ func (db *Database) Assign(name string, rex *relation.Relation, guards ...Guard)
 // consistent state. On any violation the variable keeps its previous value.
 //
 // The copy is per call, not per tuple — batch tuples into one Insert where
-// possible; n single-tuple calls clone the relation n times.
+// possible; n single-tuple calls clone the relation n times. The log record
+// carries just the inserted tuples, exactly as an insert-only Tx commit does.
 func (db *Database) Insert(name string, tuples ...value.Tuple) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -559,8 +562,9 @@ type Tx struct {
 	// inserted tracks, per variable, the tuples added by Tx.Insert while the
 	// write set for that variable is still pure growth over the Begin
 	// snapshot; a Tx.Assign overwrites the variable and moves it to
-	// overwritten permanently. Commit uses this to classify each published
-	// write as an observable delta (CommittedGrow) or a reset.
+	// overwritten permanently. Commit uses this to classify each write as
+	// growth (a logged, published and observed tuple delta) or a full-value
+	// replacement.
 	inserted    map[string][]value.Tuple
 	overwritten map[string]bool
 }
@@ -607,7 +611,9 @@ func (tx *Tx) Assign(name string, rex *relation.Relation, guards ...Guard) error
 	return nil
 }
 
-// Insert adds tuples inside the transaction, copying on first write.
+// Insert adds tuples inside the transaction, copying on first write. The call
+// is all-or-nothing, like Database.Insert: on a key or domain violation the
+// transaction holds none of its tuples.
 func (tx *Tx) Insert(name string, tuples ...value.Tuple) error {
 	if tx.done {
 		return fmt.Errorf("store: transaction already finished")
@@ -619,10 +625,8 @@ func (tx *Tx) Insert(name string, tuples ...value.Tuple) error {
 	if _, own := tx.overlay[name]; !own {
 		cur = cur.Clone()
 	}
-	for _, t := range tuples {
-		if err := cur.Insert(t); err != nil {
-			return err
-		}
+	if err := cur.InsertAll(tuples...); err != nil {
+		return err
 	}
 	tx.overlay[name] = cur
 	if !tx.overwritten[name] {
@@ -636,48 +640,48 @@ func (tx *Tx) Insert(name string, tuples ...value.Tuple) error {
 // published, so recovery sees either the entire transaction or none of it; a
 // log failure leaves the transaction open and the store untouched.
 //
-// Each written variable is logged at its full final value, not as a delta:
-// the overlay is a snapshot-based last-writer-wins replacement, so the full
-// value is what the commit means — a delta replayed over a concurrently
-// changed base would diverge from the published state. Callers appending
-// large volumes outside a transaction should prefer Database.Insert, whose
-// log records carry only the inserted tuples.
+// Each written variable is classified once, under the write lock, and that
+// one classification picks its log record, its engine publication and its
+// observer call. A variable the transaction only inserted into, and whose
+// published value is still the Begin snapshot, commits as growth: an OpInsert
+// record of just the inserted tuples, PublishDelta, CommittedGrow. Because the
+// check runs under the lock that also orders the log, the state at this log
+// position is exactly the base those tuples were inserted into, so replaying
+// the delta reproduces the published value. Everything else — Tx.Assign, a
+// base overtaken by a concurrent writer since Begin, a paged value evicted
+// since Begin — commits the full final value (OpAssign, Publish,
+// CommittedReset): the overlay is then a last-writer-wins replacement of a
+// value the log position does not hold.
 func (tx *Tx) Commit() error {
 	if tx.done {
 		return fmt.Errorf("store: transaction already finished")
 	}
 	tx.db.mu.Lock()
 	defer tx.db.mu.Unlock()
-	if len(tx.overlay) > 0 {
-		names := make([]string, 0, len(tx.overlay))
-		for n := range tx.overlay {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		batch := make([]Mutation, 0, len(names))
-		for _, n := range names {
+	batch := make([]Mutation, 0, len(tx.overlay))
+	for _, n := range tx.Writes() {
+		prev, _ := tx.db.engine.Cached(n)
+		// tx.inserted holds n only while the write set is pure insert growth.
+		if tups, grown := tx.inserted[n]; grown && prev != nil && tx.base[n] == prev {
+			batch = append(batch, Mutation{Op: OpInsert, Name: n, Tuples: tups})
+		} else {
 			batch = append(batch, Mutation{Op: OpAssign, Name: n, Rel: tx.overlay[n]})
 		}
+	}
+	if len(batch) > 0 {
 		if err := tx.db.logLocked(batch); err != nil {
 			return err
 		}
 	}
 	tx.done = true
-	for n, r := range tx.overlay {
-		prev, _ := tx.db.engine.Cached(n)
-		// The write is an observable delta only if it is pure insert growth
-		// AND the variable still holds the Begin snapshot: a concurrent
-		// writer between Begin and Commit means r is base+inserts over a
-		// value that is no longer published (last-writer-wins replacement),
-		// so the delta relative to prev is not the insert list. (A paged
-		// engine that evicted the value since Begin misses the comparison
-		// and takes the reset path — correct, just not incremental.)
-		if tups, ok := tx.inserted[n]; ok && !tx.overwritten[n] && prev != nil && tx.base[n] == prev {
-			tx.db.engine.PublishDelta(n, tups, r)
-			tx.db.observeGrow(n, tups, r)
+	for _, m := range batch {
+		next := tx.overlay[m.Name]
+		if m.Op == OpInsert {
+			tx.db.engine.PublishDelta(m.Name, m.Tuples, next)
+			tx.db.observeGrow(m.Name, m.Tuples, next)
 		} else {
-			tx.db.engine.Publish(n, r)
-			tx.db.observeReset(n, r)
+			tx.db.engine.Publish(m.Name, next)
+			tx.db.observeReset(m.Name, next)
 		}
 	}
 	return nil

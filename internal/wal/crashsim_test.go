@@ -58,19 +58,15 @@ func ints(ns ...int64) []value.Tuple {
 }
 
 // simWorkload is the recorded workload: declarations, inserts, a wholesale
-// assignment, transaction commits, and an explicit checkpoint, sized so the
+// assignment, transaction commits of every batch shape (a two-variable insert
+// delta, a single insert delta, an insert delta mixed with a full-value
+// assignment), and an explicit checkpoint, sized so the
 // CheckpointEvery used by the harness also triggers automatic rotation
 // mid-run. Every step is deterministic, so a fault-free pass enumerates the
 // exact operation sequence every faulted pass will replay up to its fault.
 func simWorkload() []simStep {
-	assignRel := func() *relation.Relation {
-		rel := relation.New(pairType("edge"))
-		for _, tp := range []value.Tuple{tup("x", "y"), tup("y", "z")} {
-			if err := rel.Insert(tp); err != nil {
-				panic(err)
-			}
-		}
-		return rel
+	assignRel := func(tuples ...value.Tuple) *relation.Relation {
+		return relation.MustFromTuples(pairType("edge"), tuples...)
 	}
 	return []simStep{
 		{"declare-edge", true, func(db *store.Database) error { return db.Declare("Edge", pairType("edge")) }},
@@ -89,8 +85,27 @@ func simWorkload() []simStep {
 		}},
 		{"checkpoint", false, func(db *store.Database) error { return db.Checkpoint() }},
 		{"insert-edge-2", true, func(db *store.Database) error { return db.Insert("Edge", tup("d", "e")) }},
-		{"assign-edge", true, func(db *store.Database) error { return db.Assign("Edge", assignRel()) }},
+		{"assign-edge", true, func(db *store.Database) error {
+			return db.Assign("Edge", assignRel(tup("x", "y"), tup("y", "z")))
+		}},
 		{"insert-node-2", true, func(db *store.Database) error { return db.Insert("Node", ints(5, 6)...) }},
+		{"tx-insert", true, func(db *store.Database) error {
+			tx := db.Begin()
+			if err := tx.Insert("Node", ints(10, 11)...); err != nil {
+				return err
+			}
+			return tx.Commit()
+		}},
+		{"tx-insert-assign", true, func(db *store.Database) error {
+			tx := db.Begin()
+			if err := tx.Insert("Node", ints(12)...); err != nil {
+				return err
+			}
+			if err := tx.Assign("Edge", assignRel(tup("m", "n"))); err != nil {
+				return err
+			}
+			return tx.Commit()
+		}},
 		{"insert-node-3", true, func(db *store.Database) error { return db.Insert("Node", ints(7)...) }},
 		{"insert-edge-3", true, func(db *store.Database) error { return db.Insert("Edge", tup("p", "q")) }},
 		{"insert-node-4", true, func(db *store.Database) error { return db.Insert("Node", ints(8, 9)...) }},

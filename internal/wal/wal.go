@@ -7,9 +7,13 @@
 // batch record. Derived constructor results are never logged: they recompute
 // from the base relations on recovery (the classic deductive-database split
 // between a durable extensional store and a recomputable intensional one).
-// Insert records carry just the inserted tuples; assignments and committed
-// transactions carry the written variables' full values, because their
-// semantics is wholesale last-writer-wins replacement.
+// A record costs what its commit changed: inserts — Database.Insert, and every
+// variable a committed transaction only inserted into while no other writer
+// overtook its Begin snapshot — carry just the inserted tuples. Assignments
+// carry the variable's full value, because their semantics is wholesale
+// last-writer-wins replacement; so does a transaction's write whose base was
+// overtaken before Commit, since the log position then no longer holds the
+// value its tuples were inserted into.
 //
 // All file I/O goes through an fsx.FS (the real filesystem by default), so
 // tests drive the same code over a fault-injecting in-memory filesystem and
@@ -447,37 +451,17 @@ func replay(f fsx.File, db *store.Database) (records int, goodOff int64, err err
 // record (the recovering database has no logger attached, so nothing is
 // re-logged), and replicas use it to apply batches tailed off a primary.
 //
-// A multi-mutation batch — a committed transaction's write set — is applied
-// atomically through an overlay transaction, so concurrent snapshot readers
-// (replica queries) observe either all of the batch or none of it, exactly as
-// readers on the primary did.
+// A multi-mutation batch — a committed transaction's write set, any mix of
+// insert deltas and full-value assignments — is replayed through one overlay
+// transaction, so concurrent snapshot readers (replica queries) observe either
+// all of the batch or none of it, exactly as readers on the primary did. The
+// replaying transaction classifies its writes as the original did: an insert
+// delta commits as growth again (observers maintain instead of resetting, the
+// paged engine appends pages instead of rewriting the heap).
 func Apply(db *store.Database, batch []store.Mutation) error {
-	if len(batch) > 1 && onlyAssigns(batch) {
-		return applyTx(db, batch)
+	if len(batch) == 1 {
+		return applyOne(db, batch[0])
 	}
-	// Single mutations and (hypothetical) mixed batches apply sequentially;
-	// the store never emits a multi-mutation batch that is not all-assign.
-	for _, m := range batch {
-		if err := applyOne(db, m); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// onlyAssigns reports whether every mutation in the batch is an OpAssign (the
-// only multi-mutation batch shape the store emits: a transaction commit).
-func onlyAssigns(batch []store.Mutation) bool {
-	for _, m := range batch {
-		if m.Op != store.OpAssign {
-			return false
-		}
-	}
-	return true
-}
-
-// applyTx applies an all-assign batch atomically via an overlay transaction.
-func applyTx(db *store.Database, batch []store.Mutation) error {
 	tx := db.Begin()
 	defer func() {
 		if !tx.Done() {
@@ -485,11 +469,20 @@ func applyTx(db *store.Database, batch []store.Mutation) error {
 		}
 	}()
 	for _, m := range batch {
-		rel, err := rebuild(db, m)
-		if err != nil {
-			return err
+		var err error
+		switch m.Op {
+		case store.OpInsert:
+			err = tx.Insert(m.Name, m.Tuples...)
+		case store.OpAssign:
+			var rel *relation.Relation
+			if rel, err = rebuild(db, m); err == nil {
+				err = tx.Assign(m.Name, rel)
+			}
+		default:
+			// Declarations are not transactional; the store logs each alone.
+			err = fmt.Errorf("mutation op %d inside a multi-mutation batch", m.Op)
 		}
-		if err := tx.Assign(m.Name, rel); err != nil {
+		if err != nil {
 			return err
 		}
 	}
@@ -506,13 +499,7 @@ func rebuild(db *store.Database, m store.Mutation) (*relation.Relation, error) {
 	if !ok {
 		return nil, fmt.Errorf("assign to undeclared variable %q", m.Name)
 	}
-	rel := relation.New(typ)
-	for _, t := range m.Tuples {
-		if err := rel.Insert(t); err != nil {
-			return nil, err
-		}
-	}
-	return rel, nil
+	return relation.FromTuples(typ, m.Tuples...)
 }
 
 // applyOne applies a single mutation directly.
@@ -538,55 +525,80 @@ func applyOne(db *store.Database, m store.Mutation) error {
 // ships batches in the log's own format.
 func EncodeBatch(batch []store.Mutation) ([]byte, error) {
 	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	if err := store.WriteUvarint(w, uint64(len(batch))); err != nil {
-		return nil, err
-	}
-	for _, m := range batch {
-		if err := w.WriteByte(byte(m.Op)); err != nil {
-			return nil, err
-		}
-		switch m.Op {
-		case store.OpDeclare:
-			if err := store.WriteString(w, m.Name); err != nil {
-				return nil, err
-			}
-			if err := store.WriteRelationType(w, m.Type); err != nil {
-				return nil, err
-			}
-		case store.OpAssign, store.OpInsert:
-			if err := store.WriteString(w, m.Name); err != nil {
-				return nil, err
-			}
-			tuples := m.Tuples
-			if m.Op == store.OpAssign {
-				tuples = m.Rel.Tuples()
-			}
-			arity := 0
-			if len(tuples) > 0 {
-				arity = len(tuples[0])
-			}
-			if err := store.WriteUvarint(w, uint64(arity)); err != nil {
-				return nil, err
-			}
-			if err := store.WriteUvarint(w, uint64(len(tuples))); err != nil {
-				return nil, err
-			}
-			for _, t := range tuples {
-				for _, v := range t {
-					if err := store.WriteValue(w, v); err != nil {
-						return nil, err
-					}
-				}
-			}
-		default:
-			return nil, fmt.Errorf("wal: cannot encode mutation op %d", m.Op)
-		}
-	}
-	if err := w.Flush(); err != nil {
+	if err := encodeBatch(&buf, batch); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
+}
+
+// encodeBatch appends the payload encoding of batch to buf. Insert and assign
+// tuple blocks share one layout (name, arity, count, values); an assignment's
+// tuples are written in iteration order — replay rebuilds a set, so the order
+// carries no meaning and sorting a whole variable per commit buys nothing.
+func encodeBatch(buf *bytes.Buffer, batch []store.Mutation) error {
+	w := bufio.NewWriter(buf)
+	if err := store.WriteUvarint(w, uint64(len(batch))); err != nil {
+		return err
+	}
+	for _, m := range batch {
+		if err := w.WriteByte(byte(m.Op)); err != nil {
+			return err
+		}
+		if err := store.WriteString(w, m.Name); err != nil {
+			return err
+		}
+		switch m.Op {
+		case store.OpDeclare:
+			if err := store.WriteRelationType(w, m.Type); err != nil {
+				return err
+			}
+		case store.OpAssign:
+			if err := writeBlockHeader(w, m.Rel.Type().Element.Arity(), m.Rel.Len()); err != nil {
+				return err
+			}
+			var err error
+			m.Rel.Each(func(t value.Tuple) bool {
+				err = writeTuple(w, t)
+				return err == nil
+			})
+			if err != nil {
+				return err
+			}
+		case store.OpInsert:
+			arity := 0
+			if len(m.Tuples) > 0 {
+				arity = len(m.Tuples[0])
+			}
+			if err := writeBlockHeader(w, arity, len(m.Tuples)); err != nil {
+				return err
+			}
+			for _, t := range m.Tuples {
+				if err := writeTuple(w, t); err != nil {
+					return err
+				}
+			}
+		default:
+			return fmt.Errorf("wal: cannot encode mutation op %d", m.Op)
+		}
+	}
+	return w.Flush()
+}
+
+// writeBlockHeader writes a tuple block's arity and tuple count.
+func writeBlockHeader(w *bufio.Writer, arity, n int) error {
+	if err := store.WriteUvarint(w, uint64(arity)); err != nil {
+		return err
+	}
+	return store.WriteUvarint(w, uint64(n))
+}
+
+func writeTuple(w *bufio.Writer, t value.Tuple) error {
+	for _, v := range t {
+		if err := store.WriteValue(w, v); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // DecodeBatch parses a record payload produced by EncodeBatch. Assign
@@ -690,20 +702,24 @@ func (l *Log) Append(batch []store.Mutation, state func(io.Writer) error) error 
 			l.rotateAt = l.n + l.every
 		}
 	}
-	payload, err := EncodeBatch(batch)
-	if err != nil {
+	// The payload is encoded straight behind the reserved frame header, which
+	// is filled in place once the length and checksum are known.
+	var buf bytes.Buffer
+	var header [frameHeaderLen]byte
+	buf.Write(header[:])
+	if err := encodeBatch(&buf, batch); err != nil {
 		return err
 	}
+	frame := buf.Bytes()
+	payload := frame[frameHeaderLen:]
 	if len(payload) > maxRecordLen {
 		// Refuse a frame replay would misread as a torn tail (and that
 		// would overflow the uint32 length at 4GiB): the commit fails
 		// cleanly instead of reporting success and vanishing on recovery.
 		return fmt.Errorf("wal: batch of %d bytes exceeds the %d-byte record limit", len(payload), maxRecordLen)
 	}
-	frame := make([]byte, frameHeaderLen+len(payload))
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
-	copy(frame[frameHeaderLen:], payload)
 	if _, err := l.f.Write(frame); err != nil {
 		// Part of the frame may or may not be in the page cache; neither a
 		// truncate nor further appends can be trusted after a failed write,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -515,5 +516,167 @@ func TestStaleGenerationCleanup(t *testing.T) {
 	l2.Close()
 	if _, err := os.Stat(filepath.Join(dir, "wal-"+padGen(1)+".log")); !os.IsNotExist(err) {
 		t.Fatal("stale generation not removed")
+	}
+}
+
+func TestMixedBatchOneRecordWholeOrNothing(t *testing.T) {
+	// A transaction that inserts into A and assigns B commits as one record
+	// holding an insert delta and a full value; torn anywhere, it vanishes
+	// whole, and intact it replays whole.
+	for _, cut := range []int64{0, 1, 9, 25} {
+		l, db := openAttached(t, t.TempDir(), Options{Sync: SyncNever})
+		dir := l.Dir()
+		for _, name := range []string{"A", "B"} {
+			if err := db.Declare(name, pairType(name)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Insert("A", tup("a0", "a0'")); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Insert("B", tup("b0", "b0'")); err != nil {
+			t.Fatal(err)
+		}
+		before := saveBytes(t, db)
+		records := l.TailRecords()
+
+		sub, err := db.Subscribe(io.Discard, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx := db.Begin()
+		if err := tx.Insert("A", tup("a1", "a1'")); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Assign("B", relation.MustFromTuples(pairType("B"), tup("b1", "b1'"))); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if got := l.TailRecords(); got != records+1 {
+			t.Fatalf("mixed commit appended %d records, want 1", got-records)
+		}
+		batch := <-sub.C
+		sub.Close()
+		if len(batch) != 2 || batch[0].Op != store.OpInsert || batch[0].Name != "A" || len(batch[0].Tuples) != 1 ||
+			batch[1].Op != store.OpAssign || batch[1].Name != "B" {
+			t.Fatalf("commit batch is not {insert A delta, assign B}: %+v", batch)
+		}
+		after := saveBytes(t, db)
+		path := walFile(t, dir, l)
+		l.Close()
+
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(path, fi.Size()-cut); err != nil {
+			t.Fatal(err)
+		}
+
+		l2, db2 := openAttached(t, dir, Options{})
+		want := after
+		if cut > 0 {
+			want = before
+		}
+		if got := saveBytes(t, db2); !bytes.Equal(got, want) {
+			t.Fatalf("cut=%d: mixed commit record was not recovered whole-or-nothing", cut)
+		}
+		l2.Close()
+	}
+}
+
+func TestAllAssignBatchStillReplays(t *testing.T) {
+	// Logs written before commits carried insert deltas hold a transaction as
+	// an all-assign batch of full values; that shape must keep replaying.
+	l, db := openAttached(t, t.TempDir(), Options{Sync: SyncNever})
+	dir := l.Dir()
+	for _, name := range []string{"A", "B"} {
+		if err := db.Declare(name, pairType(name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Insert("A", tup("old", "old'")); err != nil {
+		t.Fatal(err)
+	}
+	legacy := []store.Mutation{
+		{Op: store.OpAssign, Name: "A", Rel: relation.MustFromTuples(pairType("A"), tup("a1", "a1'"), tup("a2", "a2'"))},
+		{Op: store.OpAssign, Name: "B", Rel: relation.MustFromTuples(pairType("B"), tup("b1", "b1'"))},
+	}
+	if err := l.Append(legacy, nil); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+
+	want := store.NewDatabase()
+	for _, name := range []string{"A", "B"} {
+		if err := want.Declare(name, pairType(name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, m := range legacy {
+		if err := want.Assign(m.Name, m.Rel); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l2, db2 := openAttached(t, dir, Options{})
+	defer l2.Close()
+	if got := saveBytes(t, db2); !bytes.Equal(got, saveBytes(t, want)) {
+		t.Fatal("all-assign multi-mutation record did not replay")
+	}
+}
+
+// growCounter counts observer callbacks by kind.
+type growCounter struct{ grows, resets int }
+
+func (c *growCounter) CommittedGrow(string, []value.Tuple, *relation.Relation) { c.grows++ }
+func (c *growCounter) CommittedReset(string, *relation.Relation)               { c.resets++ }
+
+func TestApplyReplaysInsertBatchAsGrowth(t *testing.T) {
+	// Replaying a batch of insert deltas re-classifies as growth: the
+	// replica's observers maintain instead of resetting.
+	db := store.NewDatabase()
+	for _, name := range []string{"A", "B"} {
+		if err := db.Declare(name, pairType(name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var obs growCounter
+	db.SetObserver(&obs)
+	payload, err := EncodeBatch([]store.Mutation{
+		{Op: store.OpInsert, Name: "A", Tuples: []value.Tuple{tup("a1", "a1'")}},
+		{Op: store.OpInsert, Name: "B", Tuples: []value.Tuple{tup("b1", "b1'"), tup("b2", "b2'")}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := DecodeBatch(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Apply(db, batch); err != nil {
+		t.Fatal(err)
+	}
+	if obs.grows != 2 || obs.resets != 0 {
+		t.Fatalf("replayed insert batch observed as %d grows, %d resets; want 2, 0", obs.grows, obs.resets)
+	}
+	if a, _ := db.Get("A"); a.Len() != 1 {
+		t.Fatalf("A has %d tuples after replay", a.Len())
+	}
+	if b, _ := db.Get("B"); b.Len() != 2 {
+		t.Fatalf("B has %d tuples after replay", b.Len())
+	}
+
+	// A batch that fails midway publishes nothing.
+	bad := []store.Mutation{
+		{Op: store.OpInsert, Name: "A", Tuples: []value.Tuple{tup("a2", "a2'")}},
+		{Op: store.OpInsert, Name: "Missing", Tuples: []value.Tuple{tup("x", "y")}},
+	}
+	if err := Apply(db, bad); err == nil {
+		t.Fatal("batch naming an undeclared variable applied")
+	}
+	if a, _ := db.Get("A"); a.Len() != 1 {
+		t.Fatal("failed batch was partially published")
 	}
 }
