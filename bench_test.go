@@ -1,8 +1,9 @@
 package dbpl_test
 
-// One testing.B benchmark per measured experiment of EXPERIMENTS.md.
-// `go test -bench=. -benchmem` regenerates the performance side of every
-// claim; cmd/dbplbench prints the full tables with derived columns.
+// One testing.B benchmark per experiment of internal/experiments (E1-E8,
+// the paper's claims) plus the session-layer micro-benchmarks. `go test
+// -bench=. -benchmem` measures them; cmd/dbplbench prints the experiment
+// tables with derived columns. Neither is the gate — that is bench/.
 
 import (
 	"context"
@@ -259,10 +260,7 @@ func BenchmarkE2AheadN(b *testing.B) {
 // BenchmarkE3MutualRecursion measures the joint ahead/above fixpoint over
 // generated CAD scenes (section 3.1).
 func BenchmarkE3MutualRecursion(b *testing.B) {
-	db := dbpl.New()
-	if _, err := db.Exec(experiments.CADModule); err != nil {
-		b.Fatal(err)
-	}
+	db := openWith(b, experiments.CADModule)
 	for _, sz := range [][2]int{{2, 16}, {4, 32}} {
 		scene := workload.NewCADScene(sz[0], sz[1], 3, 1985)
 		b.Run(fmt.Sprintf("lanes=%d/len=%d", sz[0], sz[1]), func(b *testing.B) {
@@ -466,10 +464,7 @@ func BenchmarkE7Propagation(b *testing.B) {
 
 // BenchmarkE8QuantGraph measures graph construction and analysis (Fig 3).
 func BenchmarkE8QuantGraph(b *testing.B) {
-	db := dbpl.New()
-	if _, err := db.Exec(experiments.CADModule); err != nil {
-		b.Fatal(err)
-	}
+	db := openWith(b, experiments.CADModule)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if db.QuantGraphASCII() == "" {
@@ -480,10 +475,7 @@ func BenchmarkE8QuantGraph(b *testing.B) {
 
 // BenchmarkE1GuardedAssignment measures selector-guarded assignment (Fig 1).
 func BenchmarkE1GuardedAssignment(b *testing.B) {
-	db := dbpl.New()
-	if _, err := db.Exec(experiments.CADModule); err != nil {
-		b.Fatal(err)
-	}
+	db := openWith(b, experiments.CADModule)
 	scene := workload.NewCADScene(4, 64, 2, 3)
 	if err := db.Assign("Objects", scene.Objects); err != nil {
 		b.Fatal(err)

@@ -1,6 +1,7 @@
-// dbplbench regenerates the experiment tables of EXPERIMENTS.md: every
+// dbplbench prints the experiment tables of internal/experiments: every
 // figure, worked example, and performance claim of the paper, measured on
-// this reproduction.
+// this reproduction. The tables go to standard output; nothing is written to
+// the tree.
 //
 // Usage:
 //

@@ -39,12 +39,13 @@
 //	  Infront := {<"vase","table">, <"table","chair">};
 //	  END cad.`)
 //
-// # Prepared statements and streaming results
+// # Prepared statements and row cursors
 //
 // Prepare parses and resolves a query once; the statement can then be
 // executed repeatedly (concurrently, if desired) with scalar parameters
-// bound per call. QueryContext streams the result as a *Rows cursor, so
-// large results need not be materialized into slices by the caller:
+// bound per call. QueryContext evaluates the query and returns a *Rows cursor
+// over the materialized result, so callers iterate and Scan without copying
+// it into slices of their own:
 //
 //	stmt, err := db.Prepare(`Infront[hidden_by(Obj)]{ahead}`)
 //	rel, err := stmt.Query(ctx, "table")       // binds Obj := "table"
@@ -56,27 +57,27 @@
 //		if err := rows.Scan(&head, &tail); err != nil { ... }
 //	}
 //
-// One-shot Query and QuerySet consult an LRU cache of compiled plans keyed
-// by source text, so a repeated query string pays the parse and optimization
-// cost once. The cache is invalidated whenever declarations change.
+// One-shot Query and QueryContext consult an LRU cache of compiled plans
+// keyed by source text, so a repeated query string pays the parse and
+// optimization cost once. The cache is invalidated whenever declarations
+// change.
 //
 // # Plans and EXPLAIN
 //
-// Prepare lowers every query through an ordered optimizer pass pipeline —
+// Prepare lowers every query through one fixed optimizer pass pipeline —
 // flatten, selection pushdown into non-recursive constructors, magic-sets
 // restriction of recursive constructor applications to bound constants, and
 // range re-nesting (the section 4 rewrites). The compiled plan is a
 // first-class value: Stmt.Plan returns it, Explain compiles without
-// executing, and ExplainQuery executes and attaches per-run counters
-// (EXPLAIN ANALYZE style); Plan.Text renders it for humans and the struct
-// marshals to JSON. Selector applications whose body is an indexable
+// executing, and ExplainQuery executes and attaches per-run counters and the
+// binding order that run used (EXPLAIN ANALYZE style); Plan.Text renders it
+// for humans and the struct marshals to JSON. Selector applications whose body is an indexable
 // equality over a stored variable are answered from a hash index memoized on
 // the variable's value (the paper's physical access paths) instead of scans.
 //
 //	plan, err := db.Explain(ctx, `Infront{ahead}[hidden_by("table")]`)
 //	fmt.Print(plan.Text())   // pass trace, quantifier order, access paths
 //
-// WithOptimizer selects or reorders the pipeline by registered pass name;
 // WithoutOptimization disables rewrites and access paths entirely (useful
 // for debugging and equivalence testing).
 //
@@ -104,8 +105,8 @@
 // tunes automatic log compaction; Checkpoint forces it; Close syncs and
 // detaches the log.
 //
-// The pre-session entry points (New, Exec, Query, QuerySet, Apply) remain
-// as thin wrappers over the context-aware API.
+// Exec, Query and Apply are the context-free forms of ExecContext,
+// QueryContext and ApplyContext.
 package dbpl
 
 import (
@@ -168,17 +169,6 @@ const (
 	Naive = core.Naive
 )
 
-// New returns an empty database with strict positivity checking and default
-// options; it is Open with no options.
-func New() *DB {
-	d, err := Open()
-	if err != nil {
-		// Open without options cannot fail.
-		panic(err)
-	}
-	return d
-}
-
 // Exec compiles and runs a DBPL module against the database, accumulating
 // its declarations. It returns the output of SHOW statements.
 func (d *DB) Exec(src string) (string, error) {
@@ -200,9 +190,10 @@ func (d *DB) ExecContext(ctx context.Context, src string) (string, error) {
 	return buf.String(), nil
 }
 
-// Query evaluates a range expression (e.g. `Infront[hidden_by("table")]{ahead}`)
-// against a snapshot of the current state. Repeated query strings hit the
-// plan cache.
+// Query evaluates a query — a range expression such as
+// `Infront[hidden_by("table")]{ahead}` or a set expression such as
+// `{EACH r IN Infront: TRUE}` — against a snapshot of the current state.
+// Repeated query strings hit the plan cache.
 func (d *DB) Query(src string) (*Relation, error) {
 	st, err := d.prepareCached(src)
 	if err != nil {
@@ -211,25 +202,14 @@ func (d *DB) Query(src string) (*Relation, error) {
 	return st.Query(context.Background())
 }
 
-// QuerySet evaluates a full set expression (e.g. `{EACH r IN Infront: TRUE}`).
-func (d *DB) QuerySet(src string) (*Relation, error) {
-	return d.Query(src)
-}
-
-// QueryContext evaluates a query with cancellation and returns a streaming
-// row cursor over the result.
+// QueryContext evaluates a query with cancellation and returns a row cursor
+// over the result.
 func (d *DB) QueryContext(ctx context.Context, src string) (*Rows, error) {
 	st, err := d.prepareCached(src)
 	if err != nil {
 		return nil, err
 	}
 	return st.QueryRows(ctx)
-}
-
-// QuerySetContext is QueryContext; set expressions and range expressions
-// share one entry point since Prepare accepts both.
-func (d *DB) QuerySetContext(ctx context.Context, src string) (*Rows, error) {
-	return d.QueryContext(ctx, src)
 }
 
 // Apply evaluates a constructor application on an explicit base relation,

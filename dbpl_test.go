@@ -27,8 +27,18 @@ SHOW Infront{ahead};
 END cad.
 `
 
+// mustOpen opens a memory-only database with default options.
+func mustOpen(t testing.TB) *DB {
+	t.Helper()
+	db, err := Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
 func TestExecPaperModule(t *testing.T) {
-	db := New()
+	db := mustOpen(t)
 	out, err := db.Exec(cadModule)
 	if err != nil {
 		t.Fatalf("exec: %v", err)
@@ -42,7 +52,7 @@ func TestExecPaperModule(t *testing.T) {
 }
 
 func TestQueryAfterExec(t *testing.T) {
-	db := New()
+	db := mustOpen(t)
 	if _, err := db.Exec(cadModule); err != nil {
 		t.Fatalf("exec: %v", err)
 	}
@@ -70,7 +80,7 @@ func TestQueryAfterExec(t *testing.T) {
 }
 
 func TestProgrammaticAPI(t *testing.T) {
-	db := New()
+	db := mustOpen(t)
 	if _, err := db.Exec(cadModule); err != nil {
 		t.Fatalf("exec: %v", err)
 	}
@@ -92,7 +102,7 @@ func TestProgrammaticAPI(t *testing.T) {
 
 func TestModesAgree(t *testing.T) {
 	for _, mode := range []Mode{Naive, SemiNaive} {
-		db := New()
+		db := mustOpen(t)
 		db.SetMode(mode)
 		if _, err := db.Exec(cadModule); err != nil {
 			t.Fatalf("exec: %v", err)
@@ -108,7 +118,7 @@ func TestModesAgree(t *testing.T) {
 }
 
 func TestAccumulatedModules(t *testing.T) {
-	db := New()
+	db := mustOpen(t)
 	if _, err := db.Exec(cadModule); err != nil {
 		t.Fatalf("exec 1: %v", err)
 	}
@@ -129,7 +139,7 @@ END more.
 }
 
 func TestPositivityRejectionThroughFacade(t *testing.T) {
-	db := New()
+	db := mustOpen(t)
 	_, err := db.Exec(`
 MODULE bad;
 TYPE anyrel = RELATION OF RECORD a: STRING END;
@@ -145,7 +155,7 @@ END bad.
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
-	db := New()
+	db := mustOpen(t)
 	if _, err := db.Exec(cadModule); err != nil {
 		t.Fatalf("exec: %v", err)
 	}
@@ -154,7 +164,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("save: %v", err)
 	}
 
-	db2 := New()
+	db2 := mustOpen(t)
 	if err := db2.LoadStore(&buf); err != nil {
 		t.Fatalf("load: %v", err)
 	}
@@ -166,7 +176,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestGuardedAssignmentRejects(t *testing.T) {
-	db := New()
+	db := mustOpen(t)
 	if _, err := db.Exec(cadModule); err != nil {
 		t.Fatalf("exec: %v", err)
 	}
@@ -191,7 +201,7 @@ END guard2.
 }
 
 func TestQuantGraphRendering(t *testing.T) {
-	db := New()
+	db := mustOpen(t)
 	if _, err := db.Exec(cadModule); err != nil {
 		t.Fatalf("exec: %v", err)
 	}

@@ -9,7 +9,7 @@ import (
 // surface and be matchable with errors.As.
 
 func TestParseErrorSurfaces(t *testing.T) {
-	db := New()
+	db := mustOpen(t)
 	var pe *ParseError
 	if _, err := db.Exec(`MODULE ; nonsense`); !errors.As(err, &pe) {
 		t.Fatalf("exec: got %T %v, want *ParseError", err, err)
@@ -26,7 +26,7 @@ func TestParseErrorSurfaces(t *testing.T) {
 }
 
 func TestTypeErrorSurfaces(t *testing.T) {
-	db := New()
+	db := mustOpen(t)
 	var te *TypeError
 	if _, err := db.Exec(`
 MODULE m;
@@ -38,7 +38,7 @@ END m.
 }
 
 func TestPositivityErrorSurfaces(t *testing.T) {
-	db := New()
+	db := mustOpen(t)
 	var pe *PositivityError
 	_, err := db.Exec(`
 MODULE bad;
@@ -58,7 +58,7 @@ END bad.
 }
 
 func TestKeyConflictErrorSurfaces(t *testing.T) {
-	db := New()
+	db := mustOpen(t)
 	var ke *KeyConflictError
 	_, err := db.Exec(`
 MODULE m;
@@ -84,7 +84,7 @@ END m2.
 }
 
 func TestGuardViolationErrorSurfaces(t *testing.T) {
-	db := New()
+	db := mustOpen(t)
 	if _, err := db.Exec(cadModule); err != nil {
 		t.Fatalf("setup: %v", err)
 	}

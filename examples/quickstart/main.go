@@ -2,7 +2,7 @@
 // types, define the recursive ahead constructor, load Infront facts, and
 // query the constructed relation (transitive closure) through the session
 // API: Open with options, context-aware execution, a prepared statement
-// with a scalar parameter, and a streaming row cursor.
+// with a scalar parameter, and a row cursor.
 package main
 
 import (
@@ -57,8 +57,8 @@ func main() {
 	}
 	fmt.Print(out)
 
-	// Stream the closure through a row cursor: no whole-relation slice is
-	// materialized on the caller's side.
+	// Iterate the closure through a row cursor: the caller scans tuples
+	// without copying the result relation into a slice of its own.
 	rows, err := db.QueryContext(ctx, `Infront{ahead}`)
 	if err != nil {
 		log.Fatalf("query: %v", err)

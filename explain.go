@@ -29,8 +29,9 @@ func (d *DB) Explain(ctx context.Context, src string) (*Plan, error) {
 // ExplainQuery executes a query and returns its plan with the Analyze
 // counters of that execution filled in (EXPLAIN ANALYZE style): result rows,
 // fixpoint rounds and evaluations when a constructor ran, and access-path
-// decisions (partition lookups vs. scans). Parameters bind positionally, as
-// in Stmt.Query.
+// decisions (partition lookups vs. scans). Quantifiers shows the binding
+// order and probes that execution ran, in the order of its join operators.
+// Parameters bind positionally, as in Stmt.Query.
 func (d *DB) ExplainQuery(ctx context.Context, src string, args ...any) (*Plan, error) {
 	st, err := d.prepareCached(src)
 	if err != nil {
@@ -48,6 +49,7 @@ func (s *Stmt) ExplainQuery(ctx context.Context, args ...any) (*Plan, error) {
 		return nil, err
 	}
 	p := s.Plan()
+	p.Quantifiers = s.quantifiers(&ex.exec)
 	p.Analyze = &ExecInfo{
 		Rows:             rel.Len(),
 		PartitionLookups: int(ex.paths.PartitionLookups.Load()),

@@ -5,8 +5,9 @@ package dbpl_test
 // transitive closure. The maintained variant resumes the cached semi-naive
 // fixpoint from converged state with just the committed delta; the
 // full-refixpoint variant (materialization off) recomputes the closure from
-// scratch on every read. Tree workloads at 10k and 100k base tuples; every
-// measurement lands in BENCH_incremental.json via TestMain.
+// scratch on every read. Tree workloads at 10k and 100k base tuples. CI runs
+// it once as a smoke step (the maintained variant asserts that maintenance
+// happened); the gating numbers come from bench/.
 
 import (
 	"fmt"
@@ -53,7 +54,6 @@ func BenchmarkIncrementalRead(b *testing.B) {
 				if _, err := stmt.Query(b.Context()); err != nil {
 					b.Fatal(err)
 				}
-				rows := 0
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					// The write stream is not the measured quantity: the
@@ -64,11 +64,9 @@ func BenchmarkIncrementalRead(b *testing.B) {
 						b.Fatal(err)
 					}
 					b.StartTimer()
-					rel, err := stmt.Query(b.Context())
-					if err != nil {
+					if _, err := stmt.Query(b.Context()); err != nil {
 						b.Fatal(err)
 					}
-					rows = rel.Len()
 				}
 				b.StopTimer()
 				if mode.name == "maintained" {
@@ -76,7 +74,6 @@ func BenchmarkIncrementalRead(b *testing.B) {
 						b.Fatalf("maintained variant never maintained: %+v", mv)
 					}
 				}
-				recordBench(b, len(edges)+b.N, rows)
 			})
 		}
 	}

@@ -6,6 +6,15 @@ import "repro/internal/value"
 // positivity analysis (section 3.3), the quant-graph builder (section 4), and
 // the optimizer's rewrite rules (N1–N3 and constraint propagation).
 
+// Conjuncts flattens the top-level ANDs of p into its conjuncts, left to
+// right. A predicate that is not a conjunction is its own single conjunct.
+func Conjuncts(p Pred) []Pred {
+	if a, ok := p.(And); ok {
+		return append(Conjuncts(a.L), Conjuncts(a.R)...)
+	}
+	return []Pred{p}
+}
+
 // WalkRanges calls fn for every Range reachable from the set expression,
 // including ranges nested inside quantifiers, membership predicates, suffix
 // arguments, and sub-expressions.
@@ -16,7 +25,7 @@ func WalkRanges(s *SetExpr, fn func(*Range)) {
 	for i := range s.Branches {
 		br := &s.Branches[i]
 		for j := range br.Binds {
-			walkRange(br.Binds[j].Range, fn)
+			WalkRange(br.Binds[j].Range, fn)
 		}
 		if br.Where != nil {
 			walkPredRanges(br.Where, fn)
@@ -24,7 +33,9 @@ func WalkRanges(s *SetExpr, fn func(*Range)) {
 	}
 }
 
-func walkRange(r *Range, fn func(*Range)) {
+// WalkRange calls fn for r and every Range reachable from it: its
+// sub-expression and its suffix arguments, recursively.
+func WalkRange(r *Range, fn func(*Range)) {
 	if r == nil {
 		return
 	}
@@ -35,7 +46,7 @@ func walkRange(r *Range, fn func(*Range)) {
 	for i := range r.Suffixes {
 		for j := range r.Suffixes[i].Args {
 			if rel := r.Suffixes[i].Args[j].Rel; rel != nil {
-				walkRange(rel, fn)
+				WalkRange(rel, fn)
 			}
 		}
 	}
@@ -52,10 +63,10 @@ func walkPredRanges(p Pred, fn func(*Range)) {
 	case Not:
 		walkPredRanges(q.P, fn)
 	case Quant:
-		walkRange(q.Range, fn)
+		WalkRange(q.Range, fn)
 		walkPredRanges(q.Body, fn)
 	case Member:
-		walkRange(q.Range, fn)
+		WalkRange(q.Range, fn)
 	}
 }
 

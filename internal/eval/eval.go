@@ -16,6 +16,7 @@ package eval
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync/atomic"
 
 	"repro/internal/ast"
@@ -468,21 +469,20 @@ func (e *Env) branchIntoExcluding(br *ast.Branch, out, except *relation.Relation
 }
 
 // preparedBranch is a branch ready to execute: either its literal tuple, or
-// the (possibly reordered) bindings with their materialized ranges, the probe
-// plan, and the outer binding's scan set.
+// its plan with the materialized ranges (in plan order), the probe indexes
+// bound to them, and the outer binding's scan set.
 type preparedBranch struct {
 	literal value.Tuple
-	br      *ast.Branch
+	plan    *BranchPlan
 	rels    []*relation.Relation
-	plan    *branchPlan
+	indexes []*relation.Index
 	outer   []value.Tuple
 }
 
-// prepareBranch is the branch prologue shared by the materializing and the
-// streaming driver, so both run the same plan from the same outer side: a
-// literal branch is evaluated and arity-checked against the result type rt;
-// otherwise the ranges are materialized, the bindings reordered, the probes
-// planned, and the outer scan set resolved.
+// prepareBranch is the branch prologue: a literal branch is evaluated and
+// arity-checked against the result type rt; otherwise the ranges are
+// materialized, the branch is planned over their cardinalities, the probe
+// indexes are bound, and the outer scan set is resolved.
 func (e *Env) prepareBranch(br *ast.Branch, rt schema.RelationType) (*preparedBranch, error) {
 	if br.Literal != nil {
 		tup := make(value.Tuple, len(br.Literal))
@@ -501,81 +501,68 @@ func (e *Env) prepareBranch(br *ast.Branch, rt schema.RelationType) (*preparedBr
 	}
 
 	// Materialize all ranges up front.
-	rels := make([]*relation.Relation, len(br.Binds))
+	declared := make([]*relation.Relation, len(br.Binds))
+	card := make([]int, len(br.Binds))
 	for i, bd := range br.Binds {
 		r, err := e.Range(bd.Range)
 		if err != nil {
 			return nil, err
 		}
-		rels[i] = r
+		declared[i], card[i] = r, r.Len()
 	}
-	br, rels = reorderBinds(br, rels)
-	plan, err := e.planBranch(br, rels)
+	plan, err := PlanBranch(br, card)
 	if err != nil {
 		return nil, err
 	}
-	outer, err := e.outerTuples(plan, rels)
-	if err != nil {
+	pb := &preparedBranch{plan: plan, rels: make([]*relation.Relation, len(declared))}
+	for k, i := range plan.order {
+		pb.rels[k] = declared[i]
+	}
+	pb.indexes = e.bindIndexes(plan, pb.rels)
+	e.ExecStats.RecordPlan(plan)
+	if pb.outer, err = e.outerTuples(pb); err != nil {
 		return nil, err
 	}
-	return &preparedBranch{br: br, rels: rels, plan: plan, outer: outer}, nil
+	return pb, nil
 }
 
-// reorderBinds moves the binding with the smallest materialized range to the
-// front when it is substantially smaller than the current outer. Ranges are
-// materialized before the join loop runs, so they cannot reference sibling
-// binding variables and any binding order computes the same branch result;
-// driving the join from the small side matters most when the semi-naive
-// engine differentiates a branch — the delta-bound occurrence becomes the
-// outer scan and the large, unchanged relations become (memoized) index build
-// sides, making a round's cost proportional to the delta. The 8x threshold
-// keeps comparable-size joins in declaration order, where plans and operator
-// stats are predictable.
-func reorderBinds(br *ast.Branch, rels []*relation.Relation) (*ast.Branch, []*relation.Relation) {
-	if len(rels) < 2 {
-		return br, rels
-	}
-	smallest := 0
-	for i := 1; i < len(rels); i++ {
-		if rels[i].Len() < rels[smallest].Len() {
-			smallest = i
-		}
-	}
-	if smallest == 0 || rels[smallest].Len()*8 >= rels[0].Len() {
-		return br, rels
-	}
-	nb := *br
-	nb.Binds = make([]ast.Binding, 0, len(br.Binds))
-	nr := make([]*relation.Relation, 0, len(rels))
-	nb.Binds = append(nb.Binds, br.Binds[smallest])
-	nr = append(nr, rels[smallest])
-	for i := range br.Binds {
-		if i != smallest {
-			nb.Binds = append(nb.Binds, br.Binds[i])
-			nr = append(nr, rels[i])
-		}
-	}
-	return &nb, nr
-}
-
-// branchPlan holds per-binding probe and residual scheduling decisions.
-type branchPlan struct {
-	// probeFields[i] lists attributes of binding i used as the index key;
-	// probeTerms[i] lists the matching terms over earlier bindings.
+// BranchPlan is the run-time level's decision for one branch (section 4): the
+// order its bindings nest in, the equality conjuncts served as hash-index
+// probes, and the binding at which every other conjunct is evaluated. The
+// slices are indexed by plan position, not by declaration index.
+type BranchPlan struct {
+	br *ast.Branch
+	// order[k] is the index in br.Binds of the binding at plan position k.
+	order []int
+	// probeFields[k] lists attributes of binding k used as the index key;
+	// probeTerms[k] lists the matching terms over earlier bindings.
 	probeFields [][]ast.Field
 	probeTerms  [][]ast.Term
-	indexes     []*relation.Index
-	// residuals[i] are the conjuncts evaluated once bindings 0..i are set.
+	// residuals[k] are the conjuncts evaluated once bindings 0..k are set.
 	residuals [][]ast.Pred
 }
 
-// conjuncts flattens top-level ANDs.
-func conjuncts(p ast.Pred, out []ast.Pred) []ast.Pred {
-	if a, ok := p.(ast.And); ok {
-		out = conjuncts(a.L, out)
-		return conjuncts(a.R, out)
+// bind returns the binding at plan position k.
+func (p *BranchPlan) bind(k int) *ast.Binding { return &p.br.Binds[p.order[k]] }
+
+// Describe renders the plan one line per binding, in the order the executor
+// nests them: "EACH v IN r", followed by "[probe a = t, ...]" when the
+// binding is reached through a hash index on attributes a keyed by terms t.
+func (p *BranchPlan) Describe() []string {
+	out := make([]string, len(p.order))
+	for k := range p.order {
+		bd := p.bind(k)
+		out[k] = fmt.Sprintf("EACH %s IN %s", bd.Var, bd.Range)
+		if len(p.probeFields[k]) == 0 {
+			continue
+		}
+		probes := make([]string, len(p.probeFields[k]))
+		for j, f := range p.probeFields[k] {
+			probes[j] = f.Attr + " = " + p.probeTerms[k][j].String()
+		}
+		out[k] += " [probe " + strings.Join(probes, ", ") + "]"
 	}
-	return append(out, p)
+	return out
 }
 
 // freePredVars collects tuple variables free in p (quantifier-bound vars are
@@ -635,94 +622,93 @@ func FreeVarsOfPred(p ast.Pred) map[string]bool {
 	return out
 }
 
-func (e *Env) planBranch(br *ast.Branch, rels []*relation.Relation) (*branchPlan, error) {
+// PlanBranch plans a non-literal branch from its AST and, when card is
+// non-nil, the cardinality of each binding's range in declaration order; a
+// nil card keeps the declared order (the plan EXPLAIN shows before anything
+// has run).
+//
+// Order: the binding with the smallest range moves to the front when it is
+// substantially smaller than the declared outer. Ranges are materialized
+// before the join loop runs, so they cannot reference sibling binding
+// variables and any binding order computes the same branch result; driving
+// the join from the small side matters most when the semi-naive engine
+// differentiates a branch — the delta-bound occurrence becomes the outer scan
+// and the large, unchanged relations become (memoized) index build sides,
+// making a round's cost proportional to the delta. The 8x threshold keeps
+// comparable-size joins in declaration order, where plans and operator stats
+// are predictable.
+//
+// Probes and residuals: a top-level equality conjunct v.attr = term (or
+// term = v.attr) whose term's variables all bind earlier than v becomes an
+// index probe on v's range; every other conjunct is scheduled at the
+// latest-binding of its free variables.
+func PlanBranch(br *ast.Branch, card []int) (*BranchPlan, error) {
 	n := len(br.Binds)
-	plan := &branchPlan{
-		probeFields: make([][]ast.Field, n),
-		probeTerms:  make([][]ast.Term, n),
-		indexes:     make([]*relation.Index, n),
-		residuals:   make([][]ast.Pred, n),
-	}
 	if n == 0 {
 		return nil, fmt.Errorf("%s: branch has no bindings", br.Pos)
 	}
+	plan := &BranchPlan{
+		br:          br,
+		order:       make([]int, n),
+		probeFields: make([][]ast.Field, n),
+		probeTerms:  make([][]ast.Term, n),
+		residuals:   make([][]ast.Pred, n),
+	}
+	for i := range plan.order {
+		plan.order[i] = i
+	}
+	if card != nil {
+		smallest := 0
+		for i := 1; i < n; i++ {
+			if card[i] < card[smallest] {
+				smallest = i
+			}
+		}
+		if smallest != 0 && card[smallest]*8 < card[0] {
+			copy(plan.order[1:], plan.order[:smallest])
+			plan.order[0] = smallest
+		}
+	}
 	varPos := make(map[string]int, n)
-	for i, bd := range br.Binds {
+	for k := range plan.order {
+		bd := plan.bind(k)
 		if _, dup := varPos[bd.Var]; dup {
 			return nil, fmt.Errorf("%s: duplicate tuple variable %q", bd.Pos, bd.Var)
 		}
-		varPos[bd.Var] = i
+		varPos[bd.Var] = k
 	}
 
-	cs := conjuncts(br.Where, nil)
-	for _, c := range cs {
-		placed := false
-		// An equality conjunct v.attr = term (or term = v.attr) where term's
-		// vars all bind earlier than v becomes an index probe on v's range.
+	for _, c := range ast.Conjuncts(br.Where) {
 		if cmp, ok := c.(ast.Cmp); ok && cmp.Op == ast.OpEq {
-			if tryProbe(plan, varPos, cmp.L, cmp.R) || tryProbe(plan, varPos, cmp.R, cmp.L) {
-				placed = true
+			if plan.tryProbe(varPos, cmp.L, cmp.R) || plan.tryProbe(varPos, cmp.R, cmp.L) {
+				continue
 			}
 		}
-		if placed {
-			continue
-		}
-		// Residual: schedule at the latest-binding free variable.
-		fv := FreeVarsOfPred(c)
 		at := 0
-		for v := range fv {
-			i, ok := varPos[v]
+		for v := range FreeVarsOfPred(c) {
+			k, ok := varPos[v]
 			if !ok {
 				// Variable bound outside this branch (nested contexts) —
 				// schedule innermost to be safe.
-				i = n - 1
+				k = n - 1
 			}
-			if i > at {
-				at = i
+			if k > at {
+				at = k
 			}
 		}
 		plan.residuals[at] = append(plan.residuals[at], c)
 	}
-
-	// Resolve probe attribute positions and build indexes.
-	for i := range br.Binds {
-		if len(plan.probeFields[i]) == 0 {
-			continue
-		}
-		elem := rels[i].Type().Element
-		positions := make([]int, 0, len(plan.probeFields[i]))
-		okFields := plan.probeFields[i][:0]
-		okTerms := plan.probeTerms[i][:0]
-		for k, f := range plan.probeFields[i] {
-			pos := elem.IndexOf(f.Attr)
-			if pos < 0 {
-				// Attribute does not exist at runtime type: demote the
-				// conjunct to a residual so the usual error surfaces.
-				plan.residuals[i] = append(plan.residuals[i],
-					ast.Cmp{Op: ast.OpEq, L: f, R: plan.probeTerms[i][k]})
-				continue
-			}
-			positions = append(positions, pos)
-			okFields = append(okFields, f)
-			okTerms = append(okTerms, plan.probeTerms[i][k])
-		}
-		plan.probeFields[i] = okFields
-		plan.probeTerms[i] = okTerms
-		if len(positions) > 0 {
-			plan.indexes[i] = rels[i].IndexOn(positions, e.buildWorkers())
-		}
-	}
 	return plan, nil
 }
 
-// tryProbe attempts to register lhs (a Field of some binding i) probed by rhs
+// tryProbe attempts to register lhs (a Field of some binding k) probed by rhs
 // (terms over strictly earlier bindings, params, and constants).
-func tryProbe(plan *branchPlan, varPos map[string]int, lhs, rhs ast.Term) bool {
+func (p *BranchPlan) tryProbe(varPos map[string]int, lhs, rhs ast.Term) bool {
 	f, ok := lhs.(ast.Field)
 	if !ok {
 		return false
 	}
-	i, ok := varPos[f.Var]
+	k, ok := varPos[f.Var]
 	if !ok {
 		return false
 	}
@@ -730,13 +716,48 @@ func tryProbe(plan *branchPlan, varPos map[string]int, lhs, rhs ast.Term) bool {
 	freeTermVars(rhs, fv)
 	for v := range fv {
 		j, ok := varPos[v]
-		if !ok || j >= i {
+		if !ok || j >= k {
 			return false
 		}
 	}
-	plan.probeTerms[i] = append(plan.probeTerms[i], rhs)
-	plan.probeFields[i] = append(plan.probeFields[i], f)
+	p.probeTerms[k] = append(p.probeTerms[k], rhs)
+	p.probeFields[k] = append(p.probeFields[k], f)
 	return true
+}
+
+// bindIndexes resolves the plan's probe attributes against the materialized
+// ranges (in plan order) and returns the hash index serving each probed
+// binding, nil where a binding has no probe.
+func (e *Env) bindIndexes(plan *BranchPlan, rels []*relation.Relation) []*relation.Index {
+	indexes := make([]*relation.Index, len(rels))
+	for k := range rels {
+		if len(plan.probeFields[k]) == 0 {
+			continue
+		}
+		elem := rels[k].Type().Element
+		positions := make([]int, 0, len(plan.probeFields[k]))
+		okFields := plan.probeFields[k][:0]
+		okTerms := plan.probeTerms[k][:0]
+		for j, f := range plan.probeFields[k] {
+			pos := elem.IndexOf(f.Attr)
+			if pos < 0 {
+				// Attribute does not exist at runtime type: demote the
+				// conjunct to a residual so the usual error surfaces.
+				plan.residuals[k] = append(plan.residuals[k],
+					ast.Cmp{Op: ast.OpEq, L: f, R: plan.probeTerms[k][j]})
+				continue
+			}
+			positions = append(positions, pos)
+			okFields = append(okFields, f)
+			okTerms = append(okTerms, plan.probeTerms[k][j])
+		}
+		plan.probeFields[k] = okFields
+		plan.probeTerms[k] = okTerms
+		if len(positions) > 0 {
+			indexes[k] = rels[k].IndexOn(positions, e.buildWorkers())
+		}
+	}
+	return indexes
 }
 
 // ---------------------------------------------------------------------------

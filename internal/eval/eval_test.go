@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -267,11 +268,39 @@ func TestEvalWithDeclaredResultType(t *testing.T) {
 	}
 }
 
-// TestStreamAndMaterializeDriveJoinFromSameSide: a skewed two-binding branch
-// (second range at least 8x smaller) is reordered to scan the small side, and
-// the streaming driver must run that same plan — per-operator rows-in agree
-// between SetExpr and StreamSetExpr.
-func TestStreamAndMaterializeDriveJoinFromSameSide(t *testing.T) {
+// TestPlanBranchOrderAndProbes pins the one branch planner: without
+// cardinalities the declared order stands; with them the smallest range moves
+// to the front only when it is more than 8x smaller than the declared outer;
+// probes attach to the binding that comes later in the chosen order; and the
+// executor runs the plan Describe renders.
+func TestPlanBranchOrderAndProbes(t *testing.T) {
+	s, err := parser.ParseSetExpr(
+		`{<f.front, g.back> OF EACH f IN Big, EACH g IN Small: f.back = g.front}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	br := &s.Branches[0]
+	declared := []string{"EACH f IN Big", "EACH g IN Small [probe front = f.back]"}
+	reordered := []string{"EACH g IN Small", "EACH f IN Big [probe back = g.front]"}
+	for _, tc := range []struct {
+		name string
+		card []int
+		want []string
+	}{
+		{"no cardinalities", nil, declared},
+		{"exactly 8x smaller stays", []int{72, 9}, declared},
+		{"more than 8x smaller leads", []int{73, 9}, reordered},
+		{"smaller outer stays", []int{9, 90}, declared},
+	} {
+		plan, err := PlanBranch(br, tc.card)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := plan.Describe(); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: plan %q, want %q", tc.name, got, tc.want)
+		}
+	}
+
 	big, small := relation.New(infrontT), relation.New(infrontT)
 	for i := 0; i < 90; i++ {
 		big.Add(value.NewTuple(value.Str(fmt.Sprintf("a%d", i)), value.Str(fmt.Sprintf("b%d", i%9))))
@@ -279,51 +308,46 @@ func TestStreamAndMaterializeDriveJoinFromSameSide(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		small.Add(value.NewTuple(value.Str(fmt.Sprintf("b%d", i)), value.Str("end")))
 	}
-	s, err := parser.ParseSetExpr(
-		`{<f.front, g.back> OF EACH f IN Big, EACH g IN Small: f.back = g.front}`)
+	e := NewEnv()
+	e.Rels["Big"], e.Rels["Small"] = big, small
+	e.ExecStats = &ExecStats{}
+	out, err := e.SetExpr(s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(stream bool) (*relation.Relation, []OpStat) {
-		e := NewEnv()
-		e.Rels["Big"], e.Rels["Small"] = big, small
-		e.ExecStats = &ExecStats{}
-		var out *relation.Relation
-		if stream {
-			st, err := e.StreamSetExpr(s, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer st.Close()
-			if out, err = st.Materialize(); err != nil {
-				t.Fatal(err)
-			}
-		} else if out, err = e.SetExpr(s, nil); err != nil {
-			t.Fatal(err)
-		}
-		var ops []OpStat
-		for _, op := range e.ExecStats.Ops() {
-			if op.Op != "dedup" { // the stream dedups in its own sink
-				ops = append(ops, op)
-			}
-		}
-		return out, ops
+	if out.Len() != 90 {
+		t.Fatalf("join produced %d rows, want 90", out.Len())
 	}
-	mat, matOps := run(false)
-	str, strOps := run(true)
-	if mat.Len() != 90 || !mat.Equal(str) {
-		t.Fatalf("results differ: materialized %d rows, streamed %d", mat.Len(), str.Len())
+	ops := e.ExecStats.Ops()
+	if len(ops) < 2 || ops[0].Op != "scan(g)" || ops[0].RowsIn != 9 || ops[1].Op != "hash-join(f)" {
+		t.Fatalf("executor did not drive the join from the small side: %+v", ops)
 	}
-	if len(matOps) == 0 || matOps[0].Op != "scan(g)" || matOps[0].RowsIn != 9 {
-		t.Fatalf("materializing path did not scan the small side first: %+v", matOps)
+	ran := e.ExecStats.PlanOf(br)
+	if ran == nil || !slices.Equal(ran.Describe(), reordered) {
+		t.Fatalf("recorded plan %v, want %q", ran, reordered)
 	}
-	if len(strOps) != len(matOps) {
-		t.Fatalf("operators differ: materialized %+v, streamed %+v", matOps, strOps)
+}
+
+// TestReorderedBranchProjectsDeclaredFirstBinding: a branch without a target
+// list yields the tuples of its first declared binding, also when the planner
+// drives the join from a later, much smaller one.
+func TestReorderedBranchProjectsDeclaredFirstBinding(t *testing.T) {
+	big, small := relation.New(infrontT), relation.New(infrontT)
+	for i := 0; i < 20; i++ {
+		big.Add(value.NewTuple(value.Str(fmt.Sprintf("a%d", i)), value.Str("x")))
 	}
-	for i := range matOps {
-		if strOps[i].Op != matOps[i].Op || strOps[i].RowsIn != matOps[i].RowsIn {
-			t.Errorf("operator %d: materialized %s rows-in=%d, streamed %s rows-in=%d",
-				i, matOps[i].Op, matOps[i].RowsIn, strOps[i].Op, strOps[i].RowsIn)
-		}
+	small.Add(value.NewTuple(value.Str("x"), value.Str("end")))
+	s, err := parser.ParseSetExpr(`{EACH f IN Big, EACH g IN Small: f.back = g.front}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEnv()
+	e.Rels["Big"], e.Rels["Small"] = big, small
+	out, err := e.SetExpr(s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Equal(big) {
+		t.Fatalf("got %s, want the %d tuples of Big", out, big.Len())
 	}
 }

@@ -6,8 +6,7 @@
 // scan → filter → hash-join/loop-join → filter → ... → project — exchanging
 // batches of at most BatchSize binding rows so per-tuple interface dispatch
 // and allocation stay off the hot path. The final dedup stage is the
-// set-semantics sink: a Relation on the materializing path, a seen-set on the
-// streaming path (stream.go).
+// set-semantics sink: the result Relation.
 //
 // Large pipelines additionally fan out: the outer (first) binding's tuples are
 // partitioned into contiguous chunks and each chunk runs the whole pipeline on
@@ -23,6 +22,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/ast"
@@ -64,6 +64,36 @@ type ExecStats struct {
 	mu    sync.Mutex
 	order []string
 	m     map[string]*OpStat
+	// plans holds, per branch, the first plan the evaluation ran for it.
+	plans map[*ast.Branch]*BranchPlan
+}
+
+// RecordPlan notes that the evaluation ran plan for its branch; only the
+// first plan per branch is kept (fixpoint rounds re-plan the same branches
+// over changing cardinalities).
+func (s *ExecStats) RecordPlan(plan *BranchPlan) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.plans == nil {
+		s.plans = make(map[*ast.Branch]*BranchPlan)
+	}
+	if _, ok := s.plans[plan.br]; !ok {
+		s.plans[plan.br] = plan
+	}
+}
+
+// PlanOf returns the plan the evaluation first ran for br, or nil when it
+// never ran the branch.
+func (s *ExecStats) PlanOf(br *ast.Branch) *BranchPlan {
+	if s == nil {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.plans[br]
 }
 
 // Record merges one operator run into the aggregate.
@@ -141,8 +171,8 @@ type rowBinder struct {
 	tupBuf  []value.Tuple
 }
 
-func newRowBinder(binds []ast.Binding, rels []*relation.Relation) *rowBinder {
-	n := len(binds)
+func newRowBinder(plan *BranchPlan, rels []*relation.Relation) *rowBinder {
+	n := len(rels)
 	rb := &rowBinder{
 		vars:    make([]string, n),
 		types:   make([]schema.RecordType, n),
@@ -150,9 +180,9 @@ func newRowBinder(binds []ast.Binding, rels []*relation.Relation) *rowBinder {
 		typeBuf: make([]schema.RecordType, n+8),
 		tupBuf:  make([]value.Tuple, n+8),
 	}
-	for i := range binds {
-		rb.vars[i] = binds[i].Var
-		rb.types[i] = rels[i].Type().Element
+	for k := range rels {
+		rb.vars[k] = plan.bind(k).Var
+		rb.types[k] = rels[k].Type().Element
 	}
 	return rb
 }
@@ -437,9 +467,12 @@ func (o *loopJoinOp) next() ([]execRow, error) {
 // already present in an exclusion set (the semi-naive engine's accumulated
 // state), so the downstream merge touches only genuinely new work.
 type projectOp struct {
-	pc     *pipeCtx
-	in     operator
-	br     *ast.Branch
+	pc *pipeCtx
+	in operator
+	br *ast.Branch
+	// whole is the plan position of the declared first binding, whose tuple a
+	// nil target projects.
+	whole  int
 	rt     schema.RelationType
 	proto  *relation.Relation
 	except *relation.Relation
@@ -461,7 +494,7 @@ func (o *projectOp) next() ([]relation.Keyed, error) {
 		for _, row := range batch {
 			var tup value.Tuple
 			if o.br.Target == nil {
-				tup = row[0]
+				tup = row[o.whole]
 			} else {
 				tup = make(value.Tuple, len(o.br.Target))
 				b := o.pc.binder.bind(row)
@@ -505,22 +538,22 @@ func (o *projectOp) next() ([]relation.Keyed, error) {
 func (e *Env) buildBranchPipeline(pb *preparedBranch, outer []value.Tuple,
 	except, out *relation.Relation) (tupleOp, []*opCounters) {
 
-	br, plan, rels := pb.br, pb.plan, pb.rels
-	pc := &pipeCtx{env: e, binder: newRowBinder(br.Binds, rels)}
+	plan, rels := pb.plan, pb.rels
+	pc := &pipeCtx{env: e, binder: newRowBinder(plan, rels)}
 	var counters []*opCounters
 
 	var cur operator = &scanOp{pc: pc, tuples: outer,
-		c: opCounters{label: "scan(" + br.Binds[0].Var + ")"}}
+		c: opCounters{label: "scan(" + plan.bind(0).Var + ")"}}
 	counters = append(counters, cur.counters())
 	if len(plan.residuals[0]) > 0 {
 		cur = &filterOp{pc: pc, in: cur, preds: plan.residuals[0],
-			c: opCounters{label: "filter(" + br.Binds[0].Var + ")"}}
+			c: opCounters{label: "filter(" + plan.bind(0).Var + ")"}}
 		counters = append(counters, cur.counters())
 	}
-	for i := 1; i < len(br.Binds); i++ {
-		v := br.Binds[i].Var
-		if plan.indexes[i] != nil {
-			cur = &hashJoinOp{pc: pc, in: cur, idx: plan.indexes[i],
+	for i := 1; i < len(rels); i++ {
+		v := plan.bind(i).Var
+		if pb.indexes[i] != nil {
+			cur = &hashJoinOp{pc: pc, in: cur, idx: pb.indexes[i],
 				terms: plan.probeTerms[i], fields: plan.probeFields[i],
 				elem: rels[i].Type().Element,
 				c:    opCounters{label: "hash-join(" + v + ")"}}
@@ -535,8 +568,8 @@ func (e *Env) buildBranchPipeline(pb *preparedBranch, outer []value.Tuple,
 			counters = append(counters, cur.counters())
 		}
 	}
-	proj := &projectOp{pc: pc, in: cur, br: br, rt: out.Type(), proto: out, except: except,
-		c: opCounters{label: "project"}}
+	proj := &projectOp{pc: pc, in: cur, br: plan.br, whole: slices.Index(plan.order, 0),
+		rt: out.Type(), proto: out, except: except, c: opCounters{label: "project"}}
 	counters = append(counters, &proj.c)
 	return proj, counters
 }
@@ -653,16 +686,17 @@ func flushCounters(stats *ExecStats, sets [][]*opCounters, workers int) {
 	}
 }
 
-// outerTuples resolves the first binding's scan set. When planBranch
-// registered an index probe on binding 0, its key terms are closed (constants
-// and parameters only — tryProbe admits no variables there), so the key is
+// outerTuples resolves the first binding's scan set. When the plan registered
+// an index probe on binding 0, its key terms are closed (constants and
+// parameters only — tryProbe admits no variables there), so the key is
 // evaluated once and the scan shrinks to the matching hash bucket; the
 // kind-mismatch check mirrors the join probe's dynamic type error.
-func (e *Env) outerTuples(plan *branchPlan, rels []*relation.Relation) ([]value.Tuple, error) {
-	if plan.indexes[0] == nil {
-		return rels[0].Slice(), nil
+func (e *Env) outerTuples(pb *preparedBranch) ([]value.Tuple, error) {
+	plan := pb.plan
+	if pb.indexes[0] == nil {
+		return pb.rels[0].Slice(), nil
 	}
-	elem := rels[0].Type().Element
+	elem := pb.rels[0].Type().Element
 	key := make(value.Tuple, len(plan.probeTerms[0]))
 	for k, tm := range plan.probeTerms[0] {
 		v, err := e.Term(tm, nil)
@@ -677,7 +711,7 @@ func (e *Env) outerTuples(plan *branchPlan, rels []*relation.Relation) ([]value.
 		}
 		key[k] = v
 	}
-	return plan.indexes[0].Probe(key), nil
+	return pb.indexes[0].Probe(key), nil
 }
 
 // fanOut runs body once per chunk. A single chunk runs on the calling

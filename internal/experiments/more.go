@@ -64,13 +64,25 @@ END cad.
 // E1: selector semantics (Fig 1, sections 2.2–2.3)
 // ---------------------------------------------------------------------------
 
+// openCAD opens an in-memory database with the CAD schema module executed.
+func openCAD() (*dbpl.DB, error) {
+	db, err := dbpl.Open()
+	if err != nil {
+		return nil, err
+	}
+	if _, err := db.Exec(CADModule); err != nil {
+		return nil, err
+	}
+	return db, nil
+}
+
 // PrintE1 demonstrates that (a) assignment through a selected variable
 // equals the paper's conditional assignment, (b) referential integrity is
 // enforced, and (c) the key constraint is re-checked on assignment.
 func PrintE1(w io.Writer) error {
 	fmt.Fprintln(w, "E1: selector semantics — guarded assignment (Fig 1)")
-	db := dbpl.New()
-	if _, err := db.Exec(CADModule); err != nil {
+	db, err := openCAD()
+	if err != nil {
 		return err
 	}
 	if _, err := db.Exec(`
@@ -114,7 +126,7 @@ END t3.
 	if err != nil {
 		return err
 	}
-	direct, err := db.QuerySet(`{EACH r IN Infront: r.front = "table"}`)
+	direct, err := db.Query(`{EACH r IN Infront: r.front = "table"}`)
 	if err != nil {
 		return err
 	}
@@ -138,8 +150,8 @@ type E3Row struct {
 
 // RunE3 evaluates the joint ahead/above fixpoint over generated CAD scenes.
 func RunE3(sizes [][2]int) ([]E3Row, error) {
-	db := dbpl.New()
-	if _, err := db.Exec(CADModule); err != nil {
+	db, err := openCAD()
+	if err != nil {
 		return nil, err
 	}
 	var out []E3Row
@@ -172,8 +184,8 @@ func PrintE3(w io.Writer) error {
 	fmt.Fprintln(w, "E3: mutual recursion ahead/above over CAD scenes (section 3.1)")
 
 	// The paper's worked example first.
-	db := dbpl.New()
-	if _, err := db.Exec(CADModule); err != nil {
+	db, err := openCAD()
+	if err != nil {
 		return err
 	}
 	if _, err := db.Exec(`
@@ -349,8 +361,8 @@ func PrintE5(w io.Writer) error {
 // component partition, and recursion analysis.
 func PrintE8(w io.Writer) error {
 	fmt.Fprintln(w, "E8: augmented quant graph for the section 3.1 constructors (Fig 3)")
-	db := dbpl.New()
-	if _, err := db.Exec(CADModule); err != nil {
+	db, err := openCAD()
+	if err != nil {
 		return err
 	}
 	fmt.Fprint(w, db.QuantGraphASCII())

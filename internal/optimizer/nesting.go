@@ -34,13 +34,6 @@ func onlyVar(p ast.Pred, v string) bool {
 	return true
 }
 
-func splitConjuncts(p ast.Pred) []ast.Pred {
-	if a, ok := p.(ast.And); ok {
-		return append(splitConjuncts(a.L), splitConjuncts(a.R)...)
-	}
-	return []ast.Pred{p}
-}
-
 func conjoin(ps []ast.Pred) ast.Pred {
 	if len(ps) == 0 {
 		return ast.BoolLit{Val: true}
@@ -67,7 +60,7 @@ func NestBranch(br ast.Branch, resultVarHint string) (ast.Branch, int) {
 	out := ast.CopyBranch(br)
 	moved := 0
 	var residual []ast.Pred
-	conj := splitConjuncts(out.Where)
+	conj := ast.Conjuncts(out.Where)
 	for _, c := range conj {
 		placed := false
 		for i := range out.Binds {
@@ -107,7 +100,7 @@ func NestBranch(br ast.Branch, resultVarHint string) (ast.Branch, int) {
 func NestQuant(q ast.Quant) (ast.Quant, bool) {
 	out := ast.CopyPred(q).(ast.Quant)
 	if !q.All {
-		conj := splitConjuncts(out.Body)
+		conj := ast.Conjuncts(out.Body)
 		var movable, residual []ast.Pred
 		for _, c := range conj {
 			if onlyVar(c, out.Var) && !isTrue(c) {
@@ -174,7 +167,7 @@ func FlattenBranch(br ast.Branch) (ast.Branch, int) {
 		}
 	}
 	if len(extra) > 0 {
-		all := append(splitConjuncts(out.Where), extra...)
+		all := append(ast.Conjuncts(out.Where), extra...)
 		out.Where = conjoin(all)
 	}
 	return out, flattened

@@ -1,9 +1,9 @@
 package optimizer
 
-// The pass pipeline: the section-4 rewrites packaged as an ordered sequence
-// of named, registrable passes over one query. The session layer (package
-// dbpl) runs the pipeline at Prepare time and exposes the resulting trace
-// through EXPLAIN; the default order is
+// The pass pipeline: the section-4 rewrites packaged as one fixed, ordered
+// sequence of named passes over one query. The session layer (package dbpl)
+// runs the pipeline at Prepare time and exposes the resulting trace through
+// EXPLAIN; the order is
 //
 //	flatten -> pushdown -> magic -> nest
 //
@@ -19,9 +19,7 @@ package optimizer
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/ast"
 	"repro/internal/eval"
@@ -71,23 +69,15 @@ func (c *Context) ElemOf(r *ast.Range) (schema.RecordType, bool) {
 	return elem, true
 }
 
-// Query is the pipeline's working representation of one prepared query.
-// Exactly one of Rng/Set is non-nil; passes rewrite the ASTs in place (they
-// own a private deep copy made by the session layer). Magic is filled by the
-// magic-sets pass when a recursive constructor application can be restricted
-// to a bound constant; the execution layer checks it before evaluating.
+// Query is the pipeline's working representation of one prepared query: a
+// range expression (a set-expression query is the range whose head is that
+// sub-expression). Passes rewrite the AST in place (they own a private deep
+// copy made by the session layer). Magic is filled by the magic-sets pass when
+// a recursive constructor application can be restricted to a bound constant;
+// the execution layer checks it before evaluating.
 type Query struct {
 	Rng   *ast.Range
-	Set   *ast.SetExpr
 	Magic *MagicPlan
-}
-
-// String renders the query's current (possibly rewritten) source form.
-func (q *Query) String() string {
-	if q.Rng != nil {
-		return q.Rng.String()
-	}
-	return q.Set.String()
 }
 
 // Trace records one pass's outcome for EXPLAIN.
@@ -106,74 +96,9 @@ type Pass interface {
 	Run(q *Query, ctx *Context) (applied bool, detail string, err error)
 }
 
-// ---------------------------------------------------------------------------
-// Pass registry — the exported registration seam
-// ---------------------------------------------------------------------------
-
-var (
-	passMu  sync.RWMutex
-	passReg = make(map[string]func() Pass)
-)
-
-// RegisterPass adds a named pass constructor to the registry, from which
-// WithOptimizer(names...) builds pipelines. Registering a duplicate name
-// panics: pass names are global, compile-time identities.
-func RegisterPass(name string, mk func() Pass) {
-	passMu.Lock()
-	defer passMu.Unlock()
-	if _, dup := passReg[name]; dup {
-		panic(fmt.Sprintf("optimizer: pass %q already registered", name))
-	}
-	passReg[name] = mk
-}
-
-// NewPass instantiates a registered pass by name.
-func NewPass(name string) (Pass, bool) {
-	passMu.RLock()
-	mk, ok := passReg[name]
-	passMu.RUnlock()
-	if !ok {
-		return nil, false
-	}
-	return mk(), true
-}
-
-// PassNames returns the registered pass names, sorted.
-func PassNames() []string {
-	passMu.RLock()
-	defer passMu.RUnlock()
-	out := make([]string, 0, len(passReg))
-	for n := range passReg {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// DefaultPassNames returns the default pipeline order.
-func DefaultPassNames() []string {
-	return []string{"flatten", "pushdown", "magic", "nest"}
-}
-
-// DefaultPipeline instantiates the default pass sequence.
+// DefaultPipeline returns the pass sequence in its one fixed order.
 func DefaultPipeline() []Pass {
-	names := DefaultPassNames()
-	out := make([]Pass, 0, len(names))
-	for _, n := range names {
-		p, ok := NewPass(n)
-		if !ok {
-			panic(fmt.Sprintf("optimizer: default pass %q not registered", n))
-		}
-		out = append(out, p)
-	}
-	return out
-}
-
-func init() {
-	RegisterPass("flatten", func() Pass { return flattenPass{} })
-	RegisterPass("nest", func() Pass { return nestPass{} })
-	RegisterPass("pushdown", func() Pass { return pushdownPass{} })
-	RegisterPass("magic", func() Pass { return magicPass{} })
+	return []Pass{flattenPass{}, pushdownPass{}, magicPass{}, nestPass{}}
 }
 
 // RecursiveFromSigs marks constructors that can reach themselves through the
@@ -232,18 +157,6 @@ func RunPipeline(passes []Pass, q *Query, ctx *Context) []Trace {
 	return traces
 }
 
-// topSet returns the set expression a pass should rewrite: the query's own
-// set expression, or the sub-expression heading a range query.
-func (q *Query) topSet() *ast.SetExpr {
-	if q.Set != nil {
-		return q.Set
-	}
-	if q.Rng != nil && q.Rng.Sub != nil {
-		return q.Rng.Sub
-	}
-	return nil
-}
-
 // ---------------------------------------------------------------------------
 // flatten — the <== direction of N1
 // ---------------------------------------------------------------------------
@@ -253,7 +166,7 @@ type flattenPass struct{}
 func (flattenPass) Name() string { return "flatten" }
 
 func (flattenPass) Run(q *Query, _ *Context) (bool, string, error) {
-	s := q.topSet()
+	s := q.Rng.Sub
 	if s == nil {
 		return false, "no set expression", nil
 	}
@@ -274,7 +187,7 @@ type nestPass struct{}
 func (nestPass) Name() string { return "nest" }
 
 func (nestPass) Run(q *Query, _ *Context) (bool, string, error) {
-	s := q.topSet()
+	s := q.Rng.Sub
 	if s == nil {
 		return false, "no set expression", nil
 	}
@@ -304,7 +217,7 @@ func (pushdownPass) Run(q *Query, ctx *Context) (bool, string, error) {
 	if ctx == nil {
 		return false, "no declaration context", nil
 	}
-	s := q.topSet()
+	s := q.Rng.Sub
 	if s == nil {
 		return false, "no set expression", nil
 	}
@@ -448,7 +361,7 @@ type magicPass struct{}
 func (magicPass) Name() string { return "magic" }
 
 func (magicPass) Run(q *Query, ctx *Context) (bool, string, error) {
-	if ctx == nil || q.Rng == nil || q.Rng.Sub != nil || len(q.Rng.Suffixes) < 2 {
+	if ctx == nil || q.Rng.Sub != nil || len(q.Rng.Suffixes) < 2 {
 		return false, "query is not Base{c}[sel(const)]", nil
 	}
 	rng := q.Rng

@@ -146,6 +146,9 @@ func TestOperatorPrecedence(t *testing.T) {
 	}
 }
 
+// TestParseSetExprForms also pins the grammar fact the session layer's single
+// statement form rests on: every set expression is a range expression whose
+// head is that sub-expression, so Prepare only ever calls ParseRange.
 func TestParseSetExprForms(t *testing.T) {
 	cases := []string{
 		`{}`,
@@ -155,8 +158,18 @@ func TestParseSetExprForms(t *testing.T) {
 		`{EACH r IN {EACH s IN Rel: s.a = 1}: TRUE}`,
 	}
 	for _, src := range cases {
-		if _, err := ParseSetExpr(src); err != nil {
+		s, err := ParseSetExpr(src)
+		if err != nil {
 			t.Errorf("ParseSetExpr(%q): %v", src, err)
+			continue
+		}
+		r, err := ParseRange(src)
+		if err != nil {
+			t.Errorf("ParseRange(%q): %v", src, err)
+			continue
+		}
+		if r.Sub == nil || r.Var != "" || len(r.Suffixes) != 0 || r.Sub.String() != s.String() {
+			t.Errorf("ParseRange(%q) = %s, want the bare sub-expression %s", src, r, s)
 		}
 	}
 }

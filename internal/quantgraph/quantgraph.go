@@ -169,7 +169,7 @@ func (g *Graph) addConstructorBody(d *ast.ConstructorDecl) {
 		}
 		// JoinArcs from equality conjuncts over two variables.
 		if br.Where != nil {
-			for _, c := range conjuncts(br.Where) {
+			for _, c := range ast.Conjuncts(br.Where) {
 				cmp, ok := c.(ast.Cmp)
 				if !ok {
 					continue
@@ -187,13 +187,6 @@ func (g *Graph) addConstructorBody(d *ast.ConstructorDecl) {
 			}
 		}
 	}
-}
-
-func conjuncts(p ast.Pred) []ast.Pred {
-	if a, ok := p.(ast.And); ok {
-		return append(conjuncts(a.L), conjuncts(a.R)...)
-	}
-	return []ast.Pred{p}
 }
 
 // ---------------------------------------------------------------------------

@@ -48,9 +48,6 @@ type config struct {
 	planCacheSize int
 	maxOpenRows   int
 	storeReader   io.Reader
-	// passNames selects the optimizer pass pipeline; nil means the default
-	// pipeline (flatten, pushdown, magic, nest).
-	passNames []string
 	// noOptimize disables the pass pipeline and physical access paths: every
 	// query evaluates its parsed form directly and every selector scans.
 	noOptimize bool
@@ -239,21 +236,6 @@ func WithParallelThreshold(rows int) Option {
 			rows = eval.DefaultParallelMinRows
 		}
 		c.parallelMinRows = rows
-	}
-}
-
-// WithOptimizer selects the optimizer pass pipeline by name, in order. Pass
-// names resolve against the registry in internal/optimizer (RegisterPass);
-// the built-in passes are "flatten", "nest", "pushdown", and "magic". Open
-// fails on an unknown name. An explicit empty call, WithOptimizer(), keeps
-// physical access paths but runs no rewrite passes.
-func WithOptimizer(passes ...string) Option {
-	return func(c *config) {
-		if passes == nil {
-			passes = []string{}
-		}
-		c.passNames = passes
-		c.noOptimize = false
 	}
 }
 

@@ -1,98 +1,21 @@
 package dbpl_test
 
-// Scaling benchmarks for the parallel streaming executor, run with
+// Scaling benchmarks for the parallel executor, run with
 // `go test -bench 'Parallel' -cpu 1,2,4,8`. BenchmarkParallelJoin measures
 // the partitioned hash join on self-join set expressions (the E2 join
 // workloads at 10k-100k tuples); BenchmarkParallelFixpoint measures
 // fan-out across fixpoint equations on the recursive closure workloads
 // (E2's ahead over a layered DAG, E8's BOM explode). Parallelism follows
-// GOMAXPROCS, so -cpu sweeps the worker budget. Every benchmark records a
-// row into BENCH_parallel.json (written by TestMain when benchmarks ran),
-// so CI can archive the scaling curve.
+// GOMAXPROCS, so -cpu sweeps the worker budget. CI runs them once as smoke
+// steps (BenchmarkParallelJoin asserts its row count); the gating numbers
+// come from bench/.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
-	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/workload"
 )
-
-// benchRow is one (benchmark, GOMAXPROCS) measurement in BENCH_parallel.json.
-type benchRow struct {
-	Name    string  `json:"name"`
-	Procs   int     `json:"procs"`
-	Tuples  int     `json:"tuples"` // input relation size
-	Rows    int     `json:"rows"`   // result size (sanity anchor)
-	Iters   int     `json:"iters"`  // b.N
-	NsPerOp float64 `json:"ns_per_op"`
-}
-
-var (
-	benchMu   sync.Mutex
-	benchRows []benchRow
-)
-
-// recordBench captures a finished benchmark's timing for the JSON artifact.
-func recordBench(b *testing.B, tuples, rows int) {
-	benchMu.Lock()
-	defer benchMu.Unlock()
-	benchRows = append(benchRows, benchRow{
-		Name:    b.Name(),
-		Procs:   runtime.GOMAXPROCS(0),
-		Tuples:  tuples,
-		Rows:    rows,
-		Iters:   b.N,
-		NsPerOp: float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-	})
-}
-
-// TestMain writes the benchmark artifacts after a run that executed any
-// benchmarks; plain test runs leave no artifact behind. Rows are partitioned
-// by benchmark family: the incremental-maintenance measurements land in
-// BENCH_incremental.json, the storage-engine measurements (their own row
-// shape, with pool and checkpoint counters) in BENCH_storage.json, and
-// everything else in BENCH_parallel.json.
-func TestMain(m *testing.M) {
-	code := m.Run()
-	benchMu.Lock()
-	rows := benchRows
-	benchMu.Unlock()
-	if code == 0 && len(rows) > 0 {
-		files := map[string][]benchRow{}
-		for _, r := range rows {
-			name := "BENCH_parallel.json"
-			if strings.HasPrefix(r.Name, "BenchmarkIncremental") {
-				name = "BENCH_incremental.json"
-			}
-			files[name] = append(files[name], r)
-		}
-		for name, part := range files {
-			writeBenchArtifact(name, part)
-		}
-	}
-	storageBenchMu.Lock()
-	srows := storageBenchRows
-	storageBenchMu.Unlock()
-	if code == 0 && len(srows) > 0 {
-		writeBenchArtifact("BENCH_storage.json", srows)
-	}
-	os.Exit(code)
-}
-
-func writeBenchArtifact(name string, rows any) {
-	raw, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return
-	}
-	if err := os.WriteFile(name, append(raw, '\n'), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, name+":", err)
-	}
-}
 
 // BenchmarkParallelJoin measures the partitioned hash self-join over chain
 // relations: every outer tuple probes the hash table built on the inner
@@ -122,7 +45,6 @@ func BenchmarkParallelJoin(b *testing.B) {
 			if rows != n-1 {
 				b.Fatalf("join produced %d rows, want %d", rows, n-1)
 			}
-			recordBench(b, n, rows)
 		})
 	}
 }
@@ -144,17 +66,12 @@ func BenchmarkParallelFixpoint(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer stmt.Close()
-		rows := 0
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			rel, err := stmt.Query(b.Context())
-			if err != nil {
+			if _, err := stmt.Query(b.Context()); err != nil {
 				b.Fatal(err)
 			}
-			rows = rel.Len()
 		}
-		b.StopTimer()
-		recordBench(b, len(edges), rows)
 	})
 	b.Run("bom-explode", func(b *testing.B) {
 		// ~29k containment edges over 9 levels; explode derives the
@@ -170,16 +87,11 @@ func BenchmarkParallelFixpoint(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer stmt.Close()
-		rows := 0
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			rel, err := stmt.Query(b.Context())
-			if err != nil {
+			if _, err := stmt.Query(b.Context()); err != nil {
 				b.Fatal(err)
 			}
-			rows = rel.Len()
 		}
-		b.StopTimer()
-		recordBench(b, bom.Contains.Len(), rows)
 	})
 }

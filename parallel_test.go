@@ -1,11 +1,11 @@
 package dbpl_test
 
-// Concurrency tests for the parallel streaming executor: serial/parallel
-// result equivalence, concurrent queries sharing one session's cached plans
-// and access paths, cancellation mid-join, Close racing in-flight parallel
-// queries, and goroutine accounting for abandoned streaming cursors. Run
-// with -race; the suite is sized so every scenario actually crosses the
-// parallel threshold.
+// Concurrency tests for the parallel executor: serial/parallel result
+// equivalence, concurrent queries sharing one session's cached plans and
+// access paths, cancellation of a cursor over a parallel join's result, Close
+// racing in-flight parallel queries, and goroutine accounting once a cursor
+// is abandoned. Run with -race; the suite is sized so every scenario actually
+// crosses the parallel threshold.
 
 import (
 	"context"
@@ -158,10 +158,11 @@ func TestParallelConcurrentQueries(t *testing.T) {
 	}
 }
 
-// TestParallelCancellationMidJoin cancels a streaming parallel join after the
-// first tuple and checks that iteration stops with the cancellation reported
-// by Err, and that Close returns with all workers gone.
-func TestParallelCancellationMidJoin(t *testing.T) {
+// TestRowsCancelMidIteration cancels the query context after the first tuple
+// of a cursor over a parallel join's materialized result and checks that
+// iteration stops with the cancellation reported by Err, and that Close
+// still succeeds.
+func TestRowsCancelMidIteration(t *testing.T) {
 	db := openWith(t, cadModule, parallelOpts(4)...)
 	defer db.Close()
 	assignEdges(t, db, workload.Chain(20000))
@@ -216,10 +217,12 @@ func TestCloseRacesParallelQuery(t *testing.T) {
 	}
 }
 
-// TestRowsCloseMidStreamHaltsWorkers abandons a parallel streaming cursor
-// after one tuple and checks the executor's goroutines (producer plus
-// pipeline workers) exit: goroutine accounting, no leak detector dependency.
-func TestRowsCloseMidStreamHaltsWorkers(t *testing.T) {
+// TestRowsCloseMidIterationLeavesNoGoroutines abandons a cursor over a
+// parallel join's materialized result after one tuple and checks that
+// nothing outlives it — the executor's pipeline workers ended with the
+// evaluation, and Close ends the cursor's iterator: goroutine accounting, no
+// leak detector dependency.
+func TestRowsCloseMidIterationLeavesNoGoroutines(t *testing.T) {
 	db := openWith(t, cadModule, parallelOpts(4)...)
 	defer db.Close()
 	assignEdges(t, db, workload.Chain(20000))
@@ -237,10 +240,10 @@ func TestRowsCloseMidStreamHaltsWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := rows.Err(); err != nil {
-		t.Errorf("Err after mid-stream Close = %v, want nil (cancellation is not a failure)", err)
+		t.Errorf("Err after mid-iteration Close = %v, want nil (closing early is not a failure)", err)
 	}
-	// Close waits for the producer, but the final goroutine exits just after
-	// signalling completion; allow the scheduler a moment to reap it.
+	// Close stops the iterator, but its goroutine exits just after handing
+	// control back; allow the scheduler a moment to reap it.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if after := runtime.NumGoroutine(); after <= before {

@@ -21,7 +21,8 @@ import (
 type Plan struct {
 	// Source is the query text as prepared.
 	Source string `json:"source"`
-	// Kind is "range" or "set".
+	// Kind is "set" for a bare set expression ({...} with no selector or
+	// constructor applied to it) and "range" for everything else.
 	Kind string `json:"kind"`
 	// Params lists scalar parameter names in binding order.
 	Params []string `json:"params,omitempty"`
@@ -33,8 +34,11 @@ type Plan struct {
 	// Final is the rewritten form that executes (equal to Source when no
 	// pass applied).
 	Final string `json:"final"`
-	// Quantifiers lists the evaluation order: per-branch EACH bindings with
-	// equi-join probe annotations, or the base/suffix chain of a range query.
+	// Quantifiers lists the evaluation order: the base (or, per branch of a
+	// set-expression head, the EACH bindings with their equi-join probe
+	// annotations) followed by the suffix chain. Binding order and probes are
+	// decided per execution from range cardinalities: Explain shows the
+	// declared-order plan, ExplainQuery the plan its execution ran.
 	Quantifiers []string `json:"quantifiers,omitempty"`
 	// AccessPaths records the access path chosen for every selector
 	// application in the final form.
@@ -48,7 +52,7 @@ type Plan struct {
 
 // PassTrace records one optimizer pass's outcome.
 type PassTrace struct {
-	// Pass is the registered pass name.
+	// Pass is the pass name.
 	Pass string `json:"pass"`
 	// Applied reports whether the pass changed the query.
 	Applied bool `json:"applied"`
@@ -229,43 +233,18 @@ func (p *Plan) clone() *Plan {
 // from scalar parameters when classifying selector access paths.
 func (s *Stmt) buildPlan(traces []optimizer.Trace, decls *declSnapshot, varType func(string) (schema.RelationType, bool)) *Plan {
 	p := &Plan{
-		Source:    s.src,
-		Kind:      "set",
-		Params:    append([]string(nil), s.params...),
-		Optimized: !s.db.noOptimize,
+		Source:      s.src,
+		Kind:        "range",
+		Params:      append([]string(nil), s.params...),
+		Optimized:   !s.db.noOptimize,
+		Final:       s.execRng.String(),
+		Quantifiers: s.quantifiers(nil),
 	}
-	if s.rng != nil {
-		p.Kind = "range"
+	if s.rng.Sub != nil && len(s.rng.Suffixes) == 0 {
+		p.Kind = "set"
 	}
 	for _, t := range traces {
 		p.Passes = append(p.Passes, PassTrace{Pass: t.Pass, Applied: t.Applied, Detail: t.Detail})
-	}
-	if s.execRng != nil {
-		p.Final = s.execRng.String()
-	} else {
-		p.Final = s.execSet.String()
-	}
-
-	// Quantifier ordering of the form that executes.
-	switch {
-	case s.magic != nil:
-		p.Quantifiers = append(p.Quantifiers,
-			fmt.Sprintf("magic fixpoint %s seeded %s=%s over base %s",
-				s.magic.GoalCons, s.magic.BoundAttr, s.magic.Const, s.execRng.Var))
-		for _, suf := range s.execRng.Suffixes[s.magic.SuffixFrom:] {
-			p.Quantifiers = append(p.Quantifiers, "apply "+suf.String())
-		}
-	case s.execRng != nil:
-		if s.execRng.Sub != nil {
-			p.Quantifiers = append(p.Quantifiers, branchLines(s.execRng.Sub)...)
-		} else {
-			p.Quantifiers = append(p.Quantifiers, "base "+s.execRng.Var)
-		}
-		for _, suf := range s.execRng.Suffixes {
-			p.Quantifiers = append(p.Quantifiers, "apply "+suf.String())
-		}
-	default:
-		p.Quantifiers = branchLines(s.execSet)
 	}
 
 	// Access path per selector application in the final form.
@@ -279,7 +258,7 @@ func (s *Stmt) buildPlan(traces []optimizer.Trace, decls *declSnapshot, varType 
 		}
 		return false
 	}
-	walkPlanRanges(s.execRng, s.execSet, func(r *ast.Range) {
+	ast.WalkRange(s.execRng, func(r *ast.Range) {
 		for i := range r.Suffixes {
 			suf := &r.Suffixes[i]
 			if suf.Kind != ast.SuffixSelector {
@@ -315,109 +294,43 @@ func (s *Stmt) buildPlan(traces []optimizer.Trace, decls *declSnapshot, varType 
 	return p
 }
 
-// branchLines renders the quantifier ordering of a set expression: one line
-// per binding, in the nesting order the evaluator follows, annotated with the
-// equi-join probe the physical planner will use (an equality conjunct whose
-// other side binds strictly earlier).
-func branchLines(s *ast.SetExpr) []string {
+// quantifiers renders the evaluation order of the form that executes: the
+// magic fixpoint or the query head, then the suffix chain. A set-expression
+// head lists every branch's bindings as eval.BranchPlan describes them — the
+// plan the execution behind ran used for the branch, or, when ran is nil or
+// never reached it, the declared-order plan made without cardinalities.
+func (s *Stmt) quantifiers(ran *eval.ExecStats) []string {
 	var out []string
-	for bi := range s.Branches {
-		br := &s.Branches[bi]
-		if br.Literal != nil {
-			out = append(out, fmt.Sprintf("branch %d: literal %s", bi, br.String()))
-			continue
-		}
-		varPos := make(map[string]int, len(br.Binds))
-		for i, bd := range br.Binds {
-			varPos[bd.Var] = i
-		}
-		probes := make(map[int][]string)
-		if br.Where != nil {
-			for _, c := range flattenAnd(br.Where, nil) {
-				cmp, ok := c.(ast.Cmp)
-				if !ok || cmp.Op != ast.OpEq {
+	sufs := s.execRng.Suffixes
+	switch {
+	case s.magic != nil:
+		out = append(out, fmt.Sprintf("magic fixpoint %s seeded %s=%s over base %s",
+			s.magic.GoalCons, s.magic.BoundAttr, s.magic.Const, s.execRng.Var))
+		sufs = sufs[s.magic.SuffixFrom:]
+	case s.execRng.Sub == nil:
+		out = append(out, "base "+s.execRng.Var)
+	default:
+		for bi := range s.execRng.Sub.Branches {
+			br := &s.execRng.Sub.Branches[bi]
+			if br.Literal != nil {
+				out = append(out, fmt.Sprintf("branch %d: literal %s", bi, br.String()))
+				continue
+			}
+			plan := ran.PlanOf(br)
+			if plan == nil {
+				var err error
+				if plan, err = eval.PlanBranch(br, nil); err != nil {
+					out = append(out, fmt.Sprintf("branch %d: %v", bi, err))
 					continue
 				}
-				if !notePlanProbe(probes, varPos, cmp.L, cmp.R) {
-					notePlanProbe(probes, varPos, cmp.R, cmp.L)
-				}
+			}
+			for _, line := range plan.Describe() {
+				out = append(out, fmt.Sprintf("branch %d: %s", bi, line))
 			}
 		}
-		for i, bd := range br.Binds {
-			line := fmt.Sprintf("branch %d: EACH %s IN %s", bi, bd.Var, bd.Range)
-			if ps := probes[i]; len(ps) > 0 {
-				line += " [probe " + strings.Join(ps, ", ") + "]"
-			}
-			out = append(out, line)
-		}
+	}
+	for _, suf := range sufs {
+		out = append(out, "apply "+suf.String())
 	}
 	return out
-}
-
-// notePlanProbe records lhs (a field of some binding) probed by rhs when every
-// tuple variable of rhs binds strictly earlier — the static mirror of the
-// evaluator's index-probe selection.
-func notePlanProbe(probes map[int][]string, varPos map[string]int, lhs, rhs ast.Term) bool {
-	f, ok := lhs.(ast.Field)
-	if !ok {
-		return false
-	}
-	i, ok := varPos[f.Var]
-	if !ok {
-		return false
-	}
-	for v := range termVars(rhs, nil) {
-		j, ok := varPos[v]
-		if !ok || j >= i {
-			return false
-		}
-	}
-	probes[i] = append(probes[i], f.Attr+" = "+rhs.String())
-	return true
-}
-
-func termVars(t ast.Term, out map[string]bool) map[string]bool {
-	if out == nil {
-		out = make(map[string]bool)
-	}
-	switch u := t.(type) {
-	case ast.Field:
-		out[u.Var] = true
-	case ast.Arith:
-		termVars(u.L, out)
-		termVars(u.R, out)
-	}
-	return out
-}
-
-func flattenAnd(p ast.Pred, out []ast.Pred) []ast.Pred {
-	if a, ok := p.(ast.And); ok {
-		out = flattenAnd(a.L, out)
-		return flattenAnd(a.R, out)
-	}
-	return append(out, p)
-}
-
-// walkPlanRanges visits every range of the query form, including suffix
-// arguments and nested sub-expressions.
-func walkPlanRanges(rng *ast.Range, set *ast.SetExpr, fn func(*ast.Range)) {
-	var deep func(r *ast.Range)
-	deep = func(r *ast.Range) {
-		fn(r)
-		if r.Sub != nil {
-			ast.WalkRanges(r.Sub, fn)
-		}
-		for i := range r.Suffixes {
-			for _, a := range r.Suffixes[i].Args {
-				if a.Rel != nil {
-					deep(a.Rel)
-				}
-			}
-		}
-	}
-	if rng != nil {
-		deep(rng)
-		return
-	}
-	ast.WalkRanges(set, fn)
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"iter"
 
-	"repro/internal/eval"
 	"repro/internal/relation"
 	"repro/internal/value"
 )
@@ -16,20 +15,13 @@ import (
 // cursor). Tuples are yielded in unspecified order; use Relation().Tuples()
 // when deterministic order is needed.
 //
-// Set-expression queries stream: the cursor pulls from the executor's
-// pipelines while later partitions are still being computed, and Close
-// mid-iteration cancels the executor's workers. Range and magic-restricted
-// queries still materialize before the first Next. Len and Relation always
-// reflect the complete result set — on the streaming path they wait for the
-// evaluation to finish (the set is accumulated either way).
-//
-// A Rows is bound to the snapshot its query evaluated against; later writes
-// to the database do not affect it. It is not safe for concurrent use by
-// multiple goroutines.
+// The query is fully evaluated before the cursor exists: a Rows iterates the
+// materialized result of the snapshot its query evaluated against, so Len and
+// Relation are field reads and later writes to the database do not affect it.
+// Cancelling the query's context stops the iteration (Err reports the cause).
+// It is not safe for concurrent use by multiple goroutines.
 type Rows struct {
 	rel    *relation.Relation
-	stream *eval.Stream // non-nil on the streaming path; rel lazily filled
-	pos    int          // next index into the stream's delivery sequence
 	ctx    context.Context
 	cols   []string
 	next   func() (value.Tuple, bool)
@@ -50,16 +42,6 @@ func newRows(ctx context.Context, rel *relation.Relation, release func()) *Rows 
 	return &Rows{rel: rel, ctx: ctx, cols: colsOf(rel), next: next, stop: stop, release: release}
 }
 
-// newStreamRows wraps a streaming evaluation begun by eval.StreamSetExpr.
-func newStreamRows(ctx context.Context, stream *eval.Stream, release func()) *Rows {
-	elem := stream.Type().Element
-	cols := make([]string, len(elem.Attrs))
-	for i, a := range elem.Attrs {
-		cols[i] = a.Name
-	}
-	return &Rows{stream: stream, ctx: ctx, cols: cols, release: release}
-}
-
 func colsOf(rel *relation.Relation) []string {
 	elem := rel.Type().Element
 	cols := make([]string, len(elem.Attrs))
@@ -73,29 +55,10 @@ func colsOf(rel *relation.Relation) []string {
 func (r *Rows) Columns() []string { return r.cols }
 
 // Len returns the total number of result tuples (DBPL queries produce sets).
-// On the streaming path this waits for the evaluation to complete; iteration
-// then continues from the cursor's current position. If the evaluation
-// failed, Len counts the tuples produced before the failure and Err reports
-// the cause.
-func (r *Rows) Len() int { return r.materialize().Len() }
+func (r *Rows) Len() int { return r.rel.Len() }
 
-// Relation returns the result relation, waiting for a streaming evaluation
-// to complete first.
-func (r *Rows) Relation() *Relation { return r.materialize() }
-
-// materialize resolves the complete result set. On the materialized path it
-// is a field read; on the streaming path it blocks until the producer
-// finishes and records any evaluation failure in Err.
-func (r *Rows) materialize() *relation.Relation {
-	if r.stream != nil {
-		rel, err := r.stream.Materialize()
-		if err != nil {
-			r.setErr(err)
-		}
-		r.rel = rel
-	}
-	return r.rel
-}
+// Relation returns the result relation.
+func (r *Rows) Relation() *Relation { return r.rel }
 
 // Next advances to the next tuple, reporting whether one is available. It
 // returns false once the cursor is exhausted, closed, canceled, or a Scan
@@ -111,18 +74,7 @@ func (r *Rows) Next() bool {
 			return false
 		}
 	}
-	var t value.Tuple
-	var ok bool
-	if r.stream != nil {
-		t, ok = r.stream.At(r.pos)
-		if ok {
-			r.pos++
-		} else if err := r.stream.Err(); err != nil {
-			r.setErr(err)
-		}
-	} else {
-		t, ok = r.next()
-	}
+	t, ok := r.next()
 	if !ok {
 		r.Close()
 		return false
@@ -207,24 +159,17 @@ func (r *Rows) scan(dest []any) error {
 }
 
 // Err returns the first error encountered during iteration: the query
-// context's cancellation cause, a sticky Scan failure, or — on the streaming
-// path — an evaluation error surfaced mid-stream. It is nil after a loop
-// that simply exhausted the cursor.
+// context's cancellation cause or a sticky Scan failure. It is nil after a
+// loop that simply exhausted the cursor.
 func (r *Rows) Err() error { return r.err }
 
 // Close releases the cursor. It is idempotent, safe after exhaustion, and
-// preserves Err. On the streaming path it cancels the evaluation and returns
-// only after the executor's workers have exited.
+// preserves Err.
 func (r *Rows) Close() error {
 	if !r.closed {
 		r.closed = true
 		r.cur = nil
-		if r.stream != nil {
-			r.stream.Close()
-		}
-		if r.stop != nil {
-			r.stop()
-		}
+		r.stop()
 		if r.release != nil {
 			r.release()
 		}

@@ -24,7 +24,7 @@ END kinds.
 // TestRowsScanAnyAllKinds pins the *any conversions: every scalar kind comes
 // back as its Go-native form, never as an internal value type.
 func TestRowsScanAnyAllKinds(t *testing.T) {
-	db := New()
+	db := mustOpen(t)
 	if _, err := db.Exec(kindsModule); err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestRowsScanAnyInvalidValueErrors(t *testing.T) {
 // TestRowsScanErrorSticky: a Scan failure ends the loop and is reported by
 // Err afterwards, database/sql style.
 func TestRowsScanErrorSticky(t *testing.T) {
-	db := New()
+	db := mustOpen(t)
 	if _, err := db.Exec(kindsModule); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestRowsScanErrorSticky(t *testing.T) {
 // TestRowsErrReportsCancellation: cancelling the query context mid-iteration
 // stops the cursor and Err reports the cause.
 func TestRowsErrReportsCancellation(t *testing.T) {
-	db := New()
+	db := mustOpen(t)
 	if _, err := db.Exec(kindsModule); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestRowsErrReportsCancellation(t *testing.T) {
 // replace the previous query's stats — "did anything run" is answered by the
 // engine's apply counter, not by comparing against Stats{}.
 func TestRecordStatsZeroValueStats(t *testing.T) {
-	db := New()
+	db := mustOpen(t)
 	db.statsMu.Lock()
 	db.lastStats = Stats{Rounds: 7, Tuples: 99} // a previous query's stats
 	db.statsMu.Unlock()
@@ -188,8 +188,8 @@ func TestLastStatsAcrossQueries(t *testing.T) {
 }
 
 // TestMaxOpenRowsCap: with WithMaxOpenRows(n) the (n+1)-th concurrently open
-// cursor is refused with a limit error, on both the streaming and the
-// materializing path, and closing a cursor frees its slot.
+// cursor is refused with a limit error, for set-expression and bare-range
+// queries alike, and closing a cursor frees its slot.
 func TestMaxOpenRowsCap(t *testing.T) {
 	const n = 2
 	db, err := Open(WithMaxOpenRows(n))
@@ -201,7 +201,6 @@ func TestMaxOpenRowsCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	// A set expression streams; a bare range materializes first.
 	queries := []string{`{EACH m IN M: TRUE}`, `M`}
 	var open []*Rows
 	for i := 0; i < n; i++ {

@@ -83,17 +83,15 @@ type DB struct {
 	// nil.
 	views *matview.Cache
 
-	// passes is the optimizer pass pipeline run at Prepare time; nil when the
-	// pipeline is empty. noOptimize additionally disables physical access
-	// paths, so every selector application scans. Both are fixed at Open and
-	// read without locking afterwards.
-	passes     []optimizer.Pass
+	// noOptimize (WithoutOptimization) skips the optimizer pass pipeline at
+	// Prepare time and disables physical access paths, so every selector
+	// application scans. Fixed at Open and read without locking afterwards.
 	noOptimize bool
 }
 
 // Open returns a database configured by the given options; with no options
-// it matches New: memory-only, strict positivity checking, semi-naive
-// fixpoints, and a 128-entry plan cache. With WithPath it is durable: the
+// it is memory-only, with strict positivity checking, semi-naive fixpoints,
+// and a 128-entry plan cache. With WithPath it is durable: the
 // base relations persisted in the directory are recovered (snapshot plus
 // committed write-ahead-log tail) and every later mutation is logged before
 // it is published. Derived constructor results are not persisted — re-execute
@@ -179,20 +177,6 @@ func Open(opts ...Option) (*DB, error) {
 			_ = d.pager.Close()
 		}
 		return nil, err
-	}
-	if !cfg.noOptimize {
-		names := cfg.passNames
-		if names == nil {
-			names = optimizer.DefaultPassNames()
-		}
-		for _, n := range names {
-			p, ok := optimizer.NewPass(n)
-			if !ok {
-				return fail(fmt.Errorf("dbpl: unknown optimizer pass %q (registered: %v)",
-					n, optimizer.PassNames()))
-			}
-			d.passes = append(d.passes, p)
-		}
 	}
 	if !cfg.noMatviews {
 		d.views = matview.New(DefaultMaterializedViews)

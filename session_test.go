@@ -30,7 +30,7 @@ END chain.
 
 func chainDB(t testing.TB, n int) *DB {
 	t.Helper()
-	db := New()
+	db := mustOpen(t)
 	if _, err := db.Exec(chainModule); err != nil {
 		t.Fatalf("exec: %v", err)
 	}
@@ -106,7 +106,7 @@ END lax.
 }
 
 func TestConcurrentQueryDuringExec(t *testing.T) {
-	db := New()
+	db := mustOpen(t)
 	if _, err := db.Exec(cadModule); err != nil {
 		t.Fatalf("exec: %v", err)
 	}
@@ -212,7 +212,7 @@ END s.
 }
 
 func TestStmtReuseMatchesOneShot(t *testing.T) {
-	db := New()
+	db := mustOpen(t)
 	if _, err := db.Exec(cadModule); err != nil {
 		t.Fatalf("exec: %v", err)
 	}
@@ -243,7 +243,7 @@ func TestStmtReuseMatchesOneShot(t *testing.T) {
 }
 
 func TestStmtScalarParameters(t *testing.T) {
-	db := New()
+	db := mustOpen(t)
 	if _, err := db.Exec(cadModule); err != nil {
 		t.Fatalf("exec: %v", err)
 	}
@@ -282,7 +282,7 @@ func TestStmtScalarParameters(t *testing.T) {
 }
 
 func TestRowsCursor(t *testing.T) {
-	db := New()
+	db := mustOpen(t)
 	if _, err := db.Exec(cadModule); err != nil {
 		t.Fatalf("exec: %v", err)
 	}
@@ -317,7 +317,7 @@ func TestRowsCursor(t *testing.T) {
 }
 
 func TestPlanCache(t *testing.T) {
-	db := New()
+	db := mustOpen(t)
 	if _, err := db.Exec(cadModule); err != nil {
 		t.Fatalf("exec: %v", err)
 	}
@@ -383,7 +383,7 @@ func TestConcurrentLoadStoreAndAccessors(t *testing.T) {
 }
 
 func TestPlanCacheInvalidatedByDeclarations(t *testing.T) {
-	db := New()
+	db := mustOpen(t)
 	if _, err := db.Exec(`
 MODULE m1;
 TYPE t = STRING;

@@ -18,15 +18,17 @@ import (
 
 // Stmt is a prepared query: Prepare parses the source, resolves its relation,
 // selector, and constructor references, and lowers it through the optimizer
-// pass pipeline (flatten, nest, selection pushdown, magic sets — see
-// WithOptimizer) exactly once. The resulting compiled plan, inspectable via
-// Plan, is what every Query call executes — concurrently, if desired —
-// against a snapshot of the database's current state. Scalar parameters (bare
+// pass pipeline (flatten, selection pushdown, magic sets, nest) exactly once.
+// The resulting compiled plan, inspectable via Plan, is what every Query call
+// executes — concurrently, if desired — against a snapshot of the database's
+// current state. Scalar parameters (bare
 // identifiers that do not name a relation variable) are bound positionally on
 // each Query call, in order of first appearance in the source.
 //
 // Planning is split across the statement lifecycle: logical rewrites run once
-// at Prepare time; physical structures are per-value. Equi-join probe indexes
+// at Prepare time; binding order and probe keys are decided per execution,
+// from the cardinalities of the snapshot it runs against (ExplainQuery shows
+// the plan that ran); physical structures are per-value. Equi-join probe indexes
 // and selector access paths are the same hash indexes, built on first use and
 // memoized on the relation values of the execution's snapshot, so repeated
 // executions share them until the underlying variable is reassigned (an
@@ -36,17 +38,17 @@ import (
 // which holds its own statements (keyed by source text, evicted by LRU and
 // cleared whenever declarations change).
 type Stmt struct {
-	db     *DB
-	src    string
-	rng    *ast.Range   // parsed form; exactly one of rng/set is non-nil
-	set    *ast.SetExpr //
-	params []string     // scalar parameter names, first-appearance order
+	db  *DB
+	src string
+	// rng is the parsed form: every query is a range expression, a set
+	// expression being the range whose head is that sub-expression.
+	rng    *ast.Range
+	params []string // scalar parameter names, first-appearance order
 
-	// execRng/execSet are the pipeline's rewritten forms, executed by Query;
-	// they alias rng/set when no pass applied. magic, when non-nil, replaces
-	// the head of execRng with a magic-restricted fixpoint over magicReg.
+	// execRng is the pipeline's rewritten form, executed by Query. magic, when
+	// non-nil, replaces the head of execRng with a magic-restricted fixpoint
+	// over magicReg.
 	execRng  *ast.Range
-	execSet  *ast.SetExpr
 	magic    *optimizer.MagicPlan
 	magicReg *core.Registry
 	plan     *Plan
@@ -58,18 +60,11 @@ type Stmt struct {
 // `Infront[hidden_by(Obj)]{ahead}` or a set expression such as
 // `{EACH r IN Infront: TRUE}` — for repeated execution.
 func (d *DB) Prepare(src string) (*Stmt, error) {
-	st := &Stmt{db: d, src: src}
-	r, rerr := parser.ParseRange(src)
-	if rerr == nil {
-		st.rng = r
-	} else {
-		s, serr := parser.ParseSetExpr(src)
-		if serr != nil {
-			// Report the range parse's error: it is the more general form.
-			return nil, wrapErr(rerr)
-		}
-		st.set = s
+	r, err := parser.ParseRange(src)
+	if err != nil {
+		return nil, wrapErr(err)
 	}
+	st := &Stmt{db: d, src: src, rng: r}
 	if err := st.resolve(); err != nil {
 		return nil, err
 	}
@@ -85,14 +80,9 @@ func (s *Stmt) compile() {
 	d := s.db
 	decls, st, _ := d.current()
 
-	q := &optimizer.Query{}
-	if s.rng != nil {
-		q.Rng = ast.CopyRange(s.rng)
-	} else {
-		q.Set = ast.CopySetExpr(s.set)
-	}
+	q := &optimizer.Query{Rng: ast.CopyRange(s.rng)}
 	var traces []optimizer.Trace
-	if !d.noOptimize && len(d.passes) > 0 {
+	if !d.noOptimize {
 		pctx := &optimizer.Context{
 			Selectors:    decls.selectors,
 			Constructors: decls.checker.Constructors,
@@ -100,9 +90,9 @@ func (s *Stmt) compile() {
 			Recursive:    decls.recursive,
 			VarType:      st.Type,
 		}
-		traces = optimizer.RunPipeline(d.passes, q, pctx)
+		traces = optimizer.RunPipeline(optimizer.DefaultPipeline(), q, pctx)
 	}
-	s.execRng, s.execSet, s.magic = q.Rng, q.Set, q.Magic
+	s.execRng, s.magic = q.Rng, q.Magic
 
 	if s.magic != nil {
 		reg := core.NewRegistry()
@@ -169,25 +159,12 @@ func (s *Stmt) Query(ctx context.Context, args ...any) (*Relation, error) {
 	return rel, nil
 }
 
-// QueryRows is Query with a streaming row cursor over the result. The cursor
+// QueryRows is Query with a row cursor over the evaluated result. The cursor
 // counts against the session's WithMaxOpenRows cap until it is closed.
-//
-// Pure set-expression statements stream: evaluation runs on background
-// executor workers while the cursor iterates, and closing the cursor cancels
-// them. Range and magic-restricted statements materialize first, as Query
-// does; either way Len and Relation report the complete result.
 func (s *Stmt) QueryRows(ctx context.Context, args ...any) (*Rows, error) {
 	release, err := s.db.acquireRows()
 	if err != nil {
 		return nil, err
-	}
-	if s.magic == nil && s.execRng == nil && s.execSet != nil {
-		rows, err := s.streamRows(ctx, args, release)
-		if err != nil {
-			release()
-			return nil, err
-		}
-		return rows, nil
 	}
 	rel, err := s.exec(ctx, args, nil)
 	if err != nil {
@@ -195,21 +172,6 @@ func (s *Stmt) QueryRows(ctx context.Context, args ...any) (*Rows, error) {
 		return nil, err
 	}
 	return newRows(ctx, rel, release), nil
-}
-
-// streamRows begins a streaming evaluation of a pure set-expression
-// statement. Type and planning errors surface synchronously; runtime
-// evaluation errors surface through the cursor's Err.
-func (s *Stmt) streamRows(ctx context.Context, args []any, release func()) (*Rows, error) {
-	env, en := s.db.newEval(ctx, nil, nil)
-	if err := s.bindArgs(ctx, env, args); err != nil {
-		return nil, err
-	}
-	stream, err := env.StreamSetExpr(s.execSet, nil, func() { s.db.recordStats(en) })
-	if err != nil {
-		return nil, wrapErr(err)
-	}
-	return newStreamRows(ctx, stream, release), nil
 }
 
 // execStats collects per-execution counters for EXPLAIN ANALYZE.
@@ -264,13 +226,10 @@ func (s *Stmt) execWith(ctx context.Context, env *eval.Env, en *core.Engine, arg
 	}
 	var rel *relation.Relation
 	var err error
-	switch {
-	case s.magic != nil:
+	if s.magic != nil {
 		rel, err = s.execMagic(ctx, env, en, ex)
-	case s.execRng != nil:
+	} else {
 		rel, err = env.Range(s.execRng)
-	default:
-		rel, err = env.SetExpr(s.execSet, nil)
 	}
 	if err != nil {
 		return nil, wrapErr(err)
@@ -448,11 +407,7 @@ func (q *queryRefs) walkTerm(t ast.Term) {
 // plus bare-identifier arguments that do not name a relation variable.
 func (s *Stmt) resolve() error {
 	var q queryRefs
-	if s.rng != nil {
-		q.walkRange(s.rng)
-	} else {
-		q.walkSet(s.set)
-	}
+	q.walkRange(s.rng)
 
 	decls, st, _ := s.db.current()
 

@@ -6,14 +6,12 @@ package dbpl_test
 // times over, so queries fault pages in through eviction; Benchmark-
 // StorageIncrementalCheckpoint measures the page-granular checkpoint after a
 // small delta against the full-database flush the first checkpoint pays.
-// Every benchmark records a row into BENCH_storage.json (written by TestMain
-// when benchmarks ran) carrying the pool hit rate, eviction counts, and
-// checkpoint byte sizes, so CI can archive — and regressions can be read off
-// — the incremental-vs-full checkpoint ratio.
+// CI runs them once as smoke steps: the scan benchmark asserts that the pool
+// came under eviction pressure, the checkpoint benchmark that both byte
+// counters were reported. The gating numbers come from bench/.
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	dbpl "repro"
@@ -32,49 +30,6 @@ SELECTOR at (Where: STRING) FOR Rel: skurel;
 BEGIN EACH r IN Rel: r.loc = Where END at;
 END whbench.
 `
-
-// storageBenchRow is one measurement in BENCH_storage.json.
-type storageBenchRow struct {
-	Name                 string  `json:"name"`
-	Tuples               int     `json:"tuples"`
-	Rows                 int     `json:"rows"` // result size (sanity anchor)
-	Iters                int     `json:"iters"`
-	NsPerOp              float64 `json:"ns_per_op"`
-	PoolPages            int     `json:"pool_pages"`
-	HeapSlots            int64   `json:"heap_slots"`
-	HitRate              float64 `json:"hit_rate"`
-	Evictions            uint64  `json:"evictions"`
-	WriteBacks           uint64  `json:"write_backs"`
-	FullCheckpointBytes  uint64  `json:"full_checkpoint_bytes,omitempty"`
-	DeltaCheckpointBytes uint64  `json:"delta_checkpoint_bytes,omitempty"`
-}
-
-var (
-	storageBenchMu   sync.Mutex
-	storageBenchRows []storageBenchRow
-)
-
-// recordStorageBench captures a finished benchmark's timing plus the
-// database's storage counters for the JSON artifact.
-func recordStorageBench(b *testing.B, db *dbpl.DB, tuples, rows int, fullBytes, deltaBytes uint64) {
-	st := db.Health().Storage
-	storageBenchMu.Lock()
-	defer storageBenchMu.Unlock()
-	storageBenchRows = append(storageBenchRows, storageBenchRow{
-		Name:                 b.Name(),
-		Tuples:               tuples,
-		Rows:                 rows,
-		Iters:                b.N,
-		NsPerOp:              float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-		PoolPages:            st.PoolPages,
-		HeapSlots:            st.HeapSlots,
-		HitRate:              st.HitRate(),
-		Evictions:            st.Evictions,
-		WriteBacks:           st.WriteBacks,
-		FullCheckpointBytes:  fullBytes,
-		DeltaCheckpointBytes: deltaBytes,
-	})
-}
 
 // openPagedBench opens a paged-engine database in dir with the given pool
 // budget, fsync disabled (the benchmarks measure page traffic, not fsync).
@@ -129,7 +84,6 @@ func BenchmarkStorageScanBiggerThanPool(b *testing.B) {
 	if st.Evictions == 0 {
 		b.Fatal("no evictions: the pool never came under pressure")
 	}
-	recordStorageBench(b, db, 2*n, rows, 0, 0)
 }
 
 // BenchmarkStorageIncrementalCheckpoint measures the page-granular
@@ -165,7 +119,6 @@ func BenchmarkStorageIncrementalCheckpoint(b *testing.B) {
 	if deltaBytes == 0 || fullBytes == 0 {
 		b.Fatalf("checkpoint byte counters missing (full %d, delta %d)", fullBytes, deltaBytes)
 	}
-	recordStorageBench(b, db, n, 0, fullBytes, deltaBytes)
 }
 
 // TestStorageIncrementalCheckpointSmallDelta pins the acceptance ratio: on a

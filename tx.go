@@ -87,7 +87,7 @@ func (t *Tx) Query(ctx context.Context, src string, args ...any) (*Relation, err
 	return st.execWith(ctx, env, en, args, nil)
 }
 
-// QueryRows is Query with a streaming row cursor over the result. The cursor
+// QueryRows is Query with a row cursor over the evaluated result. The cursor
 // counts against the session's WithMaxOpenRows cap until it is closed.
 func (t *Tx) QueryRows(ctx context.Context, src string, args ...any) (*Rows, error) {
 	release, err := t.db.acquireRows()
