@@ -25,6 +25,7 @@ import (
 
 	dbpl "repro"
 
+	"repro/internal/value"
 	"repro/internal/wire"
 )
 
@@ -35,16 +36,15 @@ const DefaultFetchSize = 256
 type Option func(*config)
 
 type config struct {
-	token       string
-	dialTimeout time.Duration
-	fetchSize   int
+	token     string
+	fetchSize int
 }
+
+// dialTimeout bounds the TCP connect of Open.
+const dialTimeout = 5 * time.Second
 
 // WithToken presents an auth token during the handshake.
 func WithToken(token string) Option { return func(c *config) { c.token = token } }
-
-// WithDialTimeout bounds the TCP connect (default 5s).
-func WithDialTimeout(d time.Duration) Option { return func(c *config) { c.dialTimeout = d } }
 
 // WithFetchSize sets the tuples-per-round-trip of Rows (default
 // DefaultFetchSize).
@@ -63,11 +63,11 @@ type DB struct {
 
 // Open dials a dbpld server and performs the protocol handshake.
 func Open(addr string, opts ...Option) (*DB, error) {
-	cfg := config{dialTimeout: 5 * time.Second, fetchSize: DefaultFetchSize}
+	cfg := config{fetchSize: DefaultFetchSize}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	conn, err := net.DialTimeout("tcp", addr, cfg.dialTimeout)
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -149,32 +149,13 @@ func millisLeft(ctx context.Context) uint64 {
 func encodeArgs(e *wire.Enc, args []any) error {
 	e.Uvarint(uint64(len(args)))
 	for _, a := range args {
-		v, err := toValue(a)
+		v, err := value.FromGo(a)
 		if err != nil {
 			return err
 		}
 		e.Value(v)
 	}
 	return nil
-}
-
-// toValue converts a Go scalar to a DBPL value, mirroring the embedded API's
-// accepted argument types.
-func toValue(a any) (dbpl.Value, error) {
-	switch v := a.(type) {
-	case dbpl.Value:
-		return v, nil
-	case string:
-		return dbpl.Str(v), nil
-	case int:
-		return dbpl.Int(int64(v)), nil
-	case int64:
-		return dbpl.Int(v), nil
-	case bool:
-		return dbpl.Bool(v), nil
-	default:
-		return dbpl.Value{}, fmt.Errorf("dbpl: unsupported argument type %T", a)
-	}
 }
 
 // Exec runs a DBPL module on the server, returning its SHOW output.

@@ -71,9 +71,12 @@
 // first-class value: Stmt.Plan returns it, Explain compiles without
 // executing, and ExplainQuery executes and attaches per-run counters and the
 // binding order that run used (EXPLAIN ANALYZE style); Plan.Text renders it
-// for humans and the struct marshals to JSON. Selector applications whose body is an indexable
-// equality over a stored variable are answered from a hash index memoized on
-// the variable's value (the paper's physical access paths) instead of scans.
+// for humans and the struct marshals to JSON. A selector application runs as
+// the one-binding branch of its declaration through the same planner and
+// pipeline as any set expression; when its body is an indexable equality and
+// it applies directly to a relation variable, it is answered from a hash
+// index memoized on the variable's value (the paper's physical access paths)
+// instead of a scan, and the plan says so before anything runs.
 //
 //	plan, err := db.Explain(ctx, `Infront{ahead}[hidden_by("table")]`)
 //	fmt.Print(plan.Text())   // pass trace, quantifier order, access paths
@@ -173,11 +176,6 @@ const (
 // its declarations. It returns the output of SHOW statements.
 func (d *DB) Exec(src string) (string, error) {
 	return d.ExecContext(context.Background(), src)
-}
-
-// ExecTo is Exec with streaming output.
-func (d *DB) ExecTo(out io.Writer, src string) error {
-	return d.ExecToContext(context.Background(), out, src)
 }
 
 // ExecContext is Exec with cancellation: ctx is checked inside fixpoint

@@ -50,10 +50,11 @@ func (s *Stmt) ExplainQuery(ctx context.Context, args ...any) (*Plan, error) {
 	}
 	p := s.Plan()
 	p.Quantifiers = s.quantifiers(&ex.exec)
+	lookups, scans := ex.exec.SelectorPaths()
 	p.Analyze = &ExecInfo{
 		Rows:             rel.Len(),
-		PartitionLookups: int(ex.paths.PartitionLookups.Load()),
-		Scans:            int(ex.paths.Scans.Load()),
+		PartitionLookups: lookups,
+		Scans:            scans,
 		Parallelism:      s.db.Parallelism(),
 	}
 	for _, op := range ex.exec.Ops() {

@@ -198,13 +198,13 @@ func TestExplainJSON(t *testing.T) {
 	if decoded.Magic == nil || decoded.Magic.Constructor != "ahead" || decoded.Magic.BoundAttr != "front" {
 		t.Errorf("magic info: %+v", decoded.Magic)
 	}
-	// The selector applies to a derived (constructor) result, which the
-	// store never serves partitions for.
+	// The selector applies to a derived (constructor) result, which is
+	// scanned: an index built on it would die with the evaluation.
 	if len(decoded.AccessPaths) != 1 || decoded.AccessPaths[0].Kind != "scan" {
 		t.Errorf("access paths: %+v", decoded.AccessPaths)
 	}
-	// Applied directly to the published base relation, the same selector is
-	// a partition lookup.
+	// Applied directly to the relation variable, the same selector is a
+	// partition lookup.
 	p2, err := db.Explain(context.Background(), `Infront[hidden_by("table")]`)
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +232,8 @@ func TestExplainAnalyze(t *testing.T) {
 		t.Errorf("fixpoint counters missing: %+v", a)
 	}
 	// The selector filters the magic-restricted (derived) relation, so it
-	// scans — partitions are only served over published variable values.
+	// scans — an index is only probed on a selector's direct relation-name
+	// base.
 	if a.Scans != 1 || a.PartitionLookups != 0 {
 		t.Errorf("access-path counters: %+v", a)
 	}

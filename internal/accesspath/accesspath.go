@@ -13,6 +13,12 @@
 // so the maintenance concern the paper attributes to [ShTZ 84] is handled
 // where the relation changes: a clone inherits the index and overlays the
 // tuples added since, and a deletion invalidates it by version.
+//
+// Query evaluation does not go through this package: a selector application
+// is planned and run as a branch by package eval, which decides index or scan
+// in eval.SelectorAccess and probes the same relation.IndexOn index. What
+// remains here is a typed single-attribute view of that index and a reference
+// filter, kept for the benchmark's probes and the tests that compare the two.
 package accesspath
 
 import (
@@ -64,18 +70,6 @@ func (l *Logical) Instantiate(base *relation.Relation, arg value.Value) (*relati
 		return nil, iterErr
 	}
 	return out, nil
-}
-
-// PartitionAttr inspects a selector body for the pattern
-//
-//	EACH r IN Rel: r.attr = Param
-//
-// (possibly as one conjunct of a conjunction) and returns the attribute a
-// physical access path can partition on. ok is false when the body does not
-// expose an indexable equality. It is eval.SelectorPartitionAttr, re-exported
-// here so access-path callers need not import the evaluator.
-func PartitionAttr(decl *ast.SelectorDecl) (attr string, ok bool) {
-	return eval.SelectorPartitionAttr(decl)
 }
 
 // Physical is the paper's physical access path: the base relation

@@ -56,30 +56,6 @@ func TestLogicalPath(t *testing.T) {
 	}
 }
 
-func TestPartitionAttrDetection(t *testing.T) {
-	decl := selector(t)
-	attr, ok := PartitionAttr(decl)
-	if !ok || attr != "front" {
-		t.Errorf("PartitionAttr: %q %v", attr, ok)
-	}
-	// Non-indexable body.
-	m, _ := parser.ParseModule(`
-MODULE m;
-SELECTOR odd FOR Rel: infrontrel;
-BEGIN EACH r IN Rel: r.front # r.back END odd;
-END m.
-`)
-	var other *ast.SelectorDecl
-	for _, d := range m.Decls {
-		if sd, ok := d.(*ast.SelectorDecl); ok {
-			other = sd
-		}
-	}
-	if _, ok := PartitionAttr(other); ok {
-		t.Error("parameterless selector must not be partitionable")
-	}
-}
-
 // agreesWithLogical checks the physical path against the logical path (a
 // filtering scan of the same base) for every constant.
 func agreesWithLogical(t *testing.T, base *relation.Relation, pp *Physical, consts ...string) {

@@ -488,7 +488,12 @@ type SelectorDecl struct {
 	ForType TypeExpr // its declared type
 	BodyVar string   // the EACH variable of the body
 	Where   Pred
-	Pos     Pos
+	// Branch is the body as the set-expression branch it abbreviates,
+	// EACH BodyVar IN ForVar: Where. The evaluator plans and runs it for every
+	// application; the parser builds it once per declaration, so its address
+	// identifies the selector in recorded plans.
+	Branch *Branch
+	Pos    Pos
 }
 
 func (d *SelectorDecl) declPos() Pos { return d.Pos }

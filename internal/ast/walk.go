@@ -219,12 +219,6 @@ func SubstituteScalarParam(s *SetExpr, name string, v value.Value) {
 	}
 }
 
-// SubstituteScalarParamPred replaces Param terms in a bare predicate (used
-// for selector bodies, which are a single predicate rather than a SetExpr).
-func SubstituteScalarParamPred(p Pred, name string, v value.Value) Pred {
-	return substPred(p, name, v)
-}
-
 func substRangeParams(r *Range, name string, v value.Value) {
 	if r == nil {
 		return

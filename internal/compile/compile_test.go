@@ -93,7 +93,10 @@ func runProgram(t *testing.T, p *Program, db *store.Database, out io.Writer) err
 			env.Selectors[name] = sig.Decl
 		}
 		env.RelTypes = p.Checker.RelTypes
-		env.Rels = db.Snapshot()
+		var err error
+		if env.Rels, err = db.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
 		core.NewEngine(p.Registry, env)
 		if _, _, err := RunStmt(env, p.Checker.Selectors, db, out, s); err != nil {
 			return err
@@ -149,10 +152,15 @@ func TestRunStmtGuards(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := eval.NewEnv()
-	env.Rels = db.Snapshot()
+	if env.Rels, err = db.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
 	guarded := p.Module.Stmts[2]
 
-	tx := db.Begin()
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
 	target, specs, err := RunStmt(env, p.Checker.Selectors, tx, nil, guarded)
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +210,9 @@ func TestAssignThroughConstructorRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := eval.NewEnv()
-	env.Rels = db.Snapshot()
+	if env.Rels, err = db.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
 	_, _, err = RunStmt(env, p.Checker.Selectors, db, nil, m.Stmts[0])
 	if err == nil || !strings.Contains(err.Error(), "assignment through a constructed relation") {
 		t.Errorf("assignment through a constructed relation must fail, got %v", err)

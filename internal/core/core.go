@@ -421,7 +421,6 @@ func (s *System) Detach() {
 	s.rebindCtx(context.Background())
 	for _, inst := range s.sys.instances {
 		inst.env.ExecStats = nil
-		inst.env.PathStats = nil
 	}
 }
 

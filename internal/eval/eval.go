@@ -5,19 +5,25 @@
 //
 // A set expression {branch, branch, ...} evaluates to the union of its
 // branches. Each branch binds tuple variables to materialized ranges, applies
-// its predicate, and projects through the target list. The evaluator performs
-// simple physical planning: top-level conjuncts of the predicate that equate
-// an attribute of a later binding with constants or attributes of earlier
+// its predicate, and projects through the target list. PlanBranch is the one
+// physical planner: top-level conjuncts of the predicate that equate an
+// attribute of a binding with constants, parameters or attributes of earlier
 // bindings become hash-index probes (the equi-join of f.back = b.head in the
-// ahead constructor), and every other conjunct is evaluated at the earliest
-// binding position where its free variables are bound.
+// ahead constructor; on the first binding, the paper's physical access path),
+// and every other conjunct is evaluated at the earliest binding position
+// where its free variables are bound.
+//
+// A selector application Rel[sel(args)] is not a second mechanism: it is the
+// one-binding branch EACH r IN Rel: pred(r) of its declaration (section 2.3),
+// planned by the same planner and run by the same operator pipeline.
+// SelectorAccess is where "hash index or scan" is decided for an application,
+// from the query text alone.
 package eval
 
 import (
 	"context"
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/ast"
 	"repro/internal/relation"
@@ -40,29 +46,6 @@ type ConstructorResolver interface {
 	ApplyConstructor(ctx context.Context, name string, base *relation.Relation, args []Resolved) (*relation.Relation, error)
 }
 
-// PathProvider resolves physical access paths: given a published (immutable)
-// base relation and an attribute position, it returns the tuples whose
-// attribute at that position equals v (read-only). Package store serves them
-// from the hash index memoized on the relation value; ok is false when the
-// provider declines (e.g. the relation is not a published store value), in
-// which case the caller falls back to a scan.
-type PathProvider interface {
-	Partition(base *relation.Relation, pos int, v value.Value) ([]value.Tuple, bool)
-}
-
-// PathStats counts access-path decisions during one evaluation, surfaced by
-// EXPLAIN ANALYZE. The counters are atomic because executor workers may apply
-// selectors concurrently while sharing one PathStats through cloned
-// environments.
-type PathStats struct {
-	// PartitionLookups counts selector applications answered from a hash
-	// partition instead of a full scan.
-	PartitionLookups atomic.Int64
-	// Scans counts selector applications that fell back to scanning the base
-	// relation.
-	Scans atomic.Int64
-}
-
 // Env is the evaluation environment: relation variables (including formal
 // base-relation and relation-parameter names during constructor evaluation),
 // scalar parameters, named relation types, selector declarations, and the
@@ -74,12 +57,9 @@ type Env struct {
 	Selectors    map[string]*ast.SelectorDecl
 	Constructors ConstructorResolver
 
-	// Paths, when non-nil, serves hash-partition lookups for selector
-	// applications whose body is an indexable equality (SelectorPartitionAttr).
-	// A nil Paths means every selector application scans its base.
-	Paths PathProvider
-	// PathStats, when non-nil, receives access-path counters.
-	PathStats *PathStats
+	// ScanSelectors makes every selector application scan its base, whatever
+	// SelectorAccess decides (the session's WithoutOptimization reference path).
+	ScanSelectors bool
 
 	// Ctx, when non-nil, cancels long evaluations: the branch loops check it
 	// periodically and constructor applications thread it into the fixpoint
@@ -124,8 +104,7 @@ func (e *Env) Clone() *Env {
 		RelTypes:        e.RelTypes,
 		Selectors:       e.Selectors,
 		Constructors:    e.Constructors,
-		Paths:           e.Paths,
-		PathStats:       e.PathStats,
+		ScanSelectors:   e.ScanSelectors,
 		Ctx:             e.Ctx,
 		Parallelism:     e.Parallelism,
 		ParallelMinRows: e.ParallelMinRows,
@@ -196,20 +175,20 @@ func (e *Env) Range(r *ast.Range) (*relation.Relation, error) {
 			return nil, fmt.Errorf("%s: unknown relation %q", r.Pos, r.Var)
 		}
 	}
-	for i := range r.Suffixes {
-		cur, err = e.applySuffix(cur, &r.Suffixes[i])
-		if err != nil {
-			return nil, err
-		}
+	if cur, err = e.ApplySuffixes(cur, r, 0); err != nil {
+		return nil, err
 	}
 	e.rangeMemo[r] = cur
 	return cur, nil
 }
 
-func (e *Env) applySuffix(base *relation.Relation, s *ast.Suffix) (*relation.Relation, error) {
+// applySuffix applies suffix i of r to base, the value of r's first i
+// suffixes.
+func (e *Env) applySuffix(base *relation.Relation, r *ast.Range, i int) (*relation.Relation, error) {
+	s := &r.Suffixes[i]
 	switch s.Kind {
 	case ast.SuffixSelector:
-		return e.applySelector(base, s)
+		return e.applySelector(base, r, i)
 	default:
 		if e.Constructors == nil {
 			return nil, fmt.Errorf("%s: constructor %q applied but no constructor resolver installed", s.Pos, s.Name)
@@ -280,54 +259,65 @@ func (e *Env) ResolveArgs(args []ast.Arg) ([]Resolved, error) {
 	return out, nil
 }
 
-// SelectorPartitionAttr inspects a selector body for the pattern
+// SelectorAccess is the access-path decision for the application of decl as
+// suffix i of range r — the one place it is made (section 4: a relation
+// "partitioned according to the different constant values"). attr is the
+// attribute the selector's body equates with its single scalar parameter,
 //
 //	EACH r IN Rel: r.attr = Param
 //
-// (possibly as one conjunct of a conjunction) and returns the attribute a
-// physical access path can partition on. ok is false when the body does not
-// expose an indexable equality on the selector's single scalar parameter.
-func SelectorPartitionAttr(decl *ast.SelectorDecl) (attr string, ok bool) {
+// possibly as one conjunct of a conjunction ("" when there is none): the
+// equality PlanBranch turns into a probe on the branch's only binding.
+// indexed reports whether the application is served from the base's hash
+// index on attr instead of a scan. That holds only when the selector applies
+// directly to a relation name — a value that outlives the evaluation, so the
+// index memoized on it is reused and inherited by the next published value.
+// Any derived base (a constructor result, a sub-expression, an earlier
+// selector's result) dies with the evaluation and is scanned.
+func SelectorAccess(decl *ast.SelectorDecl, r *ast.Range, i int) (attr string, indexed bool) {
+	plan, err := PlanBranch(decl.Branch, nil)
+	if err != nil {
+		return "", false
+	}
+	return plan.selectorAccess(decl, r, i)
+}
+
+// selectorAccess answers SelectorAccess from p, the plan of decl's branch.
+func (p *BranchPlan) selectorAccess(decl *ast.SelectorDecl, r *ast.Range, i int) (attr string, indexed bool) {
 	if len(decl.Params) != 1 {
 		return "", false
 	}
-	param := decl.Params[0].Name
-	var found string
-	var scan func(p ast.Pred)
-	scan = func(p ast.Pred) {
-		switch q := p.(type) {
-		case ast.And:
-			scan(q.L)
-			scan(q.R)
-		case ast.Cmp:
-			if q.Op != ast.OpEq {
-				return
-			}
-			if f, okF := q.L.(ast.Field); okF {
-				if pr, okP := q.R.(ast.Param); okP && pr.Name == param && f.Var == decl.BodyVar {
-					found = f.Attr
-				}
-			}
-			if f, okF := q.R.(ast.Field); okF {
-				if pr, okP := q.L.(ast.Param); okP && pr.Name == param && f.Var == decl.BodyVar {
-					found = f.Attr
-				}
-			}
+	for j, tm := range p.probeTerms[0] {
+		if pr, ok := tm.(ast.Param); ok && pr.Name == decl.Params[0].Name {
+			return p.probeFields[0][j].Attr, r.Sub == nil && i == 0
 		}
 	}
-	scan(decl.Where)
-	return found, found != ""
+	return "", false
 }
 
-// ApplySuffixes applies a chain of selector/constructor suffixes to an
-// already materialized base relation. It is the tail of Range, exposed for
-// execution paths that substitute the head of the chain (the magic-sets
-// restricted evaluation of a recursive constructor application).
-func (e *Env) ApplySuffixes(base *relation.Relation, sufs []ast.Suffix) (*relation.Relation, error) {
+// SelectorElem is the record type a selector's body reads a base of element
+// type base through: its declared For-type's when that is positionally
+// compatible, which re-labels the attributes (an infrontrel selector applied
+// to a constructed aheadrel); otherwise the base's own.
+func SelectorElem(decl *ast.SelectorDecl, relTypes map[string]schema.RelationType, base schema.RecordType) schema.RecordType {
+	if nt, ok := decl.ForType.(ast.NamedType); ok {
+		if rt, ok := relTypes[nt.Name]; ok && rt.Element.Arity() == base.Arity() {
+			return rt.Element
+		}
+	}
+	return base
+}
+
+// ApplySuffixes applies the suffixes of r from index from onward to base, the
+// already materialized value of the chain before them. It is the tail of
+// Range, exposed for execution paths that substitute the head of the chain
+// (the magic-sets restricted evaluation of a recursive constructor
+// application).
+func (e *Env) ApplySuffixes(base *relation.Relation, r *ast.Range, from int) (*relation.Relation, error) {
 	cur := base
 	var err error
-	for i := range sufs {
-		cur, err = e.applySuffix(cur, &sufs[i])
+	for i := from; i < len(r.Suffixes); i++ {
+		cur, err = e.applySuffix(cur, r, i)
 		if err != nil {
 			return nil, err
 		}
@@ -335,9 +325,11 @@ func (e *Env) ApplySuffixes(base *relation.Relation, sufs []ast.Suffix) (*relati
 	return cur, nil
 }
 
-// applySelector filters the base relation through a selector declaration —
-// the paper's Rel[sel(args)] (section 2.3, Fig 1).
-func (e *Env) applySelector(base *relation.Relation, s *ast.Suffix) (*relation.Relation, error) {
+// applySelector evaluates suffix i of r, a selector application, over base —
+// the paper's Rel[sel(args)] (section 2.3, Fig 1), by its definition: the set
+// expression {EACH r IN Rel: pred(r)} with the parameters substituted.
+func (e *Env) applySelector(base *relation.Relation, r *ast.Range, i int) (*relation.Relation, error) {
+	s := &r.Suffixes[i]
 	decl, ok := e.Selectors[s.Name]
 	if !ok {
 		return nil, fmt.Errorf("%s: unknown selector %q", s.Pos, s.Name)
@@ -362,51 +354,22 @@ func (e *Env) applySelector(base *relation.Relation, s *ast.Suffix) (*relation.R
 	}
 	scoped.Rels[decl.ForVar] = base
 
-	out := relation.New(base.Type())
-	// The selector body reads attributes through its declared For-type;
-	// bases of positionally compatible types (e.g. applying an infrontrel
-	// selector to a constructed aheadrel) are re-labelled accordingly.
-	elem := base.Type().Element
-	if nt, ok := decl.ForType.(ast.NamedType); ok {
-		if rt, ok2 := e.RelTypes[nt.Name]; ok2 && rt.Element.Arity() == elem.Arity() {
-			elem = rt.Element
-		}
-	}
-	// Physical access path: when the selector body pivots on an indexable
-	// equality and the argument is a scalar, the candidate set shrinks from
-	// the whole base to the hash partition for the argument value. The full
-	// predicate is still evaluated over the partition, so residual conjuncts
-	// beyond the partition equality keep their semantics.
-	var candidates []value.Tuple
-	served := false
-	if e.Paths != nil && len(decl.Params) == 1 && args[0].IsScalar {
-		if attr, okAttr := SelectorPartitionAttr(decl); okAttr {
-			if pos := elem.IndexOf(attr); pos >= 0 {
-				candidates, served = e.Paths.Partition(base, pos, args[0].Scalar)
-			}
-		}
-	}
-	if !served {
-		candidates = base.Slice()
-	}
-	if e.PathStats != nil {
-		if served {
-			e.PathStats.PartitionLookups.Add(1)
-		} else {
-			e.PathStats.Scans.Add(1)
-		}
-	}
-	err = scoped.filterRelationInto(candidates, out, "select["+s.Name+"]",
-		func(env *Env) func(value.Tuple) (bool, error) {
-			var b bindings
-			return func(t value.Tuple) (bool, error) {
-				b.push(decl.BodyVar, t, elem)
-				keep, err := env.Pred(decl.Where, &b)
-				b.pop()
-				return keep, err
-			}
-		})
+	plan, err := PlanBranch(decl.Branch, nil)
 	if err != nil {
+		return nil, err
+	}
+	plan.app = s
+	if _, indexed := plan.selectorAccess(decl, r, i); !indexed || e.ScanSelectors {
+		plan.scanOuter()
+	}
+	pb, err := scoped.bindPlan(&preparedBranch{plan: plan,
+		rels:  []*relation.Relation{base},
+		elems: []schema.RecordType{SelectorElem(decl, e.RelTypes, base.Type().Element)}})
+	if err != nil {
+		return nil, err
+	}
+	out := relation.New(base.Type())
+	if err := scoped.runBranchPipeline(pb, out, nil); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -431,33 +394,20 @@ func (e *Env) SetExpr(s *ast.SetExpr, resultType *schema.RelationType) (*relatio
 	}
 	out := relation.New(rt)
 	for i := range s.Branches {
-		if err := e.branchInto(&s.Branches[i], out); err != nil {
+		if err := e.EvalBranchIntoExcluding(&s.Branches[i], out, nil); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
 }
 
-// EvalBranchInto evaluates a single branch, adding result tuples to out.
+// EvalBranchIntoExcluding evaluates a single branch, adding result tuples to
+// out, except that tuples already present in except (which may be nil) are
+// dropped on the executor workers, before the single-threaded merge into out.
 // Exposed for the semi-naive fixpoint engine, which evaluates branches
-// individually against delta relations.
-func (e *Env) EvalBranchInto(br *ast.Branch, out *relation.Relation) error {
-	return e.branchIntoExcluding(br, out, nil)
-}
-
-// EvalBranchIntoExcluding is EvalBranchInto, except that result tuples already
-// present in except are dropped on the executor workers, before the
-// single-threaded merge into out. The semi-naive engine passes its accumulated
-// state here so each round's merge cost is proportional to the true delta.
+// individually against delta relations and passes its accumulated state here,
+// so each round's merge cost is proportional to the true delta.
 func (e *Env) EvalBranchIntoExcluding(br *ast.Branch, out, except *relation.Relation) error {
-	return e.branchIntoExcluding(br, out, except)
-}
-
-func (e *Env) branchInto(br *ast.Branch, out *relation.Relation) error {
-	return e.branchIntoExcluding(br, out, nil)
-}
-
-func (e *Env) branchIntoExcluding(br *ast.Branch, out, except *relation.Relation) error {
 	pb, err := e.prepareBranch(br, out.Type())
 	if err != nil {
 		return err
@@ -469,12 +419,14 @@ func (e *Env) branchIntoExcluding(br *ast.Branch, out, except *relation.Relation
 }
 
 // preparedBranch is a branch ready to execute: either its literal tuple, or
-// its plan with the materialized ranges (in plan order), the probe indexes
-// bound to them, and the outer binding's scan set.
+// its plan with the materialized ranges (in plan order), the element type
+// each binding's tuples are read through, the probe indexes bound to the
+// ranges, and the outer binding's scan set.
 type preparedBranch struct {
 	literal value.Tuple
 	plan    *BranchPlan
 	rels    []*relation.Relation
+	elems   []schema.RecordType
 	indexes []*relation.Index
 	outer   []value.Tuple
 }
@@ -514,12 +466,21 @@ func (e *Env) prepareBranch(br *ast.Branch, rt schema.RelationType) (*preparedBr
 	if err != nil {
 		return nil, err
 	}
-	pb := &preparedBranch{plan: plan, rels: make([]*relation.Relation, len(declared))}
+	pb := &preparedBranch{plan: plan, rels: make([]*relation.Relation, len(declared)),
+		elems: make([]schema.RecordType, len(declared))}
 	for k, i := range plan.order {
-		pb.rels[k] = declared[i]
+		pb.rels[k], pb.elems[k] = declared[i], declared[i].Type().Element
 	}
-	pb.indexes = e.bindIndexes(plan, pb.rels)
-	e.ExecStats.RecordPlan(plan)
+	return e.bindPlan(pb)
+}
+
+// bindPlan completes a planned branch over its materialized ranges: it binds
+// the probe indexes, records the plan as run, and resolves the outer scan
+// set.
+func (e *Env) bindPlan(pb *preparedBranch) (*preparedBranch, error) {
+	pb.indexes = e.bindIndexes(pb)
+	e.ExecStats.RecordPlan(pb.plan)
+	var err error
 	if pb.outer, err = e.outerTuples(pb); err != nil {
 		return nil, err
 	}
@@ -532,6 +493,9 @@ func (e *Env) prepareBranch(br *ast.Branch, rt schema.RelationType) (*preparedBr
 // slices are indexed by plan position, not by declaration index.
 type BranchPlan struct {
 	br *ast.Branch
+	// app is the selector application the plan was made for, when br is a
+	// selector's branch; nil for a branch of a set expression.
+	app *ast.Suffix
 	// order[k] is the index in br.Binds of the binding at plan position k.
 	order []int
 	// probeFields[k] lists attributes of binding k used as the index key;
@@ -544,6 +508,21 @@ type BranchPlan struct {
 
 // bind returns the binding at plan position k.
 func (p *BranchPlan) bind(k int) *ast.Binding { return &p.br.Binds[p.order[k]] }
+
+// opLabel names one of the plan's operators in ExecStats: kind(v) for the
+// operator binding v in a set-expression branch (plain kind for the
+// project/dedup tail, v empty), kind[selector] for every operator of a
+// selector application — so a selector's counters never merge with those of a
+// branch that reuses its body variable's name.
+func (p *BranchPlan) opLabel(kind, v string) string {
+	switch {
+	case p.app != nil:
+		return kind + "[" + p.app.Name + "]"
+	case v == "":
+		return kind
+	}
+	return kind + "(" + v + ")"
+}
 
 // Describe renders the plan one line per binding, in the order the executor
 // nests them: "EACH v IN r", followed by "[probe a = t, ...]" when the
@@ -641,7 +620,11 @@ func FreeVarsOfPred(p ast.Pred) map[string]bool {
 // Probes and residuals: a top-level equality conjunct v.attr = term (or
 // term = v.attr) whose term's variables all bind earlier than v becomes an
 // index probe on v's range; every other conjunct is scheduled at the
-// latest-binding of its free variables.
+// latest-binding of its free variables. On the first binding such a term is
+// closed, and the probe is the access path that replaces the scan — taken
+// only when the range is a bare relation name: an index built on a derived
+// range would die with the evaluation, so a derived range is scanned and
+// filtered.
 func PlanBranch(br *ast.Branch, card []int) (*BranchPlan, error) {
 	n := len(br.Binds)
 	if n == 0 {
@@ -698,7 +681,24 @@ func PlanBranch(br *ast.Branch, card []int) (*BranchPlan, error) {
 		}
 		plan.residuals[at] = append(plan.residuals[at], c)
 	}
+	if r := plan.bind(0).Range; r.Sub != nil || len(r.Suffixes) > 0 {
+		plan.scanOuter()
+	}
 	return plan, nil
+}
+
+// probeCmp is probe j of binding k as the equality conjunct it was made from.
+func (p *BranchPlan) probeCmp(k, j int) ast.Pred {
+	return ast.Cmp{Op: ast.OpEq, L: p.probeFields[k][j], R: p.probeTerms[k][j]}
+}
+
+// scanOuter makes binding 0 a scan: its probe equalities become residuals,
+// evaluated as a filter over every tuple of the range.
+func (p *BranchPlan) scanOuter() {
+	for j := range p.probeFields[0] {
+		p.residuals[0] = append(p.residuals[0], p.probeCmp(0, j))
+	}
+	p.probeFields[0], p.probeTerms[0] = nil, nil
 }
 
 // tryProbe attempts to register lhs (a Field of some binding k) probed by rhs
@@ -725,16 +725,17 @@ func (p *BranchPlan) tryProbe(varPos map[string]int, lhs, rhs ast.Term) bool {
 	return true
 }
 
-// bindIndexes resolves the plan's probe attributes against the materialized
-// ranges (in plan order) and returns the hash index serving each probed
-// binding, nil where a binding has no probe.
-func (e *Env) bindIndexes(plan *BranchPlan, rels []*relation.Relation) []*relation.Index {
+// bindIndexes resolves the plan's probe attributes against the element types
+// the materialized ranges are read through and returns the hash index serving
+// each probed binding, nil where a binding has no probe.
+func (e *Env) bindIndexes(pb *preparedBranch) []*relation.Index {
+	plan, rels := pb.plan, pb.rels
 	indexes := make([]*relation.Index, len(rels))
 	for k := range rels {
 		if len(plan.probeFields[k]) == 0 {
 			continue
 		}
-		elem := rels[k].Type().Element
+		elem := pb.elems[k]
 		positions := make([]int, 0, len(plan.probeFields[k]))
 		okFields := plan.probeFields[k][:0]
 		okTerms := plan.probeTerms[k][:0]
@@ -743,8 +744,7 @@ func (e *Env) bindIndexes(plan *BranchPlan, rels []*relation.Relation) []*relati
 			if pos < 0 {
 				// Attribute does not exist at runtime type: demote the
 				// conjunct to a residual so the usual error surfaces.
-				plan.residuals[k] = append(plan.residuals[k],
-					ast.Cmp{Op: ast.OpEq, L: f, R: plan.probeTerms[k][j]})
+				plan.residuals[k] = append(plan.residuals[k], plan.probeCmp(k, j))
 				continue
 			}
 			positions = append(positions, pos)
@@ -754,7 +754,7 @@ func (e *Env) bindIndexes(plan *BranchPlan, rels []*relation.Relation) []*relati
 		plan.probeFields[k] = okFields
 		plan.probeTerms[k] = okTerms
 		if len(positions) > 0 {
-			indexes[k] = rels[k].IndexOn(positions, e.buildWorkers())
+			indexes[k] = rels[k].IndexOn(positions, e.Parallelism)
 		}
 	}
 	return indexes

@@ -154,20 +154,12 @@ func TestNestedRangeExpression(t *testing.T) {
 
 func TestSelectorApplication(t *testing.T) {
 	e := env(t)
-	m, err := parser.ParseModule(`
+	e.Selectors = selectorsOf(t, `
 MODULE m;
 SELECTOR hidden_by (Obj: STRING) FOR Rel: infrontrel;
 BEGIN EACH r IN Rel: r.front = Obj END hidden_by;
 END m.
 `)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range m.Decls {
-		if sd, ok := d.(*ast.SelectorDecl); ok {
-			e.Selectors[sd.Name] = sd
-		}
-	}
 	r, err := parser.ParseRange(`Infront[hidden_by("table")]`)
 	if err != nil {
 		t.Fatal(err)
@@ -349,5 +341,109 @@ func TestReorderedBranchProjectsDeclaredFirstBinding(t *testing.T) {
 	}
 	if !out.Equal(big) {
 		t.Fatalf("got %s, want the %d tuples of Big", out, big.Len())
+	}
+}
+
+// selectorsOf parses a module and returns its selector declarations by name.
+func selectorsOf(t *testing.T, module string) map[string]*ast.SelectorDecl {
+	t.Helper()
+	m, err := parser.ParseModule(module)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]*ast.SelectorDecl)
+	for _, d := range m.Decls {
+		if sd, ok := d.(*ast.SelectorDecl); ok {
+			out[sd.Name] = sd
+		}
+	}
+	return out
+}
+
+// TestSelectorAccess pins the one access-path decision: the attribute is the
+// one the body equates with the selector's single parameter, and the
+// application is index-served only directly on a relation name.
+func TestSelectorAccess(t *testing.T) {
+	sels := selectorsOf(t, `
+MODULE m;
+SELECTOR hidden_by (Obj: STRING) FOR Rel: infrontrel;
+BEGIN EACH r IN Rel: r.front = Obj END hidden_by;
+SELECTOR mixed (Obj: STRING) FOR Rel: infrontrel;
+BEGIN EACH r IN Rel: r.back # "door" AND Obj = r.back END mixed;
+SELECTOR odd FOR Rel: infrontrel;
+BEGIN EACH r IN Rel: r.front # r.back END odd;
+SELECTOR fixed FOR Rel: infrontrel;
+BEGIN EACH r IN Rel: r.front = "table" END fixed;
+SELECTOR two (A: STRING; B: STRING) FOR Rel: infrontrel;
+BEGIN EACH r IN Rel: r.front = A AND r.back = B END two;
+END m.
+`)
+	for _, tc := range []struct {
+		rng, sel, attr string
+		i              int
+		indexed        bool
+	}{
+		{`Infront[hidden_by("x")]`, "hidden_by", "front", 0, true},
+		{`Infront[mixed("x")]`, "mixed", "back", 0, true},
+		{`Infront[odd][hidden_by("x")]`, "hidden_by", "front", 1, false},
+		{`{EACH r IN Infront: TRUE}[hidden_by("x")]`, "hidden_by", "front", 0, false},
+		{`Infront[odd]`, "odd", "", 0, false},
+		{`Infront[fixed]`, "fixed", "", 0, false},
+		{`Infront[two("a","b")]`, "two", "", 0, false},
+	} {
+		r, err := parser.ParseRange(tc.rng)
+		if err != nil {
+			t.Fatalf("parse %s: %v", tc.rng, err)
+		}
+		attr, indexed := SelectorAccess(sels[tc.sel], r, tc.i)
+		if attr != tc.attr || indexed != tc.indexed {
+			t.Errorf("SelectorAccess(%s, suffix %d) = %q, %v; want %q, %v",
+				tc.rng, tc.i, attr, indexed, tc.attr, tc.indexed)
+		}
+	}
+}
+
+// TestOuterProbeOnlyOnRelationName: a closed equality on the first binding is
+// an index probe when the range is a bare relation name, and a scan-and-filter
+// when the range is derived — an index built there would die with the
+// evaluation. Both compute the same set.
+func TestOuterProbeOnlyOnRelationName(t *testing.T) {
+	e := env(t)
+	e.Selectors = selectorsOf(t, `
+MODULE m;
+SELECTOR odd FOR Rel: infrontrel;
+BEGIN EACH r IN Rel: r.front # r.back END odd;
+END m.
+`)
+	for _, tc := range []struct {
+		src  string
+		want []string
+	}{
+		{`{EACH r IN Infront: r.front = "table"}`, []string{`EACH r IN Infront [probe front = "table"]`}},
+		{`{EACH r IN Infront[odd]: r.front = "table"}`, []string{`EACH r IN Infront[odd]`}},
+		{`{EACH r IN {EACH s IN Infront: TRUE}: r.front = "table"}`, []string{`EACH r IN {EACH s IN Infront: TRUE}`}},
+	} {
+		s, err := parser.ParseSetExpr(tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := PlanBranch(&s.Branches[0], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := plan.Describe(); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: plan %q, want %q", tc.src, got, tc.want)
+		}
+		before := e.Rels["Infront"].Indexes()
+		out, err := e.SetExpr(s, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Len() != 1 || !out.Contains(value.NewTuple(value.Str("table"), value.Str("chair"))) {
+			t.Errorf("%s = %s", tc.src, out)
+		}
+		if grew := e.Rels["Infront"].Indexes() > before; grew != strings.Contains(tc.want[0], "[probe") {
+			t.Errorf("%s: index memoized on Infront = %v", tc.src, grew)
+		}
 	}
 }

@@ -64,13 +64,14 @@ type ExecStats struct {
 	mu    sync.Mutex
 	order []string
 	m     map[string]*OpStat
-	// plans holds, per branch, the first plan the evaluation ran for it.
-	plans map[*ast.Branch]*BranchPlan
+	// plans holds, per branch (*ast.Branch) and per selector application
+	// (*ast.Suffix), the first plan the evaluation ran for it.
+	plans map[any]*BranchPlan
 }
 
-// RecordPlan notes that the evaluation ran plan for its branch; only the
-// first plan per branch is kept (fixpoint rounds re-plan the same branches
-// over changing cardinalities).
+// RecordPlan notes that the evaluation ran plan for its branch or selector
+// application; only the first plan per key is kept (fixpoint rounds re-plan
+// the same branches over changing cardinalities).
 func (s *ExecStats) RecordPlan(plan *BranchPlan) {
 	if s == nil {
 		return
@@ -78,10 +79,14 @@ func (s *ExecStats) RecordPlan(plan *BranchPlan) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.plans == nil {
-		s.plans = make(map[*ast.Branch]*BranchPlan)
+		s.plans = make(map[any]*BranchPlan)
 	}
-	if _, ok := s.plans[plan.br]; !ok {
-		s.plans[plan.br] = plan
+	key := any(plan.br)
+	if plan.app != nil {
+		key = plan.app
+	}
+	if _, ok := s.plans[key]; !ok {
+		s.plans[key] = plan
 	}
 }
 
@@ -94,6 +99,24 @@ func (s *ExecStats) PlanOf(br *ast.Branch) *BranchPlan {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.plans[br]
+}
+
+// SelectorPaths counts the selector applications the evaluation ran by the
+// access path their recorded plan took: served from a hash index on the base
+// (lookups) or by scanning it (scans).
+func (s *ExecStats) SelectorPaths() (lookups, scans int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, plan := range s.plans {
+		switch {
+		case plan.app == nil:
+		case len(plan.probeFields[0]) > 0:
+			lookups++
+		default:
+			scans++
+		}
+	}
+	return lookups, scans
 }
 
 // Record merges one operator run into the aggregate.
@@ -142,7 +165,9 @@ type opCounters struct {
 }
 
 // operator produces batches of binding rows. next returns (nil, nil) at end of
-// stream. Operators are single-goroutine; parallelism wraps whole pipelines.
+// stream; a batch belongs to its consumer until the consumer's next call to
+// next, after which the producer may reuse it. Operators are
+// single-goroutine; parallelism wraps whole pipelines.
 type operator interface {
 	open() error
 	next() ([]execRow, error)
@@ -158,51 +183,32 @@ type tupleOp interface {
 	close()
 }
 
-// rowBinder adapts an execRow to the bindings interface the predicate/term
-// evaluators expect. The buffers leave slack beyond the binding prefix so
-// quantifier push/pop inside predicates does not allocate.
+// rowBinder adapts the execRows of one operator — all of the same width — to
+// the bindings the predicate/term evaluators expect. Variables and types are
+// fixed per width, so binding a row only copies its tuples; the slack beyond
+// the width lets quantifier push/pop inside predicates run without
+// allocating.
 type rowBinder struct {
-	vars  []string
-	types []schema.RecordType
-	b     bindings
-
-	varBuf  []string
-	typeBuf []schema.RecordType
-	tupBuf  []value.Tuple
+	b bindings
 }
 
-func newRowBinder(plan *BranchPlan, rels []*relation.Relation) *rowBinder {
-	n := len(rels)
-	rb := &rowBinder{
-		vars:    make([]string, n),
-		types:   make([]schema.RecordType, n),
-		varBuf:  make([]string, n+8),
-		typeBuf: make([]schema.RecordType, n+8),
-		tupBuf:  make([]value.Tuple, n+8),
+// newRowBinder binds rows of the first width bindings of pb's plan.
+func newRowBinder(pb *preparedBranch, width int) *rowBinder {
+	rb := &rowBinder{b: bindings{
+		vars:  make([]string, width, width+8),
+		types: make([]schema.RecordType, width, width+8),
+		tups:  make([]value.Tuple, width, width+8),
+	}}
+	for k := 0; k < width; k++ {
+		rb.b.vars[k] = pb.plan.bind(k).Var
 	}
-	for k := range rels {
-		rb.vars[k] = plan.bind(k).Var
-		rb.types[k] = rels[k].Type().Element
-	}
+	copy(rb.b.types, pb.elems)
 	return rb
 }
 
 func (rb *rowBinder) bind(row execRow) *bindings {
-	k := len(row)
-	copy(rb.varBuf, rb.vars[:k])
-	copy(rb.typeBuf, rb.types[:k])
-	copy(rb.tupBuf, row)
-	rb.b.vars = rb.varBuf[:k]
-	rb.b.types = rb.typeBuf[:k]
-	rb.b.tups = rb.tupBuf[:k]
+	copy(rb.b.tups, row)
 	return &rb.b
-}
-
-// pipeCtx is the per-pipeline evaluation context shared by its operators: the
-// (worker-local) environment and the reusable row binder.
-type pipeCtx struct {
-	env    *Env
-	binder *rowBinder
 }
 
 // ---------------------------------------------------------------------------
@@ -210,11 +216,13 @@ type pipeCtx struct {
 // ---------------------------------------------------------------------------
 
 // scanOp produces single-binding rows from a tuple slice (one partition of the
-// outer relation).
+// outer relation). A row is a one-element window onto that slice and the
+// batch buffer is reused across calls, so a scan allocates once.
 type scanOp struct {
-	pc     *pipeCtx
+	env    *Env
 	tuples []value.Tuple
 	pos    int
+	batch  []execRow
 	c      opCounters
 }
 
@@ -227,14 +235,16 @@ func (o *scanOp) next() ([]execRow, error) {
 		return nil, nil
 	}
 	n := min(BatchSize, len(o.tuples)-o.pos)
-	arena := make([]value.Tuple, n)
-	batch := make([]execRow, n)
-	for i := 0; i < n; i++ {
-		if err := o.pc.env.cancelled(); err != nil {
+	if o.batch == nil {
+		o.batch = make([]execRow, n)
+	}
+	batch := o.batch[:n]
+	for i := range batch {
+		if err := o.env.cancelled(); err != nil {
 			return nil, err
 		}
-		arena[i] = o.tuples[o.pos+i]
-		batch[i] = arena[i : i+1 : i+1]
+		j := o.pos + i
+		batch[i] = o.tuples[j : j+1 : j+1]
 	}
 	o.pos += n
 	o.c.rowsIn += int64(n)
@@ -246,10 +256,11 @@ func (o *scanOp) next() ([]execRow, error) {
 // filterOp drops rows failing any of its predicates (the residual conjuncts
 // scheduled at one binding position).
 type filterOp struct {
-	pc    *pipeCtx
-	in    operator
-	preds []ast.Pred
-	c     opCounters
+	env    *Env
+	binder *rowBinder
+	in     operator
+	preds  []ast.Pred
+	c      opCounters
 }
 
 func (o *filterOp) open() error           { return o.in.open() }
@@ -265,10 +276,10 @@ func (o *filterOp) next() ([]execRow, error) {
 		o.c.rowsIn += int64(len(batch))
 		kept := batch[:0]
 		for _, row := range batch {
-			b := o.pc.binder.bind(row)
+			b := o.binder.bind(row)
 			keep := true
 			for _, p := range o.preds {
-				ok, err := o.pc.env.Pred(p, b)
+				ok, err := o.env.Pred(p, b)
 				if err != nil {
 					return nil, err
 				}
@@ -292,7 +303,8 @@ func (o *filterOp) next() ([]execRow, error) {
 // hashJoinOp extends each input row with the matching tuples of one binding's
 // relation, probed through a shared read-only hash index on the equi-join key.
 type hashJoinOp struct {
-	pc     *pipeCtx
+	env    *Env
+	binder *rowBinder
 	in     operator
 	idx    *relation.Index
 	terms  []ast.Term
@@ -315,9 +327,9 @@ func (o *hashJoinOp) close()                { o.in.close() }
 func (o *hashJoinOp) counters() *opCounters { return &o.c }
 
 func (o *hashJoinOp) probeKey(row execRow) (value.Tuple, error) {
-	b := o.pc.binder.bind(row)
+	b := o.binder.bind(row)
 	for k, tm := range o.terms {
-		v, err := o.pc.env.Term(tm, b)
+		v, err := o.env.Term(tm, b)
 		if err != nil {
 			return nil, err
 		}
@@ -369,7 +381,7 @@ func (o *hashJoinOp) next() ([]execRow, error) {
 		for o.inPos < len(o.inBatch) {
 			row := o.inBatch[o.inPos]
 			o.inPos++
-			if err := o.pc.env.cancelled(); err != nil {
+			if err := o.env.cancelled(); err != nil {
 				return nil, err
 			}
 			key, err := o.probeKey(row)
@@ -392,7 +404,7 @@ func (o *hashJoinOp) next() ([]execRow, error) {
 // loopJoinOp is the nested-loop fallback when no equi-join conjunct indexes a
 // binding: every input row is extended with every tuple of the relation.
 type loopJoinOp struct {
-	pc     *pipeCtx
+	env    *Env
 	in     operator
 	tuples []value.Tuple
 	c      opCounters
@@ -443,7 +455,7 @@ func (o *loopJoinOp) next() ([]execRow, error) {
 		for o.inPos < len(o.inBatch) {
 			row := o.inBatch[o.inPos]
 			for o.tupPos < len(o.tuples) {
-				if err := o.pc.env.cancelled(); err != nil {
+				if err := o.env.cancelled(); err != nil {
 					return nil, err
 				}
 				out = append(out, o.extend(row, o.tuples[o.tupPos]))
@@ -467,9 +479,10 @@ func (o *loopJoinOp) next() ([]execRow, error) {
 // already present in an exclusion set (the semi-naive engine's accumulated
 // state), so the downstream merge touches only genuinely new work.
 type projectOp struct {
-	pc *pipeCtx
-	in operator
-	br *ast.Branch
+	env    *Env
+	binder *rowBinder
+	in     operator
+	br     *ast.Branch
 	// whole is the plan position of the declared first binding, whose tuple a
 	// nil target projects.
 	whole  int
@@ -497,9 +510,9 @@ func (o *projectOp) next() ([]relation.Keyed, error) {
 				tup = row[o.whole]
 			} else {
 				tup = make(value.Tuple, len(o.br.Target))
-				b := o.pc.binder.bind(row)
+				b := o.binder.bind(row)
 				for i, tm := range o.br.Target {
-					v, err := o.pc.env.Term(tm, b)
+					v, err := o.env.Term(tm, b)
 					if err != nil {
 						return nil, err
 					}
@@ -539,37 +552,38 @@ func (e *Env) buildBranchPipeline(pb *preparedBranch, outer []value.Tuple,
 	except, out *relation.Relation) (tupleOp, []*opCounters) {
 
 	plan, rels := pb.plan, pb.rels
-	pc := &pipeCtx{env: e, binder: newRowBinder(plan, rels)}
 	var counters []*opCounters
 
-	var cur operator = &scanOp{pc: pc, tuples: outer,
-		c: opCounters{label: "scan(" + plan.bind(0).Var + ")"}}
+	var cur operator = &scanOp{env: e, tuples: outer,
+		c: opCounters{label: plan.opLabel("scan", plan.bind(0).Var)}}
 	counters = append(counters, cur.counters())
-	if len(plan.residuals[0]) > 0 {
-		cur = &filterOp{pc: pc, in: cur, preds: plan.residuals[0],
-			c: opCounters{label: "filter(" + plan.bind(0).Var + ")"}}
-		counters = append(counters, cur.counters())
-	}
-	for i := 1; i < len(rels); i++ {
-		v := plan.bind(i).Var
-		if pb.indexes[i] != nil {
-			cur = &hashJoinOp{pc: pc, in: cur, idx: pb.indexes[i],
-				terms: plan.probeTerms[i], fields: plan.probeFields[i],
-				elem: rels[i].Type().Element,
-				c:    opCounters{label: "hash-join(" + v + ")"}}
-		} else {
-			cur = &loopJoinOp{pc: pc, in: cur, tuples: rels[i].Slice(),
-				c: opCounters{label: "loop-join(" + v + ")"}}
-		}
-		counters = append(counters, cur.counters())
-		if len(plan.residuals[i]) > 0 {
-			cur = &filterOp{pc: pc, in: cur, preds: plan.residuals[i],
-				c: opCounters{label: "filter(" + v + ")"}}
+	filter := func(k int) {
+		if len(plan.residuals[k]) > 0 {
+			cur = &filterOp{env: e, binder: newRowBinder(pb, k+1), in: cur, preds: plan.residuals[k],
+				c: opCounters{label: plan.opLabel("filter", plan.bind(k).Var)}}
 			counters = append(counters, cur.counters())
 		}
 	}
-	proj := &projectOp{pc: pc, in: cur, br: plan.br, whole: slices.Index(plan.order, 0),
-		rt: out.Type(), proto: out, except: except, c: opCounters{label: "project"}}
+	filter(0)
+	for i := 1; i < len(rels); i++ {
+		v := plan.bind(i).Var
+		if pb.indexes[i] != nil {
+			cur = &hashJoinOp{env: e, binder: newRowBinder(pb, i), in: cur, idx: pb.indexes[i],
+				terms: plan.probeTerms[i], fields: plan.probeFields[i],
+				elem: pb.elems[i],
+				c:    opCounters{label: plan.opLabel("hash-join", v)}}
+		} else {
+			cur = &loopJoinOp{env: e, in: cur, tuples: rels[i].Slice(),
+				c: opCounters{label: plan.opLabel("loop-join", v)}}
+		}
+		counters = append(counters, cur.counters())
+		filter(i)
+	}
+	proj := &projectOp{env: e, in: cur, br: plan.br, whole: slices.Index(plan.order, 0),
+		rt: out.Type(), proto: out, except: except, c: opCounters{label: plan.opLabel("project", "")}}
+	if plan.br.Target != nil {
+		proj.binder = newRowBinder(pb, len(rels))
+	}
 	counters = append(counters, &proj.c)
 	return proj, counters
 }
@@ -617,14 +631,6 @@ func (e *Env) workersFor(n int) int {
 		return 1
 	}
 	return p
-}
-
-// buildWorkers sizes the pool for index/partition builds over n tuples.
-func (e *Env) buildWorkers() int {
-	if e.Parallelism <= 1 {
-		return 1
-	}
-	return e.Parallelism
 }
 
 // cloneForWorker clones the environment for a pipeline worker: it adopts the
@@ -696,7 +702,7 @@ func (e *Env) outerTuples(pb *preparedBranch) ([]value.Tuple, error) {
 	if pb.indexes[0] == nil {
 		return pb.rels[0].Slice(), nil
 	}
-	elem := pb.rels[0].Type().Element
+	elem := pb.elems[0]
 	key := make(value.Tuple, len(plan.probeTerms[0]))
 	for k, tm := range plan.probeTerms[0] {
 		v, err := e.Term(tm, nil)
@@ -790,55 +796,6 @@ func (e *Env) runBranchPipeline(pb *preparedBranch, out, except *relation.Relati
 			return err
 		}
 	}
-	e.ExecStats.Record("dedup", emitted, int64(out.Len()-before), 0, 1)
-	return nil
-}
-
-// filterRelationInto filters tuples into out, partitioning the scan across
-// workers for large inputs. mkPred builds one predicate closure per worker so
-// each can reuse private binding scratch. It is the executor behind selector
-// application; label names the operator in ExecStats (e.g. "select[owner]").
-func (e *Env) filterRelationInto(tuples []value.Tuple, out *relation.Relation, label string,
-	mkPred func(env *Env) func(value.Tuple) (bool, error)) error {
-
-	chunks := e.splitChunks(tuples)
-	results := make([][]relation.Keyed, len(chunks))
-	kept := int64(0)
-	insert := func(kd relation.Keyed) error {
-		kept++
-		return out.InsertKeyed(kd)
-	}
-	err := e.fanOut(len(chunks), func(wenv *Env, w int) error {
-		pred := mkPred(wenv)
-		for _, t := range chunks[w] {
-			if err := wenv.cancelled(); err != nil {
-				return err
-			}
-			ok, err := pred(t)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue
-			}
-			if len(chunks) > 1 {
-				results[w] = append(results[w], out.KeyedOf(t))
-			} else if err := insert(out.KeyedOf(t)); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for _, acc := range results {
-		for _, kd := range acc {
-			if err := insert(kd); err != nil {
-				return err
-			}
-		}
-	}
-	e.ExecStats.Record(label, int64(len(tuples)), kept, 0, len(chunks))
+	e.ExecStats.Record(pb.plan.opLabel("dedup", ""), emitted, int64(out.Len()-before), 0, 1)
 	return nil
 }

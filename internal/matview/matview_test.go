@@ -94,7 +94,11 @@ func newHarness(t *testing.T, capacity int, srcs ...string) *harness {
 // bind refreshes the engine environment's relation bindings from the store,
 // as a session's per-call environment snapshot would.
 func (h *harness) bind() {
-	for name, rel := range h.st.Snapshot() {
+	rels, err := h.st.Snapshot()
+	if err != nil {
+		panic(err) // memory engine: cannot fail
+	}
+	for name, rel := range rels {
 		h.env.Rels[name] = rel
 	}
 }

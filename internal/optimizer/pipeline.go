@@ -392,19 +392,13 @@ func (magicPass) Run(q *Query, ctx *Context) (bool, string, error) {
 	if !ok {
 		return false, "selector argument is not a constant (parameter-bound queries run unrestricted)", nil
 	}
-	attr, ok := eval.SelectorPartitionAttr(decl)
-	if !ok {
+	attr, _ := eval.SelectorAccess(decl, rng, 1)
+	if attr == "" {
 		return false, fmt.Sprintf("selector %s has no indexable equality", sel.Name), nil
 	}
 	// The selector reads the constructed result through its For-type; the
 	// bound position is positional across the re-labelling.
-	selElem := sig.Result.Element
-	if nt, okNT := decl.ForType.(ast.NamedType); okNT {
-		if rt, okRT := ctx.RelTypes[nt.Name]; okRT && rt.Element.Arity() == selElem.Arity() {
-			selElem = rt.Element
-		}
-	}
-	pos := selElem.IndexOf(attr)
+	pos := eval.SelectorElem(decl, ctx.RelTypes, sig.Result.Element).IndexOf(attr)
 	if pos < 0 || pos >= sig.Result.Element.Arity() {
 		return false, fmt.Sprintf("attribute %s not positional in result", attr), nil
 	}

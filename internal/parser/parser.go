@@ -446,6 +446,7 @@ func (p *parser) selectorDecl() (*ast.SelectorDecl, error) {
 	if _, err := p.expect(lexer.KwBEGIN); err != nil {
 		return nil, err
 	}
+	bodyPos := p.pos()
 	if _, err := p.expect(lexer.KwEACH); err != nil {
 		return nil, err
 	}
@@ -456,6 +457,7 @@ func (p *parser) selectorDecl() (*ast.SelectorDecl, error) {
 	if _, err := p.expect(lexer.KwIN); err != nil {
 		return nil, err
 	}
+	inPos := p.pos()
 	inVar, _, err := p.ident()
 	if err != nil {
 		return nil, err
@@ -471,6 +473,8 @@ func (p *parser) selectorDecl() (*ast.SelectorDecl, error) {
 	if err != nil {
 		return nil, err
 	}
+	d.Branch = &ast.Branch{Pos: bodyPos, Where: d.Where, Binds: []ast.Binding{
+		{Var: d.BodyVar, Range: &ast.Range{Var: d.ForVar, Pos: inPos}, Pos: bodyPos}}}
 	if _, err := p.expect(lexer.KwEND); err != nil {
 		return nil, err
 	}

@@ -87,8 +87,8 @@ type Relation struct {
 	// IndexOn layers pending over an inherited index instead of rebuilding
 	// from scratch, so a copy-on-write republish (store writes, resumed
 	// fixpoints) costs O(tuples added) rather than O(relation) on its next
-	// indexed join. Deletions and clears drop the inheritance — overlays only
-	// model growth.
+	// indexed join. Deletions drop the inheritance — overlays only model
+	// growth.
 	inherited map[string]*Index
 	pending   []value.Tuple
 }
@@ -562,17 +562,6 @@ func (r *Relation) flatClone() *Relation {
 		take(l.tuples, l.whole)
 	}
 	return c
-}
-
-// Clear removes all tuples, keeping the type.
-func (r *Relation) Clear() {
-	r.tuples = make(map[string]value.Tuple)
-	if r.whole != nil {
-		r.whole = make(map[string]struct{})
-	}
-	r.under, r.ownShared = nil, false
-	r.version++
-	r.inherited, r.pending = nil, nil
 }
 
 // Equal reports set equality with another relation of positionally compatible

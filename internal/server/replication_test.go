@@ -82,7 +82,10 @@ func repWorkload() []repStep {
 		{"tx-commit", func(db *store.Database) error {
 			// A transaction commit replicates as one batch: the replica must
 			// apply both insert deltas atomically or not at all.
-			tx := db.Begin()
+			tx, err := db.Begin()
+			if err != nil {
+				return err
+			}
 			if err := tx.Insert("Edge", tup("c", "d")); err != nil {
 				return err
 			}

@@ -41,8 +41,9 @@ const DefaultFollowBuffer = 256
 
 // Options configures a Server.
 type Options struct {
-	// MaxSessions caps concurrently connected sessions; further connections
-	// are refused with the "limit" error code. 0 means unlimited.
+	// MaxSessions caps concurrent sessions — connections whose handshake
+	// succeeded; further ones are refused with the "limit" error code. 0
+	// means unlimited.
 	MaxSessions int
 	// MaxOpenRows caps the server-held cursors of one session; a query that
 	// would exceed it fails with the "limit" code until the client closes or
@@ -69,10 +70,14 @@ type Server struct {
 
 	mu        sync.Mutex
 	listeners map[net.Listener]struct{}
-	sessions  map[*session]struct{}
-	draining  bool
-	drainCh   chan struct{}
-	wg        sync.WaitGroup
+	// sessions holds every live connection, so Shutdown reaches the ones
+	// still in their handshake; admitted counts those past it, which is what
+	// MaxSessions caps — a refused handshake never holds a slot.
+	sessions map[*session]struct{}
+	admitted int
+	draining bool
+	drainCh  chan struct{}
+	wg       sync.WaitGroup
 }
 
 // New returns a server over db. The db must outlive the server; Close/
@@ -145,19 +150,14 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
-// startSession admits one connection, enforcing the session cap.
+// startSession serves one accepted connection; its handshake claims the
+// session slot (admit).
 func (s *Server) startSession(conn net.Conn) {
 	sess := newSession(s, conn)
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
 		sess.refuse(wire.CodeShutdown, "server is shutting down")
-		return
-	}
-	if s.opts.MaxSessions > 0 && len(s.sessions) >= s.opts.MaxSessions {
-		limit := s.opts.MaxSessions
-		s.mu.Unlock()
-		sess.refuse(wire.CodeLimit, (&dbpl.LimitError{Resource: "sessions", Limit: limit}).Error())
 		return
 	}
 	s.sessions[sess] = struct{}{}
@@ -168,10 +168,29 @@ func (s *Server) startSession(conn net.Conn) {
 		defer func() {
 			s.mu.Lock()
 			delete(s.sessions, sess)
+			if sess.admitted {
+				s.admitted--
+			}
 			s.mu.Unlock()
 		}()
 		sess.serve()
 	}()
+}
+
+// admit claims a MaxSessions slot for a connection whose handshake checked
+// out; the slot is released when the connection's goroutine ends. Counting
+// here rather than at accept means a client refused for a wrong token, which
+// has read its error frame before the server is done with the connection,
+// cannot find the slot still taken when it reconnects.
+func (s *Server) admit(sess *session) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if limit := s.opts.MaxSessions; limit > 0 && s.admitted >= limit {
+		return &dbpl.LimitError{Resource: "sessions", Limit: limit}
+	}
+	s.admitted++
+	sess.admitted = true
+	return nil
 }
 
 // Shutdown gracefully drains the server: listeners close immediately, new
@@ -229,7 +248,8 @@ func (s *Server) Close() error {
 	return err
 }
 
-// Sessions reports the number of live sessions (for tests and monitoring).
+// Sessions reports the number of live connections, handshaken or not (for
+// tests and monitoring).
 func (s *Server) Sessions() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

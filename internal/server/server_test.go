@@ -253,6 +253,35 @@ func TestServerAuthAndSessionCap(t *testing.T) {
 	}
 }
 
+// TestServerRefusedHandshakeHoldsNoSlot: a handshake refused for a wrong
+// token never counts against MaxSessions, so a client that reconnects the
+// moment it has read the refusal — before the server is done with the refused
+// connection — is admitted. Waiting out the right-token session's own close
+// is the only synchronization; every Open in between is immediate.
+func TestServerRefusedHandshakeHoldsNoSlot(t *testing.T) {
+	db, err := dbpl.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	srv, addr := boot(t, db, server.Options{AuthToken: "sesame", MaxSessions: 1})
+	for i := 0; i < 100; i++ {
+		if _, err := client.Open(addr, client.WithToken("wrong")); err == nil || errors.Is(err, dbpl.ErrLimit) {
+			t.Fatalf("round %d: wrong token: %v, want an authentication refusal", i, err)
+		}
+		c, err := client.Open(addr, client.WithToken("sesame"))
+		if err != nil {
+			t.Fatalf("round %d: right token after a refused handshake: %v", i, err)
+		}
+		c.Close()
+		for deadline := time.Now().Add(5 * time.Second); srv.Sessions() != 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: %d connection(s) still registered after Close", i, srv.Sessions())
+			}
+		}
+	}
+}
+
 func TestServerPerSessionCursorCap(t *testing.T) {
 	ctx := context.Background()
 	db, err := dbpl.Open()

@@ -32,6 +32,9 @@ type session struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
+	// admitted reports a claimed MaxSessions slot; guarded by srv.mu.
+	admitted bool
+
 	stateMu  sync.Mutex
 	busy     bool // mid-request on the session goroutine
 	draining bool // Shutdown observed: refuse new work, finish open work
@@ -69,7 +72,7 @@ func newSession(s *Server, conn net.Conn) *session {
 	}
 }
 
-// refuse rejects a connection that never got a session slot: one error frame,
+// refuse rejects a connection the server will not serve: one error frame,
 // then close. The client's handshake read surfaces it as a *RemoteError.
 func (s *session) refuse(code, msg string) {
 	// Consume the client's hello before answering: refusals happen before the
@@ -230,6 +233,10 @@ func (s *session) handshake() error {
 			s.respondErr(wire.CodeAuth, errors.New("dbpld: authentication failed"))
 			return errors.New("bad token")
 		}
+	}
+	if err := s.srv.admit(s); err != nil {
+		s.respondErr(wire.CodeLimit, err)
+		return err
 	}
 	e := wire.NewEnc()
 	e.Str(s.role())

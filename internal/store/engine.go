@@ -1,8 +1,7 @@
 package store
 
 // The storage-engine split: Database owns semantics (guarded assignment,
-// write-ahead logging, subscriptions, observers, transactions, access paths)
-// and delegates the physical binding of variable names to relation values to
+// write-ahead logging, subscriptions, observers, transactions) and delegates the physical binding of variable names to relation values to
 // a pluggable Engine. The memory engine below keeps everything resident —
 // byte-for-byte the pre-split behavior — while internal/pagestore implements
 // the same contract over heap-file pages behind a buffer pool.
@@ -25,11 +24,11 @@ import (
 // Published relation values remain immutable under every engine: Publish and
 // PublishDelta install a fresh pointer and the engine must hand exactly that
 // pointer back from Get until the next publication, so pointer-identity
-// invariants (Partition's published-only gate, the matview Observer, NameOf)
-// keep holding. An engine may drop a resident value at any time (residency
-// eviction) without telling the Database: access-path indexes are memoized on
-// the relation value itself, so they are freed with it and rebuilt on the
-// value a later Get materializes.
+// invariants (a Tx commit's growth classification, the matview Observer,
+// NameOf) keep holding. An engine may drop a resident value at any time
+// (residency eviction) without telling the Database: hash indexes are
+// memoized on the relation value itself, so they are freed with it and
+// rebuilt on the value a later Get materializes.
 type Engine interface {
 	// EngineName identifies the implementation ("memory", "paged") for
 	// health reporting.

@@ -71,7 +71,10 @@ func TestObserverTxInsertOnlyIsGrow(t *testing.T) {
 	obs := &recObserver{}
 	db.SetObserver(obs)
 
-	tx := db.Begin()
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := tx.Insert("R", pair("b", "c")); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +98,10 @@ func TestObserverTxOverwriteIsReset(t *testing.T) {
 
 	// Assign inside the transaction: even with a later insert, the commit is
 	// a reset — the write is not expressible as a pure growth delta.
-	tx := db.Begin()
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := tx.Assign("R", relation.MustFromTuples(binT, pair("x", "y"))); err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +125,10 @@ func TestObserverTxInsertOverStaleBaseIsReset(t *testing.T) {
 	// A concurrent writer moves R between Begin and Commit: the transaction's
 	// inserts were validated against a superseded base, so the commit must
 	// surface as a reset, not a growth delta over the current value.
-	tx := db.Begin()
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := tx.Insert("R", pair("b", "c")); err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +215,10 @@ func TestTxCommitLogsWhatItObserves(t *testing.T) {
 	db.SetObserver(obs)
 	db.SetLogger(log)
 
-	tx := db.Begin()
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := tx.Insert("Grown", pair("b", "c"), pair("c", "d")); err != nil {
 		t.Fatal(err)
 	}

@@ -20,37 +20,33 @@ var edgeT = schema.RelationType{Name: "edge",
 
 func edge(a, b string) value.Tuple { return value.NewTuple(value.Str(a), value.Str(b)) }
 
-// checkPartition asserts that Partition on variable name's published value
-// returns, for every constant, exactly the tuples a scan selects.
-func checkPartition(t *testing.T, db *store.Database, name, when string, consts ...string) {
+// checkIndex asserts that the hash index on attribute 0 of rel — the access
+// path the evaluator probes — returns, for every constant, exactly the tuples
+// a scan selects.
+func checkIndex(t *testing.T, rel *relation.Relation, when string, consts ...string) {
 	t.Helper()
-	base, ok := db.Get(name)
-	if !ok {
-		t.Fatalf("%s: %s missing", when, name)
-	}
+	idx := rel.IndexOn([]int{0}, 1)
 	for _, c := range consts {
 		v := value.Str(c)
-		got, served := db.Partition(base, 0, v)
-		if !served {
-			t.Fatalf("%s: Partition declined the published value of %s", when, name)
-		}
-		want := base.Select(func(tup value.Tuple) bool { return tup[0] == v })
+		got := idx.Probe(value.Tuple{v})
+		want := rel.Select(func(tup value.Tuple) bool { return tup[0] == v })
 		have := relation.New(edgeT)
 		for _, tup := range got {
 			have.Add(tup)
 		}
 		if len(got) != want.Len() || !have.Equal(want) {
-			t.Errorf("%s: Partition(%s, src=%q) = %v, scan selects %s", when, name, c, got, want)
+			t.Errorf("%s: index probe src=%q = %v, scan selects %s", when, c, got, want)
 		}
 	}
 }
 
-// TestPartitionFollowsPublishedValue: the access path is the published
-// relation value's own index, so after every kind of publication — and after
-// the paged engine evicts and re-reads the value — Partition serves what a
-// scan of the new value would, fresh tuples included, and it declines bases
-// that are not published.
-func TestPartitionFollowsPublishedValue(t *testing.T) {
+// TestIndexFollowsPublishedValue: an access path is the relation value's own
+// index, so on the value Get hands out after every kind of publication — and
+// after the paged engine evicts and re-reads it — and on the overlay Tx.Get
+// hands out mid-transaction, IndexOn serves what a scan of that value would,
+// fresh tuples included; a value indexed before a write keeps answering for
+// its own content.
+func TestIndexFollowsPublishedValue(t *testing.T) {
 	engines := map[string]func(t *testing.T) store.Engine{
 		"memory": func(*testing.T) store.Engine { return store.NewMemoryEngine() },
 		"paged": func(t *testing.T) store.Engine {
@@ -73,6 +69,14 @@ func TestPartitionFollowsPublishedValue(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			published := func(when string) *relation.Relation {
+				t.Helper()
+				rel, ok := db.Get("R")
+				if !ok {
+					t.Fatalf("%s: R missing", when)
+				}
+				return rel
+			}
 			var seed []value.Tuple
 			for i := 0; i < 200; i++ {
 				seed = append(seed, edge(fmt.Sprintf("n%d", i%10), fmt.Sprintf("m%d", i)))
@@ -84,54 +88,56 @@ func TestPartitionFollowsPublishedValue(t *testing.T) {
 				t.Fatal(err)
 			}
 			consts := []string{"n0", "n7", "fresh", "ghost"}
-			checkPartition(t, db, "R", "after seeding", consts...)
+			seeded := published("after seeding")
+			checkIndex(t, seeded, "after seeding", consts...)
 
 			if err := db.Insert("R", edge("fresh", "i1"), edge("n7", "i2")); err != nil {
 				t.Fatal(err)
 			}
-			checkPartition(t, db, "R", "after Insert", consts...)
+			checkIndex(t, published("after Insert"), "after Insert", consts...)
+			checkIndex(t, seeded, "the superseded value after Insert", consts...)
 
-			tx := db.Begin()
+			tx, err := db.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
 			if err := tx.Insert("R", edge("fresh", "t1"), edge("n0", "t2")); err != nil {
 				t.Fatal(err)
 			}
 			overlay, _ := tx.Get("R")
-			if _, served := db.Partition(overlay, 0, value.Str("fresh")); served {
-				t.Error("Partition must decline a transaction overlay")
+			checkIndex(t, overlay, "transaction overlay", consts...)
+			if err := tx.Insert("R", edge("fresh", "t3")); err != nil {
+				t.Fatal(err)
 			}
+			checkIndex(t, overlay, "transaction overlay after a second Tx.Insert", consts...)
 			if err := tx.Commit(); err != nil {
 				t.Fatal(err)
 			}
-			checkPartition(t, db, "R", "after Tx.Commit", consts...)
-			if _, served := db.Partition(overlay, 0, value.Str("fresh")); !served {
-				t.Error("the committed overlay is the published value and must be served")
-			}
+			checkIndex(t, published("after Tx.Commit"), "after Tx.Commit", consts...)
 
 			// Eviction: reading S pushes R out of the paged engine's residency,
 			// so the next Get materializes a new value with no index yet.
-			before, _ := db.Get("R")
+			before := published("before eviction")
 			if _, ok := db.Get("S"); !ok {
 				t.Fatal("S missing")
 			}
-			after, _ := db.Get("R")
+			after := published("after eviction")
 			if name == "paged" && before == after {
 				t.Fatal("the paged engine did not evict and re-read R")
 			}
-			if _, served := db.Partition(before, 0, value.Str("n0")); served != (before == after) {
-				t.Errorf("Partition on the pre-eviction value: served=%v, still published=%v", served, before == after)
-			}
-			checkPartition(t, db, "R", "after eviction and re-read", consts...)
+			checkIndex(t, after, "after eviction and re-read", consts...)
 
 			next := relation.MustFromTuples(edgeT, edge("fresh", "a1"), edge("n7", "a2"), edge("n7", "a3"))
 			if err := db.Assign("R", next); err != nil {
 				t.Fatal(err)
 			}
-			checkPartition(t, db, "R", "after Assign", consts...)
-			if got, _ := db.Get("R"); got.Len() != 3 {
-				t.Fatalf("after Assign: %d tuples, want 3", got.Len())
+			assigned := published("after Assign")
+			checkIndex(t, assigned, "after Assign", consts...)
+			if assigned.Len() != 3 {
+				t.Fatalf("after Assign: %d tuples, want 3", assigned.Len())
 			}
-			if _, served := db.Partition(after, 0, value.Str("n0")); served {
-				t.Error("Partition must decline a replaced value")
+			if n := db.CachedPaths(); n < 1 {
+				t.Errorf("CachedPaths = %d after indexing the published value, want >= 1", n)
 			}
 		})
 	}

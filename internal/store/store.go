@@ -116,15 +116,7 @@ type Database struct {
 	// observer, when set, is notified synchronously at every publication
 	// point (see Observer).
 	observer Observer
-
-	// parallelism bounds the worker fan-out of access-path index builds
-	// (SetParallelism); 0 or 1 builds serially.
-	parallelism int
 }
-
-// SetParallelism sets the worker fan-out for access-path index builds.
-// Call before sharing the database across goroutines (session Open does).
-func (db *Database) SetParallelism(n int) { db.parallelism = n }
 
 // NewDatabase returns an empty database on the memory engine.
 func NewDatabase() *Database {
@@ -233,14 +225,6 @@ func (s *Subscription) Close() {
 	s.db.mu.Lock()
 	defer s.db.mu.Unlock()
 	s.db.dropSubLocked(s)
-}
-
-// Subscribers reports the number of attached log subscribers (for tests and
-// monitoring).
-func (db *Database) Subscribers() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return len(db.subs)
 }
 
 // notifyLocked fans a committed batch out to the subscribers. A full channel
@@ -358,7 +342,7 @@ func (db *Database) Checkpoint() error {
 // live value; callers must not mutate it (use Assign). On the paged engine a
 // cold variable is materialized from its pages; an I/O failure there reports
 // as not-found here (the engine records the cause) — paths that must surface
-// the error (Save, Insert) use the engine directly.
+// the error (Snapshot, Begin, Save, Insert) use the engine directly.
 func (db *Database) Get(name string) (*relation.Relation, bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -422,12 +406,11 @@ func checkedValue(name string, typ schema.RelationType, rex *relation.Relation, 
 // previous value (assignment is atomic, as the paper's conditional pattern
 // requires).
 //
-// The checks run outside db.mu: guard predicates are arbitrary selector
-// bodies that may themselves query the store (including Partition, which
-// read-locks db.mu), so holding the write lock across them would
-// self-deadlock. The check examines only rex — never the variable's current
-// value — so check-then-swap preserves the atomic last-writer-wins
-// semantics.
+// The checks run outside db.mu: guard predicates are arbitrary caller code
+// that may itself read the store (which read-locks db.mu), so holding the
+// write lock across them would self-deadlock. The check examines only rex —
+// never the variable's current value — so check-then-swap preserves the
+// atomic last-writer-wins semantics.
 func (db *Database) Assign(name string, rex *relation.Relation, guards ...Guard) error {
 	typ, ok := db.Type(name)
 	if !ok {
@@ -479,35 +462,6 @@ func (db *Database) Insert(name string, tuples ...value.Tuple) error {
 	return nil
 }
 
-// Partition implements eval.PathProvider: it returns the tuples of base whose
-// attribute at pos equals v — the paper's physical access path (section 4: a
-// relation "partitioned according to the different constant values"), served
-// from base's own hash index on that attribute. The index is memoized on the
-// relation value, so it is built on first use, reused until the variable is
-// reassigned, inherited by the next published value as an overlay of the
-// inserted tuples, and freed with the value it indexes.
-//
-// Partition declines (ok false) when base is not a currently published
-// variable value: an index memoized on a transaction overlay or a
-// per-execution derived result would die after one execution, so those bases
-// scan instead.
-func (db *Database) Partition(base *relation.Relation, pos int, v value.Value) ([]value.Tuple, bool) {
-	if !db.published(base) {
-		return nil, false
-	}
-	return base.IndexOn([]int{pos}, db.parallelism).Probe(value.Tuple{v}), true
-}
-
-// published reports whether rel is the current value of some variable. The
-// pointer scan is O(#variables), far below the cost of the partition work it
-// gates.
-func (db *Database) published(rel *relation.Relation) bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	_, ok := db.engine.Current(rel)
-	return ok
-}
-
 // CachedPaths reports the number of hash indexes memoized on the currently
 // published, memory-resident variable values (for tests and monitoring).
 func (db *Database) CachedPaths() int {
@@ -525,26 +479,25 @@ func (db *Database) CachedPaths() int {
 // Snapshot returns the current binding of every variable. The map is a
 // private copy; the relations are the published values, which are immutable
 // once published (writers replace, never mutate), so the snapshot can be read
-// without further locking while writers proceed.
-func (db *Database) Snapshot() map[string]*relation.Relation {
+// without further locking while writers proceed. A variable whose
+// materialization fails (paged-engine I/O error) fails the snapshot with that
+// error, naming the variable; page I/O errors are retryable, so the next
+// Snapshot may succeed.
+func (db *Database) Snapshot() (map[string]*relation.Relation, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.snapshotLocked()
-}
-
-// snapshotLocked materializes every variable's current value. Caller holds
-// db.mu. A variable whose materialization fails (paged-engine I/O error) is
-// omitted — queries then report it unknown, and the engine records the
-// cause.
-func (db *Database) snapshotLocked() map[string]*relation.Relation {
 	names := db.engine.Names()
 	out := make(map[string]*relation.Relation, len(names))
 	for _, n := range names {
-		if r, ok, err := db.engine.Get(n); err == nil && ok {
+		r, ok, err := db.engine.Get(n)
+		if err != nil {
+			return nil, fmt.Errorf("store: reading %q: %w", n, err)
+		}
+		if ok {
 			out[n] = r
 		}
 	}
-	return out
+	return out, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -569,17 +522,20 @@ type Tx struct {
 	overwritten map[string]bool
 }
 
-// Begin starts a transaction over a stable snapshot.
-func (db *Database) Begin() *Tx {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
+// Begin starts a transaction over a stable snapshot; it fails as Snapshot
+// does.
+func (db *Database) Begin() (*Tx, error) {
+	base, err := db.Snapshot()
+	if err != nil {
+		return nil, err
+	}
 	return &Tx{
 		db:          db,
-		base:        db.snapshotLocked(),
+		base:        base,
 		overlay:     make(map[string]*relation.Relation),
 		inserted:    make(map[string][]value.Tuple),
 		overwritten: make(map[string]bool),
-	}
+	}, nil
 }
 
 // Get reads a variable inside the transaction.
@@ -695,12 +651,13 @@ func (tx *Tx) Rollback() {
 
 // Snapshot returns the binding of every variable as the transaction sees it:
 // the Begin snapshot overlaid with the transaction's own writes. Like
-// Database.Snapshot, the map is a private copy.
-func (tx *Tx) Snapshot() map[string]*relation.Relation {
+// Database.Snapshot, the map is a private copy; the error is always nil (every
+// value was materialized at Begin).
+func (tx *Tx) Snapshot() (map[string]*relation.Relation, error) {
 	out := make(map[string]*relation.Relation, len(tx.base)+len(tx.overlay))
 	maps.Copy(out, tx.base)
 	maps.Copy(out, tx.overlay)
-	return out
+	return out, nil
 }
 
 // Writes returns the names of the variables the transaction has written,

@@ -93,7 +93,10 @@ func TestTransactions(t *testing.T) {
 	_ = db.Declare("R", binT)
 	_ = db.Assign("R", relation.MustFromTuples(binT, pair("a", "b")))
 
-	tx := db.Begin()
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := tx.Insert("R", pair("c", "d")); err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +119,10 @@ func TestTransactions(t *testing.T) {
 		t.Error("double commit must fail")
 	}
 
-	tx2 := db.Begin()
+	tx2, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
 	_ = tx2.Insert("R", pair("e", "f"))
 	tx2.Rollback()
 	final, _ := db.Get("R")

@@ -272,23 +272,6 @@ func (c *Checker) CheckModule(m *ast.Module) error {
 	return nil
 }
 
-// CheckDecl checks one declaration and records it.
-func (c *Checker) CheckDecl(d ast.Decl) error {
-	switch t := d.(type) {
-	case *ast.TypeDecl:
-		return c.checkTypeDecl(t)
-	case *ast.VarDecl:
-		return c.checkVarDecl(t)
-	case *ast.SelectorDecl:
-		return c.checkSelectorDecl(t)
-	case *ast.ConstructorDecl:
-		_, err := c.CheckConstructorDecl(t)
-		return err
-	default:
-		return errf(ast.Pos{}, "unknown declaration %T", d)
-	}
-}
-
 func (c *Checker) defined(name string) bool {
 	if _, ok := c.Scalars[name]; ok {
 		return true

@@ -74,7 +74,10 @@ func simWorkload() []simStep {
 		{"declare-node", true, func(db *store.Database) error { return db.Declare("Node", intRelType("node")) }},
 		{"insert-node-1", true, func(db *store.Database) error { return db.Insert("Node", ints(1, 2, 3)...) }},
 		{"tx-commit", true, func(db *store.Database) error {
-			tx := db.Begin()
+			tx, err := db.Begin()
+			if err != nil {
+				return err
+			}
 			if err := tx.Insert("Edge", tup("c", "d")); err != nil {
 				return err
 			}
@@ -90,14 +93,20 @@ func simWorkload() []simStep {
 		}},
 		{"insert-node-2", true, func(db *store.Database) error { return db.Insert("Node", ints(5, 6)...) }},
 		{"tx-insert", true, func(db *store.Database) error {
-			tx := db.Begin()
+			tx, err := db.Begin()
+			if err != nil {
+				return err
+			}
 			if err := tx.Insert("Node", ints(10, 11)...); err != nil {
 				return err
 			}
 			return tx.Commit()
 		}},
 		{"tx-insert-assign", true, func(db *store.Database) error {
-			tx := db.Begin()
+			tx, err := db.Begin()
+			if err != nil {
+				return err
+			}
 			if err := tx.Insert("Node", ints(12)...); err != nil {
 				return err
 			}

@@ -462,7 +462,10 @@ func Apply(db *store.Database, batch []store.Mutation) error {
 	if len(batch) == 1 {
 		return applyOne(db, batch[0])
 	}
-	tx := db.Begin()
+	tx, err := db.Begin()
+	if err != nil {
+		return err
+	}
 	defer func() {
 		if !tx.Done() {
 			tx.Rollback()

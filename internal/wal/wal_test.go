@@ -177,7 +177,10 @@ func TestBatchAtomicity(t *testing.T) {
 	}
 	committed := saveBytes(t, db)
 
-	tx := db.Begin()
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := tx.Insert("A", tup("a1", "a2")); err != nil {
 		t.Fatal(err)
 	}
@@ -544,7 +547,10 @@ func TestMixedBatchOneRecordWholeOrNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tx := db.Begin()
+		tx, err := db.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := tx.Insert("A", tup("a1", "a1'")); err != nil {
 			t.Fatal(err)
 		}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/ast"
 	"repro/internal/eval"
 	"repro/internal/optimizer"
-	"repro/internal/schema"
 )
 
 // Plan is the compiled, inspectable form of one prepared query: the pass
@@ -68,8 +67,9 @@ type AccessPath struct {
 	Base string `json:"base"`
 	// Attr is the partition attribute, for hash-partition paths.
 	Attr string `json:"attr,omitempty"`
-	// Kind is "hash-partition" (indexable equality on the argument, served
-	// from the store's physical access path) or "scan".
+	// Kind is "hash-partition" (indexable equality on the argument of a
+	// selector applied directly to a relation variable, served from the hash
+	// index on that attribute) or "scan".
 	Kind string `json:"kind"`
 }
 
@@ -106,8 +106,9 @@ type ExecInfo struct {
 	MatView       string `json:"matview,omitempty"`
 	MatViewDelta  int    `json:"matview_delta,omitempty"`
 	MatViewRounds int    `json:"matview_rounds,omitempty"`
-	// PartitionLookups and Scans count selector applications answered from a
-	// hash partition vs. by scanning the base.
+	// PartitionLookups and Scans count the selector applications the
+	// execution ran — each application site once, by the plan it first ran —
+	// answered from a hash index on the base vs. by scanning it.
 	PartitionLookups int `json:"partition_lookups"`
 	Scans            int `json:"scans"`
 	// Parallelism is the session's executor worker budget (WithParallelism).
@@ -123,7 +124,8 @@ type ExecInfo struct {
 // largest worker count the operator's pipeline fanned out to.
 type OperatorStat struct {
 	// Op labels the operator and its binding variable, e.g. "hash-join(b)",
-	// "select[hidden_by]", "scan(f)", "dedup".
+	// "scan(f)", "dedup"; the operators of a selector application carry the
+	// selector's name instead, e.g. "scan[hidden_by]", "filter[hidden_by]".
 	Op      string `json:"op"`
 	RowsIn  int64  `json:"rows_in"`
 	RowsOut int64  `json:"rows_out"`
@@ -229,9 +231,7 @@ func (p *Plan) clone() *Plan {
 // ---------------------------------------------------------------------------
 
 // buildPlan derives the public plan from the statement's compiled state.
-// varType resolves relation variable names, to distinguish relation arguments
-// from scalar parameters when classifying selector access paths.
-func (s *Stmt) buildPlan(traces []optimizer.Trace, decls *declSnapshot, varType func(string) (schema.RelationType, bool)) *Plan {
+func (s *Stmt) buildPlan(traces []optimizer.Trace, decls *declSnapshot) *Plan {
 	p := &Plan{
 		Source:      s.src,
 		Kind:        "range",
@@ -247,17 +247,8 @@ func (s *Stmt) buildPlan(traces []optimizer.Trace, decls *declSnapshot, varType 
 		p.Passes = append(p.Passes, PassTrace{Pass: t.Pass, Applied: t.Applied, Detail: t.Detail})
 	}
 
-	// Access path per selector application in the final form.
-	isScalarArg := func(a *ast.Arg) bool {
-		if a.Scalar != nil {
-			return true
-		}
-		if a.Rel != nil && a.Rel.Sub == nil && len(a.Rel.Suffixes) == 0 {
-			_, isRel := varType(a.Rel.Var)
-			return !isRel
-		}
-		return false
-	}
+	// Access path per selector application in the final form: what
+	// eval.SelectorAccess decides, which is what applying it will run.
 	ast.WalkRange(s.execRng, func(r *ast.Range) {
 		for i := range r.Suffixes {
 			suf := &r.Suffixes[i]
@@ -266,17 +257,9 @@ func (s *Stmt) buildPlan(traces []optimizer.Trace, decls *declSnapshot, varType 
 			}
 			prefix := &ast.Range{Var: r.Var, Sub: r.Sub, Suffixes: r.Suffixes[:i]}
 			entry := AccessPath{Selector: suf.Name, Base: prefix.String(), Kind: "scan"}
-			// The store only serves partitions over published variable
-			// values, so a hash-partition path requires the selector to
-			// apply directly to a relation variable — derived bases
-			// (constructor results, sub-expressions) always scan.
-			_, baseIsVar := varType(r.Var)
-			onPublished := i == 0 && r.Sub == nil && baseIsVar
-			if decl, ok := decls.selectors[suf.Name]; ok && p.Optimized && onPublished &&
-				len(suf.Args) == 1 && isScalarArg(&suf.Args[0]) {
-				if attr, okAttr := eval.SelectorPartitionAttr(decl); okAttr {
-					entry.Attr = attr
-					entry.Kind = "hash-partition"
+			if decl, ok := decls.selectors[suf.Name]; ok && p.Optimized {
+				if attr, indexed := eval.SelectorAccess(decl, r, i); indexed {
+					entry.Attr, entry.Kind = attr, "hash-partition"
 				}
 			}
 			p.AccessPaths = append(p.AccessPaths, entry)

@@ -2,7 +2,6 @@ package dbpl
 
 import (
 	"context"
-	"fmt"
 	"iter"
 
 	"repro/internal/relation"
@@ -101,59 +100,9 @@ func (r *Rows) setErr(err error) {
 // value type. Scan errors are returned and also sticky: they stop the
 // iteration and surface from Err after the loop.
 func (r *Rows) Scan(dest ...any) error {
-	if err := r.scan(dest); err != nil {
+	if err := r.cur.Scan(r.cols, dest); err != nil {
 		r.setErr(err)
 		return err
-	}
-	return nil
-}
-
-func (r *Rows) scan(dest []any) error {
-	if r.cur == nil {
-		return fmt.Errorf("dbpl: Scan called without a successful Next")
-	}
-	if len(dest) != len(r.cur) {
-		return fmt.Errorf("dbpl: Scan expected %d destination(s), got %d", len(r.cur), len(dest))
-	}
-	for i, d := range dest {
-		v := r.cur[i]
-		switch p := d.(type) {
-		case *Value:
-			*p = v
-		case *any:
-			switch v.Kind() {
-			case value.KindString:
-				*p = v.AsString()
-			case value.KindInt:
-				*p = v.AsInt()
-			case value.KindBool:
-				*p = v.AsBool()
-			default:
-				return fmt.Errorf("dbpl: Scan column %q: cannot scan %s value into *any", r.cols[i], v.Kind())
-			}
-		case *string:
-			if v.Kind() != value.KindString {
-				return fmt.Errorf("dbpl: Scan column %q: cannot scan %s into *string", r.cols[i], v.Kind())
-			}
-			*p = v.AsString()
-		case *int64:
-			if v.Kind() != value.KindInt {
-				return fmt.Errorf("dbpl: Scan column %q: cannot scan %s into *int64", r.cols[i], v.Kind())
-			}
-			*p = v.AsInt()
-		case *int:
-			if v.Kind() != value.KindInt {
-				return fmt.Errorf("dbpl: Scan column %q: cannot scan %s into *int", r.cols[i], v.Kind())
-			}
-			*p = int(v.AsInt())
-		case *bool:
-			if v.Kind() != value.KindBool {
-				return fmt.Errorf("dbpl: Scan column %q: cannot scan %s into *bool", r.cols[i], v.Kind())
-			}
-			*p = v.AsBool()
-		default:
-			return fmt.Errorf("dbpl: Scan column %q: unsupported destination type %T", r.cols[i], d)
-		}
 	}
 	return nil
 }

@@ -17,6 +17,7 @@ import (
 	"repro/internal/relation"
 	"repro/internal/store"
 	"repro/internal/typecheck"
+	"repro/internal/value"
 	"repro/internal/wal"
 )
 
@@ -84,8 +85,9 @@ type DB struct {
 	views *matview.Cache
 
 	// noOptimize (WithoutOptimization) skips the optimizer pass pipeline at
-	// Prepare time and disables physical access paths, so every selector
-	// application scans. Fixed at Open and read without locking afterwards.
+	// Prepare time and makes every selector application scan its base
+	// (eval.Env.ScanSelectors). Fixed at Open and read without locking
+	// afterwards.
 	noOptimize bool
 }
 
@@ -115,7 +117,6 @@ func Open(opts ...Option) (*DB, error) {
 	chk, reg := typecheck.New(), core.NewRegistry()
 	chk.Strict, reg.Strict = cfg.strict, cfg.strict
 	d.publish(chk, reg)
-	d.Store.SetParallelism(cfg.parallelism)
 	if cfg.engine == EnginePaged && cfg.path == "" {
 		return nil, fmt.Errorf("dbpl: the paged storage engine requires WithPath (the heap file is the primary copy)")
 	}
@@ -159,7 +160,6 @@ func Open(opts ...Option) (*DB, error) {
 			return nil, fmt.Errorf("dbpl: opening durable store at %s: %w", cfg.path, err)
 		}
 		d.Store = st
-		st.SetParallelism(cfg.parallelism)
 		d.wal = wlog
 		// Recovered base relations type-check in later modules without
 		// re-running the declaring ones.
@@ -555,7 +555,10 @@ func (d *DB) runStmts(ctx context.Context, out io.Writer, stmts []ast.Stmt, tx *
 		view, w = tx.tx, tx.tx
 	}
 	for i, s := range stmts {
-		env, en := d.newEval(ctx, view, nil)
+		env, en, err := d.newEval(ctx, view, nil)
+		if err != nil {
+			return fmt.Errorf("statement %d (%s): %w", i+1, s, err)
+		}
 		target, specs, err := compile.RunStmt(env, decls.checker.Selectors, w, out, s)
 		d.recordStats(en)
 		if err != nil {
@@ -623,7 +626,7 @@ func (d *DB) publishVars(names ...string) {
 // relView is the relation-variable state an evaluation binds: the store's
 // published values, or a transaction's Begin snapshot plus its own writes.
 type relView interface {
-	Snapshot() map[string]*relation.Relation
+	Snapshot() (map[string]*relation.Relation, error)
 }
 
 // newEval builds the private environment and engine of one evaluation; it is
@@ -636,12 +639,16 @@ type relView interface {
 // system — gets the same configuration over a blank environment instead: its
 // rules read only the arguments they are applied to, and its fixpoints stay
 // out of the view cache, which is keyed by the database's constructor names.
-func (d *DB) newEval(ctx context.Context, view relView, private *core.Registry) (*eval.Env, *core.Engine) {
+//
+// The only failure is the snapshot's: a variable the storage engine could not
+// read, reported as that error rather than as a missing relation.
+func (d *DB) newEval(ctx context.Context, view relView, private *core.Registry) (*eval.Env, *core.Engine, error) {
 	decls, st, mode := d.current()
 	env := eval.NewEnv()
 	env.Ctx = ctx
 	env.Parallelism = d.parallelism
 	env.ParallelMinRows = d.parallelMinRows
+	env.ScanSelectors = d.noOptimize
 	reg := private
 	var views core.ViewProvider
 	if reg == nil {
@@ -651,11 +658,9 @@ func (d *DB) newEval(ctx context.Context, view relView, private *core.Registry) 
 		if view == nil {
 			view = st
 		}
-		env.Rels = view.Snapshot()
-		if !d.noOptimize {
-			// Selector applications over published relations answer from the
-			// relation's memoized hash index instead of scanning.
-			env.Paths = st
+		var err error
+		if env.Rels, err = view.Snapshot(); err != nil {
+			return nil, nil, err
 		}
 		if d.views != nil { // a nil *matview.Cache must not become a non-nil interface
 			views = d.views
@@ -665,7 +670,7 @@ func (d *DB) newEval(ctx context.Context, view relView, private *core.Registry) 
 	en.Mode = mode
 	en.Parallelism = d.parallelism
 	en.Views = views
-	return env, en
+	return env, en, nil
 }
 
 // ApplyContext evaluates a constructor application on an explicit base
@@ -678,37 +683,22 @@ func (d *DB) ApplyContext(ctx context.Context, constructor string, base *Relatio
 			resolved[i] = eval.Resolved{Rel: rel}
 			continue
 		}
-		v, err := toValue(a)
+		v, err := value.FromGo(a)
 		if err != nil {
 			return nil, err
 		}
 		resolved[i] = eval.Resolved{Scalar: v, IsScalar: true}
 	}
-	_, en := d.newEval(ctx, nil, nil)
+	_, en, err := d.newEval(ctx, nil, nil)
+	if err != nil {
+		return nil, err
+	}
 	out, err := en.ApplyContext(ctx, constructor, base, resolved)
 	if err != nil {
 		return nil, wrapErr(err)
 	}
 	d.recordStats(en)
 	return out, nil
-}
-
-// toValue converts a Go scalar to a DBPL value.
-func toValue(a any) (Value, error) {
-	switch v := a.(type) {
-	case Value:
-		return v, nil
-	case string:
-		return Str(v), nil
-	case int:
-		return Int(int64(v)), nil
-	case int64:
-		return Int(v), nil
-	case bool:
-		return Bool(v), nil
-	default:
-		return Value{}, fmt.Errorf("dbpl: unsupported argument type %T", a)
-	}
 }
 
 // LoadStore replaces the database's relation variables with those read from
@@ -744,7 +734,6 @@ func (d *DB) LoadStore(r io.Reader) error {
 		}
 	}
 	d.Store = db
-	db.SetParallelism(d.parallelism)
 	// Cached plans resolved names against the replaced store, and cached
 	// fixpoints were computed over its relations: publishing drops the plans,
 	// and re-pointing the view cache at the new store drops every entry and

@@ -14,6 +14,7 @@ import (
 	"repro/internal/optimizer"
 	"repro/internal/parser"
 	"repro/internal/relation"
+	"repro/internal/value"
 )
 
 // Stmt is a prepared query: Prepare parses the source, resolves its relation,
@@ -110,7 +111,7 @@ func (s *Stmt) compile() {
 		}
 		s.magicReg = reg
 	}
-	s.plan = s.buildPlan(traces, decls, st.Type)
+	s.plan = s.buildPlan(traces, decls)
 }
 
 // prepareCached returns the plan-cached statement for src, preparing and
@@ -176,7 +177,6 @@ func (s *Stmt) QueryRows(ctx context.Context, args ...any) (*Rows, error) {
 
 // execStats collects per-execution counters for EXPLAIN ANALYZE.
 type execStats struct {
-	paths  eval.PathStats
 	exec   eval.ExecStats
 	engine core.Stats
 	// view is the materialized-view outcome of the execution, when a
@@ -200,7 +200,7 @@ func (s *Stmt) bindArgs(ctx context.Context, env *eval.Env, args []any) error {
 		return err
 	}
 	for i, name := range s.params {
-		v, err := toValue(args[i])
+		v, err := value.FromGo(args[i])
 		if err != nil {
 			return fmt.Errorf("dbpl: binding parameter %q: %w", name, err)
 		}
@@ -210,7 +210,10 @@ func (s *Stmt) bindArgs(ctx context.Context, env *eval.Env, args []any) error {
 }
 
 func (s *Stmt) exec(ctx context.Context, args []any, ex *execStats) (*relation.Relation, error) {
-	env, en := s.db.newEval(ctx, nil, nil)
+	env, en, err := s.db.newEval(ctx, nil, nil)
+	if err != nil {
+		return nil, err
+	}
 	return s.execWith(ctx, env, en, args, ex)
 }
 
@@ -221,7 +224,6 @@ func (s *Stmt) execWith(ctx context.Context, env *eval.Env, en *core.Engine, arg
 		return nil, err
 	}
 	if ex != nil {
-		env.PathStats = &ex.paths
 		env.ExecStats = &ex.exec
 	}
 	var rel *relation.Relation
@@ -269,10 +271,13 @@ func (s *Stmt) execMagic(ctx context.Context, env *eval.Env, outer *core.Engine,
 			return nil, err
 		}
 		if ok {
-			return env.ApplySuffixes(full, s.execRng.Suffixes[mp.SuffixFrom:])
+			return env.ApplySuffixes(full, s.execRng, mp.SuffixFrom)
 		}
 	}
-	men, en := d.newEval(ctx, nil, s.magicReg)
+	men, en, err := d.newEval(ctx, nil, s.magicReg)
+	if err != nil {
+		return nil, err
+	}
 	men.ExecStats = env.ExecStats
 	args := make([]eval.Resolved, 0, len(mp.Bundle.EDB)+len(mp.Bundle.IDB))
 	for _, pred := range mp.Bundle.EDB {
@@ -295,7 +300,7 @@ func (s *Stmt) execMagic(ctx context.Context, env *eval.Env, outer *core.Engine,
 		ex.engine = en.LastStats()
 	}
 	restricted := horn.RetypeRelation(mp.Result, res)
-	return env.ApplySuffixes(restricted, s.execRng.Suffixes[mp.SuffixFrom:])
+	return env.ApplySuffixes(restricted, s.execRng, mp.SuffixFrom)
 }
 
 // ---------------------------------------------------------------------------

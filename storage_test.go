@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -391,4 +392,98 @@ func TestStorageRowsStreamUnderEvictionPressure(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Errorf("goroutine leak: %d before, %d after", before, runtime.NumGoroutine())
+}
+
+// TestStoragePageReadErrorSurfaces: a variable the paged engine cannot read
+// fails the evaluation with that I/O error, naming the variable — it is never
+// silently missing ("unknown relation") — and because page I/O errors are
+// retryable, the next attempt succeeds.
+func TestStoragePageReadErrorSurfaces(t *testing.T) {
+	ctx := context.Background()
+	// cold builds a paged database whose Stock lives only in the heap file:
+	// loaded, checkpointed, closed and reopened.
+	cold := func(t *testing.T, ffs *fsx.FaultFS) *DB {
+		t.Helper()
+		db := openStorageDB(t, ffs, WithEngine(EnginePaged), WithBufferPoolPages(2))
+		if _, err := db.Exec(storageSchema); err != nil {
+			t.Fatal(err)
+		}
+		tuples := make([]Tuple, 200)
+		for i := range tuples {
+			tuples[i] = stockTuple(i)
+		}
+		if err := db.Insert("Stock", tuples...); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		db = openStorageDB(t, ffs, WithEngine(EnginePaged), WithBufferPoolPages(2))
+		if _, err := db.Exec(storageSchema); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	for _, tc := range []struct {
+		name string
+		read func(db *DB) error
+	}{
+		{"Query", func(db *DB) error {
+			rel, err := db.Query(`Stock[at("loc-003")]`)
+			if err == nil && rel.Len() == 0 {
+				return errors.New("Stock[at] selected nothing")
+			}
+			return err
+		}},
+		{"Begin", func(db *DB) error {
+			tx, err := db.Begin(ctx)
+			if err != nil {
+				return err
+			}
+			defer tx.Rollback() //nolint:errcheck // read-only probe
+			if rel, ok := tx.Relation("Stock"); !ok || rel.Len() != 200 {
+				return errors.New("transaction does not see Stock")
+			}
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Pilot: the index of the first heap-page read the operation does.
+			pfs := fsx.NewFaultFS(fsx.NewMemFS())
+			db := cold(t, pfs)
+			before := pfs.OpCount()
+			if err := tc.read(db); err != nil {
+				t.Fatalf("pilot: %v", err)
+			}
+			k := -1
+			for i, op := range pfs.Ops()[before:] {
+				if op.Kind == fsx.OpRead && strings.Contains(op.Path, "heap") {
+					k = before + i
+					break
+				}
+			}
+			_ = db.Close()
+			if k < 0 {
+				t.Fatal("pilot read no heap page: Stock was not cold")
+			}
+
+			ffs := fsx.NewFaultFS(fsx.NewMemFS())
+			ffs.Inject(fsx.Fault{Index: k, Err: syscall.EIO})
+			db = cold(t, ffs)
+			defer db.Close()
+			err := tc.read(db)
+			if !errors.Is(err, syscall.EIO) || !strings.Contains(err.Error(), `"Stock"`) {
+				t.Fatalf("over a failed page read: %v, want the injected EIO naming Stock", err)
+			}
+			if h := db.Health(); !errors.Is(h.Storage.Err, syscall.EIO) {
+				t.Errorf("Health().Storage.Err = %v, want the injected EIO", h.Storage.Err)
+			}
+			if err := tc.read(db); err != nil {
+				t.Fatalf("retry after the transient fault: %v", err)
+			}
+		})
+	}
 }

@@ -46,7 +46,11 @@ func (d *DB) Begin(ctx context.Context) (*Tx, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return &Tx{db: d, tx: d.store().Begin(), guards: make(map[string][]compile.GuardSpec)}, nil
+	tx, err := d.store().Begin()
+	if err != nil {
+		return nil, err
+	}
+	return &Tx{db: d, tx: tx, guards: make(map[string][]compile.GuardSpec)}, nil
 }
 
 // Exec runs a DBPL module's statements (SHOW and assignment, including
@@ -83,7 +87,10 @@ func (t *Tx) Query(ctx context.Context, src string, args ...any) (*Relation, err
 	if err != nil {
 		return nil, err
 	}
-	env, en := t.db.newEval(ctx, t.tx, nil)
+	env, en, err := t.db.newEval(ctx, t.tx, nil)
+	if err != nil {
+		return nil, err
+	}
 	return st.execWith(ctx, env, en, args, nil)
 }
 
@@ -151,7 +158,10 @@ func (t *Tx) Commit() error {
 	if t.db.store() != t.tx.DB() {
 		return fmt.Errorf("dbpl: store was replaced (LoadStore) during the transaction; nothing committed")
 	}
-	env, _ := t.db.newEval(context.Background(), t.tx, nil)
+	env, _, err := t.db.newEval(context.Background(), t.tx, nil)
+	if err != nil {
+		return err
+	}
 	for _, name := range t.tx.Writes() {
 		specs := t.guards[name]
 		if len(specs) == 0 {

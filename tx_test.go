@@ -256,10 +256,9 @@ END t.
 }
 
 // TestGuardWithIndexableSelectorBody is a deadlock regression test: a guard
-// predicate whose body applies an indexable selector reaches the store's
-// Partition (which read-locks the store) while the assignment is in
-// progress — the guard checks must therefore run outside the store's write
-// lock.
+// predicate is arbitrary evaluator code — here a body applying an indexable
+// selector, which once read-locked the store to ask for its partition — so
+// the guard checks must run outside the store's write lock.
 func TestGuardWithIndexableSelectorBody(t *testing.T) {
 	db := openWith(t, guardModule)
 	if err := db.Insert("Objects", dbpl.NewTuple(dbpl.Str("x"))); err != nil {
