@@ -41,11 +41,13 @@
 //
 // # Prepared statements and row cursors
 //
-// Prepare parses and resolves a query once; the statement can then be
-// executed repeatedly (concurrently, if desired) with scalar parameters
-// bound per call. QueryContext evaluates the query and returns a *Rows cursor
-// over the materialized result, so callers iterate and Scan without copying
-// it into slices of their own:
+// Prepare parses and type-checks a query once — by the one static check every
+// entry point runs, so a query that does not type is a *TypeError here,
+// whatever the relations hold — and the statement can then be executed
+// repeatedly (concurrently, if desired) with scalar parameters bound per
+// call, in order of first appearance in the source. QueryContext evaluates
+// the query and returns a *Rows cursor over the materialized result, so
+// callers iterate and Scan without copying it into slices of their own:
 //
 //	stmt, err := db.Prepare(`Infront[hidden_by(Obj)]{ahead}`)
 //	rel, err := stmt.Query(ctx, "table")       // binds Obj := "table"
@@ -221,11 +223,8 @@ func (d *DB) Declare(name string, typ RelationType) error {
 	if err := d.store().Declare(name, typ); err != nil {
 		return wrapErr(d.noteMutErr(err))
 	}
-	// Publishing also drops the cached plans, which may have classified the
-	// new name as a scalar parameter.
-	d.mu.Lock()
-	d.publishVars(name)
-	d.mu.Unlock()
+	// A cached plan may have typed the new name as a scalar parameter.
+	d.plans.clear()
 	return nil
 }
 

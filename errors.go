@@ -15,8 +15,9 @@ import (
 )
 
 // ParseError reports a syntax (or lexical) error with its source position.
-// Exec, Query, and Prepare surface every parse failure as a *ParseError, so
-// callers can branch with errors.As without importing internal packages.
+// Exec, Tx.Exec, Query, and Prepare surface every parse failure as a
+// *ParseError, so callers can branch with errors.As without importing
+// internal packages.
 type ParseError struct {
 	Line, Col int
 	Msg       string
@@ -32,7 +33,11 @@ func (e *ParseError) Unwrap() error { return e.err }
 // Error types re-exported from the internal packages; all surface through
 // Exec/Query/Prepare and support errors.As.
 type (
-	// TypeError is a static type error with position.
+	// TypeError is a static type error with position: what Exec, Tx.Exec
+	// and Prepare (hence Query, Tx.Query, Explain) report for a text that
+	// does not type, before anything is evaluated or written, and what
+	// executing a statement reports for an argument of another kind than its
+	// parameter's type.
 	TypeError = typecheck.Error
 	// PositivityError reports a constructor rejected by the positivity
 	// constraint of section 3.3; it carries the full occurrence report.

@@ -2,11 +2,21 @@ package dbpl_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	dbpl "repro"
+	"repro/client"
+
+	"repro/internal/server"
+	"repro/internal/store"
+	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // pathSchema declares what the statement modules of TestExecAndTxExecAgree
@@ -132,6 +142,237 @@ func TestExecAndTxExecAgree(t *testing.T) {
 				t.Errorf("Infront has %d tuples, want %d: %s", rel.Len(), tc.wantInfront, rel)
 			}
 		})
+	}
+}
+
+// matrixSchema is pathSchema plus a relation no infrontrel selector or
+// constructor fits, and a variable the matrix's assignments target.
+const matrixSchema = `
+MODULE more;
+TYPE stockrel = RELATION OF RECORD item: STRING; qty: INTEGER END;
+VAR Stock: stockrel;
+VAR Sink: infrontrel;
+END more.
+`
+
+// TestEntryPointsAgreeOnTypeErrors is the other half of one evaluation path:
+// one static check in front of it. Every way an expression enters the session
+// — a module's SHOW, a transaction's SHOW and assignment, Prepare, Query,
+// Tx.Query, Explain, ExplainQuery, and Prepare and Tx.Exec over the wire —
+// rejects an ill-typed one with the same *TypeError, whether the relations it
+// ranges over hold tuples or not (an ill-typed predicate over an empty
+// relation is never evaluated, so only a static check can see it), before
+// anything is evaluated or written.
+func TestEntryPointsAgreeOnTypeErrors(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct{ name, expr, want string }{
+		{"unknown attribute", `{EACH r IN Infront: r.nosuch = "a"}`, `variable "r" has no attribute "nosuch"`},
+		{"kind-mismatched comparison", `{EACH r IN Infront: r.front = 3}`, `comparison = between parttype and INTEGER`},
+		{"selector over an incompatible base", `Stock[hidden_by("a")]`, `selector "hidden_by" expects base of type`},
+		{"constructor over an incompatible base", `Stock{ahead}`, `constructor "ahead" expects base of type`},
+		{"unbound tuple variable", `{EACH r IN Infront: q.front = "a"}`, `unbound tuple variable "q"`},
+		{"incompatible branches", `{EACH r IN Infront: TRUE, EACH s IN Stock: TRUE}`, `branch 2 yields`},
+		{"non-integer arithmetic", `{EACH s IN Stock: s.qty + s.item = 3}`, `arithmetic + on non-integer operands`},
+		{"wrong-kind selector argument", `Infront[hidden_by(3)]`, `argument 1 of "hidden_by": expected parttype, got INTEGER`},
+		{"correlated range", `{EACH r IN Infront, EACH s IN {EACH x IN Infront: x.front = r.back}: TRUE}`, `unbound tuple variable "r"`},
+		{"relation used as a scalar", `{EACH r IN Infront: r.front = Sink}`, `"Sink" is a relation, not a scalar`},
+		{"untypeable empty set", `{}`, `cannot infer the type of an empty set expression`},
+	} {
+		for _, fill := range []struct{ name, stmts string }{
+			{"populated", `Stock := {<"a", 3>};`},
+			{"empty", `Objects := {<"none">}[nothing]; Infront := Sink;`},
+		} {
+			t.Run(tc.name+"/"+fill.name, func(t *testing.T) {
+				db := openWith(t, pathSchema)
+				for _, m := range []string{matrixSchema, `MODULE f;
+SELECTOR nothing () FOR Rel: objectrel;
+BEGIN EACH r IN Rel: FALSE END nothing;
+` + fill.stmts + ` END f.`} {
+					if _, err := db.Exec(m); err != nil {
+						t.Fatal(err)
+					}
+				}
+				srv := server.New(db, server.Options{})
+				l, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				go srv.Serve(l) //nolint:errcheck // exits with the listener
+				defer srv.Close()
+				c, err := client.Open(l.Addr().String())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				tx, err := db.Begin(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer tx.Rollback() //nolint:errcheck
+				ctxn, err := c.Begin(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer ctxn.Rollback() //nolint:errcheck
+
+				// A statement that would write comes first in every module:
+				// all statements are checked before the first one runs.
+				show := "MODULE s;\nSink := {<\"x\",\"y\">};\nSHOW " + tc.expr + ";\nEND s."
+				assign := "MODULE s;\nSink := {<\"x\",\"y\">};\nSink := " + tc.expr + ";\nEND s."
+				var msg string
+				for _, ep := range []struct {
+					name string
+					run  func() error
+				}{
+					{"DB.Exec SHOW", func() error { _, err := db.ExecContext(ctx, show); return err }},
+					{"Tx.Exec SHOW", func() error { _, err := tx.Exec(ctx, show); return err }},
+					{"Tx.Exec assignment", func() error { _, err := tx.Exec(ctx, assign); return err }},
+					{"Prepare", func() error { _, err := db.Prepare(tc.expr); return err }},
+					{"Query", func() error { _, err := db.Query(tc.expr); return err }},
+					{"Tx.Query", func() error { _, err := tx.Query(ctx, tc.expr); return err }},
+					{"Explain", func() error { _, err := db.Explain(ctx, tc.expr); return err }},
+					{"ExplainQuery", func() error { _, err := db.ExplainQuery(ctx, tc.expr); return err }},
+				} {
+					err := ep.run()
+					var te *dbpl.TypeError
+					if !errors.As(err, &te) {
+						t.Errorf("%s: %v, want a *TypeError", ep.name, err)
+						continue
+					}
+					if !strings.Contains(te.Msg, tc.want) {
+						t.Errorf("%s: %q lacks %q", ep.name, te.Msg, tc.want)
+					}
+					if msg == "" {
+						msg = te.Msg
+					}
+					if te.Msg != msg {
+						t.Errorf("%s says %q, DB.Exec said %q", ep.name, te.Msg, msg)
+					}
+				}
+				for _, ep := range []struct {
+					name string
+					run  func() error
+				}{
+					{"client.Prepare", func() error { _, err := c.Prepare(tc.expr); return err }},
+					{"client Tx.Exec", func() error { _, err := ctxn.Exec(ctx, show); return err }},
+				} {
+					err := ep.run()
+					var re *wire.RemoteError
+					if !errors.As(err, &re) || re.Code != wire.CodeType || !strings.Contains(re.Msg, msg) {
+						t.Errorf("%s: %v, want wire code %q carrying %q", ep.name, err, wire.CodeType, msg)
+					}
+				}
+				if rel, _ := db.Relation("Sink"); rel.Len() != 0 {
+					t.Errorf("a rejected module wrote Sink: %s", rel)
+				}
+				if rel, _ := tx.Relation("Sink"); rel.Len() != 0 {
+					t.Errorf("a rejected module wrote Sink inside the transaction: %s", rel)
+				}
+			})
+		}
+	}
+}
+
+// TestParamsInSourceOrder: Stmt.Params lists a statement's parameters in the
+// order they first appear in its text, wherever they appear — as an argument,
+// in a predicate, in a target list — and that is the order arguments bind in.
+func TestParamsInSourceOrder(t *testing.T) {
+	db := openWith(t, pathSchema)
+	if _, err := db.Exec(`MODULE n;
+SELECTOR nonempty (X: parttype) FOR Rel: objectrel;
+BEGIN EACH r IN Rel: r.part # X END nonempty;
+END n.`); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		src  string
+		want string
+	}{
+		{`{EACH t IN Infront[hidden_by(First)]: t.back = Second}`, "[First Second]"},
+		{`{<t.front, Third> OF EACH t IN Infront[hidden_by(First)]: t.back = Second AND t.front = First}`, "[Third First Second]"},
+		{`{EACH t IN Infront: t.back = B AND SOME o IN Objects[nonempty(A)] (o.part = B)}`, "[B A]"},
+	} {
+		st, err := db.Prepare(tc.src)
+		if err != nil {
+			t.Fatalf("Prepare(%s): %v", tc.src, err)
+		}
+		if got := fmt.Sprint(st.Params()); got != tc.want {
+			t.Errorf("Params(%s) = %s, want %s", tc.src, got, tc.want)
+		}
+	}
+	st, err := db.Prepare(`{EACH t IN Infront[hidden_by(First)]: t.back = Second}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rel, err := st.Query(context.Background(), "vase", "table"); err != nil || rel.Len() != 1 {
+		t.Errorf("bound in source order: %v, %v", rel, err)
+	}
+}
+
+// TestBindChecksArgumentsAgainstParameterTypes: a parameter has the type of
+// its first context, an argument of another kind is a *TypeError naming the
+// parameter and the statement — not a failure inside the evaluation, at a
+// position in some declaration — and a parameter only a target list mentions
+// is typed by each value bound to it.
+func TestBindChecksArgumentsAgainstParameterTypes(t *testing.T) {
+	ctx := context.Background()
+	db := openWith(t, pathSchema)
+	for _, tc := range []struct {
+		src  string
+		args []any
+		want string // substring of the *TypeError; "" means success
+		cols string
+	}{
+		{`Infront[hidden_by(Obj)]`, []any{"vase"}, "", "[front back]"},
+		{`Infront[hidden_by(Obj)]`, []any{3}, `statement "Infront[hidden_by(Obj)]": parameter "Obj" is parttype, bound to the INTEGER value 3`, ""},
+		{`{EACH r IN Infront: r.front = Who}`, []any{true}, `parameter "Who" is parttype, bound to the BOOLEAN value`, ""},
+		{`{<r.front, N + 1> OF EACH r IN Infront: TRUE}`, []any{"one"}, `parameter "N" is INTEGER`, ""},
+		{`{<r.front, X> OF EACH r IN Infront: TRUE}`, []any{"x"}, "", "[front X]"},
+		{`{<r.front, X> OF EACH r IN Infront: TRUE}`, []any{7}, "", "[front X]"},
+		{`{<X> OF EACH r IN Infront: TRUE, <r.front> OF EACH r IN Infront: TRUE}`, []any{"x"}, "", "[X]"},
+		{`{<X> OF EACH r IN Infront: TRUE, <r.front> OF EACH r IN Infront: TRUE}`, []any{7}, `branch 2 yields`, ""},
+	} {
+		st, err := db.Prepare(tc.src)
+		if err != nil {
+			t.Fatalf("Prepare(%s): %v", tc.src, err)
+		}
+		rows, err := st.QueryRows(ctx, tc.args...)
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("%s bound to %v: %v", tc.src, tc.args, err)
+				continue
+			}
+			if got := fmt.Sprint(rows.Columns()); got != tc.cols {
+				t.Errorf("%s bound to %v: columns %s, want %s", tc.src, tc.args, got, tc.cols)
+			}
+			rows.Close()
+			continue
+		}
+		var te *dbpl.TypeError
+		if !errors.As(err, &te) || !strings.Contains(te.Msg, tc.want) {
+			t.Errorf("%s bound to %v: %v, want a *TypeError containing %q", tc.src, tc.args, err, tc.want)
+		}
+	}
+}
+
+// TestStoreIsTheOneSourceOfVariableTypes: a variable the store learns outside
+// any module — here from a replayed declaration record, the way a replica
+// learns one from the replication stream — types in a later module's selector
+// body exactly as it does in a query.
+func TestStoreIsTheOneSourceOfVariableTypes(t *testing.T) {
+	db := openWith(t, pathSchema)
+	typ, _ := db.StoreSnapshot().Type("Infront")
+	if err := wal.Apply(db.StoreSnapshot(), []store.Mutation{{Op: store.OpDeclare, Name: "Late", Type: typ}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec(`MODULE v;
+SELECTOR late () FOR Rel: infrontrel;
+BEGIN EACH r IN Rel: SOME l IN Late (r.front = l.front) END late;
+END v.`); err != nil {
+		t.Fatalf("module over a streamed variable: %v", err)
+	}
+	if _, err := db.Query(`Infront[late]`); err != nil {
+		t.Fatal(err)
 	}
 }
 

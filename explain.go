@@ -48,8 +48,8 @@ func (s *Stmt) ExplainQuery(ctx context.Context, args ...any) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := s.Plan()
-	p.Quantifiers = s.quantifiers(&ex.exec)
+	p := ex.stmt.Plan()
+	p.Quantifiers = ex.stmt.quantifiers(&ex.exec)
 	lookups, scans := ex.exec.SelectorPaths()
 	p.Analyze = &ExecInfo{
 		Rows:             rel.Len(),

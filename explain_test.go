@@ -403,7 +403,6 @@ func TestExplainAnalyzeQuantifiersMatchOperators(t *testing.T) {
 func TestPlanKind(t *testing.T) {
 	db := openWith(t, cadModule)
 	for _, tc := range []struct{ src, want string }{
-		{`{}`, "set"},
 		{`{<"a","b">, <"b","c">}`, "set"},
 		{`{EACH r IN Infront: TRUE}`, "set"},
 		{`{EACH r IN Infront: TRUE, <f.front, b.back> OF EACH f, b IN Infront: f.back = b.front}`, "set"},
@@ -422,75 +421,266 @@ func TestPlanKind(t *testing.T) {
 	}
 }
 
-// TestOptimizedEquivalence runs every example workload's queries under the
-// default pipeline and under WithoutOptimization and requires identical
-// relations — the pass pipeline and the access paths must be pure
-// optimizations.
-func TestOptimizedEquivalence(t *testing.T) {
+// corpusCase is one schema of the accept corpus: the modules that build it,
+// the statement modules a transaction runs over it, and the queries — with
+// the arguments their parameters bind — it answers.
+type corpusCase struct {
+	name    string
+	modules []string
+	setup   func(t testing.TB, db *dbpl.DB)
+	txs     []string
+	queries []corpusQuery
+}
+
+type corpusQuery struct {
+	src  string
+	args []any
+}
+
+func cq(src string, args ...any) corpusQuery { return corpusQuery{src, args} }
+
+// acceptCorpus is the well-typed programs the repository runs: the examples'
+// modules and queries, the root tests' and the four benchmark workloads'
+// (their texts, copied). The static check must accept every one of them, and
+// they seed FuzzCheckedQueryDoesNotGoWrong.
+func acceptCorpus() []corpusCase {
 	bom := workload.NewBOM(6, 3, 42)
-	cases := []struct {
-		name    string
-		module  string
-		setup   func(t *testing.T, db *dbpl.DB)
-		queries []string
-	}{
+	return []corpusCase{
 		{
-			name:   "cad",
-			module: cadModule,
-			queries: []string{
-				`Infront{ahead}`,
-				`Infront{ahead}[hidden_by("table")]`,
-				`Infront{ahead}[hidden_by("vase")]`,
-				`Infront[hidden_by("table")]`,
-				`{<f.front, b.back> OF EACH f IN Infront, EACH b IN Infront: f.back = b.front}`,
-				`{EACH v IN {EACH r IN Infront: r.front = "table"}: TRUE}`,
+			name:    "cad",
+			modules: []string{cadModule},
+			queries: []corpusQuery{
+				cq(`Infront`),
+				cq(`Infront{ahead}`),
+				cq(`Infront{ahead}[hidden_by("table")]`),
+				cq(`Infront{ahead}[hidden_by("vase")]`),
+				cq(`Infront{ahead}[hidden_by(Obj)]`, "table"),
+				cq(`Infront[hidden_by(Obj)]{ahead}`, "table"),
+				cq(`Infront[hidden_by("table")]`),
+				cq(`Infront{ahead}{ahead}`),
+				cq(`{<f.front, b.back> OF EACH f IN Infront, EACH b IN Infront: f.back = b.front}`),
+				cq(`{EACH v IN {EACH r IN Infront: r.front = "table"}: TRUE}`),
+				cq(`{EACH r IN Infront: TRUE, <f.front, b.back> OF EACH f, b IN Infront: f.back = b.front}`),
+				cq(`{EACH r IN Infront: TRUE}[hidden_by("table")]`),
+				cq(`{<"a","b">, <"b","c">}`),
+				cq(`{<r.front, Tag> OF EACH r IN Infront: r.back # Tag}`, "floor"),
 			},
 		},
 		{
-			name:   "bom",
-			module: bomModule,
-			setup: func(t *testing.T, db *dbpl.DB) {
+			name: "cad-mutual",
+			modules: []string{`
+MODULE cad;
+TYPE parttype   = STRING;
+TYPE objectrel  = RELATION part OF RECORD part: parttype END;
+TYPE infrontrel = RELATION OF RECORD front, back: parttype END;
+TYPE ontoprel   = RELATION OF RECORD top, base: parttype END;
+TYPE aheadrel   = RELATION OF RECORD head, tail: parttype END;
+TYPE aboverel   = RELATION OF RECORD high, low: parttype END;
+VAR Objects: objectrel;
+VAR Infront: infrontrel;
+VAR Ontop:   ontoprel;
+
+SELECTOR refint FOR Rel: infrontrel;
+BEGIN EACH r IN Rel:
+  SOME r1 IN Objects (r.front = r1.part) AND
+  SOME r2 IN Objects (r.back = r2.part)
+END refint;
+
+CONSTRUCTOR ahead FOR Rel: infrontrel (Ontop: ontoprel): aheadrel;
+BEGIN
+  EACH r IN Rel: TRUE,
+  <r.front, ah.tail> OF EACH r IN Rel, EACH ah IN Rel{ahead(Ontop)}: r.back = ah.head,
+  <r.front, ab.low>  OF EACH r IN Rel, EACH ab IN Ontop{above(Rel)}: r.back = ab.high
+END ahead;
+
+CONSTRUCTOR above FOR Rel: ontoprel (Infront: infrontrel): aboverel;
+BEGIN
+  EACH r IN Rel: TRUE,
+  <r.top, ab.low>  OF EACH r IN Rel, EACH ab IN Rel{above(Infront)}: r.base = ab.high,
+  <r.top, ah.tail> OF EACH r IN Rel, EACH ah IN Infront{ahead(Rel)}: r.base = ah.head
+END above;
+
+Objects := {<"vase">, <"table">, <"chair">, <"door">, <"lamp">};
+Infront[refint] := {<"table","chair">, <"chair","door">};
+Ontop          := {<"vase","table">, <"lamp","vase">};
+END cad.
+`},
+			queries: []corpusQuery{
+				cq(`Infront{ahead(Ontop)}`),
+				cq(`Ontop{above(Infront)}`),
+				cq(`Infront[refint]`),
+			},
+		},
+		{
+			name:    "bom",
+			modules: []string{bomModule},
+			setup: func(t testing.TB, db *dbpl.DB) {
 				if err := db.Assign("Contains", bom.Contains); err != nil {
 					t.Fatal(err)
 				}
 			},
-			queries: []string{
-				`Contains{explode}`,
-				fmt.Sprintf("Contains{explode}[of_assembly(%q)]", bom.Root),
-				`Contains{invert}`,
-				fmt.Sprintf("{EACH v IN Contains{invert}: v.part = %q}", bom.Root),
-				fmt.Sprintf("Contains{invert}[uses_part(%q)]", bom.Root),
+			queries: []corpusQuery{
+				cq(`Contains{explode}`),
+				cq(fmt.Sprintf("Contains{explode}[of_assembly(%q)]", bom.Root)),
+				cq(`Contains{explode}[of_assembly(Root)]`, bom.Root),
+				cq(`Contains{invert}`),
+				cq(fmt.Sprintf("{EACH v IN Contains{invert}: v.part = %q}", bom.Root)),
+				cq(fmt.Sprintf("Contains{invert}[uses_part(%q)]", bom.Root)),
 			},
 		},
 		{
-			name:   "samegen",
-			module: samegenModule,
-			queries: []string{
-				`Parent{samegen}`,
-				`{EACH sg IN Parent{samegen}: sg.left = "alice"}`,
+			name:    "samegen",
+			modules: []string{samegenModule},
+			queries: []corpusQuery{
+				cq(`Parent{samegen}`),
+				cq(`{EACH sg IN Parent{samegen}: sg.left = "alice"}`),
+			},
+		},
+		{
+			// bench/closure_scan.go and live_maintain.go: cadSchema, sceneSchema,
+			// closureQuery, pointQuery, joinQuery.
+			name: "bench-closure",
+			modules: []string{`
+MODULE cad;
+TYPE parttype   = STRING;
+TYPE infrontrel = RELATION OF RECORD front, back: parttype END;
+TYPE aheadrel   = RELATION OF RECORD head, tail: parttype END;
+VAR Infront: infrontrel;
+
+SELECTOR hidden_by (Obj: parttype) FOR Rel: infrontrel;
+BEGIN EACH r IN Rel: r.front = Obj END hidden_by;
+
+CONSTRUCTOR ahead FOR Rel: infrontrel (): aheadrel;
+BEGIN
+  EACH r IN Rel: TRUE,
+  <f.front, b.tail> OF EACH f IN Rel, EACH b IN Rel{ahead}: f.back = b.head
+END ahead;
+END cad.
+`, `
+MODULE scene;
+TYPE nm      = STRING;
+TYPE partrel = RELATION OF RECORD name, kind: nm END;
+TYPE onrel   = RELATION OF RECORD top, base: nm END;
+TYPE matrel  = RELATION OF RECORD kind, material: nm END;
+VAR Part: partrel;
+VAR Ontop: onrel;
+VAR Material: matrel;
+END scene.
+`, `
+MODULE fill;
+Infront  := {<"n0","n1">, <"n1","n2">, <"n0","n2">, <"n2","n3">};
+Part     := {<"n0","leg">, <"n1","top">, <"n2","leg">};
+Ontop    := {<"n0","n1">, <"n2","n3">};
+Material := {<"leg","oak">, <"top","glass">};
+END fill.
+`},
+			queries: []corpusQuery{
+				cq(`Infront{ahead}`),
+				cq(`Infront{ahead}[hidden_by("n1")]`),
+				cq(`{<o.top, o.base, m.material> OF EACH o IN Ontop, EACH p IN Part, EACH m IN Material: p.kind = m.kind AND o.top = p.name AND m.material = "oak"}`),
+			},
+		},
+		{
+			// bench/served_oltp.go and paged_cold.go: stockSchema, stockAtQuery,
+			// movesModule.
+			name: "bench-stock",
+			modules: []string{`
+MODULE wh;
+TYPE skurel = RELATION OF RECORD item, loc: STRING END;
+VAR Stock: skurel;
+VAR Extra: skurel;
+VAR Archive: skurel;
+VAR Moves_0: skurel;
+VAR Moves_1: skurel;
+
+SELECTOR at (Where: STRING) FOR Rel: skurel;
+BEGIN EACH r IN Rel: r.loc = Where END at;
+END wh.
+`, `
+MODULE fill;
+Stock := {<"sku-1","dock-1">, <"sku-2","dock-1">, <"sku-3","dock-2">};
+END fill.
+`},
+			txs: []string{"MODULE mv;\nMoves_1 := {<\"sku-1\", \"dock-2\">, <\"sku-9\", \"dock-1\">};\nEND mv.\n"},
+			queries: []corpusQuery{
+				cq(`Stock[at(Where)]`, "dock-1"),
+				cq(`Moves_1[at(Where)]`, "dock-1"),
+				cq(`Moves_1`),
 			},
 		},
 	}
-	for _, tc := range cases {
+}
+
+// TestOptimizedEquivalence runs the accept corpus under the default pipeline
+// and under WithoutOptimization, on both storage engines, and requires every
+// text to pass the static check and every query to return the relation, under
+// the column names, the unoptimized memory engine returns — the pass pipeline,
+// the access paths and the storage engine must be pure implementation choices.
+func TestOptimizedEquivalence(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range acceptCorpus() {
 		t.Run(tc.name, func(t *testing.T) {
-			optimized := openWith(t, tc.module)
-			naive := openWith(t, tc.module, dbpl.WithoutOptimization())
-			if tc.setup != nil {
-				tc.setup(t, optimized)
-				tc.setup(t, naive)
+			open := func(opts ...dbpl.Option) *dbpl.DB {
+				db, err := dbpl.Open(opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { db.Close() })
+				for _, m := range tc.modules {
+					if _, err := db.Exec(m); err != nil {
+						t.Fatalf("module rejected: %v\n%s", err, m)
+					}
+				}
+				if tc.setup != nil {
+					tc.setup(t, db)
+				}
+				tx, err := db.Begin(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, m := range tc.txs {
+					if _, err := tx.Exec(ctx, m); err != nil {
+						t.Fatalf("transaction module rejected: %v\n%s", err, m)
+					}
+				}
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				return db
+			}
+			paged := func() []dbpl.Option {
+				return []dbpl.Option{dbpl.WithPath(t.TempDir()), dbpl.WithEngine(dbpl.EnginePaged), dbpl.WithBufferPoolPages(4)}
+			}
+			reference := open(dbpl.WithoutOptimization())
+			others := map[string]*dbpl.DB{
+				"optimized":         open(),
+				"paged":             open(paged()...),
+				"paged unoptimized": open(append(paged(), dbpl.WithoutOptimization())...),
 			}
 			for _, q := range tc.queries {
-				a, err := optimized.Query(q)
-				if err != nil {
-					t.Fatalf("optimized %s: %v", q, err)
+				run := func(db *dbpl.DB) *dbpl.Rows {
+					st, err := db.Prepare(q.src)
+					if err != nil {
+						t.Fatalf("Prepare(%s): %v", q.src, err)
+					}
+					rows, err := st.QueryRows(ctx, q.args...)
+					if err != nil {
+						t.Fatalf("%s: %v", q.src, err)
+					}
+					return rows
 				}
-				b, err := naive.Query(q)
-				if err != nil {
-					t.Fatalf("unoptimized %s: %v", q, err)
+				want := run(reference)
+				for name, db := range others {
+					got := run(db)
+					if !got.Relation().Equal(want.Relation()) {
+						t.Errorf("%s, %s: %d tuples, reference %d", q.src, name, got.Len(), want.Len())
+					}
+					if g, w := fmt.Sprint(got.Columns()), fmt.Sprint(want.Columns()); g != w {
+						t.Errorf("%s, %s: columns %s, reference %s", q.src, name, g, w)
+					}
+					got.Close()
 				}
-				if !a.Equal(b) {
-					t.Errorf("%s: optimized %d tuples != unoptimized %d tuples", q, a.Len(), b.Len())
-				}
+				want.Close()
 			}
 		})
 	}
@@ -585,4 +775,46 @@ func mustVarType(t *testing.T, db *dbpl.DB, name string) dbpl.RelationType {
 		t.Fatalf("relation variable %q not declared", name)
 	}
 	return rt
+}
+
+// TestRewriteThatDoesNotTypeIsDropped: the pipeline's output is type-checked
+// like its input. Pushdown inlines a constructor's body over the actual base;
+// when that base names its attributes differently from the constructor's
+// For-type, the inlined body no longer types — the rewrite is dropped with a
+// trace, and the query as written runs (reading the base through the
+// For-type), under both configurations alike.
+func TestRewriteThatDoesNotTypeIsDropped(t *testing.T) {
+	const more = `
+MODULE more;
+TYPE pairrel = RELATION OF RECORD a, b: namet END;
+VAR Pairs: pairrel;
+Pairs := {<"car","wheel">, <"wheel","bolt">};
+END more.`
+	q := `{EACH v IN Pairs{invert}: v.part = "bolt"}`
+	var results []*dbpl.Relation
+	for _, opts := range [][]dbpl.Option{nil, {dbpl.WithoutOptimization()}} {
+		db := openWith(t, bomModule, opts...)
+		if _, err := db.Exec(more); err != nil {
+			t.Fatal(err)
+		}
+		p, err := db.Explain(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if opts == nil {
+			last := p.Passes[len(p.Passes)-1]
+			if last.Pass != "typecheck" || !strings.Contains(last.Detail, `no attribute "component"`) || p.Final != q {
+				t.Errorf("ill-typed rewrite was not dropped:\n%s", p.Text())
+			}
+		}
+		rel, err := db.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, rel)
+	}
+	want := dbpl.NewTuple(dbpl.Str("bolt"), dbpl.Str("wheel"))
+	if !results[0].Equal(results[1]) || results[0].Len() != 1 || !results[0].Contains(want) {
+		t.Errorf("optimized %s, unoptimized %s, want {%s}", results[0], results[1], want)
+	}
 }

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/schema"
 	"repro/internal/value"
 )
 
@@ -286,7 +287,13 @@ type Range struct {
 	Var      string   // named relation variable or formal relation parameter
 	Sub      *SetExpr // nested set expression used as a range ([JaKo 83])
 	Suffixes []Suffix
-	Pos      Pos
+	// Elem is the element type the type checker gave the whole range, suffixes
+	// included; nil on a range it has not seen. A tuple variable bound to the
+	// range reads its attributes through Elem, so a formal relation bound to a
+	// positionally compatible actual is read under the formal's attribute
+	// names, the ones the body was checked against.
+	Elem *schema.RecordType
+	Pos  Pos
 }
 
 // RangeVar returns a suffix-free range over a named relation.
@@ -356,7 +363,11 @@ func (br Branch) String() string {
 // expression form.
 type SetExpr struct {
 	Branches []Branch
-	Pos      Pos
+	// Elem is the element type the type checker gave the expression (its
+	// first branch's, section 3.1's positional typing); the evaluator builds
+	// the result under it. nil on an expression the checker has not seen.
+	Elem *schema.RecordType
+	Pos  Pos
 }
 
 func (s *SetExpr) String() string {

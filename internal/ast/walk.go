@@ -79,7 +79,7 @@ func CopySetExpr(s *SetExpr) *SetExpr {
 	if s == nil {
 		return nil
 	}
-	out := &SetExpr{Pos: s.Pos, Branches: make([]Branch, len(s.Branches))}
+	out := &SetExpr{Pos: s.Pos, Elem: s.Elem, Branches: make([]Branch, len(s.Branches))}
 	for i, br := range s.Branches {
 		out.Branches[i] = CopyBranch(br)
 	}
@@ -111,7 +111,7 @@ func CopyRange(r *Range) *Range {
 	if r == nil {
 		return nil
 	}
-	out := &Range{Var: r.Var, Pos: r.Pos}
+	out := &Range{Var: r.Var, Elem: r.Elem, Pos: r.Pos}
 	if r.Sub != nil {
 		out.Sub = CopySetExpr(r.Sub)
 	}

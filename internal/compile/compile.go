@@ -293,8 +293,9 @@ type GuardSpec struct {
 	Args []ast.Arg
 }
 
-// DeclareVars declares every checked relation variable the database does not
-// have yet, so a module's VAR declarations exist before its statements run.
+// DeclareVars declares the relation variables of the checked module that the
+// database does not have yet (a re-executed schema module re-declares what a
+// recovered store already holds), so they exist before its statements run.
 func DeclareVars(chk *typecheck.Checker, db *store.Database) error {
 	for name, rt := range chk.Vars {
 		if _, ok := db.Type(name); !ok {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/parser"
 	"repro/internal/store"
+	"repro/internal/typecheck"
 	"repro/internal/value"
 )
 
@@ -92,7 +93,6 @@ func runProgram(t *testing.T, p *Program, db *store.Database, out io.Writer) err
 		for name, sig := range p.Checker.Selectors {
 			env.Selectors[name] = sig.Decl
 		}
-		env.RelTypes = p.Checker.RelTypes
 		var err error
 		if env.Rels, err = db.Snapshot(); err != nil {
 			t.Fatal(err)
@@ -179,14 +179,21 @@ func TestRunStmtGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range bad.Stmts {
-		if _, _, err := RunStmt(env, p.Checker.Selectors, db, nil, s); err == nil {
-			t.Errorf("%s must fail", s)
-		}
-	}
+	// Checked like every statement the session runs; the unknown selector is
+	// the checker's to reject, the guard violation the runtime level's.
 	var gv *store.GuardViolationError
+	if err := p.Checker.CheckStmt(bad.Stmts[0]); err != nil {
+		t.Fatal(err)
+	}
 	if _, _, err := RunStmt(env, p.Checker.Selectors, db, nil, bad.Stmts[0]); !errors.As(err, &gv) {
 		t.Errorf("want a guard violation, got %v", err)
+	}
+	var te *typecheck.Error
+	if err := p.Checker.CheckStmt(bad.Stmts[1]); !errors.As(err, &te) {
+		t.Errorf("want a type error, got %v", err)
+	}
+	if _, _, err := RunStmt(env, p.Checker.Selectors, db, nil, bad.Stmts[1]); err == nil {
+		t.Errorf("%s must fail at the runtime level too", bad.Stmts[1])
 	}
 	if rel, _ := db.Get("Infront"); rel.Len() != 1 {
 		t.Errorf("failed assignments changed the database: %s", rel)
@@ -202,11 +209,13 @@ func TestAssignThroughConstructorRejected(t *testing.T) {
 	if err := runProgram(t, p, db, nil); err != nil {
 		t.Fatal(err)
 	}
-	// A transaction's statements are parsed but not type-checked, so the
-	// runtime level must reject the assignment itself — whether or not the
-	// type checker would have.
+	// The checker types a constructed target like any range, so the runtime
+	// level must reject the assignment itself.
 	m, err := parser.ParseModule(`MODULE b; Infront{ahead} := {<"x","y">}; END b.`)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Checker.CheckStmt(m.Stmts[0]); err != nil {
 		t.Fatal(err)
 	}
 	env := eval.NewEnv()

@@ -1107,7 +1107,7 @@ func (s *system) bindState(inst *instance, state []*relation.Relation, overrides
 func (s *system) EvalFull(i int, cur []*relation.Relation) (*relation.Relation, error) {
 	inst := s.instances[i]
 	s.bindState(inst, cur, nil)
-	return inst.env.SetExpr(inst.body, &inst.cons.Result)
+	return inst.env.SetExpr(inst.body, inst.cons.Result)
 }
 
 // EvalIncrement implements fixpoint.Evaluator. Non-recursive branches

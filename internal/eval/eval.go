@@ -18,6 +18,12 @@
 // planned by the same planner and run by the same operator pipeline.
 // SelectorAccess is where "hash index or scan" is decided for an application,
 // from the query text alone.
+//
+// The evaluator infers no types. It runs what package typecheck has typed, and
+// takes its types from the tree: a set expression builds its result under
+// ast.SetExpr.Elem, a tuple variable reads its range through ast.Range.Elem.
+// The name, attribute and kind checks it still makes per value are safety code
+// behind that static check, not a second judgement.
 package eval
 
 import (
@@ -48,12 +54,10 @@ type ConstructorResolver interface {
 
 // Env is the evaluation environment: relation variables (including formal
 // base-relation and relation-parameter names during constructor evaluation),
-// scalar parameters, named relation types, selector declarations, and the
-// constructor resolver.
+// scalar parameters, selector declarations, and the constructor resolver.
 type Env struct {
 	Rels         map[string]*relation.Relation
 	Scalars      map[string]value.Value
-	RelTypes     map[string]schema.RelationType
 	Selectors    map[string]*ast.SelectorDecl
 	Constructors ConstructorResolver
 
@@ -90,7 +94,6 @@ func NewEnv() *Env {
 	return &Env{
 		Rels:      make(map[string]*relation.Relation),
 		Scalars:   make(map[string]value.Value),
-		RelTypes:  make(map[string]schema.RelationType),
 		Selectors: make(map[string]*ast.SelectorDecl),
 	}
 }
@@ -101,7 +104,6 @@ func (e *Env) Clone() *Env {
 	c := &Env{
 		Rels:            make(map[string]*relation.Relation, len(e.Rels)),
 		Scalars:         make(map[string]value.Value, len(e.Scalars)),
-		RelTypes:        e.RelTypes,
 		Selectors:       e.Selectors,
 		Constructors:    e.Constructors,
 		ScanSelectors:   e.ScanSelectors,
@@ -164,7 +166,10 @@ func (e *Env) Range(r *ast.Range) (*relation.Relation, error) {
 	var err error
 	switch {
 	case r.Sub != nil:
-		cur, err = e.SetExpr(r.Sub, nil)
+		if r.Sub.Elem == nil {
+			return nil, fmt.Errorf("%s: set expression was not type-checked", r.Sub.Pos)
+		}
+		cur, err = e.SetExpr(r.Sub, schema.RelationType{Element: *r.Sub.Elem})
 		if err != nil {
 			return nil, err
 		}
@@ -296,16 +301,12 @@ func (p *BranchPlan) selectorAccess(decl *ast.SelectorDecl, r *ast.Range, i int)
 }
 
 // SelectorElem is the record type a selector's body reads a base of element
-// type base through: its declared For-type's when that is positionally
-// compatible, which re-labels the attributes (an infrontrel selector applied
-// to a constructed aheadrel); otherwise the base's own.
-func SelectorElem(decl *ast.SelectorDecl, relTypes map[string]schema.RelationType, base schema.RecordType) schema.RecordType {
-	if nt, ok := decl.ForType.(ast.NamedType); ok {
-		if rt, ok := relTypes[nt.Name]; ok && rt.Element.Arity() == base.Arity() {
-			return rt.Element
-		}
-	}
-	return base
+// type base through: its declared For-type's, which re-labels the attributes
+// (an infrontrel selector applied to a constructed aheadrel) — the type the
+// checker left on the body's range; base's own for a declaration it has not
+// seen.
+func SelectorElem(decl *ast.SelectorDecl, base schema.RecordType) schema.RecordType {
+	return rangeElem(decl.Branch.Binds[0].Range, base)
 }
 
 // ApplySuffixes applies the suffixes of r from index from onward to base, the
@@ -364,7 +365,7 @@ func (e *Env) applySelector(base *relation.Relation, r *ast.Range, i int) (*rela
 	}
 	pb, err := scoped.bindPlan(&preparedBranch{plan: plan,
 		rels:  []*relation.Relation{base},
-		elems: []schema.RecordType{SelectorElem(decl, e.RelTypes, base.Type().Element)}})
+		elems: []schema.RecordType{SelectorElem(decl, base.Type().Element)}})
 	if err != nil {
 		return nil, err
 	}
@@ -379,19 +380,10 @@ func (e *Env) applySelector(base *relation.Relation, r *ast.Range, i int) (*rela
 // Set expression evaluation
 // ---------------------------------------------------------------------------
 
-// SetExpr evaluates a set expression. If resultType is nil, the result type
-// is inferred from the first branch (section 3.1's positional typing).
-func (e *Env) SetExpr(s *ast.SetExpr, resultType *schema.RelationType) (*relation.Relation, error) {
-	var rt schema.RelationType
-	if resultType != nil {
-		rt = *resultType
-	} else {
-		inferred, err := e.InferType(s)
-		if err != nil {
-			return nil, err
-		}
-		rt = inferred
-	}
+// SetExpr evaluates a set expression into a relation of type rt: a
+// constructor's declared result type, or the element type the checker gave
+// the expression (ast.SetExpr.Elem).
+func (e *Env) SetExpr(s *ast.SetExpr, rt schema.RelationType) (*relation.Relation, error) {
 	out := relation.New(rt)
 	for i := range s.Branches {
 		if err := e.EvalBranchIntoExcluding(&s.Branches[i], out, nil); err != nil {
@@ -469,9 +461,20 @@ func (e *Env) prepareBranch(br *ast.Branch, rt schema.RelationType) (*preparedBr
 	pb := &preparedBranch{plan: plan, rels: make([]*relation.Relation, len(declared)),
 		elems: make([]schema.RecordType, len(declared))}
 	for k, i := range plan.order {
-		pb.rels[k], pb.elems[k] = declared[i], declared[i].Type().Element
+		pb.rels[k], pb.elems[k] = declared[i], rangeElem(br.Binds[i].Range, declared[i].Type().Element)
 	}
 	return e.bindPlan(pb)
+}
+
+// rangeElem is the record type a tuple variable over r reads r's value
+// through: the one the checker typed r with. A range the checker has not seen
+// — a synthesized one, standing for a relation the evaluation itself built —
+// is read through own, its value's own element type.
+func rangeElem(r *ast.Range, own schema.RecordType) schema.RecordType {
+	if r.Elem != nil {
+		return *r.Elem
+	}
+	return own
 }
 
 // bindPlan completes a planned branch over its materialized ranges: it binds
@@ -825,7 +828,7 @@ func (e *Env) Pred(p ast.Pred, b *bindings) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		elem := rel.Type().Element
+		elem := rangeElem(q.Range, rel.Type().Element)
 		result := q.All // ALL over empty range is true; SOME is false
 		var iterErr error
 		rel.Each(func(t value.Tuple) bool {

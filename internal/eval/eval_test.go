@@ -10,6 +10,7 @@ import (
 	"repro/internal/parser"
 	"repro/internal/relation"
 	"repro/internal/schema"
+	"repro/internal/typecheck"
 	"repro/internal/value"
 )
 
@@ -26,7 +27,6 @@ var (
 func env(t *testing.T) *Env {
 	t.Helper()
 	e := NewEnv()
-	e.RelTypes["infrontrel"] = infrontT
 	e.Rels["Infront"] = relation.MustFromTuples(infrontT,
 		value.NewTuple(value.Str("vase"), value.Str("table")),
 		value.NewTuple(value.Str("table"), value.Str("chair")),
@@ -40,13 +40,41 @@ func env(t *testing.T) *Env {
 	return e
 }
 
+// evalTyped evaluates s the way a session does: type-checked first, over the
+// environment's relations and selectors, so that every set
+// expression and range in it carries the type it evaluates under.
+func evalTyped(t *testing.T, e *Env, s *ast.SetExpr) (*relation.Relation, error) {
+	t.Helper()
+	chk := typecheck.New()
+	chk.RelTypes["infrontrel"] = infrontT
+	chk.VarType = func(name string) (schema.RelationType, bool) {
+		rel, ok := e.Rels[name]
+		if !ok {
+			return schema.RelationType{}, false
+		}
+		return rel.Type(), true
+	}
+	m := &ast.Module{}
+	for _, d := range e.Selectors {
+		m.Decls = append(m.Decls, d)
+	}
+	if err := chk.CheckModule(m); err != nil {
+		t.Fatalf("selectors: %v", err)
+	}
+	r := &ast.Range{Sub: s}
+	if _, _, err := chk.CheckQuery(r, nil); err != nil {
+		t.Fatalf("check %s: %v", s, err)
+	}
+	return e.Range(r)
+}
+
 func evalSet(t *testing.T, e *Env, src string) *relation.Relation {
 	t.Helper()
 	s, err := parser.ParseSetExpr(src)
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
-	out, err := e.SetExpr(s, nil)
+	out, err := evalTyped(t, e, s)
 	if err != nil {
 		t.Fatalf("eval %q: %v", src, err)
 	}
@@ -138,7 +166,7 @@ func TestArithmetic(t *testing.T) {
 	}
 	// Division by zero is a runtime error.
 	s, _ := parser.ParseSetExpr(`{EACH r IN Nums: r.n DIV 0 = 1}`)
-	if _, err := e.SetExpr(s, nil); err == nil || !strings.Contains(err.Error(), "division by zero") {
+	if _, err := evalTyped(t, e, s); err == nil || !strings.Contains(err.Error(), "division by zero") {
 		t.Errorf("expected division by zero, got %v", err)
 	}
 }
@@ -178,6 +206,9 @@ END m.
 	}
 }
 
+// TestErrorsSurfacePosition evaluates branches no checker has seen: the
+// evaluator's own name, attribute and kind checks are safety code behind the
+// static check, and must still report.
 func TestErrorsSurfacePosition(t *testing.T) {
 	e := env(t)
 	for _, src := range []string{
@@ -190,27 +221,14 @@ func TestErrorsSurfacePosition(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", src, err)
 		}
-		if _, err := e.SetExpr(s, nil); err == nil {
+		if _, err := e.SetExpr(s, infrontT); err == nil {
 			t.Errorf("eval %q: expected error", src)
 		}
 	}
-}
-
-func TestTypeInference(t *testing.T) {
-	e := env(t)
-	s, _ := parser.ParseSetExpr(`{<f.front, b.back> OF EACH f IN Infront, EACH b IN Infront: f.back = b.front}`)
-	rt, err := e.InferType(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt.Element.Arity() != 2 || rt.Element.Attrs[0].Name != "front" || rt.Element.Attrs[1].Name != "back" {
-		t.Errorf("inferred %s", rt.Element)
-	}
-	// Incompatible branches are rejected.
-	s2, _ := parser.ParseSetExpr(`{EACH r IN Infront: TRUE, EACH o IN Objects: TRUE}`)
-	e.Rels["Objects2"] = e.Rels["Objects"]
-	if _, err := e.InferType(s2); err == nil {
-		t.Error("arity-incompatible branches must fail inference")
+	// So is a set expression reached without its type.
+	r, _ := parser.ParseRange(`{EACH r IN Infront: TRUE}`)
+	if _, err := e.Range(r); err == nil || !strings.Contains(err.Error(), "not type-checked") {
+		t.Errorf("untyped set expression: %v", err)
 	}
 }
 
@@ -251,7 +269,7 @@ func TestEvalWithDeclaredResultType(t *testing.T) {
 		Element: schema.RecordType{Attrs: []schema.Attribute{
 			{Name: "head", Type: partT}, {Name: "tail", Type: partT}}}}
 	s, _ := parser.ParseSetExpr(`{EACH r IN Infront: TRUE}`)
-	got, err := e.SetExpr(s, &aheadT)
+	got, err := e.SetExpr(s, aheadT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +321,7 @@ func TestPlanBranchOrderAndProbes(t *testing.T) {
 	e := NewEnv()
 	e.Rels["Big"], e.Rels["Small"] = big, small
 	e.ExecStats = &ExecStats{}
-	out, err := e.SetExpr(s, nil)
+	out, err := evalTyped(t, e, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +353,7 @@ func TestReorderedBranchProjectsDeclaredFirstBinding(t *testing.T) {
 	}
 	e := NewEnv()
 	e.Rels["Big"], e.Rels["Small"] = big, small
-	out, err := e.SetExpr(s, nil)
+	out, err := evalTyped(t, e, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +453,7 @@ END m.
 			t.Errorf("%s: plan %q, want %q", tc.src, got, tc.want)
 		}
 		before := e.Rels["Infront"].Indexes()
-		out, err := e.SetExpr(s, nil)
+		out, err := evalTyped(t, e, s)
 		if err != nil {
 			t.Fatal(err)
 		}

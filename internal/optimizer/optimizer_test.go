@@ -40,7 +40,21 @@ func testEnv() *eval.Env {
 func evalBranchSet(t *testing.T, e *eval.Env, brs ...ast.Branch) *relation.Relation {
 	t.Helper()
 	e.ResetMemo()
-	out, err := e.SetExpr(&ast.SetExpr{Branches: brs}, nil)
+	// Typed first, as the session does with a rewritten form: the passes build
+	// ranges and set expressions that carry no type yet.
+	chk := typecheck.New()
+	chk.VarType = func(name string) (schema.RelationType, bool) {
+		rel, ok := e.Rels[name]
+		if !ok {
+			return schema.RelationType{}, false
+		}
+		return rel.Type(), true
+	}
+	r := &ast.Range{Sub: &ast.SetExpr{Branches: brs}}
+	if _, _, err := chk.CheckQuery(r, nil); err != nil {
+		t.Fatalf("check: %v", err)
+	}
+	out, err := e.Range(r)
 	if err != nil {
 		t.Fatalf("eval: %v", err)
 	}
@@ -95,20 +109,13 @@ func TestN2N3PreserveSemantics(t *testing.T) {
 		if !changed {
 			t.Fatalf("%q: no rewrite happened", src)
 		}
+		// The quantifier holds of the same tuples before and after: select
+		// with each as the predicate of EACH q IN R.
 		e := testEnv()
-		rel, _ := e.Rels["R"]
-		var mismatch bool
-		rel.Each(func(tup value.Tuple) bool {
-			e.ResetMemo()
-			got1, err1 := e.EvalPredWithTuple(q, "q", binT.Element, tup)
-			got2, err2 := e.EvalPredWithTuple(nested, "q", binT.Element, tup)
-			if err1 != nil || err2 != nil || got1 != got2 {
-				mismatch = true
-				return false
-			}
-			return true
-		})
-		if mismatch {
+		over := func(p ast.Pred) ast.Branch {
+			return ast.Branch{Binds: []ast.Binding{{Var: "q", Range: ast.RangeVar("R")}}, Where: p}
+		}
+		if !evalBranchSet(t, e, over(nested)).Equal(evalBranchSet(t, e, over(q))) {
 			t.Errorf("%q: N2/N3 changed the result", src)
 		}
 	}

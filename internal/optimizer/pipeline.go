@@ -37,8 +37,6 @@ type Context struct {
 	Selectors map[string]*ast.SelectorDecl
 	// Constructors maps constructor names to their resolved signatures.
 	Constructors map[string]*typecheck.ConstructorSig
-	// RelTypes maps named relation types.
-	RelTypes map[string]schema.RelationType
 	// Recursive marks constructors on cycles of the augmented quant graph.
 	Recursive map[string]bool
 	// VarType resolves a relation variable's declared type.
@@ -398,7 +396,7 @@ func (magicPass) Run(q *Query, ctx *Context) (bool, string, error) {
 	}
 	// The selector reads the constructed result through its For-type; the
 	// bound position is positional across the re-labelling.
-	pos := eval.SelectorElem(decl, ctx.RelTypes, sig.Result.Element).IndexOf(attr)
+	pos := eval.SelectorElem(decl, sig.Result.Element).IndexOf(attr)
 	if pos < 0 || pos >= sig.Result.Element.Arity() {
 		return false, fmt.Sprintf("attribute %s not positional in result", attr), nil
 	}

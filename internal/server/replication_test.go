@@ -290,6 +290,28 @@ END v.
 		time.Sleep(5 * time.Millisecond)
 	}
 
+	// A variable declared on the primary after the replica attached reaches
+	// it as a streamed declaration record. The store is the one source of
+	// variable types, so a selector-only module ranging over it type-checks on
+	// the replica, like a query over it.
+	late := []repStep{
+		{"streamed-declare", func(db *store.Database) error { return db.Declare("Late", pairType("late")) }},
+		{"streamed-fill", func(db *store.Database) error { return db.Insert("Late", tup("x", "z")) }},
+	}
+	runStepsMirrored(t, late, shadow, primaryStore, chk)
+	waitConverged(t, rdb, chk.last(), "after a streamed declaration")
+	if _, err := rc.ExecContext(ctx, `
+MODULE l;
+SELECTOR late () FOR Rel: edget;
+BEGIN EACH r IN Rel: SOME l IN Late (r.a = l.a) END late;
+END l.
+`); err != nil {
+		t.Fatalf("selector over a variable the replica learned from the stream: %v", err)
+	}
+	if sel := queryTuples(t, rc, `Edge[late]`); !strings.Contains(sel, `<"x", "y">`) {
+		t.Fatalf("selector over a streamed variable: %s", sel)
+	}
+
 	// Catch-up across a checkpoint that compacts the log: disconnect the
 	// tailer, commit more work, checkpoint the primary (folding the log tail
 	// into a new snapshot generation), then reconnect — the replica must

@@ -273,8 +273,13 @@ func codeFor(err error) string {
 		return wire.CodeCanceled
 	}
 	var pe *dbpl.ParseError
-	if errors.As(err, &pe) {
+	var te *dbpl.TypeError
+	var ne *dbpl.PositivityError
+	switch {
+	case errors.As(err, &pe):
 		return wire.CodeParse
+	case errors.As(err, &te), errors.As(err, &ne):
+		return wire.CodeType
 	}
 	return wire.CodeInternal
 }

@@ -8,6 +8,7 @@ package server_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -17,6 +18,7 @@ import (
 	"repro/client"
 
 	"repro/internal/server"
+	"repro/internal/wire"
 )
 
 // boot starts a server over db on a loopback listener and returns its
@@ -433,4 +435,77 @@ func TestServerDrainRefusesNewWork(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
+}
+
+// TestTypeErrorsCrossTheWire: a statement the static check rejects comes back
+// as the "type" error code — the client's mistake, not a server fault — from
+// Prepare, Query and a transaction's Exec alike, and the session and the
+// transaction it happened in stay usable.
+func TestTypeErrorsCrossTheWire(t *testing.T) {
+	ctx := context.Background()
+	db, err := dbpl.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	_, addr := boot(t, db, server.Options{})
+	c := openClient(t, addr)
+	if _, err := c.ExecContext(ctx, objModule); err != nil {
+		t.Fatal(err)
+	}
+	tx, err := c.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, run := range map[string]func() error{
+		"Prepare": func() error { _, err := c.Prepare(`{EACH o IN Objs: o.size = "big"}`); return err },
+		"Query":   func() error { _, err := c.QueryContext(ctx, `{EACH o IN Objs: o.nosuch = 1}`); return err },
+		"bind": func() error {
+			st, err := c.Prepare(`{EACH o IN Objs: o.size = N}`)
+			if err != nil {
+				return fmt.Errorf("well-typed Prepare: %w", err)
+			}
+			_, err = st.QueryRows(ctx, "ten")
+			return err
+		},
+		"Tx.Exec": func() error {
+			_, err := tx.Exec(ctx, `MODULE w; Objs := {<"ghost", 0>}; Objs := {EACH o IN Objs: q.size = 1}; END w.`)
+			return err
+		},
+		"Exec (positivity)": func() error {
+			_, err := c.ExecContext(ctx, `MODULE n;
+CONSTRUCTOR nonsense FOR Rel: objrel (): objrel;
+BEGIN EACH o IN Rel: NOT (o IN Rel{nonsense}) END nonsense;
+END n.`)
+			return err
+		},
+	} {
+		var re *wire.RemoteError
+		if err := run(); !errors.As(err, &re) || re.Code != wire.CodeType {
+			t.Errorf("%s: %v, want wire error code %q", name, err, wire.CodeType)
+		}
+	}
+	// Nothing of the rejected transaction module ran, and both handles work on.
+	if _, err := tx.Exec(ctx, `MODULE w; Objs := {<"lamp", 4>}; END w.`); err != nil {
+		t.Fatalf("transaction after a type error: %v", err)
+	}
+	rows, err := tx.QueryRows(ctx, `Objs`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows.Len() != 1 {
+		t.Errorf("transaction sees %d tuples, want its one write", rows.Len())
+	}
+	rows.Close()
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := c.QueryContext(ctx, `{EACH o IN Objs: o.size = 4}`)
+	if err != nil {
+		t.Fatalf("session after type errors: %v", err)
+	}
+	if after.Len() != 1 {
+		t.Errorf("committed state has %d matching tuples, want 1", after.Len())
+	}
+	after.Close()
 }

@@ -4,11 +4,22 @@
 // declarations and statements. Together with the positivity analysis it forms
 // the "type-checking level" of the paper's three-level compilation framework
 // (section 4).
+//
+// There is one type judgement. Every expression entry point of the session —
+// a module's statements (CheckModule), a transaction's (CheckStmt) and a
+// prepared query (CheckQuery) — is typed by typeOfRange before it runs, and
+// the checker leaves its verdict on the tree: each set expression and each
+// range carries the element type it was given (ast.SetExpr.Elem,
+// ast.Range.Elem), which is what the evaluator builds results under and reads
+// tuple variables through. Relation variables are not part of the accumulated
+// declarations: the checker asks the store the statement runs against
+// (VarType), and holds only the VARs of the module being compiled (Vars).
 package typecheck
 
 import (
 	"fmt"
 	"maps"
+	"sort"
 
 	"repro/internal/ast"
 	"repro/internal/positivity"
@@ -63,9 +74,16 @@ type Checker struct {
 	Scalars      map[string]schema.ScalarType
 	Records      map[string]schema.RecordType
 	RelTypes     map[string]schema.RelationType
-	Vars         map[string]schema.RelationType
 	Selectors    map[string]*SelectorSig
 	Constructors map[string]*ConstructorSig
+	// Vars holds the relation variables the module being checked declares;
+	// compile.DeclareVars creates them in the store. Clone and Over start it
+	// empty: variables are never accumulated here.
+	Vars map[string]schema.RelationType
+	// VarType resolves every other relation variable: the session binds it to
+	// the Type method of the store the checked statement will run against.
+	// nil (a stand-alone compilation) resolves none.
+	VarType func(name string) (schema.RelationType, bool)
 	// Strict applies the paper's positivity requirement to constructor
 	// declarations at check time.
 	Strict bool
@@ -89,20 +107,41 @@ func New() *Checker {
 	}
 }
 
-// Clone returns an independent copy of the static environment: a module can
-// be checked into the copy and the copy discarded on error, leaving c
-// untouched. The resolved types and signatures themselves are immutable and
-// shared.
-func (c *Checker) Clone() *Checker {
+// Clone returns an independent copy of the accumulated declarations over the
+// relation variables varType resolves: a module can be checked into the copy
+// and the copy discarded on error, leaving c untouched. The resolved types
+// and signatures themselves are immutable and shared.
+func (c *Checker) Clone(varType func(string) (schema.RelationType, bool)) *Checker {
 	return &Checker{
 		Scalars:      maps.Clone(c.Scalars),
 		Records:      maps.Clone(c.Records),
 		RelTypes:     maps.Clone(c.RelTypes),
-		Vars:         maps.Clone(c.Vars),
+		Vars:         make(map[string]schema.RelationType),
 		Selectors:    maps.Clone(c.Selectors),
 		Constructors: maps.Clone(c.Constructors),
+		VarType:      varType,
 		Strict:       c.Strict,
 	}
+}
+
+// Over returns c's declarations, shared, over the relation variables varType
+// resolves: the checker for statements and queries, which declare nothing.
+func (c *Checker) Over(varType func(string) (schema.RelationType, bool)) *Checker {
+	o := *c
+	o.Vars, o.VarType = nil, varType
+	return &o
+}
+
+// varType resolves a relation variable: one the module being checked
+// declares, or one of the store's.
+func (c *Checker) varType(name string) (schema.RelationType, bool) {
+	if rt, ok := c.Vars[name]; ok {
+		return rt, true
+	}
+	if c.VarType == nil {
+		return schema.RelationType{}, false
+	}
+	return c.VarType(name)
 }
 
 // scope is the local static environment inside declarations and branches.
@@ -110,6 +149,9 @@ type scope struct {
 	tupleVars map[string]schema.RecordType
 	scalars   map[string]schema.ScalarType
 	rels      map[string]schema.RelationType
+	// params collects the scalar parameters of a query (CheckQuery); nil
+	// everywhere else, where an undeclared scalar name is an error.
+	params *paramSet
 }
 
 func (c *Checker) newScope() *scope {
@@ -120,11 +162,18 @@ func (c *Checker) newScope() *scope {
 	}
 }
 
+// closed is s without its tuple variables. A range is materialized once per
+// evaluation, before any tuple variable is bound, so it can read none of them.
+func (s *scope) closed() *scope {
+	return &scope{scalars: s.scalars, rels: s.rels, params: s.params}
+}
+
 func (s *scope) clone() *scope {
 	c := &scope{
 		tupleVars: make(map[string]schema.RecordType, len(s.tupleVars)),
 		scalars:   make(map[string]schema.ScalarType, len(s.scalars)),
 		rels:      make(map[string]schema.RelationType, len(s.rels)),
+		params:    s.params,
 	}
 	for k, v := range s.tupleVars {
 		c.tupleVars[k] = v
@@ -319,10 +368,9 @@ func (c *Checker) checkVarDecl(d *ast.VarDecl) error {
 		return errf(d.Pos, "variable declaration: %v", err)
 	}
 	for _, n := range d.Names {
-		if prev, dup := c.Vars[n]; dup {
+		if prev, dup := c.varType(n); dup {
 			// Re-declaring at the same type is a no-op, so schema modules can
-			// be re-executed over a recovered or loaded store (whose variable
-			// types were seeded from the store, not from a module). A
+			// be re-executed over a recovered, loaded or replicated store. A
 			// conflicting type stays an error.
 			if sameRelationType(prev, rt) {
 				continue
@@ -376,8 +424,10 @@ func (c *Checker) checkSelectorDecl(d *ast.SelectorDecl) error {
 		}
 	}
 	sc.rels[d.ForVar] = forType
-	sc.tupleVars[d.BodyVar] = forType.Element
-	if err := c.checkPred(d.Where, sc); err != nil {
+	// The body is the branch EACH BodyVar IN ForVar: Where; typing it as one
+	// leaves the For-type's element type on its range, which is what an
+	// application reads its base through.
+	if _, err := c.checkBranch(d.Branch, sc); err != nil {
 		return fmt.Errorf("selector %q: %w", d.Name, err)
 	}
 	c.Selectors[d.Name] = &SelectorSig{Decl: d, ForType: forType, Params: params}
@@ -473,7 +523,7 @@ func (c *Checker) CheckStmt(s ast.Stmt) error {
 		_, err := c.typeOfRange(t.Expr, sc)
 		return err
 	case *ast.Assign:
-		varType, ok := c.Vars[t.Target]
+		varType, ok := c.varType(t.Target)
 		if !ok {
 			return errf(t.Pos, "assignment to undeclared variable %q", t.Target)
 		}
@@ -503,10 +553,110 @@ func (c *Checker) CheckStmt(s ast.Stmt) error {
 }
 
 // ---------------------------------------------------------------------------
+// Queries and their parameters
+// ---------------------------------------------------------------------------
+
+// Param is a scalar parameter of a query: a name the query uses as a scalar
+// that no declaration binds. Type is the type of its first typed context — the
+// formal it is passed to, the other side of its comparison, INTEGER under
+// arithmetic — and every later context is checked against it. A parameter no
+// context types (it occurs only in target lists, or is compared only with
+// other such parameters) is open, its Type the zero ScalarType: it is typed by
+// the kind of the value bound to it, by checking the query again with it
+// given.
+type Param struct {
+	Name string
+	Type schema.ScalarType
+	pos  ast.Pos // first occurrence in the source
+}
+
+// paramSet collects the parameters of the query being checked.
+type paramSet struct{ list []*Param }
+
+// use returns the parameter called name, adding it if the query has not used
+// the name before, and notes pos as one of its occurrences.
+func (ps *paramSet) use(name string, pos ast.Pos) *Param {
+	for _, p := range ps.list {
+		if p.Name == name {
+			if before(pos, p.pos) {
+				p.pos = pos
+			}
+			return p
+		}
+	}
+	p := &Param{Name: name, pos: pos}
+	ps.list = append(ps.list, p)
+	return p
+}
+
+// before orders source positions.
+func before(a, b ast.Pos) bool {
+	return a.Line < b.Line || a.Line == b.Line && a.Col < b.Col
+}
+
+// known reports whether a term's type is determined; only an open parameter,
+// and what is projected from one, is not.
+func known(t schema.ScalarType) bool { return t.Kind != value.KindInvalid }
+
+// fix types the open parameter t is by the type want its context requires,
+// and returns t's type after that; any other term keeps the type it has.
+func (sc *scope) fix(t ast.Term, have, want schema.ScalarType) schema.ScalarType {
+	if p, ok := t.(ast.Param); ok && !known(have) && known(want) {
+		sc.params.use(p.Name, p.Pos).Type = want
+		return want
+	}
+	return have
+}
+
+// fits is RecordType.CompatibleWith — equal arity, pairwise the same domains
+// — with an attribute projected from an open parameter fitting any domain.
+func fits(a, b schema.RecordType) bool {
+	if len(a.Attrs) != len(b.Attrs) {
+		return false
+	}
+	for i := range a.Attrs {
+		x, y := a.Attrs[i].Type, b.Attrs[i].Type
+		if known(x) && known(y) && !x.SameDomain(y) {
+			return false
+		}
+	}
+	return true
+}
+
+// CheckQuery types a query — the range expression Prepare parsed, or the form
+// the optimizer rewrote it into — exactly as CheckStmt types a SHOW, except
+// that a scalar name nothing declares is a parameter of the query instead of
+// an error. given lists parameters already typed: the query's own, when a
+// rewritten form is checked or open ones have been bound. It returns the
+// query's relation type and its parameters in source order.
+func (c *Checker) CheckQuery(r *ast.Range, given []Param) (schema.RelationType, []Param, error) {
+	sc := c.newScope()
+	sc.params = &paramSet{}
+	for _, p := range given {
+		sc.params.list = append(sc.params.list, &p)
+	}
+	rt, err := c.typeOfRange(r, sc)
+	if err != nil {
+		return schema.RelationType{}, nil, err
+	}
+	ps := sc.params.list
+	sort.SliceStable(ps, func(i, j int) bool { return before(ps[i].pos, ps[j].pos) })
+	out := make([]Param, len(ps))
+	for i, p := range ps {
+		out[i] = *p
+	}
+	return rt, out, nil
+}
+
+// ---------------------------------------------------------------------------
 // Expression typing
 // ---------------------------------------------------------------------------
 
+// typeOfRange is the one function that types a range expression. It records
+// the verdict on r (and, through checkSetExpr, on every set expression in
+// it) for the evaluator.
 func (c *Checker) typeOfRange(r *ast.Range, sc *scope) (schema.RelationType, error) {
+	sc = sc.closed()
 	var cur schema.RelationType
 	switch {
 	case r.Sub != nil:
@@ -518,7 +668,7 @@ func (c *Checker) typeOfRange(r *ast.Range, sc *scope) (schema.RelationType, err
 	default:
 		if rt, ok := sc.rels[r.Var]; ok {
 			cur = rt
-		} else if rt, ok := c.Vars[r.Var]; ok {
+		} else if rt, ok := c.varType(r.Var); ok {
 			cur = rt
 		} else {
 			return schema.RelationType{}, errf(r.Pos, "unknown relation %q", r.Var)
@@ -531,6 +681,8 @@ func (c *Checker) typeOfRange(r *ast.Range, sc *scope) (schema.RelationType, err
 		}
 		cur = nt
 	}
+	elem := cur.Element
+	r.Elem = &elem
 	return cur, nil
 }
 
@@ -541,7 +693,7 @@ func (c *Checker) typeOfSuffix(base schema.RelationType, s *ast.Suffix, sc *scop
 		if !ok {
 			return schema.RelationType{}, errf(s.Pos, "unknown selector %q", s.Name)
 		}
-		if !base.CompatibleWith(sig.ForType) {
+		if !fits(base.Element, sig.ForType.Element) {
 			return schema.RelationType{}, errf(s.Pos,
 				"selector %q expects base of type %s, got %s", s.Name, sig.ForType.Element, base.Element)
 		}
@@ -554,7 +706,7 @@ func (c *Checker) typeOfSuffix(base schema.RelationType, s *ast.Suffix, sc *scop
 		if !ok {
 			return schema.RelationType{}, errf(s.Pos, "unknown constructor %q", s.Name)
 		}
-		if !base.CompatibleWith(sig.ForType) {
+		if !fits(base.Element, sig.ForType.Element) {
 			return schema.RelationType{}, errf(s.Pos,
 				"constructor %q expects base of type %s, got %s", s.Name, sig.ForType.Element, base.Element)
 		}
@@ -572,25 +724,21 @@ func (c *Checker) checkArgs(s *ast.Suffix, params []ResolvedParam, sc *scope) er
 	for i, a := range s.Args {
 		p := params[i]
 		if p.IsScalar {
-			var st schema.ScalarType
-			var err error
+			term := a.Scalar
 			switch {
-			case a.Scalar != nil:
-				st, err = c.typeOfTerm(a.Scalar, sc)
+			case term != nil:
 			case a.Rel != nil && a.Rel.Sub == nil && len(a.Rel.Suffixes) == 0:
-				// Bare identifier: a scalar parameter reference.
-				if pt, ok := sc.scalars[a.Rel.Var]; ok {
-					st = pt
-				} else {
-					err = errf(a.Rel.Pos, "argument %d of %q: %q is not a scalar in scope", i+1, s.Name, a.Rel.Var)
-				}
+				// Bare identifier: the parser cannot tell a scalar name from a
+				// relation's, the formal can.
+				term = ast.Param{Name: a.Rel.Var, Pos: a.Rel.Pos}
 			default:
-				err = errf(s.Pos, "argument %d of %q must be scalar", i+1, s.Name)
+				return errf(s.Pos, "argument %d of %q must be scalar", i+1, s.Name)
 			}
+			st, err := c.typeOfTerm(term, sc)
 			if err != nil {
 				return err
 			}
-			if st.Kind != p.Scalar.Kind {
+			if st = sc.fix(term, st, p.Scalar); known(st) && st.Kind != p.Scalar.Kind {
 				return errf(s.Pos, "argument %d of %q: expected %s, got %s", i+1, s.Name, p.Scalar, st)
 			}
 			continue
@@ -602,7 +750,7 @@ func (c *Checker) checkArgs(s *ast.Suffix, params []ResolvedParam, sc *scope) er
 		if err != nil {
 			return err
 		}
-		if !at.CompatibleWith(p.Rel) {
+		if !fits(at.Element, p.Rel.Element) {
 			return errf(s.Pos, "argument %d of %q: expected %s, got %s",
 				i+1, s.Name, p.Rel.Element, at.Element)
 		}
@@ -610,11 +758,12 @@ func (c *Checker) checkArgs(s *ast.Suffix, params []ResolvedParam, sc *scope) er
 	return nil
 }
 
+// checkSetExpr types a set expression — under expected when it is given (a
+// constructor body under its declared result type), under its first branch's
+// type otherwise, every later branch positionally compatible (section 3.1) —
+// and records the type on s.
 func (c *Checker) checkSetExpr(s *ast.SetExpr, sc *scope, expected *schema.RecordType) (schema.RecordType, error) {
-	if len(s.Branches) == 0 {
-		if expected != nil {
-			return *expected, nil
-		}
+	if len(s.Branches) == 0 && expected == nil {
 		return schema.RecordType{}, errf(s.Pos, "cannot infer the type of an empty set expression")
 	}
 	var result schema.RecordType
@@ -630,11 +779,12 @@ func (c *Checker) checkSetExpr(s *ast.SetExpr, sc *scope, expected *schema.Recor
 			result = bt
 			continue
 		}
-		if !bt.CompatibleWith(result) {
+		if !fits(bt, result) {
 			return schema.RecordType{}, errf(s.Branches[i].Pos,
 				"branch %d yields %s, incompatible with %s", i+1, bt, result)
 		}
 	}
+	s.Elem = &result
 	return result, nil
 }
 
@@ -675,12 +825,17 @@ func (c *Checker) typeOfTerms(terms []ast.Term, sc *scope) (schema.RecordType, e
 		if err != nil {
 			return schema.RecordType{}, err
 		}
-		name := ""
-		if f, ok := tm.(ast.Field); ok {
-			name = f.Attr
+		// An attribute is named after the field or scalar it projects, a%d
+		// otherwise, and suffixed with its position on a clash.
+		name := fmt.Sprintf("a%d", i+1)
+		switch u := tm.(type) {
+		case ast.Field:
+			name = u.Attr
+		case ast.Param:
+			name = u.Name
 		}
-		if name == "" || used[name] {
-			name = fmt.Sprintf("a%d", i+1)
+		for used[name] {
+			name = fmt.Sprintf("%s_%d", name, i+1)
 		}
 		used[name] = true
 		attrs[i] = schema.Attribute{Name: name, Type: st}
@@ -701,7 +856,8 @@ func (c *Checker) checkPred(p ast.Pred, sc *scope) error {
 		if err != nil {
 			return err
 		}
-		if lt.Kind != rt.Kind {
+		lt, rt = sc.fix(q.L, lt, rt), sc.fix(q.R, rt, lt)
+		if known(lt) && known(rt) && lt.Kind != rt.Kind {
 			return errf(ast.Pos{}, "comparison %s between %s and %s", q.Op, lt, rt)
 		}
 		return nil
@@ -735,7 +891,7 @@ func (c *Checker) checkPred(p ast.Pred, sc *scope) error {
 			if !ok {
 				return errf(q.Pos, "unbound tuple variable %q", q.VarTuple)
 			}
-			if !vt.CompatibleWith(rt.Element) {
+			if !fits(vt, rt.Element) {
 				return errf(q.Pos, "membership of %s tuple in %s relation", vt, rt.Element)
 			}
 			return nil
@@ -744,7 +900,7 @@ func (c *Checker) checkPred(p ast.Pred, sc *scope) error {
 		if err != nil {
 			return err
 		}
-		if !mt.CompatibleWith(rt.Element) {
+		if !fits(mt, rt.Element) {
 			return errf(q.Pos, "membership of %s tuple in %s relation", mt, rt.Element)
 		}
 		return nil
@@ -753,22 +909,37 @@ func (c *Checker) checkPred(p ast.Pred, sc *scope) error {
 	}
 }
 
+// ScalarOf is the type of a scalar value: the unrestricted type of its kind.
+func ScalarOf(v value.Value) schema.ScalarType {
+	switch v.Kind() {
+	case value.KindInt:
+		return schema.IntType()
+	case value.KindString:
+		return schema.StringType()
+	default:
+		return schema.BoolType()
+	}
+}
+
 func (c *Checker) typeOfTerm(t ast.Term, sc *scope) (schema.ScalarType, error) {
 	switch u := t.(type) {
 	case ast.Const:
-		switch u.Val.Kind() {
-		case value.KindInt:
-			return schema.IntType(), nil
-		case value.KindString:
-			return schema.StringType(), nil
-		default:
-			return schema.BoolType(), nil
-		}
+		return ScalarOf(u.Val), nil
 	case ast.Param:
 		if st, ok := sc.scalars[u.Name]; ok {
 			return st, nil
 		}
-		return schema.ScalarType{}, errf(u.Pos, "unknown scalar %q", u.Name)
+		_, isRel := sc.rels[u.Name]
+		if !isRel {
+			_, isRel = c.varType(u.Name)
+		}
+		switch {
+		case isRel:
+			return schema.ScalarType{}, errf(u.Pos, "%q is a relation, not a scalar", u.Name)
+		case sc.params == nil:
+			return schema.ScalarType{}, errf(u.Pos, "unknown scalar %q", u.Name)
+		}
+		return sc.params.use(u.Name, u.Pos).Type, nil
 	case ast.Field:
 		rec, ok := sc.tupleVars[u.Var]
 		if !ok {
@@ -789,7 +960,8 @@ func (c *Checker) typeOfTerm(t ast.Term, sc *scope) (schema.ScalarType, error) {
 		if err != nil {
 			return schema.ScalarType{}, err
 		}
-		if lt.Kind != schema.IntType().Kind || rt.Kind != schema.IntType().Kind {
+		lt, rt = sc.fix(u.L, lt, schema.IntType()), sc.fix(u.R, rt, schema.IntType())
+		if known(lt) && lt.Kind != value.KindInt || known(rt) && rt.Kind != value.KindInt {
 			return schema.ScalarType{}, errf(ast.Pos{}, "arithmetic %s on non-integer operands", u.Op)
 		}
 		return schema.IntType(), nil

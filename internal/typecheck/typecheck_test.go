@@ -48,6 +48,11 @@ func TestErrors(t *testing.T) {
 		header + `SHOW {EACH r IN Infront: r.nope = "x"};` + "\nEND m.": `no attribute "nope"`,
 		// Kind mismatch in comparison.
 		header + `SHOW {EACH r IN Infront: r.front = 1};` + "\nEND m.": "comparison",
+		// A scalar name nothing declares: only a query has parameters.
+		header + `
+SELECTOR hidden_by (Obj: parttype) FOR Rel: infrontrel;
+BEGIN EACH r IN Rel: r.front = Obj END hidden_by;
+SHOW Infront[hidden_by(Who)];` + "\nEND m.": `unknown scalar "Who"`,
 		// Unknown relation in a range.
 		header + `SHOW {EACH r IN Nowhere: TRUE};` + "\nEND m.": `unknown relation "Nowhere"`,
 		// Assignment to undeclared variable.
@@ -167,5 +172,77 @@ END m.
 `)
 	if err == nil || !strings.Contains(err.Error(), "expected") {
 		t.Errorf("wrong selector arg kind: %v", err)
+	}
+}
+
+// TestCheckQuery pins the query entry: an undeclared scalar name is a
+// parameter typed by its first context, parameters come back in source order,
+// the result attributes are named after what they project, and the verdict is
+// recorded on the tree for the evaluator.
+func TestCheckQuery(t *testing.T) {
+	m, err := parser.ParseModule(header + `
+TYPE stockrel = RELATION OF RECORD item: STRING; qty: INTEGER END;
+VAR Stock: stockrel;
+SELECTOR hidden_by (Obj: parttype) FOR Rel: infrontrel;
+BEGIN EACH r IN Rel: r.front = Obj END hidden_by;
+END m.`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New()
+	if err := c.CheckModule(m); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ src, typ, params, err string }{
+		{src: `Infront[hidden_by(Obj)]`,
+			typ: "RECORD front: parttype; back: parttype END", params: "Obj:parttype"},
+		{src: `{EACH s IN Stock[by(Q)]: s.item = I}`, err: `unknown selector "by"`},
+		{src: `{EACH s IN Stock: s.qty = Q + 1 AND s.item = I}`,
+			typ: "RECORD item: STRING; qty: INTEGER END", params: "Q:INTEGER I:STRING"},
+		{src: `{<s.item, s.item, N, 7> OF EACH s IN Stock: s.qty > N}`,
+			typ: "RECORD item: STRING; item_2: STRING; N: INTEGER; a4: INTEGER END", params: "N:INTEGER"},
+		{src: `{<s.item, Tag> OF EACH s IN Stock: TRUE}`,
+			typ: "RECORD item: STRING; Tag: INVALID END", params: "Tag:INVALID"},
+		{src: `{EACH s IN Stock: s.item = P AND s.qty = P}`, err: "comparison = between INTEGER and STRING"},
+		{src: `{EACH s IN Stock: s.item = Stock}`, err: `"Stock" is a relation, not a scalar`},
+		{src: `{EACH s IN Stock: SOME r IN Infront[hidden_by(1 + s.qty)] (TRUE)}`, err: `unbound tuple variable "s"`},
+	} {
+		r, err := parser.ParseRange(tc.src)
+		if err != nil {
+			t.Fatalf("parse %s: %v", tc.src, err)
+		}
+		typ, params, err := c.CheckQuery(r, nil)
+		if tc.err != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Errorf("%s: %v, want an error containing %q", tc.src, err, tc.err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.src, err)
+			continue
+		}
+		if got := typ.Element.String(); got != tc.typ {
+			t.Errorf("%s: typed %s, want %s", tc.src, got, tc.typ)
+		}
+		var ps []string
+		for _, p := range params {
+			ps = append(ps, p.Name+":"+p.Type.String())
+		}
+		if got := strings.Join(ps, " "); got != tc.params {
+			t.Errorf("%s: parameters %q, want %q", tc.src, got, tc.params)
+		}
+		if r.Elem == nil || r.Elem.String() != tc.typ || (r.Sub != nil && r.Sub.Elem == nil) {
+			t.Errorf("%s: verdict not recorded on the tree", tc.src)
+		}
+		// An open parameter is typed by giving it.
+		for i := range params {
+			if params[i].Name == "Tag" {
+				params[i].Type = c.Scalars["INTEGER"]
+			}
+		}
+		if typ, _, err = c.CheckQuery(r, params); err != nil || strings.Contains(typ.Element.String(), "INVALID") {
+			t.Errorf("%s with every parameter given: %s, %v", tc.src, typ.Element, err)
+		}
 	}
 }

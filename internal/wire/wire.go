@@ -90,6 +90,7 @@ const (
 // and a remote database.
 const (
 	CodeParse      = "parse"      // *dbpl.ParseError
+	CodeType       = "type"       // *dbpl.TypeError, *dbpl.PositivityError: statically rejected
 	CodeReadOnly   = "readonly"   // errors.Is(err, dbpl.ErrReadOnly)
 	CodeLimit      = "limit"      // errors.Is(err, dbpl.ErrLimit)
 	CodeClosed     = "closed"     // errors.Is(err, dbpl.ErrClosed)

@@ -235,7 +235,7 @@ func (s *Stmt) buildPlan(traces []optimizer.Trace, decls *declSnapshot) *Plan {
 	p := &Plan{
 		Source:      s.src,
 		Kind:        "range",
-		Params:      append([]string(nil), s.params...),
+		Params:      s.Params(),
 		Optimized:   !s.db.noOptimize,
 		Final:       s.execRng.String(),
 		Quantifiers: s.quantifiers(nil),

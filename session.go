@@ -161,9 +161,6 @@ func Open(opts ...Option) (*DB, error) {
 		}
 		d.Store = st
 		d.wal = wlog
-		// Recovered base relations type-check in later modules without
-		// re-running the declaring ones.
-		d.publishVars(st.Names()...)
 		st.SetLogger(wlog)
 	}
 	// Failures past this point must release the opened write-ahead log; a
@@ -520,7 +517,7 @@ func (d *DB) ExecToContext(ctx context.Context, out io.Writer, src string) error
 	// Compile and publish under the write lock, so a concurrent Declare is
 	// not lost and no query observes a half-compiled module.
 	d.mu.Lock()
-	chk, reg := d.decls.checker.Clone(), d.decls.registry.Clone()
+	chk, reg := d.decls.checker.Clone(d.Store.Type), d.decls.registry.Clone()
 	p, err := compile.CompileModuleInto(m, chk, reg)
 	if err == nil {
 		err = d.noteMutErr(compile.DeclareVars(chk, d.Store))
@@ -600,6 +597,9 @@ func (d *DB) publish(chk *typecheck.Checker, reg *core.Registry) {
 	for name, sig := range chk.Selectors {
 		selectors[name] = sig.Decl
 	}
+	// The published checker resolves no relation variable: every use binds it
+	// to the store it checks against (Clone, Over).
+	chk.Vars, chk.VarType = nil, nil
 	d.decls = &declSnapshot{
 		checker:   chk,
 		registry:  reg,
@@ -610,17 +610,13 @@ func (d *DB) publish(chk *typecheck.Checker, reg *core.Registry) {
 	d.views.Reset()
 }
 
-// publishVars republishes the declarations extended with the named store
-// variables, declared outside any module (Declare, recovery, LoadStore), so
-// later modules type-check statements over them. Caller holds d.mu.
-func (d *DB) publishVars(names ...string) {
-	chk := d.decls.checker.Clone()
-	for _, name := range names {
-		if t, ok := d.Store.Type(name); ok {
-			chk.Vars[name] = t
-		}
-	}
-	d.publish(chk, d.decls.registry)
+// checker returns the published declarations as a checker over the relation
+// variables of the current store — the one source of their types, whether a
+// module, Declare, recovery, LoadStore or the replication stream declared
+// them.
+func (d *DB) checker() (*typecheck.Checker, *declSnapshot) {
+	decls, st, _ := d.current()
+	return decls.checker.Over(st.Type), decls
 }
 
 // relView is the relation-variable state an evaluation binds: the store's
@@ -654,7 +650,6 @@ func (d *DB) newEval(ctx context.Context, view relView, private *core.Registry) 
 	if reg == nil {
 		reg = decls.registry
 		env.Selectors = decls.selectors
-		env.RelTypes = decls.checker.RelTypes
 		if view == nil {
 			view = st
 		}
@@ -734,11 +729,11 @@ func (d *DB) LoadStore(r io.Reader) error {
 		}
 	}
 	d.Store = db
-	// Cached plans resolved names against the replaced store, and cached
-	// fixpoints were computed over its relations: publishing drops the plans,
-	// and re-pointing the view cache at the new store drops every entry and
+	// Cached plans were checked against the replaced store's variables, and
+	// cached fixpoints were computed over its relations: drop the plans, and
+	// re-point the view cache at the new store, which drops every entry and
 	// re-registers the commit observer there.
-	d.publishVars(db.Names()...)
+	d.plans.clear()
 	if d.views != nil {
 		d.views.Attach(db)
 	}

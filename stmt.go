@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -14,17 +15,27 @@ import (
 	"repro/internal/optimizer"
 	"repro/internal/parser"
 	"repro/internal/relation"
+	"repro/internal/schema"
+	"repro/internal/typecheck"
 	"repro/internal/value"
 )
 
-// Stmt is a prepared query: Prepare parses the source, resolves its relation,
-// selector, and constructor references, and lowers it through the optimizer
-// pass pipeline (flatten, selection pushdown, magic sets, nest) exactly once.
-// The resulting compiled plan, inspectable via Plan, is what every Query call
-// executes — concurrently, if desired — against a snapshot of the database's
-// current state. Scalar parameters (bare
-// identifiers that do not name a relation variable) are bound positionally on
-// each Query call, in order of first appearance in the source.
+// Stmt is a prepared query: Prepare parses the source, type-checks it against
+// the current declarations and the store's relation variables
+// (typecheck.Checker.CheckQuery — the check a module's SHOW gets), and lowers
+// it through the optimizer pass pipeline (flatten, selection pushdown, magic
+// sets, nest) exactly once. The resulting compiled plan, inspectable via Plan,
+// is what every Query call executes — concurrently, if desired — against a
+// snapshot of the database's current state.
+//
+// A scalar name no declaration binds is a parameter of the statement, typed
+// by its first context in the query: the formal it is passed to, the other
+// side of its comparison, INTEGER under arithmetic. Parameters are bound
+// positionally on each Query call, in order of first appearance in the source
+// (Params), and each argument's kind is checked against its parameter's type.
+// A parameter no context types — one that occurs only in target lists — takes
+// the type of the value bound to it: such a statement is checked and planned
+// again on every execution.
 //
 // Planning is split across the statement lifecycle: logical rewrites run once
 // at Prepare time; binding order and probe keys are decided per execution,
@@ -41,10 +52,15 @@ import (
 type Stmt struct {
 	db  *DB
 	src string
-	// rng is the parsed form: every query is a range expression, a set
-	// expression being the range whose head is that sub-expression.
+	// rng is the parsed form, typed by the checker: every query is a range
+	// expression, a set expression being the range whose head is that
+	// sub-expression. typ is its relation type and params its scalar
+	// parameters in source order; open reports a parameter only a bound value
+	// types.
 	rng    *ast.Range
-	params []string // scalar parameter names, first-appearance order
+	typ    schema.RelationType
+	params []typecheck.Param
+	open   bool
 
 	// execRng is the pipeline's rewritten form, executed by Query. magic, when
 	// non-nil, replaces the head of execRng with a magic-restricted fixpoint
@@ -57,61 +73,118 @@ type Stmt struct {
 	closed atomic.Bool
 }
 
-// Prepare parses, resolves, and plans a query — a range expression such as
+// Prepare parses, type-checks, and plans a query — a range expression such as
 // `Infront[hidden_by(Obj)]{ahead}` or a set expression such as
-// `{EACH r IN Infront: TRUE}` — for repeated execution.
-func (d *DB) Prepare(src string) (*Stmt, error) {
+// `{EACH r IN Infront: TRUE}` — for repeated execution. A query that does not
+// type is rejected here, with a *TypeError, whatever the relations hold.
+func (d *DB) Prepare(src string) (*Stmt, error) { return d.prepare(src, nil) }
+
+// prepare is Prepare with some parameters already typed: the open parameters
+// of a statement being bound.
+func (d *DB) prepare(src string, given []typecheck.Param) (*Stmt, error) {
 	r, err := parser.ParseRange(src)
 	if err != nil {
 		return nil, wrapErr(err)
 	}
-	st := &Stmt{db: d, src: src, rng: r}
-	if err := st.resolve(); err != nil {
+	chk, decls := d.checker()
+	s := &Stmt{db: d, src: src, rng: r}
+	if s.typ, s.params, err = chk.CheckQuery(r, given); err != nil {
 		return nil, err
 	}
-	st.compile()
-	return st, nil
+	for _, p := range s.params {
+		s.open = s.open || p.Type.Kind == value.KindInvalid
+	}
+	s.compile(chk, decls)
+	return s, nil
 }
 
 // compile lowers the parsed query through the optimizer pass pipeline over a
-// private deep copy of the AST and records the resulting plan. Pass failures
-// never fail preparation — every pass is an optimization, not a semantic
-// requirement — they are recorded in the plan's trace instead.
-func (s *Stmt) compile() {
+// private deep copy of the AST and records the resulting plan. A rewritten
+// form is type-checked like the parsed one, which also types the ranges and
+// set expressions the passes built. Pass failures never fail preparation —
+// every pass is an optimization, not a semantic requirement — they are
+// recorded in the plan's trace instead, and a rewritten form that does not
+// type as the parsed one does is dropped for the query as written.
+func (s *Stmt) compile(chk *typecheck.Checker, decls *declSnapshot) {
 	d := s.db
-	decls, st, _ := d.current()
-
 	q := &optimizer.Query{Rng: ast.CopyRange(s.rng)}
 	var traces []optimizer.Trace
 	if !d.noOptimize {
 		pctx := &optimizer.Context{
 			Selectors:    decls.selectors,
 			Constructors: decls.checker.Constructors,
-			RelTypes:     decls.checker.RelTypes,
 			Recursive:    decls.recursive,
-			VarType:      st.Type,
+			VarType:      chk.VarType,
 		}
 		traces = optimizer.RunPipeline(optimizer.DefaultPipeline(), q, pctx)
+		if slices.ContainsFunc(traces, func(t optimizer.Trace) bool { return t.Applied }) {
+			if err := s.checkRewritten(chk, q.Rng); err != nil {
+				traces = append(traces, optimizer.Trace{
+					Pass: "typecheck", Detail: "error: rewritten form dropped, the query runs as written: " + err.Error()})
+				q = &optimizer.Query{Rng: ast.CopyRange(s.rng)}
+			}
+		}
 	}
 	s.execRng, s.magic = q.Rng, q.Magic
 
 	if s.magic != nil {
-		reg := core.NewRegistry()
-		for _, pred := range s.magic.Bundle.IDB {
-			if _, err := reg.Register(s.magic.Bundle.Decls[pred], s.magic.Bundle.RelTypes[pred]); err != nil {
-				// Registration failure (e.g. a transformed rule tripping the
-				// positivity check) demotes the query to unrestricted
-				// execution; the trace keeps the reason visible in EXPLAIN.
-				traces = append(traces, optimizer.Trace{
-					Pass: "magic", Detail: "error: registering restricted system: " + err.Error()})
-				s.magic = nil
-				reg = nil
-				break
-			}
+		reg, err := magicRegistry(s.magic.Bundle)
+		if err != nil {
+			// A restricted system that does not check or register (e.g. a
+			// transformed rule tripping the positivity check) demotes the
+			// query to unrestricted execution; the trace keeps the reason
+			// visible in EXPLAIN.
+			traces = append(traces, optimizer.Trace{
+				Pass: "magic", Detail: "error: registering restricted system: " + err.Error()})
+			s.magic = nil
 		}
 		s.magicReg = reg
 	}
 	s.plan = s.buildPlan(traces, decls)
+}
+
+// checkRewritten types rng, the form the pipeline rewrote the query into,
+// with the parameters typed as the parsed form typed them. It must yield a
+// relation type compatible with the parsed form's; a set-expression head then
+// takes the parsed head's type, so a rewrite never renames result attributes
+// (pushdown replaces a constructed range by the constructor's body, whose
+// first branch may carry the base relation's attribute names).
+func (s *Stmt) checkRewritten(chk *typecheck.Checker, rng *ast.Range) error {
+	typ, _, err := chk.CheckQuery(rng, s.params)
+	if err != nil {
+		return err
+	}
+	if !typ.CompatibleWith(s.typ) {
+		return fmt.Errorf("types as %s, the query as %s", typ.Element, s.typ.Element)
+	}
+	if rng.Sub != nil && s.rng.Sub != nil && rng.Sub.Elem.CompatibleWith(*s.rng.Sub.Elem) {
+		rng.Sub.Elem = s.rng.Sub.Elem
+	}
+	return nil
+}
+
+// magicRegistry checks the declarations the magic-sets pass generated as a
+// module of their own — they are DBPL constructors like any other — and
+// registers them in a private registry.
+func magicRegistry(b *horn.Bundle) (*core.Registry, error) {
+	chk := typecheck.New()
+	m := &ast.Module{Name: "magic"}
+	for _, rt := range b.RelTypes {
+		chk.RelTypes[rt.Name] = rt
+	}
+	for _, pred := range b.IDB {
+		m.Decls = append(m.Decls, b.Decls[pred])
+	}
+	if err := chk.CheckModule(m); err != nil {
+		return nil, err
+	}
+	reg := core.NewRegistry()
+	for _, pred := range b.IDB {
+		if _, err := reg.Register(b.Decls[pred], b.RelTypes[pred]); err != nil {
+			return nil, err
+		}
+	}
+	return reg, nil
 }
 
 // prepareCached returns the plan-cached statement for src, preparing and
@@ -134,10 +207,13 @@ func (d *DB) prepareCached(src string) (*Stmt, error) {
 // Source returns the statement's source text.
 func (s *Stmt) Source() string { return s.src }
 
-// Params returns the scalar parameter names in binding order.
+// Params returns the scalar parameter names in binding order: the order of
+// their first appearance in the source.
 func (s *Stmt) Params() []string {
 	out := make([]string, len(s.params))
-	copy(out, s.params)
+	for i, p := range s.params {
+		out[i] = p.Name
+	}
 	return out
 }
 
@@ -177,6 +253,9 @@ func (s *Stmt) QueryRows(ctx context.Context, args ...any) (*Rows, error) {
 
 // execStats collects per-execution counters for EXPLAIN ANALYZE.
 type execStats struct {
+	// stmt is the statement that ran: the one executed, or its instance for
+	// the bound values when it has open parameters.
+	stmt   *Stmt
 	exec   eval.ExecStats
 	engine core.Stats
 	// view is the materialized-view outcome of the execution, when a
@@ -186,27 +265,44 @@ type execStats struct {
 }
 
 // bindArgs is the preamble of every execution: it rejects a closed statement,
-// an argument-count mismatch and an already-dead context, then binds args
-// positionally to the statement's scalar parameters in env.
-func (s *Stmt) bindArgs(ctx context.Context, env *eval.Env, args []any) error {
+// an argument-count mismatch, an already-dead context and an argument of
+// another kind than its parameter's type, then binds args positionally to the
+// statement's scalar parameters in env. It returns the statement to run: s,
+// or, when s has open parameters, s prepared again with those typed by the
+// values bound to them.
+func (s *Stmt) bindArgs(ctx context.Context, env *eval.Env, args []any) (*Stmt, error) {
 	if s.closed.Load() {
-		return ErrStmtClosed
+		return nil, ErrStmtClosed
 	}
 	if len(args) != len(s.params) {
-		return fmt.Errorf("dbpl: statement %q expects %d argument(s) %v, got %d",
-			s.src, len(s.params), s.params, len(args))
+		return nil, fmt.Errorf("dbpl: statement %q expects %d argument(s) %v, got %d",
+			s.src, len(s.params), s.Params(), len(args))
 	}
 	if err := ctx.Err(); err != nil {
-		return err
+		return nil, err
 	}
-	for i, name := range s.params {
+	var given []typecheck.Param
+	for i, p := range s.params {
 		v, err := value.FromGo(args[i])
 		if err != nil {
-			return fmt.Errorf("dbpl: binding parameter %q: %w", name, err)
+			return nil, fmt.Errorf("dbpl: binding parameter %q: %w", p.Name, err)
 		}
-		env.Scalars[name] = v
+		switch {
+		case p.Type.Kind == value.KindInvalid:
+			p.Type = typecheck.ScalarOf(v)
+		case p.Type.Kind != v.Kind():
+			return nil, &TypeError{Msg: fmt.Sprintf("statement %q: parameter %q is %s, bound to the %s value %s",
+				s.src, p.Name, p.Type, v.Kind(), v)}
+		}
+		if s.open {
+			given = append(given, p)
+		}
+		env.Scalars[p.Name] = v
 	}
-	return nil
+	if !s.open {
+		return s, nil
+	}
+	return s.db.prepare(s.src, given)
 }
 
 func (s *Stmt) exec(ctx context.Context, args []any, ex *execStats) (*relation.Relation, error) {
@@ -220,18 +316,19 @@ func (s *Stmt) exec(ctx context.Context, args []any, ex *execStats) (*relation.R
 // execWith runs the compiled plan in an environment newEval built: over the
 // store's current state, or over a transaction's view.
 func (s *Stmt) execWith(ctx context.Context, env *eval.Env, en *core.Engine, args []any, ex *execStats) (*relation.Relation, error) {
-	if err := s.bindArgs(ctx, env, args); err != nil {
+	run, err := s.bindArgs(ctx, env, args)
+	if err != nil {
 		return nil, err
 	}
 	if ex != nil {
+		ex.stmt = run
 		env.ExecStats = &ex.exec
 	}
 	var rel *relation.Relation
-	var err error
-	if s.magic != nil {
-		rel, err = s.execMagic(ctx, env, en, ex)
+	if run.magic != nil {
+		rel, err = run.execMagic(ctx, env, en, ex)
 	} else {
-		rel, err = env.Range(s.execRng)
+		rel, err = env.Range(run.execRng)
 	}
 	if err != nil {
 		return nil, wrapErr(err)
@@ -301,166 +398,6 @@ func (s *Stmt) execMagic(ctx context.Context, env *eval.Env, outer *core.Engine,
 	}
 	restricted := horn.RetypeRelation(mp.Result, res)
 	return env.ApplySuffixes(restricted, s.execRng, mp.SuffixFrom)
-}
-
-// ---------------------------------------------------------------------------
-// Name resolution (the prepare-time "typecheck" of the query surface)
-// ---------------------------------------------------------------------------
-
-// ref is a positioned name reference collected from the query AST.
-type ref struct {
-	name string
-	pos  ast.Pos
-}
-
-// sufRef is a selector/constructor application reference.
-type sufRef struct {
-	kind ast.SuffixKind
-	name string
-	argc int
-	pos  ast.Pos
-}
-
-// queryRefs accumulates the references of one query in syntactic order.
-type queryRefs struct {
-	rels    []ref    // ranges that must name relation variables
-	sufs    []sufRef // selector/constructor applications
-	scalars []ref    // names that can only be scalar parameters (term position)
-	flex    []ref    // bare-identifier arguments: relation or scalar parameter
-}
-
-func (q *queryRefs) walkRange(r *ast.Range) {
-	if r.Sub != nil {
-		q.walkSet(r.Sub)
-	} else if r.Var != "" {
-		q.rels = append(q.rels, ref{r.Var, r.Pos})
-	}
-	for i := range r.Suffixes {
-		s := &r.Suffixes[i]
-		q.sufs = append(q.sufs, sufRef{s.Kind, s.Name, len(s.Args), s.Pos})
-		for _, a := range s.Args {
-			switch {
-			case a.Scalar != nil:
-				q.walkTerm(a.Scalar)
-			case a.Rel != nil:
-				if a.Rel.Sub == nil && len(a.Rel.Suffixes) == 0 {
-					// A bare identifier: relation variable or scalar
-					// parameter — decided at resolution.
-					q.flex = append(q.flex, ref{a.Rel.Var, a.Rel.Pos})
-				} else {
-					q.walkRange(a.Rel)
-				}
-			}
-		}
-	}
-}
-
-func (q *queryRefs) walkSet(s *ast.SetExpr) {
-	for i := range s.Branches {
-		br := &s.Branches[i]
-		for _, t := range br.Literal {
-			q.walkTerm(t)
-		}
-		for _, t := range br.Target {
-			q.walkTerm(t)
-		}
-		for _, bd := range br.Binds {
-			q.walkRange(bd.Range)
-		}
-		if br.Where != nil {
-			q.walkPred(br.Where)
-		}
-	}
-}
-
-func (q *queryRefs) walkPred(p ast.Pred) {
-	switch t := p.(type) {
-	case ast.Cmp:
-		q.walkTerm(t.L)
-		q.walkTerm(t.R)
-	case ast.And:
-		q.walkPred(t.L)
-		q.walkPred(t.R)
-	case ast.Or:
-		q.walkPred(t.L)
-		q.walkPred(t.R)
-	case ast.Not:
-		q.walkPred(t.P)
-	case ast.Quant:
-		q.walkRange(t.Range)
-		q.walkPred(t.Body)
-	case ast.Member:
-		for _, tm := range t.Terms {
-			q.walkTerm(tm)
-		}
-		q.walkRange(t.Range)
-	}
-}
-
-func (q *queryRefs) walkTerm(t ast.Term) {
-	switch u := t.(type) {
-	case ast.Param:
-		q.scalars = append(q.scalars, ref{u.Name, u.Pos})
-	case ast.Arith:
-		q.walkTerm(u.L)
-		q.walkTerm(u.R)
-	}
-}
-
-// resolve validates every reference against the current declarations and
-// derives the statement's scalar parameter list: term-position identifiers
-// plus bare-identifier arguments that do not name a relation variable.
-func (s *Stmt) resolve() error {
-	var q queryRefs
-	q.walkRange(s.rng)
-
-	decls, st, _ := s.db.current()
-
-	for _, r := range q.rels {
-		if _, ok := st.Type(r.name); !ok {
-			return fmt.Errorf("dbpl: %s: unknown relation %q", r.pos, r.name)
-		}
-	}
-	for _, sf := range q.sufs {
-		switch sf.kind {
-		case ast.SuffixSelector:
-			decl, ok := decls.selectors[sf.name]
-			if !ok {
-				return fmt.Errorf("dbpl: %s: unknown selector %q", sf.pos, sf.name)
-			}
-			if len(decl.Params) != sf.argc {
-				return fmt.Errorf("dbpl: %s: selector %q expects %d argument(s), got %d",
-					sf.pos, sf.name, len(decl.Params), sf.argc)
-			}
-		default:
-			cons, ok := decls.registry.Lookup(sf.name)
-			if !ok {
-				return fmt.Errorf("dbpl: %s: unknown constructor %q", sf.pos, sf.name)
-			}
-			if len(cons.Decl.Params) != sf.argc {
-				return fmt.Errorf("dbpl: %s: constructor %q expects %d argument(s), got %d",
-					sf.pos, sf.name, len(cons.Decl.Params), sf.argc)
-			}
-		}
-	}
-
-	// Parameter list: scalar-only names, then flex names that do not name a
-	// relation, deduplicated in first-appearance order.
-	seen := make(map[string]bool)
-	for _, r := range q.scalars {
-		if !seen[r.name] {
-			seen[r.name] = true
-			s.params = append(s.params, r.name)
-		}
-	}
-	for _, r := range q.flex {
-		if _, isRel := st.Type(r.name); isRel || seen[r.name] {
-			continue
-		}
-		seen[r.name] = true
-		s.params = append(s.params, r.name)
-	}
-	return nil
 }
 
 // ---------------------------------------------------------------------------

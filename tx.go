@@ -55,8 +55,10 @@ func (d *DB) Begin(ctx context.Context) (*Tx, error) {
 
 // Exec runs a DBPL module's statements (SHOW and assignment, including
 // guarded assignment) inside the transaction, returning the SHOW output.
-// Writes land in the transaction's overlay; nothing is visible outside the
-// transaction until Commit. Modules with declarations are rejected.
+// Like DB.Exec it type-checks every statement before running the first, so an
+// ill-typed module fails with a *TypeError and writes nothing. Writes land in
+// the transaction's overlay; nothing is visible outside the transaction until
+// Commit. Modules with declarations are rejected.
 func (t *Tx) Exec(ctx context.Context, src string) (string, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -69,6 +71,14 @@ func (t *Tx) Exec(ctx context.Context, src string) (string, error) {
 	}
 	if len(m.Decls) > 0 {
 		return "", fmt.Errorf("dbpl: module %s declares inside a transaction; declarations are not transactional (execute them with DB.Exec first)", m.Name)
+	}
+	// The type-checking level, as for a module: every statement is checked
+	// before the first one runs.
+	chk, _ := t.db.checker()
+	for _, s := range m.Stmts {
+		if err := chk.CheckStmt(s); err != nil {
+			return "", err
+		}
 	}
 	var out bytes.Buffer
 	err = t.db.runStmts(ctx, &out, m.Stmts, t)
