@@ -247,6 +247,9 @@ func (l *localEngine) HealthText(context.Context) (string, error) {
 	}
 	s += matviewText(h.MatViews.Enabled, h.MatViews.Entries,
 		h.MatViews.Hits, h.MatViews.Misses, h.MatViews.Maintained, h.MatViews.Backlog)
+	if h.Storage.Enabled {
+		s += " " + h.Storage.String()
+	}
 	return s, nil
 }
 

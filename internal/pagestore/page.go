@@ -104,43 +104,70 @@ type byteCursor struct {
 	off int
 }
 
-func (c *byteCursor) readValue() (value.Value, error) {
+// field advances past one encoded value and returns its kind and payload:
+// the varint of an int, the bytes of a string, the byte of a bool.
+func (c *byteCursor) field() (value.Kind, []byte, error) {
 	if c.off >= len(c.buf) {
-		return value.Value{}, fmt.Errorf("pagestore: truncated value")
+		return 0, nil, fmt.Errorf("pagestore: truncated value")
 	}
 	kind := value.Kind(c.buf[c.off])
 	c.off++
+	start := c.off
 	switch kind {
 	case value.KindInt:
-		i, n := binary.Varint(c.buf[c.off:])
+		_, n := binary.Varint(c.buf[c.off:])
 		if n <= 0 {
-			return value.Value{}, fmt.Errorf("pagestore: corrupt int")
+			return 0, nil, fmt.Errorf("pagestore: corrupt int")
 		}
 		c.off += n
-		return value.Int(i), nil
 	case value.KindString:
 		u, n := binary.Uvarint(c.buf[c.off:])
 		if n <= 0 {
-			return value.Value{}, fmt.Errorf("pagestore: corrupt string length")
+			return 0, nil, fmt.Errorf("pagestore: corrupt string length")
 		}
-		c.off += n
-		end := c.off + int(u)
-		if u > uint64(len(c.buf)) || end > len(c.buf) {
-			return value.Value{}, fmt.Errorf("pagestore: truncated string")
+		start = c.off + n
+		if u > uint64(len(c.buf)-start) {
+			return 0, nil, fmt.Errorf("pagestore: truncated string")
 		}
-		s := string(c.buf[c.off:end])
-		c.off = end
-		return value.Str(s), nil
+		c.off = start + int(u)
 	case value.KindBool:
 		if c.off >= len(c.buf) {
-			return value.Value{}, fmt.Errorf("pagestore: truncated bool")
+			return 0, nil, fmt.Errorf("pagestore: truncated bool")
 		}
-		b := c.buf[c.off]
 		c.off++
-		return value.Bool(b != 0), nil
 	default:
-		return value.Value{}, fmt.Errorf("pagestore: corrupt value kind %d", kind)
+		return 0, nil, fmt.Errorf("pagestore: corrupt value kind %d", kind)
 	}
+	return kind, c.buf[start:c.off], nil
+}
+
+func (c *byteCursor) readValue() (value.Value, error) {
+	kind, p, err := c.field()
+	if err != nil {
+		return value.Value{}, err
+	}
+	switch kind {
+	case value.KindInt:
+		i, _ := binary.Varint(p)
+		return value.Int(i), nil
+	case value.KindString:
+		return value.Str(string(p)), nil
+	default:
+		return value.Bool(p[0] != 0), nil
+	}
+}
+
+// skipTuple advances past one encoded tuple of len(ends) fields without
+// decoding it, recording where each field's encoding ends: field i spans
+// [ends[i-1], ends[i]), field 0 starting where the tuple does.
+func (c *byteCursor) skipTuple(ends []int) error {
+	for i := range ends {
+		if _, _, err := c.field(); err != nil {
+			return err
+		}
+		ends[i] = c.off
+	}
+	return nil
 }
 
 // readTuple decodes one tuple of the given arity.

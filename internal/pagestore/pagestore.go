@@ -19,16 +19,35 @@
 // untouched, so recovery is always the committed generation plus the WAL
 // tail.
 //
+// # Residency and the key index
+//
+// Get decodes a relation from its pages into a relation.Relation (a
+// materialization) and keeps it resident under an LRU budget of decoded
+// bytes (Config.ResidentBytes); a value dropped from the budget is decoded
+// again by the next Get. Grow — the check half of an Insert — grows a
+// resident value in memory as on the memory engine, and makes a non-resident
+// value that fits the budget resident first, as Get would: it is decoded once
+// and later Inserts cost O(batch). Only a relation whose decoded value alone
+// exceeds the budget — keeping it resident would evict every other value —
+// is grown without being decoded: its batch is checked against a key index (a
+// hash of each stored key's encoding → the ordinal of the page holding it;
+// see keyindex.go) and appended to the tail page, leaving it non-resident and
+// the resident values in place. The engine keeps one key index at most, for
+// its most recent such target, built by one key-only pass over that table's
+// pages and never persisted; it is dropped when the table gets a resident
+// value, on LoadManifest and on Close.
+//
 // # Failure model
 //
 // The engine never poisons and never loses logical state: every committed
 // value is reachable from the WAL, and the engine's own copy is page frames
 // plus materialized relations in memory. A heap write failure leaves the
 // frame dirty and resident (the pool overflows its budget rather than drop
-// data), a heap read failure fails that materialization and is retried on
-// the next access, and a checkpoint failure is a clean, retryable checkpoint
-// failure at the WAL layer. LastErr surfaces the most recent fault for
-// health reporting.
+// data), a heap read failure fails that materialization — or that Grow, so
+// the Insert fails before anything is logged — and is retried on the next
+// access, and a checkpoint failure is a clean, retryable checkpoint failure
+// at the WAL layer. LastErr surfaces the most recent fault for health
+// reporting.
 //
 // All file I/O goes through fsx.FS, so the crash-simulation harness sweeps
 // the engine's fault points exactly as it does the WAL's.
@@ -40,10 +59,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"os"
 	"path/filepath"
-
 	"sync"
 
 	"repro/internal/fsx"
@@ -105,6 +124,10 @@ type table struct {
 	resCost int64
 }
 
+// decodedCost is the residency charge of t's value: its encoded payload
+// bytes, plus one so that an empty value is charged too.
+func (t *table) decodedCost() int64 { return t.bytes + 1 }
+
 // Engine is the paged storage engine. It implements store.Engine and
 // store.CheckpointWriter. Unlike the memory engine it takes its own lock:
 // reads fault pages in and touch pool and residency state, so db.mu's read
@@ -137,10 +160,18 @@ type Engine struct {
 	resBytes int64
 	resCap   int64
 
-	lastErr       error
-	matEvictions  uint64
-	lastCkptPages uint64
-	lastCkptBytes uint64
+	// kidx is the key index of the most recent cold-insert target (a table
+	// too large for the residency budget), nil if none (see keyindex.go);
+	// seed keys its hashes.
+	kidx *keyIndex
+	seed maphash.Seed
+
+	lastErr          error
+	matEvictions     uint64
+	materializations uint64
+	keyIndexBuilds   uint64
+	lastCkptPages    uint64
+	lastCkptBytes    uint64
 }
 
 // Open opens (or creates) the paged engine over dir/pages.heap. Page
@@ -192,6 +223,7 @@ func Open(dir string, cfg Config) (*Engine, error) {
 		committed: make(map[int64]bool),
 		lru:       list.New(),
 		resCap:    resCap,
+		seed:      maphash.MakeSeed(),
 	}
 	return e, nil
 }
@@ -205,6 +237,7 @@ func (e *Engine) Close() error {
 		return nil
 	}
 	e.closed = true
+	e.kidx = nil
 	return e.file.Close()
 }
 
@@ -243,12 +276,11 @@ func (e *Engine) Names() []string {
 }
 
 // Current implements store.Engine: pointer-identity reverse lookup over the
-// resident materializations. An evicted value is by definition not a pointer
-// any caller could still be holding from Get... it can be (readers hold
-// strong references), but such a pointer is still the variable's current
-// value only if no publication replaced it — and publications always install
-// into cached, so a non-resident variable's current pointer is simply not
-// discoverable, which only costs a declined access-path build.
+// resident materializations. A reader may still hold the pointer of a value
+// the residency budget has since dropped, and it may still be the variable's
+// current value; but it is no longer discoverable here, so the lookup
+// declines rather than materialize. Declining is always safe — it costs the
+// caller an optimization, never a wrong answer.
 func (e *Engine) Current(rel *relation.Relation) (string, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -280,17 +312,53 @@ func (e *Engine) Get(name string) (*relation.Relation, bool, error) {
 	if !ok {
 		return nil, false, nil
 	}
+	rel, err := e.valueLocked(t)
+	if err != nil {
+		return nil, false, err
+	}
+	return rel, true, nil
+}
+
+// valueLocked returns t's resident value, materializing it from its pages
+// into the residency budget when it is not resident.
+func (e *Engine) valueLocked(t *table) (*relation.Relation, error) {
 	if t.cached != nil {
 		e.lru.MoveToFront(t.elem)
-		return t.cached, true, nil
+		return t.cached, nil
 	}
 	rel, err := e.materializeLocked(t)
 	if err != nil {
 		e.lastErr = err
-		return nil, false, err
+		return nil, err
 	}
+	e.materializations++
 	e.setCachedLocked(t, rel)
-	return rel, true, nil
+	return rel, nil
+}
+
+// Grow implements store.Engine. A value the residency budget can hold is
+// made resident as by Get — decoded once if need be, so later Inserts into
+// it cost O(batch) — and grows as on the memory engine (store.GrowValue);
+// next is the grown value. A table whose decoded value alone exceeds the
+// budget, and so would evict every other resident value to stay resident
+// itself, is checked against its key index without being decoded and stays
+// non-resident: next is nil, and PublishDelta appends to the tail page.
+func (e *Engine) Grow(name string, tuples []value.Tuple) ([]value.Tuple, *relation.Relation, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	t, ok := e.rels[name]
+	if !ok {
+		return nil, nil, fmt.Errorf("pagestore: insert into undeclared variable %q", name)
+	}
+	if t.cached != nil || e.resCap < 0 || t.decodedCost() <= e.resCap {
+		cur, err := e.valueLocked(t)
+		if err != nil {
+			return nil, nil, err
+		}
+		return store.GrowValue(cur, tuples)
+	}
+	added, err := e.growColdLocked(t, tuples)
+	return added, nil, err
 }
 
 // Publish implements store.Engine: wholesale replacement rewrites the
@@ -312,12 +380,17 @@ func (e *Engine) Publish(name string, rel *relation.Relation) {
 
 // PublishDelta implements store.Engine: growth appends only the new tuples'
 // pages — the reason Insert-heavy workloads stay O(delta) on disk as well as
-// in memory.
+// in memory. With a nil next (Grow's answer for a non-resident table) the
+// table stays non-resident and its key index follows the append.
 func (e *Engine) PublishDelta(name string, tuples []value.Tuple, next *relation.Relation) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	t, ok := e.rels[name]
 	if !ok {
+		return
+	}
+	if next == nil {
+		e.appendColdLocked(t, tuples)
 		return
 	}
 	for _, tup := range tuples {
@@ -469,10 +542,7 @@ func (e *Engine) releaseRunLocked(slot int64, n int) {
 	}
 }
 
-// appendTupleLocked encodes one tuple onto the relation's tail page,
-// starting a fresh page when the tail is full (or its committed image cannot
-// be read back — the old page stays sealed on disk and the fresh page simply
-// follows it).
+// appendTupleLocked encodes one tuple onto the relation's tail page.
 func (e *Engine) appendTupleLocked(t *table, tup value.Tuple) {
 	enc, err := appendTuple(nil, tup)
 	if err != nil {
@@ -480,6 +550,14 @@ func (e *Engine) appendTupleLocked(t *table, tup value.Tuple) {
 		e.lastErr = err
 		return
 	}
+	e.appendEncodedLocked(t, enc)
+}
+
+// appendEncodedLocked appends one encoded tuple to the relation's tail page,
+// starting a fresh page when the tail is full (or its committed image cannot
+// be read back — the old page stays sealed on disk and the fresh page simply
+// follows it), and returns the ordinal of the page it landed on.
+func (e *Engine) appendEncodedLocked(t *table, enc []byte) int {
 	var p *page
 	if n := len(t.pages); n > 0 {
 		last := t.pages[n-1]
@@ -517,6 +595,7 @@ func (e *Engine) appendTupleLocked(t *table, tup value.Tuple) {
 	f.pins--
 	t.bytes += int64(len(enc))
 	t.tuples++
+	return len(t.pages) - 1
 }
 
 // materializeLocked decodes a relation from its pages through the pool.
@@ -566,8 +645,12 @@ func (e *Engine) dropPagesLocked(t *table) {
 
 // setCachedLocked installs a relation's materialization and enforces the
 // residency budget, dropping cold materializations (their pages stay on
-// disk; indexes memoized on a dropped value are freed with it).
+// disk; indexes memoized on a dropped value are freed with it). A resident
+// table needs no key index, so one held for t goes.
 func (e *Engine) setCachedLocked(t *table, rel *relation.Relation) {
+	if e.kidx != nil && e.kidx.t == t {
+		e.kidx = nil
+	}
 	if t.elem != nil {
 		e.resBytes -= t.resCost
 		e.lru.MoveToFront(t.elem)
@@ -575,7 +658,7 @@ func (e *Engine) setCachedLocked(t *table, rel *relation.Relation) {
 		t.elem = e.lru.PushFront(t)
 	}
 	t.cached = rel
-	t.resCost = t.bytes + 1
+	t.resCost = t.decodedCost()
 	e.resBytes += t.resCost
 	if e.resCap < 0 {
 		return
@@ -824,6 +907,7 @@ func (e *Engine) LoadManifest(r io.Reader) error {
 		rels[name] = t
 	}
 	e.rels = rels
+	e.kidx = nil
 	e.committed = committed
 	e.pending = nil
 	e.nSlots = maxSlot
@@ -852,10 +936,16 @@ type Stats struct {
 	// incremental cost of the next checkpoint.
 	DirtyPages int
 	Relations  int
+	// Tuples is the number of tuples stored across all relations' pages.
+	Tuples int
 	// ResidentRelations and MaterializedEvictions describe the decoded-
-	// relation residency cache.
+	// relation residency cache; Materializations counts whole-relation
+	// decodes from pages, KeyIndexBuilds the key-only page passes that let
+	// an insert into a non-resident relation skip one.
 	ResidentRelations     int
 	MaterializedEvictions uint64
+	Materializations      uint64
+	KeyIndexBuilds        uint64
 	HeapSlots             int64
 	FreeSlots             int
 	LastCheckpointPages   uint64
@@ -882,6 +972,10 @@ func (e *Engine) Stats() Stats {
 			dirty++
 		}
 	}
+	tuples := 0
+	for _, t := range e.rels {
+		tuples += t.tuples
+	}
 	return Stats{
 		PageSize:              e.pageSize,
 		PoolPages:             e.pool.capSlots,
@@ -893,8 +987,11 @@ func (e *Engine) Stats() Stats {
 		Overflows:             e.pool.overflows,
 		DirtyPages:            dirty,
 		Relations:             len(e.rels),
+		Tuples:                tuples,
 		ResidentRelations:     e.lru.Len(),
 		MaterializedEvictions: e.matEvictions,
+		Materializations:      e.materializations,
+		KeyIndexBuilds:        e.keyIndexBuilds,
 		HeapSlots:             e.nSlots,
 		FreeSlots:             len(e.free),
 		LastCheckpointPages:   e.lastCkptPages,

@@ -2,7 +2,9 @@ package pagestore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"hash/maphash"
 	"strings"
 	"sync"
 	"testing"
@@ -371,4 +373,89 @@ func TestPagedConcurrentReaders(t *testing.T) {
 	default:
 	}
 	wantTuples(t, e, "R", 300)
+}
+
+// TestKeyIndexCollisions plants hash collisions in a cold table's key index
+// so both probe branches run: a hash hit on a page that does not hold the key
+// (the page is read and compared exactly, and the key is reported absent), and
+// a hash marked scanAll (every page is searched, and the stored tuple found
+// there decides duplicate versus conflict). Nothing is ever decoded whole,
+// and materializing the table drops the index.
+func TestKeyIndexCollisions(t *testing.T) {
+	cfg := smallCfg(fsx.NewMemFS())
+	cfg.ResidentBytes = 1
+	e := openDir(t, cfg)
+	e.Declare("R", kvT)
+	e.Declare("S", kvT)
+	load(e, relation.New(kvT), 0, 100)
+	checkpoint(t, e)
+	if _, ok, err := e.Get("S"); err != nil || !ok { // drops R's decoded value
+		t.Fatalf("get S: %v", err)
+	}
+	mats := e.Stats().Materializations
+	grow := func(tuples ...value.Tuple) []value.Tuple {
+		t.Helper()
+		added, next, err := e.Grow("R", tuples)
+		if err != nil {
+			t.Fatalf("grow %v: %v", tuples, err)
+		}
+		if next != nil {
+			t.Fatal("a non-resident table grew a decoded value")
+		}
+		e.PublishDelta("R", added, nil)
+		return added
+	}
+	if added := grow(kv(500, "new")); len(added) != 1 {
+		t.Fatalf("fresh key: added %v", added)
+	}
+	ki := e.kidx
+	if ki == nil || ki.t != e.rels["R"] || len(e.rels["R"].pages) < 3 {
+		t.Fatalf("no key index over a multi-page R after a cold insert: %+v", ki)
+	}
+	hashOf := func(tup value.Tuple) uint64 {
+		_, key, err := ki.encode(nil, nil, tup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return maphash.Bytes(e.seed, key)
+	}
+
+	// Page verify: an absent key whose hash points at page 0.
+	absent := kv(1000, "absent")
+	ki.pages[hashOf(absent)] = 0
+	if added := grow(absent); len(added) != 1 {
+		t.Fatalf("hash hit on a page without the key: added %v", added)
+	}
+
+	// Scan all: a stored key on the last page found by searching every page.
+	stored := kv(99, "value-0099")
+	ki.pages[hashOf(stored)] = scanAll
+	if added := grow(stored); len(added) != 0 {
+		t.Fatalf("duplicate behind scanAll: added %v", added)
+	}
+	_, _, err := e.Grow("R", []value.Tuple{kv(99, "other")})
+	var kc *relation.KeyConflictError
+	if !errors.As(err, &kc) || !kc.Existing.Equal(stored) {
+		t.Fatalf("conflict behind scanAll: %v", err)
+	}
+
+	// Two stored keys on different pages sharing a hash mark it scanAll.
+	ki.note(42, 0)
+	ki.note(42, 0)
+	if ki.pages[42] != 0 {
+		t.Fatal("two keys on one page need no scan of every page")
+	}
+	ki.note(42, 1)
+	if ki.pages[42] != scanAll {
+		t.Fatal("keys on two pages sharing a hash must scan every page")
+	}
+
+	st := e.Stats()
+	if st.KeyIndexBuilds != 1 || st.Materializations != mats || st.Tuples != 102 {
+		t.Fatalf("cold growth: %+v", st)
+	}
+	wantTuples(t, e, "R", 102)
+	if e.kidx != nil {
+		t.Fatal("materializing R kept its key index")
+	}
 }

@@ -222,13 +222,24 @@ func (r *Relation) keyOf(t value.Tuple) string {
 	return t.Project(r.keyPos).Key()
 }
 
+// CheckElement is the domain half of Insert's check: it returns the error
+// Insert returns for a tuple outside typ's element type. A storage engine
+// checking a batch against a relation it has not decoded uses it to reject
+// exactly what Insert would.
+func CheckElement(typ schema.RelationType, t value.Tuple) error {
+	if !typ.Element.Contains(t) {
+		return fmt.Errorf("relation %s: tuple %s violates element type %s",
+			typ.Name, t, typ.Element)
+	}
+	return nil
+}
+
 // Insert adds a tuple. It is a no-op if an equal tuple is present, returns a
 // *KeyConflictError if a different tuple with the same key is present, and
 // checks the element type's domain predicate.
 func (r *Relation) Insert(t value.Tuple) error {
-	if !r.typ.Element.Contains(t) {
-		return fmt.Errorf("relation %s: tuple %s violates element type %s",
-			r.typ.Name, t, r.typ.Element)
+	if err := CheckElement(r.typ, t); err != nil {
+		return err
 	}
 	k := r.keyOf(t)
 	if old, ok := r.get(k); ok {
@@ -247,18 +258,20 @@ func (r *Relation) Insert(t value.Tuple) error {
 	return nil
 }
 
-// InsertAll inserts the tuples all-or-nothing: on the first domain or key
-// violation the tuples this call already added are taken out again, so the
-// relation holds exactly what it held before the call.
-func (r *Relation) InsertAll(tuples ...value.Tuple) error {
-	if len(tuples) == 1 {
-		return r.Insert(tuples[0])
-	}
+// InsertAll inserts the tuples all-or-nothing and returns the ones it added —
+// the batch minus the tuples already present (or repeated within it), in
+// batch order. On the first domain or key violation the tuples this call
+// already added are taken out again, so the relation holds exactly what it
+// held before the call.
+func (r *Relation) InsertAll(tuples ...value.Tuple) ([]value.Tuple, error) {
 	added := make([]value.Tuple, 0, len(tuples))
 	pending := len(r.pending)
 	for _, t := range tuples {
 		v := r.version
 		if err := r.Insert(t); err != nil {
+			if len(added) == 0 {
+				return nil, err
+			}
 			// What this call added sits in the own maps (Insert never writes a
 			// frozen layer), so the undo needs no materialization.
 			for _, u := range added {
@@ -271,13 +284,13 @@ func (r *Relation) InsertAll(tuples ...value.Tuple) error {
 			if r.inherited != nil {
 				r.pending = r.pending[:pending]
 			}
-			return err
+			return nil, err
 		}
 		if r.version != v {
 			added = append(added, t)
 		}
 	}
-	return nil
+	return added, nil
 }
 
 // Add inserts a tuple and reports whether the relation grew. Unlike Insert it

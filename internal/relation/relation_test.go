@@ -443,15 +443,15 @@ func TestInsertAllIsAllOrNothing(t *testing.T) {
 	}
 	base.IndexOn([]int{1}, 1)
 	r := base.Clone()
-	if err := r.InsertAll(kv(5000, "own")); err != nil {
+	if _, err := r.InsertAll(kv(5000, "own")); err != nil {
 		t.Fatal(err)
 	}
 	want := r.Clone()
 
 	// New tuple, a duplicate of an own tuple, a duplicate of a base tuple, a
 	// second new tuple, then a key conflict with the first new one.
-	err := r.InsertAll(kv(6000, "new"), kv(5000, "own"), kv(7, "base"), kv(6001, "new"), kv(6000, "clash"))
-	if _, ok := err.(*KeyConflictError); !ok {
+	added, err := r.InsertAll(kv(6000, "new"), kv(5000, "own"), kv(7, "base"), kv(6001, "new"), kv(6000, "clash"))
+	if _, ok := err.(*KeyConflictError); !ok || added != nil {
 		t.Fatalf("InsertAll over a conflicting batch: %v, want *KeyConflictError", err)
 	}
 	if !r.Equal(want) || r.Len() != 2001 {
@@ -460,9 +460,14 @@ func TestInsertAllIsAllOrNothing(t *testing.T) {
 	if got := r.IndexOn([]int{1}, 1).Probe(value.NewTuple(value.Str("new"))); len(got) != 0 {
 		t.Fatalf("index over the restored relation still finds %d undone tuples", len(got))
 	}
-	// The same batch without the conflict goes in whole.
-	if err := r.InsertAll(kv(6000, "new"), kv(5000, "own"), kv(7, "base"), kv(6001, "new")); err != nil {
+	// The same batch without the conflict goes in whole; what it reports
+	// added is the batch minus the tuples already present or repeated.
+	added, err = r.InsertAll(kv(6000, "new"), kv(5000, "own"), kv(7, "base"), kv(6001, "new"), kv(6000, "new"))
+	if err != nil {
 		t.Fatal(err)
+	}
+	if len(added) != 2 || !added[0].Equal(kv(6000, "new")) || !added[1].Equal(kv(6001, "new")) {
+		t.Fatalf("InsertAll reported %v added, want the two new tuples", added)
 	}
 	if r.Len() != 2003 || len(r.IndexOn([]int{1}, 1).Probe(value.NewTuple(value.Str("new")))) != 2 {
 		t.Fatalf("InsertAll of a valid batch left %d tuples", r.Len())

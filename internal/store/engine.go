@@ -16,19 +16,22 @@ import (
 
 // Engine is a pluggable storage backend for the Database's variable
 // bindings. The Database owns all synchronization: every Engine method is
-// called with db.mu held (write-held for Declare/Publish/PublishDelta, at
-// least read-held for the rest), so a purely in-memory implementation needs
-// no internal locking, while an implementation that mutates internal state
-// on reads (a buffer pool faulting pages in) must add its own.
+// called with db.mu held (write-held for Declare/Grow/Publish/PublishDelta,
+// at least read-held for the rest), so a purely in-memory implementation
+// needs no internal locking, while an implementation that mutates internal
+// state on reads (a buffer pool faulting pages in) must add its own.
 //
 // Published relation values remain immutable under every engine: Publish and
-// PublishDelta install a fresh pointer and the engine must hand exactly that
-// pointer back from Get until the next publication, so pointer-identity
-// invariants (a Tx commit's growth classification, the matview Observer,
-// NameOf) keep holding. An engine may drop a resident value at any time
-// (residency eviction) without telling the Database: hash indexes are
-// memoized on the relation value itself, so they are freed with it and
+// PublishDelta with a value install a fresh pointer and the engine must hand
+// exactly that pointer back from Get until the next publication, so
+// pointer-identity invariants (a Tx commit's growth classification, the
+// matview Observer, NameOf) keep holding. An engine may drop a resident value
+// at any time (residency eviction) without telling the Database: hash indexes
+// are memoized on the relation value itself, so they are freed with it and
 // rebuilt on the value a later Get materializes.
+//
+// The owner of an engine that holds resources (the paged engine's heap file)
+// closes it through its concrete type; the Database never does.
 type Engine interface {
 	// EngineName identifies the implementation ("memory", "paged") for
 	// health reporting.
@@ -53,17 +56,30 @@ type Engine interface {
 	// Current returns the variable whose current published value is rel
 	// (pointer identity), without materializing anything.
 	Current(rel *relation.Relation) (string, bool)
+	// Grow checks tuples for insertion into a declared variable's current
+	// value and publishes nothing: the element domain, then the key
+	// constraint with Relation.Insert's semantics — an equal tuple is a
+	// no-op, a different tuple with the same key a *relation.KeyConflictError
+	// naming the stored (or earlier batch) tuple. The check is
+	// all-or-nothing: on the first violation it returns that error and no
+	// tuples. added is the batch minus the tuples already present or
+	// repeated, in batch order. next is the current value grown by added
+	// when the engine holds the current value in memory, nil when it does
+	// not (a paged variable too large for the residency budget is checked
+	// against its pages instead of being decoded). An I/O failure during the
+	// check fails Grow before anything is logged.
+	Grow(name string, tuples []value.Tuple) (added []value.Tuple, next *relation.Relation, err error)
 	// Publish replaces a variable's value wholesale (Assign, Tx overwrite).
 	// It must not fail logically: the mutation is already logged. An engine
 	// that hits an I/O failure keeps the state in memory and surfaces the
 	// problem through its own health reporting.
 	Publish(name string, rel *relation.Relation)
-	// PublishDelta publishes growth: next is exactly the previous published
-	// value plus tuples, so an engine can append rather than rewrite.
+	// PublishDelta publishes growth: tuples are new to the variable, and
+	// next is exactly the previous published value plus tuples, so an engine
+	// can append rather than rewrite. A nil next (what Grow returned for a
+	// value it does not hold) appends without a value to hand back: the next
+	// Get materializes one.
 	PublishDelta(name string, tuples []value.Tuple, next *relation.Relation)
-	// Close releases engine resources (file handles). The Database does not
-	// call it; the owner of the engine does.
-	Close() error
 }
 
 // CheckpointWriter is implemented by engines whose checkpoint format is not
@@ -129,6 +145,22 @@ func (e *memEngine) Current(rel *relation.Relation) (string, bool) {
 	return "", false
 }
 
+func (e *memEngine) Grow(name string, tuples []value.Tuple) ([]value.Tuple, *relation.Relation, error) {
+	return GrowValue(e.vars[name], tuples)
+}
+
+// GrowValue is Engine.Grow over a value held in memory: a copy-on-write clone
+// of cur (O(1) by layers) grown by Relation.InsertAll. Every engine grows a
+// resident value this way.
+func GrowValue(cur *relation.Relation, tuples []value.Tuple) ([]value.Tuple, *relation.Relation, error) {
+	next := cur.Clone()
+	added, err := next.InsertAll(tuples...)
+	if err != nil {
+		return nil, nil, err
+	}
+	return added, next, nil
+}
+
 func (e *memEngine) Publish(name string, rel *relation.Relation) {
 	e.vars[name] = rel
 }
@@ -136,5 +168,3 @@ func (e *memEngine) Publish(name string, rel *relation.Relation) {
 func (e *memEngine) PublishDelta(name string, tuples []value.Tuple, next *relation.Relation) {
 	e.vars[name] = next
 }
-
-func (e *memEngine) Close() error { return nil }

@@ -73,7 +73,9 @@ type Logger interface {
 // the previous published value plus tuples (Insert, and insert-only Tx writes
 // whose base was not overtaken). CommittedReset reports everything else — an
 // Assign overwrite, a Tx write that replaced or shrank the value, a fresh
-// Declare — for which the only safe reaction is invalidation.
+// Declare, an Insert the engine appended without a value in memory (next is
+// then nil: no pointer was published to maintain against) — for which the
+// only safe reaction is invalidation.
 //
 // Both calls run with the database's write lock held: they must be fast and,
 // like a Logger, must never call back into the Database.
@@ -430,35 +432,39 @@ func (db *Database) Assign(name string, rex *relation.Relation, guards ...Guard)
 	return nil
 }
 
-// Insert adds tuples to a variable, under the key constraint. The variable's
-// published relation is never mutated in place: the new value is built on a
-// copy and swapped in atomically, so snapshot readers keep iterating a
-// consistent state. On any violation the variable keeps its previous value.
+// Insert adds tuples to a variable, under the key constraint, all or nothing:
+// on any violation the variable keeps its previous value. The engine checks
+// the batch (Engine.Grow); only the tuples it does not already hold are
+// logged — exactly as an insert-only Tx commit does — and published, and a
+// batch that adds nothing logs nothing. The published relation is never
+// mutated in place, so snapshot readers keep iterating a consistent state.
 //
-// The copy is per call, not per tuple — batch tuples into one Insert where
-// possible; n single-tuple calls clone the relation n times. The log record
-// carries just the inserted tuples, exactly as an insert-only Tx commit does.
+// The cost is O(batch): the copy-on-write Clone of a resident value is O(1)
+// by layers. A paged variable that is not resident is first decoded, as by a
+// read, if it fits the engine's residency budget; one too large for the
+// budget is not decoded at all, and the first Insert into it adds one
+// key-only pass over its pages (to build the key index the check probes).
+// Observers then see a reset rather than a delta against a pointer that was
+// never published.
 func (db *Database) Insert(name string, tuples ...value.Tuple) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	r, ok, err := db.engine.Get(name)
-	if err != nil {
-		return fmt.Errorf("store: reading %q: %w", name, err)
-	}
-	if !ok {
+	if _, ok := db.engine.Type(name); !ok {
 		return fmt.Errorf("store: insert into undeclared variable %q", name)
 	}
-	next := r.Clone()
-	for _, t := range tuples {
-		if err := next.Insert(t); err != nil {
-			return err
-		}
-	}
-	if err := db.logLocked([]Mutation{{Op: OpInsert, Name: name, Tuples: tuples}}); err != nil {
+	added, next, err := db.engine.Grow(name, tuples)
+	if err != nil || len(added) == 0 {
 		return err
 	}
-	db.engine.PublishDelta(name, tuples, next)
-	db.observeGrow(name, tuples, next)
+	if err := db.logLocked([]Mutation{{Op: OpInsert, Name: name, Tuples: added}}); err != nil {
+		return err
+	}
+	db.engine.PublishDelta(name, added, next)
+	if next == nil {
+		db.observeReset(name, nil)
+	} else {
+		db.observeGrow(name, added, next)
+	}
 	return nil
 }
 
@@ -482,11 +488,13 @@ func (db *Database) CachedPaths() int {
 // without further locking while writers proceed. A variable whose
 // materialization fails (paged-engine I/O error) fails the snapshot with that
 // error, naming the variable; page I/O errors are retryable, so the next
-// Snapshot may succeed.
+// Snapshot may succeed. Variables are read in name order, so which values a
+// paged engine's residency budget keeps afterwards is deterministic.
 func (db *Database) Snapshot() (map[string]*relation.Relation, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	names := db.engine.Names()
+	sort.Strings(names)
 	out := make(map[string]*relation.Relation, len(names))
 	for _, n := range names {
 		r, ok, err := db.engine.Get(n)
@@ -569,7 +577,9 @@ func (tx *Tx) Assign(name string, rex *relation.Relation, guards ...Guard) error
 
 // Insert adds tuples inside the transaction, copying on first write. The call
 // is all-or-nothing, like Database.Insert: on a key or domain violation the
-// transaction holds none of its tuples.
+// transaction holds none of its tuples. Tuples the variable already holds are
+// not recorded, so an insert-only commit logs and appends only new ones, and
+// a call that adds nothing leaves the variable unwritten.
 func (tx *Tx) Insert(name string, tuples ...value.Tuple) error {
 	if tx.done {
 		return fmt.Errorf("store: transaction already finished")
@@ -581,12 +591,13 @@ func (tx *Tx) Insert(name string, tuples ...value.Tuple) error {
 	if _, own := tx.overlay[name]; !own {
 		cur = cur.Clone()
 	}
-	if err := cur.InsertAll(tuples...); err != nil {
+	added, err := cur.InsertAll(tuples...)
+	if err != nil || len(added) == 0 {
 		return err
 	}
 	tx.overlay[name] = cur
 	if !tx.overwritten[name] {
-		tx.inserted[name] = append(tx.inserted[name], tuples...)
+		tx.inserted[name] = append(tx.inserted[name], added...)
 	}
 	return nil
 }

@@ -133,10 +133,13 @@ type simEnv struct {
 	name   string
 	open   func(fs fsx.FS) (*Log, *store.Database, error)
 	reopen func(fs fsx.FS) (*Log, *store.Database, error)
+	// pager is the paged engine the latest open or reopen wired in (nil on
+	// the memory engine).
+	pager *pagestore.Engine
 }
 
-func memSimEnv() simEnv {
-	return simEnv{
+func memSimEnv() *simEnv {
+	return &simEnv{
 		name: "memory",
 		open: func(fs fsx.FS) (*Log, *store.Database, error) {
 			return Open(simDir, simOptions(fs))
@@ -153,13 +156,27 @@ func memSimEnv() simEnv {
 // A deliberately tiny pool (2 slots of 128 bytes) forces eviction write-backs
 // mid-workload, so heap-page writes and the incremental checkpoint's flush,
 // heap fsync, and manifest write all appear among the swept fault points.
-// Residency is unlimited: materializations never drop mid-run, keeping the
-// recorded operation sequence identical across every faulted replay.
-func pagedSimEnv() simEnv {
+// Residency is unlimited: materializations never drop mid-run, so every
+// Insert grows a resident value.
+func pagedSimEnv() *simEnv {
+	return pagedEnv("paged", pagestore.Config{PageSize: 128, PoolPages: 2, ResidentBytes: -1})
+}
+
+// pagedColdSimEnv is pagedSimEnv with a residency of one relation and a
+// one-page pool: touching a variable drops the others' decoded values and
+// evicts their pages, so an Insert into a variable other than the last one
+// touched takes the cold path — its key check reads the variable's pages
+// back from the heap file to build the key index, and nothing is decoded.
+func pagedColdSimEnv() *simEnv {
+	return pagedEnv("paged-cold", pagestore.Config{PageSize: 128, PoolPages: 1, ResidentBytes: 1})
+}
+
+func pagedEnv(name string, cfg pagestore.Config) *simEnv {
+	env := &simEnv{name: name}
 	pagedOpen := func(fs fsx.FS, walOpts Options) (*Log, *store.Database, error) {
-		pager, err := pagestore.Open(simDir, pagestore.Config{
-			FS: fs, PageSize: 128, PoolPages: 2, ResidentBytes: -1,
-		})
+		cfg := cfg
+		cfg.FS = fs
+		pager, err := pagestore.Open(simDir, cfg)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -178,17 +195,16 @@ func pagedSimEnv() simEnv {
 			_ = pager.Close()
 			return nil, nil, err
 		}
+		env.pager = pager
 		return l, db, nil
 	}
-	return simEnv{
-		name: "paged",
-		open: func(fs fsx.FS) (*Log, *store.Database, error) {
-			return pagedOpen(fs, simOptions(fs))
-		},
-		reopen: func(fs fsx.FS) (*Log, *store.Database, error) {
-			return pagedOpen(fs, Options{FS: fs})
-		},
+	env.open = func(fs fsx.FS) (*Log, *store.Database, error) {
+		return pagedOpen(fs, simOptions(fs))
 	}
+	env.reopen = func(fs fsx.FS) (*Log, *store.Database, error) {
+		return pagedOpen(fs, Options{FS: fs})
+	}
+	return env
 }
 
 // runSim opens a log over fs and drives the workload, mirroring each
@@ -196,7 +212,7 @@ func pagedSimEnv() simEnv {
 // It returns the shadow (always exactly the committed prefix), the index of
 // the first mutation step that failed (-1 if none), and the log and database
 // (nil if Open itself failed).
-func runSim(t *testing.T, env simEnv, fs fsx.FS, steps []simStep) (shadow *store.Database, firstFailed int, l *Log, db *store.Database, openErr error) {
+func runSim(t *testing.T, env *simEnv, fs fsx.FS, steps []simStep) (shadow *store.Database, firstFailed int, l *Log, db *store.Database, openErr error) {
 	t.Helper()
 	shadow = store.NewDatabase()
 	firstFailed = -1
@@ -230,7 +246,7 @@ func reopenFrom(t *testing.T, fs fsx.FS) (*Log, *store.Database) {
 
 // envReopen recovers from a surviving filesystem image with the given
 // engine and no faults scripted.
-func envReopen(t *testing.T, env simEnv, fs fsx.FS) (*Log, *store.Database) {
+func envReopen(t *testing.T, env *simEnv, fs fsx.FS) (*Log, *store.Database) {
 	t.Helper()
 	l, db, err := env.reopen(fs)
 	if err != nil {
@@ -242,7 +258,7 @@ func envReopen(t *testing.T, env simEnv, fs fsx.FS) (*Log, *store.Database) {
 
 // verifyUsable appends a probe mutation to a recovered database and checks it
 // survives another reopen: recovery must leave the log appendable.
-func verifyUsable(t *testing.T, env simEnv, fs fsx.FS, l *Log, db *store.Database) {
+func verifyUsable(t *testing.T, env *simEnv, fs fsx.FS, l *Log, db *store.Database) {
 	t.Helper()
 	if err := db.Declare("Probe", pairType("probe")); err != nil {
 		t.Fatalf("recovered database refuses declarations: %v", err)
@@ -291,7 +307,41 @@ func TestCrashSimEveryFaultPointPaged(t *testing.T) {
 	sweepEveryFaultPoint(t, pagedSimEnv())
 }
 
-func sweepEveryFaultPoint(t *testing.T, env simEnv) {
+// TestCrashSimEveryFaultPointPagedCold sweeps the paged engine with a
+// residency of one relation, so the workload's Inserts alternate between the
+// resident path and the cold path: the key index built by reading the
+// variable's pages back, the check against it, the append to the tail page.
+// The recording pass must show a heap read inside an Insert that built a key
+// index — a fault point of the cold check itself — and every fault must still
+// recover to exactly a committed prefix.
+func TestCrashSimEveryFaultPointPagedCold(t *testing.T) {
+	env := pagedColdSimEnv()
+	fs := fsx.NewFaultFS(fsx.NewMemFS())
+	l, db, err := env.open(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.SetLogger(l)
+	coldRead := false
+	for _, s := range simWorkload() {
+		from, builds := fs.OpCount(), env.pager.Stats().KeyIndexBuilds
+		if err := s.run(db); err != nil {
+			t.Fatalf("fault-free step %s: %v", s.name, err)
+		}
+		if env.pager.Stats().KeyIndexBuilds > builds {
+			for _, op := range fs.Ops()[from:] {
+				coldRead = coldRead || (op.Kind == fsx.OpRead && strings.Contains(op.Path, "pages.heap"))
+			}
+		}
+	}
+	if st := env.pager.Stats(); st.KeyIndexBuilds == 0 || !coldRead {
+		t.Fatalf("workload never read pages back to check a cold insert: %+v", st)
+	}
+	_ = l.Close()
+	sweepEveryFaultPoint(t, env)
+}
+
+func sweepEveryFaultPoint(t *testing.T, env *simEnv) {
 	steps := simWorkload()
 
 	// Recording pass: fault-free, enumerates the fault points.
@@ -318,7 +368,7 @@ func sweepEveryFaultPoint(t *testing.T, env simEnv) {
 	if total < 30 {
 		t.Fatalf("suspiciously few fault points recorded: %d", total)
 	}
-	if env.name == "paged" {
+	if env.pager != nil {
 		// The paged sweep must actually cover the new engine's fault points:
 		// heap page writes and the heap fsync that orders them before the
 		// checkpoint manifest. opIndex fails the test if either is absent.
@@ -362,14 +412,25 @@ func sweepEveryFaultPoint(t *testing.T, env simEnv) {
 // possibly extended by the single faulted record, if its frame fully reached
 // the page cache before the error (an fsync failure), but never a partial
 // batch and never more than that one record.
-func simulateError(t *testing.T, env simEnv, steps []simStep, k int) {
+func simulateError(t *testing.T, env *simEnv, steps []simStep, k int) {
 	mem := fsx.NewMemFS()
 	ffs := fsx.NewFaultFS(mem)
 	ffs.Inject(fsx.Fault{Index: k})
 	shadow, firstFailed, l, db, openErr := runSim(t, env, ffs, steps)
 	if l != nil {
-		// Failed commits must not be published in memory either.
-		if got, want := saveBytes(t, db), saveBytes(t, shadow); !bytes.Equal(got, want) {
+		// Failed commits must not be published in memory either. On the cold
+		// engine alone the injected fault may land on a page read of this
+		// very check (the recording pass's Save faulted cold variables in);
+		// page reads are retryable, and the single-shot fault is spent.
+		var buf bytes.Buffer
+		if err := db.Save(&buf); err != nil {
+			if env.name != "paged-cold" || !errors.Is(err, fsx.ErrInjected) {
+				t.Fatalf("Save after the fault: %v", err)
+			}
+			buf.Reset()
+			buf.Write(saveBytes(t, db))
+		}
+		if got, want := buf.Bytes(), saveBytes(t, shadow); !bytes.Equal(got, want) {
 			t.Fatal("in-memory state diverged from the committed prefix")
 		}
 		if l.Err() != nil {
@@ -409,7 +470,7 @@ func simulateError(t *testing.T, env simEnv, steps []simStep, k int) {
 // holds, everything unsynced lost — must be *exactly* the committed prefix.
 // Recovery from the volatile image (the page cache, as after a graceful exit)
 // may additionally hold the single in-flight record.
-func simulateCrash(t *testing.T, env simEnv, steps []simStep, fault fsx.Fault) {
+func simulateCrash(t *testing.T, env *simEnv, steps []simStep, fault fsx.Fault) {
 	mem := fsx.NewMemFS()
 	ffs := fsx.NewFaultFS(mem)
 	ffs.Inject(fault)

@@ -333,12 +333,30 @@ type StorageStats struct {
 	DirtyPages int
 	// HeapSlots is the heap file's allocated size in page slots.
 	HeapSlots int64
+	// ResidentRelations is the number of relation values held decoded in
+	// memory; MaterializedEvictions counts decoded values dropped from that
+	// residency budget, and Materializations the whole-relation decodes from
+	// pages that refilled it. KeyIndexBuilds counts the key-only page passes
+	// that let an Insert into a non-resident relation too large for the
+	// residency budget check its key constraint without decoding it: a
+	// stream of such inserts adds builds (at most one per switch between
+	// such relations), not materializations.
+	ResidentRelations                                       int
+	MaterializedEvictions, Materializations, KeyIndexBuilds uint64
 	// LastCheckpointPages and LastCheckpointBytes are the pages flushed and
 	// total bytes (pages plus manifest) written by the latest checkpoint.
 	LastCheckpointPages, LastCheckpointBytes uint64
 	// Err is the most recent page I/O failure; unlike a poisoned log it is
 	// informational — the engine keeps serving from memory and retries.
 	Err error
+}
+
+// String renders the storage segment of a health line: "storage pool=…
+// hit-rate=… dirty=… resident=… materializations=… key-index-builds=…".
+func (s StorageStats) String() string {
+	return fmt.Sprintf("storage pool=%d/%d hit-rate=%.0f%% dirty=%d resident=%d materializations=%d key-index-builds=%d",
+		s.PoolUsed, s.PoolPages, 100*s.HitRate(), s.DirtyPages,
+		s.ResidentRelations, s.Materializations, s.KeyIndexBuilds)
 }
 
 // HitRate is the fraction of page accesses served from the buffer pool, in
@@ -385,7 +403,7 @@ func (m MatViewStats) HitRate() float64 {
 // String renders the state compactly: "ok", "ok generation=3 tail=17", or
 // "degraded generation=3 tail=17: <cause>", each followed by a
 // " matview entries=… hit-rate=… backlog=…" segment when materialization is
-// enabled.
+// enabled and by the StorageStats segment on the paged engine.
 func (h Health) String() string {
 	var s string
 	switch {
@@ -401,8 +419,7 @@ func (h Health) String() string {
 			h.MatViews.Entries, 100*h.MatViews.HitRate(), h.MatViews.Backlog)
 	}
 	if h.Storage.Enabled {
-		s += fmt.Sprintf(" storage pool=%d/%d hit-rate=%.0f%% dirty=%d",
-			h.Storage.PoolUsed, h.Storage.PoolPages, 100*h.Storage.HitRate(), h.Storage.DirtyPages)
+		s += " " + h.Storage.String()
 	}
 	return s
 }
@@ -428,19 +445,23 @@ func (d *DB) Health() Health {
 	if d.pager != nil {
 		st := d.pager.Stats()
 		h.Storage = StorageStats{
-			Enabled:             true,
-			PoolPages:           st.PoolPages,
-			PoolUsed:            st.PoolUsed,
-			Hits:                st.Hits,
-			Misses:              st.Misses,
-			Evictions:           st.Evictions,
-			WriteBacks:          st.WriteBacks,
-			Overflows:           st.Overflows,
-			DirtyPages:          st.DirtyPages,
-			HeapSlots:           st.HeapSlots,
-			LastCheckpointPages: st.LastCheckpointPages,
-			LastCheckpointBytes: st.LastCheckpointBytes,
-			Err:                 st.LastErr,
+			Enabled:               true,
+			PoolPages:             st.PoolPages,
+			PoolUsed:              st.PoolUsed,
+			Hits:                  st.Hits,
+			Misses:                st.Misses,
+			Evictions:             st.Evictions,
+			WriteBacks:            st.WriteBacks,
+			Overflows:             st.Overflows,
+			DirtyPages:            st.DirtyPages,
+			HeapSlots:             st.HeapSlots,
+			ResidentRelations:     st.ResidentRelations,
+			MaterializedEvictions: st.MaterializedEvictions,
+			Materializations:      st.Materializations,
+			KeyIndexBuilds:        st.KeyIndexBuilds,
+			LastCheckpointPages:   st.LastCheckpointPages,
+			LastCheckpointBytes:   st.LastCheckpointBytes,
+			Err:                   st.LastErr,
 		}
 	}
 	if d.wal == nil {

@@ -157,6 +157,110 @@ func TestStorageEnginesWorkload(t *testing.T) {
 	}
 }
 
+// TestStorageColdInsertsDecodeNothing: on a paged database two relations
+// larger than the residency budget, one read and one written in turn — the
+// paged_cold benchmark's cycle — keep the read one resident: each Insert into
+// the other checks its key constraint against the key index (built once, by
+// a key-only pass over the pages) and appends to the tail page, so the stream
+// of inserts decodes nothing, and Health says so.
+func TestStorageColdInsertsDecodeNothing(t *testing.T) {
+	fs := fsx.NewMemFS()
+	db := openStorageDB(t, fs, WithEngine(EnginePaged), WithBufferPoolPages(1))
+	if _, err := db.Exec(storageSchema); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"Stock", "Links"} {
+		batch := make([]Tuple, 3000) // ≈ 60 KB of pages; the budget is 32 KB
+		for i := range batch {
+			batch[i] = stockTuple(i)
+		}
+		if err := db.Insert(name, batch...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db = openStorageDB(t, fs, WithEngine(EnginePaged), WithBufferPoolPages(1))
+	defer db.Close()
+	// Reading Links last leaves it the resident one, as the benchmark's
+	// verification pass does.
+	if _, ok := db.Relation("Links"); !ok {
+		t.Fatal("Links unreadable after reopen")
+	}
+	before := db.Health().Storage
+	for i := 0; i < 10; i++ {
+		if rel, ok := db.Relation("Stock"); !ok || rel.Len() != 3000 {
+			t.Fatalf("cycle %d: Stock unreadable", i)
+		}
+		if err := db.Insert("Links", stockTuple(3000+i), stockTuple(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := db.Health()
+	if st := h.Storage; st.Materializations-before.Materializations != 1 || st.KeyIndexBuilds-before.KeyIndexBuilds != 1 || st.ResidentRelations < 1 {
+		t.Fatalf("ten read/insert cycles: %d materializations, %d key-index builds, %d resident (want 1, 1, ≥1)",
+			st.Materializations-before.Materializations, st.KeyIndexBuilds-before.KeyIndexBuilds, st.ResidentRelations)
+	}
+	if want := fmt.Sprintf("materializations=%d key-index-builds=%d", h.Storage.Materializations, h.Storage.KeyIndexBuilds); !strings.Contains(h.String(), want) {
+		t.Errorf("health string does not account for the inserts: %s", h)
+	}
+	if rel, ok := db.Relation("Links"); !ok || rel.Len() != 3010 {
+		t.Fatal("Links lost or duplicated tuples")
+	}
+}
+
+// TestStorageInsertsIntoRelationsThatFitStayResident: the key index is only
+// for relations larger than the residency budget. Inserts alternating between
+// two non-resident relations that fit it together decode each once and then
+// grow the resident values, O(batch) per Insert, with no key-index pass.
+func TestStorageInsertsIntoRelationsThatFitStayResident(t *testing.T) {
+	fs := fsx.NewMemFS()
+	db := openStorageDB(t, fs, WithEngine(EnginePaged), WithBufferPoolPages(1))
+	if _, err := db.Exec(storageSchema); err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"Stock", "Links"}
+	for _, name := range names {
+		batch := make([]Tuple, 200) // ≈ 4 KB of pages each; the budget is 32 KB
+		for i := range batch {
+			batch[i] = stockTuple(i)
+		}
+		if err := db.Insert(name, batch...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Checkpoint, so that after the reopen both live on pages, not resident.
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db = openStorageDB(t, fs, WithEngine(EnginePaged), WithBufferPoolPages(1))
+	defer db.Close()
+	before := db.Health().Storage
+	if before.ResidentRelations != 0 {
+		t.Fatalf("%d relations resident right after reopen", before.ResidentRelations)
+	}
+	for i := 0; i < 20; i++ {
+		for _, name := range names {
+			if err := db.Insert(name, stockTuple(200+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	st := db.Health().Storage
+	if mats, builds := st.Materializations-before.Materializations, st.KeyIndexBuilds-before.KeyIndexBuilds; mats != 2 || builds != 0 || st.ResidentRelations != 2 {
+		t.Fatalf("40 alternating inserts: %d materializations, %d key-index builds, %d resident (want 2, 0, 2)", mats, builds, st.ResidentRelations)
+	}
+	for _, name := range names {
+		if rel, ok := db.Relation(name); !ok || rel.Len() != 220 {
+			t.Fatalf("%s lost or duplicated tuples", name)
+		}
+	}
+}
+
 // TestStoragePagedRequiresPath: the heap file is the paged engine's primary
 // copy, so a memory-only paged session is refused at Open.
 func TestStoragePagedRequiresPath(t *testing.T) {
