@@ -13,10 +13,8 @@ import (
 	dbpl "repro"
 
 	"repro/internal/core"
-	"repro/internal/eval"
 	"repro/internal/experiments"
 	"repro/internal/horn"
-	"repro/internal/optimizer"
 	"repro/internal/prolog"
 	"repro/internal/relation"
 	"repro/internal/schema"
@@ -397,69 +395,47 @@ func BenchmarkE6SetVsProof(b *testing.B) {
 	}
 }
 
-// BenchmarkE7Propagation measures full-LFP-plus-filter vs magic-restricted
-// evaluation for a bound-head query (section 4).
+// BenchmarkE7Propagation measures the bound-head query of section 4,
+// experiments.E7Query, prepared through the product: WithoutOptimization
+// computes the full closure and filters it; the default pipeline restricts
+// ahead to the bound head (magic sets over its declaration). Both must return
+// the same relation.
 func BenchmarkE7Propagation(b *testing.B) {
-	chk, err := experiments.Checked()
-	if err != nil {
-		b.Fatal(err)
-	}
-	inT := chk.RelTypes["infrontrel"]
-	tr, err := horn.FromApplication(chk.Constructors, "ahead",
-		horn.RelPred{Pred: "infront", Elem: inT.Element}, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	edges := workload.Chain(256)
-	base := workload.EdgesToRelation(inT, edges)
-	src := value.Str(workload.NodeName(240))
-
-	b.Run("full-then-filter", func(b *testing.B) {
-		en, _, _, _ := experiments.AheadEngine(core.SemiNaive)
-		for i := 0; i < b.N; i++ {
-			full, err := en.Apply("ahead", base, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			_ = full.Select(func(t value.Tuple) bool { return t[0] == src })
+	src := workload.NodeName(240)
+	var want *dbpl.Relation
+	for _, cfg := range []struct {
+		name string
+		opts []dbpl.Option
+	}{
+		{"full-then-filter", []dbpl.Option{dbpl.WithoutOptimization()}},
+		{"magic-restricted", nil},
+	} {
+		db := openWith(b, experiments.AheadModule, append(cfg.opts, dbpl.WithoutMaterialization())...)
+		if _, err := db.Exec(experiments.E7Module); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("magic-restricted", func(b *testing.B) {
-		prog := prolog.NewProgram(tr.Rules...)
-		goal := prolog.NewAtom(tr.GoalPred, prolog.C(src), prolog.V(0))
-		for i := 0; i < b.N; i++ {
-			magic, err := optimizer.MagicTransform(prog, goal)
-			if err != nil {
-				b.Fatal(err)
-			}
-			bundle, err := horn.ToConstructors(magic.Program, schema.StringType())
-			if err != nil {
-				b.Fatal(err)
-			}
-			reg := core.NewRegistry()
-			for _, p := range bundle.IDB {
-				if _, err := reg.Register(bundle.Decls[p], bundle.RelTypes[p]); err != nil {
+		cur, _ := db.Relation("Infront")
+		if err := db.Assign("Infront", workload.EdgesToRelation(cur.Type(), workload.Chain(256))); err != nil {
+			b.Fatal(err)
+		}
+		st, err := db.Prepare(experiments.E7Query)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(cfg.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				got, err := st.Query(context.Background(), src)
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-			en := core.NewEngine(reg, eval.NewEnv())
-			var args []eval.Resolved
-			for _, e := range bundle.EDB {
-				if e == "infront" {
-					args = append(args, eval.Resolved{Rel: horn.RetypeRelation(bundle.RelTypes[e], base)})
-				} else {
-					args = append(args, eval.Resolved{Rel: relation.New(bundle.RelTypes[e])})
+				if want == nil {
+					want = got
+				} else if !got.Equal(want) {
+					b.Fatalf("%s: %d tuples, full-then-filter %d", cfg.name, got.Len(), want.Len())
 				}
 			}
-			for _, q := range bundle.IDB {
-				args = append(args, eval.Resolved{Rel: relation.New(bundle.RelTypes[q])})
-			}
-			seed := relation.New(bundle.RelTypes[magic.Goal.Pred])
-			if _, err := en.Apply(horn.ConstructorName(magic.Goal.Pred), seed, args); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkE8QuantGraph measures graph construction and analysis (Fig 3).

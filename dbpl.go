@@ -67,9 +67,10 @@
 // # Plans and EXPLAIN
 //
 // Prepare lowers every query through one fixed optimizer pass pipeline —
-// flatten, selection pushdown into non-recursive constructors, magic-sets
-// restriction of recursive constructor applications to bound constants, and
-// range re-nesting (the section 4 rewrites). The compiled plan is a
+// flatten, constraint propagation (selection pushdown into non-recursive
+// constructors; restriction of a recursive constructor application to the
+// query's bound constants and parameters, by magic sets written over its
+// declaration), and range re-nesting (the section 4 rewrites). The compiled plan is a
 // first-class value: Stmt.Plan returns it, Explain compiles without
 // executing, and ExplainQuery executes and attaches per-run counters and the
 // binding order that run used (EXPLAIN ANALYZE style); Plan.Text renders it

@@ -49,7 +49,7 @@ func (s *Stmt) ExplainQuery(ctx context.Context, args ...any) (*Plan, error) {
 		return nil, err
 	}
 	p := ex.stmt.Plan()
-	p.Quantifiers = ex.stmt.quantifiers(&ex.exec)
+	p.Quantifiers = quantifiers(ex.rng, &ex.exec)
 	lookups, scans := ex.exec.SelectorPaths()
 	p.Analyze = &ExecInfo{
 		Rows:             rel.Len(),

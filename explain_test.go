@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	dbpl "repro"
@@ -93,8 +94,9 @@ func openWith(t testing.TB, module string, opts ...dbpl.Option) *dbpl.DB {
 }
 
 // TestExplainGolden pins the rendered text plan for the three plan shapes:
-// an indexable selector on a base relation, a magic-restricted recursive
-// constructor application, and an equi-join set expression.
+// an indexable selector on a base relation, a recursive constructor
+// application restricted to the selector's bound head, and an equi-join set
+// expression.
 func TestExplainGolden(t *testing.T) {
 	db := openWith(t, cadModule)
 	ctx := context.Background()
@@ -106,8 +108,7 @@ func TestExplainGolden(t *testing.T) {
 			query: `Infront[hidden_by("table")]`,
 			want: `query:   Infront[hidden_by("table")]  (range)
 pass:    flatten   - no set expression
-pass:    pushdown  - no set expression
-pass:    magic     - query is not Base{c}[sel(const)]
+pass:    propagate - no selection over a constructor application
 pass:    nest      - no set expression
 quant:   base Infront
 quant:   apply [hidden_by("table")]
@@ -118,21 +119,21 @@ path:    [hidden_by] over Infront: hash-partition(front)
 			query: `Infront{ahead}[hidden_by("table")]`,
 			want: `query:   Infront{ahead}[hidden_by("table")]  (range)
 pass:    flatten   - no set expression
-pass:    pushdown  - no set expression
-pass:    magic     + restricted ahead to front="table" via 1 adorned predicate(s)
+pass:    propagate + restricted ahead to head="table" via ahead__bf
 pass:    nest      - no set expression
-quant:   magic fixpoint c_ahead@base_infront__bf seeded front="table" over base Infront
+plan:    Infront{ahead__bf("table")}[hidden_by("table")]
+quant:   base Infront
+quant:   apply {ahead__bf("table")}
 quant:   apply [hidden_by("table")]
-path:    [hidden_by] over Infront{ahead}: scan
-magic:   ahead bound front="table" via 1 adorned predicate(s)
+path:    [hidden_by] over Infront{ahead__bf("table")}: scan
+magic:   ahead bound head="table" via 1 adorned constructor(s)
 `,
 		},
 		{
 			query: `{<f.front, b.back> OF EACH f IN Infront, EACH b IN Infront: f.back = b.front}`,
 			want: `query:   {<f.front, b.back> OF EACH f IN Infront, EACH b IN Infront: f.back = b.front}  (set)
 pass:    flatten   - no nested single-binding ranges
-pass:    pushdown  - no selection over a non-recursive constructor
-pass:    magic     - query is not Base{c}[sel(const)]
+pass:    propagate - no selection over a constructor application
 pass:    nest      - no single-variable conjuncts to move
 quant:   branch 0: EACH f IN Infront
 quant:   branch 0: EACH b IN Infront [probe front = f.back]
@@ -189,13 +190,14 @@ func TestExplainJSON(t *testing.T) {
 	if decoded.Kind != "range" || !decoded.Optimized {
 		t.Errorf("kind=%q optimized=%v", decoded.Kind, decoded.Optimized)
 	}
-	if len(decoded.Passes) != 4 {
-		t.Fatalf("got %d passes, want 4", len(decoded.Passes))
+	if len(decoded.Passes) != 3 {
+		t.Fatalf("got %d passes, want 3", len(decoded.Passes))
 	}
-	if !decoded.Passes[2].Applied || decoded.Passes[2].Pass != "magic" {
-		t.Errorf("magic pass not applied: %+v", decoded.Passes[2])
+	if !decoded.Passes[1].Applied || decoded.Passes[1].Pass != "propagate" {
+		t.Errorf("propagate pass not applied: %+v", decoded.Passes[1])
 	}
-	if decoded.Magic == nil || decoded.Magic.Constructor != "ahead" || decoded.Magic.BoundAttr != "front" {
+	if m := decoded.Magic; m == nil || m.Constructor != "ahead" || m.BoundAttr != "head" || m.Const != `"table"` ||
+		len(m.Adorned) != 1 || m.Adorned[0] != "ahead__bf" {
 		t.Errorf("magic info: %+v", decoded.Magic)
 	}
 	// The selector applies to a derived (constructor) result, which is
@@ -253,6 +255,43 @@ func TestExplainAnalyze(t *testing.T) {
 	}
 	if p2.Analyze.Rows != 1 || p2.Analyze.PartitionLookups != 1 {
 		t.Errorf("analyze: %+v", p2.Analyze)
+	}
+}
+
+// TestRestrictedPreparedPointQuery: one Prepare of a parameter-bound point
+// query is restricted and serves every binding, and a restricted run leaves
+// the materialized-view cache as it was — generated constructors are never
+// materialized.
+func TestRestrictedPreparedPointQuery(t *testing.T) {
+	db := openWith(t, cadModule)
+	ctx := context.Background()
+	st, err := db.Prepare(`Infront{ahead}[hidden_by(Obj)]`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := st.Plan(); p.Magic == nil || p.Magic.Const != "Obj" || p.Final != `Infront{ahead__bf(Obj)}[hidden_by(Obj)]` {
+		t.Fatalf("not restricted by the parameter:\n%s", p.Text())
+	}
+	before := db.Health().MatViews
+	// Executions share the statement's registry: run them concurrently.
+	var wg sync.WaitGroup
+	for obj, want := range map[string]int{"vase": 3, "table": 2, "chair": 1, "floor": 0} {
+		for range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rel, err := st.Query(ctx, obj)
+				if err != nil {
+					t.Error(err)
+				} else if rel.Len() != want {
+					t.Errorf("hidden_by(%s): %d tuples, want %d: %s", obj, rel.Len(), want, rel)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	if after := db.Health().MatViews; after.Entries != before.Entries || after.Misses != before.Misses {
+		t.Errorf("restricted runs touched the view cache: %+v -> %+v", before, after)
 	}
 }
 
@@ -432,12 +471,62 @@ type corpusCase struct {
 	queries []corpusQuery
 }
 
+// corpusQuery is one query text and the arguments its parameters bind;
+// restricted marks a query the propagate pass must restrict (Plan().Magic
+// non-nil whenever the optimizer runs).
 type corpusQuery struct {
-	src  string
-	args []any
+	src        string
+	args       []any
+	restricted bool
 }
 
-func cq(src string, args ...any) corpusQuery { return corpusQuery{src, args} }
+func cq(src string, args ...any) corpusQuery { return corpusQuery{src: src, args: args} }
+
+// rq is cq for a query whose recursive constructor application is restricted.
+func rq(src string, args ...any) corpusQuery {
+	return corpusQuery{src: src, args: args, restricted: true}
+}
+
+// restrictModule extends cadModule with the recursion shapes and bindings the
+// propagate pass restricts: a selector binding the second attribute, a
+// two-argument selector, a left-linear closure, a non-linear closure with a
+// literal branch, and a closure over a STRING x INTEGER relation.
+const restrictModule = `
+MODULE restrict;
+TYPE lvlrel = RELATION OF RECORD name: parttype; n: INTEGER END;
+VAR Levels: lvlrel;
+
+SELECTOR hides (Obj: parttype) FOR Rel: infrontrel;
+BEGIN EACH r IN Rel: r.back = Obj END hides;
+
+SELECTOR between (X: parttype; Y: parttype) FOR Rel: infrontrel;
+BEGIN EACH r IN Rel: r.front = X AND r.back = Y END between;
+
+SELECTOR at_level (N: INTEGER) FOR Rel: lvlrel;
+BEGIN EACH r IN Rel: r.n = N END at_level;
+
+CONSTRUCTOR lahead FOR Rel: infrontrel (): aheadrel;
+BEGIN
+  EACH r IN Rel: TRUE,
+  <a.head, r.back> OF EACH a IN Rel{lahead}, EACH r IN Rel: a.tail = r.front
+END lahead;
+
+CONSTRUCTOR tc FOR Rel: infrontrel (): aheadrel;
+BEGIN
+  EACH r IN Rel: TRUE,
+  <"floor", "cellar">,
+  <a.head, b.tail> OF EACH a IN Rel{tc}, EACH b IN Rel{tc}: a.tail = b.head
+END tc;
+
+CONSTRUCTOR climb FOR Rel: lvlrel (): lvlrel;
+BEGIN
+  EACH r IN Rel: TRUE,
+  <c.name, r.n> OF EACH c IN Rel{climb}, EACH r IN Rel: r.n = c.n + 1
+END climb;
+
+Levels := {<"a", 1>, <"b", 2>, <"c", 3>, <"d", 5>};
+END restrict.
+`
 
 // acceptCorpus is the well-typed programs the repository runs: the examples'
 // modules and queries, the root tests' and the four benchmark workloads'
@@ -608,6 +697,31 @@ END fill.
 				cq(`Moves_1`),
 			},
 		},
+		{
+			// Bound recursive queries the propagate pass restricts: every one
+			// must agree with the unoptimized closure-then-filter.
+			name:    "cad-restrict",
+			modules: []string{cadModule, restrictModule},
+			queries: []corpusQuery{
+				rq(`Infront{ahead}[hides("floor")]`),
+				rq(`Infront{ahead}[hides("vase")]`),
+				rq(`Infront{ahead}[hides(Obj)]`, "chair"),
+				rq(`Infront{ahead}[hidden_by(Obj)]`, "vase"),
+				rq(`Infront{ahead}[between("vase", "floor")]`),
+				rq(`Infront{ahead}[between(X, Y)]`, "table", "chair"),
+				rq(`{EACH r IN Infront{ahead}: r.head = "table"}`),
+				rq(`{EACH r IN Infront{ahead}: r.tail = Obj}`, "floor"),
+				rq(`{<r.head> OF EACH r IN Infront{ahead}: r.tail = "floor" AND r.head # "vase"}`),
+				rq(`Infront{lahead}[hidden_by("vase")]`),
+				rq(`Infront{lahead}[hides("floor")]`),
+				rq(`Infront{tc}[hidden_by("table")]`),
+				rq(`Infront{tc}[hides("cellar")]`),
+				rq(`{EACH x IN Levels{climb}: x.name = "a"}`),
+				rq(`Levels{climb}[at_level(3)]`),
+				rq(`{EACH x IN Levels{climb}: x.name = Who AND x.n = N}`, "b", 3),
+				cq(`Infront{ahead}[hidden_by("table")][hides("floor")]`),
+			},
+		},
 	}
 }
 
@@ -658,10 +772,13 @@ func TestOptimizedEquivalence(t *testing.T) {
 				"paged unoptimized": open(append(paged(), dbpl.WithoutOptimization())...),
 			}
 			for _, q := range tc.queries {
-				run := func(db *dbpl.DB) *dbpl.Rows {
+				run := func(name string, db *dbpl.DB) *dbpl.Rows {
 					st, err := db.Prepare(q.src)
 					if err != nil {
 						t.Fatalf("Prepare(%s): %v", q.src, err)
+					}
+					if plan := st.Plan(); q.restricted && plan.Optimized && plan.Magic == nil {
+						t.Errorf("%s, %s: not restricted:\n%s", q.src, name, plan.Text())
 					}
 					rows, err := st.QueryRows(ctx, q.args...)
 					if err != nil {
@@ -669,9 +786,9 @@ func TestOptimizedEquivalence(t *testing.T) {
 					}
 					return rows
 				}
-				want := run(reference)
+				want := run("reference", reference)
 				for name, db := range others {
-					got := run(db)
+					got := run(name, db)
 					if !got.Relation().Equal(want.Relation()) {
 						t.Errorf("%s, %s: %d tuples, reference %d", q.src, name, got.Len(), want.Len())
 					}
@@ -704,7 +821,7 @@ func TestPushdownPass(t *testing.T) {
 	}
 	var pushed bool
 	for _, tr := range p.Passes {
-		if tr.Pass == "pushdown" && tr.Applied {
+		if tr.Pass == "propagate" && tr.Applied && strings.Contains(tr.Detail, "pushed selection") {
 			pushed = true
 		}
 	}

@@ -180,8 +180,10 @@ func (e *Env) Range(r *ast.Range) (*relation.Relation, error) {
 			return nil, fmt.Errorf("%s: unknown relation %q", r.Pos, r.Var)
 		}
 	}
-	if cur, err = e.ApplySuffixes(cur, r, 0); err != nil {
-		return nil, err
+	for i := range r.Suffixes {
+		if cur, err = e.applySuffix(cur, r, i); err != nil {
+			return nil, err
+		}
 	}
 	e.rangeMemo[r] = cur
 	return cur, nil
@@ -307,23 +309,6 @@ func (p *BranchPlan) selectorAccess(decl *ast.SelectorDecl, r *ast.Range, i int)
 // seen.
 func SelectorElem(decl *ast.SelectorDecl, base schema.RecordType) schema.RecordType {
 	return rangeElem(decl.Branch.Binds[0].Range, base)
-}
-
-// ApplySuffixes applies the suffixes of r from index from onward to base, the
-// already materialized value of the chain before them. It is the tail of
-// Range, exposed for execution paths that substitute the head of the chain
-// (the magic-sets restricted evaluation of a recursive constructor
-// application).
-func (e *Env) ApplySuffixes(base *relation.Relation, r *ast.Range, from int) (*relation.Relation, error) {
-	cur := base
-	var err error
-	for i := from; i < len(r.Suffixes); i++ {
-		cur, err = e.applySuffix(cur, r, i)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return cur, nil
 }
 
 // applySelector evaluates suffix i of r, a selector application, over base —

@@ -5,16 +5,20 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"strings"
 	"time"
+
+	dbpl "repro"
 
 	"repro/internal/ast"
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/horn"
-	"repro/internal/optimizer"
 	"repro/internal/parser"
 	"repro/internal/prolog"
 	"repro/internal/relation"
@@ -231,14 +235,8 @@ func RunE6(workloads map[string][]workload.Edge, sldBudget int) ([]E6Row, error)
 		return nil, err
 	}
 
-	var names []string
-	for name := range workloads {
-		names = append(names, name)
-	}
-	sortStrings(names)
-
 	var out []E6Row
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(workloads)) {
 		edges := workloads[name]
 		row := E6Row{Workload: name, Edges: len(edges)}
 		base := workload.EdgesToRelation(inT, edges)
@@ -357,93 +355,69 @@ type E7Workload struct {
 	Source int
 }
 
-// RunE7 compares answering {EACH r IN Infront{ahead}: r.head = c} by (a)
-// computing the full closure then filtering, and (b) evaluating the
-// magic-restricted translation, both set-orientedly.
+// E7Query is the bound-head query of E7: by the selector's definition, it is
+// {EACH r IN Infront{ahead}: r.head = Obj}.
+const E7Query = `Infront{ahead}[hidden_by(Obj)]`
+
+// E7Module declares the selector E7Query applies, over AheadModule.
+const E7Module = `
+MODULE e7;
+SELECTOR hidden_by (Obj: parttype) FOR Rel: infrontrel;
+BEGIN EACH r IN Rel: r.front = Obj END hidden_by;
+END e7.
+`
+
+// RunE7 compares answering E7Query, prepared once per configuration through
+// the product, by (a) WithoutOptimization — the full closure, then the
+// selector as a filter — and (b) the default pipeline, whose propagate pass
+// restricts ahead to the bound head by adorning its declaration (magic sets).
+// Both bind Obj to the workload's source and must return the same relation.
 func RunE7(workloads map[string]E7Workload) ([]E7Row, error) {
-	chk, err := Checked()
-	if err != nil {
-		return nil, err
-	}
-	inT := chk.RelTypes["infrontrel"]
-	tr, err := horn.FromApplication(chk.Constructors, "ahead",
-		horn.RelPred{Pred: "infront", Elem: inT.Element}, nil)
-	if err != nil {
-		return nil, err
-	}
-
-	var names []string
-	for name := range workloads {
-		names = append(names, name)
-	}
-	sortStrings(names)
-
+	ctx := context.Background()
 	var out []E7Row
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(workloads)) {
 		wl := workloads[name]
 		row := E7Row{Workload: name, Edges: len(wl.Edges)}
-		base := workload.EdgesToRelation(inT, wl.Edges)
-		src := value.Str(workload.NodeName(wl.Source))
-
-		// (a) Full LFP, then filter.
-		en, _, _, err := AheadEngine(core.SemiNaive)
-		if err != nil {
-			return nil, err
-		}
-		t0 := time.Now()
-		full, err := en.Apply("ahead", base, nil)
-		if err != nil {
-			return nil, err
-		}
-		filtered := full.Select(func(t value.Tuple) bool { return t[0] == src })
-		row.FullTime = time.Since(t0)
-		row.FullTuples = full.Len()
-		row.Selected = filtered.Len()
-
-		// (b) Magic-restricted evaluation, set-oriented via the reverse
-		// translation of section 3.4.
-		prog := prolog.NewProgram(tr.Rules...)
-		goal := prolog.NewAtom(tr.GoalPred, prolog.C(src), prolog.V(0))
-		t0 = time.Now()
-		magic, err := optimizer.MagicTransform(prog, goal)
-		if err != nil {
-			return nil, err
-		}
-		bundle, err := horn.ToConstructors(magic.Program, schema.StringType())
-		if err != nil {
-			return nil, err
-		}
-		reg := core.NewRegistry()
-		for _, p := range bundle.IDB {
-			if _, err := reg.Register(bundle.Decls[p], bundle.RelTypes[p]); err != nil {
+		src := workload.NodeName(wl.Source)
+		var results [2]*dbpl.Relation
+		for i, opts := range [][]dbpl.Option{{dbpl.WithoutOptimization()}, nil} {
+			db, err := dbpl.Open(append(opts, dbpl.WithoutMaterialization())...)
+			if err != nil {
 				return nil, err
 			}
-		}
-		en2 := core.NewEngine(reg, eval.NewEnv())
-		args := make([]eval.Resolved, 0, len(bundle.EDB)+len(bundle.IDB))
-		for _, e := range bundle.EDB {
-			if e == "infront" {
-				args = append(args, eval.Resolved{Rel: horn.RetypeRelation(bundle.RelTypes[e], base)})
-			} else {
-				args = append(args, eval.Resolved{Rel: relation.New(bundle.RelTypes[e])})
+			for _, m := range []string{AheadModule, E7Module} {
+				if _, err := db.Exec(m); err != nil {
+					return nil, err
+				}
 			}
+			cur, _ := db.Relation("Infront")
+			if err := db.Assign("Infront", workload.EdgesToRelation(cur.Type(), wl.Edges)); err != nil {
+				return nil, err
+			}
+			st, err := db.Prepare(E7Query)
+			if err != nil {
+				return nil, err
+			}
+			if restricted := st.Plan().Magic != nil; restricted != (i == 1) {
+				return nil, fmt.Errorf("E7: %s restricted=%v under configuration %d", E7Query, restricted, i)
+			}
+			t0 := time.Now()
+			if results[i], err = st.Query(ctx, src); err != nil {
+				return nil, err
+			}
+			elapsed, computed := time.Since(t0), db.LastStats().Tuples
+			if i == 0 {
+				row.FullTime, row.FullTuples = elapsed, computed
+			} else {
+				row.MagicTime, row.MagicSize = elapsed, computed
+			}
+			db.Close()
 		}
-		for _, q := range bundle.IDB {
-			args = append(args, eval.Resolved{Rel: relation.New(bundle.RelTypes[q])})
+		if !results[1].Equal(results[0]) {
+			return nil, fmt.Errorf("E7: restricted answer %d tuples != filtered %d on %s",
+				results[1].Len(), results[0].Len(), name)
 		}
-		goalPred := magic.Goal.Pred
-		seed := relation.New(bundle.RelTypes[goalPred])
-		res, err := en2.Apply(horn.ConstructorName(goalPred), seed, args)
-		if err != nil {
-			return nil, err
-		}
-		row.MagicTime = time.Since(t0)
-		restricted := res.Select(func(t value.Tuple) bool { return t[0] == src })
-		row.MagicSize = res.Len()
-		if restricted.Len() != row.Selected {
-			return nil, fmt.Errorf("E7: magic answers %d != filtered %d on %s",
-				restricted.Len(), row.Selected, name)
-		}
+		row.Selected = results[0].Len()
 		out = append(out, row)
 	}
 	return out, nil
@@ -479,14 +453,6 @@ func PrintE7(w io.Writer) error {
 	}
 	t.write(w)
 	return nil
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // ---------------------------------------------------------------------------

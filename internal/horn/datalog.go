@@ -222,18 +222,6 @@ func conjoin(preds []ast.Pred) ast.Pred {
 // Relation <-> facts glue
 // ---------------------------------------------------------------------------
 
-// RetypeRelation re-labels a relation's tuples under a positionally
-// compatible type (ToConstructors names every attribute f1..fn, so actual
-// base relations must be re-labelled before being passed as arguments).
-func RetypeRelation(typ schema.RelationType, r *relation.Relation) *relation.Relation {
-	out := relation.New(typ)
-	r.Each(func(t value.Tuple) bool {
-		out.Add(t)
-		return true
-	})
-	return out
-}
-
 // FactsFromRelation converts a relation's tuples into ground facts for pred.
 func FactsFromRelation(pred string, r *relation.Relation) []prolog.Clause {
 	out := make([]prolog.Clause, 0, r.Len())

@@ -276,37 +276,30 @@ func (c *Cache) Apply(ctx context.Context, en *core.Engine, name string, base *r
 	return root, true, nil
 }
 
-// Peek serves a cached application like Apply but never computes on a miss:
-// it answers only when the entry is already materialized (serving a hit or
-// folding in queued deltas) and declines otherwise. Restricted evaluation
-// strategies use it — a magic-sets plan, say, prefers its constant-seeded
-// system over computing the full fixpoint, but a full fixpoint already paid
-// for and kept current beats both.
-func (c *Cache) Peek(ctx context.Context, en *core.Engine, name string, base *relation.Relation) (*relation.Relation, bool, error) {
+// Peek reports whether Apply would serve the zero-argument application name
+// over base from a materialized entry — base is the entry's converged
+// pointer or on its queued delta chain — without computing anything or moving
+// a counter. Restricted evaluation strategies use it: a magic-sets plan, say,
+// prefers its constant-seeded system over computing the full fixpoint, but a
+// full fixpoint already paid for and kept current beats both.
+func (c *Cache) Peek(name string, base *relation.Relation) bool {
 	if c == nil {
-		return nil, false, nil
+		return false
 	}
 	c.mu.Lock()
 	st := c.st
 	c.mu.Unlock()
 	if st == nil {
-		return nil, false, nil
+		return false
 	}
 	varName, published := st.NameOf(base)
 	if !published {
-		e := c.findByPtr(name, base, nil)
-		if e == nil {
-			return nil, false, nil
-		}
-		return c.serve(ctx, en, e, base)
+		return c.findByPtr(name, base, nil) != nil
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	e := c.entries[entryKey(name, varName, nil)]
-	c.mu.Unlock()
-	if e == nil {
-		return nil, false, nil
-	}
-	return c.serve(ctx, en, e, base)
+	return e != nil && e.remembers(base)
 }
 
 // findByPtr locates the entry that remembers base as its converged pointer or
@@ -316,19 +309,25 @@ func (c *Cache) findByPtr(cons string, base *relation.Relation, args []eval.Reso
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, e := range c.entries {
-		if e.key != entryKey(cons, e.baseVar, args) {
-			continue
-		}
-		if e.basePtr == base {
+		if e.key == entryKey(cons, e.baseVar, args) && e.remembers(base) {
 			return e
-		}
-		for i := range e.pending {
-			if e.pending[i].next == base {
-				return e
-			}
 		}
 	}
 	return nil
+}
+
+// remembers reports whether base is e's converged pointer or on its queued
+// delta chain. Caller holds Cache.mu.
+func (e *entry) remembers(base *relation.Relation) bool {
+	if e.basePtr == base {
+		return true
+	}
+	for i := range e.pending {
+		if e.pending[i].next == base {
+			return true
+		}
+	}
+	return false
 }
 
 // serve answers a read from an existing entry: a hit when the reader's base

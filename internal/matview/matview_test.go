@@ -411,28 +411,38 @@ func TestPeekNeverComputes(t *testing.T) {
 	_ = h.st.Declare("R", infrontT)
 	_ = h.st.Insert("R", chain(3)...)
 	base := h.base(t, "R")
-	if _, ok, err := h.cache.Peek(ctx, h.en, "ahead", base); ok || err != nil {
-		t.Fatalf("cold peek must decline: ok=%v err=%v", ok, err)
+	if h.cache.Peek("ahead", base) {
+		t.Fatal("cold peek must decline")
+	}
+	if s := h.cache.Snapshot(); s.Misses != 0 || s.Entries != 0 {
+		t.Fatalf("peek must not compute: %+v", s)
 	}
 	if _, ok, err := h.cache.Apply(ctx, h.en, "ahead", base, nil); !ok || err != nil {
 		t.Fatal(ok, err)
 	}
-	got, ok, err := h.cache.Peek(ctx, h.en, "ahead", base)
-	if err != nil || !ok {
-		t.Fatalf("warm peek: ok=%v err=%v", ok, err)
+	before := h.cache.Snapshot()
+	if !h.cache.Peek("ahead", base) {
+		t.Fatal("warm peek declined")
 	}
-	if want := h.scratch(t, "ahead", base); !got.Equal(want) {
-		t.Fatal("peek served a wrong relation")
-	}
-	// Peek also maintains through queued deltas.
+	// A queued delta is servable too: Apply maintains through it.
 	_ = h.st.Insert("R", pair("x", "n000"))
 	grown := h.base(t, "R")
-	got2, ok, err := h.cache.Peek(ctx, h.en, "ahead", grown)
-	if err != nil || !ok {
-		t.Fatalf("maintaining peek: ok=%v err=%v", ok, err)
+	if !h.cache.Peek("ahead", grown) {
+		t.Fatal("peek declined a base on the delta chain")
 	}
-	if want := h.scratch(t, "ahead", grown); !got2.Equal(want) {
-		t.Fatal("maintaining peek wrong")
+	if after := h.cache.Snapshot(); after.Hits != before.Hits || after.Maintained != before.Maintained {
+		t.Fatalf("peek moved a counter: %+v -> %+v", before, after)
+	}
+	got, ok, err := h.cache.Apply(ctx, h.en, "ahead", grown, nil)
+	if err != nil || !ok {
+		t.Fatalf("maintaining apply: ok=%v err=%v", ok, err)
+	}
+	if want := h.scratch(t, "ahead", grown); !got.Equal(want) {
+		t.Fatal("maintained application wrong")
+	}
+	// A base the entry never saw is not servable.
+	if h.cache.Peek("ahead", h.scratch(t, "ahead", grown)) {
+		t.Fatal("peek accepted an unknown base")
 	}
 }
 

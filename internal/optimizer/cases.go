@@ -16,8 +16,8 @@ package optimizer
 // predicate over the result tuple is rewritten through the branch's target
 // list and conjoined with the branch predicate. The rewrite is valid for
 // non-recursive constructors only (filtering intermediate results of a
-// recursive constructor loses derivations); recursive applications go
-// through the magic-sets path in magic.go.
+// recursive constructor loses derivations); a recursive constructor is
+// restricted instead, by adorning its declaration (Restrict, magic.go).
 
 import (
 	"fmt"
@@ -51,7 +51,7 @@ func PushSelection(decl *ast.ConstructorDecl, resultElem schema.RecordType,
 		}
 	})
 	if recursive {
-		return nil, fmt.Errorf("optimizer: constructor %q is recursive; use the magic-sets restriction instead", decl.Name)
+		return nil, fmt.Errorf("optimizer: constructor %q is recursive; restrict it instead", decl.Name)
 	}
 	// Case 3 requires positivity of the selection predicate; otherwise the
 	// constructed relation must be computed fully first (the paper cites

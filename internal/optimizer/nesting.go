@@ -11,9 +11,12 @@
 //     costs");
 //
 //   - the bound-argument restriction for recursive constructors (magic.go),
-//     realized as the magic-sets transformation over the Horn translation —
-//     the modern form of the "capture rules"/[HeNa 84] compiled-recursion
-//     techniques the paper cites for cyclic subgraphs.
+//     realized as the magic-sets transformation written over the constructor
+//     declarations themselves — the modern form of the "capture
+//     rules"/[HeNa 84] compiled-recursion techniques the paper cites for
+//     cyclic subgraphs;
+//
+//   - the pass pipeline that applies them to a prepared query (pipeline.go).
 package optimizer
 
 import (

@@ -8,9 +8,7 @@ import (
 	"repro/internal/ast"
 	"repro/internal/core"
 	"repro/internal/eval"
-	"repro/internal/horn"
 	"repro/internal/parser"
-	"repro/internal/prolog"
 	"repro/internal/relation"
 	"repro/internal/schema"
 	"repro/internal/typecheck"
@@ -221,134 +219,207 @@ func TestPushSelectionRejectsNonPositivePredicate(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Magic sets
+// Bound-argument restriction (magic sets over declarations)
 // ---------------------------------------------------------------------------
 
-func tcRules() []prolog.Clause {
-	return []prolog.Clause{
-		prolog.Rule(prolog.NewAtom("path", prolog.V(0), prolog.V(1)),
-			prolog.NewAtom("edge", prolog.V(0), prolog.V(1))),
-		prolog.Rule(prolog.NewAtom("path", prolog.V(0), prolog.V(1)),
-			prolog.NewAtom("edge", prolog.V(0), prolog.V(2)),
-			prolog.NewAtom("path", prolog.V(2), prolog.V(1))),
+// closureSrc declares the paper's right-linear ahead and a non-linear closure
+// with a literal branch, plus a non-recursive constructor and a recursive one
+// that takes an argument, which Restrict refuses.
+const closureSrc = `
+MODULE cad;
+TYPE parttype   = STRING;
+TYPE infrontrel = RELATION OF RECORD front, back: parttype END;
+TYPE aheadrel   = RELATION OF RECORD head, tail: parttype END;
+CONSTRUCTOR ahead FOR Rel: infrontrel (): aheadrel;
+BEGIN
+  EACH r IN Rel: TRUE,
+  <f.front, b.tail> OF EACH f IN Rel, EACH b IN Rel{ahead}: f.back = b.head
+END ahead;
+CONSTRUCTOR tc FOR Rel: infrontrel (): aheadrel;
+BEGIN
+  EACH r IN Rel: TRUE,
+  <"n0000", "n0001">,
+  <a.head, b.tail> OF EACH a IN Rel{tc}, EACH b IN Rel{tc}: a.tail = b.head
+END tc;
+CONSTRUCTOR invert FOR Rel: infrontrel (): aheadrel;
+BEGIN <r.back, r.front> OF EACH r IN Rel: TRUE END invert;
+CONSTRUCTOR via FOR Rel: infrontrel (Other: infrontrel): aheadrel;
+BEGIN
+  EACH r IN Other: TRUE,
+  <f.front, b.tail> OF EACH f IN Rel, EACH b IN Rel{via(Other)}: f.back = b.head
+END via;
+END cad.
+`
+
+// restricted checks closureSrc and the declarations Restrict generates for
+// cons adorned ad, and returns an engine with both registered and the base
+// relation type.
+func restricted(t *testing.T, cons, ad string) (*core.Engine, *Restriction, schema.RelationType) {
+	t.Helper()
+	m, err := parser.ParseModule(closureSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chk := typecheck.New()
+	if err := chk.CheckModule(m); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Restrict(chk.Constructors, RecursiveFromSigs(chk.Constructors), cons, ad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := &ast.Module{Name: "restrict"}
+	for _, d := range res.Decls {
+		gen.Decls = append(gen.Decls, d)
+	}
+	if err := chk.CheckModule(gen); err != nil {
+		t.Fatalf("generated declarations do not check: %v", err)
+	}
+	reg := core.NewRegistry()
+	for _, sig := range chk.Constructors {
+		if _, err := reg.Register(sig.Decl, sig.Result); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return core.NewEngine(reg, eval.NewEnv()), res, chk.RelTypes["infrontrel"]
+}
+
+// TestRestrictGoldenAhead pins the declarations generated for ahead with its
+// head bound (bf) and with its tail bound (fb). Under fb the recursive call
+// binds both attributes, so the goal's magic constructor holds only the seed
+// and the call's, m__ahead__bb, collects every binding.
+func TestRestrictGoldenAhead(t *testing.T) {
+	for _, tc := range []struct{ ad, want string }{
+		{"bf", `CONSTRUCTOR ahead__bf FOR Rel: infrontrel (B1: parttype): aheadrel;
+BEGIN EACH r IN Rel, EACH m IN Rel{m__ahead__bf(B1)}: m.head = r.front,
+ <f.front, b.tail> OF EACH f IN Rel, EACH b IN Rel{ahead__bf(B1)}, EACH m IN Rel{m__ahead__bf(B1)}: (f.back = b.head AND m.head = f.front) END ahead__bf
+CONSTRUCTOR m__ahead__bf FOR Rel: infrontrel (B1: parttype): RELATION OF RECORD head: parttype END;
+BEGIN <B1>,
+ <f.back> OF EACH f IN Rel, EACH m IN Rel{m__ahead__bf(B1)}: m.head = f.front END m__ahead__bf
+`},
+		{"fb", `CONSTRUCTOR ahead__fb FOR Rel: infrontrel (B1: parttype): aheadrel;
+BEGIN EACH r IN Rel, EACH m IN Rel{m__ahead__fb(B1)}: m.tail = r.back,
+ <f.front, b.tail> OF EACH f IN Rel, EACH b IN Rel{ahead__bb(B1)}, EACH m IN Rel{m__ahead__fb(B1)}: (f.back = b.head AND m.tail = b.tail) END ahead__fb
+CONSTRUCTOR m__ahead__fb FOR Rel: infrontrel (B1: parttype): RELATION OF RECORD tail: parttype END;
+BEGIN <B1> END m__ahead__fb
+CONSTRUCTOR ahead__bb FOR Rel: infrontrel (B1: parttype): aheadrel;
+BEGIN EACH r IN Rel, EACH m IN Rel{m__ahead__bb(B1)}: (m.head = r.front AND m.tail = r.back),
+ <f.front, b.tail> OF EACH f IN Rel, EACH b IN Rel{ahead__bb(B1)}, EACH m IN Rel{m__ahead__bb(B1)}: ((f.back = b.head AND m.head = f.front) AND m.tail = b.tail) END ahead__bb
+CONSTRUCTOR m__ahead__bb FOR Rel: infrontrel (B1: parttype): RELATION OF RECORD head: parttype; tail: parttype END;
+BEGIN <f.back, m.tail> OF EACH f IN Rel, EACH m IN Rel{m__ahead__fb(B1)}: TRUE,
+ <f.back, m.tail> OF EACH f IN Rel, EACH m IN Rel{m__ahead__bb(B1)}: m.head = f.front END m__ahead__bb
+`},
+	} {
+		_, res, _ := restricted(t, "ahead", tc.ad)
+		var b strings.Builder
+		for _, d := range res.Decls {
+			b.WriteString(d.String() + "\n")
+		}
+		if got := b.String(); got != tc.want {
+			t.Errorf("ahead %s:\n%s\nwant:\n%s", tc.ad, got, tc.want)
+		}
+		if res.Goal != "ahead__"+tc.ad {
+			t.Errorf("goal %s, want ahead__%s", res.Goal, tc.ad)
+		}
 	}
 }
 
-func TestMagicTransformRestrictsComputation(t *testing.T) {
-	prog := prolog.NewProgram(tcRules()...)
-	// Two disconnected chains; binding the source to the small one must
-	// keep the fixpoint away from the big one.
+// applyBound applies cons restricted by ad to base with the bound values.
+func applyBound(t *testing.T, en *core.Engine, res *Restriction, base *relation.Relation, vals ...string) *relation.Relation {
+	t.Helper()
+	args := make([]eval.Resolved, len(vals))
+	for i, v := range vals {
+		args[i] = eval.Resolved{Scalar: value.Str(v), IsScalar: true}
+	}
+	out, err := en.Apply(res.Goal, base, args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func TestRestrictionRestrictsComputation(t *testing.T) {
+	en, res, inT := restricted(t, "ahead", "bf")
+	// Two disconnected chains; binding the head to the small one must keep
+	// the fixpoint away from the big one.
+	var edges []workload.Edge
 	for i := 0; i < 4; i++ {
-		prog.Add(prolog.Fact("edge", value.Str(node("s", i)), value.Str(node("s", i+1))))
+		edges = append(edges, workload.Edge{From: i, To: i + 1})
 	}
-	for i := 0; i < 40; i++ {
-		prog.Add(prolog.Fact("edge", value.Str(node("big", i)), value.Str(node("big", i+1))))
+	for i := 100; i < 140; i++ {
+		edges = append(edges, workload.Edge{From: i, To: i + 1})
 	}
-	goal := prolog.NewAtom("path", prolog.CStr(node("s", 0)), prolog.V(9))
-	res, err := MagicTransform(prog, goal)
+	base := workload.EdgesToRelation(inT, edges)
+	got := applyBound(t, en, res, base, workload.NodeName(0))
+	if n := got.Select(func(tup value.Tuple) bool { return tup[0] == value.Str(workload.NodeName(0)) }).Len(); n != 4 {
+		t.Errorf("restricted answers: %d, want 4", n)
+	}
+	// The adorned extension is the small chain's closure (10 pairs), far
+	// below the big chain's 820.
+	full, err := en.Apply("ahead", base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pe := prolog.NewEngine(res.Program)
-	answers, err := pe.SolveTabled(res.Goal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(answers) != 4 {
-		t.Errorf("restricted answers: %d, want 4", len(answers))
-	}
-	// The adorned extension must stay near the small chain's closure (15
-	// pairs), far below the big chain's 820.
-	peFull := prolog.NewEngine(prog)
-	fullAns, err := peFull.SolveTabled(prolog.NewAtom("path", prolog.V(0), prolog.V(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fullAns) <= len(answers)*10 {
-		t.Errorf("expected strong restriction: full %d vs magic-visible %d", len(fullAns), len(answers))
+	if got.Len() != 10 || full.Len() != 830 {
+		t.Errorf("restricted %d tuples, full %d; want 10 and 830", got.Len(), full.Len())
 	}
 }
 
-func node(p string, i int) string { return p + string(rune('a'+i/26)) + string(rune('a'+i%26)) }
-
+// TestMagicAgreesWithDirectOnRandomGraphs: on random graphs, every generated
+// system — both closures, either attribute bound — holds exactly the tuples
+// of the full fixpoint that carry the bound value.
 func TestMagicAgreesWithDirectOnRandomGraphs(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 20; trial++ {
-		prog := prolog.NewProgram(tcRules()...)
-		edges := workload.RandomGraph(8, 12, rng.Int63())
-		for _, e := range edges {
-			prog.Add(prolog.Fact("edge",
-				value.Str(workload.NodeName(e.From)), value.Str(workload.NodeName(e.To))))
-		}
-		src := value.Str(workload.NodeName(rng.Intn(8)))
-		direct := prolog.NewEngine(prog)
-		want, err := direct.SolveTabled(prolog.NewAtom("path", prolog.C(src), prolog.V(0)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := MagicTransform(prog, prolog.NewAtom("path", prolog.C(src), prolog.V(0)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		pe := prolog.NewEngine(res.Program)
-		got, err := pe.SolveTabled(res.Goal)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: magic %d answers, direct %d", trial, len(got), len(want))
+	for _, cons := range []string{"ahead", "tc"} {
+		for pos, ad := range []string{"bf", "fb"} {
+			en, res, inT := restricted(t, cons, ad)
+			for trial := 0; trial < 10; trial++ {
+				base := workload.EdgesToRelation(inT, workload.RandomGraph(8, 12, rng.Int63()))
+				v := value.Str(workload.NodeName(rng.Intn(8)))
+				full, err := en.Apply(cons, base, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bound := func(tup value.Tuple) bool { return tup[pos] == v }
+				want := full.Select(bound)
+				got := applyBound(t, en, res, base, v.AsString())
+				if !got.Select(bound).Equal(want) || got.Difference(full).Len() != 0 {
+					t.Fatalf("%s %s trial %d: restricted %s, direct %s", cons, ad, trial, got.Select(bound), want)
+				}
+			}
 		}
 	}
 }
 
 func TestMagicThroughConstructorEngine(t *testing.T) {
-	// The full E7 pipeline in miniature: magic-transform, translate to
-	// constructors, evaluate set-orientedly.
-	prog := prolog.NewProgram(tcRules()...)
-	goal := prolog.NewAtom("path", prolog.CStr("n0000"), prolog.V(0))
-	res, err := MagicTransform(prog, goal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bundle, err := horn.ToConstructors(res.Program, schema.StringType())
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := core.NewRegistry()
-	for _, p := range bundle.IDB {
-		if _, err := reg.Register(bundle.Decls[p], bundle.RelTypes[p]); err != nil {
-			t.Fatal(err)
+	// E7 in miniature: the generated constructors run on the ordinary
+	// engine, one grounded system per bound value.
+	en, res, inT := restricted(t, "ahead", "bf")
+	base := workload.EdgesToRelation(inT, workload.Chain(6))
+	for src, want := range map[string]int{"n0000": 6, "n0004": 2, "n0006": 0} {
+		out := applyBound(t, en, res, base, src)
+		if got := out.Select(func(tup value.Tuple) bool { return tup[0] == value.Str(src) }); got.Len() != want {
+			t.Errorf("from %s: %d answers, want %d: %s", src, got.Len(), want, out)
 		}
-	}
-	en := core.NewEngine(reg, eval.NewEnv())
-	edges := workload.EdgesToRelation(bundle.RelTypes["edge"], workload.Chain(6))
-	var args []eval.Resolved
-	for _, e := range bundle.EDB {
-		if e == "edge" {
-			args = append(args, eval.Resolved{Rel: edges})
-		} else {
-			args = append(args, eval.Resolved{Rel: relation.New(bundle.RelTypes[e])})
-		}
-	}
-	for _, q := range bundle.IDB {
-		args = append(args, eval.Resolved{Rel: relation.New(bundle.RelTypes[q])})
-	}
-	seed := relation.New(bundle.RelTypes[res.Goal.Pred])
-	out, err := en.Apply(horn.ConstructorName(res.Goal.Pred), seed, args)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reachable pairs from n0000 on a 6-chain: 6.
-	got := out.Select(func(tup value.Tuple) bool { return tup[0] == value.Str("n0000") })
-	if got.Len() != 6 {
-		t.Errorf("magic through constructors: %d answers, want 6: %s", got.Len(), out)
 	}
 }
 
 func TestMagicGoalMustBeDerived(t *testing.T) {
-	prog := prolog.NewProgram(tcRules()...)
-	_, err := MagicTransform(prog, prolog.NewAtom("edge", prolog.V(0), prolog.V(1)))
-	if err == nil {
-		t.Error("magic over a base predicate must fail")
+	m, _ := parser.ParseModule(closureSrc)
+	chk := typecheck.New()
+	if err := chk.CheckModule(m); err != nil {
+		t.Fatal(err)
+	}
+	rec := RecursiveFromSigs(chk.Constructors)
+	for _, tc := range []struct{ cons, ad, want string }{
+		{"invert", "bf", "not a recursive constructor"},
+		{"nosuch", "bf", "not a recursive constructor"},
+		{"via", "bf", "takes arguments"},
+		{"ahead", "ff", "does not bind"},
+		{"ahead", "b", "does not bind"},
+	} {
+		if _, err := Restrict(chk.Constructors, rec, tc.cons, tc.ad); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Restrict(%s, %s): %v, want %q", tc.cons, tc.ad, err, tc.want)
+		}
 	}
 }

@@ -5,17 +5,20 @@ package optimizer
 // runs the pipeline at Prepare time and exposes the resulting trace through
 // EXPLAIN; the order is
 //
-//	flatten -> pushdown -> magic -> nest
+//	flatten -> propagate -> nest
 //
 // mirroring the paper's workflow: flatten nested ranges "to understand and
-// optimize a query in terms of base relations", propagate selections into
-// non-recursive constructor definitions while the predicates sit at the top
-// level (section 4 cases 1-3), restrict recursive constructor applications
-// to the query's bound constants (magic sets, the modern form of the
-// capture-rule/compiled-recursion techniques the paper cites for cyclic
-// subgraphs), and finally re-nest restrictive conjuncts (rules N1-N3) so
-// evaluation filters early. Nest runs last because it moves conjuncts into
-// nested ranges — the exact shape pushdown's pattern match needs undone.
+// optimize a query in terms of base relations", propagate the constraints
+// that sit at the top level into the definition of the constructor they
+// select from — by inlining a non-recursive constructor with the selection
+// pushed into its body (section 4 cases 1-3), and by restricting a recursive
+// one to the query's bound constants and parameters (magic sets written over
+// the declarations, magic.go: the modern form of the capture-rule and
+// compiled-recursion techniques the paper cites for cyclic subgraphs) — and
+// finally re-nest restrictive conjuncts (rules N1-N3) so evaluation filters
+// early. Nest runs last because it moves conjuncts into nested ranges — the
+// exact shape propagate's pattern match needs undone. Every rewrite's output
+// is ordinary DBPL, type-checked like the query it came from.
 
 import (
 	"fmt"
@@ -23,11 +26,8 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/eval"
-	"repro/internal/horn"
-	"repro/internal/prolog"
 	"repro/internal/schema"
 	"repro/internal/typecheck"
-	"repro/internal/value"
 )
 
 // Context supplies the declaration state a pass may consult. All maps are
@@ -70,9 +70,9 @@ func (c *Context) ElemOf(r *ast.Range) (schema.RecordType, bool) {
 // Query is the pipeline's working representation of one prepared query: a
 // range expression (a set-expression query is the range whose head is that
 // sub-expression). Passes rewrite the AST in place (they own a private deep
-// copy made by the session layer). Magic is filled by the magic-sets pass when
-// a recursive constructor application can be restricted to a bound constant;
-// the execution layer checks it before evaluating.
+// copy made by the session layer). Magic is filled by the propagate pass when
+// it restricts a recursive constructor application: the session registers its
+// declarations for the rewritten form to run over.
 type Query struct {
 	Rng   *ast.Range
 	Magic *MagicPlan
@@ -96,7 +96,7 @@ type Pass interface {
 
 // DefaultPipeline returns the pass sequence in its one fixed order.
 func DefaultPipeline() []Pass {
-	return []Pass{flattenPass{}, pushdownPass{}, magicPass{}, nestPass{}}
+	return []Pass{flattenPass{}, propagatePass{}, nestPass{}}
 }
 
 // RecursiveFromSigs marks constructors that can reach themselves through the
@@ -204,81 +204,225 @@ func (nestPass) Run(q *Query, _ *Context) (bool, string, error) {
 }
 
 // ---------------------------------------------------------------------------
-// pushdown — section 4 cases 1-3 via PushSelection, inlined
+// propagate — section 4: constraints into constructor definitions
 // ---------------------------------------------------------------------------
 
-type pushdownPass struct{}
+// propagatePass propagates a selection into the definition of the constructor
+// it selects from. Its one shape is a binding EACH v IN Base{c}: pred — a
+// single-binding branch of a set-expression head, or a selector application
+// Base{c}[sel(args)], which is that branch by its definition (section 2.3).
+// A non-recursive c is inlined with pred pushed into every body branch
+// (PushSelection, cases 1-3). A recursive c is restricted: the result
+// attributes pred equates with constants or query parameters adorn c's
+// declaration (Restrict), the application becomes Base{c__ad(values)}, and
+// pred stays in place as the filter that makes it exact. One application per
+// query is restricted.
+type propagatePass struct{}
 
-func (pushdownPass) Name() string { return "pushdown" }
+func (propagatePass) Name() string { return "propagate" }
 
-func (pushdownPass) Run(q *Query, ctx *Context) (bool, string, error) {
+func (propagatePass) Run(q *Query, ctx *Context) (bool, string, error) {
 	if ctx == nil {
 		return false, "no declaration context", nil
 	}
-	s := q.Rng.Sub
-	if s == nil {
-		return false, "no set expression", nil
+	if q.Rng.Sub == nil {
+		applied, why := restrictSelection(q, ctx)
+		return applied, why, nil
 	}
 	var details []string
 	var out []ast.Branch
 	applied := false
-	for i := range s.Branches {
-		nb, ok, why := pushBranch(&s.Branches[i], ctx)
-		if ok {
-			applied = true
-			out = append(out, nb...)
+	for i := range q.Rng.Sub.Branches {
+		nb, why := propagateBranch(q, &q.Rng.Sub.Branches[i], ctx)
+		applied = applied || nb != nil
+		if nb == nil {
+			nb = q.Rng.Sub.Branches[i : i+1]
+		}
+		out = append(out, nb...)
+		if why != "" {
 			details = append(details, why)
-		} else {
-			out = append(out, s.Branches[i])
-			if why != "" {
-				details = append(details, why)
-			}
 		}
 	}
-	if !applied {
-		if len(details) == 0 {
-			details = append(details, "no selection over a non-recursive constructor")
-		}
-		return false, strings.Join(details, "; "), nil
+	if len(details) == 0 {
+		details = append(details, "no selection over a constructor application")
 	}
-	s.Branches = out
-	return true, strings.Join(details, "; "), nil
+	q.Rng.Sub.Branches = out
+	return applied, strings.Join(details, "; "), nil
 }
 
-// pushBranch tries to specialize one branch of the canonical shape
-//
-//	EACH v IN Base{c}: pred
-//
-// (single binding over a zero-argument, non-recursive constructor applied to
-// a plain relation variable, whole-tuple projection, pred ranging only over
-// v) into the constructor's body with pred propagated into every body branch
-// (section 4 cases 1-3) and the formal base variable replaced by Base.
-func pushBranch(br *ast.Branch, ctx *Context) ([]ast.Branch, bool, string) {
-	if br.Literal != nil || br.Target != nil || len(br.Binds) != 1 || br.Where == nil {
-		return nil, false, ""
+// propagateBranch propagates br's predicate when br is EACH v IN Base{c}: pred,
+// returning the branches that replace br (nil: br stays as it is).
+func propagateBranch(q *Query, br *ast.Branch, ctx *Context) ([]ast.Branch, string) {
+	if br.Literal != nil || len(br.Binds) != 1 || br.Where == nil {
+		return nil, ""
 	}
 	bd := br.Binds[0]
 	rng := bd.Range
-	if rng.Sub != nil || len(rng.Suffixes) != 1 {
-		return nil, false, ""
+	if rng.Sub != nil || len(rng.Suffixes) != 1 || rng.Suffixes[0].Kind != ast.SuffixConstructor {
+		return nil, ""
 	}
-	suf := rng.Suffixes[0]
-	if suf.Kind != ast.SuffixConstructor || len(suf.Args) != 0 {
-		return nil, false, ""
+	sig, ok := ctx.Constructors[rng.Suffixes[0].Name]
+	switch {
+	case !ok:
+		return nil, ""
+	case ctx.Recursive[sig.Decl.Name]:
+		bound := boundTerms(br.Where, bd.Var, sig.Result.Element, func(t ast.Term) ast.Term { return t })
+		ok, why := restrict(q, ctx, rng, bound)
+		if !ok {
+			return nil, why
+		}
+		return []ast.Branch{*br}, why
 	}
-	if ctx.Recursive[suf.Name] {
-		return nil, false, fmt.Sprintf("constructor %s is recursive (magic-sets path applies)", suf.Name)
+	return pushBranch(br, sig, ctx)
+}
+
+// restrictSelection restricts a range query Base{c}[sel(args)]...
+func restrictSelection(q *Query, ctx *Context) (bool, string) {
+	r := q.Rng
+	if len(r.Suffixes) < 2 || r.Suffixes[0].Kind != ast.SuffixConstructor || r.Suffixes[1].Kind != ast.SuffixSelector {
+		return false, "no selection over a constructor application"
 	}
-	sig, ok := ctx.Constructors[suf.Name]
-	if !ok {
-		return nil, false, ""
+	c, sel := r.Suffixes[0].Name, r.Suffixes[1]
+	sig, ok := ctx.Constructors[c]
+	decl, okSel := ctx.Selectors[sel.Name]
+	if !ok || !okSel {
+		return false, ""
+	}
+	if !ctx.Recursive[c] {
+		return false, fmt.Sprintf("constructor %s is not recursive", c)
+	}
+	// The selector's formals stand for the application's actuals: a
+	// constant, or a query parameter (a bare name in scalar position).
+	actual := func(t ast.Term) ast.Term {
+		p, ok := t.(ast.Param)
+		if !ok {
+			return t
+		}
+		for i, fp := range decl.Params {
+			switch a := sel.Args[i]; {
+			case fp.Name != p.Name:
+			case a.Scalar != nil:
+				return a.Scalar
+			case a.Rel.Sub == nil && len(a.Rel.Suffixes) == 0:
+				return ast.Param{Name: a.Rel.Var, Pos: a.Rel.Pos}
+			}
+		}
+		return nil
+	}
+	return restrict(q, ctx, r,
+		boundTerms(decl.Where, decl.BodyVar, eval.SelectorElem(decl, sig.Result.Element), actual))
+}
+
+// boundTerms returns, per attribute of elem, the constant or parameter a
+// top-level equality conjunct of pred equates v's attribute with (nil for
+// none), each other side mapped through actual first.
+func boundTerms(pred ast.Pred, v string, elem schema.RecordType, actual func(ast.Term) ast.Term) []ast.Term {
+	out := make([]ast.Term, elem.Arity())
+	for _, c := range ast.Conjuncts(pred) {
+		cmp, ok := c.(ast.Cmp)
+		if !ok || cmp.Op != ast.OpEq {
+			continue
+		}
+		for _, side := range [][2]ast.Term{{cmp.L, cmp.R}, {cmp.R, cmp.L}} {
+			f, ok := side[0].(ast.Field)
+			pos := elem.IndexOf(f.Attr)
+			if !ok || f.Var != v || pos < 0 || out[pos] != nil {
+				continue
+			}
+			switch t := actual(side[1]).(type) {
+			case ast.Const, ast.Param:
+				out[pos] = t
+			}
+		}
+	}
+	return out
+}
+
+// MagicPlan is the restriction the propagate pass applied: the query's
+// application Base{Constructor} became Base{Goal(Bindings)} over the
+// generated declarations.
+type MagicPlan struct {
+	*Restriction
+	// Constructor is the restricted recursive constructor, Base the relation
+	// variable it is applied to.
+	Constructor string
+	Base        string
+	// BoundAttrs are the bound result attributes; Bindings the constant or
+	// parameter each is bound to, as written.
+	BoundAttrs []string
+	Bindings   []string
+}
+
+// Unrestrict returns a copy of r with the restricted application put back:
+// Base{Goal(...)} becomes Base{Constructor} again.
+func (m *MagicPlan) Unrestrict(r *ast.Range) *ast.Range {
+	out := ast.CopyRange(r)
+	ast.WalkRange(out, func(rr *ast.Range) {
+		for i, s := range rr.Suffixes {
+			if s.Kind == ast.SuffixConstructor && s.Name == m.Goal {
+				rr.Suffixes[i] = ast.Suffix{Kind: ast.SuffixConstructor, Name: m.Constructor, Pos: s.Pos}
+			}
+		}
+	})
+	return out
+}
+
+// restrict rewrites rng, the application Base{c}..., into Base{c__ad(values)}...
+// for the values bound holds per result attribute, and records the plan.
+func restrict(q *Query, ctx *Context, rng *ast.Range, bound []ast.Term) (bool, string) {
+	app := rng.Suffixes[0]
+	if _, isVar := ctx.VarType(rng.Var); !isVar {
+		return false, fmt.Sprintf("base of %s is not a relation variable", app.Name)
+	}
+	if len(app.Args) != 0 {
+		return false, fmt.Sprintf("constructor %s takes arguments", app.Name)
+	}
+	if q.Magic != nil {
+		return false, "one application per query is restricted"
+	}
+	m := &MagicPlan{Constructor: app.Name, Base: rng.Var}
+	var ad strings.Builder
+	var args []ast.Arg
+	for i, t := range bound {
+		if t == nil {
+			ad.WriteByte('f')
+			continue
+		}
+		ad.WriteByte('b')
+		m.BoundAttrs = append(m.BoundAttrs, ctx.Constructors[app.Name].Result.Element.Attrs[i].Name)
+		m.Bindings = append(m.Bindings, t.String())
+		args = append(args, ast.Arg{Scalar: t})
+	}
+	if args == nil {
+		return false, fmt.Sprintf("no attribute of %s is bound to a constant or parameter", app.Name)
+	}
+	res, err := Restrict(ctx.Constructors, ctx.Recursive, app.Name, ad.String())
+	if err != nil {
+		return false, err.Error()
+	}
+	m.Restriction = res
+	rng.Suffixes[0] = ast.Suffix{Kind: ast.SuffixConstructor, Name: res.Goal, Args: args, Pos: app.Pos}
+	q.Magic = m
+	return true, fmt.Sprintf("restricted %s to %s=%s via %s", app.Name,
+		strings.Join(m.BoundAttrs, ","), strings.Join(m.Bindings, ","), strings.Join(res.Adorned, ", "))
+}
+
+// pushBranch specializes the branch EACH v IN Base{c}: pred, c the
+// non-recursive constructor of sig, whole-tuple projection and pred ranging
+// only over v, into c's body with pred propagated into every body branch
+// (section 4 cases 1-3) and the formal base variable replaced by Base.
+func pushBranch(br *ast.Branch, sig *typecheck.ConstructorSig, ctx *Context) ([]ast.Branch, string) {
+	bd := br.Binds[0]
+	rng := bd.Range
+	if br.Target != nil || len(rng.Suffixes[0].Args) != 0 {
+		return nil, ""
 	}
 	if _, isVar := ctx.VarType(rng.Var); !isVar {
-		return nil, false, ""
+		return nil, ""
 	}
 	for fv := range eval.FreeVarsOfPred(br.Where) {
 		if fv != bd.Var {
-			return nil, false, ""
+			return nil, ""
 		}
 	}
 	decl := sig.Decl
@@ -286,11 +430,11 @@ func pushBranch(br *ast.Branch, ctx *Context) ([]ast.Branch, bool, string) {
 	// layer does not re-filter, so decline.
 	for _, bb := range decl.Body.Branches {
 		if bb.Literal != nil {
-			return nil, false, fmt.Sprintf("constructor %s has literal branches", suf.Name)
+			return nil, fmt.Sprintf("constructor %s has literal branches", decl.Name)
 		}
 		for _, innerBind := range bb.Binds {
 			if innerBind.Var == decl.ForVar {
-				return nil, false, ""
+				return nil, ""
 			}
 		}
 	}
@@ -306,170 +450,9 @@ func pushBranch(br *ast.Branch, ctx *Context) ([]ast.Branch, bool, string) {
 	}
 	specialized, err := PushSelection(decl, sig.Result.Element, bd.Var, br.Where, elemOf)
 	if err != nil {
-		return nil, false, fmt.Sprintf("constructor %s: %v", suf.Name, err)
+		return nil, fmt.Sprintf("constructor %s: %v", decl.Name, err)
 	}
 	body := ast.CopySetExpr(specialized.Body)
 	ast.SubstituteRangeVar(body, decl.ForVar, ast.RangeVar(rng.Var))
-	return body.Branches, true,
-		fmt.Sprintf("pushed selection on %s into %s (%d branch(es))", bd.Var, suf.Name, len(body.Branches))
-}
-
-// ---------------------------------------------------------------------------
-// magic — bound-argument restriction for recursive constructors
-// ---------------------------------------------------------------------------
-
-// MagicPlan is the prepared magic-sets execution of a range query head
-//
-//	Base{c}[sel(const)]...
-//
-// where c is recursive. The head (constructor application plus nothing) is
-// replaced at execution time by the fixpoint of the magic-transformed Horn
-// translation, seeded with the selector's constant, and every suffix from the
-// selector onward is applied unchanged to the (much smaller) restricted
-// result — the original selector acts as the final filter that makes the
-// restriction exact.
-type MagicPlan struct {
-	// Constructor is the recursive constructor whose application is replaced.
-	Constructor string
-	// BasePred names the EDB predicate fed from the base relation's value.
-	BasePred string
-	// Bundle holds the reverse-translated constructor system (horn.ToConstructors)
-	// of the magic-transformed program.
-	Bundle *horn.Bundle
-	// GoalPred / GoalCons name the adorned goal predicate and its constructor.
-	GoalPred string
-	GoalCons string
-	// Result is the original constructor's result type; the restricted
-	// relation is re-labelled to it before the remaining suffixes run.
-	Result schema.RelationType
-	// BoundAttr / BoundPos locate the bound result attribute; Const is the
-	// binding constant from the selector application.
-	BoundAttr string
-	BoundPos  int
-	Const     value.Value
-	// SuffixFrom is the index of the first suffix (the selector) that still
-	// runs over the restricted result.
-	SuffixFrom int
-	// Adorned lists the adorned predicates, for EXPLAIN.
-	Adorned []string
-}
-
-type magicPass struct{}
-
-func (magicPass) Name() string { return "magic" }
-
-func (magicPass) Run(q *Query, ctx *Context) (bool, string, error) {
-	if ctx == nil || q.Rng.Sub != nil || len(q.Rng.Suffixes) < 2 {
-		return false, "query is not Base{c}[sel(const)]", nil
-	}
-	rng := q.Rng
-	cons := rng.Suffixes[0]
-	sel := rng.Suffixes[1]
-	if cons.Kind != ast.SuffixConstructor || sel.Kind != ast.SuffixSelector {
-		return false, "query is not Base{c}[sel(const)]", nil
-	}
-	if !ctx.Recursive[cons.Name] {
-		return false, fmt.Sprintf("constructor %s is not recursive", cons.Name), nil
-	}
-	if len(cons.Args) != 0 {
-		return false, fmt.Sprintf("constructor %s takes arguments", cons.Name), nil
-	}
-	sig, ok := ctx.Constructors[cons.Name]
-	if !ok {
-		return false, "", nil
-	}
-	baseType, ok := ctx.VarType(rng.Var)
-	if !ok {
-		return false, fmt.Sprintf("base %s is not a relation variable", rng.Var), nil
-	}
-	decl, ok := ctx.Selectors[sel.Name]
-	if !ok || len(sel.Args) != 1 {
-		return false, "selector shape not indexable", nil
-	}
-	cst, ok := sel.Args[0].Scalar.(ast.Const)
-	if !ok {
-		return false, "selector argument is not a constant (parameter-bound queries run unrestricted)", nil
-	}
-	attr, _ := eval.SelectorAccess(decl, rng, 1)
-	if attr == "" {
-		return false, fmt.Sprintf("selector %s has no indexable equality", sel.Name), nil
-	}
-	// The selector reads the constructed result through its For-type; the
-	// bound position is positional across the re-labelling.
-	pos := eval.SelectorElem(decl, sig.Result.Element).IndexOf(attr)
-	if pos < 0 || pos >= sig.Result.Element.Arity() {
-		return false, fmt.Sprintf("attribute %s not positional in result", attr), nil
-	}
-	// The Horn reverse translation types every predicate with one scalar
-	// type; require a homogeneous scalar domain matching the constant.
-	scalar, ok := homogeneousScalar(baseType.Element, sig.Result.Element)
-	if !ok || scalar.Kind != cst.Val.Kind() {
-		return false, "heterogeneous attribute domains (translation is single-typed)", nil
-	}
-
-	basePred := "base_" + strings.ToLower(rng.Var)
-	sigs := map[string]*typecheck.ConstructorSig{}
-	for n, s := range ctx.Constructors {
-		sigs[n] = s
-	}
-	tr, err := horn.FromApplication(sigs, cons.Name,
-		horn.RelPred{Pred: basePred, Elem: baseType.Element}, nil)
-	if err != nil {
-		return false, "", fmt.Errorf("horn translation: %w", err)
-	}
-	goalArgs := make([]prolog.Term, sig.Result.Element.Arity())
-	for i := range goalArgs {
-		if i == pos {
-			goalArgs[i] = prolog.C(cst.Val)
-		} else {
-			goalArgs[i] = prolog.V(i)
-		}
-	}
-	prog := prolog.NewProgram(tr.Rules...)
-	res, err := MagicTransform(prog, prolog.NewAtom(tr.GoalPred, goalArgs...))
-	if err != nil {
-		return false, "", fmt.Errorf("magic transform: %w", err)
-	}
-	bundle, err := horn.ToConstructors(res.Program, scalar)
-	if err != nil {
-		return false, "", fmt.Errorf("reverse translation: %w", err)
-	}
-	if _, ok := bundle.Decls[res.Goal.Pred]; !ok {
-		return false, "goal predicate lost in reverse translation", nil
-	}
-	q.Magic = &MagicPlan{
-		Constructor: cons.Name,
-		BasePred:    basePred,
-		Bundle:      bundle,
-		GoalPred:    res.Goal.Pred,
-		GoalCons:    horn.ConstructorName(res.Goal.Pred),
-		Result:      sig.Result,
-		BoundAttr:   attr,
-		BoundPos:    pos,
-		Const:       cst.Val,
-		SuffixFrom:  1,
-		Adorned:     res.Adorned,
-	}
-	return true, fmt.Sprintf("restricted %s to %s=%s via %d adorned predicate(s)",
-		cons.Name, attr, cst.Val, len(res.Adorned)), nil
-}
-
-// homogeneousScalar returns the single scalar type shared by every attribute
-// of the given record types, if there is one.
-func homogeneousScalar(elems ...schema.RecordType) (schema.ScalarType, bool) {
-	var first schema.ScalarType
-	seen := false
-	for _, e := range elems {
-		for _, a := range e.Attrs {
-			if !seen {
-				first = a.Type
-				seen = true
-				continue
-			}
-			if a.Type.Kind != first.Kind {
-				return schema.ScalarType{}, false
-			}
-		}
-	}
-	return first, seen
+	return body.Branches, fmt.Sprintf("pushed selection on %s into %s (%d branch(es))", bd.Var, decl.Name, len(body.Branches))
 }

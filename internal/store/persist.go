@@ -9,6 +9,7 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -46,13 +47,22 @@ func WriteString(w *bufio.Writer, s string) error {
 	return err
 }
 
-// ReadString reads a length-prefixed string.
-func ReadString(r *bufio.Reader) (string, error) {
+// ByteReader is what the codecs read from: a bufio.Reader over a file, or a
+// bytes.Reader over one in-memory payload.
+type ByteReader interface {
+	io.Reader
+	io.ByteReader
+}
+
+// ReadString reads a length-prefixed string. A length over 1 GiB, or over
+// the bytes a bytes.Reader has left, is corruption, reported before anything
+// is allocated for it.
+func ReadString(r ByteReader) (string, error) {
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
 		return "", err
 	}
-	if n > 1<<30 {
+	if br, ok := r.(*bytes.Reader); n > 1<<30 || ok && n > uint64(br.Len()) {
 		return "", fmt.Errorf("store: corrupt string length %d", n)
 	}
 	buf := make([]byte, n)
@@ -87,7 +97,7 @@ func WriteValue(w *bufio.Writer, v value.Value) error {
 }
 
 // ReadValue reads one scalar value.
-func ReadValue(r *bufio.Reader) (value.Value, error) {
+func ReadValue(r ByteReader) (value.Value, error) {
 	k, err := r.ReadByte()
 	if err != nil {
 		return value.Value{}, err

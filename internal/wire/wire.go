@@ -10,8 +10,11 @@
 //	uint32 LE frame length | 1 byte message type | payload
 //
 // The length covers the type byte plus the payload, so a zero-payload message
-// frames as length 1. Frames larger than MaxFrame are a protocol error — the
-// reader fails instead of allocating attacker-controlled sizes.
+// frames as length 1. Frames larger than MaxFrame are a protocol error. No
+// length prefix is trusted with memory — the server reads frames before it
+// has authenticated anyone: the frame reader grows its buffer as payload
+// bytes arrive, and the payload decoder checks every length against the
+// bytes left in the payload.
 //
 // # Conversation shape
 //
@@ -45,9 +48,13 @@ const ProtoMagic = "DBPLW"
 const ProtoVersion = 1
 
 // MaxFrame bounds one frame (type byte plus payload). Bootstrap snapshots
-// ride in a single frame, so this is generous; it exists to turn a corrupt
-// length prefix into an error instead of an allocation.
+// ride in a single frame, so this is generous; it turns a corrupt length
+// prefix into an error.
 const MaxFrame = 1 << 30
+
+// frameChunk bounds what ReadFrame allocates ahead of the payload bytes it
+// has read: a frame up to this size is read into one exact allocation.
+const frameChunk = 64 << 10
 
 // Message types.
 const (
@@ -119,7 +126,9 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one frame, returning its type and payload.
+// ReadFrame reads one frame, returning its type and payload. The payload
+// buffer doubles as bytes arrive, from at most frameChunk, so a length prefix
+// alone never allocates more than that.
 func ReadFrame(r io.Reader) (byte, []byte, error) {
 	var head [5]byte
 	if _, err := io.ReadFull(r, head[:4]); err != nil {
@@ -132,11 +141,18 @@ func ReadFrame(r io.Reader) (byte, []byte, error) {
 	if _, err := io.ReadFull(r, head[4:5]); err != nil {
 		return 0, nil, err
 	}
-	payload := make([]byte, length-1)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
+	n := int(length - 1)
+	payload := make([]byte, min(n, frameChunk))
+	for off := 0; ; {
+		got, err := io.ReadFull(r, payload[off:])
+		if err != nil {
+			return 0, nil, err
+		}
+		if off += got; off == n {
+			return head[4], payload, nil
+		}
+		payload = append(payload, make([]byte, min(n-off, off))...)
 	}
-	return head[4], payload, nil
 }
 
 // Enc builds one message payload. Write errors cannot occur against the
@@ -198,13 +214,14 @@ func (e *Enc) Payload() ([]byte, error) {
 	return e.buf.Bytes(), nil
 }
 
-// Dec decodes one message payload.
+// Dec decodes one message payload. Every length prefix is checked against
+// the bytes left in the payload before anything is allocated for it.
 type Dec struct {
-	r *bufio.Reader
+	r *bytes.Reader
 }
 
 // NewDec wraps a payload for decoding.
-func NewDec(p []byte) *Dec { return &Dec{r: bufio.NewReader(bytes.NewReader(p))} }
+func NewDec(p []byte) *Dec { return &Dec{r: bytes.NewReader(p)} }
 
 // Str reads a length-prefixed string.
 func (d *Dec) Str() (string, error) { return store.ReadString(d.r) }
@@ -230,8 +247,8 @@ func (d *Dec) Bytes() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n > MaxFrame {
-		return nil, fmt.Errorf("wire: corrupt block length %d", n)
+	if n > uint64(d.r.Len()) {
+		return nil, fmt.Errorf("wire: corrupt block length %d, %d byte(s) left in the payload", n, d.r.Len())
 	}
 	p := make([]byte, n)
 	if _, err := io.ReadFull(d.r, p); err != nil {

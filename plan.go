@@ -42,8 +42,8 @@ type Plan struct {
 	// AccessPaths records the access path chosen for every selector
 	// application in the final form.
 	AccessPaths []AccessPath `json:"access_paths,omitempty"`
-	// Magic describes the magic-sets restriction replacing the query head,
-	// when one applies.
+	// Magic describes the restriction of a recursive constructor application
+	// to the query's bound values, when one applies.
 	Magic *MagicInfo `json:"magic,omitempty"`
 	// Analyze holds the counters of one execution; only ExplainQuery sets it.
 	Analyze *ExecInfo `json:"analyze,omitempty"`
@@ -73,16 +73,19 @@ type AccessPath struct {
 	Kind string `json:"kind"`
 }
 
-// MagicInfo describes a magic-sets restriction (section 4's constant
-// propagation into recursive constructors).
+// MagicInfo describes a restriction of a recursive constructor application
+// (section 4's constraint propagation into recursive constructors, as magic
+// sets over its declaration).
 type MagicInfo struct {
 	// Constructor is the recursive constructor whose full fixpoint is
 	// replaced by the restricted system.
 	Constructor string `json:"constructor"`
-	// BoundAttr and Const give the binding the restriction propagates.
+	// BoundAttr and Const give the bindings the restriction propagates: the
+	// bound result attributes and the constant or parameter (by name) each is
+	// bound to, comma-separated.
 	BoundAttr string `json:"bound_attr"`
 	Const     string `json:"const"`
-	// Adorned lists the adorned predicates of the transformed program.
+	// Adorned lists the adorned constructors of the generated system.
 	Adorned []string `json:"adorned,omitempty"`
 }
 
@@ -167,7 +170,7 @@ func (p *Plan) Text() string {
 		}
 	}
 	if p.Magic != nil {
-		fmt.Fprintf(&b, "magic:   %s bound %s=%s via %d adorned predicate(s)\n",
+		fmt.Fprintf(&b, "magic:   %s bound %s=%s via %d adorned constructor(s)\n",
 			p.Magic.Constructor, p.Magic.BoundAttr, p.Magic.Const, len(p.Magic.Adorned))
 	}
 	if p.Analyze != nil {
@@ -238,7 +241,7 @@ func (s *Stmt) buildPlan(traces []optimizer.Trace, decls *declSnapshot) *Plan {
 		Params:      s.Params(),
 		Optimized:   !s.db.noOptimize,
 		Final:       s.execRng.String(),
-		Quantifiers: s.quantifiers(nil),
+		Quantifiers: quantifiers(s.execRng, nil),
 	}
 	if s.rng.Sub != nil && len(s.rng.Suffixes) == 0 {
 		p.Kind = "set"
@@ -266,35 +269,29 @@ func (s *Stmt) buildPlan(traces []optimizer.Trace, decls *declSnapshot) *Plan {
 		}
 	})
 
-	if s.magic != nil {
+	if m := s.magic; m != nil {
 		p.Magic = &MagicInfo{
-			Constructor: s.magic.Constructor,
-			BoundAttr:   s.magic.BoundAttr,
-			Const:       s.magic.Const.String(),
-			Adorned:     append([]string(nil), s.magic.Adorned...),
+			Constructor: m.Constructor,
+			BoundAttr:   strings.Join(m.BoundAttrs, ","),
+			Const:       strings.Join(m.Bindings, ","),
+			Adorned:     append([]string(nil), m.Adorned...),
 		}
 	}
 	return p
 }
 
-// quantifiers renders the evaluation order of the form that executes: the
-// magic fixpoint or the query head, then the suffix chain. A set-expression
-// head lists every branch's bindings as eval.BranchPlan describes them — the
-// plan the execution behind ran used for the branch, or, when ran is nil or
-// never reached it, the declared-order plan made without cardinalities.
-func (s *Stmt) quantifiers(ran *eval.ExecStats) []string {
+// quantifiers renders the evaluation order of rng, a form the statement
+// executes: the query head, then the suffix chain. A set-expression head
+// lists every branch's bindings as eval.BranchPlan describes them — the plan
+// the execution behind ran used for the branch, or, when ran is nil or never
+// reached it, the declared-order plan made without cardinalities.
+func quantifiers(rng *ast.Range, ran *eval.ExecStats) []string {
 	var out []string
-	sufs := s.execRng.Suffixes
-	switch {
-	case s.magic != nil:
-		out = append(out, fmt.Sprintf("magic fixpoint %s seeded %s=%s over base %s",
-			s.magic.GoalCons, s.magic.BoundAttr, s.magic.Const, s.execRng.Var))
-		sufs = sufs[s.magic.SuffixFrom:]
-	case s.execRng.Sub == nil:
-		out = append(out, "base "+s.execRng.Var)
-	default:
-		for bi := range s.execRng.Sub.Branches {
-			br := &s.execRng.Sub.Branches[bi]
+	if rng.Sub == nil {
+		out = append(out, "base "+rng.Var)
+	} else {
+		for bi := range rng.Sub.Branches {
+			br := &rng.Sub.Branches[bi]
 			if br.Literal != nil {
 				out = append(out, fmt.Sprintf("branch %d: literal %s", bi, br.String()))
 				continue
@@ -312,7 +309,7 @@ func (s *Stmt) quantifiers(ran *eval.ExecStats) []string {
 			}
 		}
 	}
-	for _, suf := range sufs {
+	for _, suf := range rng.Suffixes {
 		out = append(out, "apply "+suf.String())
 	}
 	return out

@@ -573,7 +573,7 @@ func (d *DB) runStmts(ctx context.Context, out io.Writer, stmts []ast.Stmt, tx *
 		view, w = tx.tx, tx.tx
 	}
 	for i, s := range stmts {
-		env, en, err := d.newEval(ctx, view, nil)
+		env, en, err := d.newEval(ctx, view)
 		if err != nil {
 			return fmt.Errorf("statement %d (%s): %w", i+1, s, err)
 		}
@@ -647,45 +647,36 @@ type relView interface {
 }
 
 // newEval builds the private environment and engine of one evaluation; it is
-// the only place either is configured. The environment binds the published
-// declarations and a snapshot of view (nil: the store's current state), and
-// is independent of the DB once this returns, so evaluation holds no DB lock
-// and writers cannot disturb it.
-//
-// A non-nil private registry — a prepared statement's magic-restricted
-// system — gets the same configuration over a blank environment instead: its
-// rules read only the arguments they are applied to, and its fixpoints stay
-// out of the view cache, which is keyed by the database's constructor names.
+// the only place either is configured, except that execWith points a
+// restricted statement's engine at the statement's registry, without the
+// view cache. The environment binds the published declarations and a
+// snapshot of view (nil: the store's current state), and is independent of
+// the DB once this returns, so evaluation holds no DB lock and writers cannot
+// disturb it.
 //
 // The only failure is the snapshot's: a variable the storage engine could not
 // read, reported as that error rather than as a missing relation.
-func (d *DB) newEval(ctx context.Context, view relView, private *core.Registry) (*eval.Env, *core.Engine, error) {
+func (d *DB) newEval(ctx context.Context, view relView) (*eval.Env, *core.Engine, error) {
 	decls, st, mode := d.current()
 	env := eval.NewEnv()
 	env.Ctx = ctx
 	env.Parallelism = d.parallelism
 	env.ParallelMinRows = d.parallelMinRows
 	env.ScanSelectors = d.noOptimize
-	reg := private
-	var views core.ViewProvider
-	if reg == nil {
-		reg = decls.registry
-		env.Selectors = decls.selectors
-		if view == nil {
-			view = st
-		}
-		var err error
-		if env.Rels, err = view.Snapshot(); err != nil {
-			return nil, nil, err
-		}
-		if d.views != nil { // a nil *matview.Cache must not become a non-nil interface
-			views = d.views
-		}
+	env.Selectors = decls.selectors
+	if view == nil {
+		view = st
 	}
-	en := core.NewEngine(reg, env)
+	var err error
+	if env.Rels, err = view.Snapshot(); err != nil {
+		return nil, nil, err
+	}
+	en := core.NewEngine(decls.registry, env)
 	en.Mode = mode
 	en.Parallelism = d.parallelism
-	en.Views = views
+	if d.views != nil { // a nil *matview.Cache must not become a non-nil interface
+		en.Views = d.views
+	}
 	return env, en, nil
 }
 
@@ -705,7 +696,7 @@ func (d *DB) ApplyContext(ctx context.Context, constructor string, base *Relatio
 		}
 		resolved[i] = eval.Resolved{Scalar: v, IsScalar: true}
 	}
-	_, en, err := d.newEval(ctx, nil, nil)
+	_, en, err := d.newEval(ctx, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -9,9 +9,9 @@ import (
 	"sync/atomic"
 
 	"repro/internal/ast"
+	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/eval"
-	"repro/internal/horn"
 	"repro/internal/optimizer"
 	"repro/internal/parser"
 	"repro/internal/relation"
@@ -23,8 +23,8 @@ import (
 // Stmt is a prepared query: Prepare parses the source, type-checks it against
 // the current declarations and the store's relation variables
 // (typecheck.Checker.CheckQuery — the check a module's SHOW gets), and lowers
-// it through the optimizer pass pipeline (flatten, selection pushdown, magic
-// sets, nest) exactly once. The resulting compiled plan, inspectable via Plan,
+// it through the optimizer pass pipeline (flatten, constraint propagation,
+// nest) exactly once. The resulting compiled plan, inspectable via Plan,
 // is what every Query call executes — concurrently, if desired — against a
 // snapshot of the database's current state.
 //
@@ -63,12 +63,13 @@ type Stmt struct {
 	open   bool
 
 	// execRng is the pipeline's rewritten form, executed by Query. magic, when
-	// non-nil, replaces the head of execRng with a magic-restricted fixpoint
-	// over magicReg.
-	execRng  *ast.Range
-	magic    *optimizer.MagicPlan
-	magicReg *core.Registry
-	plan     *Plan
+	// non-nil, is the restriction of a recursive constructor application in
+	// it: execRng applies the generated constructors, which reg — the
+	// database's registry with them registered — resolves.
+	execRng *ast.Range
+	magic   *optimizer.MagicPlan
+	reg     *core.Registry
+	plan    *Plan
 
 	closed atomic.Bool
 }
@@ -101,10 +102,12 @@ func (d *DB) prepare(src string, given []typecheck.Param) (*Stmt, error) {
 // compile lowers the parsed query through the optimizer pass pipeline over a
 // private deep copy of the AST and records the resulting plan. A rewritten
 // form is type-checked like the parsed one, which also types the ranges and
-// set expressions the passes built. Pass failures never fail preparation —
-// every pass is an optimization, not a semantic requirement — they are
-// recorded in the plan's trace instead, and a rewritten form that does not
-// type as the parsed one does is dropped for the query as written.
+// set expressions the passes built, and the declarations a restriction
+// generated are checked and registered like a module's. Pass failures never
+// fail preparation — every pass is an optimization, not a semantic
+// requirement — they are recorded in the plan's trace instead, and a
+// rewritten form that does not type as the parsed one does is dropped for the
+// query as written.
 func (s *Stmt) compile(chk *typecheck.Checker, decls *declSnapshot) {
 	d := s.db
 	q := &optimizer.Query{Rng: ast.CopyRange(s.rng)}
@@ -118,28 +121,21 @@ func (s *Stmt) compile(chk *typecheck.Checker, decls *declSnapshot) {
 		}
 		traces = optimizer.RunPipeline(optimizer.DefaultPipeline(), q, pctx)
 		if slices.ContainsFunc(traces, func(t optimizer.Trace) bool { return t.Applied }) {
-			if err := s.checkRewritten(chk, q.Rng); err != nil {
+			var err error
+			if q.Magic != nil {
+				chk, s.reg, err = generated(chk, decls, q.Magic.Decls)
+			}
+			if err == nil {
+				err = s.checkRewritten(chk, q.Rng)
+			}
+			if err != nil {
 				traces = append(traces, optimizer.Trace{
 					Pass: "typecheck", Detail: "error: rewritten form dropped, the query runs as written: " + err.Error()})
-				q = &optimizer.Query{Rng: ast.CopyRange(s.rng)}
+				q, s.reg = &optimizer.Query{Rng: ast.CopyRange(s.rng)}, nil
 			}
 		}
 	}
 	s.execRng, s.magic = q.Rng, q.Magic
-
-	if s.magic != nil {
-		reg, err := magicRegistry(s.magic.Bundle)
-		if err != nil {
-			// A restricted system that does not check or register (e.g. a
-			// transformed rule tripping the positivity check) demotes the
-			// query to unrestricted execution; the trace keeps the reason
-			// visible in EXPLAIN.
-			traces = append(traces, optimizer.Trace{
-				Pass: "magic", Detail: "error: registering restricted system: " + err.Error()})
-			s.magic = nil
-		}
-		s.magicReg = reg
-	}
 	s.plan = s.buildPlan(traces, decls)
 }
 
@@ -147,8 +143,8 @@ func (s *Stmt) compile(chk *typecheck.Checker, decls *declSnapshot) {
 // with the parameters typed as the parsed form typed them. It must yield a
 // relation type compatible with the parsed form's; a set-expression head then
 // takes the parsed head's type, so a rewrite never renames result attributes
-// (pushdown replaces a constructed range by the constructor's body, whose
-// first branch may carry the base relation's attribute names).
+// (propagation may replace a constructed range by the constructor's body,
+// whose first branch may carry the base relation's attribute names).
 func (s *Stmt) checkRewritten(chk *typecheck.Checker, rng *ast.Range) error {
 	typ, _, err := chk.CheckQuery(rng, s.params)
 	if err != nil {
@@ -163,28 +159,18 @@ func (s *Stmt) checkRewritten(chk *typecheck.Checker, rng *ast.Range) error {
 	return nil
 }
 
-// magicRegistry checks the declarations the magic-sets pass generated as a
-// module of their own — they are DBPL constructors like any other — and
-// registers them in a private registry.
-func magicRegistry(b *horn.Bundle) (*core.Registry, error) {
-	chk := typecheck.New()
-	m := &ast.Module{Name: "magic"}
-	for _, rt := range b.RelTypes {
-		chk.RelTypes[rt.Name] = rt
+// generated compiles the declarations a restriction generated — DBPL
+// constructors like any other — as a module into clones of the checker and
+// the database's registry: the checker the rewritten form is typed by and the
+// registry it runs over.
+func generated(chk *typecheck.Checker, decls *declSnapshot, gen []*ast.ConstructorDecl) (*typecheck.Checker, *core.Registry, error) {
+	chk, reg := chk.Clone(chk.VarType), decls.registry.Clone()
+	m := &ast.Module{Name: "restrict"}
+	for _, g := range gen {
+		m.Decls = append(m.Decls, g)
 	}
-	for _, pred := range b.IDB {
-		m.Decls = append(m.Decls, b.Decls[pred])
-	}
-	if err := chk.CheckModule(m); err != nil {
-		return nil, err
-	}
-	reg := core.NewRegistry()
-	for _, pred := range b.IDB {
-		if _, err := reg.Register(b.Decls[pred], b.RelTypes[pred]); err != nil {
-			return nil, err
-		}
-	}
-	return reg, nil
+	_, err := compile.CompileModuleInto(m, chk, reg)
+	return chk, reg, err
 }
 
 // prepareCached returns the plan-cached statement for src, preparing and
@@ -255,7 +241,10 @@ func (s *Stmt) QueryRows(ctx context.Context, args ...any) (*Rows, error) {
 type execStats struct {
 	// stmt is the statement that ran: the one executed, or its instance for
 	// the bound values when it has open parameters.
-	stmt   *Stmt
+	stmt *Stmt
+	// rng is the form that ran: the statement's rewritten form, or its
+	// unrestricted form when a materialization served it.
+	rng    *ast.Range
 	exec   eval.ExecStats
 	engine core.Stats
 	// view is the materialized-view outcome of the execution, when a
@@ -306,7 +295,7 @@ func (s *Stmt) bindArgs(ctx context.Context, env *eval.Env, args []any) (*Stmt, 
 }
 
 func (s *Stmt) exec(ctx context.Context, args []any, ex *execStats) (*relation.Relation, error) {
-	env, en, err := s.db.newEval(ctx, nil, nil)
+	env, en, err := s.db.newEval(ctx, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -314,7 +303,12 @@ func (s *Stmt) exec(ctx context.Context, args []any, ex *execStats) (*relation.R
 }
 
 // execWith runs the compiled plan in an environment newEval built: over the
-// store's current state, or over a transaction's view.
+// store's current state, or over a transaction's view. A restricted plan
+// makes one decision from observed state: when a current materialization of
+// the unrestricted application exists, serving it beats the restricted
+// system, so the unrestricted form runs; otherwise the rewritten form runs
+// over the statement's registry, without the view cache — generated
+// constructors are never materialized.
 func (s *Stmt) execWith(ctx context.Context, env *eval.Env, en *core.Engine, args []any, ex *execStats) (*relation.Relation, error) {
 	run, err := s.bindArgs(ctx, env, args)
 	if err != nil {
@@ -324,12 +318,18 @@ func (s *Stmt) execWith(ctx context.Context, env *eval.Env, en *core.Engine, arg
 		ex.stmt = run
 		env.ExecStats = &ex.exec
 	}
-	var rel *relation.Relation
-	if run.magic != nil {
-		rel, err = run.execMagic(ctx, env, en, ex)
-	} else {
-		rel, err = env.Range(run.execRng)
+	rng := run.execRng
+	if m := run.magic; m != nil {
+		if s.db.views.Peek(m.Constructor, env.Rels[m.Base]) {
+			rng = m.Unrestrict(rng)
+		} else {
+			en.Registry, en.Views = run.reg, nil
+		}
 	}
+	if ex != nil {
+		ex.rng = rng
+	}
+	rel, err := env.Range(rng)
 	if err != nil {
 		return nil, wrapErr(err)
 	}
@@ -343,61 +343,6 @@ func (s *Stmt) execWith(ctx context.Context, env *eval.Env, en *core.Engine, arg
 		}
 	}
 	return rel, nil
-}
-
-// execMagic executes the magic-sets plan: instead of computing the recursive
-// constructor's full least fixpoint and filtering, it evaluates the
-// magic-transformed system seeded with the selector's constant, re-labels the
-// (much smaller) restricted result to the constructor's result type, and
-// applies the query's suffixes from the selector onward — the original
-// selector acting as the final filter that makes the restriction exact.
-func (s *Stmt) execMagic(ctx context.Context, env *eval.Env, outer *core.Engine, ex *execStats) (*relation.Relation, error) {
-	mp := s.magic
-	base, ok := env.Rels[s.execRng.Var]
-	if !ok {
-		return nil, fmt.Errorf("dbpl: unknown relation %q", s.execRng.Var)
-	}
-	d := s.db
-	// A full fixpoint of the constructor already materialized (and kept
-	// current) for this base beats the restricted system: serve it and let
-	// the original selector filter, skipping the magic fixpoint entirely.
-	// Peek never computes on a miss, so the restriction still wins cold.
-	if d.views != nil {
-		full, ok, err := d.views.Peek(ctx, outer, mp.Constructor, base)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return env.ApplySuffixes(full, s.execRng, mp.SuffixFrom)
-		}
-	}
-	men, en, err := d.newEval(ctx, nil, s.magicReg)
-	if err != nil {
-		return nil, err
-	}
-	men.ExecStats = env.ExecStats
-	args := make([]eval.Resolved, 0, len(mp.Bundle.EDB)+len(mp.Bundle.IDB))
-	for _, pred := range mp.Bundle.EDB {
-		if pred == mp.BasePred {
-			args = append(args, eval.Resolved{Rel: horn.RetypeRelation(mp.Bundle.RelTypes[pred], base)})
-		} else {
-			args = append(args, eval.Resolved{Rel: relation.New(mp.Bundle.RelTypes[pred])})
-		}
-	}
-	for _, pred := range mp.Bundle.IDB {
-		args = append(args, eval.Resolved{Rel: relation.New(mp.Bundle.RelTypes[pred])})
-	}
-	seed := relation.New(mp.Bundle.RelTypes[mp.GoalPred])
-	res, err := en.ApplyContext(ctx, mp.GoalCons, seed, args)
-	if err != nil {
-		return nil, err
-	}
-	s.db.recordStats(en)
-	if ex != nil {
-		ex.engine = en.LastStats()
-	}
-	restricted := horn.RetypeRelation(mp.Result, res)
-	return env.ApplySuffixes(restricted, s.execRng, mp.SuffixFrom)
 }
 
 // ---------------------------------------------------------------------------

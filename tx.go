@@ -97,7 +97,7 @@ func (t *Tx) Query(ctx context.Context, src string, args ...any) (*Relation, err
 	if err != nil {
 		return nil, err
 	}
-	env, en, err := t.db.newEval(ctx, t.tx, nil)
+	env, en, err := t.db.newEval(ctx, t.tx)
 	if err != nil {
 		return nil, err
 	}
@@ -168,7 +168,7 @@ func (t *Tx) Commit() error {
 	if t.db.store() != t.tx.DB() {
 		return fmt.Errorf("dbpl: store was replaced (LoadStore) during the transaction; nothing committed")
 	}
-	env, _, err := t.db.newEval(context.Background(), t.tx, nil)
+	env, _, err := t.db.newEval(context.Background(), t.tx)
 	if err != nil {
 		return err
 	}
