@@ -73,6 +73,7 @@ func (s *Stmt) ExplainQuery(ctx context.Context, args ...any) (*Plan, error) {
 	if ex.viewSet {
 		p.Analyze.MatView = ex.view.Outcome
 		p.Analyze.MatViewDelta = ex.view.Delta
+		p.Analyze.MatViewRemoved = ex.view.Removed
 		p.Analyze.MatViewRounds = ex.view.Rounds
 	}
 	return p, nil

@@ -83,8 +83,13 @@ func (m *mutator) remember(t dbpl.Tuple) bool {
 
 // freshBatch draws 1–3 edges not currently in the base relation.
 func (m *mutator) freshBatch() []dbpl.Tuple {
+	return m.fresh(1 + m.rng.Intn(3))
+}
+
+// fresh draws up to n edges not currently in the base relation.
+func (m *mutator) fresh(n int) []dbpl.Tuple {
 	var out []dbpl.Tuple
-	for n := 1 + m.rng.Intn(3); n > 0; n-- {
+	for ; n > 0; n-- {
 		for tries := 0; tries < 50; tries++ {
 			t := dbpl.NewTuple(
 				dbpl.Str(workload.NodeName(m.rng.Intn(m.nodes))),
@@ -113,11 +118,26 @@ func (m *mutator) shrink() []dbpl.Tuple {
 	return kept
 }
 
-// TestIncrementalMetamorphic interleaves Insert, Assign, and Tx commits
-// against the example workloads and checks after every mutation that a
-// materialized database answers every query tuple-identically to a reference
-// database that refixpoints from scratch — the maintained state is never
-// allowed to drift. Runs the serial and the parallel executor.
+// redraw replaces k random tuples with k fresh ones — the shape of an
+// overwrite that re-draws a few edges — and returns the new tuple set.
+func (m *mutator) redraw(k int) []dbpl.Tuple {
+	for ; k > 0 && len(m.tuples) > 0; k-- {
+		j := m.rng.Intn(len(m.tuples))
+		delete(m.seen, m.tuples[j].Key())
+		m.tuples[j] = m.tuples[len(m.tuples)-1]
+		m.tuples = m.tuples[:len(m.tuples)-1]
+		m.fresh(1)
+	}
+	return append([]dbpl.Tuple(nil), m.tuples...)
+}
+
+// TestIncrementalMetamorphic interleaves Insert, Assign, and Tx commits —
+// growth, shrinking and re-drawing overwrites, bursts of writes with no read
+// in between, and reads of a snapshot taken before an overwrite — against the
+// example workloads and checks after every mutation that a materialized
+// database answers every query tuple-identically to a reference database that
+// refixpoints from scratch: the maintained state is never allowed to drift,
+// and no write invalidates a view. Runs the serial and the parallel executor.
 func TestIncrementalMetamorphic(t *testing.T) {
 	configs := []struct {
 		name string
@@ -159,21 +179,48 @@ func TestIncrementalMetamorphic(t *testing.T) {
 					}
 				}
 
-				check("initial")
-				for op := 0; op < 30; op++ {
-					step := fmt.Sprintf("op %d", op)
-					switch r := m.rng.Intn(10); {
-					case r < 6: // committed growth: the incremental path
-						batch := m.freshBatch()
-						if len(batch) == 0 {
+				insert := func(step string) {
+					batch := m.freshBatch()
+					for _, db := range []*dbpl.DB{mat, ref} {
+						if err := db.Insert(w.baseVar, batch...); err != nil {
+							t.Fatalf("%s insert: %v", step, err)
+						}
+					}
+				}
+				// assign overwrites the base with tuples, directly or as a
+				// Tx.Assign commit.
+				assign := func(step string, tuples []dbpl.Tuple, inTx bool) {
+					rel := relation.New(typ)
+					for _, tup := range tuples {
+						rel.Add(tup)
+					}
+					for _, db := range []*dbpl.DB{mat, ref} {
+						if !inTx {
+							if err := db.Assign(w.baseVar, rel.Clone()); err != nil {
+								t.Fatalf("%s assign: %v", step, err)
+							}
 							continue
 						}
-						for _, db := range []*dbpl.DB{mat, ref} {
-							if err := db.Insert(w.baseVar, batch...); err != nil {
-								t.Fatalf("%s insert: %v", step, err)
-							}
+						tx, err := db.Begin(ctx)
+						if err != nil {
+							t.Fatal(err)
 						}
-					case r < 8: // transactional growth: one atomic delta batch
+						if err := tx.Assign(w.baseVar, rel.Clone()); err != nil {
+							t.Fatalf("%s tx assign: %v", step, err)
+						}
+						if err := tx.Commit(); err != nil {
+							t.Fatalf("%s tx commit: %v", step, err)
+						}
+					}
+				}
+
+				check("initial")
+				for op := 0; op < 40; op++ {
+					step := fmt.Sprintf("op %d", op)
+					switch r := m.rng.Intn(12); {
+					case r < 4: // committed growth
+						insert(step)
+					case r < 5: // transactional growth: one atomic delta batch
 						b1, b2 := m.freshBatch(), m.freshBatch()
 						for _, db := range []*dbpl.DB{mat, ref} {
 							tx, err := db.Begin(ctx)
@@ -190,15 +237,36 @@ func TestIncrementalMetamorphic(t *testing.T) {
 								t.Fatalf("%s tx commit: %v", step, err)
 							}
 						}
-					default: // overwrite that shrinks: the invalidation path
-						kept := m.shrink()
-						rel := relation.New(typ)
-						for _, tup := range kept {
-							rel.Add(tup)
+					case r < 6: // overwrite that shrinks
+						assign(step, m.shrink(), false)
+					case r < 8: // overwrite that re-draws k edges: remove k, add k
+						assign(step, m.redraw(1+m.rng.Intn(3)), r == 7)
+					case r < 10: // a burst with no read in between
+						assign(step+" burst", m.redraw(2), r == 9)
+						insert(step + " burst")
+						assign(step+" burst", m.shrink(), false)
+					default: // a reader holding a pre-overwrite snapshot
+						var txs [2]*dbpl.Tx
+						for i, db := range []*dbpl.DB{mat, ref} {
+							tx, err := db.Begin(ctx)
+							if err != nil {
+								t.Fatal(err)
+							}
+							defer tx.Rollback()
+							txs[i] = tx
 						}
-						for _, db := range []*dbpl.DB{mat, ref} {
-							if err := db.Assign(w.baseVar, rel.Clone()); err != nil {
-								t.Fatalf("%s assign: %v", step, err)
+						assign(step, m.redraw(2), false)
+						for _, q := range w.queries {
+							a, err := txs[0].Query(ctx, q)
+							if err != nil {
+								t.Fatalf("%s: materialized snapshot %s: %v", step, q, err)
+							}
+							b, err := txs[1].Query(ctx, q)
+							if err != nil {
+								t.Fatalf("%s: reference snapshot %s: %v", step, q, err)
+							}
+							if !a.Equal(b) {
+								t.Fatalf("%s: snapshot %s diverged: %d tuples, from scratch %d", step, q, a.Len(), b.Len())
 							}
 						}
 					}
@@ -209,11 +277,10 @@ func TestIncrementalMetamorphic(t *testing.T) {
 				if !mv.Enabled {
 					t.Fatal("materialization should be on by default")
 				}
-				if mv.Maintained == 0 {
-					t.Errorf("no read was served incrementally: %+v", mv)
-				}
-				if mv.Invalidations == 0 {
-					t.Errorf("shrinking assigns never invalidated: %+v", mv)
+				// Every entry computed once, then maintained through every
+				// write: overwrites included, none invalidates.
+				if mv.Maintained == 0 || mv.Invalidations != 0 || mv.Misses != uint64(mv.Entries) {
+					t.Errorf("writes were not all maintained: %+v", mv)
 				}
 			})
 		}
@@ -258,7 +325,7 @@ func TestExplainAnalyzeMatView(t *testing.T) {
 		t.Fatalf("after growth: MatView=%q delta=%d rounds=%d, want maintained delta=1 rounds>=1",
 			a.MatView, a.MatViewDelta, a.MatViewRounds)
 	}
-	wantLine := fmt.Sprintf("matview: maintained delta=1 rounds=%d", a.MatViewRounds)
+	wantLine := fmt.Sprintf("matview: maintained delta=+1/-0 rounds=%d", a.MatViewRounds)
 	if !containsLine(p.Text(), wantLine) {
 		t.Errorf("plan text missing %q:\n%s", wantLine, p.Text())
 	}
@@ -275,6 +342,33 @@ func TestExplainAnalyzeMatView(t *testing.T) {
 	// table is ahead of chair, floor, and the freshly inserted cellar.
 	if p2.Analyze.Rows != 3 {
 		t.Errorf("magic-path rows=%d, want 3", p2.Analyze.Rows)
+	}
+
+	// An overwrite re-drawing one edge (chair->floor becomes chair->attic) is
+	// absorbed as a signed delta: one tuple added, one removed.
+	typ := mustVarType(t, db, "Infront")
+	redrawn := relation.New(typ)
+	for _, e := range [][2]string{{"vase", "table"}, {"table", "chair"}, {"chair", "attic"}, {"floor", "cellar"}} {
+		redrawn.Add(dbpl.NewTuple(dbpl.Str(e[0]), dbpl.Str(e[1])))
+	}
+	if err := db.Assign("Infront", redrawn); err != nil {
+		t.Fatal(err)
+	}
+	p3, err := db.ExplainQuery(ctx, `Infront{ahead}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a = p3.Analyze
+	if a.MatView != "maintained" || a.MatViewDelta != 1 || a.MatViewRemoved != 1 || a.Rows != 7 {
+		t.Fatalf("after a re-draw: MatView=%q delta=%d removed=%d rows=%d, want maintained +1/-1 over 7 rows",
+			a.MatView, a.MatViewDelta, a.MatViewRemoved, a.Rows)
+	}
+	wantLine = fmt.Sprintf("matview: maintained delta=+1/-1 rounds=%d", a.MatViewRounds)
+	if !containsLine(p3.Text(), wantLine) {
+		t.Errorf("plan text missing %q:\n%s", wantLine, p3.Text())
+	}
+	if js, err := p3.JSON(); err != nil || !strings.Contains(string(js), `"matview_removed": 1`) {
+		t.Errorf("plan JSON lacks matview_removed (err %v):\n%s", err, js)
 	}
 }
 
@@ -316,13 +410,17 @@ func containsLine(text, line string) bool {
 	return false
 }
 
-// TestIncrementalConcurrentReads streams committed inserts from a writer
-// while reader goroutines query the recursive constructor, then does a final
-// equivalence check against a from-scratch database holding the same edges.
-// Run under -race this exercises the observer/serve/install interleavings.
+// TestIncrementalConcurrentReads streams committed inserts and re-drawing
+// overwrites from a writer while reader goroutines query the recursive
+// constructor, then does a final equivalence check against a from-scratch
+// database holding the same edges. Run under -race this exercises the
+// observer/serve/install interleavings, an overwrite replacing the queue a
+// read is absorbing among them.
 func TestIncrementalConcurrentReads(t *testing.T) {
 	mat := openWith(t, cadModule)
-	m := newMutator(7, nil)
+	initial, _ := mat.StoreSnapshot().Get("Infront")
+	m := newMutator(7, initial)
+	typ := mustVarType(t, mat, "Infront")
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -343,19 +441,30 @@ func TestIncrementalConcurrentReads(t *testing.T) {
 			}
 		}()
 	}
-	var inserted []dbpl.Tuple
-	for i := 0; i < 40; i++ {
-		batch := m.freshBatch()
-		if err := mat.Insert("Infront", batch...); err != nil {
-			t.Fatalf("insert %d: %v", i, err)
+	for i := 0; i < 60; i++ {
+		if i%4 != 3 {
+			if err := mat.Insert("Infront", m.freshBatch()...); err != nil {
+				t.Fatalf("insert %d: %v", i, err)
+			}
+			continue
 		}
-		inserted = append(inserted, batch...)
+		rel := relation.New(typ)
+		for _, tup := range m.redraw(2) {
+			rel.Add(tup)
+		}
+		if err := mat.Assign("Infront", rel); err != nil {
+			t.Fatalf("assign %d: %v", i, err)
+		}
 	}
 	close(stop)
 	wg.Wait()
 
 	ref := openWith(t, cadModule, dbpl.WithoutMaterialization())
-	if err := ref.Insert("Infront", inserted...); err != nil {
+	final := relation.New(typ)
+	for _, tup := range m.tuples {
+		final.Add(tup)
+	}
+	if err := ref.Assign("Infront", final); err != nil {
 		t.Fatal(err)
 	}
 	a, err := mat.Query(`Infront{ahead}`)

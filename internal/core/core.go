@@ -143,11 +143,13 @@ type Stats struct {
 
 // ViewStats describes how a materialized-view layer answered one constructor
 // application: served unchanged ("hit"), computed and installed ("miss"), or
-// brought up to date by resuming the fixpoint over a base delta
-// ("maintained", with the delta size and the maintenance rounds).
+// brought up to date by resuming the fixpoint over a signed base delta
+// ("maintained", with the tuples added to and removed from the base and the
+// maintenance rounds).
 type ViewStats struct {
 	Outcome string // "hit", "miss", or "maintained"
-	Delta   int    // base-delta tuples absorbed (maintained only)
+	Delta   int    // base tuples added (maintained only)
+	Removed int    // base tuples removed (maintained only)
 	Rounds  int    // maintenance fixpoint rounds (maintained only)
 }
 
@@ -368,13 +370,14 @@ func fixpointOpts(en *Engine, ctx context.Context, allowNonMono bool) fixpoint.O
 	return fixpoint.Options{MaxRounds: maxRounds, AllowNonMonotonic: allowNonMono, Ctx: ctx, Parallelism: en.Parallelism}
 }
 
-// rebindCtx points every instance environment at the context of the current
-// call; grounding bound them to the grounding call's context, which may be
-// long cancelled when a cached system is reused.
-func (s *System) rebindCtx(ctx context.Context) {
-	s.sys.ctx = ctx
+// bind points the system at the current call: its context and engine, which
+// every instance environment also resolves applications in selector bodies
+// through. Grounding bound them to the grounding call's, which may be long
+// cancelled when a cached system is reused.
+func (s *System) bind(ctx context.Context, en *Engine) {
+	s.en, s.sys.ctx, s.sys.engine = en, ctx, en
 	for _, inst := range s.sys.instances {
-		inst.env.Ctx = ctx
+		inst.env.Ctx, inst.env.Constructors = ctx, en
 	}
 }
 
@@ -382,8 +385,13 @@ func (s *System) rebindCtx(ctx context.Context) {
 // per-apply stats, returning the full state for callers that want to cache
 // every equation's relation (Root extracts the answer).
 func (s *System) Solve(ctx context.Context) ([]*relation.Relation, fixpoint.Stats, error) {
-	s.rebindCtx(ctx)
-	opts := fixpointOpts(s.en, ctx, s.allowNonMono)
+	return s.solve(ctx, s.en)
+}
+
+// solve is Solve on en: its iteration budget and stats sink.
+func (s *System) solve(ctx context.Context, en *Engine) ([]*relation.Relation, fixpoint.Stats, error) {
+	s.bind(ctx, en)
+	opts := fixpointOpts(en, ctx, s.allowNonMono)
 	var state []*relation.Relation
 	var fstats fixpoint.Stats
 	var err error
@@ -395,7 +403,7 @@ func (s *System) Solve(ctx context.Context) ([]*relation.Relation, fixpoint.Stat
 	if err != nil {
 		return nil, fstats, fmt.Errorf("constructor %s: %w", s.name, err)
 	}
-	s.recordStats(s.en, state, fstats)
+	s.recordStats(en, state, fstats)
 	return state, fstats, nil
 }
 
@@ -412,83 +420,167 @@ func (s *System) recordStats(en *Engine, state []*relation.Relation, fstats fixp
 	})
 }
 
-// Detach unlinks the grounded system from its originating call: the per-call
-// context and stat sinks wired into the instance environments would otherwise
-// keep counting (and keep a cancelled context) after the call is gone. A
-// cache calls it once before retaining the system; Solve and Resume rebind
-// the context per call.
+// Detach unlinks the grounded system from its originating call: the call's
+// context, engine and stat sinks would otherwise keep counting (and keep a
+// cancelled context, and through the engine the call's environment with
+// everything it computed) after the call is gone. A cache calls it once
+// before retaining the system, which from then on is bound to no engine:
+// Resume binds the maintaining call's.
 func (s *System) Detach() {
-	s.rebindCtx(context.Background())
+	s.bind(context.Background(), nil)
 	for _, inst := range s.sys.instances {
 		inst.env.ExecStats = nil
 	}
 }
 
-// Resume continues the solved system after its base relation grew: state is a
-// converged state (from Solve or a previous Resume), newBase the base's new
-// published value, and delta exactly the tuples newBase gained. The first
-// round differentiates every instance bound to the old base with respect to
-// the base delta (branches whose base occurrences are all bare binding ranges
-// evaluate once per occurrence with that occurrence restricted to the delta;
-// branches using the base in nested-but-monotone positions re-evaluate in
-// full, excluding known tuples), then standard semi-naive rounds propagate
-// the derived deltas through the recursion to the new least fixpoint.
+// Resume continues the solved system after its base relation changed: state
+// is a converged state (from Solve or a previous Resume), newBase the base's
+// new published value, and added and removed exactly the tuples newBase
+// gained and lost (either may be nil).
+//
+// Growth alone takes one round that differentiates every instance bound to
+// the old base with respect to added (branches whose base occurrences are
+// all bare binding ranges evaluate once per occurrence with that occurrence
+// restricted to the delta; branches using the base in nested-but-monotone
+// positions re-evaluate in full, excluding known tuples), then standard
+// semi-naive rounds propagate the derived deltas to the new least fixpoint.
+//
+// Removals are absorbed by delete-and-rederive, sound for the positive,
+// monotone systems Resumable admits: (1) over-delete everything removed
+// derives against the old base and state (fixpoint.OverDelete), (2) strip
+// it and re-derive the over-deleted tuples that keep a one-step derivation
+// from the survivors and the new base, (3) resume as for growth, seeded with
+// added and the re-derived tuples. A system whose recursive or base-using
+// branches cannot be differentiated by occurrence is solved from scratch
+// instead. In these phases the executor scans a whole state and hashes the
+// small side of its joins (eval.Env.Unindexed), so no index is built on, or
+// memoized with, a state.
 //
 // Relations in state are never mutated (copy-on-write), so the caller may
 // keep serving them. en supplies the iteration budget and receives the
 // per-apply stats — it is the engine of the call triggering maintenance, not
 // necessarily the one that grounded the system.
-func (s *System) Resume(ctx context.Context, en *Engine, state []*relation.Relation, newBase *relation.Relation, delta *relation.Relation) ([]*relation.Relation, fixpoint.Stats, error) {
+func (s *System) Resume(ctx context.Context, en *Engine, state []*relation.Relation, newBase, added, removed *relation.Relation) ([]*relation.Relation, fixpoint.Stats, error) {
 	if !s.Resumable() {
 		return nil, fixpoint.Stats{}, fmt.Errorf("constructor %s: system is not resumable: %s", s.name, s.sys.nonResumable)
 	}
-	s.rebindCtx(ctx)
-	oldBase := s.base
-	rebound := make([]bool, len(s.sys.instances))
-	for i, inst := range s.sys.instances {
-		if inst.base == oldBase {
-			inst.base = newBase
-			inst.env.Rels[inst.cons.Decl.ForVar] = newBase
-			rebound[i] = true
-		}
-	}
-	s.base = newBase
-
+	s.bind(ctx, en)
+	opts := fixpointOpts(en, ctx, false)
 	n := len(s.sys.instances)
+	rebound := make([]bool, n)
+	for i, inst := range s.sys.instances {
+		rebound[i] = inst.base == s.base
+	}
+	retract := removed != nil && !removed.IsEmpty()
+	if retract && !s.sys.retractable(rebound) {
+		s.rebase(rebound, newBase)
+		return s.solve(ctx, en)
+	}
+
 	cur := make([]*relation.Relation, n)
 	copy(cur, state)
-	deltas := make([]*relation.Relation, n)
 	owned := make([]bool, n)
+	deltas := make([]*relation.Relation, n)
 	var stats fixpoint.Stats
-	stats.Rounds++ // the base-delta round
-	for i, inst := range s.sys.instances {
-		if !rebound[i] {
-			deltas[i] = relation.New(inst.cons.Result)
-			continue
-		}
-		out, err := s.sys.evalBaseDelta(inst, cur, delta)
+	fail := func(err error) ([]*relation.Relation, fixpoint.Stats, error) {
+		return nil, stats, fmt.Errorf("constructor %s: %w", s.name, err)
+	}
+	if retract {
+		dead, dstats, err := s.overDelete(state, rebound, removed, opts)
+		stats = dstats
 		if err != nil {
-			return nil, stats, fmt.Errorf("constructor %s: %w", s.name, err)
+			return fail(err)
 		}
-		stats.Evaluations++
-		if out.Len() > 0 {
-			grown := cur[i].Clone()
-			grown.UnionInto(out)
-			cur[i] = grown
+		for i, d := range dead {
+			if d.IsEmpty() {
+				continue
+			}
+			cur[i] = cur[i].Clone()
+			d.Each(func(t value.Tuple) bool {
+				cur[i].Delete(t)
+				return true
+			})
 			owned[i] = true
 		}
-		deltas[i] = out
+		s.rebase(rebound, newBase)
+		stats.Rounds++ // the re-derivation round
+		if deltas, err = s.sys.rederive(cur, dead); err != nil {
+			return fail(err)
+		}
+		for i, r := range deltas {
+			cur[i].UnionInto(r) // r is empty unless dead[i], hence cur[i], is owned
+		}
+	} else {
+		s.rebase(rebound, newBase)
+		for i, inst := range s.sys.instances {
+			deltas[i] = relation.New(inst.cons.Result)
+		}
 	}
-	final, lstats, err := fixpoint.SemiNaiveResume(s.sys, cur, deltas, owned, fixpointOpts(en, ctx, false))
+
+	stats.Rounds++ // the base-delta round
+	for i, inst := range s.sys.instances {
+		if !rebound[i] || added == nil || added.IsEmpty() {
+			continue
+		}
+		out := relation.New(inst.cons.Result)
+		if err := s.sys.evalBaseDelta(inst, cur, added, out, cur[i], retract); err != nil {
+			return fail(err)
+		}
+		stats.Evaluations++
+		if out.IsEmpty() {
+			continue
+		}
+		if !owned[i] {
+			cur[i] = cur[i].Clone()
+			owned[i] = true
+		}
+		cur[i].UnionInto(out)
+		if deltas[i].IsEmpty() {
+			deltas[i] = out
+		} else {
+			deltas[i].UnionInto(out)
+		}
+	}
+	final, lstats, err := fixpoint.SemiNaiveResume(s.sys, cur, deltas, owned, opts)
 	stats.Rounds += lstats.Rounds
 	stats.Evaluations += lstats.Evaluations
-	stats.MaxDeltaSize = lstats.MaxDeltaSize
+	stats.MaxDeltaSize = max(stats.MaxDeltaSize, lstats.MaxDeltaSize)
 	stats.TuplesFinal = lstats.TuplesFinal
 	if err != nil {
-		return nil, stats, fmt.Errorf("constructor %s: %w", s.name, err)
+		return fail(err)
 	}
 	s.recordStats(en, final, stats)
 	return final, stats, nil
+}
+
+// rebase binds the instances marked in rebound, and the root, to newBase.
+func (s *System) rebase(rebound []bool, newBase *relation.Relation) {
+	for i, inst := range s.sys.instances {
+		if rebound[i] {
+			inst.base = newBase
+			inst.env.Rels[inst.cons.Decl.ForVar] = newBase
+		}
+	}
+	s.base = newBase
+}
+
+// overDelete is phase 1 of a retraction: per instance bound to the old base,
+// what removed derives against the old base and state seeds
+// fixpoint.OverDelete, which propagates it through the recursion.
+func (s *System) overDelete(state []*relation.Relation, rebound []bool, removed *relation.Relation, opts fixpoint.Options) ([]*relation.Relation, fixpoint.Stats, error) {
+	seed := make([]*relation.Relation, len(s.sys.instances))
+	for i, inst := range s.sys.instances {
+		seed[i] = relation.New(inst.cons.Result)
+		if !rebound[i] {
+			continue
+		}
+		if err := s.sys.evalBaseDelta(inst, state, removed, seed[i], nil, true); err != nil {
+			return nil, fixpoint.Stats{}, err
+		}
+	}
+	dead, stats, err := fixpoint.OverDelete(s.sys, state, seed, opts)
+	stats.Rounds++ // the seed round
+	return dead, stats, err
 }
 
 // ---------------------------------------------------------------------------
@@ -1083,13 +1175,21 @@ func (s *system) NewRelation(i int) *relation.Relation {
 // bindState binds every occurrence marker of inst to the referenced
 // instance's relation from the given state and every base alias to the
 // instance's base, applying overrides (deltas), and resets the env's range
-// memo.
-func (s *system) bindState(inst *instance, state []*relation.Relation, overrides map[string]*relation.Relation) {
+// memo. With cold, the markers bound to state are eval.Env.Unindexed: a
+// retraction reads a state for one pass and then replaces it, so an index on
+// it would be built at full cost and stay alive with the view's entry.
+func (s *system) bindState(inst *instance, state []*relation.Relation, overrides map[string]*relation.Relation, cold bool) {
+	inst.env.Unindexed = nil
 	for marker, key := range inst.occKeys {
 		ref := s.byKey[key]
 		rel := state[ref.index]
 		if o, ok := overrides[marker]; ok {
 			rel = o
+		} else if cold {
+			if inst.env.Unindexed == nil {
+				inst.env.Unindexed = make(map[string]bool)
+			}
+			inst.env.Unindexed[marker] = true
 		}
 		inst.env.Rels[marker] = rel
 	}
@@ -1106,7 +1206,7 @@ func (s *system) bindState(inst *instance, state []*relation.Relation, overrides
 // EvalFull implements fixpoint.Evaluator: g_i over the full state.
 func (s *system) EvalFull(i int, cur []*relation.Relation) (*relation.Relation, error) {
 	inst := s.instances[i]
-	s.bindState(inst, cur, nil)
+	s.bindState(inst, cur, nil, false)
 	return inst.env.SetExpr(inst.body, inst.cons.Result)
 }
 
@@ -1118,26 +1218,16 @@ func (s *system) EvalFull(i int, cur []*relation.Relation) (*relation.Relation, 
 func (s *system) EvalIncrement(i int, cur, delta []*relation.Relation) (*relation.Relation, error) {
 	inst := s.instances[i]
 	out := relation.New(inst.cons.Result)
-	for bi := range inst.body.Branches {
-		info := inst.branches[bi]
+	for bi, info := range inst.branches {
 		br := &inst.body.Branches[bi]
 		switch {
 		case !info.recursive:
-			continue
 		case info.differentiable:
-			for _, marker := range info.bindingOccs {
-				ref := s.byKey[inst.occKeys[marker]]
-				if delta[ref.index].IsEmpty() {
-					continue
-				}
-				s.bindState(inst, cur, map[string]*relation.Relation{marker: delta[ref.index]})
-				if err := inst.env.EvalBranchIntoExcluding(br, out, cur[i]); err != nil {
-					return nil, err
-				}
+			if err := s.evalOccs(inst, br, info.bindingOccs, cur, delta, out, cur[i], false); err != nil {
+				return nil, err
 			}
 		default:
-			s.bindState(inst, cur, nil)
-			if err := inst.env.EvalBranchIntoExcluding(br, out, cur[i]); err != nil {
+			if err := s.evalWith(inst, br, cur, nil, out, cur[i], false); err != nil {
 				return nil, err
 			}
 		}
@@ -1145,36 +1235,175 @@ func (s *system) EvalIncrement(i int, cur, delta []*relation.Relation) (*relatio
 	return out, nil
 }
 
-// evalBaseDelta is the first round of a Resume: the instance's base has grown
-// by delta (its formal and aliases are already rebound to the new base), the
-// recursive occurrences sit at the converged state, and the result is the set
-// of tuples newly derivable from the base growth. Branches whose base
-// occurrences are all bare aliases evaluate once per alias with that alias
-// restricted to the delta (other aliases see the full new base, so cross
-// terms are covered); branches using the base in a nested-but-monotone
-// position re-evaluate in full against the new base. Branches not mentioning
-// the base cannot produce anything new and are skipped.
-func (s *system) evalBaseDelta(inst *instance, cur []*relation.Relation, delta *relation.Relation) (*relation.Relation, error) {
+// EvalDecrement implements fixpoint.Deleter for a system retractable allows:
+// every recursive branch is evaluated once per bare recursive occurrence with
+// that occurrence bound to the referenced instance's newly over-deleted
+// tuples and every other to the old state.
+func (s *system) EvalDecrement(i int, state, gone, dead []*relation.Relation) (*relation.Relation, error) {
+	inst := s.instances[i]
 	out := relation.New(inst.cons.Result)
-	for bi := range inst.body.Branches {
-		info := inst.branches[bi]
-		br := &inst.body.Branches[bi]
-		switch {
-		case !info.usesBase:
-			continue
-		case info.baseDiff:
-			for _, alias := range info.baseOccs {
-				s.bindState(inst, cur, map[string]*relation.Relation{alias: delta})
-				if err := inst.env.EvalBranchIntoExcluding(br, out, cur[inst.index]); err != nil {
-					return nil, err
-				}
-			}
-		default:
-			s.bindState(inst, cur, nil)
-			if err := inst.env.EvalBranchIntoExcluding(br, out, cur[inst.index]); err != nil {
-				return nil, err
-			}
+	for bi, info := range inst.branches {
+		if err := s.evalOccs(inst, &inst.body.Branches[bi], info.bindingOccs, state, gone, out, dead[i], true); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
+}
+
+// evalOccs evaluates br once per marker occurrence in occs whose referenced
+// delta is non-empty, with that occurrence bound to the delta.
+func (s *system) evalOccs(inst *instance, br *ast.Branch, occs []string, cur, delta []*relation.Relation, out, except *relation.Relation, cold bool) error {
+	for _, marker := range occs {
+		d := delta[s.byKey[inst.occKeys[marker]].index]
+		if d.IsEmpty() {
+			continue
+		}
+		if err := s.evalWith(inst, br, cur, map[string]*relation.Relation{marker: d}, out, except, cold); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// evalWith evaluates br into out, minus except, with every occurrence bound
+// as bindState binds it.
+func (s *system) evalWith(inst *instance, br *ast.Branch, state []*relation.Relation, over map[string]*relation.Relation, out, except *relation.Relation, cold bool) error {
+	s.bindState(inst, state, over, cold)
+	return inst.env.EvalBranchIntoExcluding(br, out, except)
+}
+
+// evalBaseDelta evaluates what a base delta derives for inst into out, minus
+// except, with the recursive occurrences at state: the first round of a
+// Resume (for growth, the instance is already rebound to the new base) and
+// the seed of its over-delete phase (for removals, it still reads the old
+// one). Branches whose base occurrences are all bare aliases evaluate once
+// per alias with that alias restricted to the delta (other aliases see the
+// whole base, so cross terms are covered); branches using the base in a
+// nested-but-monotone position re-evaluate in full. Branches not mentioning
+// the base cannot derive anything new and are skipped.
+func (s *system) evalBaseDelta(inst *instance, state []*relation.Relation, delta, out, except *relation.Relation, cold bool) error {
+	for bi, info := range inst.branches {
+		br := &inst.body.Branches[bi]
+		switch {
+		case !info.usesBase:
+		case info.baseDiff:
+			for _, alias := range info.baseOccs {
+				if err := s.evalWith(inst, br, state, map[string]*relation.Relation{alias: delta}, out, except, cold); err != nil {
+					return err
+				}
+			}
+		default:
+			if err := s.evalWith(inst, br, state, nil, out, except, cold); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// retractable reports whether delete-and-rederive can absorb removals from
+// the base: every recursive branch reads its recursive occurrences only as
+// bare binding ranges, and every branch of an instance bound to the base
+// reads the base only that way — the occurrences the over-delete phase
+// differentiates one at a time.
+func (s *system) retractable(rebound []bool) bool {
+	for i, inst := range s.instances {
+		for _, info := range inst.branches {
+			if info.recursive && !info.differentiable || rebound[i] && info.usesBase && !info.baseDiff {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// rederive is phase 2 of a retraction: per instance, the over-deleted tuples
+// in dead that still have a one-step derivation from survivors — state,
+// already stripped of dead, and the instances' current bases. Each branch
+// runs with one binding restricted to what can derive a dead tuple (see
+// restricted), so the work follows the over-deleted tuples and their join
+// partners, not the state.
+func (s *system) rederive(state, dead []*relation.Relation) ([]*relation.Relation, error) {
+	out := make([]*relation.Relation, len(s.instances))
+	for i, inst := range s.instances {
+		out[i] = relation.New(inst.cons.Result)
+		if dead[i].IsEmpty() {
+			continue
+		}
+		found := relation.New(inst.cons.Result)
+		for bi := range inst.body.Branches {
+			br := &inst.body.Branches[bi]
+			if err := s.evalWith(inst, br, state, s.restricted(inst, br, state, dead[i]), found, nil, true); err != nil {
+				return nil, err
+			}
+		}
+		out[i] = found.Intersect(dead[i])
+	}
+	return out, nil
+}
+
+// restricted binds the smallest bare binding br's target projects into a
+// result column to its tuples whose projected attribute takes one of that
+// column's values over dead — the only ones that can derive a dead tuple; the
+// executor joins the rest of the branch to them, scanning a state and hashing
+// the restricted side. A missing target projects the first binding whole, its
+// first attribute into the first column. It returns nil, and the branch runs
+// whole, when br projects no bare binding.
+func (s *system) restricted(inst *instance, br *ast.Branch, state []*relation.Relation, dead *relation.Relation) map[string]*relation.Relation {
+	var best *relation.Relation
+	var name string
+	var pos, col int
+	try := func(bd *ast.Binding, attr string, c int) {
+		var rel *relation.Relation
+		switch r := bd.Range; {
+		case r.Sub != nil || len(r.Suffixes) > 0:
+			return
+		case isMarkerName(r.Var):
+			rel = state[s.byKey[inst.occKeys[r.Var]].index]
+		case isBaseAlias(r.Var):
+			rel = inst.base
+		default:
+			return
+		}
+		p := 0
+		if attr != "" {
+			p = rangeElem(bd.Range, rel).IndexOf(attr)
+		}
+		if p >= 0 && (best == nil || rel.Len() < best.Len()) {
+			best, name, pos, col = rel, bd.Range.Var, p, c
+		}
+	}
+	switch {
+	case br.Literal != nil:
+	case br.Target == nil:
+		try(&br.Binds[0], "", 0)
+	default:
+		for c, tm := range br.Target {
+			if f, ok := tm.(ast.Field); ok {
+				for bi := range br.Binds {
+					if br.Binds[bi].Var == f.Var {
+						try(&br.Binds[bi], f.Attr, c)
+					}
+				}
+			}
+		}
+	}
+	if best == nil {
+		return nil
+	}
+	vals := make(map[value.Value]bool)
+	dead.Each(func(t value.Tuple) bool {
+		vals[t[col]] = true
+		return true
+	})
+	return map[string]*relation.Relation{name: best.Select(func(t value.Tuple) bool { return vals[t[pos]] })}
+}
+
+// rangeElem is the record type a tuple variable over r reads rel through: the
+// one the checker typed r with, else rel's own.
+func rangeElem(r *ast.Range, rel *relation.Relation) schema.RecordType {
+	if r.Elem != nil {
+		return *r.Elem
+	}
+	return rel.Type().Element
 }

@@ -79,7 +79,7 @@ func TestResumeMatchesFromScratch(t *testing.T) {
 		served := sys.Root(state)
 		before := served.Clone()
 
-		resumed, _, err := sys.Resume(ctx, en, state, next, delta)
+		resumed, _, err := sys.Resume(ctx, en, state, next, delta, nil)
 		if err != nil {
 			t.Fatalf("step %d resume: %v", step, err)
 		}
@@ -113,7 +113,7 @@ func TestResumeRejectsNaive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := sys.Resume(context.Background(), en, state, base, relation.New(infrontT)); err == nil {
+	if _, _, err := sys.Resume(context.Background(), en, state, base, relation.New(infrontT), nil); err == nil {
 		t.Fatal("Resume on a naive system should fail")
 	}
 }

@@ -81,6 +81,15 @@ type Env struct {
 	// surfaced by EXPLAIN ANALYZE.
 	ExecStats *ExecStats
 
+	// Unindexed names relation variables whose values must not carry a
+	// memoized index: values the caller keeps past the evaluation but will
+	// not join again, which an index would only stay alive with (the
+	// fixpoint state a view's delete-and-rederive pass reads). A branch's
+	// largest binding over one is its outer scan, so the bindings joined
+	// to it are the hashed sides; any other probed one is indexed for the
+	// evaluation only.
+	Unindexed map[string]bool
+
 	// rangeMemo caches materialized ranges within one evaluation so that
 	// quantifier ranges inside loops are not re-materialized per tuple.
 	rangeMemo map[*ast.Range]*relation.Relation
@@ -439,7 +448,13 @@ func (e *Env) prepareBranch(br *ast.Branch, rt schema.RelationType) (*preparedBr
 		}
 		declared[i], card[i] = r, r.Len()
 	}
-	plan, err := PlanBranch(br, card)
+	outer := -1
+	for i := range br.Binds {
+		if e.unindexed(&br.Binds[i]) && (outer < 0 || card[i] > card[outer]) {
+			outer = i
+		}
+	}
+	plan, err := planBranch(br, card, outer)
 	if err != nil {
 		return nil, err
 	}
@@ -614,6 +629,12 @@ func FreeVarsOfPred(p ast.Pred) map[string]bool {
 // range would die with the evaluation, so a derived range is scanned and
 // filtered.
 func PlanBranch(br *ast.Branch, card []int) (*BranchPlan, error) {
+	return planBranch(br, card, -1)
+}
+
+// planBranch is PlanBranch with binding outer (when not -1) as the outer
+// scan whatever its cardinality: a range over an Env.Unindexed relation.
+func planBranch(br *ast.Branch, card []int, outer int) (*BranchPlan, error) {
 	n := len(br.Binds)
 	if n == 0 {
 		return nil, fmt.Errorf("%s: branch has no bindings", br.Pos)
@@ -628,17 +649,21 @@ func PlanBranch(br *ast.Branch, card []int) (*BranchPlan, error) {
 	for i := range plan.order {
 		plan.order[i] = i
 	}
-	if card != nil {
+	first := outer
+	if card != nil && outer < 0 {
 		smallest := 0
 		for i := 1; i < n; i++ {
 			if card[i] < card[smallest] {
 				smallest = i
 			}
 		}
-		if smallest != 0 && card[smallest]*8 < card[0] {
-			copy(plan.order[1:], plan.order[:smallest])
-			plan.order[0] = smallest
+		if card[smallest]*8 < card[0] {
+			first = smallest
 		}
+	}
+	if first > 0 {
+		copy(plan.order[1:], plan.order[:first])
+		plan.order[0] = first
 	}
 	varPos := make(map[string]int, n)
 	for k := range plan.order {
@@ -669,7 +694,7 @@ func PlanBranch(br *ast.Branch, card []int) (*BranchPlan, error) {
 		}
 		plan.residuals[at] = append(plan.residuals[at], c)
 	}
-	if r := plan.bind(0).Range; r.Sub != nil || len(r.Suffixes) > 0 {
+	if r := plan.bind(0).Range; r.Sub != nil || len(r.Suffixes) > 0 || outer >= 0 {
 		plan.scanOuter()
 	}
 	return plan, nil
@@ -713,6 +738,13 @@ func (p *BranchPlan) tryProbe(varPos map[string]int, lhs, rhs ast.Term) bool {
 	return true
 }
 
+// unindexed reports whether bd ranges directly over a variable in
+// e.Unindexed.
+func (e *Env) unindexed(bd *ast.Binding) bool {
+	r := bd.Range
+	return r.Sub == nil && len(r.Suffixes) == 0 && e.Unindexed[r.Var]
+}
+
 // bindIndexes resolves the plan's probe attributes against the element types
 // the materialized ranges are read through and returns the hash index serving
 // each probed binding, nil where a binding has no probe.
@@ -741,7 +773,11 @@ func (e *Env) bindIndexes(pb *preparedBranch) []*relation.Index {
 		}
 		plan.probeFields[k] = okFields
 		plan.probeTerms[k] = okTerms
-		if len(positions) > 0 {
+		switch {
+		case len(positions) == 0:
+		case e.unindexed(plan.bind(k)):
+			indexes[k] = relation.BuildIndexParallel(rels[k], positions, e.Parallelism)
+		default:
 			indexes[k] = rels[k].IndexOn(positions, e.Parallelism)
 		}
 	}

@@ -338,6 +338,62 @@ func TestPlanBranchOrderAndProbes(t *testing.T) {
 	}
 }
 
+// TestUnindexedRangesCarryNoIndex: the largest binding over an Env.Unindexed
+// variable is the outer scan, so the sides joined to it are hashed; another
+// probed one is indexed for the evaluation only. The result is the indexed
+// plan's and no index stays memoized on an unindexed value.
+func TestUnindexedRangesCarryNoIndex(t *testing.T) {
+	s, err := parser.ParseSetExpr(`{<f.front, h.back> OF EACH h IN Small, EACH g IN Mid, EACH f IN Big:
+		f.back = g.front AND g.back = h.front}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rels := func() map[string]*relation.Relation {
+		big, mid, small := relation.New(infrontT), relation.New(infrontT), relation.New(infrontT)
+		for i := 0; i < 90; i++ {
+			big.Add(value.NewTuple(value.Str(fmt.Sprintf("a%d", i)), value.Str(fmt.Sprintf("b%d", i%9))))
+			mid.Add(value.NewTuple(value.Str(fmt.Sprintf("b%d", i%9)), value.Str(fmt.Sprintf("c%d", i%5))))
+		}
+		for i := 0; i < 5; i++ {
+			small.Add(value.NewTuple(value.Str(fmt.Sprintf("c%d", i)), value.Str("end")))
+		}
+		return map[string]*relation.Relation{"Big": big, "Mid": mid, "Small": small}
+	}
+	e := NewEnv()
+	e.Rels = rels()
+	want, err := evalTyped(t, e, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Len() != 90 || e.Rels["Big"].Indexes() != 1 {
+		t.Fatalf("indexed plan: %d rows, %d index(es) on Big", want.Len(), e.Rels["Big"].Indexes())
+	}
+	for _, unindexed := range [][]string{{"Big"}, {"Big", "Mid"}} {
+		e := NewEnv()
+		e.Rels = rels()
+		e.ExecStats = &ExecStats{}
+		e.Unindexed = make(map[string]bool)
+		for _, name := range unindexed {
+			e.Unindexed[name] = true
+		}
+		got, err := evalTyped(t, e, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Errorf("unindexed %v: %v, want %v", unindexed, got, want)
+		}
+		if plan := e.ExecStats.PlanOf(&s.Branches[0]).Describe(); plan[0] != "EACH f IN Big" {
+			t.Errorf("unindexed %v: plan %q does not scan Big first", unindexed, plan)
+		}
+		for _, name := range unindexed {
+			if n := e.Rels[name].Indexes(); n != 0 {
+				t.Errorf("unindexed %v: %d index(es) memoized on %s", unindexed, n, name)
+			}
+		}
+	}
+}
+
 // TestReorderedBranchProjectsDeclaredFirstBinding: a branch without a target
 // list yields the tuples of its first declared binding, also when the planner
 // drives the join from a later, much smaller one.

@@ -23,6 +23,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -244,12 +245,7 @@ func SemiNaive(ev Evaluator, opts Options) ([]*relation.Relation, Stats, error) 
 		return nil, stats, err
 	}
 	stats.Evaluations += n
-	for i := 0; i < n; i++ {
-		if cur[i].Len() > stats.MaxDeltaSize {
-			stats.MaxDeltaSize = cur[i].Len()
-		}
-	}
-	return semiNaiveLoop(ev, opts, cur, delta, nil, stats)
+	return semiNaiveLoop(opts, cur, delta, nil, stats, increment(ev, cur))
 }
 
 // SemiNaiveResume continues a semi-naive iteration from a known state: cur is
@@ -266,68 +262,88 @@ func SemiNaiveResume(ev Evaluator, cur, delta []*relation.Relation, owned []bool
 	n := ev.N()
 	state := make([]*relation.Relation, n)
 	copy(state, cur)
-	d := make([]*relation.Relation, n)
-	copy(d, delta)
 	own := make([]bool, n)
 	if owned != nil {
 		copy(own, owned)
 	}
-	var stats Stats
-	for i := 0; i < n; i++ {
-		if d[i].Len() > stats.MaxDeltaSize {
-			stats.MaxDeltaSize = d[i].Len()
-		}
-	}
-	return semiNaiveLoop(ev, opts, state, d, own, stats)
+	return semiNaiveLoop(opts, state, slices.Clone(delta), own, Stats{}, increment(ev, state))
 }
 
-// semiNaiveLoop is the shared differential iteration: each round derives new
-// tuples only from the previous round's deltas, until every delta is empty.
-// owned[i] false marks cur[i] as shared with callers; it is cloned before its
-// first growth. A nil owned means every slot may be mutated in place.
-func semiNaiveLoop(ev Evaluator, opts Options, cur, delta []*relation.Relation, owned []bool, stats Stats) ([]*relation.Relation, Stats, error) {
-	n := ev.N()
+// increment is the semi-naive step over cur: what equation i derives from
+// the deltas that cur[i] lacks.
+func increment(ev Evaluator, cur []*relation.Relation) func(int, []*relation.Relation) (*relation.Relation, error) {
+	return func(i int, delta []*relation.Relation) (*relation.Relation, error) {
+		out, err := ev.EvalIncrement(i, cur, delta)
+		if err != nil {
+			return nil, err
+		}
+		return out.Difference(cur[i]), nil
+	}
+}
+
+// Deleter differentiates a converged system for deletion: EvalDecrement
+// returns the tuples of equation i that have a derivation from state using at
+// least one tuple of gone (per equation), omitting those already in dead[i].
+// Over a converged state of a monotone system every such tuple is in state.
+type Deleter interface {
+	EvalDecrement(i int, state, gone, dead []*relation.Relation) (*relation.Relation, error)
+}
+
+// OverDelete is the over-delete phase of delete-and-rederive (Gupta, Mumick
+// and Subrahmanian, SIGMOD '93) over a converged state of a monotone system:
+// starting from seed — per equation, the tuples that lost a derivation
+// directly — semi-naive rounds collect every tuple with some derivation that
+// uses an already over-deleted tuple, until a round finds none. The result is
+// a superset of what the change really deletes; the caller re-derives the
+// part that still has a derivation from the survivors. The seed relations
+// become the returned ones and grow in place; state is only read.
+func OverDelete(ev Deleter, state, seed []*relation.Relation, opts Options) ([]*relation.Relation, Stats, error) {
+	return semiNaiveLoop(opts, seed, slices.Clone(seed), nil, Stats{}, func(i int, gone []*relation.Relation) (*relation.Relation, error) {
+		return ev.EvalDecrement(i, state, gone, seed)
+	})
+}
+
+// semiNaiveLoop is the shared differential iteration: each round, step
+// returns what equation i derives from the previous round's deltas that acc[i]
+// lacks; that joins acc[i] and is the next round's delta, until a round
+// derives nothing. owned[i] false marks acc[i] as shared with callers; it is
+// cloned before its first growth. A nil owned means every slot may be mutated
+// in place.
+func semiNaiveLoop(opts Options, acc, delta []*relation.Relation, owned []bool, stats Stats, step func(i int, delta []*relation.Relation) (*relation.Relation, error)) ([]*relation.Relation, Stats, error) {
+	n := len(acc)
 	for {
 		quiet := true
 		for i := 0; i < n; i++ {
-			if delta[i].Len() > 0 {
-				quiet = false
-				break
-			}
+			stats.MaxDeltaSize = max(stats.MaxDeltaSize, delta[i].Len())
+			quiet = quiet && delta[i].IsEmpty()
 		}
 		if quiet {
-			stats.TuplesFinal = totalLen(cur)
-			return cur, stats, nil
+			stats.TuplesFinal = totalLen(acc)
+			return acc, stats, nil
 		}
 		if err := opts.cancelled(); err != nil {
-			return cur, stats, err
+			return acc, stats, err
 		}
 		if opts.MaxRounds > 0 && stats.Rounds >= opts.MaxRounds {
-			return cur, stats, &BoundExceededError{MaxRounds: opts.MaxRounds}
+			return acc, stats, &BoundExceededError{MaxRounds: opts.MaxRounds}
 		}
 		stats.Rounds++
 		next := make([]*relation.Relation, n)
 		if err := opts.evalEach(n, func(i int) error {
-			out, err := ev.EvalIncrement(i, cur, delta)
-			if err != nil {
-				return err
-			}
-			next[i] = out.Difference(cur[i])
-			return nil
+			var err error
+			next[i], err = step(i, delta)
+			return err
 		}); err != nil {
 			return nil, stats, err
 		}
 		stats.Evaluations += n
 		for i := 0; i < n; i++ {
 			if next[i].Len() > 0 && owned != nil && !owned[i] {
-				cur[i] = cur[i].Clone()
+				acc[i] = acc[i].Clone()
 				owned[i] = true
 			}
-			cur[i].UnionInto(next[i])
+			acc[i].UnionInto(next[i])
 			delta[i] = next[i]
-			if next[i].Len() > stats.MaxDeltaSize {
-				stats.MaxDeltaSize = next[i].Len()
-			}
 		}
 	}
 }

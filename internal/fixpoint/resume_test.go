@@ -106,6 +106,56 @@ func TestSemiNaiveResumeCopyOnWrite(t *testing.T) {
 	}
 }
 
+// EvalDecrement implements Deleter for the closure: edges joined with the
+// newly over-deleted paths.
+func (e *tcEval) EvalDecrement(_ int, _, gone, dead []*relation.Relation) (*relation.Relation, error) {
+	out := relation.New(binT)
+	e.edges.Each(func(f value.Tuple) bool {
+		gone[0].Each(func(g value.Tuple) bool {
+			if t := value.NewTuple(f[0], g[1]); f[1] == g[0] && !dead[0].Contains(t) {
+				out.Add(t)
+			}
+			return true
+		})
+		return true
+	})
+	return out, nil
+}
+
+// TestOverDeleteCollectsEveryDependentPath removes the middle edge of a chain:
+// seeded with what the edge derives directly, the over-delete rounds must
+// collect exactly the paths through it, in a round per edge before it, and
+// leave the converged state untouched.
+func TestOverDeleteCollectsEveryDependentPath(t *testing.T) {
+	ev := &tcEval{edges: chainEdges(5)} // Aa -> Ab -> ... -> Af
+	state, _, err := SemiNaive(ev, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := state[0].Clone()
+	cut := pair(node(2), node(3))
+	seed := seedDelta(relation.MustFromTuples(binT, cut), state[0])
+	dead, st, err := OverDelete(ev, state, []*relation.Relation{seed}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := relation.New(binT)
+	for from := 0; from <= 2; from++ {
+		for to := 3; to <= 5; to++ {
+			want.Add(pair(node(from), node(to)))
+		}
+	}
+	if !dead[0].Equal(want) {
+		t.Fatalf("over-deleted %v, want the 9 paths through %v: %v", dead[0], cut, want)
+	}
+	if st.Rounds != 3 || st.MaxDeltaSize != 3 {
+		t.Errorf("rounds=%d max-delta=%d, want 3 and 3", st.Rounds, st.MaxDeltaSize)
+	}
+	if !state[0].Equal(before) {
+		t.Fatal("OverDelete mutated the converged state")
+	}
+}
+
 // TestSemiNaiveResumeNoDelta resumes with empty deltas and checks the state
 // passes through converged and untouched.
 func TestSemiNaiveResumeNoDelta(t *testing.T) {

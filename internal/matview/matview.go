@@ -4,19 +4,23 @@
 // scalar arguments), together with the grounded equation system and its full
 // per-equation state, and keeps them current as base relations change:
 //
-//   - Committed Insert growth (and insert-only Tx commits) arrives as tuple
-//     deltas through the store's Observer choke point — the same publication
-//     point the WAL Logger and replication subscriptions use — and is queued
-//     on the affected entries. The next read resumes the semi-naive fixpoint
-//     from the cached state with exactly those deltas (core.System.Resume)
-//     instead of refixpointing: maintenance cost is proportional to what the
-//     delta derives, not to the size of the derived relation.
+//   - Committed writes to an entry's base variable arrive through the store's
+//     Observer choke point — the same publication point the WAL Logger and
+//     replication subscriptions use — and are queued on the entry: Insert
+//     growth (and insert-only Tx commits) as tuple deltas, an Assign or a Tx
+//     write that replaces or shrinks the value as an overwrite link. The next
+//     read absorbs the queue as one signed delta (+added, −removed) — the
+//     queued tuples, or for an overwrite the diff of the new value against
+//     the converged base — and resumes the fixpoint from the cached state
+//     (core.System.Resume: semi-naive for growth, delete-and-rederive for
+//     removals) instead of refixpointing, so maintenance costs what the delta
+//     derives, not the size of the derived relation.
 //
-//   - Everything else — Assign overwrites, Tx writes that replace or shrink,
-//     fresh declarations, changes to any other relation the constructor's
-//     bodies read (the entry's dependency set), non-monotone or non-positive
-//     systems — invalidates: the entry dies and the next read recomputes from
-//     scratch and reinstalls.
+//   - Everything else — fresh declarations, changes to any other relation
+//     the constructor's bodies read (the entry's dependency set), writes with
+//     no published value (a paged Insert appended without decoding),
+//     non-monotone or non-positive systems — invalidates: the entry dies and
+//     the next read recomputes from scratch and reinstalls.
 //
 // Published relations are immutable (writers publish fresh pointers), so a
 // pointer is a sound identity for a base state. Each entry remembers the base
@@ -58,19 +62,24 @@ type Stats struct {
 	// Hits, Misses, and Maintained count reads served unchanged, reads that
 	// computed and installed, and reads that absorbed queued deltas.
 	Hits, Misses, Maintained uint64
-	// Invalidations counts entries killed by non-delta writes, dependency
-	// changes, maintenance failures, backlog overflow, and LRU eviction.
+	// Invalidations counts entries killed by writes they cannot absorb,
+	// dependency changes, maintenance failures, backlog overflow, and LRU
+	// eviction.
 	Invalidations uint64
 	// Backlog is the total number of delta tuples queued but not yet applied.
 	Backlog int
 }
 
-// delta is one committed growth batch: the tuples and the published relation
-// pointer they produced.
+// delta is one queued write: the published relation pointer it produced and,
+// for growth, the tuples that pointer added to the previous one. An overwrite
+// carries no tuples: what it changed is the difference between next and the
+// base the entry has converged for when a read absorbs it.
 type delta struct {
 	tuples []value.Tuple
 	next   *relation.Relation
 }
+
+func (d delta) overwrite() bool { return d.tuples == nil }
 
 // entry is one cached constructor application.
 type entry struct {
@@ -79,11 +88,11 @@ type entry struct {
 	// deps maps every global relation name the system may read to its
 	// grounding-time value; any change to one kills the entry.
 	deps map[string]*relation.Relation
-	// growSafe marks entries whose base growth is delta-expressible: the
+	// deltaSafe marks entries whose base writes are delta-expressible: the
 	// system is resumable and does not also read the base variable by name
 	// (through a selector body, say), which a per-occurrence delta join
 	// cannot see.
-	growSafe bool
+	deltaSafe bool
 
 	// compute serializes maintenance and state access per entry. It is never
 	// held while taking the cache lock... except it is: compute -> cache.mu
@@ -232,7 +241,7 @@ func (c *Cache) Apply(ctx context.Context, en *core.Engine, name string, base *r
 		// remembers the pointer (converged for it, or on its delta chain) —
 		// the cached state is exactly the answer for that snapshot. Never
 		// compute-and-install under a superseded base.
-		if e := c.findByPtr(name, base, args); e != nil {
+		if e := c.findByPtr(name, base, args, false); e != nil {
 			rel, served, err := c.serve(ctx, en, e, base)
 			if err != nil {
 				return nil, true, err
@@ -277,11 +286,14 @@ func (c *Cache) Apply(ctx context.Context, en *core.Engine, name string, base *r
 }
 
 // Peek reports whether Apply would serve the zero-argument application name
-// over base from a materialized entry — base is the entry's converged
-// pointer or on its queued delta chain — without computing anything or moving
-// a counter. Restricted evaluation strategies use it: a magic-sets plan, say,
-// prefers its constant-seeded system over computing the full fixpoint, but a
-// full fixpoint already paid for and kept current beats both.
+// over base from a materialized entry at the cost of its queued growth —
+// base is the entry's converged pointer or on its delta chain before any
+// overwrite link — without computing anything or moving a counter. Restricted
+// evaluation strategies use it: a magic-sets plan, say, prefers its
+// constant-seeded system over computing the full fixpoint, but a full
+// fixpoint already paid for and kept current beats both. An overwrite costs a
+// diff of the whole base and a delete-and-rederive, more than a restricted
+// plan: Peek leaves it to the next unrestricted read.
 func (c *Cache) Peek(name string, base *relation.Relation) bool {
 	if c == nil {
 		return false
@@ -294,22 +306,22 @@ func (c *Cache) Peek(name string, base *relation.Relation) bool {
 	}
 	varName, published := st.NameOf(base)
 	if !published {
-		return c.findByPtr(name, base, nil) != nil
+		return c.findByPtr(name, base, nil, true) != nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.entries[entryKey(name, varName, nil)]
-	return e != nil && e.remembers(base)
+	return e != nil && e.remembers(base, true)
 }
 
-// findByPtr locates the entry that remembers base as its converged pointer or
-// on its queued delta chain, for readers whose base is no longer published.
-// The scan is bounded by the cache capacity.
-func (c *Cache) findByPtr(cons string, base *relation.Relation, args []eval.Resolved) *entry {
+// findByPtr locates the entry that remembers base (see remembers), for
+// readers whose base is no longer published. The scan is bounded by the cache
+// capacity.
+func (c *Cache) findByPtr(cons string, base *relation.Relation, args []eval.Resolved, growthOnly bool) *entry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, e := range c.entries {
-		if e.key == entryKey(cons, e.baseVar, args) && e.remembers(base) {
+		if e.key == entryKey(cons, e.baseVar, args) && e.remembers(base, growthOnly) {
 			return e
 		}
 	}
@@ -317,13 +329,17 @@ func (c *Cache) findByPtr(cons string, base *relation.Relation, args []eval.Reso
 }
 
 // remembers reports whether base is e's converged pointer or on its queued
-// delta chain. Caller holds Cache.mu.
-func (e *entry) remembers(base *relation.Relation) bool {
+// delta chain — with growthOnly, on the part before the first overwrite
+// link. Caller holds Cache.mu.
+func (e *entry) remembers(base *relation.Relation, growthOnly bool) bool {
 	if e.basePtr == base {
 		return true
 	}
-	for i := range e.pending {
-		if e.pending[i].next == base {
+	for _, d := range e.pending {
+		if growthOnly && d.overwrite() {
+			return false
+		}
+		if d.next == base {
 			return true
 		}
 	}
@@ -371,20 +387,33 @@ func (c *Cache) serve(ctx context.Context, en *core.Engine, e *entry, base *rela
 		// converged state, or the entry lagged a write it missed): decline.
 		return nil, false, nil
 	}
-	dRel := relation.New(base.Type())
-	applied := 0
-	for i := 0; i <= consumed; i++ {
-		for _, t := range pending[i].tuples {
-			if err := dRel.Insert(t); err != nil {
-				// Tuples that cannot coexist in one relation cannot all be in
-				// base; the queue is corrupt — invalidate and recompute.
-				c.kill(e)
-				return nil, false, nil
+	applied, overwrite := 0, false
+	for _, d := range pending[:consumed+1] {
+		applied += len(d.tuples)
+		overwrite = overwrite || d.overwrite()
+	}
+	added, removed := relation.New(base.Type()), relation.New(base.Type())
+	if overwrite {
+		// The diff subsumes every link: it is exactly what base changed.
+		added, removed = base.Difference(basePtr), basePtr.Difference(base)
+		if added.Len()+removed.Len() > maxPendingTuples {
+			// Past the backlog cap a recompute is cheaper (see CommittedGrow).
+			c.kill(e)
+			return nil, false, nil
+		}
+	} else {
+		for _, d := range pending[:consumed+1] {
+			for _, t := range d.tuples {
+				if err := added.Insert(t); err != nil {
+					// Tuples that cannot coexist in one relation cannot all be
+					// in base; the queue is corrupt — invalidate and recompute.
+					c.kill(e)
+					return nil, false, nil
+				}
 			}
-			applied++
 		}
 	}
-	newState, fstats, err := e.sys.Resume(ctx, en, e.state, base, dRel)
+	newState, fstats, err := e.sys.Resume(ctx, en, e.state, base, added, removed)
 	if err != nil {
 		c.kill(e)
 		return nil, false, err
@@ -393,13 +422,17 @@ func (c *Cache) serve(ctx context.Context, en *core.Engine, e *entry, base *rela
 	c.mu.Lock()
 	if !e.dead {
 		e.basePtr = base
-		e.pending = e.pending[consumed+1:]
-		e.pendTuples -= applied
-		c.backlog -= applied
+		// An overwrite committed meanwhile replaced the chain (its diff is
+		// taken against the new basePtr); otherwise drop what was consumed.
+		if len(e.pending) > consumed && e.pending[consumed].next == base {
+			e.pending = e.pending[consumed+1:]
+			e.pendTuples -= applied
+			c.backlog -= applied
+		}
 		c.maintained++
 	}
 	c.mu.Unlock()
-	en.NoteView(core.ViewStats{Outcome: "maintained", Delta: dRel.Len(), Rounds: fstats.Rounds})
+	en.NoteView(core.ViewStats{Outcome: "maintained", Delta: added.Len(), Removed: removed.Len(), Rounds: fstats.Rounds})
 	return e.sys.Root(newState), true, nil
 }
 
@@ -413,13 +446,13 @@ func (c *Cache) install(st *store.Database, sys *core.System, key, varName strin
 	deps := sys.DepValues()
 	_, selfDep := deps[varName]
 	e := &entry{
-		key:      key,
-		baseVar:  varName,
-		deps:     deps,
-		growSafe: sys.Resumable() && !selfDep,
-		sys:      sys,
-		state:    state,
-		basePtr:  base,
+		key:       key,
+		baseVar:   varName,
+		deps:      deps,
+		deltaSafe: sys.Resumable() && !selfDep,
+		sys:       sys,
+		state:     state,
+		basePtr:   base,
 	}
 	sys.Detach()
 	st.ReadLocked(func(get func(string) (*relation.Relation, bool)) {
@@ -515,7 +548,7 @@ func (c *Cache) kill(e *entry) {
 
 // CommittedGrow implements store.Observer: queue the delta on entries whose
 // base variable grew and can absorb it; invalidate entries that merely read
-// the variable, and growth-unsafe entries.
+// the variable, and delta-unsafe entries.
 func (c *Cache) CommittedGrow(name string, tuples []value.Tuple, next *relation.Relation) {
 	if c == nil {
 		return
@@ -526,7 +559,7 @@ func (c *Cache) CommittedGrow(name string, tuples []value.Tuple, next *relation.
 		if e.dead {
 			continue
 		}
-		if name == e.baseVar && e.growSafe && e.pendTuples+len(tuples) <= maxPendingTuples {
+		if name == e.baseVar && e.deltaSafe && e.pendTuples+len(tuples) <= maxPendingTuples {
 			e.pending = append(e.pending, delta{tuples: tuples, next: next})
 			e.pendTuples += len(tuples)
 			c.backlog += len(tuples)
@@ -537,8 +570,12 @@ func (c *Cache) CommittedGrow(name string, tuples []value.Tuple, next *relation.
 	}
 }
 
-// CommittedReset implements store.Observer: a non-delta write invalidates
-// every entry that reads the variable.
+// CommittedReset implements store.Observer: an overwrite of a delta-safe
+// entry's base variable with a published value replaces the entry's queue
+// with one overwrite link — the next read diffs it against the converged base,
+// which subsumes every earlier link, so a write burst keeps at most two base
+// values alive. Every other entry that reads the variable, and every entry on
+// a write with no published value (next nil), is invalidated.
 func (c *Cache) CommittedReset(name string, next *relation.Relation) {
 	if c == nil {
 		return
@@ -546,9 +583,17 @@ func (c *Cache) CommittedReset(name string, next *relation.Relation) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for e := range c.byName[name] {
-		if !e.dead {
-			c.killLocked(e)
-			c.invalidations++
+		if e.dead {
+			continue
 		}
+		if name == e.baseVar && e.deltaSafe && next != nil {
+			// A fresh slice: a concurrent serve may be reading the old one.
+			e.pending = []delta{{next: next}}
+			c.backlog -= e.pendTuples
+			e.pendTuples = 0
+			continue
+		}
+		c.killLocked(e)
+		c.invalidations++
 	}
 }

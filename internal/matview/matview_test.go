@@ -185,7 +185,69 @@ func TestMissHitMaintain(t *testing.T) {
 	}
 }
 
-func TestAssignInvalidates(t *testing.T) {
+// TestAssignMaintains: an Assign of the base is queued, not invalidating; a
+// burst of writes with no read in between (overwrite, growth, overwrite) is
+// absorbed by one read as the signed diff against the converged base, while
+// a reader of the converged snapshot keeps hitting it.
+func TestAssignMaintains(t *testing.T) {
+	h := newHarness(t, 4, aheadSrc)
+	ctx := context.Background()
+	_ = h.st.Declare("R", infrontT)
+	_ = h.st.Insert("R", chain(5)...)
+	old := h.base(t, "R")
+	served, ok, err := h.cache.Apply(ctx, h.en, "ahead", old, nil)
+	if !ok || err != nil {
+		t.Fatalf("seed: ok=%v err=%v", ok, err)
+	}
+	before := served.Clone()
+
+	// n001 -> n002 is re-drawn to n001 -> x, then an edge grows, then the
+	// value is overwritten once more without the tail edge n004 -> n005.
+	redrawn := append(chain(5)[:1:1], pair("n001", "x"), pair("n002", "n003"), pair("n003", "n004"), pair("n004", "n005"))
+	if err := h.st.Assign("R", relation.MustFromTuples(infrontT, redrawn...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.st.Insert("R", pair("x", "n003")); err != nil {
+		t.Fatal(err)
+	}
+	final := append(redrawn[:4:4], pair("x", "n003"))
+	if err := h.st.Assign("R", relation.MustFromTuples(infrontT, final...)); err != nil {
+		t.Fatal(err)
+	}
+	if s := h.cache.Snapshot(); s.Entries != 1 || s.Invalidations != 0 || s.Backlog != 0 {
+		t.Fatalf("after the write burst: %+v", s)
+	}
+	if got, ok, err := h.cache.Apply(ctx, h.en, "ahead", old, nil); !ok || err != nil || got != served {
+		t.Fatalf("converged snapshot read: ok=%v err=%v, same relation %v", ok, err, got == served)
+	}
+
+	cur := h.base(t, "R")
+	got, ok, err := h.cache.Apply(ctx, h.en, "ahead", cur, nil)
+	if err != nil || !ok {
+		t.Fatalf("maintain: ok=%v err=%v", ok, err)
+	}
+	if want := h.scratch(t, "ahead", cur); !got.Equal(want) {
+		t.Fatalf("maintained %v, from scratch %v", got, want)
+	}
+	if !served.Equal(before) {
+		t.Fatal("maintenance mutated a relation served to an earlier reader")
+	}
+	s := h.cache.Snapshot()
+	if s.Misses != 1 || s.Hits != 1 || s.Maintained != 1 || s.Invalidations != 0 {
+		t.Fatalf("counters: %+v", s)
+	}
+	// Against the converged base: +n001->x, +x->n003; -n001->n002, -n004->n005.
+	if vs, ok := h.en.LastView(); !ok || vs.Outcome != "maintained" || vs.Delta != 2 || vs.Removed != 2 {
+		t.Fatalf("LastView = %+v, %v", vs, ok)
+	}
+	if _, ok, err := h.cache.Apply(ctx, h.en, "ahead", old, nil); ok || err != nil {
+		t.Fatalf("a snapshot the entry moved past must decline: ok=%v err=%v", ok, err)
+	}
+}
+
+// TestOverwriteBeyondCapRecomputes: an overwrite whose diff exceeds the
+// backlog cap is not maintained — the entry dies and the read recomputes.
+func TestOverwriteBeyondCapRecomputes(t *testing.T) {
 	h := newHarness(t, 4, aheadSrc)
 	ctx := context.Background()
 	_ = h.st.Declare("R", infrontT)
@@ -193,22 +255,20 @@ func TestAssignInvalidates(t *testing.T) {
 	if _, ok, err := h.cache.Apply(ctx, h.en, "ahead", h.base(t, "R"), nil); !ok || err != nil {
 		t.Fatalf("seed: ok=%v err=%v", ok, err)
 	}
-	if err := h.st.Assign("R", relation.MustFromTuples(infrontT, pair("p", "q"))); err != nil {
+	wide := relation.New(infrontT)
+	for i := 0; i < 9000; i++ {
+		wide.Add(pair(fmt.Sprintf("w%05d", i), fmt.Sprintf("v%05d", i)))
+	}
+	if err := h.st.Assign("R", wide); err != nil {
 		t.Fatal(err)
 	}
-	if s := h.cache.Snapshot(); s.Entries != 0 || s.Invalidations != 1 {
-		t.Fatalf("after assign: %+v", s)
+	cur := h.base(t, "R")
+	got, ok, err := h.cache.Apply(ctx, h.en, "ahead", cur, nil)
+	if err != nil || !ok || got.Len() != 9000 {
+		t.Fatalf("recompute: ok=%v err=%v, %d tuples", ok, err, got.Len())
 	}
-	newBase := h.base(t, "R")
-	got, ok, err := h.cache.Apply(ctx, h.en, "ahead", newBase, nil)
-	if err != nil || !ok {
-		t.Fatalf("recompute: ok=%v err=%v", ok, err)
-	}
-	if want := h.scratch(t, "ahead", newBase); !got.Equal(want) {
-		t.Fatal("post-assign recompute wrong")
-	}
-	if s := h.cache.Snapshot(); s.Misses != 2 {
-		t.Fatalf("expected second miss, got %+v", s)
+	if s := h.cache.Snapshot(); s.Maintained != 0 || s.Invalidations != 1 || s.Misses != 2 || s.Entries != 1 {
+		t.Fatalf("counters: %+v", s)
 	}
 }
 
@@ -443,6 +503,25 @@ func TestPeekNeverComputes(t *testing.T) {
 	// A base the entry never saw is not servable.
 	if h.cache.Peek("ahead", h.scratch(t, "ahead", grown)) {
 		t.Fatal("peek accepted an unknown base")
+	}
+	// Behind an overwrite Apply would diff and rederive: Peek declines, and
+	// the entry still maintains through it.
+	if err := h.st.Assign("R", relation.MustFromTuples(infrontT, chain(2)...)); err != nil {
+		t.Fatal(err)
+	}
+	_ = h.st.Insert("R", pair("x", "n000"))
+	cur := h.base(t, "R")
+	if h.cache.Peek("ahead", cur) {
+		t.Fatal("peek accepted a base behind an overwrite link")
+	}
+	if !h.cache.Peek("ahead", grown) {
+		t.Fatal("peek declined the converged base")
+	}
+	if _, ok, err := h.cache.Apply(ctx, h.en, "ahead", cur, nil); !ok || err != nil {
+		t.Fatalf("apply behind an overwrite: ok=%v err=%v", ok, err)
+	}
+	if s := h.cache.Snapshot(); s.Maintained != before.Maintained+2 || s.Invalidations != 0 {
+		t.Fatalf("overwrite not maintained: %+v", s)
 	}
 }
 

@@ -861,12 +861,13 @@ func overlayIndex(base *Index, pending []value.Tuple, positions []int, limit int
 
 // Probe returns the tuples whose indexed projection equals key.
 func (idx *Index) Probe(key value.Tuple) []value.Tuple {
-	k := key.Key()
-	own := idx.buckets[k]
+	var buf [64]byte
+	k := key.AppendKey(buf[:0])
+	own := idx.buckets[string(k)]
 	if idx.base == nil {
 		return own
 	}
-	under := idx.base.buckets[k]
+	under := idx.base.buckets[string(k)]
 	if len(own) == 0 {
 		return under
 	}

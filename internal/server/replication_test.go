@@ -523,3 +523,76 @@ func TestReplicationTxInsertShipsDelta(t *testing.T) {
 		t.Fatalf("replica matview was not maintained from the delta: before %+v, after %+v", before, after)
 	}
 }
+
+// TestReplicationAssignMaintainsReplicaView: a primary Assign that re-draws
+// one edge ships as a whole value, and the replica's store sees an overwrite
+// of the view's base — which its materialized closure absorbs as a signed
+// delta instead of being invalidated and recomputed.
+func TestReplicationAssignMaintainsReplicaView(t *testing.T) {
+	ctx := context.Background()
+	pdb, err := dbpl.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pdb.Close()
+	if _, err := pdb.Exec(closureSchema); err != nil {
+		t.Fatal(err)
+	}
+	const rows = 200
+	edges := make([]value.Tuple, rows)
+	for i := range edges {
+		edges[i] = tup(fmt.Sprintf("n%03d", i), fmt.Sprintf("n%03d", i+1))
+	}
+	if err := pdb.Insert("Infront", edges...); err != nil {
+		t.Fatal(err)
+	}
+	_, paddr := boot(t, pdb, server.Options{})
+
+	rdb, err := dbpl.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rdb.Close()
+	rep := server.NewReplica(rdb, paddr, "", t.Logf)
+	rep.ReconnectDelay = 10 * time.Millisecond
+	tailCtx, stopTail := context.WithCancel(ctx)
+	defer stopTail()
+	go rep.Run(tailCtx) //nolint:errcheck
+	waitConverged(t, rdb, saveBytes(t, pdb.Save), "after bootstrap")
+	if _, err := rdb.Exec(closureSchema); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rdb.Query(`Infront{ahead}`); err != nil { // install the view
+		t.Fatal(err)
+	}
+	before := rdb.Health().MatViews
+
+	// Cut the chain in the middle and hang the tail off its head instead.
+	cur, _ := pdb.Relation("Infront")
+	redrawn := relation.New(cur.Type())
+	for i, e := range edges {
+		if i == rows/2 {
+			e = tup("n000", fmt.Sprintf("n%03d", i+1))
+		}
+		redrawn.Add(e)
+	}
+	if err := pdb.Assign("Infront", redrawn); err != nil {
+		t.Fatal(err)
+	}
+	waitConverged(t, rdb, saveBytes(t, pdb.Save), "after the Assign")
+	got, err := rdb.Query(`Infront{ahead}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := pdb.Query(`Infront{ahead}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Fatalf("replica closure has %d tuples, primary %d", got.Len(), want.Len())
+	}
+	after := rdb.Health().MatViews
+	if after.Maintained <= before.Maintained || after.Invalidations != before.Invalidations || after.Misses != before.Misses {
+		t.Fatalf("replica matview was not maintained through the Assign: before %+v, after %+v", before, after)
+	}
+}

@@ -154,7 +154,7 @@ func writeScalarType(w *bufio.Writer, t schema.ScalarType) error {
 	return nil
 }
 
-func readScalarType(r *bufio.Reader) (schema.ScalarType, error) {
+func readScalarType(r ByteReader) (schema.ScalarType, error) {
 	var t schema.ScalarType
 	var err error
 	if t.Name, err = ReadString(r); err != nil {
@@ -210,8 +210,10 @@ func WriteRelationType(w *bufio.Writer, typ schema.RelationType) error {
 }
 
 // ReadRelationType reads a relation type descriptor written by
-// WriteRelationType.
-func ReadRelationType(r *bufio.Reader) (schema.RelationType, error) {
+// WriteRelationType. Like ReadString, it checks the attribute count against
+// the bytes a bytes.Reader has left (an attribute takes at least four)
+// before allocating for it.
+func ReadRelationType(r ByteReader) (schema.RelationType, error) {
 	var typ schema.RelationType
 	var err error
 	if typ.Name, err = ReadString(r); err != nil {
@@ -221,7 +223,7 @@ func ReadRelationType(r *bufio.Reader) (schema.RelationType, error) {
 	if err != nil {
 		return typ, err
 	}
-	if arity > 1<<20 {
+	if br, ok := r.(*bytes.Reader); arity > 1<<20 || ok && arity > uint64(br.Len())/4 {
 		return typ, fmt.Errorf("store: corrupt arity %d", arity)
 	}
 	attrs := make([]schema.Attribute, arity)

@@ -73,9 +73,11 @@ type Logger interface {
 // the previous published value plus tuples (Insert, and insert-only Tx writes
 // whose base was not overtaken). CommittedReset reports everything else — an
 // Assign overwrite, a Tx write that replaced or shrank the value, a fresh
-// Declare, an Insert the engine appended without a value in memory (next is
-// then nil: no pointer was published to maintain against) — for which the
-// only safe reaction is invalidation.
+// Declare, an Insert the engine appended without a value in memory. A
+// replacement with a non-nil next is still maintainable: next is the whole
+// new published value, so an observer holding the value it last saw can diff
+// the two. A nil next published no pointer to maintain against; the only
+// safe reaction to it is invalidation.
 //
 // Both calls run with the database's write lock held: they must be fast and,
 // like a Logger, must never call back into the Database.

@@ -176,11 +176,16 @@ func NewTuple(vs ...Value) Tuple { return Tuple(vs) }
 // Key returns an injective string encoding of the tuple, suitable as a map
 // key. Two tuples of equal arity have equal keys iff they are equal.
 func (t Tuple) Key() string {
-	buf := make([]byte, 0, len(t)*10)
+	return string(t.AppendKey(make([]byte, 0, len(t)*10)))
+}
+
+// AppendKey appends Key's encoding of the tuple to dst, so a caller can look
+// a tuple up in a Key-indexed map without allocating the key.
+func (t Tuple) AppendKey(dst []byte) []byte {
 	for _, v := range t {
-		buf = v.appendKey(buf)
+		dst = v.appendKey(dst)
 	}
-	return string(buf)
+	return dst
 }
 
 // Project returns the sub-tuple at the given positions.

@@ -607,14 +607,20 @@ func writeTuple(w *bufio.Writer, t value.Tuple) error {
 // DecodeBatch parses a record payload produced by EncodeBatch. Assign
 // mutations come back with Tuples populated (Apply rebuilds the relation
 // against the declared type).
+//
+// A replica decodes the payloads its primary streams with it, so no count
+// in a payload is trusted with memory: each is checked against the bytes
+// left before anything is allocated for it. A mutation takes at least one
+// byte and a value at least two (a kind byte and its payload); a block of
+// zero-arity tuples holds at most one, the empty tuple.
 func DecodeBatch(payload []byte) ([]store.Mutation, error) {
-	r := bufio.NewReader(bytes.NewReader(payload))
+	r := bytes.NewReader(payload)
 	count, err := binary.ReadUvarint(r)
 	if err != nil {
 		return nil, err
 	}
-	if count > maxRecordLen {
-		return nil, fmt.Errorf("corrupt batch count %d", count)
+	if count > uint64(r.Len()) {
+		return nil, fmt.Errorf("corrupt batch count %d, %d byte(s) left in the payload", count, r.Len())
 	}
 	batch := make([]store.Mutation, 0, count)
 	for i := uint64(0); i < count; i++ {
@@ -643,8 +649,8 @@ func DecodeBatch(payload []byte) ([]store.Mutation, error) {
 			if err != nil {
 				return nil, err
 			}
-			if arity > 1<<20 || n > maxRecordLen {
-				return nil, fmt.Errorf("corrupt tuple block %d x %d", n, arity)
+			if left := uint64(r.Len()); n > 0 && (arity > left || arity == 0 && n > 1 || arity > 0 && n > left/(2*arity)) {
+				return nil, fmt.Errorf("corrupt tuple block %d x %d, %d byte(s) left in the payload", n, arity, left)
 			}
 			m.Tuples = make([]value.Tuple, n)
 			for j := range m.Tuples {

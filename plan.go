@@ -103,12 +103,13 @@ type ExecInfo struct {
 	// MatView reports the materialized-view outcome of the execution's
 	// constructor application — "hit" (served converged state unchanged),
 	// "maintained" (cached state brought current by resuming the fixpoint
-	// with MatViewDelta committed tuples over MatViewRounds rounds), or
-	// "miss" (computed from scratch and installed); empty when no cacheable
-	// application ran.
-	MatView       string `json:"matview,omitempty"`
-	MatViewDelta  int    `json:"matview_delta,omitempty"`
-	MatViewRounds int    `json:"matview_rounds,omitempty"`
+	// with the committed base tuples added, MatViewDelta, and removed,
+	// MatViewRemoved, over MatViewRounds rounds), or "miss" (computed from
+	// scratch and installed); empty when no cacheable application ran.
+	MatView        string `json:"matview,omitempty"`
+	MatViewDelta   int    `json:"matview_delta,omitempty"`
+	MatViewRemoved int    `json:"matview_removed,omitempty"`
+	MatViewRounds  int    `json:"matview_rounds,omitempty"`
 	// PartitionLookups and Scans count the selector applications the
 	// execution ran — each application site once, by the plan it first ran —
 	// answered from a hash index on the base vs. by scanning it.
@@ -196,7 +197,7 @@ func (p *Plan) Text() string {
 		switch a.MatView {
 		case "":
 		case "maintained":
-			fmt.Fprintf(&b, "matview: maintained delta=%d rounds=%d\n", a.MatViewDelta, a.MatViewRounds)
+			fmt.Fprintf(&b, "matview: maintained delta=+%d/-%d rounds=%d\n", a.MatViewDelta, a.MatViewRemoved, a.MatViewRounds)
 		default:
 			fmt.Fprintf(&b, "matview: %s\n", a.MatView)
 		}
