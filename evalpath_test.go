@@ -25,7 +25,7 @@ import (
 const pathSchema = `
 MODULE schema;
 TYPE parttype   = STRING;
-TYPE objectrel  = RELATION OF RECORD part: parttype END;
+TYPE objectrel  = RELATION part OF RECORD part: parttype END;
 TYPE infrontrel = RELATION OF RECORD front, back: parttype END;
 TYPE aheadrel   = RELATION OF RECORD head, tail: parttype END;
 VAR Objects: objectrel;
@@ -89,6 +89,13 @@ func TestExecAndTxExecAgree(t *testing.T) {
 			        SHOW Objects;`,
 			wantErr:     `assignment to Infront[refint] rejected`,
 			wantShow:    `Infront = `,
+			wantInfront: 1,
+		},
+		{
+			name: "a repeated tuple collapses under the key",
+			stmts: `Objects := {<"lamp">, <"lamp">};
+			        SHOW Objects;`,
+			wantShow:    `{<"lamp">}`,
 			wantInfront: 1,
 		},
 		{

@@ -45,7 +45,7 @@ func main() {
 	ctx := context.Background()
 
 	// Open a session; options select the fixpoint strategy, strictness,
-	// and an optional initial store (WithStoreReader).
+	// durability and the storage engine.
 	db, err := dbpl.Open(dbpl.WithMode(dbpl.SemiNaive))
 	if err != nil {
 		log.Fatalf("open: %v", err)

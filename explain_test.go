@@ -803,6 +803,37 @@ func TestOptimizedEquivalence(t *testing.T) {
 	}
 }
 
+// TestRestrictedPlanComputesFewerTuples is section 4's bound-head query on a
+// 64-edge chain, bound near its end: the propagate pass restricts ahead to
+// the bound head, so the default pipeline derives fewer tuples than the full
+// closure WithoutOptimization filters, and returns the same 8 answers.
+func TestRestrictedPlanComputesFewerTuples(t *testing.T) {
+	var answers [2]*dbpl.Relation
+	var computed [2]int
+	for i, opt := range []dbpl.Option{dbpl.WithoutOptimization(), dbpl.WithoutMaterialization()} {
+		db := openWith(t, cadModule, opt)
+		defer db.Close()
+		assignEdges(t, db, workload.Chain(64))
+		st, err := db.Prepare(`Infront{ahead}[hidden_by(Obj)]`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if restricted := st.Plan().Magic != nil; restricted != (i == 1) {
+			t.Fatalf("configuration %d: restricted=%v:\n%s", i, restricted, st.Plan().Text())
+		}
+		if answers[i], err = st.Query(context.Background(), workload.NodeName(56)); err != nil {
+			t.Fatal(err)
+		}
+		computed[i] = db.LastStats().Tuples
+	}
+	if answers[0].Len() != 8 || !answers[1].Equal(answers[0]) {
+		t.Errorf("restricted answer %d tuples, filtered closure %d, want 8", answers[1].Len(), answers[0].Len())
+	}
+	if computed[1] >= computed[0] {
+		t.Errorf("restricted plan computed %d tuples, full closure %d", computed[1], computed[0])
+	}
+}
+
 // TestPushdownPass checks that a selection over a non-recursive constructor
 // is propagated into the constructor body (section 4 cases 1-3) and still
 // returns the right answer.

@@ -1,13 +1,11 @@
 // Package workload generates the deterministic synthetic datasets used by
-// the experiment suite (internal/experiments). The paper's running example is a
-// CAD scene of objects related by Infront and Ontop facts (sections 2–3);
-// the recursion benchmarks additionally use the graph shapes classic for
-// deductive-database evaluation: chains, cycles, trees, grids (whose
-// exponential path counts separate proof-oriented from set-oriented
-// evaluation), and seeded random graphs.
+// the tests and examples. The paper's running example is a CAD scene of
+// objects related by Infront and Ontop facts (sections 2–3); the recursion
+// tests additionally use chains, cycles, trees, seeded random graphs and
+// DAGs, a parent tree (same-generation) and a bill of materials.
 //
 // All generators are deterministic: identical parameters produce identical
-// relations, so measured experiments are reproducible.
+// relations.
 package workload
 
 import (
@@ -44,12 +42,11 @@ func Cycle(n int) []Edge {
 }
 
 // Tree returns the edges of a complete tree with the given branching factor
-// and depth, parent -> child.
+// and depth, parent -> child. Nodes are numbered in level order; node 0 is
+// the root.
 func Tree(branching, depth int) []Edge {
 	var out []Edge
-	// Level-order node ids; node 0 is the root.
-	var frontier []int
-	frontier = append(frontier, 0)
+	frontier := []int{0}
 	next := 1
 	for d := 0; d < depth; d++ {
 		var newFrontier []int
@@ -61,26 +58,6 @@ func Tree(branching, depth int) []Edge {
 			}
 		}
 		frontier = newFrontier
-	}
-	return out
-}
-
-// Grid returns the edges of a w x h grid with rightward and downward edges.
-// The number of distinct paths between opposite corners is binomial(w+h, w),
-// which makes un-memoized proof enumeration exponential while the transitive
-// closure stays polynomial — the separation the paper's section 1 claims.
-func Grid(w, h int) []Edge {
-	id := func(x, y int) int { return y*(w+1) + x }
-	var out []Edge
-	for y := 0; y <= h; y++ {
-		for x := 0; x <= w; x++ {
-			if x < w {
-				out = append(out, Edge{From: id(x, y), To: id(x+1, y)})
-			}
-			if y < h {
-				out = append(out, Edge{From: id(x, y), To: id(x, y+1)})
-			}
-		}
 	}
 	return out
 }
@@ -139,15 +116,6 @@ func EdgesToRelation(typ schema.RelationType, edges []Edge) *relation.Relation {
 	return r
 }
 
-// EdgesToTuples converts edges to name tuples.
-func EdgesToTuples(edges []Edge) []value.Tuple {
-	out := make([]value.Tuple, len(edges))
-	for i, e := range edges {
-		out[i] = value.NewTuple(value.Str(NodeName(e.From)), value.Str(NodeName(e.To)))
-	}
-	return out
-}
-
 // ---------------------------------------------------------------------------
 // CAD scene (the paper's running example)
 // ---------------------------------------------------------------------------
@@ -160,29 +128,21 @@ type CADScene struct {
 	Ontop   *relation.Relation // top, base
 }
 
-// CADTypes returns the scene's relation types, named as in the paper.
-func CADTypes() (objects, infront, ontop schema.RelationType) {
-	objects = schema.RelationType{
+// NewCADScene generates a scene with the given number of depth lanes, lane
+// length, and stack height; deterministic in seed.
+func NewCADScene(lanes, laneLen, stackHeight int, seed int64) *CADScene {
+	rng := rand.New(rand.NewSource(seed))
+	objT := schema.RelationType{
 		Name: "objectrel",
 		Element: schema.RecordType{Attrs: []schema.Attribute{
 			{Name: "part", Type: schema.StringType()},
 		}},
 		Key: []string{"part"},
 	}
-	infront = BinaryStringRelType("infrontrel", "front", "back")
-	ontop = BinaryStringRelType("ontoprel", "top", "base")
-	return
-}
-
-// NewCADScene generates a scene with the given number of depth lanes, lane
-// length, and stack height; deterministic in seed.
-func NewCADScene(lanes, laneLen, stackHeight int, seed int64) *CADScene {
-	rng := rand.New(rand.NewSource(seed))
-	objT, infT, onT := CADTypes()
 	s := &CADScene{
 		Objects: relation.New(objT),
-		Infront: relation.New(infT),
-		Ontop:   relation.New(onT),
+		Infront: relation.New(BinaryStringRelType("infrontrel", "front", "back")),
+		Ontop:   relation.New(BinaryStringRelType("ontoprel", "top", "base")),
 	}
 	obj := func(name string) string {
 		s.Objects.Add(value.NewTuple(value.Str(name)))

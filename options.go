@@ -1,7 +1,6 @@
 package dbpl
 
 import (
-	"io"
 	"runtime"
 	"time"
 
@@ -43,11 +42,9 @@ const (
 
 // config collects the Open-time settings.
 type config struct {
-	mode          Mode
-	strict        bool
-	planCacheSize int
-	maxOpenRows   int
-	storeReader   io.Reader
+	mode        Mode
+	strict      bool
+	maxOpenRows int
 	// noOptimize disables the pass pipeline and physical access paths: every
 	// query evaluates its parsed form directly and every selector scans.
 	noOptimize bool
@@ -78,8 +75,8 @@ type config struct {
 	poolPages int
 }
 
-// DefaultPlanCacheSize is the LRU plan-cache capacity used when Open is not
-// given WithPlanCacheSize.
+// DefaultPlanCacheSize is the capacity of the LRU cache of compiled query
+// plans consulted by Query/QueryContext/Explain.
 const DefaultPlanCacheSize = 128
 
 // DefaultMaterializedViews is the capacity of the materialized-view cache: up
@@ -89,10 +86,9 @@ const DefaultMaterializedViews = 64
 
 func defaultConfig() config {
 	return config{
-		mode:          SemiNaive,
-		strict:        true,
-		planCacheSize: DefaultPlanCacheSize,
-		parallelism:   runtime.GOMAXPROCS(0),
+		mode:        SemiNaive,
+		strict:      true,
+		parallelism: runtime.GOMAXPROCS(0),
 	}
 }
 
@@ -113,12 +109,6 @@ func WithStrict(strict bool) Option {
 	return func(c *config) { c.strict = strict }
 }
 
-// WithPlanCacheSize sets the capacity of the LRU cache of compiled query
-// plans consulted by Query/QueryContext/Explain; 0 disables caching.
-func WithPlanCacheSize(n int) Option {
-	return func(c *config) { c.planCacheSize = n }
-}
-
 // WithMaxOpenRows caps the number of concurrently open *Rows cursors on the
 // session: a Query that would exceed the cap fails with a *LimitError
 // (matching errors.Is(err, ErrLimit)) instead of accumulating unbounded
@@ -126,12 +116,6 @@ func WithPlanCacheSize(n int) Option {
 // slot. 0, the default, means no cap.
 func WithMaxOpenRows(n int) Option {
 	return func(c *config) { c.maxOpenRows = n }
-}
-
-// WithStoreReader loads the initial relation variables from a Save-format
-// reader, as if LoadStore were called right after Open.
-func WithStoreReader(r io.Reader) Option {
-	return func(c *config) { c.storeReader = r }
 }
 
 // WithPath makes the database durable, backed by the given directory

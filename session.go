@@ -106,7 +106,7 @@ func Open(opts ...Option) (*DB, error) {
 	d := &DB{
 		Store:           store.NewDatabase(),
 		mode:            cfg.mode,
-		plans:           newPlanCache(cfg.planCacheSize),
+		plans:           newPlanCache(),
 		noOptimize:      cfg.noOptimize,
 		maxOpenRows:     cfg.maxOpenRows,
 		parallelism:     cfg.parallelism,
@@ -163,26 +163,9 @@ func Open(opts ...Option) (*DB, error) {
 		d.wal = wlog
 		st.SetLogger(wlog)
 	}
-	// Failures past this point must release the opened write-ahead log; a
-	// caller retrying Open (bad option, unreadable store image) must not
-	// leak a file handle per attempt.
-	fail := func(err error) (*DB, error) {
-		if d.wal != nil {
-			d.wal.Close()
-		}
-		if d.pager != nil {
-			_ = d.pager.Close()
-		}
-		return nil, err
-	}
 	if !cfg.noMatviews {
 		d.views = matview.New(DefaultMaterializedViews)
 		d.views.Attach(d.Store)
-	}
-	if cfg.storeReader != nil {
-		if err := d.LoadStore(cfg.storeReader); err != nil {
-			return fail(fmt.Errorf("dbpl: loading initial store: %w", err))
-		}
 	}
 	return d, nil
 }

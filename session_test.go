@@ -89,15 +89,16 @@ END lax.
 		t.Errorf("mode after SetMode: got %v, want SemiNaive", got)
 	}
 
-	// WithStoreReader seeds the relation variables from a Save image.
+	// LoadStore right after Open seeds the relation variables from a Save
+	// image.
 	src := chainDB(t, 3)
 	var buf bytes.Buffer
 	if err := src.Save(&buf); err != nil {
 		t.Fatalf("save: %v", err)
 	}
-	db2, err := Open(WithStoreReader(&buf))
-	if err != nil {
-		t.Fatalf("open with store: %v", err)
+	db2 := mustOpen(t)
+	if err := db2.LoadStore(&buf); err != nil {
+		t.Fatalf("load store: %v", err)
 	}
 	e, ok := db2.Relation("E")
 	if !ok || e.Len() != 3 {
@@ -331,20 +332,6 @@ func TestPlanCache(t *testing.T) {
 	}
 	if n := db.PlanCacheLen(); n != 1 {
 		t.Errorf("repeated query cached %d plans, want 1", n)
-	}
-
-	noCache, err := Open(WithPlanCacheSize(0))
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	if _, err := noCache.Exec(cadModule); err != nil {
-		t.Fatalf("exec: %v", err)
-	}
-	if _, err := noCache.Query(`Infront{ahead}`); err != nil {
-		t.Fatalf("query: %v", err)
-	}
-	if n := noCache.PlanCacheLen(); n != 0 {
-		t.Errorf("disabled cache holds %d plans", n)
 	}
 }
 

@@ -349,13 +349,12 @@ func (s *Stmt) execWith(ctx context.Context, env *eval.Env, en *core.Engine, arg
 // LRU plan cache
 // ---------------------------------------------------------------------------
 
-// planCache is a mutex-guarded LRU map from query source text to prepared
-// statements, consulted by the one-shot Query entry points. The generation
+// planCache is a mutex-guarded LRU map, DefaultPlanCacheSize entries long,
+// from query source text to prepared statements, consulted by the one-shot Query entry points. The generation
 // counter advances on every clear so entries resolved before an
 // invalidation cannot be inserted after it.
 type planCache struct {
 	mu  sync.Mutex
-	max int
 	gen uint64
 	ll  *list.List // front = most recently used
 	m   map[string]*list.Element
@@ -366,14 +365,11 @@ type planEntry struct {
 	st  *Stmt
 }
 
-func newPlanCache(max int) *planCache {
-	return &planCache{max: max, ll: list.New(), m: make(map[string]*list.Element)}
+func newPlanCache() *planCache {
+	return &planCache{ll: list.New(), m: make(map[string]*list.Element)}
 }
 
 func (c *planCache) get(key string) (*Stmt, bool) {
-	if c.max <= 0 {
-		return nil, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.m[key]
@@ -394,9 +390,6 @@ func (c *planCache) generation() uint64 {
 
 // putAt inserts only if no clear ran since gen was sampled.
 func (c *planCache) putAt(gen uint64, key string, st *Stmt) {
-	if c.max <= 0 {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if gen != c.gen {
@@ -408,7 +401,7 @@ func (c *planCache) putAt(gen uint64, key string, st *Stmt) {
 		return
 	}
 	c.m[key] = c.ll.PushFront(&planEntry{key: key, st: st})
-	for c.ll.Len() > c.max {
+	for c.ll.Len() > DefaultPlanCacheSize {
 		last := c.ll.Back()
 		c.ll.Remove(last)
 		delete(c.m, last.Value.(*planEntry).key)

@@ -6,6 +6,7 @@ package dbpl
 // fast-fail, and -race streaming reads under eviction pressure.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -371,6 +372,63 @@ func TestStorageBiggerThanPoolCycle(t *testing.T) {
 	}
 	if err := db2.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint after recovery: %v", err)
+	}
+}
+
+// TestStorageIncrementalCheckpointSmallDelta pins the acceptance ratio: on a
+// bulk-loaded database, an incremental checkpoint after a five-tuple delta
+// writes at least 10x fewer bytes than a full snapshot of the same data (as
+// the memory engine would serialize on every checkpoint).
+func TestStorageIncrementalCheckpointSmallDelta(t *testing.T) {
+	const n = 5_000
+	bulk := make([]Tuple, n)
+	for i := range bulk {
+		bulk[i] = stockTuple(i)
+	}
+	db := openStorageDB(t, fsx.NewMemFS(), WithEngine(EnginePaged), WithBufferPoolPages(64))
+	defer db.Close()
+	if _, err := db.Exec(storageSchema); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Insert("Stock", bulk...); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if full := db.Health().Storage.LastCheckpointBytes; full == 0 {
+		t.Fatal("full checkpoint reported zero bytes")
+	}
+	for j := 0; j < 5; j++ {
+		if err := db.Insert("Stock", NewTuple(Str(fmt.Sprintf("delta-%d", j)), Str("loc-delta"))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	delta := db.Health().Storage.LastCheckpointBytes
+
+	// The full-snapshot baseline: the same data's logical image, which the
+	// memory engine serializes on every checkpoint.
+	mem := mustOpen(t)
+	if _, err := mem.Exec(storageSchema); err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.Insert("Stock", bulk...); err != nil {
+		t.Fatal(err)
+	}
+	var img bytes.Buffer
+	if err := mem.Save(&img); err != nil {
+		t.Fatal(err)
+	}
+	full := uint64(img.Len())
+
+	if delta == 0 {
+		t.Fatal("incremental checkpoint reported zero bytes")
+	}
+	if full < 10*delta {
+		t.Fatalf("incremental checkpoint wrote %d bytes; full snapshot is %d — less than the required 10x saving", delta, full)
 	}
 }
 
