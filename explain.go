@@ -30,8 +30,9 @@ func (d *DB) Explain(ctx context.Context, src string) (*Plan, error) {
 // counters of that execution filled in (EXPLAIN ANALYZE style): result rows,
 // fixpoint rounds and evaluations when a constructor ran, and access-path
 // decisions (partition lookups vs. scans). Quantifiers shows the binding
-// order and probes that execution ran, in the order of its join operators.
-// Parameters bind positionally, as in Stmt.Query.
+// order and probes that execution ran, in the order of its join operators,
+// and AccessPaths the path each selector application took. Parameters bind
+// positionally, as in Stmt.Query.
 func (d *DB) ExplainQuery(ctx context.Context, src string, args ...any) (*Plan, error) {
 	st, err := d.prepareCached(src)
 	if err != nil {
@@ -50,6 +51,7 @@ func (s *Stmt) ExplainQuery(ctx context.Context, args ...any) (*Plan, error) {
 	}
 	p := ex.stmt.Plan()
 	p.Quantifiers = quantifiers(ex.rng, &ex.exec)
+	p.AccessPaths = accessPaths(ex.rng, ex.selectors, p.Optimized, &ex.exec)
 	lookups, scans := ex.exec.SelectorPaths()
 	p.Analyze = &ExecInfo{
 		Rows:             rel.Len(),

@@ -200,8 +200,8 @@ func TestExplainJSON(t *testing.T) {
 		len(m.Adorned) != 1 || m.Adorned[0] != "ahead__bf" {
 		t.Errorf("magic info: %+v", decoded.Magic)
 	}
-	// The selector applies to a derived (constructor) result, which is
-	// scanned: an index built on it would die with the evaluation.
+	// The selector applies to a derived (constructor) result: with no value
+	// to look at, Explain shows the cold default, a scan.
 	if len(decoded.AccessPaths) != 1 || decoded.AccessPaths[0].Kind != "scan" {
 		t.Errorf("access paths: %+v", decoded.AccessPaths)
 	}

@@ -16,7 +16,7 @@
 //
 // Query evaluation does not go through this package: a selector application
 // is planned and run as a branch by package eval, which decides index or scan
-// in eval.SelectorAccess and probes the same relation.IndexOn index. What
+// on the base's value and probes the same relation.IndexOn index. What
 // remains here is a typed single-attribute view of that index and a reference
 // filter, kept for the benchmark's probes and the tests that compare the two.
 package accesspath

@@ -16,8 +16,16 @@
 // A selector application Rel[sel(args)] is not a second mechanism: it is the
 // one-binding branch EACH r IN Rel: pred(r) of its declaration (section 2.3),
 // planned by the same planner and run by the same operator pipeline.
-// SelectorAccess is where "hash index or scan" is decided for an application,
-// from the query text alone.
+//
+// Whether a closed equality on a branch's first binding is a hash-index probe
+// or a filtered scan is decided once, on the materialized value: a relation
+// name's value is probed through the index memoized on it (built on first
+// use); a derived value — a constructor result, a sub-expression, another
+// selector's result — is probed only when it already carries that index, as a
+// constructor result served by the materialized-view cache does once
+// maintenance has joined against it. No index is ever built on a derived
+// value for this, and none is memoized on a value in Env.Unindexed.
+// SelectorAccess is the cold default EXPLAIN shows before anything has run.
 //
 // The evaluator infers no types. It runs what package typecheck has typed, and
 // takes its types from the tree: a set expression builds its result under
@@ -275,40 +283,41 @@ func (e *Env) ResolveArgs(args []ast.Arg) ([]Resolved, error) {
 	return out, nil
 }
 
-// SelectorAccess is the access-path decision for the application of decl as
-// suffix i of range r — the one place it is made (section 4: a relation
-// "partitioned according to the different constant values"). attr is the
-// attribute the selector's body equates with its single scalar parameter,
+// SelectorAccess is the cold access path of the application of decl as suffix
+// i of range r: the one an execution takes when no value it reaches carries
+// an index (section 4: a relation "partitioned according to the different
+// constant values"). attr is the attribute the selector's body equates with
+// its single scalar parameter,
 //
 //	EACH r IN Rel: r.attr = Param
 //
 // possibly as one conjunct of a conjunction ("" when there is none): the
 // equality PlanBranch turns into a probe on the branch's only binding.
-// indexed reports whether the application is served from the base's hash
-// index on attr instead of a scan. That holds only when the selector applies
-// directly to a relation name — a value that outlives the evaluation, so the
-// index memoized on it is reused and inherited by the next published value.
-// Any derived base (a constructor result, a sub-expression, an earlier
-// selector's result) dies with the evaluation and is scanned.
+// indexed reports that the application applies directly to a relation name,
+// whose value is served from the hash index memoized on it. An execution
+// decides on the base's value instead (applySelector): a derived base is
+// probed too when its value already carries the index on attr.
 func SelectorAccess(decl *ast.SelectorDecl, r *ast.Range, i int) (attr string, indexed bool) {
 	plan, err := PlanBranch(decl.Branch, nil)
 	if err != nil {
 		return "", false
 	}
-	return plan.selectorAccess(decl, r, i)
+	attr = plan.selectorAttr(decl)
+	return attr, attr != "" && r.Sub == nil && i == 0
 }
 
-// selectorAccess answers SelectorAccess from p, the plan of decl's branch.
-func (p *BranchPlan) selectorAccess(decl *ast.SelectorDecl, r *ast.Range, i int) (attr string, indexed bool) {
+// selectorAttr is the attribute p, the plan of decl's branch, probes with
+// decl's single scalar parameter ("" when there is none).
+func (p *BranchPlan) selectorAttr(decl *ast.SelectorDecl) string {
 	if len(decl.Params) != 1 {
-		return "", false
+		return ""
 	}
 	for j, tm := range p.probeTerms[0] {
 		if pr, ok := tm.(ast.Param); ok && pr.Name == decl.Params[0].Name {
-			return p.probeFields[0][j].Attr, r.Sub == nil && i == 0
+			return p.probeFields[0][j].Attr
 		}
 	}
-	return "", false
+	return ""
 }
 
 // SelectorElem is the record type a selector's body reads a base of element
@@ -322,7 +331,11 @@ func SelectorElem(decl *ast.SelectorDecl, base schema.RecordType) schema.RecordT
 
 // applySelector evaluates suffix i of r, a selector application, over base —
 // the paper's Rel[sel(args)] (section 2.3, Fig 1), by its definition: the set
-// expression {EACH r IN Rel: pred(r)} with the parameters substituted.
+// expression {EACH r IN Rel: pred(r)} with the parameters substituted. The
+// body's equality with the parameter is a probe of base's hash index when
+// base is a relation name's value, or a derived value already carrying that
+// index (bindIndexes); it is a filter over a scan of base when the session
+// scans selectors, the body has no such equality, or base is in Unindexed.
 func (e *Env) applySelector(base *relation.Relation, r *ast.Range, i int) (*relation.Relation, error) {
 	s := &r.Suffixes[i]
 	decl, ok := e.Selectors[s.Name]
@@ -354,10 +367,11 @@ func (e *Env) applySelector(base *relation.Relation, r *ast.Range, i int) (*rela
 		return nil, err
 	}
 	plan.app = s
-	if _, indexed := plan.selectorAccess(decl, r, i); !indexed || e.ScanSelectors {
+	named := r.Sub == nil && i == 0
+	if e.ScanSelectors || plan.selectorAttr(decl) == "" || named && e.Unindexed[r.Var] {
 		plan.scanOuter()
 	}
-	pb, err := scoped.bindPlan(&preparedBranch{plan: plan,
+	pb, err := scoped.bindPlan(&preparedBranch{plan: plan, derived: !named,
 		rels:  []*relation.Relation{base},
 		elems: []schema.RecordType{SelectorElem(decl, base.Type().Element)}})
 	if err != nil {
@@ -407,12 +421,15 @@ func (e *Env) EvalBranchIntoExcluding(br *ast.Branch, out, except *relation.Rela
 // preparedBranch is a branch ready to execute: either its literal tuple, or
 // its plan with the materialized ranges (in plan order), the element type
 // each binding's tuples are read through, the probe indexes bound to the
-// ranges, and the outer binding's scan set.
+// ranges, and the outer binding's scan set. derived marks the first
+// binding's value as derived rather than a relation name's: it keeps a probe
+// only on an index it already carries.
 type preparedBranch struct {
 	literal value.Tuple
 	plan    *BranchPlan
 	rels    []*relation.Relation
 	elems   []schema.RecordType
+	derived bool
 	indexes []*relation.Index
 	outer   []value.Tuple
 }
@@ -459,7 +476,7 @@ func (e *Env) prepareBranch(br *ast.Branch, rt schema.RelationType) (*preparedBr
 		return nil, err
 	}
 	pb := &preparedBranch{plan: plan, rels: make([]*relation.Relation, len(declared)),
-		elems: make([]schema.RecordType, len(declared))}
+		elems: make([]schema.RecordType, len(declared)), derived: derived(plan.bind(0).Range)}
 	for k, i := range plan.order {
 		pb.rels[k], pb.elems[k] = declared[i], rangeElem(br.Binds[i].Range, declared[i].Type().Element)
 	}
@@ -624,16 +641,26 @@ func FreeVarsOfPred(p ast.Pred) map[string]bool {
 // term = v.attr) whose term's variables all bind earlier than v becomes an
 // index probe on v's range; every other conjunct is scheduled at the
 // latest-binding of its free variables. On the first binding such a term is
-// closed, and the probe is the access path that replaces the scan — taken
-// only when the range is a bare relation name: an index built on a derived
-// range would die with the evaluation, so a derived range is scanned and
-// filtered.
+// closed, and the probe is the access path that replaces the scan. With no
+// value to look at, PlanBranch keeps it only when the range is a relation
+// name — the cold default — and scans and filters a derived range. An
+// execution decides on the materialized value (bindIndexes): a derived range
+// whose value already carries the index is probed too.
 func PlanBranch(br *ast.Branch, card []int) (*BranchPlan, error) {
-	return planBranch(br, card, -1)
+	plan, err := planBranch(br, card, -1)
+	if err == nil && derived(plan.bind(0).Range) {
+		plan.scanOuter()
+	}
+	return plan, err
 }
 
-// planBranch is PlanBranch with binding outer (when not -1) as the outer
-// scan whatever its cardinality: a range over an Env.Unindexed relation.
+// derived reports whether r's value is computed by the evaluation — a
+// sub-expression, or a relation with suffixes applied — not a variable's.
+func derived(r *ast.Range) bool { return r.Sub != nil || len(r.Suffixes) > 0 }
+
+// planBranch is PlanBranch with binding 0's probes left for the execution to
+// decide on its value, and binding outer (when not -1) as the outer scan
+// whatever its cardinality: a range over an Env.Unindexed relation.
 func planBranch(br *ast.Branch, card []int, outer int) (*BranchPlan, error) {
 	n := len(br.Binds)
 	if n == 0 {
@@ -694,7 +721,7 @@ func planBranch(br *ast.Branch, card []int, outer int) (*BranchPlan, error) {
 		}
 		plan.residuals[at] = append(plan.residuals[at], c)
 	}
-	if r := plan.bind(0).Range; r.Sub != nil || len(r.Suffixes) > 0 || outer >= 0 {
+	if outer >= 0 {
 		plan.scanOuter()
 	}
 	return plan, nil
@@ -741,13 +768,14 @@ func (p *BranchPlan) tryProbe(varPos map[string]int, lhs, rhs ast.Term) bool {
 // unindexed reports whether bd ranges directly over a variable in
 // e.Unindexed.
 func (e *Env) unindexed(bd *ast.Binding) bool {
-	r := bd.Range
-	return r.Sub == nil && len(r.Suffixes) == 0 && e.Unindexed[r.Var]
+	return !derived(bd.Range) && e.Unindexed[bd.Range.Var]
 }
 
 // bindIndexes resolves the plan's probe attributes against the element types
 // the materialized ranges are read through and returns the hash index serving
-// each probed binding, nil where a binding has no probe.
+// each probed binding, nil where a binding has no probe. A derived first
+// binding whose value carries no index on the probed attributes is scanned
+// instead: no index is built on a derived value.
 func (e *Env) bindIndexes(pb *preparedBranch) []*relation.Index {
 	plan, rels := pb.plan, pb.rels
 	indexes := make([]*relation.Index, len(rels))
@@ -775,6 +803,8 @@ func (e *Env) bindIndexes(pb *preparedBranch) []*relation.Index {
 		plan.probeTerms[k] = okTerms
 		switch {
 		case len(positions) == 0:
+		case k == 0 && pb.derived && !rels[0].HasIndexOn(positions):
+			plan.scanOuter()
 		case e.unindexed(plan.bind(k)):
 			indexes[k] = relation.BuildIndexParallel(rels[k], positions, e.Parallelism)
 		default:

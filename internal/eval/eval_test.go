@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"strings"
@@ -392,6 +393,25 @@ func TestUnindexedRangesCarryNoIndex(t *testing.T) {
 			}
 		}
 	}
+
+	// A selector applied to an unindexed variable (a recursive occurrence
+	// Rel{c}[sel(x)] in a retraction phase) scans it as well.
+	e = NewEnv()
+	e.Rels = rels()
+	e.Unindexed = map[string]bool{"Big": true}
+	e.Selectors = selectorsOf(t, `
+MODULE m;
+SELECTOR hidden_by (Obj: STRING) FOR Rel: infrontrel;
+BEGIN EACH r IN Rel: r.front = Obj END hidden_by;
+END m.
+`)
+	r, err := parser.ParseRange(`Big[hidden_by("a1")]`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := e.Range(r); err != nil || got.Len() != 1 || e.Rels["Big"].Indexes() != 0 {
+		t.Errorf("selector over an unindexed variable: %v, %v; %d index(es) memoized on Big", got, err, e.Rels["Big"].Indexes())
+	}
 }
 
 // TestReorderedBranchProjectsDeclaredFirstBinding: a branch without a target
@@ -477,10 +497,11 @@ END m.
 	}
 }
 
-// TestOuterProbeOnlyOnRelationName: a closed equality on the first binding is
-// an index probe when the range is a bare relation name, and a scan-and-filter
-// when the range is derived — an index built there would die with the
-// evaluation. Both compute the same set.
+// TestOuterProbeOnlyOnRelationName: in the cold plan a closed equality on the
+// first binding is an index probe when the range is a bare relation name, and
+// a scan-and-filter when the range is derived; executing over values that
+// carry no index takes that plan, building no index on a derived value. Both
+// compute the same set.
 func TestOuterProbeOnlyOnRelationName(t *testing.T) {
 	e := env(t)
 	e.Selectors = selectorsOf(t, `
@@ -519,5 +540,66 @@ END m.
 		if grew := e.Rels["Infront"].Indexes() > before; grew != strings.Contains(tc.want[0], "[probe") {
 			t.Errorf("%s: index memoized on Infront = %v", tc.src, grew)
 		}
+	}
+}
+
+// fixedResolver answers every constructor application with one relation: a
+// derived value that outlives the evaluation, as a materialized view does.
+type fixedResolver struct{ rel *relation.Relation }
+
+func (f fixedResolver) ApplyConstructor(context.Context, string, *relation.Relation, []Resolved) (*relation.Relation, error) {
+	return f.rel, nil
+}
+
+// TestOuterProbeOnCarriedIndex: an execution decides the first binding's
+// access path on its value. A derived value is scanned, and no index is built
+// on it, while it carries none; once it carries the index on the probed
+// attribute, a branch over it and a selector applied to it both probe it.
+func TestOuterProbeOnCarriedIndex(t *testing.T) {
+	e := env(t)
+	e.Selectors = selectorsOf(t, `
+MODULE m;
+SELECTOR hidden_by (Obj: STRING) FOR Rel: infrontrel;
+BEGIN EACH r IN Rel: r.front = Obj END hidden_by;
+END m.
+`)
+	view := relation.MustFromTuples(infrontT, e.Rels["Infront"].Tuples()...)
+	e.Constructors = fixedResolver{view}
+	set, err := parser.ParseSetExpr(`{EACH r IN Infront{c}: r.front = "table"}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := parser.ParseRange(`Infront{c}[hidden_by("table")]`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := value.NewTuple(value.Str("table"), value.Str("chair"))
+	run := func() (probed [2]bool) {
+		t.Helper()
+		e.ExecStats = &ExecStats{}
+		e.ResetMemo()
+		out := relation.New(infrontT)
+		if err := e.EvalBranchIntoExcluding(&set.Branches[0], out, nil); err != nil {
+			t.Fatal(err)
+		}
+		applied, err := e.Range(sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, got := range []*relation.Relation{out, applied} {
+			if got.Len() != 1 || !got.Contains(want) {
+				t.Errorf("point read over the view = %s", got)
+			}
+		}
+		probed[0] = strings.Contains(e.ExecStats.PlanOf(&set.Branches[0]).Describe()[0], "[probe")
+		_, probed[1], _ = e.ExecStats.SelectorPath(&sel.Suffixes[1])
+		return probed
+	}
+	if got := run(); got != [2]bool{} || view.Indexes() != 0 {
+		t.Errorf("view without an index: probed %v, %d index(es) built on it", got, view.Indexes())
+	}
+	view.IndexOn([]int{0}, 1)
+	if got := run(); got != [2]bool{true, true} {
+		t.Errorf("view carrying an index on front: probed %v, want both", got)
 	}
 }

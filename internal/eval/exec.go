@@ -101,6 +101,28 @@ func (s *ExecStats) PlanOf(br *ast.Branch) *BranchPlan {
 	return s.plans[br]
 }
 
+// SelectorPath reports the access path the evaluation's recorded plan for the
+// selector application app took: indexed when a hash index on the base served
+// it, with attr the attribute the selector's parameter probed. ran is false
+// when the evaluation never applied app.
+func (s *ExecStats) SelectorPath(app *ast.Suffix) (attr string, indexed, ran bool) {
+	if s == nil {
+		return "", false, false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	plan, ran := s.plans[app]
+	if !ran {
+		return "", false, false
+	}
+	for j, tm := range plan.probeTerms[0] {
+		if _, ok := tm.(ast.Param); ok {
+			return plan.probeFields[0][j].Attr, true, true
+		}
+	}
+	return "", false, true
+}
+
 // SelectorPaths counts the selector applications the evaluation ran by the
 // access path their recorded plan took: served from a hash index on the base
 // (lookups) or by scanning it (scans).

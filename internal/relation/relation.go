@@ -584,12 +584,12 @@ func (r *Relation) Equal(o *Relation) bool {
 	if r.Len() != o.Len() {
 		return false
 	}
-	for _, t := range r.tuples {
-		if !o.Contains(t) {
-			return false
-		}
-	}
-	return true
+	equal := true
+	r.Each(func(t value.Tuple) bool {
+		equal = o.Contains(t)
+		return equal
+	})
+	return equal
 }
 
 // UnionInto inserts every tuple of o into r (set union in place), reporting
@@ -784,10 +784,7 @@ func (r *Relation) IndexOn(positions []int, workers int) *Index {
 	// The signature is built without allocating: selector access paths call
 	// IndexOn once per query, and the memo hit below is their common case.
 	var buf [32]byte
-	key := buf[:0]
-	for _, p := range positions {
-		key = append(strconv.AppendInt(key, int64(p), 10), ',')
-	}
+	key := appendSig(buf[:0], positions)
 	r.idxMu.Lock()
 	if e, ok := r.idx[string(key)]; ok && e.ver == r.version {
 		r.idxMu.Unlock()
@@ -814,6 +811,30 @@ func (r *Relation) IndexOn(positions []int, workers int) *Index {
 	return idx
 }
 
+// HasIndexOn reports whether the relation already carries an index on
+// positions, so that IndexOn serves it without a build: a memoized index valid
+// for the current content, or an inherited one that IndexOn overlays with the
+// tuples added since the clone.
+func (r *Relation) HasIndexOn(positions []int) bool {
+	var buf [32]byte
+	key := appendSig(buf[:0], positions)
+	r.idxMu.Lock()
+	defer r.idxMu.Unlock()
+	if e, ok := r.idx[string(key)]; ok && e.ver == r.version {
+		return true
+	}
+	base := r.inherited[string(key)]
+	return base != nil && overlaySize(base, r.pending) <= r.Len()/4
+}
+
+// appendSig appends the memo signature of positions to buf.
+func appendSig(buf []byte, positions []int) []byte {
+	for _, p := range positions {
+		buf = append(strconv.AppendInt(buf, int64(p), 10), ',')
+	}
+	return buf
+}
+
 // Indexes reports how many memoized indexes are valid for the relation's
 // current content (for monitoring).
 func (r *Relation) Indexes() int {
@@ -834,17 +855,13 @@ func (r *Relation) Indexes() int {
 // limit tuples — past that point a full rebuild is cheaper than dragging an
 // ever-growing overlay through future clones.
 func overlayIndex(base *Index, pending []value.Tuple, positions []int, limit int) *Index {
+	if overlaySize(base, pending) > limit {
+		return nil
+	}
 	full := base
 	var prior map[string][]value.Tuple
 	if base.base != nil {
 		full, prior = base.base, base.buckets
-	}
-	size := len(pending)
-	for _, ts := range prior {
-		size += len(ts)
-	}
-	if size > limit {
-		return nil
 	}
 	buckets := make(map[string][]value.Tuple, len(prior)+len(pending))
 	for k, ts := range prior {
@@ -857,6 +874,18 @@ func overlayIndex(base *Index, pending []value.Tuple, positions []int, limit int
 		buckets[k] = append(buckets[k], t)
 	}
 	return &Index{positions: positions, buckets: buckets, base: full}
+}
+
+// overlaySize is the number of tuples the overlay of pending on base holds:
+// pending plus base's own overlay, if it is one.
+func overlaySize(base *Index, pending []value.Tuple) int {
+	size := len(pending)
+	if base.base != nil {
+		for _, ts := range base.buckets {
+			size += len(ts)
+		}
+	}
+	return size
 }
 
 // Probe returns the tuples whose indexed projection equals key.

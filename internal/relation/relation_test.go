@@ -186,6 +186,30 @@ func TestEqualProperty(t *testing.T) {
 	}
 }
 
+// TestEqualSeesUnderLayers: two layered clones with equal lengths and the same
+// own tuples are equal only if their frozen layers are.
+func TestEqualSeesUnderLayers(t *testing.T) {
+	layered := func(prefix string) *Relation {
+		r := New(binT)
+		for i := 0; i < 2000; i++ {
+			r.Add(pair(fmt.Sprintf("%s%04d", prefix, i), "x"))
+		}
+		c := r.Clone()
+		c.Add(pair("same", "tuple"))
+		if len(c.under) == 0 {
+			t.Fatal("clone is not layered")
+		}
+		return c
+	}
+	a, b := layered("a"), layered("b")
+	if a.Equal(b) || b.Equal(a) {
+		t.Error("layered clones with disjoint frozen layers compare equal")
+	}
+	if a2 := layered("a"); !a.Equal(a2) {
+		t.Error("layered clones with equal contents compare unequal")
+	}
+}
+
 func TestUnionIntoReportsGrowth(t *testing.T) {
 	a := MustFromTuples(binT, pair("a", "b"), pair("c", "d"))
 	b := MustFromTuples(binT, pair("c", "d"), pair("e", "f"))
@@ -415,6 +439,43 @@ func TestIndexOnOverlayAfterClone(t *testing.T) {
 		}
 		return true
 	})
+}
+
+// TestHasIndexOn: a relation carries an index on positions exactly when
+// IndexOn would serve it without a build — a memo valid for its content, or
+// an inherited index whose overlay stays within IndexOn's limit.
+func TestHasIndexOn(t *testing.T) {
+	r := bigRel(t, 3000)
+	if r.HasIndexOn([]int{0}) {
+		t.Fatal("fresh relation carries an index")
+	}
+	base := r.IndexOn([]int{0}, 1)
+	if !r.HasIndexOn([]int{0}) || r.HasIndexOn([]int{1}) || r.HasIndexOn([]int{0, 1}) {
+		t.Fatal("memo not reported on exactly its positions")
+	}
+	c := r.Clone()
+	c.Add(pair("extra", "x"))
+	if !c.HasIndexOn([]int{0}) {
+		t.Fatal("clone does not carry its inherited index")
+	}
+	if r.Add(pair("more", "x")); r.HasIndexOn([]int{0}) {
+		t.Fatal("memo outlived a mutation")
+	}
+	if idx := c.IndexOn([]int{0}, 1); idx.base != base {
+		t.Fatal("carried index was rebuilt instead of overlaid")
+	}
+	// Past IndexOn's overlay limit (a quarter of the relation) the inherited
+	// index would be rebuilt, so it is not carried.
+	g := c.Clone()
+	for i := 0; g.HasIndexOn([]int{0}); i++ {
+		if i > g.Len()/4+1 {
+			t.Fatalf("overlay of %d tuples still carried", i)
+		}
+		g.Add(pair(fmt.Sprintf("grow%05d", i), "x"))
+	}
+	if n := overlaySize(g.inherited["0,"], g.pending); n <= g.Len()/4 {
+		t.Fatalf("index dropped with an overlay of %d tuples of %d", n, g.Len())
+	}
 }
 
 func TestIndexOnInvalidatedByDelete(t *testing.T) {

@@ -39,8 +39,9 @@ type Plan struct {
 	// decided per execution from range cardinalities: Explain shows the
 	// declared-order plan, ExplainQuery the plan its execution ran.
 	Quantifiers []string `json:"quantifiers,omitempty"`
-	// AccessPaths records the access path chosen for every selector
-	// application in the final form.
+	// AccessPaths records the access path of every selector application in
+	// the form that executes: Explain shows the cold default decided from the
+	// text, ExplainQuery the path each application's execution took.
 	AccessPaths []AccessPath `json:"access_paths,omitempty"`
 	// Magic describes the restriction of a recursive constructor application
 	// to the query's bound values, when one applies.
@@ -67,9 +68,11 @@ type AccessPath struct {
 	Base string `json:"base"`
 	// Attr is the partition attribute, for hash-partition paths.
 	Attr string `json:"attr,omitempty"`
-	// Kind is "hash-partition" (indexable equality on the argument of a
-	// selector applied directly to a relation variable, served from the hash
-	// index on that attribute) or "scan".
+	// Kind is "hash-partition" (an equality on the selector's argument served
+	// from the base's hash index on that attribute) or "scan". The cold
+	// default is hash-partition only for a selector applied directly to a
+	// relation variable; an execution also probes a derived base whose value
+	// already carries the index, such as a materialized constructor result.
 	Kind string `json:"kind"`
 }
 
@@ -251,25 +254,7 @@ func (s *Stmt) buildPlan(traces []optimizer.Trace, decls *declSnapshot) *Plan {
 		p.Passes = append(p.Passes, PassTrace{Pass: t.Pass, Applied: t.Applied, Detail: t.Detail})
 	}
 
-	// Access path per selector application in the final form: what
-	// eval.SelectorAccess decides, which is what applying it will run.
-	ast.WalkRange(s.execRng, func(r *ast.Range) {
-		for i := range r.Suffixes {
-			suf := &r.Suffixes[i]
-			if suf.Kind != ast.SuffixSelector {
-				continue
-			}
-			prefix := &ast.Range{Var: r.Var, Sub: r.Sub, Suffixes: r.Suffixes[:i]}
-			entry := AccessPath{Selector: suf.Name, Base: prefix.String(), Kind: "scan"}
-			if decl, ok := decls.selectors[suf.Name]; ok && p.Optimized {
-				if attr, indexed := eval.SelectorAccess(decl, r, i); indexed {
-					entry.Attr, entry.Kind = attr, "hash-partition"
-				}
-			}
-			p.AccessPaths = append(p.AccessPaths, entry)
-		}
-	})
-
+	p.AccessPaths = accessPaths(s.execRng, decls.selectors, p.Optimized, nil)
 	if m := s.magic; m != nil {
 		p.Magic = &MagicInfo{
 			Constructor: m.Constructor,
@@ -279,6 +264,34 @@ func (s *Stmt) buildPlan(traces []optimizer.Trace, decls *declSnapshot) *Plan {
 		}
 	}
 	return p
+}
+
+// accessPaths lists the access path of every selector application in rng, a
+// form the statement executes: the one the execution behind ran took (its
+// recorded plan), or, when ran is nil or never applied it, the cold default
+// eval.SelectorAccess decides from the text — scan throughout when the
+// session does not optimize.
+func accessPaths(rng *ast.Range, selectors map[string]*ast.SelectorDecl, optimized bool, ran *eval.ExecStats) []AccessPath {
+	var out []AccessPath
+	ast.WalkRange(rng, func(r *ast.Range) {
+		for i := range r.Suffixes {
+			suf := &r.Suffixes[i]
+			if suf.Kind != ast.SuffixSelector {
+				continue
+			}
+			prefix := &ast.Range{Var: r.Var, Sub: r.Sub, Suffixes: r.Suffixes[:i]}
+			entry := AccessPath{Selector: suf.Name, Base: prefix.String(), Kind: "scan"}
+			attr, indexed, applied := ran.SelectorPath(suf)
+			if decl, ok := selectors[suf.Name]; !applied && ok && optimized {
+				attr, indexed = eval.SelectorAccess(decl, r, i)
+			}
+			if indexed {
+				entry.Attr, entry.Kind = attr, "hash-partition"
+			}
+			out = append(out, entry)
+		}
+	})
+	return out
 }
 
 // quantifiers renders the evaluation order of rng, a form the statement

@@ -3,12 +3,14 @@ package dbpl_test
 // A selector application is the set expression of its declaration (section
 // 2.3) evaluated by the one branch planner and pipeline: these tests pin that
 // R[sel(a)] and the hand-written {EACH r IN R: body} agree tuple for tuple in
-// every configuration, and that the access path EXPLAIN shows at Prepare time
-// is the one an execution takes.
+// every configuration, that the access path EXPLAIN ANALYZE shows is the one
+// the execution took, and that a point read over a materialized view probes
+// the index the view carries.
 
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 
 	dbpl "repro"
@@ -186,29 +188,25 @@ func TestSelectorIsItsSetExpression(t *testing.T) {
 	})
 }
 
-// TestAccessPathDecisionIsThePlan: the access path a prepared plan shows for
-// a selector application is the one executing it takes — hash-partition in
-// Plan().AccessPaths iff EXPLAIN ANALYZE counts that application as a
-// partition lookup — and a selector's operators are labelled by the selector,
-// never by its body variable.
+// TestAccessPathDecisionIsThePlan: the access path EXPLAIN ANALYZE shows for
+// a selector application is the one executing it took — hash-partition in its
+// AccessPaths iff it counts that application as a partition lookup — over a
+// relation name and over a maintained view alike, and a selector's operators
+// are labelled by the selector, never by its body variable.
 func TestAccessPathDecisionIsThePlan(t *testing.T) {
 	ctx := context.Background()
 	t.Run("paged engine under forced eviction", accessPathUnderForcedEviction)
 	selectorConfigs(t, func(t *testing.T, db *dbpl.DB) {
 		for _, p := range selectorPairs {
-			stmt, err := db.Prepare(p.applied)
+			ran, err := db.ExplainQuery(ctx, p.applied)
 			if err != nil {
 				t.Fatal(err)
 			}
 			hashed := 0
-			for _, ap := range stmt.Plan().AccessPaths {
+			for _, ap := range ran.AccessPaths {
 				if ap.Kind == "hash-partition" {
 					hashed++
 				}
-			}
-			ran, err := stmt.ExplainQuery(ctx)
-			if err != nil {
-				t.Fatal(err)
 			}
 			// Only from_sel applies a selector outside the query text, in its body.
 			inBody := 0
@@ -222,8 +220,28 @@ func TestAccessPathDecisionIsThePlan(t *testing.T) {
 			}
 		}
 
+		// A selector over a maintained view probes the index maintenance left
+		// on it; Prepare, having no value to look at, shows the cold scan.
+		const point = `Infront{ahead}[hidden_by("n3")]`
+		growAndMaintain(t, db, "n40", "x1")
+		ran, err := db.ExplainQuery(ctx, point)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, lookups := `path:    [hidden_by] over Infront{ahead}: hash-partition(front)`, 1
+		if !ran.Optimized {
+			want, lookups = `path:    [hidden_by] over Infront{ahead}: scan`, 0
+		}
+		if a := ran.Analyze; !containsLine(ran.Text(), want) || a.PartitionLookups != lookups || a.Scans != 1-lookups {
+			t.Errorf("selector over a maintained view: want %q, partition-lookups=%d scans=%d\n%s",
+				want, lookups, 1-lookups, ran.Text())
+		}
+		if cold, err := db.Explain(ctx, point); err != nil || cold.AccessPaths[0].Kind != "scan" {
+			t.Errorf("Explain of %s: %+v, %v; want the cold scan", point, cold.AccessPaths, err)
+		}
+
 		// A branch reusing the selector's body variable keeps its own counters.
-		ran, err := db.ExplainQuery(ctx, `{EACH r IN Infront[hidden_by("n3")]: r.back # "n4"}`)
+		ran, err = db.ExplainQuery(ctx, `{EACH r IN Infront[hidden_by("n3")]: r.back # "n4"}`)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,4 +303,194 @@ func accessPathUnderForcedEviction(t *testing.T) {
 	if db.Health().Storage.Evictions == evictions {
 		t.Error("the executions forced no eviction: the relations fit the pool")
 	}
+}
+
+// growAndMaintain installs the materialized view Infront{ahead}, commits the
+// edge from -> to, and reads the view again, so that read maintains it.
+func growAndMaintain(t *testing.T, db *dbpl.DB, from, to string) {
+	t.Helper()
+	if _, err := db.Query(`Infront{ahead}`); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Insert("Infront", dbpl.NewTuple(dbpl.Str(from), dbpl.Str(to))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Query(`Infront{ahead}`); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// viewPoint is a point read over the view Infront{ahead}: the selector
+// application and the set expression it abbreviates.
+var viewPoint = [2]string{`Infront{ahead}[hidden_by("n3")]`, `{EACH r IN Infront{ahead}: r.head = "n3"}`}
+
+// recomputed answers src from scratch over edges: in a database without
+// materialization or optimization holding them.
+func recomputed(t *testing.T, edges *dbpl.Relation, src string) *dbpl.Relation {
+	t.Helper()
+	ref := openWith(t, selectorModule, dbpl.WithoutMaterialization(), dbpl.WithoutOptimization())
+	defer ref.Close()
+	if err := ref.Assign("Infront", edges); err != nil {
+		t.Fatal(err)
+	}
+	rel, err := ref.Query(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rel
+}
+
+// TestSelectorOverViewProbes: a point read over the materialized view
+// Infront{ahead} probes the index maintenance left on the view exactly when
+// the view carries one, and returns what recomputing from scratch returns:
+// after a maintained growth read (probe), after an overwrite (delete-and-
+// rederive leaves the state unindexed, so it scans), after growth again,
+// inside a Tx, on the paged engine, without optimization (the selector
+// scans), and with two readers probing while a writer grows the view.
+func TestSelectorOverViewProbes(t *testing.T) {
+	ctx := context.Background()
+	// check runs both forms of the point read and reports, per form, whether
+	// the execution probed the view: whether its first operator, the one
+	// reading the view, read only the rows the result holds instead of the
+	// whole view.
+	check := func(t *testing.T, db *dbpl.DB, when string) [2]bool {
+		t.Helper()
+		edges, _ := db.Relation("Infront")
+		var probed [2]bool
+		for i, src := range viewPoint {
+			p, err := db.ExplainQuery(ctx, src)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", when, src, err)
+			}
+			probed[i] = p.Analyze.Operators[0].RowsIn == int64(p.Analyze.Rows)
+			got, err := db.Query(src)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", when, src, err)
+			}
+			if want := recomputed(t, edges, src); want.Len() == 0 || !got.Equal(want) {
+				t.Errorf("%s: %s has %d tuples, recomputed %d\n%s", when, src, got.Len(), want.Len(), p.Text())
+			}
+		}
+		return probed
+	}
+	for _, c := range []struct {
+		name  string
+		paged bool
+		opts  []dbpl.Option
+		// growth is what each form does after a maintained growth read.
+		growth [2]bool
+	}{
+		{"memory", false, nil, [2]bool{true, true}},
+		{"paged", true, nil, [2]bool{true, true}},
+		{"parallel", false, parallelOpts(4), [2]bool{true, true}},
+		// No views: every read recomputes the closure and scans it.
+		{"unoptimized", false, []dbpl.Option{dbpl.WithoutOptimization()}, [2]bool{}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			opts := c.opts
+			if c.paged {
+				opts = append(opts, dbpl.WithPath(t.TempDir()), dbpl.WithEngine(dbpl.EnginePaged), dbpl.WithBufferPoolPages(4))
+			}
+			db, err := dbpl.Open(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			seedSelectorDB(t, db)
+
+			growAndMaintain(t, db, "n40", "x1")
+			if got := check(t, db, "after growth"); got != c.growth {
+				t.Errorf("after growth: probed %v, want %v", got, c.growth)
+			}
+
+			// Re-draw n5 -> n6 as n5 -> n9: maintained by delete-and-rederive.
+			cur, _ := db.Relation("Infront")
+			redrawn := cur.Clone()
+			redrawn.Delete(dbpl.NewTuple(dbpl.Str("n5"), dbpl.Str("n6")))
+			redrawn.Add(dbpl.NewTuple(dbpl.Str("n5"), dbpl.Str("n9")))
+			if err := db.Assign("Infront", redrawn); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.Query(`Infront{ahead}`); err != nil {
+				t.Fatal(err)
+			}
+			if got := check(t, db, "after an overwrite"); got != [2]bool{} {
+				t.Errorf("after an overwrite: probed %v, want scans", got)
+			}
+
+			growAndMaintain(t, db, "x1", "x2")
+			if got := check(t, db, "after growth again"); got != c.growth {
+				t.Errorf("after growth again: probed %v, want %v", got, c.growth)
+			}
+
+			tx, err := db.Begin(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tx.Rollback() //nolint:errcheck // read-only from here
+			if err := tx.Insert("Infront", dbpl.NewTuple(dbpl.Str("x2"), dbpl.Str("tx"))); err != nil {
+				t.Fatal(err)
+			}
+			edges, _ := tx.Relation("Infront")
+			for _, src := range viewPoint {
+				got, err := tx.Query(ctx, src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := recomputed(t, edges, src); !got.Equal(want) || !got.Contains(dbpl.NewTuple(dbpl.Str("n3"), dbpl.Str("tx"))) {
+					t.Errorf("inside a Tx: %s has %d tuples, recomputed %d", src, got.Len(), want.Len())
+				}
+			}
+		})
+	}
+
+	// Two point readers probe (and memoize overlays on) view states that the
+	// writer's maintained reads clone.
+	t.Run("concurrent readers and a growing writer", func(t *testing.T) {
+		db := openWith(t, selectorModule)
+		defer db.Close()
+		node := func(i int) dbpl.Value { return dbpl.Str(fmt.Sprintf("n%d", i)) }
+		var edges []dbpl.Tuple
+		for i := 0; i < 40; i++ {
+			edges = append(edges, dbpl.NewTuple(node(i), node(i+1)))
+		}
+		if err := db.Insert("Infront", edges...); err != nil {
+			t.Fatal(err)
+		}
+		growAndMaintain(t, db, "n40", "n41")
+		var wg sync.WaitGroup
+		stop := make(chan struct{})
+		for r := 0; r < 2; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					for _, src := range viewPoint {
+						if _, err := db.Query(src); err != nil {
+							t.Errorf("concurrent point read: %v", err)
+							return
+						}
+					}
+				}
+			}()
+		}
+		for i := 41; i < 71; i++ {
+			if err := db.Insert("Infront", dbpl.NewTuple(node(i), node(i+1))); err != nil {
+				t.Error(err)
+				break
+			}
+			if _, err := db.Query(`Infront{ahead}`); err != nil {
+				t.Error(err)
+				break
+			}
+		}
+		close(stop)
+		wg.Wait()
+		check(t, db, "after the concurrent stream")
+	})
 }

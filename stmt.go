@@ -243,10 +243,12 @@ type execStats struct {
 	// the bound values when it has open parameters.
 	stmt *Stmt
 	// rng is the form that ran: the statement's rewritten form, or its
-	// unrestricted form when a materialization served it.
-	rng    *ast.Range
-	exec   eval.ExecStats
-	engine core.Stats
+	// unrestricted form when a materialization served it; selectors are the
+	// declarations it ran with.
+	rng       *ast.Range
+	selectors map[string]*ast.SelectorDecl
+	exec      eval.ExecStats
+	engine    core.Stats
 	// view is the materialized-view outcome of the execution, when a
 	// cacheable constructor application ran (viewSet reports whether).
 	view    core.ViewStats
@@ -327,7 +329,7 @@ func (s *Stmt) execWith(ctx context.Context, env *eval.Env, en *core.Engine, arg
 		}
 	}
 	if ex != nil {
-		ex.rng = rng
+		ex.rng, ex.selectors = rng, env.Selectors
 	}
 	rel, err := env.Range(rng)
 	if err != nil {
