@@ -26,6 +26,7 @@
 //	dbplc -timeout 10s f.dbpl   # bound total execution time
 //	dbplc -path dir f.dbpl      # durable store: recover dir, log mutations
 //	dbplc -path dir -sync never # relax the fsync policy (process-crash safe)
+//	dbplc -path dir -pool-pages 64 # bound the memory the pages may hold
 //	dbplc -connect host:7474    # remote session against a dbpld server
 //	dbplc -connect host:7474 -token secret f.dbpl
 package main
@@ -69,8 +70,7 @@ func main() {
 	replFlag := flag.Bool("repl", false, "drop into an interactive session (after running the file, if given)")
 	path := flag.String("path", "", "durable store directory: recover it on start, write-ahead log every mutation")
 	syncMode := flag.String("sync", "always", "fsync policy for -path: always (machine-crash safe) or never (process-crash safe)")
-	engineFlag := flag.String("engine", "memory", "storage engine for -path: memory (full image) or paged (buffer pool + incremental checkpoints)")
-	poolPages := flag.Int("pool-pages", 0, "paged engine buffer-pool budget in 4KiB pages (0 = default)")
+	poolPages := flag.Int("pool-pages", 0, "buffer-pool budget of -path in 4KiB pages (0 = unbounded residency)")
 	connect := flag.String("connect", "", "run against a dbpld server at this address instead of an embedded database")
 	token := flag.String("token", "", "auth token for -connect")
 	parallel := flag.Int("parallel", 0, "executor worker fan-out per query (embedded mode; 0 = all CPUs, 1 = serial)")
@@ -152,19 +152,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "unknown -sync policy %q (want always or never)\n", *syncMode)
 				os.Exit(2)
 			}
-			opts = append(opts, dbpl.WithPath(*path), dbpl.WithSync(sp))
-		}
-		switch *engineFlag {
-		case "memory":
-		case "paged":
-			if *path == "" {
-				fmt.Fprintln(os.Stderr, "-engine paged requires -path")
-				os.Exit(2)
-			}
-			opts = append(opts, dbpl.WithEngine(dbpl.EnginePaged), dbpl.WithBufferPoolPages(*poolPages))
-		default:
-			fmt.Fprintf(os.Stderr, "unknown -engine %q (want memory or paged)\n", *engineFlag)
-			os.Exit(2)
+			opts = append(opts, dbpl.WithPath(*path), dbpl.WithSync(sp), dbpl.WithBufferPoolPages(*poolPages))
 		}
 		db, err := dbpl.Open(opts...)
 		if err != nil {

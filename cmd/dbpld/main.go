@@ -38,8 +38,7 @@ func main() {
 	listen := flag.String("listen", ":7474", "address to serve on")
 	path := flag.String("path", "", "durable store directory (primary only); empty = memory-only")
 	syncMode := flag.String("sync", "always", "fsync policy for -path: always or never")
-	engine := flag.String("engine", "memory", "storage engine for -path: memory or paged")
-	poolPages := flag.Int("pool-pages", 0, "paged engine buffer-pool budget in 4KiB pages (0 = default)")
+	poolPages := flag.Int("pool-pages", 0, "buffer-pool budget of -path in 4KiB pages (0 = unbounded residency)")
 	token := flag.String("token", "", "require this auth token from every client")
 	maxSessions := flag.Int("max-sessions", 0, "cap on concurrent sessions (0 = unlimited)")
 	maxOpenRows := flag.Int("max-open-rows", 0, "cap on open cursors per session (0 = unlimited)")
@@ -78,19 +77,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "dbpld: unknown -sync policy %q (want always or never)\n", *syncMode)
 			os.Exit(2)
 		}
-		opts = append(opts, dbpl.WithPath(*path), dbpl.WithSync(sp))
-	}
-	switch *engine {
-	case "memory":
-	case "paged":
-		if *path == "" {
-			fmt.Fprintln(os.Stderr, "dbpld: -engine paged requires -path")
-			os.Exit(2)
-		}
-		opts = append(opts, dbpl.WithEngine(dbpl.EnginePaged), dbpl.WithBufferPoolPages(*poolPages))
-	default:
-		fmt.Fprintf(os.Stderr, "dbpld: unknown -engine %q (want memory or paged)\n", *engine)
-		os.Exit(2)
+		opts = append(opts, dbpl.WithPath(*path), dbpl.WithSync(sp), dbpl.WithBufferPoolPages(*poolPages))
 	}
 	opts = append(opts, dbpl.WithParallelism(*parallel))
 	db, err := dbpl.Open(opts...)

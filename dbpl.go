@@ -100,12 +100,13 @@
 //
 // # Durability
 //
-// Open(WithPath(dir)) backs the database with a write-ahead log and snapshot
-// checkpoints in dir: every state-changing operation on the base relations —
-// module DDL, Insert, Assign, LoadStore, and each Tx commit as one atomic
-// batch — is logged before it is published, and Open recovers snapshot plus
-// committed log tail, truncating a torn or corrupt tail at the last complete
-// record. Derived constructor results are never logged; they recompute from
+// Open(WithPath(dir)) stores the base relations in heap pages in dir, backed
+// by a write-ahead log and incremental checkpoints: every state-changing
+// operation on the base relations — module DDL, Insert, Assign, LoadStore,
+// and each Tx commit as one atomic batch — is logged before it is published,
+// a checkpoint flushes the pages changed since the last one under a page
+// manifest, and Open recovers that manifest plus the committed log tail,
+// truncating a torn or corrupt tail at the last complete record. Derived constructor results are never logged; they recompute from
 // the recovered base relations. WithSync selects fsync-per-commit
 // (SyncAlways, the default) or OS-buffered (SyncNever); WithCheckpointEvery
 // tunes automatic log compaction; Checkpoint forces it; Close syncs and

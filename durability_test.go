@@ -285,6 +285,74 @@ END pre.`); err != nil {
 	}
 }
 
+// TestDurableConcurrentLoadStore: LoadStore on a durable database replaces
+// the variables inside the pages every other caller reads and writes. Under
+// -race, with inserters and readers running throughout, every read sees at
+// least the image, an insert racing a replacement either lands or fails —
+// it never publishes into the replacement unlogged — and a reopen recovers
+// exactly the state at close.
+func TestDurableConcurrentLoadStore(t *testing.T) {
+	img := saveState(t, openWith(t, cadModule))
+	dir := t.TempDir()
+	db := openDurable(t, dir, dbpl.WithCheckpointEvery(4))
+	if err := db.LoadStore(bytes.NewReader(img)); err != nil {
+		t.Fatal(err)
+	}
+	base, _ := db.Relation("Infront")
+	floor := base.Len()
+	// A writer still holding the replaced store, deterministically.
+	stale := db.StoreSnapshot()
+	if err := db.LoadStore(bytes.NewReader(img)); err != nil {
+		t.Fatal(err)
+	}
+	if err := stale.Insert("Infront", dbpl.NewTuple(dbpl.Str("stale"), dbpl.Str("z"))); err == nil {
+		t.Fatal("an insert through the replaced store succeeded")
+	}
+	if rel, _ := db.Relation("Infront"); rel.Len() != floor {
+		t.Fatal("an insert through the replaced store reached the replacement")
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 10; i++ {
+			if err := db.LoadStore(bytes.NewReader(img)); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				_ = db.Insert("Infront", dbpl.NewTuple(dbpl.Str(fmt.Sprintf("g%d-%d", g, i)), dbpl.Str("z")))
+				if rel, ok := db.Relation("Infront"); !ok || rel.Len() < floor {
+					errs <- fmt.Errorf("Infront read during LoadStore: declared %v, want at least the image's %d tuples", ok, floor)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	want := saveState(t, db)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2 := openDurable(t, dir)
+	defer db2.Close()
+	if got := saveState(t, db2); !bytes.Equal(got, want) {
+		t.Fatal("reopen after concurrent LoadStore and inserts differs from the state at close")
+	}
+}
+
 func TestDurableCloseRejectsMutations(t *testing.T) {
 	dir := t.TempDir()
 	db := openDurable(t, dir)

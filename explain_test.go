@@ -763,7 +763,7 @@ func TestOptimizedEquivalence(t *testing.T) {
 				return db
 			}
 			paged := func() []dbpl.Option {
-				return []dbpl.Option{dbpl.WithPath(t.TempDir()), dbpl.WithEngine(dbpl.EnginePaged), dbpl.WithBufferPoolPages(4)}
+				return []dbpl.Option{dbpl.WithPath(t.TempDir()), dbpl.WithBufferPoolPages(4)}
 			}
 			reference := open(dbpl.WithoutOptimization())
 			others := map[string]*dbpl.DB{

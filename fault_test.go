@@ -310,6 +310,74 @@ func TestFaultSessionCheckpointRetry(t *testing.T) {
 	})
 }
 
+// TestFaultSessionLoadStoreKeepsStateOnFailure: LoadStore on a durable
+// database imports the image into the pages the current variables live in,
+// so a replacement that does not commit — a truncated image, or a checkpoint
+// that runs out of disk — must leave those variables published, writable and
+// recoverable, exactly as before the call.
+func TestFaultSessionLoadStoreKeepsStateOnFailure(t *testing.T) {
+	donor := mustOpen(t)
+	if err := donor.Declare("D", faultPairType()); err != nil {
+		t.Fatal(err)
+	}
+	if err := donor.Insert("D", pair("d", "e")); err != nil {
+		t.Fatal(err)
+	}
+	img := saveFaultState(t, donor)
+	load := func(db *DB) error { return db.LoadStore(bytes.NewReader(img)) }
+	k := faultIndexAfterSeed(t, fsx.OpWrite, ".tmp", func(db *DB) {
+		if err := load(db); err != nil {
+			t.Fatal(err)
+		}
+	})
+	for _, tc := range []struct {
+		name  string
+		fault *fsx.Fault
+		load  func(db *DB) error
+	}{
+		{"truncated-image", nil, func(db *DB) error { return db.LoadStore(bytes.NewReader(img[:len(img)-3])) }},
+		{"checkpoint-enospc", &fsx.Fault{Index: k, Err: syscall.ENOSPC}, load},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mem := fsx.NewMemFS()
+			ffs := fsx.NewFaultFS(mem)
+			if tc.fault != nil {
+				ffs.Inject(*tc.fault)
+			}
+			db := openFaultDB(t, ffs)
+			seedFaultDB(t, db)
+			before := saveFaultState(t, db)
+			if err := tc.load(db); err == nil {
+				t.Fatal("LoadStore reported success")
+			}
+			if got := saveFaultState(t, db); !bytes.Equal(got, before) {
+				t.Fatal("a failed LoadStore changed the published variables")
+			}
+			if err := db.Insert("R", pair("c", "d")); err != nil {
+				t.Fatalf("insert after a failed LoadStore: %v", err)
+			}
+			if err := db.Checkpoint(); err != nil {
+				t.Fatalf("checkpoint after a failed LoadStore: %v", err)
+			}
+			want := saveFaultState(t, db)
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			db2 := openFaultDB(t, mem)
+			defer db2.Close()
+			if got := saveFaultState(t, db2); !bytes.Equal(got, want) {
+				t.Fatal("reopen after a failed LoadStore lost or changed state")
+			}
+			if err := load(db2); err != nil {
+				t.Fatalf("LoadStore after recovery: %v", err)
+			}
+			if got := saveFaultState(t, db2); !bytes.Equal(got, img) {
+				t.Fatal("LoadStore after recovery did not install the image")
+			}
+		})
+	}
+}
+
 // TestFaultSessionCrashRecoveryPrefix: crash at the fsync of a later commit —
 // reopening from the crash image yields the committed prefix only, and the
 // prefix includes every commit that was acknowledged before the crash.

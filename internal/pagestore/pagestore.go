@@ -1,10 +1,10 @@
-// Package pagestore is the paged storage engine behind the store.Engine
-// interface: relation tuples live in fixed-size heap pages in a single
-// pages.heap file, resident pages share a bounded buffer pool with pin/unpin
-// and clock eviction, and checkpoints are incremental — only dirty pages are
-// flushed, and the snapshot file the WAL rotates in is a small page manifest
-// instead of a full logical image, so checkpoint cost is O(changed pages),
-// not O(database).
+// Package pagestore is the storage engine of every durable database, behind
+// the store.Engine interface: relation tuples live in fixed-size heap pages
+// in a single pages.heap file, resident pages share a buffer pool with
+// pin/unpin and clock eviction, and checkpoints are incremental — only dirty
+// pages are flushed, and the snapshot file the WAL rotates in is a small page
+// manifest instead of a full logical image, so checkpoint cost is O(changed
+// pages), not O(database).
 //
 // # Shadow paging and the checkpoint protocol
 //
@@ -14,25 +14,30 @@
 // the next manifest commits (wal.Options.OnCheckpoint → CheckpointCommitted).
 // Flushes to unpinned slots are in-place. A checkpoint therefore writes: the
 // dirty pages (to free or fresh slots), one heap fsync, then the manifest —
-// which the WAL renames into place exactly as it renames memory-engine
-// snapshots. A crash at any point leaves the previous manifest's slots
-// untouched, so recovery is always the committed generation plus the WAL
-// tail.
+// which the WAL renames into place as its snapshot. A crash at any point
+// leaves the previous manifest's slots untouched, so recovery is always the
+// committed generation plus the WAL tail.
 //
 // # Residency and the key index
 //
 // Get decodes a relation from its pages into a relation.Relation (a
 // materialization) and keeps it resident under an LRU budget of decoded
 // bytes (Config.ResidentBytes); a value dropped from the budget is decoded
-// again by the next Get. Grow — the check half of an Insert — grows a
-// resident value in memory as on the memory engine, and makes a non-resident
-// value that fits the budget resident first, as Get would: it is decoded once
-// and later Inserts cost O(batch). Only a relation whose decoded value alone
-// exceeds the budget — keeping it resident would evict every other value —
-// is grown without being decoded: its batch is checked against a key index (a
-// hash of each stored key's encoding → the ordinal of the page holding it;
-// see keyindex.go) and appended to the tail page, leaving it non-resident and
-// the resident values in place. The engine keeps one key index at most, for
+// again by the next Get. With unbounded residency (ResidentBytes < 0, a
+// durable database without WithBufferPoolPages) nothing is ever dropped, and
+// the pool holds a frame only while it is dirty: a frame a checkpoint or an
+// eviction has written back, or one a materialization has decoded, is
+// released, since the decoded value already holds what it would duplicate.
+//
+// Grow — the check half of an Insert — grows a resident value in memory as
+// on the memory engine, and makes a non-resident value that fits the budget
+// resident first, as Get would: it is decoded once and later Inserts cost
+// O(batch). Only a relation whose decoded value alone exceeds the budget —
+// keeping it resident would evict every other value — is grown without being
+// decoded: its batch is checked against a key index (a hash of each stored
+// key's encoding → the ordinal of the page holding it; see keyindex.go) and
+// appended to the tail page, leaving it non-resident and the resident values
+// in place. The engine keeps one key index at most, for
 // its most recent such target, built by one key-only pass over that table's
 // pages and never persisted; it is dropped when the table gets a resident
 // value, on LoadManifest and on Close.
@@ -46,8 +51,8 @@
 // data), a heap read failure fails that materialization — or that Grow, so
 // the Insert fails before anything is logged — and is retried on the next
 // access, and a checkpoint failure is a clean, retryable checkpoint failure
-// at the WAL layer. LastErr surfaces the most recent fault for health
-// reporting.
+// at the WAL layer. Stats().LastErr surfaces the most recent fault for health
+// reporting; unlike the WAL's poison it is informational.
 //
 // All file I/O goes through fsx.FS, so the crash-simulation harness sweeps
 // the engine's fault points exactly as it does the WAL's.
@@ -84,6 +89,7 @@ const (
 	DefaultResidentFactor = 8
 
 	heapName        = "pages.heap"
+	manifestMagic   = "DBPLPMAN"
 	manifestVersion = 1
 )
 
@@ -103,7 +109,7 @@ type Config struct {
 	// ResidentBytes bounds the decoded (materialized) relations kept
 	// resident; least recently used are dropped beyond it. 0 means
 	// DefaultResidentFactor times the pool's byte budget; negative means
-	// unlimited.
+	// unlimited, and then the pool keeps only dirty frames.
 	ResidentBytes int64
 }
 
@@ -154,6 +160,8 @@ type Engine struct {
 	free []int64
 	// unsynced reports heap writes since the last successful heap fsync.
 	unsynced bool
+	// scratch is appendTupleLocked's encoding buffer.
+	scratch []byte
 
 	// Residency of materialized relations.
 	lru      *list.List // of *table, front = most recent
@@ -241,9 +249,6 @@ func (e *Engine) Close() error {
 	return e.file.Close()
 }
 
-// EngineName implements store.Engine.
-func (e *Engine) EngineName() string { return "paged" }
-
 // Declare implements store.Engine.
 func (e *Engine) Declare(name string, typ schema.RelationType) {
 	e.mu.Lock()
@@ -327,6 +332,7 @@ func (e *Engine) valueLocked(t *table) (*relation.Relation, error) {
 		return t.cached, nil
 	}
 	rel, err := e.materializeLocked(t)
+	e.releaseCleanLocked()
 	if err != nil {
 		e.lastErr = err
 		return nil, err
@@ -399,15 +405,6 @@ func (e *Engine) PublishDelta(name string, tuples []value.Tuple, next *relation.
 	e.setCachedLocked(t, next)
 }
 
-// LastErr returns the most recent page I/O or corruption failure (nil if
-// none). Unlike the WAL's poison it is informational: the engine keeps
-// operating from memory and retries I/O on later calls.
-func (e *Engine) LastErr() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.lastErr
-}
-
 // ---------------------------------------------------------------------------
 // Page faulting, appending, eviction
 // ---------------------------------------------------------------------------
@@ -443,6 +440,27 @@ func (e *Engine) frameLocked(p *page) (*frame, error) {
 	p.frame = f
 	e.pool.add(f)
 	return f, nil
+}
+
+// releaseCleanLocked drops every clean, unpinned frame from the pool when
+// residency is unbounded: each table's value is then decoded and resident
+// for good, so a clean frame would only hold its bytes twice.
+func (e *Engine) releaseCleanLocked() {
+	if e.resCap >= 0 {
+		return
+	}
+	bp := &e.pool
+	kept := bp.frames[:0]
+	for _, f := range bp.frames {
+		if f.dirty || f.pins > 0 {
+			kept = append(kept, f)
+			continue
+		}
+		bp.usedSlots -= f.p.nslots
+		f.p.frame = nil
+	}
+	clear(bp.frames[len(kept):])
+	bp.frames, bp.hand = kept, 0
 }
 
 // ensureRoomLocked evicts unpinned frames until n more slots fit the pool
@@ -542,14 +560,16 @@ func (e *Engine) releaseRunLocked(slot int64, n int) {
 	}
 }
 
-// appendTupleLocked encodes one tuple onto the relation's tail page.
+// appendTupleLocked encodes one tuple onto the relation's tail page, through
+// the engine's scratch buffer.
 func (e *Engine) appendTupleLocked(t *table, tup value.Tuple) {
-	enc, err := appendTuple(nil, tup)
+	enc, err := appendTuple(e.scratch[:0], tup)
 	if err != nil {
 		// Unencodable values cannot reach a typed relation; record and drop.
 		e.lastErr = err
 		return
 	}
+	e.scratch = enc
 	e.appendEncodedLocked(t, enc)
 }
 
@@ -681,16 +701,47 @@ func (e *Engine) dropCachedLocked(t *table) {
 	e.matEvictions++
 }
 
+// Replace empties the engine for a wholesale replacement of its variables (a
+// LoadStore imports the new ones next) and returns done, which settles it:
+// done(true) once the replacement's checkpoint has committed drops the
+// detached variables, done(false) drops the replacement and reattaches them.
+// Until then the detached pages keep their frames and slots, so an abandoned
+// replacement loses nothing.
+func (e *Engine) Replace() (done func(commit bool)) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	old := e.rels
+	e.rels = make(map[string]*table)
+	e.kidx = nil
+	return func(commit bool) {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		drop := old
+		if !commit {
+			drop, e.rels = e.rels, old
+		}
+		for _, t := range drop {
+			e.dropPagesLocked(t)
+			if t.elem != nil {
+				e.dropCachedLocked(t)
+			}
+		}
+		// The dropped pages' slots are free unless a manifest pins them.
+		e.rebuildFreeLocked()
+		e.kidx = nil
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Checkpoints: dirty-page flush plus manifest
 // ---------------------------------------------------------------------------
 
 // WriteCheckpoint implements store.CheckpointWriter: flush the dirty pages,
 // fsync the heap once, then write the page manifest to w (the WAL's snapshot
-// temp file, which it fsyncs and renames — the rename is the commit point,
-// shared with the memory engine's snapshots). Any failure here is a clean,
-// retryable checkpoint failure: the previous manifest and its slots are
-// untouched.
+// temp file, which it fsyncs and renames — the rename is the commit point).
+// Any failure here is a clean, retryable checkpoint failure: the previous
+// manifest and its slots are untouched. With unbounded residency the flushed
+// frames leave the pool.
 func (e *Engine) WriteCheckpoint(w io.Writer) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -735,6 +786,7 @@ func (e *Engine) WriteCheckpoint(w io.Writer) error {
 	e.pending = pending
 	e.lastCkptPages = pages
 	e.lastCkptBytes = bytes + uint64(cw.n)
+	e.releaseCleanLocked()
 	return nil
 }
 
@@ -778,7 +830,7 @@ func (e *Engine) rebuildFreeLocked() {
 // and the (slot, run, bytes, tuples) of each page, in page order.
 func (e *Engine) writeManifestLocked(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(store.PagedManifestMagic); err != nil {
+	if _, err := bw.WriteString(manifestMagic); err != nil {
 		return err
 	}
 	if err := bw.WriteByte(manifestVersion); err != nil {
@@ -824,21 +876,38 @@ func (e *Engine) writeManifestLocked(w io.Writer) error {
 	return bw.Flush()
 }
 
+// Load installs the newest snapshot of a durable database's directory as the
+// engine's state and returns the store over it (wal.Options.LoadSnapshot). A
+// page manifest loads as LoadManifest does. Anything else is read as a
+// store.Save image, the snapshot format written before every durable database
+// checkpointed pages, and imported into fresh pages exactly as LoadStore
+// imports one (store.LoadInto); the next checkpoint writes them out under a
+// manifest.
+func (e *Engine) Load(r io.Reader) (*store.Database, error) {
+	br := bufio.NewReader(r)
+	if head, err := br.Peek(len(manifestMagic)); err == nil && string(head) != manifestMagic {
+		return store.LoadInto(br, e)
+	}
+	if err := e.LoadManifest(br); err != nil {
+		return nil, err
+	}
+	return store.NewDatabaseWith(e), nil
+}
+
 // LoadManifest rebuilds the engine's table and slot state from a committed
-// manifest (the WAL's recovery path hands it the newest snapshot file). Page
-// contents stay on disk and fault in lazily. It fails loudly on a
-// memory-engine snapshot and on a page-size mismatch.
+// manifest. Page contents stay on disk and fault in lazily. It fails loudly
+// on a Save image and on a page-size mismatch.
 func (e *Engine) LoadManifest(r io.Reader) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	br := bufio.NewReader(r)
-	head := make([]byte, len(store.PagedManifestMagic))
+	head := make([]byte, len(manifestMagic))
 	if _, err := io.ReadFull(br, head); err != nil {
 		return err
 	}
-	if string(head) != store.PagedManifestMagic {
+	if string(head) != manifestMagic {
 		if string(head) == "DBPLSTOR" {
-			return fmt.Errorf("pagestore: memory-engine snapshot, not a page manifest (open this database with the memory engine)")
+			return fmt.Errorf("pagestore: a Save image, the memory engine's format, not a page manifest (recover it with Load)")
 		}
 		return fmt.Errorf("pagestore: not a page manifest")
 	}
@@ -922,7 +991,6 @@ func (e *Engine) LoadManifest(r io.Reader) error {
 // Stats is a point-in-time snapshot of the engine's pool, residency, and
 // checkpoint counters.
 type Stats struct {
-	PageSize  int
 	PoolPages int
 	// PoolUsed is the resident frame footprint in slots; it can exceed
 	// PoolPages while nothing is evictable (see Overflows).
@@ -935,7 +1003,6 @@ type Stats struct {
 	// DirtyPages is the number of resident frames awaiting write-back — the
 	// incremental cost of the next checkpoint.
 	DirtyPages int
-	Relations  int
 	// Tuples is the number of tuples stored across all relations' pages.
 	Tuples int
 	// ResidentRelations and MaterializedEvictions describe the decoded-
@@ -947,19 +1014,9 @@ type Stats struct {
 	Materializations      uint64
 	KeyIndexBuilds        uint64
 	HeapSlots             int64
-	FreeSlots             int
 	LastCheckpointPages   uint64
 	LastCheckpointBytes   uint64
 	LastErr               error
-}
-
-// HitRate is the fraction of page accesses served from the pool, in [0, 1].
-func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
 }
 
 // Stats returns current counters.
@@ -977,7 +1034,6 @@ func (e *Engine) Stats() Stats {
 		tuples += t.tuples
 	}
 	return Stats{
-		PageSize:              e.pageSize,
 		PoolPages:             e.pool.capSlots,
 		PoolUsed:              e.pool.usedSlots,
 		Hits:                  e.pool.hits,
@@ -986,14 +1042,12 @@ func (e *Engine) Stats() Stats {
 		WriteBacks:            e.pool.writeBacks,
 		Overflows:             e.pool.overflows,
 		DirtyPages:            dirty,
-		Relations:             len(e.rels),
 		Tuples:                tuples,
 		ResidentRelations:     e.lru.Len(),
 		MaterializedEvictions: e.matEvictions,
 		Materializations:      e.materializations,
 		KeyIndexBuilds:        e.keyIndexBuilds,
 		HeapSlots:             e.nSlots,
-		FreeSlots:             len(e.free),
 		LastCheckpointPages:   e.lastCkptPages,
 		LastCheckpointBytes:   e.lastCkptBytes,
 		LastErr:               e.lastErr,

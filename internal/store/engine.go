@@ -1,10 +1,13 @@
 package store
 
 // The storage-engine split: Database owns semantics (guarded assignment,
-// write-ahead logging, subscriptions, observers, transactions) and delegates the physical binding of variable names to relation values to
-// a pluggable Engine. The memory engine below keeps everything resident —
-// byte-for-byte the pre-split behavior — while internal/pagestore implements
-// the same contract over heap-file pages behind a buffer pool.
+// write-ahead logging, subscriptions, observers, transactions) and delegates
+// the physical binding of variable names to relation values to a pluggable
+// Engine. The memory engine below keeps everything resident and has no
+// durable format: it backs databases without a path and replicas. Every
+// durable database runs on internal/pagestore, which implements the same
+// contract over heap-file pages behind a buffer pool and checkpoints through
+// CheckpointWriter.
 
 import (
 	"io"
@@ -33,9 +36,6 @@ import (
 // The owner of an engine that holds resources (the paged engine's heap file)
 // closes it through its concrete type; the Database never does.
 type Engine interface {
-	// EngineName identifies the implementation ("memory", "paged") for
-	// health reporting.
-	EngineName() string
 	// Declare creates a variable of the given type bound to an empty
 	// relation. The Database has already validated the type and rejected
 	// duplicates.
@@ -82,11 +82,11 @@ type Engine interface {
 	PublishDelta(name string, tuples []value.Tuple, next *relation.Relation)
 }
 
-// CheckpointWriter is implemented by engines whose checkpoint format is not
-// the logical Save image — the paged engine writes a page manifest and
-// flushes only dirty pages, making checkpoint cost O(dirty), not
-// O(database). The Database routes WAL checkpoint state through it when
-// present; logical snapshots for replication (Subscribe) always use Save.
+// CheckpointWriter is implemented by engines that can back a logged
+// Database: the paged engine writes a page manifest and flushes only dirty
+// pages, making checkpoint cost O(dirty), not O(database). The Database
+// routes WAL checkpoint state through it, and only through it; logical
+// snapshots for replication (Subscribe) always use Save.
 type CheckpointWriter interface {
 	WriteCheckpoint(w io.Writer) error
 }
@@ -98,15 +98,14 @@ type memEngine struct {
 	typs map[string]schema.RelationType
 }
 
-// NewMemoryEngine returns the fully resident storage engine (the default).
+// NewMemoryEngine returns the fully resident storage engine (the default
+// without a path).
 func NewMemoryEngine() Engine {
 	return &memEngine{
 		vars: make(map[string]*relation.Relation),
 		typs: make(map[string]schema.RelationType),
 	}
 }
-
-func (e *memEngine) EngineName() string { return "memory" }
 
 func (e *memEngine) Declare(name string, typ schema.RelationType) {
 	e.vars[name] = relation.New(typ)

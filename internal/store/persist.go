@@ -15,6 +15,7 @@ import (
 	"io"
 	"sort"
 
+	"repro/internal/relation"
 	"repro/internal/schema"
 	"repro/internal/value"
 )
@@ -23,12 +24,6 @@ const (
 	magic   = "DBPLSTOR"
 	version = 1
 )
-
-// PagedManifestMagic is the header of a paged-engine checkpoint manifest
-// (written by internal/pagestore). Load recognizes it only to fail with a
-// pointed error: a paged database directory cannot be opened on the memory
-// engine.
-const PagedManifestMagic = "DBPLPMAN"
 
 // WriteUvarint writes an unsigned varint.
 func WriteUvarint(w *bufio.Writer, u uint64) error {
@@ -260,11 +255,10 @@ func (db *Database) Save(w io.Writer) error {
 	return db.saveLocked(w)
 }
 
-// saveLocked is Save's body, callable while db.mu is already held (the
-// write-ahead logger snapshots the store mid-mutation, under the mutator's
-// lock). It is the logical image: on the paged engine every variable is
-// materialized through the buffer pool, and an I/O failure fails the save
-// rather than silently writing a partial database.
+// saveLocked is Save's body, callable while db.mu is already held (Subscribe
+// captures the image under the write lock). It is the logical image: on the
+// paged engine every variable is materialized through the buffer pool, and an
+// I/O failure fails the save rather than silently writing a partial database.
 func (db *Database) saveLocked(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(magic); err != nil {
@@ -308,17 +302,23 @@ func (db *Database) saveLocked(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Load reads a database previously written by Save.
+// Load reads a database previously written by Save into a new database on
+// the memory engine.
 func Load(r io.Reader) (*Database, error) {
+	return LoadInto(r, NewMemoryEngine())
+}
+
+// LoadInto reads a database previously written by Save into a new database
+// over engine, which holds no variables yet: each variable is declared, then
+// published whole. A durable session imports through it into its page engine
+// twice: LoadStore, and recovery from a snapshot written as a Save image.
+func LoadInto(r io.Reader, engine Engine) (*Database, error) {
 	br := bufio.NewReader(r)
 	head := make([]byte, len(magic))
 	if _, err := io.ReadFull(br, head); err != nil {
 		return nil, err
 	}
 	if string(head) != magic {
-		if string(head) == PagedManifestMagic {
-			return nil, fmt.Errorf("store: paged-engine page manifest, not a memory-engine snapshot (open this database with the paged engine)")
-		}
 		return nil, fmt.Errorf("store: not a DBPL store file")
 	}
 	ver, err := br.ReadByte()
@@ -332,7 +332,7 @@ func Load(r io.Reader) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := NewDatabase()
+	db := NewDatabaseWith(engine)
 	for i := uint64(0); i < nVars; i++ {
 		name, err := ReadString(br)
 		if err != nil {
@@ -350,7 +350,7 @@ func Load(r io.Reader) (*Database, error) {
 			return nil, err
 		}
 		arity := typ.Element.Arity()
-		rel, _ := db.Get(name)
+		rel := relation.New(typ)
 		for j := uint64(0); j < nTuples; j++ {
 			tup := make(value.Tuple, arity)
 			for k := range tup {
@@ -362,6 +362,7 @@ func Load(r io.Reader) (*Database, error) {
 				return nil, err
 			}
 		}
+		engine.Publish(name, rel)
 	}
 	return db, nil
 }

@@ -12,6 +12,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"maps"
@@ -51,9 +52,10 @@ type Mutation struct {
 
 // Logger receives every committed mutation before it is published
 // (write-ahead). Append is called with the database's write lock held; state
-// serializes the pre-batch published state in Save format, so the logger can
-// cut a snapshot checkpoint at exactly the log position it is appending to.
-// An Append error aborts the mutation: nothing is published.
+// writes the engine's checkpoint of the pre-batch published state (see
+// CheckpointWriter), so the logger can cut a snapshot checkpoint at exactly
+// the log position it is appending to. An Append error aborts the mutation:
+// nothing is published.
 //
 // Lock ordering: the store lock is always acquired before any logger-internal
 // lock (Append and Checkpoint are only ever called with db.mu held), so a
@@ -133,9 +135,6 @@ func NewDatabaseWith(engine Engine) *Database {
 	return &Database{engine: engine}
 }
 
-// EngineName identifies the storage engine backing the database.
-func (db *Database) EngineName() string { return db.engine.EngineName() }
-
 // Declare introduces a variable of the given type, initialized empty.
 func (db *Database) Declare(name string, typ schema.RelationType) error {
 	if err := typ.Validate(); err != nil {
@@ -173,16 +172,16 @@ func (db *Database) logLocked(batch []Mutation) error {
 }
 
 // ckptStateLocked is the checkpoint-state closure handed to the logger: the
-// engine's native checkpoint format when it has one (the paged engine's
-// dirty-page flush plus manifest), otherwise the logical Save image. Caller
-// holds db.mu. Replication snapshots (Subscribe) deliberately do not come
-// through here — a replica is a memory-engine store and needs the logical
-// image regardless of the primary's engine.
+// engine's checkpoint (the paged engine's dirty-page flush plus manifest); an
+// engine without one cannot checkpoint. Caller holds db.mu. Replication
+// snapshots (Subscribe) deliberately do not come through here — a replica is
+// a memory-engine store and needs the logical Save image.
 func (db *Database) ckptStateLocked(w io.Writer) error {
-	if cw, ok := db.engine.(CheckpointWriter); ok {
-		return cw.WriteCheckpoint(w)
+	cw, ok := db.engine.(CheckpointWriter)
+	if !ok {
+		return fmt.Errorf("store: a %T has no checkpoint format", db.engine)
 	}
-	return db.saveLocked(w)
+	return cw.WriteCheckpoint(w)
 }
 
 // Subscription is one attached consumer of the database's committed-mutation
@@ -318,7 +317,7 @@ func (db *Database) SetLogger(l Logger) {
 // held before. A durable session uses it when LoadStore swaps in a
 // replacement store; on failure nothing on disk has moved past its commit
 // point and the logger is not attached, so the session can keep the previous
-// store durable.
+// store durable (see Retire).
 func (db *Database) AdoptLogger(l Logger) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -328,6 +327,32 @@ func (db *Database) AdoptLogger(l Logger) error {
 	db.logger = l
 	return nil
 }
+
+// errRetired is the error of every write to a database that Retire handed
+// its engine over from.
+var errRetired = errors.New("store: the database was replaced; nothing written")
+
+// Retire runs replace with db write-locked, so no read or write of db
+// overlaps it. replace builds a store that takes over db's engine (LoadStore
+// on a durable database imports into the engine db runs on); once it
+// succeeds, db refuses every later write with errRetired, since publishing
+// into that engine would now write into the replacement unlogged. If replace
+// fails, db is left as it was.
+func (db *Database) Retire(replace func() error) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	err := replace()
+	if err == nil {
+		db.logger = retiredLogger{}
+	}
+	return err
+}
+
+// retiredLogger is the logger of a retired database: it refuses everything.
+type retiredLogger struct{}
+
+func (retiredLogger) Append([]Mutation, func(io.Writer) error) error { return errRetired }
+func (retiredLogger) Checkpoint(func(io.Writer) error) error         { return errRetired }
 
 // Checkpoint asks the attached logger to cut a snapshot of the current state
 // and truncate the log; it is a no-op without a logger. Concurrent mutations

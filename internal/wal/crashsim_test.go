@@ -133,33 +133,56 @@ type simEnv struct {
 	name   string
 	open   func(fs fsx.FS) (*Log, *store.Database, error)
 	reopen func(fs fsx.FS) (*Log, *store.Database, error)
-	// pager is the paged engine the latest open or reopen wired in (nil on
-	// the memory engine).
+	// pager is the paged engine the latest open or reopen wired in (nil when
+	// the workload ran on saveImageEngine).
 	pager *pagestore.Engine
 }
 
-func memSimEnv() *simEnv {
-	return &simEnv{
-		name: "memory",
-		open: func(fs fsx.FS) (*Log, *store.Database, error) {
-			return Open(simDir, simOptions(fs))
-		},
-		reopen: func(fs fsx.FS) (*Log, *store.Database, error) {
-			return Open(simDir, Options{FS: fs})
-		},
-	}
+// saveImageEngine is the memory engine checkpointing the store.Save image,
+// the snapshot format of every durable database before they all checkpointed
+// pages: what a directory written then holds.
+type saveImageEngine struct{ store.Engine }
+
+func (e saveImageEngine) WriteCheckpoint(w io.Writer) error {
+	return store.NewDatabaseWith(e.Engine).Save(w)
 }
 
-// pagedSimEnv wires the paged engine exactly as the session layer does:
-// empty-directory recovery starts over blank pages, snapshot generations
-// load as page manifests, and committed checkpoints retire superseded slots.
-// A deliberately tiny pool (2 slots of 128 bytes) forces eviction write-backs
-// mid-workload, so heap-page writes and the incremental checkpoint's flush,
-// heap fsync, and manifest write all appear among the swept fault points.
-// Residency is unlimited: materializations never drop mid-run, so every
-// Insert grows a resident value.
+// saveImageSimEnv runs the workload on saveImageEngine, so every snapshot
+// generation is a Save image, and recovers through the resident page engine
+// as a durable session opening such a directory does: the sweep covers that
+// upgrade at every fault point of the old format's checkpoints.
+func saveImageSimEnv() *simEnv {
+	env := residentSimEnv()
+	env.name = "save-image"
+	newStore := func() (*store.Database, error) {
+		return store.NewDatabaseWith(saveImageEngine{store.NewMemoryEngine()}), nil
+	}
+	env.open = func(fs fsx.FS) (*Log, *store.Database, error) {
+		opts := simOptions(fs)
+		opts.NewStore = newStore
+		opts.LoadSnapshot = func(r io.Reader) (*store.Database, error) {
+			return store.LoadInto(r, saveImageEngine{store.NewMemoryEngine()})
+		}
+		return Open(simDir, opts)
+	}
+	return env
+}
+
+// residentSimEnv wires the page engine as a durable session without
+// WithBufferPoolPages does — unbounded residency, so the pool keeps only
+// dirty frames — with deliberately tiny pages and pool (2 slots of 128
+// bytes), so eviction write-backs, tail pages faulted back in after a
+// checkpoint released them, and the checkpoint's flush, heap fsync, and
+// manifest write all appear among the swept fault points.
+func residentSimEnv() *simEnv {
+	return pagedEnv("resident", pagestore.Config{PageSize: 128, PoolPages: 2, ResidentBytes: -1})
+}
+
+// pagedSimEnv is residentSimEnv with a bounded residency budget the workload
+// never reaches: materializations never drop mid-run, so every Insert grows a
+// resident value, and the pool keeps clean frames as a bounded pool does.
 func pagedSimEnv() *simEnv {
-	return pagedEnv("paged", pagestore.Config{PageSize: 128, PoolPages: 2, ResidentBytes: -1})
+	return pagedEnv("paged", pagestore.Config{PageSize: 128, PoolPages: 2, ResidentBytes: 1 << 30})
 }
 
 // pagedColdSimEnv is pagedSimEnv with a residency of one relation and a
@@ -171,6 +194,10 @@ func pagedColdSimEnv() *simEnv {
 	return pagedEnv("paged-cold", pagestore.Config{PageSize: 128, PoolPages: 1, ResidentBytes: 1})
 }
 
+// pagedEnv wires the paged engine exactly as the session layer does:
+// empty-directory recovery starts over blank pages, snapshot generations
+// load through Engine.Load, and committed checkpoints retire superseded
+// slots.
 func pagedEnv(name string, cfg pagestore.Config) *simEnv {
 	env := &simEnv{name: name}
 	pagedOpen := func(fs fsx.FS, walOpts Options) (*Log, *store.Database, error) {
@@ -183,12 +210,7 @@ func pagedEnv(name string, cfg pagestore.Config) *simEnv {
 		walOpts.NewStore = func() (*store.Database, error) {
 			return store.NewDatabaseWith(pager), nil
 		}
-		walOpts.LoadSnapshot = func(r io.Reader) (*store.Database, error) {
-			if err := pager.LoadManifest(r); err != nil {
-				return nil, err
-			}
-			return store.NewDatabaseWith(pager), nil
-		}
+		walOpts.LoadSnapshot = pager.Load
 		walOpts.OnCheckpoint = pager.CheckpointCommitted
 		l, db, err := Open(simDir, walOpts)
 		if err != nil {
@@ -235,13 +257,6 @@ func runSim(t *testing.T, env *simEnv, fs fsx.FS, steps []simStep) (shadow *stor
 		}
 	}
 	return shadow, firstFailed, l, db, nil
-}
-
-// reopenFrom opens the memory-engine database persisted in a surviving
-// filesystem image with no faults scripted.
-func reopenFrom(t *testing.T, fs fsx.FS) (*Log, *store.Database) {
-	t.Helper()
-	return envReopen(t, memSimEnv(), fs)
 }
 
 // envReopen recovers from a surviving filesystem image with the given
@@ -293,16 +308,27 @@ func matchesAny(got []byte, candidates [][]byte) bool {
 // ways — the operation fails with an I/O error, the machine crashes at it, or
 // (for writes) the write is torn short and then the machine crashes — and
 // recovery from the surviving state must yield exactly a committed prefix.
+// Here the workload writes Save-image snapshots, the format of a directory
+// from before every durable database checkpointed pages, and recovery reads
+// them into the resident page engine.
 func TestCrashSimEveryFaultPoint(t *testing.T) {
-	sweepEveryFaultPoint(t, memSimEnv())
+	sweepEveryFaultPoint(t, saveImageSimEnv())
 }
 
-// TestCrashSimEveryFaultPointPaged runs the same every-fault-point sweep over
-// the paged storage engine. The recorded operation sequence now includes heap
-// page writes (eviction write-backs and checkpoint flushes), the heap fsync,
-// and the incremental page-manifest write inside each checkpoint — every one
-// of them is failed, crashed, and torn in turn, and recovery must still yield
-// exactly a committed prefix.
+// TestCrashSimEveryFaultPointResident runs the same sweep over the engine of
+// every durable session without WithBufferPoolPages. The recorded operation
+// sequence includes heap page writes (eviction write-backs and checkpoint
+// flushes), heap reads of tail pages a checkpoint released from the pool,
+// the heap fsync, and the incremental page-manifest write inside each
+// checkpoint — every one of them is failed, crashed, and torn in turn, and
+// recovery must still yield exactly a committed prefix.
+func TestCrashSimEveryFaultPointResident(t *testing.T) {
+	sweepEveryFaultPoint(t, residentSimEnv())
+}
+
+// TestCrashSimEveryFaultPointPaged runs the sweep over the bounded paged
+// engine whose pool keeps clean frames, so tail pages are appended to in
+// place after a checkpoint.
 func TestCrashSimEveryFaultPointPaged(t *testing.T) {
 	sweepEveryFaultPoint(t, pagedSimEnv())
 }
@@ -520,7 +546,8 @@ func opIndex(t *testing.T, ops []fsx.Op, from int, kind fsx.OpKind, substr strin
 // index) and the faulted run.
 func seedSmall(t *testing.T, fs fsx.FS) (*Log, *store.Database) {
 	t.Helper()
-	l, db, err := Open(simDir, Options{Sync: SyncAlways, CheckpointEvery: -1, FS: fs})
+	opts, _ := resident(t, simDir, Options{Sync: SyncAlways, CheckpointEvery: -1, FS: fs})
+	l, db, err := Open(simDir, opts)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -587,7 +614,7 @@ func TestFaultENOSPCMidSnapshot(t *testing.T) {
 	// Both the crash image and the volatile image recover the full state;
 	// the aborted snapshot attempt left nothing that recovery trips over.
 	for name, fs := range map[string]fsx.FS{"crash": mem.CrashImage(), "volatile": mem.Image()} {
-		l2, db2 := reopenFrom(t, fs)
+		l2, db2 := openAttached(t, simDir, Options{FS: fs})
 		if got := saveBytes(t, db2); !bytes.Equal(got, want2) {
 			t.Fatalf("%s image: recovered state differs after ENOSPC checkpoint", name)
 		}
@@ -632,9 +659,6 @@ func TestFaultFsyncPoisonsLog(t *testing.T) {
 	if err := db.Insert("R", tup("e", "f")); !errors.As(err, &pe) {
 		t.Fatalf("append on poisoned log: got %v, want *PoisonedError", err)
 	}
-	if err := l.Sync(); !errors.As(err, &pe) {
-		t.Fatalf("sync on poisoned log: got %v, want *PoisonedError", err)
-	}
 	if err := db.Checkpoint(); !errors.As(err, &pe) {
 		t.Fatalf("checkpoint on poisoned log: got %v, want *PoisonedError", err)
 	}
@@ -649,7 +673,7 @@ func TestFaultFsyncPoisonsLog(t *testing.T) {
 	}
 
 	crash := mem.CrashImage()
-	l2, db2 := reopenFrom(t, crash)
+	l2, db2 := openAttached(t, simDir, Options{FS: crash})
 	defer l2.Close()
 	if got := saveBytes(t, db2); !bytes.Equal(got, committed) {
 		t.Fatal("crash image after poisoned fsync is not the committed prefix")
@@ -701,7 +725,7 @@ func TestFaultCheckpointRenameDirSyncPoisons(t *testing.T) {
 	_ = l.Close()
 
 	for name, fs := range map[string]fsx.FS{"crash": mem.CrashImage(), "volatile": mem.Image()} {
-		l2, db2 := reopenFrom(t, fs)
+		l2, db2 := openAttached(t, simDir, Options{FS: fs})
 		if got := saveBytes(t, db2); !bytes.Equal(got, committed) {
 			t.Fatalf("%s image after poisoned checkpoint is not the committed state", name)
 		}
@@ -714,21 +738,27 @@ func TestFaultCheckpointRenameDirSyncPoisons(t *testing.T) {
 // not be swallowed (SyncAlways would otherwise acknowledge commits into a
 // file whose directory entry a crash can lose).
 func TestFaultOpenDirSyncPropagates(t *testing.T) {
-	// Pilot: locate the database-directory fsync inside Open (the second
-	// SyncDir; the first, on the parent directory, is best-effort).
+	open := func(fs fsx.FS) (*Log, error) {
+		opts, _ := resident(t, simDir, Options{Sync: SyncAlways, FS: fs})
+		l, _, err := Open(simDir, opts)
+		return l, err
+	}
+	// Pilot: locate the database-directory fsync inside Open that follows
+	// the creation of the log file (the one before it, on the parent
+	// directory, is best-effort, as is the page engine's before that).
 	pmem := fsx.NewMemFS()
 	pilot := fsx.NewFaultFS(pmem)
-	pl, _, err := Open(simDir, Options{Sync: SyncAlways, FS: pilot})
+	pl, err := open(pilot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := opIndex(t, pilot.Ops(), 0, fsx.OpSyncDir, simDir)
+	k := opIndex(t, pilot.Ops(), opIndex(t, pilot.Ops(), 0, fsx.OpOpen, "wal-"), fsx.OpSyncDir, simDir)
 	_ = pl.Close()
 
 	cause := errors.New("simulated dir-fsync failure")
 	ffs := fsx.NewFaultFS(fsx.NewMemFS())
 	ffs.Inject(fsx.Fault{Index: k, Err: cause})
-	if _, _, err := Open(simDir, Options{Sync: SyncAlways, FS: ffs}); !errors.Is(err, cause) {
+	if _, err := open(ffs); !errors.Is(err, cause) {
 		t.Fatalf("Open with failed directory fsync: got %v, want the fsync error", err)
 	}
 
@@ -737,7 +767,7 @@ func TestFaultOpenDirSyncPropagates(t *testing.T) {
 	// the database directory itself.
 	pffs := fsx.NewFaultFS(fsx.NewMemFS())
 	pffs.Inject(fsx.Fault{Index: k - 1, Err: cause})
-	l2, _, err := Open(simDir, Options{Sync: SyncAlways, FS: pffs})
+	l2, err := open(pffs)
 	if err != nil {
 		t.Fatalf("Open with failed parent-dir fsync must succeed, got %v", err)
 	}
@@ -761,7 +791,8 @@ func TestFaultCheckpointRetryRecovers(t *testing.T) {
 	mem := fsx.NewMemFS()
 	ffs := fsx.NewFaultFS(mem)
 	ffs.Inject(fsx.Fault{Index: k, Err: syscall.ENOSPC})
-	l, db, err := Open(simDir, Options{Sync: SyncAlways, CheckpointEvery: -1, CheckpointRetries: 2, FS: ffs})
+	opts, _ := resident(t, simDir, Options{Sync: SyncAlways, CheckpointEvery: -1, CheckpointRetries: 2, FS: ffs})
+	l, db, err := Open(simDir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,10 +15,10 @@ import (
 )
 
 // TestInsertSemanticsMatrix: Insert means one thing on every engine
-// configuration — the memory engine, the paged engine growing a resident
-// value, and the paged engine growing a value it never decodes (residency of
-// one relation, another variable touched first, so the key check runs
-// against the page-addressed key index). Every case — a fresh tuple, an exact
+// configuration — the engine of a durable session (resident, default pages),
+// the same with tiny pages, and the paged engine growing a value it never
+// decodes (residency of one relation, another variable touched first, so the
+// key check runs against the page-addressed key index). Every case — a fresh tuple, an exact
 // duplicate, a key conflict with a stored tuple, a conflict inside the batch,
 // a domain violation, one bad tuple in an otherwise good batch, duplicates
 // mixed with new tuples, an insert into a variable whose only page is on disk
@@ -44,8 +44,8 @@ func TestInsertSemanticsMatrix(t *testing.T) {
 		cold  bool   // inserts must take the paged engine's cold path
 	}
 	configs := []*config{
-		{env: memSimEnv()},
-		{env: pagedEnv("paged-resident", pagestore.Config{PageSize: 128, PoolPages: 2, ResidentBytes: -1}), touch: "R"},
+		{env: pagedEnv("resident", pagestore.Config{ResidentBytes: -1})},
+		{env: residentSimEnv(), touch: "R"},
 		{env: pagedColdSimEnv(), touch: "D", cold: true},
 	}
 	for _, c := range configs {

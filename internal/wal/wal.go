@@ -22,7 +22,7 @@
 // # Failure model
 //
 // A failed append or fsync *poisons* the log: the error is sticky (Err
-// reports it), every later Append/Sync/Checkpoint fails with a
+// reports it), every later Append or Checkpoint fails with a
 // *PoisonedError, and Close reports the poison instead of success. There is
 // deliberately no fsync retry — after a failed fsync the kernel may have
 // dropped the dirty pages while marking them clean, so a retried fsync that
@@ -41,13 +41,17 @@
 //
 // A database directory holds at most two generations of a snapshot/log pair:
 //
-//	snap-0000000007.dbpl   store.Save image of the state at checkpoint 7
+//	snap-0000000007.dbpl   the store engine's checkpoint of the state at 7
 //	wal-0000000007.log     mutations committed since that checkpoint
 //
-// Generation 1 has no snapshot (the initial state is empty). A checkpoint
-// writes snap-(g+1) to a temporary file, fsyncs, atomically renames it into
-// place, starts an empty wal-(g+1), and only then removes generation g — so
-// a crash at any point leaves at least one complete generation on disk.
+// For every durable database the snapshot is a page manifest of
+// internal/pagestore, whose pages live in the directory's pages.heap; a
+// snapshot written before that is a store.Save image, which recovery still
+// reads (Options.LoadSnapshot decides). Generation 1 has no snapshot (the
+// initial state is empty). A checkpoint writes snap-(g+1) to a temporary
+// file, fsyncs, atomically renames it into place, starts an empty
+// wal-(g+1), and only then removes generation g — so a crash at any point
+// leaves at least one complete generation on disk.
 //
 // # Record format
 //
@@ -129,12 +133,11 @@ type Options struct {
 	// (fsx.OsFS). Tests inject fault-scripted filesystems here.
 	FS fsx.FS
 	// NewStore constructs the store recovery starts from when the directory
-	// holds no snapshot; nil means an empty memory-engine store. A paged
-	// session supplies a constructor over its page engine here.
+	// holds no snapshot: an empty store over the storage engine whose
+	// checkpoints the log will rotate in. Required.
 	NewStore func() (*store.Database, error)
-	// LoadSnapshot loads the newest snapshot checkpoint into a store; nil
-	// means store.Load (the memory engine's logical image). The paged
-	// session supplies its manifest loader here.
+	// LoadSnapshot loads the newest snapshot checkpoint into a store over
+	// that engine (pagestore.Engine.Load). Required.
 	LoadSnapshot func(r io.Reader) (*store.Database, error)
 	// OnCheckpoint, when set, runs after a checkpoint commits — the snapshot
 	// rename is durable and the superseded generation is gone — with the new
@@ -246,6 +249,9 @@ func logPath(dir string, gen uint64) string {
 // caller attaches the log with store.Database.SetLogger once it is done
 // inspecting the recovered state.
 func Open(dir string, opts Options) (*Log, *store.Database, error) {
+	if opts.NewStore == nil || opts.LoadSnapshot == nil {
+		return nil, nil, errors.New("wal: Options.NewStore and Options.LoadSnapshot are required")
+	}
 	fs := opts.FS
 	if fs == nil {
 		fs = fsx.OsFS{}
@@ -289,13 +295,8 @@ func Open(dir string, opts Options) (*Log, *store.Database, error) {
 	} else {
 		// No snapshot at all: the initial generation. An existing wal-g
 		// belongs to it (no checkpoint ever completed); otherwise start at 1.
-		if opts.NewStore != nil {
-			db, err = opts.NewStore()
-			if err != nil {
-				return nil, nil, err
-			}
-		} else {
-			db = store.NewDatabase()
+		if db, err = opts.NewStore(); err != nil {
+			return nil, nil, err
 		}
 		gen = 1
 		if len(logs) > 0 {
@@ -382,9 +383,6 @@ func scan(fs fsx.FS, dir string) (snaps, logs []uint64, err error) {
 }
 
 func loadSnapshot(fs fsx.FS, path string, load func(io.Reader) (*store.Database, error)) (*store.Database, error) {
-	if load == nil {
-		load = store.Load
-	}
 	f, err := fs.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
 		return nil, err
@@ -852,23 +850,6 @@ func (l *Log) rotateLocked(state func(io.Writer) error) error {
 	// storage engine retire what the superseded snapshot referenced.
 	if l.onCheckpoint != nil {
 		l.onCheckpoint(next)
-	}
-	return nil
-}
-
-// Sync forces the log file to stable storage regardless of policy. A failure
-// poisons the log, exactly like a failed per-commit fsync.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if l.err != nil {
-		return &PoisonedError{Cause: l.err}
-	}
-	if err := l.f.Sync(); err != nil {
-		return l.poisonLocked(err)
 	}
 	return nil
 }

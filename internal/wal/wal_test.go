@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/pagestore"
 	"repro/internal/relation"
 	"repro/internal/schema"
 	"repro/internal/store"
@@ -30,9 +31,27 @@ func tup(a, b string) value.Tuple {
 	return value.NewTuple(value.Str(a), value.Str(b))
 }
 
-// openAttached opens the log and attaches it to the recovered store.
+// resident wires opts to a fresh page engine over dir with unbounded
+// residency, as a durable session without WithBufferPoolPages does, and
+// returns the engine.
+func resident(t testing.TB, dir string, opts Options) (Options, *pagestore.Engine) {
+	t.Helper()
+	pager, err := pagestore.Open(dir, pagestore.Config{FS: opts.FS, ResidentBytes: -1})
+	if err != nil {
+		t.Fatalf("pagestore.Open(%s): %v", dir, err)
+	}
+	t.Cleanup(func() { _ = pager.Close() })
+	opts.NewStore = func() (*store.Database, error) { return store.NewDatabaseWith(pager), nil }
+	opts.LoadSnapshot = pager.Load
+	opts.OnCheckpoint = pager.CheckpointCommitted
+	return opts, pager
+}
+
+// openAttached opens the log over a resident page engine and attaches it to
+// the recovered store.
 func openAttached(t *testing.T, dir string, opts Options) (*Log, *store.Database) {
 	t.Helper()
+	opts, _ = resident(t, dir, opts)
 	l, db, err := Open(dir, opts)
 	if err != nil {
 		t.Fatalf("wal.Open(%s): %v", dir, err)
@@ -249,7 +268,7 @@ func TestAutomaticCheckpointRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if e.Name() != "snap-"+padGen(gen)+".dbpl" && e.Name() != "wal-"+padGen(gen)+".log" {
+		if e.Name() != "snap-"+padGen(gen)+".dbpl" && e.Name() != "wal-"+padGen(gen)+".log" && e.Name() != "pages.heap" {
 			t.Fatalf("stale file %s after rotation", e.Name())
 		}
 	}
@@ -304,9 +323,15 @@ func TestManualCheckpointAndSnapshotTornTail(t *testing.T) {
 
 func TestAdoptLoggerReplacesState(t *testing.T) {
 	// AdoptLogger persists the adopted store as a snapshot checkpoint that
-	// supersedes everything the log held before.
-	l, db := openAttached(t, t.TempDir(), Options{Sync: SyncNever})
-	dir := l.Dir()
+	// supersedes everything the log held before — here, as in LoadStore, a
+	// replacement built in the page engine the old store ran on.
+	dir := t.TempDir()
+	opts, pager := resident(t, dir, Options{Sync: SyncNever})
+	l, db, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.SetLogger(l)
 	if err := db.Declare("Old", pairType("old")); err != nil {
 		t.Fatal(err)
 	}
@@ -314,16 +339,19 @@ func TestAdoptLoggerReplacesState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	repl := store.NewDatabase()
+	db.SetLogger(nil)
+	done := pager.Replace()
+	repl := store.NewDatabaseWith(pager)
 	if err := repl.Declare("New", pairType("new")); err != nil {
 		t.Fatal(err)
 	}
 	if err := repl.Insert("New", tup("n1", "n2")); err != nil {
 		t.Fatal(err)
 	}
-	db.SetLogger(nil)
 	gen := l.Generation()
-	if err := repl.AdoptLogger(l); err != nil {
+	err = repl.AdoptLogger(l)
+	done(err == nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if g := l.Generation(); g != gen+1 {
@@ -414,7 +442,8 @@ func TestNewestSnapshotUnloadableDoesNotRollBack(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, _, err = Open(dir, Options{})
+	opts, _ := resident(t, dir, Options{})
+	_, _, err = Open(dir, opts)
 	var ce *CorruptSnapshotError
 	if !errors.As(err, &ce) {
 		t.Fatalf("expected CorruptSnapshotError, got %v", err)
@@ -444,7 +473,8 @@ func TestCorruptSnapshotRefused(t *testing.T) {
 	if err := os.WriteFile(snap, []byte("garbage"), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := Open(dir, Options{})
+	opts, _ := resident(t, dir, Options{})
+	_, _, err := Open(dir, opts)
 	var ce *CorruptSnapshotError
 	if !errors.As(err, &ce) {
 		t.Fatalf("expected CorruptSnapshotError, got %v", err)

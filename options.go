@@ -23,20 +23,19 @@ const (
 	SyncNever = wal.SyncNever
 )
 
-// EngineKind selects the storage engine of a database (WithEngine).
+// EngineKind names a storage engine (WithEngine). The engine follows from
+// WithPath: a database without a path keeps every relation in memory, and a
+// durable one stores relation tuples in fixed-size heap pages in a single
+// heap file and checkpoints incrementally — only pages dirtied since the last
+// checkpoint are written, and the snapshot the write-ahead log rotates in is
+// a small page manifest instead of a full image.
 type EngineKind int
 
 const (
-	// EngineMemory keeps every relation variable fully materialized in
-	// memory (the default). Durable sessions persist the logical image:
-	// snapshot checkpoints rewrite the whole database.
+	// EngineMemory is the engine of a database without a path.
 	EngineMemory EngineKind = iota
-	// EnginePaged stores relation tuples in fixed-size heap pages in a
-	// single heap file, caches resident pages in a bounded buffer pool, and
-	// checkpoints incrementally: only pages dirtied since the last
-	// checkpoint are written, and the snapshot the write-ahead log rotates
-	// in is a small page manifest instead of a full image. Requires
-	// WithPath; the working set, not the database, must fit in memory.
+	// EnginePaged is the engine of every durable database; it requires
+	// WithPath.
 	EnginePaged
 )
 
@@ -68,9 +67,9 @@ type config struct {
 	// noMatviews disables the materialized-view cache (every read
 	// refixpoints from scratch).
 	noMatviews bool
-	// engine selects the storage engine (WithEngine); EngineMemory unless
-	// overridden. poolPages is the paged engine's buffer-pool budget in
-	// pages (WithBufferPoolPages); 0 means the engine default.
+	// engine is what WithEngine asked for, checked only against a missing
+	// path. poolPages is the paged engine's buffer-pool budget in pages
+	// (WithBufferPoolPages); 0 means unbounded residency.
 	engine    EngineKind
 	poolPages int
 }
@@ -165,23 +164,22 @@ func WithCheckpointRetry(n int, backoff time.Duration) Option {
 	}
 }
 
-// WithEngine selects the storage engine. The default, EngineMemory, keeps
-// every relation fully materialized and is valid with or without WithPath.
-// EnginePaged pages relation tuples through a bounded buffer pool over a
-// heap file and checkpoints incrementally; it requires WithPath (the pages
-// are the primary copy) and Open fails without it. A database directory is
-// bound to the engine that created it: opening a paged directory with the
-// memory engine (or vice versa) fails with a pointed error rather than
-// misreading the snapshot.
+// WithEngine names the storage engine, which WithPath already decides: every
+// durable database is paged and every other one is memory-only.
+// WithEngine(EnginePaged) without WithPath fails at Open.
+//
+// Deprecated: redundant with WithPath; omit it.
 func WithEngine(k EngineKind) Option {
 	return func(c *config) { c.engine = k }
 }
 
-// WithBufferPoolPages sets the paged engine's buffer-pool budget in pages
-// (pagestore.DefaultPoolPages when omitted; 4 KiB pages). The pool bounds
-// the page frames resident in memory, not the database: relations larger
-// than the pool spill and fault pages back in on demand. It has no effect
-// with EngineMemory.
+// WithBufferPoolPages bounds a durable database's memory: n pages of 4 KiB
+// in the buffer pool, and decoded relations up to
+// pagestore.DefaultResidentFactor times the pool's bytes. Relations larger
+// than that spill and fault pages back in on demand. Without it (or with
+// n ≤ 0) residency is unbounded: every relation stays decoded, and the pool
+// holds a page only until a checkpoint or an eviction writes it back. It
+// has no effect without WithPath.
 func WithBufferPoolPages(n int) Option {
 	return func(c *config) { c.poolPages = n }
 }

@@ -126,8 +126,7 @@ func selectorConfigs(t *testing.T, each func(t *testing.T, db *dbpl.DB)) {
 				t.Run(engine+"/"+par.name+"/"+opt.name, func(t *testing.T) {
 					opts := append(append([]dbpl.Option{}, par.opts...), opt.opts...)
 					if engine == "paged" {
-						opts = append(opts, dbpl.WithPath(t.TempDir()),
-							dbpl.WithEngine(dbpl.EnginePaged), dbpl.WithBufferPoolPages(4))
+						opts = append(opts, dbpl.WithPath(t.TempDir()), dbpl.WithBufferPoolPages(4))
 					}
 					db, err := dbpl.Open(opts...)
 					if err != nil {
@@ -263,8 +262,7 @@ func TestAccessPathDecisionIsThePlan(t *testing.T) {
 // consecutive executions all report the lookup the plan shows.
 func accessPathUnderForcedEviction(t *testing.T) {
 	ctx := context.Background()
-	db, err := dbpl.Open(dbpl.WithPath(t.TempDir()), dbpl.WithEngine(dbpl.EnginePaged),
-		dbpl.WithBufferPoolPages(2))
+	db, err := dbpl.Open(dbpl.WithPath(t.TempDir()), dbpl.WithBufferPoolPages(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +387,7 @@ func TestSelectorOverViewProbes(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			opts := c.opts
 			if c.paged {
-				opts = append(opts, dbpl.WithPath(t.TempDir()), dbpl.WithEngine(dbpl.EnginePaged), dbpl.WithBufferPoolPages(4))
+				opts = append(opts, dbpl.WithPath(t.TempDir()), dbpl.WithBufferPoolPages(4))
 			}
 			db, err := dbpl.Open(opts...)
 			if err != nil {

@@ -70,10 +70,9 @@ type DB struct {
 	// commits — logs through it before publishing.
 	wal *wal.Log
 
-	// pager is the paged storage engine backing the store when Open was
-	// given WithEngine(EnginePaged); nil on the memory engine. The store
-	// owns its use; the session keeps the handle for Health stats, the
-	// LoadStore guard, and Close.
+	// pager is the paged storage engine backing the store of a durable
+	// database; nil for a memory-only one. The store owns its use; the
+	// session keeps the handle for Health stats, LoadStore, and Close.
 	pager *pagestore.Engine
 
 	// views is the materialized derived-relation cache (on by default;
@@ -93,11 +92,12 @@ type DB struct {
 
 // Open returns a database configured by the given options; with no options
 // it is memory-only, with strict positivity checking, semi-naive fixpoints,
-// and a 128-entry plan cache. With WithPath it is durable: the
-// base relations persisted in the directory are recovered (snapshot plus
-// committed write-ahead-log tail) and every later mutation is logged before
-// it is published. Derived constructor results are not persisted — re-execute
-// the schema modules after reopening and they recompute.
+// and a 128-entry plan cache. With WithPath it is durable: its relations live
+// in heap pages, the base relations persisted in the directory are recovered
+// (the page manifest of the last checkpoint plus the committed write-ahead-log
+// tail), and every later mutation is logged before it is published. Derived
+// constructor results are not persisted — re-execute the schema modules after
+// reopening and they recompute.
 func Open(opts ...Option) (*DB, error) {
 	cfg := defaultConfig()
 	for _, o := range opts {
@@ -121,46 +121,36 @@ func Open(opts ...Option) (*DB, error) {
 		return nil, fmt.Errorf("dbpl: the paged storage engine requires WithPath (the heap file is the primary copy)")
 	}
 	if cfg.path != "" {
-		walOpts := wal.Options{
+		// Without WithBufferPoolPages residency is unbounded: every value
+		// stays decoded and the pool holds only dirty pages.
+		pcfg := pagestore.Config{FS: cfg.fs, PoolPages: cfg.poolPages}
+		if cfg.poolPages <= 0 {
+			pcfg.ResidentBytes = -1
+		}
+		pager, err := pagestore.Open(cfg.path, pcfg)
+		if err != nil {
+			return nil, fmt.Errorf("dbpl: opening paged storage at %s: %w", cfg.path, err)
+		}
+		// Recovery builds the store over the page engine: an empty directory
+		// starts from blank pages, the newest snapshot loads as a page
+		// manifest (contents stay on disk and fault in on demand) or, written
+		// as a Save image, is imported, and a committed checkpoint retires
+		// superseded slots.
+		wlog, st, err := wal.Open(cfg.path, wal.Options{
 			Sync:              cfg.syncPolicy,
 			CheckpointEvery:   cfg.checkpointEvery,
 			CheckpointRetries: cfg.ckptRetries,
 			CheckpointBackoff: cfg.ckptBackoff,
 			FS:                cfg.fs,
-		}
-		if cfg.engine == EnginePaged {
-			pager, err := pagestore.Open(cfg.path, pagestore.Config{
-				FS:        cfg.fs,
-				PoolPages: cfg.poolPages,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("dbpl: opening paged storage at %s: %w", cfg.path, err)
-			}
-			d.pager = pager
-			// Recovery builds the store over the page engine: an empty
-			// directory starts from blank pages, a snapshot generation loads
-			// as a page manifest (contents stay on disk and fault in on
-			// demand), and a committed checkpoint retires superseded slots.
-			walOpts.NewStore = func() (*store.Database, error) {
-				return store.NewDatabaseWith(pager), nil
-			}
-			walOpts.LoadSnapshot = func(r io.Reader) (*store.Database, error) {
-				if err := pager.LoadManifest(r); err != nil {
-					return nil, err
-				}
-				return store.NewDatabaseWith(pager), nil
-			}
-			walOpts.OnCheckpoint = pager.CheckpointCommitted
-		}
-		wlog, st, err := wal.Open(cfg.path, walOpts)
+			NewStore:          func() (*store.Database, error) { return store.NewDatabaseWith(pager), nil },
+			LoadSnapshot:      pager.Load,
+			OnCheckpoint:      pager.CheckpointCommitted,
+		})
 		if err != nil {
-			if d.pager != nil {
-				_ = d.pager.Close()
-			}
+			_ = pager.Close()
 			return nil, fmt.Errorf("dbpl: opening durable store at %s: %w", cfg.path, err)
 		}
-		d.Store = st
-		d.wal = wlog
+		d.Store, d.wal, d.pager = st, wlog, pager
 		st.SetLogger(wlog)
 	}
 	if !cfg.noMatviews {
@@ -252,10 +242,11 @@ func (d *DB) OpenRows() int {
 	return d.openRows
 }
 
-// Checkpoint forces a snapshot checkpoint of a durable database: the current
-// state is written to a new snapshot and the write-ahead log is truncated.
-// It is a no-op for a memory-only database. Concurrent queries proceed
-// against their snapshots; writers wait for the checkpoint.
+// Checkpoint forces a checkpoint of a durable database: the pages changed
+// since the last one are flushed, a new page manifest becomes the snapshot,
+// and the write-ahead log is truncated. It is a no-op for a memory-only
+// database. Concurrent queries proceed against their snapshots; writers wait
+// for the checkpoint.
 //
 // A cleanly failed checkpoint (the snapshot rename — its commit point — was
 // never reached) leaves the previous generation intact and the log
@@ -294,18 +285,20 @@ type Health struct {
 	// read outcomes, and maintenance backlog.
 	MatViews MatViewStats
 	// Storage reports the paged storage engine's buffer pool and checkpoint
-	// counters; zero-valued (Enabled false) on the memory engine.
+	// counters; zero-valued (Enabled false) for a memory-only database.
 	Storage StorageStats
 }
 
 // StorageStats is the paged-storage section of a health report.
 type StorageStats struct {
-	// Enabled reports whether this database runs on the paged engine
-	// (WithEngine(EnginePaged)).
+	// Enabled reports whether this database runs on the paged engine, as
+	// every durable one (WithPath) does.
 	Enabled bool
 	// PoolPages is the buffer-pool budget in page slots; PoolUsed is the
 	// resident footprint, which exceeds the budget only while nothing is
-	// evictable (Overflows counts those episodes).
+	// evictable (Overflows counts those episodes). Without
+	// WithBufferPoolPages only dirty pages are resident, so PoolUsed is 0
+	// right after a checkpoint.
 	PoolPages, PoolUsed int
 	// Hits and Misses count page accesses served from the pool versus
 	// faulted in from the heap file; Evictions and WriteBacks count frames
@@ -425,30 +418,28 @@ func (d *DB) Health() Health {
 			Backlog:       s.Backlog,
 		}
 	}
-	if d.pager != nil {
-		st := d.pager.Stats()
-		h.Storage = StorageStats{
-			Enabled:               true,
-			PoolPages:             st.PoolPages,
-			PoolUsed:              st.PoolUsed,
-			Hits:                  st.Hits,
-			Misses:                st.Misses,
-			Evictions:             st.Evictions,
-			WriteBacks:            st.WriteBacks,
-			Overflows:             st.Overflows,
-			DirtyPages:            st.DirtyPages,
-			HeapSlots:             st.HeapSlots,
-			ResidentRelations:     st.ResidentRelations,
-			MaterializedEvictions: st.MaterializedEvictions,
-			Materializations:      st.Materializations,
-			KeyIndexBuilds:        st.KeyIndexBuilds,
-			LastCheckpointPages:   st.LastCheckpointPages,
-			LastCheckpointBytes:   st.LastCheckpointBytes,
-			Err:                   st.LastErr,
-		}
-	}
 	if d.wal == nil {
 		return h
+	}
+	st := d.pager.Stats()
+	h.Storage = StorageStats{
+		Enabled:               true,
+		PoolPages:             st.PoolPages,
+		PoolUsed:              st.PoolUsed,
+		Hits:                  st.Hits,
+		Misses:                st.Misses,
+		Evictions:             st.Evictions,
+		WriteBacks:            st.WriteBacks,
+		Overflows:             st.Overflows,
+		DirtyPages:            st.DirtyPages,
+		HeapSlots:             st.HeapSlots,
+		ResidentRelations:     st.ResidentRelations,
+		MaterializedEvictions: st.MaterializedEvictions,
+		Materializations:      st.Materializations,
+		KeyIndexBuilds:        st.KeyIndexBuilds,
+		LastCheckpointPages:   st.LastCheckpointPages,
+		LastCheckpointBytes:   st.LastCheckpointBytes,
+		Err:                   st.LastErr,
 	}
 	h.Durable = true
 	h.Generation = d.wal.Generation()
@@ -491,13 +482,10 @@ func (d *DB) Close() error {
 		return nil
 	}
 	err := d.noteMutErr(d.wal.Close())
-	if d.pager != nil {
-		// The heap file needs no flush of its own: every committed mutation
-		// is in the log, and dirty pages re-flush at the next checkpoint
-		// after reopen.
-		if cerr := d.pager.Close(); err == nil && cerr != nil {
-			err = cerr
-		}
+	// The heap file needs no flush of its own: every committed mutation is in
+	// the log, and dirty pages re-flush at the next checkpoint after reopen.
+	if cerr := d.pager.Close(); err == nil && cerr != nil {
+		err = cerr
 	}
 	return err
 }
@@ -692,35 +680,39 @@ func (d *DB) ApplyContext(ctx context.Context, constructor string, base *Relatio
 }
 
 // LoadStore replaces the database's relation variables with those read from
-// r (declarations executed via Exec are kept). Relations that existed only
-// in the replaced store stop resolving in queries.
+// r, a Save image (declarations executed via Exec are kept). Relations that
+// existed only in the replaced store stop resolving in queries. On a durable
+// database the image is imported into its pages and checkpointed as the new
+// recovery base; if either fails, the previous variables stay.
 func (d *DB) LoadStore(r io.Reader) error {
-	if d.pager != nil {
-		// A Save-format image loads into a memory-engine store; swapping it
-		// in would strand the page engine and write a memory snapshot into a
-		// paged directory. Import through a memory session instead.
-		return fmt.Errorf("dbpl: LoadStore is not supported on the paged storage engine (open a memory-engine session and re-insert, or replay the source modules)")
-	}
-	db, err := store.Load(r)
-	if err != nil {
-		return err
+	var db *store.Database
+	var err error
+	if d.pager == nil {
+		if db, err = store.Load(r); err != nil {
+			return err
+		}
 	}
 	d.execMu.Lock()
 	defer d.execMu.Unlock()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.wal != nil {
-		// Detach the old store first: an in-flight mutation on it finishes
-		// logging (it holds the old store's lock) before the detach returns,
-		// so its record lands before the replacement checkpoint and is
-		// superseded by it. AdoptLogger then persists the new store's full
-		// state as a snapshot checkpoint; on failure the old generation is
-		// still the commit point, so reattaching keeps the old store
-		// durable and consistent.
-		d.Store.SetLogger(nil)
-		if err := db.AdoptLogger(d.wal); err != nil {
-			d.Store.SetLogger(d.wal)
-			return fmt.Errorf("dbpl: persisting replacement store: %w", d.noteMutErr(err))
+	if d.pager != nil {
+		// The old store stays write-locked throughout, so a mutation in
+		// flight on it logs before the replacement checkpoint supersedes
+		// its record, and none lands in the engine mid-import. The
+		// checkpoint's rename is the commit point: before it, the previous
+		// generation and the detached pages are intact.
+		err = d.Store.Retire(func() error {
+			done := d.pager.Replace()
+			var err error
+			if db, err = store.LoadInto(r, d.pager); err == nil {
+				err = db.AdoptLogger(d.wal)
+			}
+			done(err == nil)
+			return err
+		})
+		if err != nil {
+			return fmt.Errorf("dbpl: replacing the durable store: %w", d.noteMutErr(err))
 		}
 	}
 	d.Store = db

@@ -1,15 +1,19 @@
 package dbpl
 
-// Storage-engine split coverage at the session layer: the same workload on
-// the memory and paged engines, recovery cycles on databases larger than the
-// buffer pool, cross-engine directory detection, degraded-mode Checkpoint
-// fast-fail, and -race streaming reads under eviction pressure.
+// Durable-storage coverage at the session layer: the same workload on the
+// default resident page engine and on a bounded buffer pool, recovery cycles
+// on databases larger than the pool, recovery of a directory whose snapshot
+// is a Save image, degraded-mode Checkpoint fast-fail, and -race streaming
+// reads under eviction pressure.
 
 import (
 	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -18,6 +22,9 @@ import (
 	"time"
 
 	"repro/internal/fsx"
+	"repro/internal/relation"
+	"repro/internal/store"
+	"repro/internal/wal"
 )
 
 const storageSchema = `
@@ -39,15 +46,15 @@ END reach;
 END wh.
 `
 
-// storageEngines enumerates the two engines with equivalent option sets; the
-// paged variant runs with a deliberately tiny pool so ordinary test
-// workloads exceed it.
+// storageEngines enumerates the two configurations of a durable database:
+// the default, with unbounded residency, and a deliberately tiny pool that
+// ordinary test workloads exceed.
 var storageEngines = []struct {
 	name string
 	opts []Option
 }{
-	{"memory", nil},
-	{"paged", []Option{WithEngine(EnginePaged), WithBufferPoolPages(4)}},
+	{"resident", nil},
+	{"paged", []Option{WithBufferPoolPages(4)}},
 }
 
 func openStorageDB(t testing.TB, fs fsx.FS, extra ...Option) *DB {
@@ -76,8 +83,8 @@ func queryLen(t testing.TB, db *DB, q string) int {
 
 // TestStorageEnginesWorkload runs one workload — module DDL, single inserts,
 // a Tx batch, selector and recursive constructor queries, an explicit
-// checkpoint, post-checkpoint writes — on each engine, and verifies a
-// close/reopen recovers the identical logical state.
+// checkpoint, post-checkpoint writes and an Assign — on each configuration,
+// and verifies a close/reopen recovers the identical logical state.
 func TestStorageEnginesWorkload(t *testing.T) {
 	for _, eng := range storageEngines {
 		t.Run(eng.name, func(t *testing.T) {
@@ -124,17 +131,16 @@ func TestStorageEnginesWorkload(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			// An overwrite re-encodes the relation's pages.
+			links, _ := db.Relation("Links")
+			if err := db.Assign("Links", relation.MustFromTuples(links.Type(), pair("x", "y"), pair("y", "z"))); err != nil {
+				t.Fatal(err)
+			}
 			atLoc := queryLen(t, db, `Stock[at("loc-001")]`)
+			reach = queryLen(t, db, `Links{reach}`)
 			want := saveFaultState(t, db)
-			if h := db.Health(); eng.name == "paged" {
-				if !h.Storage.Enabled {
-					t.Error("paged session must report storage stats")
-				}
-				if !strings.Contains(h.String(), "storage pool=") {
-					t.Errorf("health string missing storage segment: %s", h)
-				}
-			} else if db.Health().Storage.Enabled {
-				t.Error("memory session must not report paged storage stats")
+			if h := db.Health(); !h.Storage.Enabled || !strings.Contains(h.String(), "storage pool=") {
+				t.Errorf("durable session must report storage stats: %s", h)
 			}
 			if err := db.Close(); err != nil {
 				t.Fatal(err)
@@ -166,7 +172,7 @@ func TestStorageEnginesWorkload(t *testing.T) {
 // of inserts decodes nothing, and Health says so.
 func TestStorageColdInsertsDecodeNothing(t *testing.T) {
 	fs := fsx.NewMemFS()
-	db := openStorageDB(t, fs, WithEngine(EnginePaged), WithBufferPoolPages(1))
+	db := openStorageDB(t, fs, WithBufferPoolPages(1))
 	if _, err := db.Exec(storageSchema); err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +188,7 @@ func TestStorageColdInsertsDecodeNothing(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	db = openStorageDB(t, fs, WithEngine(EnginePaged), WithBufferPoolPages(1))
+	db = openStorageDB(t, fs, WithBufferPoolPages(1))
 	defer db.Close()
 	// Reading Links last leaves it the resident one, as the benchmark's
 	// verification pass does.
@@ -217,7 +223,7 @@ func TestStorageColdInsertsDecodeNothing(t *testing.T) {
 // grow the resident values, O(batch) per Insert, with no key-index pass.
 func TestStorageInsertsIntoRelationsThatFitStayResident(t *testing.T) {
 	fs := fsx.NewMemFS()
-	db := openStorageDB(t, fs, WithEngine(EnginePaged), WithBufferPoolPages(1))
+	db := openStorageDB(t, fs, WithBufferPoolPages(1))
 	if _, err := db.Exec(storageSchema); err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +244,7 @@ func TestStorageInsertsIntoRelationsThatFitStayResident(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	db = openStorageDB(t, fs, WithEngine(EnginePaged), WithBufferPoolPages(1))
+	db = openStorageDB(t, fs, WithBufferPoolPages(1))
 	defer db.Close()
 	before := db.Health().Storage
 	if before.ResidentRelations != 0 {
@@ -270,59 +276,13 @@ func TestStoragePagedRequiresPath(t *testing.T) {
 	}
 }
 
-// TestStorageMixedEngineDir: a directory checkpointed by one engine refuses
-// to open under the other with an error naming the mismatch, instead of
-// misreading the snapshot.
-func TestStorageMixedEngineDir(t *testing.T) {
-	t.Run("memory-dir-on-paged", func(t *testing.T) {
-		fs := fsx.NewMemFS()
-		db := openStorageDB(t, fs)
-		if err := db.Declare("R", faultPairType()); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Insert("R", pair("a", "b")); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Close(); err != nil {
-			t.Fatal(err)
-		}
-		_, err := Open(WithPath("db"), withFS(fs), WithEngine(EnginePaged))
-		if err == nil || !strings.Contains(err.Error(), "memory engine") {
-			t.Fatalf("paged open of a memory directory: got %v, want pointed mismatch error", err)
-		}
-	})
-	t.Run("paged-dir-on-memory", func(t *testing.T) {
-		fs := fsx.NewMemFS()
-		db := openStorageDB(t, fs, WithEngine(EnginePaged))
-		if err := db.Declare("R", faultPairType()); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Insert("R", pair("a", "b")); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Close(); err != nil {
-			t.Fatal(err)
-		}
-		_, err := Open(WithPath("db"), withFS(fs))
-		if err == nil || !strings.Contains(err.Error(), "paged engine") {
-			t.Fatalf("memory open of a paged directory: got %v, want pointed mismatch error", err)
-		}
-	})
-}
-
 // TestStorageBiggerThanPoolCycle is the acceptance cycle: a database whose
 // heap exceeds the buffer pool completes insert, selector-query, checkpoint,
 // and recovery rounds, and the pool actually evicted along the way.
 func TestStorageBiggerThanPoolCycle(t *testing.T) {
 	fs := fsx.NewMemFS()
 	ctx := context.Background()
-	db := openStorageDB(t, fs, WithEngine(EnginePaged), WithBufferPoolPages(4))
+	db := openStorageDB(t, fs, WithBufferPoolPages(4))
 	if _, err := db.Exec(storageSchema); err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +319,7 @@ func TestStorageBiggerThanPoolCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db2 := openStorageDB(t, fs, WithEngine(EnginePaged), WithBufferPoolPages(4))
+	db2 := openStorageDB(t, fs, WithBufferPoolPages(4))
 	defer db2.Close()
 	if _, err := db2.Exec(storageSchema); err != nil {
 		t.Fatal(err)
@@ -376,59 +336,137 @@ func TestStorageBiggerThanPoolCycle(t *testing.T) {
 }
 
 // TestStorageIncrementalCheckpointSmallDelta pins the acceptance ratio: on a
-// bulk-loaded database, an incremental checkpoint after a five-tuple delta
-// writes at least 10x fewer bytes than a full snapshot of the same data (as
-// the memory engine would serialize on every checkpoint).
+// database holding a 10 000-tuple relation, the checkpoint after a one-batch
+// delta writes under 1 % of the bytes of the database's Save image, which is
+// what every checkpoint of a durable database wrote before checkpoints
+// flushed pages: one tail page plus the manifest. It holds on both
+// configurations, and on the default one the checkpoint leaves no frame in
+// the pool.
 func TestStorageIncrementalCheckpointSmallDelta(t *testing.T) {
-	const n = 5_000
+	const n = 10_000
+	pad := strings.Repeat("x", 80)
 	bulk := make([]Tuple, n)
 	for i := range bulk {
-		bulk[i] = stockTuple(i)
+		bulk[i] = NewTuple(Str(fmt.Sprintf("item-%05d-%s", i, pad)), Str(fmt.Sprintf("loc-%03d", i%7)))
 	}
-	db := openStorageDB(t, fsx.NewMemFS(), WithEngine(EnginePaged), WithBufferPoolPages(64))
-	defer db.Close()
-	if _, err := db.Exec(storageSchema); err != nil {
+	for _, eng := range storageEngines {
+		t.Run(eng.name, func(t *testing.T) {
+			db := openStorageDB(t, fsx.NewMemFS(), eng.opts...)
+			defer db.Close()
+			if _, err := db.Exec(storageSchema); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Insert("Stock", bulk...); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if full := db.Health().Storage.LastCheckpointBytes; full == 0 {
+				t.Fatal("full checkpoint reported zero bytes")
+			}
+			batch := make([]Tuple, 5)
+			for j := range batch {
+				batch[j] = NewTuple(Str(fmt.Sprintf("delta-%d", j)), Str("loc-delta"))
+			}
+			if err := db.Insert("Stock", batch...); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			st := db.Health().Storage
+			full := uint64(len(saveFaultState(t, db)))
+			if st.LastCheckpointBytes == 0 || 100*st.LastCheckpointBytes >= full {
+				t.Fatalf("checkpoint after a %d-tuple delta wrote %d bytes; the Save image is %d (want under 1%%)",
+					len(batch), st.LastCheckpointBytes, full)
+			}
+			if eng.opts == nil && st.PoolUsed != 0 {
+				t.Fatalf("%d clean frames stay in the pool after a checkpoint with unbounded residency", st.PoolUsed)
+			}
+		})
+	}
+}
+
+// saveImageEngine is the memory engine checkpointing the store.Save image,
+// as every durable database did before checkpoints flushed pages.
+type saveImageEngine struct{ store.Engine }
+
+func (e saveImageEngine) WriteCheckpoint(w io.Writer) error {
+	return store.NewDatabaseWith(e.Engine).Save(w)
+}
+
+// TestStorageRecoversSaveImageGeneration: a directory written before every
+// durable database checkpointed pages — a Save image as its newest snapshot
+// plus a log tail — reopens tuple-identically, and its next checkpoint
+// writes a page manifest that reopens the same way.
+func TestStorageRecoversSaveImageGeneration(t *testing.T) {
+	dir := t.TempDir()
+	newStore := func() (*store.Database, error) {
+		return store.NewDatabaseWith(saveImageEngine{store.NewMemoryEngine()}), nil
+	}
+	l, st, err := wal.Open(dir, wal.Options{Sync: SyncNever, NewStore: newStore, LoadSnapshot: store.Load})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Insert("Stock", bulk...); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if full := db.Health().Storage.LastCheckpointBytes; full == 0 {
-		t.Fatal("full checkpoint reported zero bytes")
-	}
-	for j := 0; j < 5; j++ {
-		if err := db.Insert("Stock", NewTuple(Str(fmt.Sprintf("delta-%d", j)), Str("loc-delta"))); err != nil {
+	st.SetLogger(l)
+	for _, name := range []string{"R", "S"} {
+		if err := st.Declare(name, faultPairType()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := db.Checkpoint(); err != nil {
+	if err := st.Insert("R", pair("a", "b"), pair("b", "c")); err != nil {
 		t.Fatal(err)
 	}
-	delta := db.Health().Storage.LastCheckpointBytes
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Insert("R", pair("c", "d")); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Assign("S", relation.MustFromTuples(faultPairType(), pair("s", "t"))); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := st.Save(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snapHead := func() string {
+		t.Helper()
+		snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.dbpl"))
+		if err != nil || len(snaps) != 1 {
+			t.Fatalf("snapshots %v (%v), want one", snaps, err)
+		}
+		raw, err := os.ReadFile(snaps[0])
+		if err != nil || len(raw) < 8 {
+			t.Fatalf("reading %s: %v", snaps[0], err)
+		}
+		return string(raw[:8])
+	}
+	if h := snapHead(); h != "DBPLSTOR" {
+		t.Fatalf("snapshot starts %q, want a Save image", h)
+	}
 
-	// The full-snapshot baseline: the same data's logical image, which the
-	// memory engine serializes on every checkpoint.
-	mem := mustOpen(t)
-	if _, err := mem.Exec(storageSchema); err != nil {
-		t.Fatal(err)
-	}
-	if err := mem.Insert("Stock", bulk...); err != nil {
-		t.Fatal(err)
-	}
-	var img bytes.Buffer
-	if err := mem.Save(&img); err != nil {
-		t.Fatal(err)
-	}
-	full := uint64(img.Len())
-
-	if delta == 0 {
-		t.Fatal("incremental checkpoint reported zero bytes")
-	}
-	if full < 10*delta {
-		t.Fatalf("incremental checkpoint wrote %d bytes; full snapshot is %d — less than the required 10x saving", delta, full)
+	for round := 0; round < 2; round++ {
+		db, err := Open(WithPath(dir), WithSync(SyncNever))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := saveFaultState(t, db); !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("round %d: recovered state differs from the one written", round)
+		}
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if h := snapHead(); h != "DBPLPMAN" {
+			t.Fatalf("round %d: checkpoint wrote a snapshot starting %q, want a page manifest", round, h)
+		}
 	}
 }
 
@@ -472,7 +510,7 @@ func TestStorageRowsStreamUnderEvictionPressure(t *testing.T) {
 	func() {
 		fs := fsx.NewMemFS()
 		ctx := context.Background()
-		db := openStorageDB(t, fs, WithEngine(EnginePaged), WithBufferPoolPages(2))
+		db := openStorageDB(t, fs, WithBufferPoolPages(2))
 		defer db.Close()
 		if _, err := db.Exec(storageSchema); err != nil {
 			t.Fatal(err)
@@ -566,7 +604,7 @@ func TestStoragePageReadErrorSurfaces(t *testing.T) {
 	// loaded, checkpointed, closed and reopened.
 	cold := func(t *testing.T, ffs *fsx.FaultFS) *DB {
 		t.Helper()
-		db := openStorageDB(t, ffs, WithEngine(EnginePaged), WithBufferPoolPages(2))
+		db := openStorageDB(t, ffs, WithBufferPoolPages(2))
 		if _, err := db.Exec(storageSchema); err != nil {
 			t.Fatal(err)
 		}
@@ -583,7 +621,7 @@ func TestStoragePageReadErrorSurfaces(t *testing.T) {
 		if err := db.Close(); err != nil {
 			t.Fatal(err)
 		}
-		db = openStorageDB(t, ffs, WithEngine(EnginePaged), WithBufferPoolPages(2))
+		db = openStorageDB(t, ffs, WithBufferPoolPages(2))
 		if _, err := db.Exec(storageSchema); err != nil {
 			t.Fatal(err)
 		}
