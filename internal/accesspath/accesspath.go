@@ -11,8 +11,9 @@
 // parameterized attribute so that each instantiation is a hash lookup. The
 // partitioning is the relation's own memoized hash index (relation.IndexOn),
 // so the maintenance concern the paper attributes to [ShTZ 84] is handled
-// where the relation changes: a clone inherits the index and overlays the
-// tuples added since, and a deletion invalidates it by version.
+// where the relation changes: a clone shares the chunk carrying the index and
+// extends it by the tuples added since, and a deletion from a shared chunk
+// leaves a copy that carries none.
 //
 // Query evaluation does not go through this package: a selector application
 // is planned and run as a branch by package eval, which decides index or scan
@@ -75,8 +76,8 @@ func (l *Logical) Instantiate(base *relation.Relation, arg value.Value) (*relati
 // Physical is the paper's physical access path: the base relation
 // partitioned by the values of one attribute. It is a typed single-attribute
 // view over the relation's hash index on that attribute, so it shares the
-// index's lifetime rules: memoized on the relation value, inherited by clones
-// as an overlay of the tuples added since, rebuilt after a deletion.
+// index's lifetime rules: memoized on the relation value's sealed chunk,
+// extended by the tuples clones add since, rebuilt after a deletion.
 type Physical struct {
 	idx *relation.Index
 }

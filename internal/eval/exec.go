@@ -11,7 +11,7 @@
 // Large pipelines additionally fan out: the outer (first) binding's tuples are
 // partitioned into contiguous chunks and each chunk runs the whole pipeline on
 // its own worker goroutine over a cloned environment, probing the shared
-// read-only hash indexes. Workers precompute each result tuple's key encodings
+// read-only hash indexes. Workers precompute each result tuple's key encoding
 // (relation.Keyed), so the single-threaded merge that preserves set semantics
 // is reduced to map inserts; merging in partition order keeps error selection
 // and result sets deterministic. Every worker loop polls the environment's

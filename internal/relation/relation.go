@@ -8,16 +8,25 @@
 // exactly the run-time test the paper derives for assignments:
 //
 //	IF ALL x1,x2 IN rex (x1.key=x2.key ==> x1=x2) THEN rel := rex ELSE <exception>
+//
+// A relation's content is a slice of key-disjoint chunks. A sealed chunk is
+// never written again, so relations share sealed chunks by prefix: Clone is
+// O(1) in the relation size, and a copy-on-write republish (store writes,
+// resumed fixpoints) pays for the tuples it adds, not for the state it carries
+// forward. A memoized index lives on the sealed chunk it covers up to and is
+// extended by the chunks after it, so it never goes stale.
 package relation
 
 import (
 	"fmt"
 	"io"
 	"iter"
+	"maps"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/schema"
 	"repro/internal/value"
@@ -37,80 +46,50 @@ func (e *KeyConflictError) Error() string {
 		e.Relation, e.Existing, e.Incoming)
 }
 
-// layer is one frozen map pair captured from a cloned relation: a snapshot of
-// the clone source's own tuples at clone time. Layers are never written
-// through; the capturing relation's mutations land in its own maps, and the
-// captured relation copies its maps before its next mutation (ensureOwned).
-type layer struct {
+// chunk is one key map of a relation's content, keyed by the key-attribute
+// encoding of each tuple. Until it is sealed only the relation whose newest
+// chunk it is writes it; once sealed it is immutable and any number of
+// relations may share it.
+type chunk struct {
 	tuples map[string]value.Tuple
-	whole  map[string]struct{}
+	sealed atomic.Bool
+	// mu guards idx: relations sharing the chunk memoize on it from several
+	// goroutines.
+	mu sync.Mutex
+	// idx maps a position signature to an index over every chunk up to and
+	// including this one. Only a sealed chunk carries indexes.
+	idx map[string]*Index
 }
+
+func newChunk(n int) *chunk { return &chunk{tuples: make(map[string]value.Tuple, n)} }
 
 // Relation is a mutable set of tuples of a fixed relation type. The zero
 // value is not usable; construct with New.
 //
-// A relation's content is its own maps plus the frozen under-layers captured
-// from clone sources; the layers are key-disjoint, so every lookup resolves in
-// the first layer holding the key. This makes Clone O(1) in the relation size
-// — the copy-on-write republish cycle (store writes, resumed fixpoints) pays
-// for the tuples it adds, not for the state it carries forward. Clone
-// flattens when the overlay outgrows the base or the chain gets deep, bounding
-// lookup cost and amortizing the flatten over many cheap clones.
+// Its content is its chunks, oldest first. They are key-disjoint, so a lookup
+// resolves in the one chunk holding the key, and only the first may be empty.
+// Every chunk but the newest is sealed; the newest is sealed too once a Clone
+// shares it or an index covers it, and the next write opens a fresh chunk.
 type Relation struct {
 	typ    schema.RelationType
 	keyPos []int
-	// tuples maps the key-attribute encoding of each tuple to the tuple.
-	// When the key covers all attributes this is plain set semantics.
-	tuples map[string]value.Tuple
-	// whole maps the full-tuple encoding to struct{}; maintained only when
-	// the key is a proper subset of the attributes, to make Contains exact.
-	whole map[string]struct{}
-	// under holds the frozen base layers, newest first, key-disjoint with the
-	// own maps and each other.
-	under []*layer
-	// ownShared marks the own maps as captured by a clone's under chain: they
-	// must be copied before the next mutation.
-	ownShared bool
-
-	// version counts content mutations; memoized indexes are valid only for
-	// the version they were built at. Mutation and reads are never concurrent
-	// on the same relation (writers publish fresh pointers), so the counter
-	// needs no synchronization of its own.
-	version uint64
-	// idxMu guards idx against concurrent readers memoizing indexes on a
-	// shared (published, hence unmutated) relation.
-	idxMu sync.Mutex
-	idx   map[string]idxEntry
-
-	// inherited carries the clone source's memoized indexes, valid for this
-	// relation's content at clone time; pending lists the tuples added since.
-	// IndexOn layers pending over an inherited index instead of rebuilding
-	// from scratch, so a copy-on-write republish (store writes, resumed
-	// fixpoints) costs O(tuples added) rather than O(relation) on its next
-	// indexed join. Deletions drop the inheritance — overlays only model
-	// growth.
-	inherited map[string]*Index
-	pending   []value.Tuple
+	chunks []*chunk
 }
 
-// idxEntry is one memoized index together with the relation version it
-// reflects.
-type idxEntry struct {
-	ver uint64
-	idx *Index
-}
+const (
+	// minSharedClone is the first-chunk size below which Clone copies: the
+	// copy is cheap, and lookups across several chunks would cost more than
+	// sharing saves.
+	minSharedClone = 1024
+	// maxDepth bounds the chunk count: past it Clone and the next write
+	// flatten, so a lookup probes at most maxDepth+1 maps and the O(relation)
+	// flatten is amortized over that many O(1) clones.
+	maxDepth = 32
+)
 
 // New creates an empty relation of the given type.
 func New(typ schema.RelationType) *Relation {
-	r := &Relation{
-		typ:    typ,
-		keyPos: typ.KeyPositions(),
-		tuples: make(map[string]value.Tuple),
-	}
-	if len(r.keyPos) != typ.Element.Arity() {
-		r.whole = make(map[string]struct{})
-	}
-	return r
+	return &Relation{typ: typ, keyPos: typ.KeyPositions(), chunks: []*chunk{newChunk(0)}}
 }
 
 // FromTuples creates a relation of the given type holding the given tuples.
@@ -140,9 +119,9 @@ func (r *Relation) Type() schema.RelationType { return r.typ }
 
 // Len returns the number of tuples.
 func (r *Relation) Len() int {
-	n := len(r.tuples)
-	for _, l := range r.under {
-		n += len(l.tuples)
+	n := 0
+	for _, c := range r.chunks {
+		n += len(c.tuples)
 	}
 	return n
 }
@@ -150,76 +129,60 @@ func (r *Relation) Len() int {
 // IsEmpty reports whether the relation holds no tuples.
 func (r *Relation) IsEmpty() bool { return r.Len() == 0 }
 
-// get resolves a key across the own maps and the under chain.
+// get resolves a key across the chunks.
 func (r *Relation) get(k string) (value.Tuple, bool) {
-	if t, ok := r.tuples[k]; ok {
-		return t, true
-	}
-	for _, l := range r.under {
-		if t, ok := l.tuples[k]; ok {
+	for _, c := range r.chunks {
+		if t, ok := c.tuples[k]; ok {
 			return t, true
 		}
 	}
 	return nil, false
 }
 
-// ensureOwned copies the own maps if a clone captured them, so the pending
-// mutation cannot reach through the clone's frozen under chain.
-func (r *Relation) ensureOwned() {
-	if !r.ownShared {
-		return
+// tail returns the chunk r's writes go to: the newest one while it is
+// unsealed, else a fresh one, after flattening a relation past maxDepth. Only
+// IndexOn seals a relation that deep (Clone copies it instead), so the
+// flattened chunk keeps that index and is sealed like the chunk it replaces.
+func (r *Relation) tail() *chunk {
+	c := r.chunks[len(r.chunks)-1]
+	if !c.sealed.Load() {
+		return c
 	}
-	tuples := make(map[string]value.Tuple, len(r.tuples))
-	for k, t := range r.tuples {
-		tuples[k] = t
+	if len(r.chunks) > maxDepth {
+		c = r.flatten(true)
+		c.sealed.Store(true)
+		r.chunks = []*chunk{c}
 	}
-	r.tuples = tuples
-	if r.whole != nil {
-		whole := make(map[string]struct{}, len(r.whole))
-		for k := range r.whole {
-			whole[k] = struct{}{}
-		}
-		r.whole = whole
-	}
-	r.ownShared = false
+	c = newChunk(0)
+	r.chunks = append(r.chunks, c)
+	return c
 }
 
-// materialize folds the under chain into fresh own maps; needed before
-// operations that cannot work layered (deletion of a tuple living in a frozen
-// layer).
-func (r *Relation) materialize() {
-	if len(r.under) == 0 {
-		r.ensureOwned()
-		return
+// flatten folds the chunks into one fresh chunk. With keep, the chunk carries
+// the indexes that covered the whole content (the newest chunk's) and is
+// sealed if there are any.
+func (r *Relation) flatten(keep bool) *chunk {
+	f := newChunk(r.Len())
+	for _, c := range r.chunks {
+		maps.Copy(f.tuples, c.tuples)
 	}
-	n := r.Len()
-	tuples := make(map[string]value.Tuple, n)
-	var whole map[string]struct{}
-	if r.whole != nil {
-		whole = make(map[string]struct{}, n)
+	if keep {
+		c := r.chunks[len(r.chunks)-1]
+		c.mu.Lock()
+		f.idx = maps.Clone(c.idx)
+		c.mu.Unlock()
+		f.sealed.Store(len(f.idx) > 0)
 	}
-	take := func(tup map[string]value.Tuple, wh map[string]struct{}) {
-		for k, t := range tup {
-			tuples[k] = t
-		}
-		if whole != nil {
-			for k := range wh {
-				whole[k] = struct{}{}
-			}
-		}
-	}
-	for i := len(r.under) - 1; i >= 0; i-- {
-		take(r.under[i].tuples, r.under[i].whole)
-	}
-	take(r.tuples, r.whole)
-	r.tuples, r.whole, r.under, r.ownShared = tuples, whole, nil, false
+	return f
 }
 
-func (r *Relation) keyOf(t value.Tuple) string {
+// keyOf returns the key attributes of t: t itself when the key covers every
+// attribute.
+func (r *Relation) keyOf(t value.Tuple) value.Tuple {
 	if len(r.keyPos) == len(t) {
-		return t.Key()
+		return t
 	}
-	return t.Project(r.keyPos).Key()
+	return t.Project(r.keyPos)
 }
 
 // CheckElement is the domain half of Insert's check: it returns the error
@@ -234,6 +197,20 @@ func CheckElement(typ schema.RelationType, t value.Tuple) error {
 	return nil
 }
 
+// put adds t under its key encoding k unless an equal tuple is present. It
+// reports whether the relation grew, or the conflict with a different tuple
+// holding the key.
+func (r *Relation) put(k string, t value.Tuple) (bool, error) {
+	if old, ok := r.get(k); ok {
+		if old.Equal(t) {
+			return false, nil
+		}
+		return false, &KeyConflictError{Relation: r.typ.Name, Existing: old, Incoming: t}
+	}
+	r.tail().tuples[k] = t
+	return true, nil
+}
+
 // Insert adds a tuple. It is a no-op if an equal tuple is present, returns a
 // *KeyConflictError if a different tuple with the same key is present, and
 // checks the element type's domain predicate.
@@ -241,21 +218,8 @@ func (r *Relation) Insert(t value.Tuple) error {
 	if err := CheckElement(r.typ, t); err != nil {
 		return err
 	}
-	k := r.keyOf(t)
-	if old, ok := r.get(k); ok {
-		if old.Equal(t) {
-			return nil
-		}
-		return &KeyConflictError{Relation: r.typ.Name, Existing: old, Incoming: t}
-	}
-	r.ensureOwned()
-	r.tuples[k] = t
-	if r.whole != nil {
-		r.whole[t.Key()] = struct{}{}
-	}
-	r.version++
-	r.noteAdd(t)
-	return nil
+	_, err := r.put(r.keyOf(t).Key(), t)
+	return err
 }
 
 // InsertAll inserts the tuples all-or-nothing and returns the ones it added —
@@ -265,28 +229,21 @@ func (r *Relation) Insert(t value.Tuple) error {
 // held before the call.
 func (r *Relation) InsertAll(tuples ...value.Tuple) ([]value.Tuple, error) {
 	added := make([]value.Tuple, 0, len(tuples))
-	pending := len(r.pending)
 	for _, t := range tuples {
-		v := r.version
-		if err := r.Insert(t); err != nil {
-			if len(added) == 0 {
-				return nil, err
-			}
-			// What this call added sits in the own maps (Insert never writes a
-			// frozen layer), so the undo needs no materialization.
+		err := CheckElement(r.typ, t)
+		grew := false
+		if err == nil {
+			grew, err = r.put(r.keyOf(t).Key(), t)
+		}
+		if err != nil {
+			// What this call added sits in the unsealed newest chunk, so the
+			// undo flattens nothing.
 			for _, u := range added {
-				delete(r.tuples, r.keyOf(u))
-				if r.whole != nil {
-					delete(r.whole, u.Key())
-				}
-			}
-			r.version++
-			if r.inherited != nil {
-				r.pending = r.pending[:pending]
+				r.Delete(u)
 			}
 			return nil, err
 		}
-		if r.version != v {
+		if grew {
 			added = append(added, t)
 		}
 	}
@@ -297,70 +254,36 @@ func (r *Relation) InsertAll(tuples ...value.Tuple) ([]value.Tuple, error) {
 // treats a key conflict as a panic; it is used by the fixpoint engine, whose
 // derived relations always have whole-tuple keys.
 func (r *Relation) Add(t value.Tuple) bool {
-	k := r.keyOf(t)
-	if old, ok := r.get(k); ok {
-		if !old.Equal(t) {
-			panic((&KeyConflictError{Relation: r.typ.Name, Existing: old, Incoming: t}).Error())
-		}
-		return false
+	grew, err := r.put(r.keyOf(t).Key(), t)
+	if err != nil {
+		panic(err.Error())
 	}
-	r.ensureOwned()
-	r.tuples[k] = t
-	if r.whole != nil {
-		r.whole[t.Key()] = struct{}{}
-	}
-	r.version++
-	r.noteAdd(t)
-	return true
-}
-
-// noteAdd records a tuple added since this relation was cloned, so IndexOn can
-// overlay it onto an inherited index. When the backlog outgrows a fraction of
-// the relation, the inheritance is dropped: a full rebuild is then cheaper
-// than dragging a large overlay through future clones.
-func (r *Relation) noteAdd(t value.Tuple) {
-	if r.inherited == nil {
-		return
-	}
-	r.pending = append(r.pending, t)
-	if len(r.pending) > 1024+r.Len()/8 {
-		r.inherited, r.pending = nil, nil
-	}
+	return grew
 }
 
 // Delete removes the tuple equal to t, reporting whether it was present.
-// A tuple living in a frozen under layer forces materialization first.
+// Deleting a tuple that lives in a sealed chunk flattens the relation first.
 func (r *Relation) Delete(t value.Tuple) bool {
-	k := r.keyOf(t)
+	k := r.keyOf(t).Key()
 	old, ok := r.get(k)
 	if !ok || !old.Equal(t) {
 		return false
 	}
-	r.materialize()
-	delete(r.tuples, k)
-	if r.whole != nil {
-		delete(r.whole, t.Key())
+	c := r.chunks[len(r.chunks)-1]
+	if _, own := c.tuples[k]; !own || c.sealed.Load() {
+		c = r.flatten(false)
+		r.chunks = []*chunk{c}
 	}
-	r.version++
-	r.inherited, r.pending = nil, nil
+	delete(c.tuples, k)
+	if len(c.tuples) == 0 && len(r.chunks) > 1 {
+		r.chunks = r.chunks[:len(r.chunks)-1]
+	}
 	return true
 }
 
 // Contains reports set membership of an exact tuple.
 func (r *Relation) Contains(t value.Tuple) bool {
-	k := t.Key()
-	if r.whole != nil {
-		if _, ok := r.whole[k]; ok {
-			return true
-		}
-		for _, l := range r.under {
-			if _, ok := l.whole[k]; ok {
-				return true
-			}
-		}
-		return false
-	}
-	old, ok := r.get(k)
+	old, ok := r.get(r.keyOf(t).Key())
 	return ok && old.Equal(t)
 }
 
@@ -372,13 +295,8 @@ func (r *Relation) LookupKey(key value.Tuple) (value.Tuple, bool) {
 // Each calls fn for every tuple in unspecified order; fn returning false
 // stops the iteration.
 func (r *Relation) Each(fn func(value.Tuple) bool) {
-	for _, t := range r.tuples {
-		if !fn(t) {
-			return
-		}
-	}
-	for _, l := range r.under {
-		for _, t := range l.tuples {
+	for _, c := range r.chunks {
+		for _, t := range c.tuples {
 			if !fn(t) {
 				return
 			}
@@ -389,22 +307,7 @@ func (r *Relation) Each(fn func(value.Tuple) bool) {
 // All returns a single-use iterator over the tuples in unspecified order.
 // It is the pull-based counterpart of Each, used by the streaming row cursor
 // of the public API so results need not be materialized into a slice.
-func (r *Relation) All() iter.Seq[value.Tuple] {
-	return func(yield func(value.Tuple) bool) {
-		for _, t := range r.tuples {
-			if !yield(t) {
-				return
-			}
-		}
-		for _, l := range r.under {
-			for _, t := range l.tuples {
-				if !yield(t) {
-					return
-				}
-			}
-		}
-	}
-}
+func (r *Relation) All() iter.Seq[value.Tuple] { return r.Each }
 
 // Slice returns all tuples in unspecified order. It is the cheap counterpart
 // of Tuples for callers that partition work over the tuple set (the parallel
@@ -418,60 +321,31 @@ func (r *Relation) Slice() []value.Tuple {
 	return out
 }
 
-// Keyed is a tuple carried together with its precomputed encodings: K is the
-// key-attribute encoding and W the whole-tuple encoding (W is "" when the key
-// covers all attributes, in which case K already encodes the whole tuple).
-// Precomputing the encodings on executor workers moves the expensive part of
+// Keyed is a tuple carried together with its precomputed key encoding K.
+// Precomputing the encoding on executor workers moves the expensive part of
 // an insert off the single-threaded merge path.
 type Keyed struct {
 	K string
-	W string
 	T value.Tuple
 }
 
 // KeyedOf encodes t for insertion into r (see Keyed).
 func (r *Relation) KeyedOf(t value.Tuple) Keyed {
-	if len(r.keyPos) == len(t) {
-		return Keyed{K: t.Key(), T: t}
-	}
-	return Keyed{K: t.Project(r.keyPos).Key(), W: t.Key(), T: t}
+	return Keyed{K: r.keyOf(t).Key(), T: t}
 }
 
-// InsertKeyed is Insert for a tuple whose encodings were precomputed with
+// InsertKeyed is Insert for a tuple whose encoding was precomputed with
 // KeyedOf against a relation of the same type. It does NOT re-check the
 // element type's domain predicate — the executor validates tuples when it
 // projects them, before handing them to the sink.
 func (r *Relation) InsertKeyed(kd Keyed) error {
-	if old, ok := r.get(kd.K); ok {
-		if old.Equal(kd.T) {
-			return nil
-		}
-		return &KeyConflictError{Relation: r.typ.Name, Existing: old, Incoming: kd.T}
-	}
-	r.ensureOwned()
-	r.tuples[kd.K] = kd.T
-	if r.whole != nil {
-		r.whole[kd.W] = struct{}{}
-	}
-	r.version++
-	r.noteAdd(kd.T)
-	return nil
+	_, err := r.put(kd.K, kd.T)
+	return err
 }
 
-// ContainsKeyed is Contains for a tuple whose encodings were precomputed with
+// ContainsKeyed is Contains for a tuple whose encoding was precomputed with
 // KeyedOf against a relation of the same type.
 func (r *Relation) ContainsKeyed(kd Keyed) bool {
-	if r.whole != nil {
-		if _, ok := r.whole[kd.W]; ok {
-			return true
-		}
-		for _, l := range r.under {
-			if _, ok := l.whole[kd.W]; ok {
-				return true
-			}
-		}
-		return false
-	}
 	old, ok := r.get(kd.K)
 	return ok && old.Equal(kd.T)
 }
@@ -483,97 +357,24 @@ func (r *Relation) Tuples() []value.Tuple {
 	return out
 }
 
-// maxUnderDepth bounds the under chain: Clone flattens past it, so a lookup
-// probes at most maxUnderDepth+1 maps and the O(relation) flatten cost is
-// amortized over that many O(1) clones.
-const maxUnderDepth = 32
-
 // Clone returns a copy with value semantics (tuples are immutable; content is
 // never shared mutably).
 //
-// The copy is O(1) in the relation size: the source's maps are captured as
-// frozen under-layers, the clone's mutations land in its own fresh maps, and
-// the source copies its maps before its next mutation. Clone falls back to a
-// flat deep copy when the overlay chain is deep or has outgrown a quarter of
-// the base layer.
-//
-// The clone also inherits the source's currently valid memoized indexes: its
-// first IndexOn per signature overlays the tuples added since the clone
-// instead of rebuilding, keeping indexed-join cost proportional to the delta
-// across the copy-on-write republish cycle. A source with no valid memo of
-// its own forwards its inheritance (with the pending backlog copied), so
-// chains of clones between reads still resolve to one frozen base index.
+// The copy is O(1) in the relation size: Clone seals the newest chunk and
+// shares the chunk slice, so both relations' next writes open fresh chunks,
+// and the indexes the shared chunks carry serve both. Clone copies instead
+// when the first chunk is small, when the relation is past maxDepth chunks,
+// or when the later chunks outgrow a quarter of the first; the copy keeps the
+// indexes that covered the whole content.
 func (r *Relation) Clone() *Relation {
-	// Small relations clone flat: the copy is cheap and the layered
-	// bookkeeping (capture, deferred own-map copy, multi-map lookups) would
-	// cost more than it saves.
-	const minLayeredClone = 1024
-	base := len(r.tuples)
-	if n := len(r.under); n > 0 {
-		base = len(r.under[n-1].tuples)
+	c := &Relation{typ: r.typ, keyPos: r.keyPos}
+	n, base := len(r.chunks), len(r.chunks[0].tuples)
+	if base < minSharedClone || n > maxDepth || r.Len()-base > base/4 {
+		c.chunks = []*chunk{r.flatten(true)}
+		return c
 	}
-	var c *Relation
-	if base < minLayeredClone || len(r.under) >= maxUnderDepth || r.Len()-base > base/4 {
-		c = r.flatClone()
-	} else {
-		c = &Relation{typ: r.typ, keyPos: r.keyPos,
-			tuples: make(map[string]value.Tuple)}
-		if r.whole != nil {
-			c.whole = make(map[string]struct{})
-		}
-		if len(r.tuples) > 0 || len(r.under) == 0 {
-			c.under = make([]*layer, 0, len(r.under)+1)
-			c.under = append(c.under, &layer{tuples: r.tuples, whole: r.whole})
-			c.under = append(c.under, r.under...)
-		} else {
-			c.under = append([]*layer(nil), r.under...)
-		}
-	}
-	r.idxMu.Lock()
-	if len(c.under) > 0 && len(c.tuples) == 0 {
-		// The own maps were captured above; idxMu serializes the flag write
-		// against another goroutine cloning this published relation.
-		r.ownShared = true
-	}
-	for sig, e := range r.idx {
-		if e.ver != r.version {
-			continue
-		}
-		if c.inherited == nil {
-			c.inherited = make(map[string]*Index, len(r.idx))
-		}
-		c.inherited[sig] = e.idx
-	}
-	r.idxMu.Unlock()
-	if c.inherited == nil && r.inherited != nil {
-		c.inherited = r.inherited
-		c.pending = append([]value.Tuple(nil), r.pending...)
-	}
-	return c
-}
-
-// flatClone is the layered-representation-free deep copy.
-func (r *Relation) flatClone() *Relation {
-	n := r.Len()
-	c := &Relation{typ: r.typ, keyPos: r.keyPos,
-		tuples: make(map[string]value.Tuple, n)}
-	if r.whole != nil {
-		c.whole = make(map[string]struct{}, n)
-	}
-	take := func(tup map[string]value.Tuple, wh map[string]struct{}) {
-		for k, t := range tup {
-			c.tuples[k] = t
-		}
-		if c.whole != nil {
-			for k := range wh {
-				c.whole[k] = struct{}{}
-			}
-		}
-	}
-	take(r.tuples, r.whole)
-	for _, l := range r.under {
-		take(l.tuples, l.whole)
-	}
+	r.chunks[n-1].sealed.Store(true)
+	c.chunks = r.chunks[:n:n]
 	return c
 }
 
@@ -701,10 +502,10 @@ func (r *Relation) WriteTo(w io.Writer) (int64, error) {
 // ahead constructor). An index is immutable once built.
 //
 // An index either holds all its tuples in buckets (base nil), or is an
-// overlay: buckets holds only the tuples added since the frozen base index
-// was built, and probes merge both layers. Overlays are produced by IndexOn
-// for cloned relations; base is always a flat index, so the layering never
-// exceeds depth one.
+// overlay: buckets holds only the tuples of the chunks after the one its full
+// base index covers up to, and probes merge both layers. IndexOn produces
+// overlays when it extends a carried index; base is always a full index, so
+// the layering never exceeds depth one.
 type Index struct {
 	positions []int
 	buckets   map[string][]value.Tuple
@@ -724,7 +525,7 @@ func BuildIndex(r *Relation, positions []int) *Index {
 
 // BuildIndexParallel indexes the relation on the given attribute positions
 // using up to workers goroutines. The expensive per-tuple key encoding is done
-// on chunk workers over disjoint slices of the relation; the merge only
+// on workers over disjoint slices of the relation; the merge only
 // concatenates bucket slices. With workers <= 1 (or a small relation) it falls
 // back to BuildIndex. The returned Index is identical in content to
 // BuildIndex's (bucket ordering within a key may differ, which no caller
@@ -740,10 +541,10 @@ func BuildIndexParallel(r *Relation, positions []int, workers int) *Index {
 	tuples := r.Slice()
 	parts := make([]map[string][]value.Tuple, workers)
 	var wg sync.WaitGroup
-	chunk := (len(tuples) + workers - 1) / workers
+	span := (len(tuples) + workers - 1) / workers
 	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, len(tuples))
+		lo := w * span
+		hi := min(lo+span, len(tuples))
 		if lo >= hi {
 			continue
 		}
@@ -772,59 +573,81 @@ func BuildIndexParallel(r *Relation, positions []int, workers int) *Index {
 }
 
 // IndexOn returns a hash index on positions, memoizing it on the relation.
-// A memoized index is reused as long as the relation's content has not
-// changed since it was built, which turns the join build side from a
-// per-evaluation cost into a once-per-relation-version cost — the difference
-// between O(relation) and O(delta) work when a fixpoint is resumed with a
-// small delta against large, unchanged relations. Relations shared between
-// goroutines are published and therefore unmutated, so concurrent IndexOn
-// calls are safe (the worst case is two racers building the same index and
-// one winning the memo slot).
+// It seals the newest chunk and memoizes the index there, so the index stays
+// valid for every relation sharing that chunk prefix — the difference between
+// O(relation) and O(delta) work when a fixpoint is resumed with a small delta
+// against large, unchanged relations. An index an earlier chunk carries is
+// extended by the chunks after it when carried allows, and otherwise built.
+// Relations shared between goroutines are published and therefore unmutated,
+// so concurrent IndexOn calls are safe (the worst case is two racers building
+// the same index and one winning the memo slot).
 func (r *Relation) IndexOn(positions []int, workers int) *Index {
 	// The signature is built without allocating: selector access paths call
 	// IndexOn once per query, and the memo hit below is their common case.
 	var buf [32]byte
-	key := appendSig(buf[:0], positions)
-	r.idxMu.Lock()
-	if e, ok := r.idx[string(key)]; ok && e.ver == r.version {
-		r.idxMu.Unlock()
-		return e.idx
-	}
-	sig := string(key)
-	ver := r.version
-	base := r.inherited[sig]
-	pending := r.pending
-	r.idxMu.Unlock()
-	var idx *Index
-	if base != nil {
-		idx = overlayIndex(base, pending, positions, r.Len()/4)
-	}
-	if idx == nil {
+	sig := appendSig(buf[:0], positions)
+	tail := r.chunks[len(r.chunks)-1]
+	tail.sealed.Store(true)
+	idx, at := r.carried(sig)
+	switch {
+	case at == len(r.chunks)-1:
+		return idx
+	case idx == nil:
 		idx = BuildIndexParallel(r, positions, workers)
+	default:
+		prev := idx
+		idx = extend(prev, r.chunks[at+1:], positions)
+		if prev.base != nil {
+			// The extension holds the superseded overlay's tuples: drop it so
+			// a relation keeps one overlay alive per signature, not one per
+			// chunk. A full index stays; it is the base of every overlay.
+			c := r.chunks[at]
+			c.mu.Lock()
+			if c.idx[string(sig)] == prev {
+				delete(c.idx, string(sig))
+			}
+			c.mu.Unlock()
+		}
 	}
-	r.idxMu.Lock()
-	if r.idx == nil {
-		r.idx = make(map[string]idxEntry)
+	tail.mu.Lock()
+	if tail.idx == nil {
+		tail.idx = make(map[string]*Index)
 	}
-	r.idx[sig] = idxEntry{ver: ver, idx: idx}
-	r.idxMu.Unlock()
+	tail.idx[string(sig)] = idx
+	tail.mu.Unlock()
 	return idx
 }
 
 // HasIndexOn reports whether the relation already carries an index on
-// positions, so that IndexOn serves it without a build: a memoized index valid
-// for the current content, or an inherited one that IndexOn overlays with the
-// tuples added since the clone.
+// positions, so that IndexOn serves it without a build: one covering the
+// whole content, or one an earlier chunk carries that IndexOn extends.
 func (r *Relation) HasIndexOn(positions []int) bool {
 	var buf [32]byte
-	key := appendSig(buf[:0], positions)
-	r.idxMu.Lock()
-	defer r.idxMu.Unlock()
-	if e, ok := r.idx[string(key)]; ok && e.ver == r.version {
-		return true
+	idx, _ := r.carried(appendSig(buf[:0], positions))
+	return idx != nil
+}
+
+// carried returns the index on sig that the newest chunk carrying one holds,
+// and that chunk's position; nil and -1 when no chunk carries one, or when
+// extending it would exceed a quarter of the relation — its own overlay plus
+// the later chunks' tuples. Past that point a full build is cheaper than
+// dragging an ever-growing overlay through future clones.
+func (r *Relation) carried(sig []byte) (*Index, int) {
+	later := 0
+	for i := len(r.chunks) - 1; i >= 0; i-- {
+		c := r.chunks[i]
+		c.mu.Lock()
+		idx := c.idx[string(sig)]
+		c.mu.Unlock()
+		if idx != nil {
+			if later > 0 && overlaySize(idx)+later > r.Len()/4 {
+				return nil, -1
+			}
+			return idx, i
+		}
+		later += len(c.tuples)
 	}
-	base := r.inherited[string(key)]
-	return base != nil && overlaySize(base, r.pending) <= r.Len()/4
+	return nil, -1
 }
 
 // appendSig appends the memo signature of positions to buf.
@@ -836,52 +659,43 @@ func appendSig(buf []byte, positions []int) []byte {
 }
 
 // Indexes reports how many memoized indexes are valid for the relation's
-// current content (for monitoring).
+// current content (for monitoring): those its newest chunk carries.
 func (r *Relation) Indexes() int {
-	r.idxMu.Lock()
-	defer r.idxMu.Unlock()
-	n := 0
-	for _, e := range r.idx {
-		if e.ver == r.version {
-			n++
-		}
-	}
-	return n
+	c := r.chunks[len(r.chunks)-1]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.idx)
 }
 
-// overlayIndex layers the tuples added since a clone over the clone source's
-// index, flattening an overlay source so the result references a single
-// frozen base. It declines (nil) when the accumulated overlay would exceed
-// limit tuples — past that point a full rebuild is cheaper than dragging an
-// ever-growing overlay through future clones.
-func overlayIndex(base *Index, pending []value.Tuple, positions []int, limit int) *Index {
-	if overlaySize(base, pending) > limit {
-		return nil
-	}
-	full := base
+// extend layers the tuples of the chunks later over idx, flattening an
+// overlay idx so the result references a single full base.
+func extend(idx *Index, later []*chunk, positions []int) *Index {
+	full := idx
 	var prior map[string][]value.Tuple
-	if base.base != nil {
-		full, prior = base.base, base.buckets
+	if idx.base != nil {
+		full, prior = idx.base, idx.buckets
 	}
-	buckets := make(map[string][]value.Tuple, len(prior)+len(pending))
+	buckets := make(map[string][]value.Tuple, len(prior))
 	for k, ts := range prior {
 		// Capacity-clipped alias: a later append reallocates instead of
-		// writing into the source overlay's backing array.
+		// writing into the extended overlay's backing array.
 		buckets[k] = ts[:len(ts):len(ts)]
 	}
-	for _, t := range pending {
-		k := t.Project(positions).Key()
-		buckets[k] = append(buckets[k], t)
+	for _, c := range later {
+		for _, t := range c.tuples {
+			k := t.Project(positions).Key()
+			buckets[k] = append(buckets[k], t)
+		}
 	}
 	return &Index{positions: positions, buckets: buckets, base: full}
 }
 
-// overlaySize is the number of tuples the overlay of pending on base holds:
-// pending plus base's own overlay, if it is one.
-func overlaySize(base *Index, pending []value.Tuple) int {
-	size := len(pending)
-	if base.base != nil {
-		for _, ts := range base.buckets {
+// overlaySize is the number of tuples an overlay holds beyond its full base:
+// 0 for a full index.
+func overlaySize(idx *Index) int {
+	size := 0
+	if idx.base != nil {
+		for _, ts := range idx.buckets {
 			size += len(ts)
 		}
 	}

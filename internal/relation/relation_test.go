@@ -186,8 +186,8 @@ func TestEqualProperty(t *testing.T) {
 	}
 }
 
-// TestEqualSeesUnderLayers: two layered clones with equal lengths and the same
-// own tuples are equal only if their frozen layers are.
+// TestEqualSeesUnderLayers: two clones with equal lengths and the same newest
+// chunk are equal only if their shared sealed chunks are.
 func TestEqualSeesUnderLayers(t *testing.T) {
 	layered := func(prefix string) *Relation {
 		r := New(binT)
@@ -196,17 +196,17 @@ func TestEqualSeesUnderLayers(t *testing.T) {
 		}
 		c := r.Clone()
 		c.Add(pair("same", "tuple"))
-		if len(c.under) == 0 {
-			t.Fatal("clone is not layered")
+		if len(c.chunks) < 2 {
+			t.Fatal("clone shares no chunk")
 		}
 		return c
 	}
 	a, b := layered("a"), layered("b")
 	if a.Equal(b) || b.Equal(a) {
-		t.Error("layered clones with disjoint frozen layers compare equal")
+		t.Error("clones with disjoint shared chunks compare equal")
 	}
 	if a2 := layered("a"); !a.Equal(a2) {
-		t.Error("layered clones with equal contents compare unequal")
+		t.Error("clones with equal contents compare unequal")
 	}
 }
 
@@ -272,7 +272,7 @@ func TestSliceUnordered(t *testing.T) {
 func TestInsertKeyed(t *testing.T) {
 	r := New(binT)
 	kd := r.KeyedOf(pair("a", "b"))
-	if kd.W != "" || kd.K != pair("a", "b").Key() {
+	if kd.K != pair("a", "b").Key() {
 		t.Fatalf("KeyedOf whole-key relation: %+v", kd)
 	}
 	if err := r.InsertKeyed(kd); err != nil {
@@ -288,8 +288,8 @@ func TestInsertKeyed(t *testing.T) {
 	k := New(keyedT)
 	row := func(id int64, v string) value.Tuple { return value.NewTuple(value.Int(id), value.Str(v)) }
 	kd1 := k.KeyedOf(row(1, "x"))
-	if kd1.W == "" {
-		t.Fatalf("KeyedOf proper-subset key must fill W")
+	if kd1.K != value.NewTuple(value.Int(1)).Key() {
+		t.Fatalf("KeyedOf proper-subset key must encode the key attributes: %+v", kd1)
 	}
 	if err := k.InsertKeyed(kd1); err != nil {
 		t.Fatal(err)
@@ -297,8 +297,13 @@ func TestInsertKeyed(t *testing.T) {
 	if err := k.InsertKeyed(k.KeyedOf(row(1, "y"))); err == nil {
 		t.Fatal("key conflict not reported through InsertKeyed")
 	}
-	if !k.Contains(row(1, "x")) || k.Contains(row(1, "y")) {
-		t.Fatal("InsertKeyed broke Contains bookkeeping")
+	// Membership of a partial-key relation is the key lookup plus a whole-tuple
+	// comparison.
+	if !k.Contains(row(1, "x")) || k.Contains(row(1, "y")) || k.Contains(row(2, "x")) {
+		t.Fatal("partial-key Contains is not exact")
+	}
+	if !k.ContainsKeyed(kd1) || k.ContainsKeyed(k.KeyedOf(row(1, "y"))) {
+		t.Fatal("partial-key ContainsKeyed is not exact")
 	}
 }
 
@@ -328,7 +333,7 @@ func TestBuildIndexParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// bigRel builds a relation large enough to take the layered Clone path.
+// bigRel builds a relation large enough that Clone shares its chunks.
 func bigRel(t *testing.T, n int) *Relation {
 	t.Helper()
 	r := New(binT)
@@ -353,7 +358,7 @@ func TestLayeredCloneValueSemantics(t *testing.T) {
 		t.Fatalf("clone mutation leaked into source: r=%d c=%d", r.Len(), c.Len())
 	}
 	// ...and mutating the source must not reach the clone, even though the
-	// clone captured the source's maps as a frozen layer.
+	// two share the source's chunk.
 	if err := r.Insert(pair("src", "only")); err != nil {
 		t.Fatal(err)
 	}
@@ -374,26 +379,53 @@ func TestLayeredCloneValueSemantics(t *testing.T) {
 	if g2.Contains(pair("gen", "3")) || !g3.Contains(pair("gen", "2")) {
 		t.Fatal("chained clone containment broken")
 	}
-	// Delete against a tuple held in a frozen layer materializes and works.
+	// Delete against a tuple held in a sealed chunk flattens and works.
 	if !g3.Delete(snapshot[0]) || g3.Contains(snapshot[0]) || g3.Len() != 3002 {
-		t.Fatal("delete through frozen layer failed")
+		t.Fatal("delete through a sealed chunk failed")
 	}
 	if !c.Contains(snapshot[0]) || !g2.Contains(snapshot[0]) {
 		t.Fatal("delete in one generation leaked into another")
 	}
 }
 
+// TestLayeredCloneFlattensDeepChains: a chain of clones, each indexed, stays
+// within maxDepth+1 chunks, and every flatten keeps the index covering the
+// content, so no generation rebuilds it.
 func TestLayeredCloneFlattensDeepChains(t *testing.T) {
 	r := bigRel(t, 2000)
-	for i := 0; i < 3*maxUnderDepth; i++ {
+	base := r.IndexOn([]int{1}, 1)
+	for i := 0; i < 3*maxDepth; i++ {
 		r = r.Clone()
 		r.Add(pair(fmt.Sprintf("g%04d", i), "x"))
-		if len(r.under) > maxUnderDepth {
-			t.Fatalf("generation %d: under depth %d exceeds cap", i, len(r.under))
+		if len(r.chunks) > maxDepth+1 {
+			t.Fatalf("generation %d: %d chunks exceed the cap", i, len(r.chunks))
+		}
+		if idx := r.IndexOn([]int{1}, 1); idx.base != base {
+			t.Fatalf("generation %d: index rebuilt instead of extended", i)
 		}
 	}
-	if r.Len() != 2000+3*maxUnderDepth {
+	if r.Len() != 2000+3*maxDepth {
 		t.Fatalf("len after chained clones: %d", r.Len())
+	}
+	// A relation written in place after each Clone of it or IndexOn over it —
+	// a fixpoint accumulator — flattens on its write path instead.
+	for _, indexed := range []bool{false, true} {
+		acc := bigRel(t, 2000)
+		base := acc.IndexOn([]int{1}, 1)
+		for i := 0; i < 3*maxDepth; i++ {
+			if !indexed {
+				acc.Clone()
+			} else if idx := acc.IndexOn([]int{1}, 1); fullOf(idx) != base {
+				t.Fatalf("accumulator round %d: index rebuilt instead of extended", i)
+			}
+			acc.Add(pair(fmt.Sprintf("acc%04d", i), "x"))
+			if len(acc.chunks) > maxDepth+1 {
+				t.Fatalf("accumulator round %d: %d chunks exceed the cap", i, len(acc.chunks))
+			}
+		}
+		if acc.Len() != 2000+3*maxDepth {
+			t.Fatalf("accumulator len: %d", acc.Len())
+		}
 	}
 }
 
@@ -405,12 +437,12 @@ func TestIndexOnOverlayAfterClone(t *testing.T) {
 	c.Add(pair("extra2", "dZZZZZZ"))
 	idx := c.IndexOn([]int{1}, 1)
 	if idx.base == nil {
-		t.Fatal("clone's index did not overlay the inherited base")
+		t.Fatal("clone's index did not extend the carried base")
 	}
 	if idx.base != base {
 		t.Fatal("overlay does not reference the source's memoized index")
 	}
-	// The overlay must see both the inherited bucket and the new tuples.
+	// The overlay must see both the carried bucket and the new tuples.
 	key := value.NewTuple(value.Str("d000001"))
 	want := len(base.Probe(key)) + 1
 	if got := len(idx.Probe(key)); got != want {
@@ -442,8 +474,8 @@ func TestIndexOnOverlayAfterClone(t *testing.T) {
 }
 
 // TestHasIndexOn: a relation carries an index on positions exactly when
-// IndexOn would serve it without a build — a memo valid for its content, or
-// an inherited index whose overlay stays within IndexOn's limit.
+// IndexOn would serve it without a build — one covering its content, or one
+// an earlier chunk carries whose extension stays within IndexOn's limit.
 func TestHasIndexOn(t *testing.T) {
 	r := bigRel(t, 3000)
 	if r.HasIndexOn([]int{0}) {
@@ -456,15 +488,17 @@ func TestHasIndexOn(t *testing.T) {
 	c := r.Clone()
 	c.Add(pair("extra", "x"))
 	if !c.HasIndexOn([]int{0}) {
-		t.Fatal("clone does not carry its inherited index")
+		t.Fatal("clone does not carry the source's index")
 	}
-	if r.Add(pair("more", "x")); r.HasIndexOn([]int{0}) {
-		t.Fatal("memo outlived a mutation")
+	// A write opens a chunk after the indexed one: the index still covers
+	// the prefix, and IndexOn extends it.
+	if r.Add(pair("more", "x")); !r.HasIndexOn([]int{0}) || r.IndexOn([]int{0}, 1).base != base {
+		t.Fatal("a write dropped the relation's own index")
 	}
 	if idx := c.IndexOn([]int{0}, 1); idx.base != base {
-		t.Fatal("carried index was rebuilt instead of overlaid")
+		t.Fatal("carried index was rebuilt instead of extended")
 	}
-	// Past IndexOn's overlay limit (a quarter of the relation) the inherited
+	// Past IndexOn's overlay limit (a quarter of the relation) the carried
 	// index would be rebuilt, so it is not carried.
 	g := c.Clone()
 	for i := 0; g.HasIndexOn([]int{0}); i++ {
@@ -473,8 +507,12 @@ func TestHasIndexOn(t *testing.T) {
 		}
 		g.Add(pair(fmt.Sprintf("grow%05d", i), "x"))
 	}
-	if n := overlaySize(g.inherited["0,"], g.pending); n <= g.Len()/4 {
+	carrier, tail := g.chunks[len(g.chunks)-2], g.chunks[len(g.chunks)-1]
+	if n := overlaySize(carrier.idx["0,"]) + len(tail.tuples); n <= g.Len()/4 {
 		t.Fatalf("index dropped with an overlay of %d tuples of %d", n, g.Len())
+	}
+	if idx := g.IndexOn([]int{0}, 1); idx.base != nil || idx == base {
+		t.Fatal("an index past the overlay limit was extended, not rebuilt")
 	}
 }
 
@@ -494,8 +532,8 @@ func TestIndexOnInvalidatedByDelete(t *testing.T) {
 
 func TestInsertAllIsAllOrNothing(t *testing.T) {
 	kv := func(id int64, v string) value.Tuple { return value.NewTuple(value.Int(id), value.Str(v)) }
-	// A layered clone with own tuples of its own: the shape of a transaction
-	// overlay on its second Insert call.
+	// A clone sharing an indexed chunk, with a chunk of its own: the shape of
+	// a transaction overlay on its second Insert call.
 	base := New(keyedT)
 	for i := int64(0); i < 2000; i++ {
 		if err := base.Insert(kv(i, "base")); err != nil {

@@ -201,22 +201,22 @@ func (s *Server) admit(sess *session) error {
 // when every session ended by draining, or ctx.Err() if the deadline forced
 // the close.
 func (s *Server) Shutdown(ctx context.Context) error {
+	// Every live session is draining before anyone can observe the shutdown:
+	// startSession's refusal reads draining under s.mu, and the listeners
+	// close last. Otherwise a client whose new connection was refused could
+	// still get new work accepted on a session beginDrain had not reached.
 	s.mu.Lock()
 	if !s.draining {
 		s.draining = true
 		close(s.drainCh)
 	}
+	for sess := range s.sessions {
+		sess.beginDrain()
+	}
 	for l := range s.listeners {
 		l.Close()
 	}
-	sessions := make([]*session, 0, len(s.sessions))
-	for sess := range s.sessions {
-		sessions = append(sessions, sess)
-	}
 	s.mu.Unlock()
-	for _, sess := range sessions {
-		sess.beginDrain()
-	}
 
 	done := make(chan struct{})
 	go func() {

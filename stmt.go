@@ -44,7 +44,7 @@ import (
 // and selector access paths are the same hash indexes, built on first use and
 // memoized on the relation values of the execution's snapshot, so repeated
 // executions share them until the underlying variable is reassigned (an
-// insert's next value inherits them as an overlay).
+// insert's next value shares them and extends them by the inserted tuples).
 //
 // Close invalidates only this handle; it does not touch the DB's plan cache,
 // which holds its own statements (keyed by source text, evicted by LRU and
