@@ -425,7 +425,8 @@ type Health struct {
 	Applied   uint64
 	Connected bool
 	StreamErr string
-	// Parallelism is the server executor's worker fan-out (dbpld -parallel).
+	// Parallelism is how many equations of a fixpoint round the server
+	// evaluates at once (dbpld -parallel).
 	Parallelism uint64
 	// Materialized-view cache state on the server: enabled flag, live
 	// entries, read outcome counters, and queued-delta maintenance backlog.

@@ -73,7 +73,7 @@ func main() {
 	poolPages := flag.Int("pool-pages", 0, "buffer-pool budget of -path in 4KiB pages (0 = unbounded residency)")
 	connect := flag.String("connect", "", "run against a dbpld server at this address instead of an embedded database")
 	token := flag.String("token", "", "auth token for -connect")
-	parallel := flag.Int("parallel", 0, "executor worker fan-out per query (embedded mode; 0 = all CPUs, 1 = serial)")
+	parallel := flag.Int("parallel", 0, "equations a fixpoint round evaluates at once (embedded mode; 0 = all CPUs, 1 = serial)")
 	flag.Parse()
 
 	interactive := *replFlag || flag.NArg() == 0

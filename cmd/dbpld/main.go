@@ -44,7 +44,7 @@ func main() {
 	maxOpenRows := flag.Int("max-open-rows", 0, "cap on open cursors per session (0 = unlimited)")
 	replica := flag.Bool("replica", false, "serve as a read replica tailing -primary")
 	primary := flag.String("primary", "", "primary address to replicate from (with -replica)")
-	parallel := flag.Int("parallel", 0, "executor worker fan-out per query (0 = all CPUs, 1 = serial)")
+	parallel := flag.Int("parallel", 0, "equations a fixpoint round evaluates at once (0 = all CPUs, 1 = serial)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long a graceful shutdown waits for open work")
 	quiet := flag.Bool("quiet", false, "suppress connection-level diagnostics")
 	flag.Parse()

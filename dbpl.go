@@ -233,11 +233,12 @@ func (d *DB) Declare(name string, typ RelationType) error {
 // Insert adds tuples to a relation variable under its key constraint, all or
 // nothing; tuples the variable already holds are no-ops and are neither
 // logged nor stored again. The published relation is replaced copy-on-write
-// at O(batch) cost (the copy shares the old value by layers). On the paged
-// engine a variable that is not resident is decoded once, as by a read, if
-// it fits the residency budget; one too large for the budget is never
-// decoded by Insert, and the first Insert into it adds one key-only pass over
-// its pages (Health().Storage.KeyIndexBuilds versus .Materializations).
+// at O(batch) cost (the copy shares the old value's sealed chunks by
+// prefix). On the paged engine a variable that is not resident is decoded
+// once, as by a read, if it fits the residency budget; one too large for the
+// budget is never decoded by Insert, and the first Insert into it adds one
+// key-only pass over its pages (Health().Storage.KeyIndexBuilds versus
+// .Materializations).
 func (d *DB) Insert(name string, tuples ...Tuple) error {
 	return wrapErr(d.noteMutErr(d.store().Insert(name, tuples...)))
 }

@@ -62,7 +62,7 @@ func (s *Stmt) ExplainQuery(ctx context.Context, args ...any) (*Plan, error) {
 	for _, op := range ex.exec.Ops() {
 		p.Analyze.Operators = append(p.Analyze.Operators, OperatorStat{
 			Op: op.Op, RowsIn: op.RowsIn, RowsOut: op.RowsOut,
-			Batches: op.Batches, Workers: op.Workers,
+			Batches: op.Batches, Workers: 1,
 		})
 	}
 	if ex.engine != (core.Stats{}) {

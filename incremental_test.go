@@ -137,15 +137,15 @@ func (m *mutator) redraw(k int) []dbpl.Tuple {
 // example workloads and checks after every mutation that a materialized
 // database answers every query tuple-identically to a reference database that
 // refixpoints from scratch: the maintained state is never allowed to drift,
-// and no write invalidates a view. Runs the serial and the parallel executor.
+// and no write invalidates a view. Runs with serial and with concurrent
+// equation evaluation.
 func TestIncrementalMetamorphic(t *testing.T) {
 	configs := []struct {
 		name string
 		opts []dbpl.Option
 	}{
-		{name: "serial"},
-		{name: "parallel", opts: []dbpl.Option{
-			dbpl.WithParallelism(4), dbpl.WithParallelThreshold(1)}},
+		{name: "serial", opts: []dbpl.Option{dbpl.WithParallelism(1)}},
+		{name: "parallel", opts: parallelOpts(4)},
 	}
 	for _, cfg := range configs {
 		for _, w := range incWorkloads() {

@@ -113,7 +113,7 @@ func BuildPhysicalAt(base *relation.Relation, pos int) (*Physical, error) {
 	if pos < 0 || pos >= base.Type().Element.Arity() {
 		return nil, fmt.Errorf("accesspath: relation %s has no attribute position %d", base.Type().Name, pos)
 	}
-	return &Physical{idx: base.IndexOn([]int{pos}, 1)}, nil
+	return &Physical{idx: base.IndexOn([]int{pos})}, nil
 }
 
 // Lookup returns the partition for one constant (empty when none matches).

@@ -175,10 +175,10 @@ type Engine struct {
 	// MaxRounds bounds iterations of non-monotonic systems; 0 means a
 	// large default.
 	MaxRounds int
-	// Parallelism bounds the worker fan-out of fixpoint rounds: when the
-	// grounded system has more than one instance, up to Parallelism equations
-	// are evaluated concurrently per round. 0 or 1 keeps rounds serial.
-	// (Intra-equation parallelism is governed separately by the eval.Env.)
+	// Parallelism bounds the worker fan-out of fixpoint rounds, the only
+	// parallel evaluation: when the grounded system has more than one
+	// instance, up to Parallelism equations are evaluated concurrently per
+	// round. 0 or 1 keeps rounds serial.
 	Parallelism int
 	// Views, when non-nil, is consulted before every constructor application;
 	// a serving provider replaces the ground-and-solve path entirely. Set it

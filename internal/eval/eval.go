@@ -78,13 +78,6 @@ type Env struct {
 	// iteration. A nil Ctx means "never cancelled".
 	Ctx context.Context
 
-	// Parallelism is the executor's worker budget for partitioned pipelines
-	// (outer-relation partitioning of joins, selector filters, and index
-	// builds). 0 or 1 runs everything on the calling goroutine.
-	Parallelism int
-	// ParallelMinRows is the outer-cardinality threshold below which a
-	// pipeline stays serial; 0 means DefaultParallelMinRows.
-	ParallelMinRows int
 	// ExecStats, when non-nil, receives per-operator executor counters,
 	// surfaced by EXPLAIN ANALYZE.
 	ExecStats *ExecStats
@@ -119,15 +112,13 @@ func NewEnv() *Env {
 // relation binding map, for scoped re-binding.
 func (e *Env) Clone() *Env {
 	c := &Env{
-		Rels:            make(map[string]*relation.Relation, len(e.Rels)),
-		Scalars:         make(map[string]value.Value, len(e.Scalars)),
-		Selectors:       e.Selectors,
-		Constructors:    e.Constructors,
-		ScanSelectors:   e.ScanSelectors,
-		Ctx:             e.Ctx,
-		Parallelism:     e.Parallelism,
-		ParallelMinRows: e.ParallelMinRows,
-		ExecStats:       e.ExecStats,
+		Rels:          make(map[string]*relation.Relation, len(e.Rels)),
+		Scalars:       make(map[string]value.Value, len(e.Scalars)),
+		Selectors:     e.Selectors,
+		Constructors:  e.Constructors,
+		ScanSelectors: e.ScanSelectors,
+		Ctx:           e.Ctx,
+		ExecStats:     e.ExecStats,
 	}
 	for k, v := range e.Rels {
 		c.Rels[k] = v
@@ -403,7 +394,7 @@ func (e *Env) SetExpr(s *ast.SetExpr, rt schema.RelationType) (*relation.Relatio
 
 // EvalBranchIntoExcluding evaluates a single branch, adding result tuples to
 // out, except that tuples already present in except (which may be nil) are
-// dropped on the executor workers, before the single-threaded merge into out.
+// dropped by the pipeline's project stage, before the dedup into out.
 // Exposed for the semi-naive fixpoint engine, which evaluates branches
 // individually against delta relations and passes its accumulated state here,
 // so each round's merge cost is proportional to the true delta.
@@ -806,9 +797,9 @@ func (e *Env) bindIndexes(pb *preparedBranch) []*relation.Index {
 		case k == 0 && pb.derived && !rels[0].HasIndexOn(positions):
 			plan.scanOuter()
 		case e.unindexed(plan.bind(k)):
-			indexes[k] = relation.BuildIndexParallel(rels[k], positions, e.Parallelism)
+			indexes[k] = relation.BuildIndex(rels[k], positions)
 		default:
-			indexes[k] = rels[k].IndexOn(positions, e.Parallelism)
+			indexes[k] = rels[k].IndexOn(positions)
 		}
 	}
 	return indexes

@@ -598,7 +598,7 @@ END m.
 	if got := run(); got != [2]bool{} || view.Indexes() != 0 {
 		t.Errorf("view without an index: probed %v, %d index(es) built on it", got, view.Indexes())
 	}
-	view.IndexOn([]int{0}, 1)
+	view.IndexOn([]int{0})
 	if got := run(); got != [2]bool{true, true} {
 		t.Errorf("view carrying an index on front: probed %v, want both", got)
 	}

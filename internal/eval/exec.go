@@ -8,19 +8,13 @@
 // and allocation stay off the hot path. The final dedup stage is the
 // set-semantics sink: the result Relation.
 //
-// Large pipelines additionally fan out: the outer (first) binding's tuples are
-// partitioned into contiguous chunks and each chunk runs the whole pipeline on
-// its own worker goroutine over a cloned environment, probing the shared
-// read-only hash indexes. Workers precompute each result tuple's key encoding
-// (relation.Keyed), so the single-threaded merge that preserves set semantics
-// is reduced to map inserts; merging in partition order keeps error selection
-// and result sets deterministic. Every worker loop polls the environment's
-// context, so QueryContext cancellation reaches into partitioned execution.
+// A pipeline runs on the calling goroutine; the only parallel evaluation is
+// the fixpoint's, which evaluates a round's equations concurrently, each over
+// its own environment. Every operator loop polls the environment's context,
+// so QueryContext cancellation reaches into a running pipeline.
 package eval
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -33,11 +27,6 @@ import (
 
 // BatchSize is the number of rows handed between operators per Next call.
 const BatchSize = 256
-
-// DefaultParallelMinRows is the outer-relation cardinality below which a
-// pipeline stays on the calling goroutine regardless of Env.Parallelism:
-// goroutine and merge overhead dominate tiny inputs.
-const DefaultParallelMinRows = 1024
 
 // execRow is a partial binding: one tuple per bound variable, in binding
 // order. Rows are immutable once emitted by an operator (extensions copy).
@@ -53,13 +42,12 @@ type OpStat struct {
 	RowsIn, RowsOut int64
 	// Batches counts non-empty output batches.
 	Batches int64
-	// Workers is the largest worker count the operator ran with.
-	Workers int
 }
 
 // ExecStats aggregates per-operator counters across one evaluation. It is
-// shared by pointer between the environment and its worker clones and is safe
-// for concurrent use.
+// shared by pointer between the environment and its clones, including those
+// of constructor instances a fixpoint round evaluates concurrently, and is
+// safe for concurrent use.
 type ExecStats struct {
 	mu    sync.Mutex
 	order []string
@@ -142,7 +130,7 @@ func (s *ExecStats) SelectorPaths() (lookups, scans int) {
 }
 
 // Record merges one operator run into the aggregate.
-func (s *ExecStats) Record(op string, rowsIn, rowsOut, batches int64, workers int) {
+func (s *ExecStats) Record(op string, rowsIn, rowsOut, batches int64) {
 	if s == nil {
 		return
 	}
@@ -160,9 +148,6 @@ func (s *ExecStats) Record(op string, rowsIn, rowsOut, batches int64, workers in
 	st.RowsIn += rowsIn
 	st.RowsOut += rowsOut
 	st.Batches += batches
-	if workers > st.Workers {
-		st.Workers = workers
-	}
 }
 
 // Ops returns the aggregated operator stats in first-recorded order.
@@ -189,7 +174,7 @@ type opCounters struct {
 // operator produces batches of binding rows. next returns (nil, nil) at end of
 // stream; a batch belongs to its consumer until the consumer's next call to
 // next, after which the producer may reuse it. Operators are
-// single-goroutine; parallelism wraps whole pipelines.
+// single-goroutine.
 type operator interface {
 	open() error
 	next() ([]execRow, error)
@@ -237,8 +222,8 @@ func (rb *rowBinder) bind(row execRow) *bindings {
 // Operators
 // ---------------------------------------------------------------------------
 
-// scanOp produces single-binding rows from a tuple slice (one partition of the
-// outer relation). A row is a one-element window onto that slice and the
+// scanOp produces single-binding rows from a tuple slice (the outer binding's
+// scan set). A row is a one-element window onto that slice and the
 // batch buffer is reused across calls, so a scan allocates once.
 type scanOp struct {
 	env    *Env
@@ -568,15 +553,13 @@ func (o *projectOp) next() ([]relation.Keyed, error) {
 // ---------------------------------------------------------------------------
 
 // buildBranchPipeline assembles scan → [filter] → (join → [filter])* → project
-// over one partition of the outer relation's tuples. It returns the pipeline
-// tail and the operator counters in pipeline order for post-run aggregation.
-func (e *Env) buildBranchPipeline(pb *preparedBranch, outer []value.Tuple,
-	except, out *relation.Relation) (tupleOp, []*opCounters) {
-
+// over the outer binding's scan set. It returns the pipeline tail and the
+// operator counters in pipeline order for post-run aggregation.
+func (e *Env) buildBranchPipeline(pb *preparedBranch, except, out *relation.Relation) (tupleOp, []*opCounters) {
 	plan, rels := pb.plan, pb.rels
 	var counters []*opCounters
 
-	var cur operator = &scanOp{env: e, tuples: outer,
+	var cur operator = &scanOp{env: e, tuples: pb.outer,
 		c: opCounters{label: plan.opLabel("scan", plan.bind(0).Var)}}
 	counters = append(counters, cur.counters())
 	filter := func(k int) {
@@ -631,86 +614,10 @@ func drainPipe(p tupleOp, sink func([]relation.Keyed) error) error {
 	}
 }
 
-// workersFor sizes the worker pool for a pipeline whose outer partition holds
-// n tuples: Env.Parallelism capped so each worker gets at least half the
-// parallel threshold, and 1 below the threshold.
-func (e *Env) workersFor(n int) int {
-	p := e.Parallelism
-	if p <= 1 {
-		return 1
-	}
-	minRows := e.ParallelMinRows
-	if minRows <= 0 {
-		minRows = DefaultParallelMinRows
-	}
-	if n < minRows {
-		return 1
-	}
-	if maxW := n * 2 / minRows; p > maxW {
-		p = maxW
-	}
-	if p < 2 {
-		return 1
-	}
-	return p
-}
-
-// cloneForWorker clones the environment for a pipeline worker: it adopts the
-// group's cancellable context, keeps already-materialized ranges (read-only
-// within the evaluation), and runs nested work serially so fan-out stays
-// bounded by the top-level pool.
-func (e *Env) cloneForWorker(ctx context.Context) *Env {
-	c := e.Clone()
-	c.Ctx = ctx
-	c.Parallelism = 1
-	if e.rangeMemo != nil {
-		c.rangeMemo = make(map[*ast.Range]*relation.Relation, len(e.rangeMemo))
-		for k, v := range e.rangeMemo {
-			c.rangeMemo[k] = v
-		}
-	}
-	return c
-}
-
-// splitChunks partitions tuples into one contiguous chunk per worker the
-// environment grants a scan of that size (workersFor); a serial scan is a
-// single chunk holding all of tuples, even when there are none.
-func (e *Env) splitChunks(tuples []value.Tuple) [][]value.Tuple {
-	n := e.workersFor(len(tuples))
-	if n <= 1 {
-		return [][]value.Tuple{tuples}
-	}
-	chunks := make([][]value.Tuple, 0, n)
-	size := (len(tuples) + n - 1) / n
-	for lo := 0; lo < len(tuples); lo += size {
-		chunks = append(chunks, tuples[lo:min(lo+size, len(tuples))])
-	}
-	return chunks
-}
-
 // flushCounters folds one pipeline's operator counters into the shared stats.
-func flushCounters(stats *ExecStats, sets [][]*opCounters, workers int) {
-	if stats == nil {
-		return
-	}
-	agg := make(map[string]*OpStat)
-	var order []string
-	for _, set := range sets {
-		for _, c := range set {
-			st, ok := agg[c.label]
-			if !ok {
-				st = &OpStat{Op: c.label}
-				agg[c.label] = st
-				order = append(order, c.label)
-			}
-			st.RowsIn += c.rowsIn
-			st.RowsOut += c.rowsOut
-			st.Batches += c.batches
-		}
-	}
-	for _, label := range order {
-		st := agg[label]
-		stats.Record(label, st.RowsIn, st.RowsOut, st.Batches, workers)
+func flushCounters(stats *ExecStats, counters []*opCounters) {
+	for _, c := range counters {
+		stats.Record(c.label, c.rowsIn, c.rowsOut, c.batches)
 	}
 }
 
@@ -742,54 +649,14 @@ func (e *Env) outerTuples(pb *preparedBranch) ([]value.Tuple, error) {
 	return pb.indexes[0].Probe(key), nil
 }
 
-// fanOut runs body once per chunk. A single chunk runs on the calling
-// goroutine in e itself; otherwise every chunk gets a worker goroutine over a
-// cloned environment under a shared cancellable context, and the first
-// failing worker cancels its siblings. The returned error prefers a root
-// cause over a sibling's induced cancellation; ties resolve in chunk order,
-// so error selection is deterministic.
-func (e *Env) fanOut(chunks int, body func(wenv *Env, w int) error) error {
-	if chunks == 1 {
-		return body(e, 0)
-	}
-	ctx, cancel := context.WithCancel(e.Context())
-	defer cancel()
-	errs := make([]error, chunks)
-	var wg sync.WaitGroup
-	for w := 0; w < chunks; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			if errs[w] = body(e.cloneForWorker(ctx), w); errs[w] != nil {
-				cancel() // fail fast: stop sibling workers
-			}
-		}(w)
-	}
-	wg.Wait()
-	var firstErr error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if firstErr == nil ||
-			(errors.Is(firstErr, context.Canceled) && !errors.Is(err, context.Canceled)) {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
 // runBranchPipeline executes a prepared branch into out, excluding tuples
-// already in except (which may be nil). A single pipeline dedups straight
-// into out; partitioned pipelines buffer per worker and merge in partition
-// order after the barrier, which keeps result sets deterministic.
+// already in except (which may be nil): one pipeline over the outer binding's
+// scan set, deduplicated straight into out.
 func (e *Env) runBranchPipeline(pb *preparedBranch, out, except *relation.Relation) error {
-	chunks := e.splitChunks(pb.outer)
-	results := make([][]relation.Keyed, len(chunks))
-	counterSets := make([][]*opCounters, len(chunks))
+	pipe, counters := e.buildBranchPipeline(pb, except, out)
 	before := out.Len()
 	var emitted int64
-	merge := func(batch []relation.Keyed) error {
+	err := drainPipe(pipe, func(batch []relation.Keyed) error {
 		for _, kd := range batch {
 			emitted++
 			if err := out.InsertKeyed(kd); err != nil {
@@ -797,27 +664,11 @@ func (e *Env) runBranchPipeline(pb *preparedBranch, out, except *relation.Relati
 			}
 		}
 		return nil
-	}
-	err := e.fanOut(len(chunks), func(wenv *Env, w int) error {
-		pipe, counters := wenv.buildBranchPipeline(pb, chunks[w], except, out)
-		counterSets[w] = counters
-		if len(chunks) == 1 {
-			return drainPipe(pipe, merge)
-		}
-		return drainPipe(pipe, func(batch []relation.Keyed) error {
-			results[w] = append(results[w], batch...)
-			return nil
-		})
 	})
-	flushCounters(e.ExecStats, counterSets, len(chunks))
+	flushCounters(e.ExecStats, counters)
 	if err != nil {
 		return err
 	}
-	for _, acc := range results {
-		if err := merge(acc); err != nil {
-			return err
-		}
-	}
-	e.ExecStats.Record(pb.plan.opLabel("dedup", ""), emitted, int64(out.Len()-before), 0, 1)
+	e.ExecStats.Record(pb.plan.opLabel("dedup", ""), emitted, int64(out.Len()-before), 0)
 	return nil
 }

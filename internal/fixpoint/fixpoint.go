@@ -60,9 +60,11 @@ type Options struct {
 	// iterations can be cancelled; the iteration returns ctx.Err().
 	Ctx context.Context
 	// Parallelism bounds concurrent equation evaluations within a round;
-	// 0 or 1 evaluates equations serially. Rounds themselves are always a
-	// barrier: round k+1 starts only after every equation of round k is done,
-	// so results are identical to serial iteration (set semantics).
+	// 0 or 1 evaluates equations serially. This is the system's only parallel
+	// evaluation: an equation's pipelines run on the goroutine evaluating it. Rounds
+	// themselves are always a barrier: round k+1 starts only after every
+	// equation of round k is done, so results are identical to serial
+	// iteration (set semantics).
 	Parallelism int
 }
 

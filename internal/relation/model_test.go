@@ -249,13 +249,13 @@ func runModel(t *testing.T, mc modelCase, rng *rand.Rand) {
 			pos := positions[rng.Intn(len(positions))]
 			prev, _ := g.rel.carried(appendSig(nil, pos))
 			has := g.rel.HasIndexOn(pos)
-			idx := g.rel.IndexOn(pos, 1)
+			idx := g.rel.IndexOn(pos)
 			switch {
 			case has && fullOf(idx) != fullOf(prev):
 				t.Fatalf("step %d: HasIndexOn(%v) reported a carried index, but IndexOn built one", step, pos)
 			case !has && idx.base != nil:
 				t.Fatalf("step %d: IndexOn(%v) extended an index HasIndexOn did not report", step, pos)
-			case !g.rel.HasIndexOn(pos) || g.rel.IndexOn(pos, 1) != idx:
+			case !g.rel.HasIndexOn(pos) || g.rel.IndexOn(pos) != idx:
 				t.Fatalf("step %d: IndexOn(%v) not memoized", step, pos)
 			}
 			fresh := BuildIndex(g.rel, pos)
@@ -289,11 +289,11 @@ func runModel(t *testing.T, mc modelCase, rng *rand.Rand) {
 // still unsealed, and a small one Clone copies — and write their own clones.
 func TestRelationConcurrentReaders(t *testing.T) {
 	large := bigRel(t, 3000)
-	large.IndexOn([]int{1}, 1)
+	large.IndexOn([]int{1})
 	large = large.Clone()
 	large.Add(pair("open", "tail"))
 	small := MustFromTuples(binT, pair("a", "b"), pair("c", "tail"))
-	small.IndexOn([]int{1}, 1)
+	small.IndexOn([]int{1})
 	for _, r := range []*Relation{large, small} {
 		n := r.Len()
 		var wg sync.WaitGroup
@@ -307,11 +307,11 @@ func TestRelationConcurrentReaders(t *testing.T) {
 					if c.Len() != n+1 {
 						t.Errorf("clone holds %d tuples, want %d", c.Len(), n+1)
 					}
-					c.IndexOn([]int{0}, 1)
+					c.IndexOn([]int{0})
 					if !r.HasIndexOn([]int{1}) {
 						t.Error("published relation lost its index")
 					}
-					if got := r.IndexOn([]int{1}, 1).Probe(value.NewTuple(value.Str("tail"))); len(got) != 1 {
+					if got := r.IndexOn([]int{1}).Probe(value.NewTuple(value.Str("tail"))); len(got) != 1 {
 						t.Errorf("probe: %v", got)
 					}
 					seen := 0

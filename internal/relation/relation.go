@@ -310,8 +310,8 @@ func (r *Relation) Each(fn func(value.Tuple) bool) {
 func (r *Relation) All() iter.Seq[value.Tuple] { return r.Each }
 
 // Slice returns all tuples in unspecified order. It is the cheap counterpart
-// of Tuples for callers that partition work over the tuple set (the parallel
-// executor) and do not need deterministic ordering.
+// of Tuples for callers that scan the tuple set by position (the executor's
+// outer scan and loop joins) and do not need deterministic ordering.
 func (r *Relation) Slice() []value.Tuple {
 	out := make([]value.Tuple, 0, r.Len())
 	r.Each(func(t value.Tuple) bool {
@@ -322,8 +322,8 @@ func (r *Relation) Slice() []value.Tuple {
 }
 
 // Keyed is a tuple carried together with its precomputed key encoding K.
-// Precomputing the encoding on executor workers moves the expensive part of
-// an insert off the single-threaded merge path.
+// Encoding once lets the executor test a tuple against an exclusion set and
+// then insert it into the result without encoding it twice.
 type Keyed struct {
 	K string
 	T value.Tuple
@@ -523,55 +523,6 @@ func BuildIndex(r *Relation, positions []int) *Index {
 	return idx
 }
 
-// BuildIndexParallel indexes the relation on the given attribute positions
-// using up to workers goroutines. The expensive per-tuple key encoding is done
-// on workers over disjoint slices of the relation; the merge only
-// concatenates bucket slices. With workers <= 1 (or a small relation) it falls
-// back to BuildIndex. The returned Index is identical in content to
-// BuildIndex's (bucket ordering within a key may differ, which no caller
-// observes — probes feed set-semantics sinks).
-func BuildIndexParallel(r *Relation, positions []int, workers int) *Index {
-	const minTuplesPerWorker = 2048
-	if workers > r.Len()/minTuplesPerWorker {
-		workers = r.Len() / minTuplesPerWorker
-	}
-	if workers <= 1 {
-		return BuildIndex(r, positions)
-	}
-	tuples := r.Slice()
-	parts := make([]map[string][]value.Tuple, workers)
-	var wg sync.WaitGroup
-	span := (len(tuples) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * span
-		hi := min(lo+span, len(tuples))
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			m := make(map[string][]value.Tuple, hi-lo)
-			for _, t := range tuples[lo:hi] {
-				k := t.Project(positions).Key()
-				m[k] = append(m[k], t)
-			}
-			parts[w] = m
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	idx := &Index{positions: positions, buckets: parts[0]}
-	if idx.buckets == nil {
-		idx.buckets = make(map[string][]value.Tuple)
-	}
-	for _, m := range parts[1:] {
-		for k, ts := range m {
-			idx.buckets[k] = append(idx.buckets[k], ts...)
-		}
-	}
-	return idx
-}
-
 // IndexOn returns a hash index on positions, memoizing it on the relation.
 // It seals the newest chunk and memoizes the index there, so the index stays
 // valid for every relation sharing that chunk prefix — the difference between
@@ -581,7 +532,7 @@ func BuildIndexParallel(r *Relation, positions []int, workers int) *Index {
 // Relations shared between goroutines are published and therefore unmutated,
 // so concurrent IndexOn calls are safe (the worst case is two racers building
 // the same index and one winning the memo slot).
-func (r *Relation) IndexOn(positions []int, workers int) *Index {
+func (r *Relation) IndexOn(positions []int) *Index {
 	// The signature is built without allocating: selector access paths call
 	// IndexOn once per query, and the memo hit below is their common case.
 	var buf [32]byte
@@ -593,7 +544,7 @@ func (r *Relation) IndexOn(positions []int, workers int) *Index {
 	case at == len(r.chunks)-1:
 		return idx
 	case idx == nil:
-		idx = BuildIndexParallel(r, positions, workers)
+		idx = BuildIndex(r, positions)
 	default:
 		prev := idx
 		idx = extend(prev, r.chunks[at+1:], positions)

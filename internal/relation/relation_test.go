@@ -307,32 +307,6 @@ func TestInsertKeyed(t *testing.T) {
 	}
 }
 
-func TestBuildIndexParallelMatchesSerial(t *testing.T) {
-	r := New(binT)
-	for i := 0; i < 16064; i++ { // 64*251 distinct pairs, enough to engage workers
-		if err := r.Insert(pair(string(rune('a'+i%64)), string(rune('A'+i%251)))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	serial := BuildIndex(r, []int{0})
-	par := BuildIndexParallel(r, []int{0}, 4)
-	if serial.Len() != par.Len() {
-		t.Fatalf("distinct keys: serial=%d parallel=%d", serial.Len(), par.Len())
-	}
-	for i := 0; i < 64; i++ {
-		key := value.NewTuple(value.Str(string(rune('a' + i))))
-		if len(serial.Probe(key)) != len(par.Probe(key)) {
-			t.Errorf("bucket %d: serial=%d parallel=%d", i,
-				len(serial.Probe(key)), len(par.Probe(key)))
-		}
-	}
-	// Tiny relations and workers<=1 take the serial path.
-	small := MustFromTuples(binT, pair("a", "b"))
-	if got := BuildIndexParallel(small, []int{0}, 8); got.Len() != 1 {
-		t.Errorf("small parallel build: %d", got.Len())
-	}
-}
-
 // bigRel builds a relation large enough that Clone shares its chunks.
 func bigRel(t *testing.T, n int) *Relation {
 	t.Helper()
@@ -393,14 +367,14 @@ func TestLayeredCloneValueSemantics(t *testing.T) {
 // content, so no generation rebuilds it.
 func TestLayeredCloneFlattensDeepChains(t *testing.T) {
 	r := bigRel(t, 2000)
-	base := r.IndexOn([]int{1}, 1)
+	base := r.IndexOn([]int{1})
 	for i := 0; i < 3*maxDepth; i++ {
 		r = r.Clone()
 		r.Add(pair(fmt.Sprintf("g%04d", i), "x"))
 		if len(r.chunks) > maxDepth+1 {
 			t.Fatalf("generation %d: %d chunks exceed the cap", i, len(r.chunks))
 		}
-		if idx := r.IndexOn([]int{1}, 1); idx.base != base {
+		if idx := r.IndexOn([]int{1}); idx.base != base {
 			t.Fatalf("generation %d: index rebuilt instead of extended", i)
 		}
 	}
@@ -411,11 +385,11 @@ func TestLayeredCloneFlattensDeepChains(t *testing.T) {
 	// a fixpoint accumulator — flattens on its write path instead.
 	for _, indexed := range []bool{false, true} {
 		acc := bigRel(t, 2000)
-		base := acc.IndexOn([]int{1}, 1)
+		base := acc.IndexOn([]int{1})
 		for i := 0; i < 3*maxDepth; i++ {
 			if !indexed {
 				acc.Clone()
-			} else if idx := acc.IndexOn([]int{1}, 1); fullOf(idx) != base {
+			} else if idx := acc.IndexOn([]int{1}); fullOf(idx) != base {
 				t.Fatalf("accumulator round %d: index rebuilt instead of extended", i)
 			}
 			acc.Add(pair(fmt.Sprintf("acc%04d", i), "x"))
@@ -431,11 +405,11 @@ func TestLayeredCloneFlattensDeepChains(t *testing.T) {
 
 func TestIndexOnOverlayAfterClone(t *testing.T) {
 	r := bigRel(t, 3000)
-	base := r.IndexOn([]int{1}, 1)
+	base := r.IndexOn([]int{1})
 	c := r.Clone()
 	c.Add(pair("extra1", "d000001"))
 	c.Add(pair("extra2", "dZZZZZZ"))
-	idx := c.IndexOn([]int{1}, 1)
+	idx := c.IndexOn([]int{1})
 	if idx.base == nil {
 		t.Fatal("clone's index did not extend the carried base")
 	}
@@ -455,7 +429,7 @@ func TestIndexOnOverlayAfterClone(t *testing.T) {
 	// the one frozen full index, not a chain.
 	g2 := c.Clone()
 	g2.Add(pair("extra3", "d000001"))
-	idx2 := g2.IndexOn([]int{1}, 1)
+	idx2 := g2.IndexOn([]int{1})
 	if idx2.base != base {
 		t.Fatal("second-generation overlay did not flatten onto the full base")
 	}
@@ -481,7 +455,7 @@ func TestHasIndexOn(t *testing.T) {
 	if r.HasIndexOn([]int{0}) {
 		t.Fatal("fresh relation carries an index")
 	}
-	base := r.IndexOn([]int{0}, 1)
+	base := r.IndexOn([]int{0})
 	if !r.HasIndexOn([]int{0}) || r.HasIndexOn([]int{1}) || r.HasIndexOn([]int{0, 1}) {
 		t.Fatal("memo not reported on exactly its positions")
 	}
@@ -492,10 +466,10 @@ func TestHasIndexOn(t *testing.T) {
 	}
 	// A write opens a chunk after the indexed one: the index still covers
 	// the prefix, and IndexOn extends it.
-	if r.Add(pair("more", "x")); !r.HasIndexOn([]int{0}) || r.IndexOn([]int{0}, 1).base != base {
+	if r.Add(pair("more", "x")); !r.HasIndexOn([]int{0}) || r.IndexOn([]int{0}).base != base {
 		t.Fatal("a write dropped the relation's own index")
 	}
-	if idx := c.IndexOn([]int{0}, 1); idx.base != base {
+	if idx := c.IndexOn([]int{0}); idx.base != base {
 		t.Fatal("carried index was rebuilt instead of extended")
 	}
 	// Past IndexOn's overlay limit (a quarter of the relation) the carried
@@ -511,20 +485,20 @@ func TestHasIndexOn(t *testing.T) {
 	if n := overlaySize(carrier.idx["0,"]) + len(tail.tuples); n <= g.Len()/4 {
 		t.Fatalf("index dropped with an overlay of %d tuples of %d", n, g.Len())
 	}
-	if idx := g.IndexOn([]int{0}, 1); idx.base != nil || idx == base {
+	if idx := g.IndexOn([]int{0}); idx.base != nil || idx == base {
 		t.Fatal("an index past the overlay limit was extended, not rebuilt")
 	}
 }
 
 func TestIndexOnInvalidatedByDelete(t *testing.T) {
 	r := bigRel(t, 3000)
-	r.IndexOn([]int{0}, 1)
+	r.IndexOn([]int{0})
 	c := r.Clone()
 	victim := r.Tuples()[0]
 	if !c.Delete(victim) {
 		t.Fatal("delete failed")
 	}
-	idx := c.IndexOn([]int{0}, 1)
+	idx := c.IndexOn([]int{0})
 	if got := len(idx.Probe(victim.Project([]int{0}))); got != 0 {
 		t.Fatalf("index after delete still serves the victim: %d", got)
 	}
@@ -540,7 +514,7 @@ func TestInsertAllIsAllOrNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	base.IndexOn([]int{1}, 1)
+	base.IndexOn([]int{1})
 	r := base.Clone()
 	if _, err := r.InsertAll(kv(5000, "own")); err != nil {
 		t.Fatal(err)
@@ -556,7 +530,7 @@ func TestInsertAllIsAllOrNothing(t *testing.T) {
 	if !r.Equal(want) || r.Len() != 2001 {
 		t.Fatalf("failed InsertAll changed the relation: %d tuples, want %d", r.Len(), want.Len())
 	}
-	if got := r.IndexOn([]int{1}, 1).Probe(value.NewTuple(value.Str("new"))); len(got) != 0 {
+	if got := r.IndexOn([]int{1}).Probe(value.NewTuple(value.Str("new"))); len(got) != 0 {
 		t.Fatalf("index over the restored relation still finds %d undone tuples", len(got))
 	}
 	// The same batch without the conflict goes in whole; what it reports
@@ -568,7 +542,7 @@ func TestInsertAllIsAllOrNothing(t *testing.T) {
 	if len(added) != 2 || !added[0].Equal(kv(6000, "new")) || !added[1].Equal(kv(6001, "new")) {
 		t.Fatalf("InsertAll reported %v added, want the two new tuples", added)
 	}
-	if r.Len() != 2003 || len(r.IndexOn([]int{1}, 1).Probe(value.NewTuple(value.Str("new")))) != 2 {
+	if r.Len() != 2003 || len(r.IndexOn([]int{1}).Probe(value.NewTuple(value.Str("new")))) != 2 {
 		t.Fatalf("InsertAll of a valid batch left %d tuples", r.Len())
 	}
 }

@@ -149,8 +149,8 @@ func (e *memEngine) Grow(name string, tuples []value.Tuple) ([]value.Tuple, *rel
 }
 
 // GrowValue is Engine.Grow over a value held in memory: a copy-on-write clone
-// of cur (O(1) by layers) grown by Relation.InsertAll. Every engine grows a
-// resident value this way.
+// of cur (O(1): sealed chunks shared by prefix) grown by Relation.InsertAll.
+// Every engine grows a resident value this way.
 func GrowValue(cur *relation.Relation, tuples []value.Tuple) ([]value.Tuple, *relation.Relation, error) {
 	next := cur.Clone()
 	added, err := next.InsertAll(tuples...)

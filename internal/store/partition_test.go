@@ -25,7 +25,7 @@ func edge(a, b string) value.Tuple { return value.NewTuple(value.Str(a), value.S
 // a scan selects.
 func checkIndex(t *testing.T, rel *relation.Relation, when string, consts ...string) {
 	t.Helper()
-	idx := rel.IndexOn([]int{0}, 1)
+	idx := rel.IndexOn([]int{0})
 	for _, c := range consts {
 		v := value.Str(c)
 		got := idx.Probe(value.Tuple{v})

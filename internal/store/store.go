@@ -466,11 +466,12 @@ func (db *Database) Assign(name string, rex *relation.Relation, guards ...Guard)
 // batch that adds nothing logs nothing. The published relation is never
 // mutated in place, so snapshot readers keep iterating a consistent state.
 //
-// The cost is O(batch): the copy-on-write Clone of a resident value is O(1)
-// by layers. A paged variable that is not resident is first decoded, as by a
-// read, if it fits the engine's residency budget; one too large for the
-// budget is not decoded at all, and the first Insert into it adds one
-// key-only pass over its pages (to build the key index the check probes).
+// The cost is O(batch): the copy-on-write Clone of a resident value is O(1),
+// sealed chunks shared by prefix. A paged variable that is not resident is
+// first decoded, as by a read, if it fits the engine's residency budget; one
+// too large for the budget is not decoded at all, and the first Insert into
+// it adds one key-only pass over its pages (to build the key index the check
+// probes).
 // Observers then see a reset rather than a delta against a pointer that was
 // never published.
 func (db *Database) Insert(name string, tuples ...value.Tuple) error {

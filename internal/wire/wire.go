@@ -292,7 +292,8 @@ type Health struct {
 	Applied   uint64
 	Connected bool
 	StreamErr string
-	// Parallelism is the server's executor worker fan-out (dbpld -parallel).
+	// Parallelism is how many equations of a fixpoint round the server
+	// evaluates at once (dbpld -parallel).
 	Parallelism uint64
 	// Materialized-view cache state: enabled flag, live entries, read
 	// outcome counters, and queued-delta maintenance backlog.

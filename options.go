@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/eval"
 	"repro/internal/fsx"
 	"repro/internal/wal"
 )
@@ -58,12 +57,9 @@ type config struct {
 	// the real one. Test-only (withFS): fault-injection harnesses plug in
 	// scriptable filesystems here.
 	fs fsx.FS
-	// parallelism bounds the executor's worker fan-out (WithParallelism);
-	// defaultConfig sets it to GOMAXPROCS(0).
+	// parallelism bounds the equations a fixpoint round evaluates at once
+	// (WithParallelism); defaultConfig sets it to GOMAXPROCS(0).
 	parallelism int
-	// parallelMinRows is the smallest outer cardinality worth splitting
-	// across workers (WithParallelThreshold); 0 means the executor default.
-	parallelMinRows int
 	// noMatviews disables the materialized-view cache (every read
 	// refixpoints from scratch).
 	noMatviews bool
@@ -191,33 +187,20 @@ func withFS(fs fsx.FS) Option {
 	return func(c *config) { c.fs = fs }
 }
 
-// WithParallelism bounds the worker fan-out of the streaming executor: large
-// hash-joins partition their outer side across up to n workers, and fixpoint
-// rounds over multi-instance equation systems evaluate up to n equations
-// concurrently. n = 1 forces fully serial evaluation (the pre-parallel
-// behavior); n <= 0 or omitting the option uses runtime.GOMAXPROCS(0).
-// Results are identical at every setting: relations are sets and worker
-// outputs merge in deterministic partition order.
+// WithParallelism bounds how many equations of a fixpoint round are evaluated
+// at once: a constructor application that grounds a system of more than one
+// instance (the mutually recursive ahead/above of section 3.1) evaluates up to
+// n of its equations concurrently per round. Everything else, including every
+// query pipeline, runs on the calling goroutine. n = 1 evaluates rounds
+// serially; n <= 0 or omitting the option uses runtime.GOMAXPROCS(0). Results
+// are identical at every setting: a round is a barrier and relations are
+// sets.
 func WithParallelism(n int) Option {
 	return func(c *config) {
 		if n <= 0 {
 			n = runtime.GOMAXPROCS(0)
 		}
 		c.parallelism = n
-	}
-}
-
-// WithParallelThreshold sets the smallest outer-loop cardinality the executor
-// considers worth splitting across workers; below it, evaluation stays serial
-// regardless of WithParallelism. The default is eval.DefaultParallelMinRows.
-// Mostly useful in tests and benchmarks that want parallel execution on small
-// relations (low n) or never (very large n).
-func WithParallelThreshold(rows int) Option {
-	return func(c *config) {
-		if rows <= 0 {
-			rows = eval.DefaultParallelMinRows
-		}
-		c.parallelMinRows = rows
 	}
 }
 

@@ -1,11 +1,10 @@
 package dbpl_test
 
-// Concurrency tests for the parallel executor: serial/parallel result
-// equivalence, concurrent queries sharing one session's cached plans and
-// access paths, cancellation of a cursor over a parallel join's result, Close
-// racing in-flight parallel queries, and goroutine accounting once a cursor
-// is abandoned. Run with -race; the suite is sized so every scenario actually
-// crosses the parallel threshold.
+// Session concurrency and cancellation tests: serial vs. concurrent equation
+// evaluation in fixpoint rounds (the one parallel mechanism), concurrent
+// queries sharing one session's cached plans and access paths, cancellation
+// of a cursor over a join's result, Close racing in-flight queries, and
+// goroutine accounting once a cursor is abandoned. Run with -race.
 
 import (
 	"context"
@@ -21,10 +20,39 @@ import (
 	"repro/internal/workload"
 )
 
-// parallelOpts forces the parallel executor path regardless of input size.
+// parallelOpts lets a fixpoint round evaluate up to workers equations at once.
 func parallelOpts(workers int) []dbpl.Option {
-	return []dbpl.Option{dbpl.WithParallelism(workers), dbpl.WithParallelThreshold(1)}
+	return []dbpl.Option{dbpl.WithParallelism(workers)}
 }
+
+// mutualModule is the section 3.1 pair of mutually recursive constructors:
+// ahead(Ontop) over Infront and above(Infront) over Ontop ground a system of
+// two instances, so a fixpoint round has two equations to evaluate at once.
+const mutualModule = `
+MODULE cad;
+TYPE parttype   = STRING;
+TYPE infrontrel = RELATION OF RECORD front, back: parttype END;
+TYPE ontoprel   = RELATION OF RECORD top, base: parttype END;
+TYPE aheadrel   = RELATION OF RECORD head, tail: parttype END;
+TYPE aboverel   = RELATION OF RECORD high, low: parttype END;
+VAR Infront: infrontrel;
+VAR Ontop:   ontoprel;
+
+CONSTRUCTOR ahead FOR Rel: infrontrel (Ontop: ontoprel): aheadrel;
+BEGIN
+  EACH r IN Rel: TRUE,
+  <r.front, ah.tail> OF EACH r IN Rel, EACH ah IN Rel{ahead(Ontop)}: r.back = ah.head,
+  <r.front, ab.low>  OF EACH r IN Rel, EACH ab IN Ontop{above(Rel)}: r.back = ab.high
+END ahead;
+
+CONSTRUCTOR above FOR Rel: ontoprel (Infront: infrontrel): aboverel;
+BEGIN
+  EACH r IN Rel: TRUE,
+  <r.top, ab.low>  OF EACH r IN Rel, EACH ab IN Rel{above(Infront)}: r.base = ab.high,
+  <r.top, ah.tail> OF EACH r IN Rel, EACH ah IN Infront{ahead(Rel)}: r.base = ah.head
+END above;
+END cad.
+`
 
 // assignEdges publishes edges as the Infront base relation of cadModule.
 func assignEdges(t testing.TB, db *dbpl.DB, edges []workload.Edge) {
@@ -36,17 +64,20 @@ func assignEdges(t testing.TB, db *dbpl.DB, edges []workload.Edge) {
 }
 
 // TestSerialParallelEquivalence runs every example workload's queries with
-// WithParallelism(1) and with a forced 4-worker fan-out and requires
-// identical result relations — partitioned hash joins and parallel fixpoint
-// rounds must be pure optimizations.
+// WithParallelism(1) and WithParallelism(4) and requires identical result
+// relations: evaluating a round's equations concurrently must be a pure
+// optimization. A case with instances set first checks, through EXPLAIN
+// ANALYZE, that each query grounds that many instances on both sides, so the
+// parallel side really had equations to fan out.
 func TestSerialParallelEquivalence(t *testing.T) {
 	bom := workload.NewBOM(6, 3, 42)
 	dag := workload.RandomDAG(6, 24, 2, 7)
 	cases := []struct {
-		name    string
-		module  string
-		setup   func(t *testing.T, db *dbpl.DB)
-		queries []string
+		name      string
+		module    string
+		setup     func(t *testing.T, db *dbpl.DB)
+		queries   []string
+		instances int
 	}{
 		{
 			name:   "cad",
@@ -80,6 +111,19 @@ func TestSerialParallelEquivalence(t *testing.T) {
 			module:  samegenModule,
 			queries: []string{`Parent{samegen}`, `{EACH sg IN Parent{samegen}: sg.left = "alice"}`},
 		},
+		{
+			name:   "cad-mutual",
+			module: mutualModule,
+			setup: func(t *testing.T, db *dbpl.DB) {
+				assignEdges(t, db, dag)
+				onT, _ := db.StoreSnapshot().Type("Ontop")
+				if err := db.Assign("Ontop", workload.EdgesToRelation(onT, workload.RandomDAG(6, 24, 1, 11))); err != nil {
+					t.Fatal(err)
+				}
+			},
+			queries:   []string{`Infront{ahead(Ontop)}`, `Ontop{above(Infront)}`},
+			instances: 2,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -92,6 +136,10 @@ func TestSerialParallelEquivalence(t *testing.T) {
 				tc.setup(t, parallel)
 			}
 			for _, q := range tc.queries {
+				if tc.instances > 0 {
+					checkInstances(t, serial, q, tc.instances)
+					checkInstances(t, parallel, q, tc.instances)
+				}
 				a, err := serial.Query(q)
 				if err != nil {
 					t.Fatalf("serial %s: %v", q, err)
@@ -108,9 +156,22 @@ func TestSerialParallelEquivalence(t *testing.T) {
 	}
 }
 
+// checkInstances requires that q, run under EXPLAIN ANALYZE on db, grounds
+// want constructor instances.
+func checkInstances(t *testing.T, db *dbpl.DB, q string, want int) {
+	t.Helper()
+	p, err := db.ExplainQuery(context.Background(), q)
+	if err != nil {
+		t.Fatalf("explain %s: %v", q, err)
+	}
+	if got := p.Analyze.Instances; got != want {
+		t.Errorf("%s at parallelism %d: %d instances, want %d", q, db.Parallelism(), got, want)
+	}
+}
+
 // TestParallelConcurrentQueries hammers one session from many goroutines:
 // every query shares the same cached plan and the same lazily built access
-// paths, while the executor fans each evaluation out across workers.
+// paths.
 func TestParallelConcurrentQueries(t *testing.T) {
 	db := openWith(t, cadModule, parallelOpts(4)...)
 	defer db.Close()
@@ -159,7 +220,7 @@ func TestParallelConcurrentQueries(t *testing.T) {
 }
 
 // TestRowsCancelMidIteration cancels the query context after the first tuple
-// of a cursor over a parallel join's materialized result and checks that
+// of a cursor over a join's materialized result and checks that
 // iteration stops with the cancellation reported by Err, and that Close
 // still succeeds.
 func TestRowsCancelMidIteration(t *testing.T) {
@@ -190,8 +251,8 @@ func TestRowsCancelMidIteration(t *testing.T) {
 	t.Logf("consumed %d tuples after cancel before iteration stopped", n)
 }
 
-// TestCloseRacesParallelQuery races DB.Close against in-flight parallel
-// queries: evaluations against the pre-Close snapshot may finish or report
+// TestCloseRacesParallelQuery races DB.Close against in-flight queries:
+// evaluations against the pre-Close snapshot may finish or report
 // ErrClosed, but nothing may panic or deadlock (run with -race).
 func TestCloseRacesParallelQuery(t *testing.T) {
 	for round := 0; round < 4; round++ {
@@ -217,11 +278,10 @@ func TestCloseRacesParallelQuery(t *testing.T) {
 	}
 }
 
-// TestRowsCloseMidIterationLeavesNoGoroutines abandons a cursor over a
-// parallel join's materialized result after one tuple and checks that
-// nothing outlives it — the executor's pipeline workers ended with the
-// evaluation, and Close ends the cursor's iterator: goroutine accounting, no
-// leak detector dependency.
+// TestRowsCloseMidIterationLeavesNoGoroutines abandons a cursor over a join's
+// materialized result after one tuple and checks that nothing outlives it —
+// the evaluation ended before the cursor opened, and Close ends the cursor's
+// iterator: goroutine accounting, no leak detector dependency.
 func TestRowsCloseMidIterationLeavesNoGoroutines(t *testing.T) {
 	db := openWith(t, cadModule, parallelOpts(4)...)
 	defer db.Close()

@@ -118,7 +118,8 @@ type ExecInfo struct {
 	// answered from a hash index on the base vs. by scanning it.
 	PartitionLookups int `json:"partition_lookups"`
 	Scans            int `json:"scans"`
-	// Parallelism is the session's executor worker budget (WithParallelism).
+	// Parallelism is how many equations of a fixpoint round the session
+	// evaluates at once (WithParallelism).
 	Parallelism int `json:"parallelism,omitempty"`
 	// Operators lists per-operator executor counters in first-run order,
 	// aggregated across every pipeline the execution ran (fixpoint rounds
@@ -127,8 +128,7 @@ type ExecInfo struct {
 }
 
 // OperatorStat is one streaming operator's aggregated counters from an
-// execution: rows in/out, non-empty batches handed downstream, and the
-// largest worker count the operator's pipeline fanned out to.
+// execution: rows in/out and non-empty batches handed downstream.
 type OperatorStat struct {
 	// Op labels the operator and its binding variable, e.g. "hash-join(b)",
 	// "scan(f)", "dedup"; the operators of a selector application carry the
@@ -137,7 +137,10 @@ type OperatorStat struct {
 	RowsIn  int64  `json:"rows_in"`
 	RowsOut int64  `json:"rows_out"`
 	Batches int64  `json:"batches,omitempty"`
-	Workers int    `json:"workers"`
+	// Workers is always 1: a pipeline runs on one goroutine.
+	//
+	// Deprecated: pipelines are no longer partitioned across workers.
+	Workers int `json:"workers"`
 }
 
 // JSON renders the plan as indented JSON.
@@ -205,8 +208,8 @@ func (p *Plan) Text() string {
 			fmt.Fprintf(&b, "matview: %s\n", a.MatView)
 		}
 		for _, op := range a.Operators {
-			fmt.Fprintf(&b, "op:      %-16s rows-in=%d rows-out=%d batches=%d workers=%d\n",
-				op.Op, op.RowsIn, op.RowsOut, op.Batches, op.Workers)
+			fmt.Fprintf(&b, "op:      %-16s rows-in=%d rows-out=%d batches=%d\n",
+				op.Op, op.RowsIn, op.RowsOut, op.Batches)
 		}
 	}
 	return b.String()

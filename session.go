@@ -50,11 +50,9 @@ type DB struct {
 	statsMu   sync.Mutex
 	lastStats Stats
 
-	// parallelism and parallelMinRows configure the streaming executor's
-	// worker fan-out (WithParallelism / WithParallelThreshold). Fixed at Open
-	// and read without locking afterwards.
-	parallelism     int
-	parallelMinRows int
+	// parallelism bounds the equations a fixpoint round evaluates at once
+	// (WithParallelism). Fixed at Open and read without locking afterwards.
+	parallelism int
 
 	plans *planCache
 
@@ -104,13 +102,12 @@ func Open(opts ...Option) (*DB, error) {
 		o(&cfg)
 	}
 	d := &DB{
-		Store:           store.NewDatabase(),
-		mode:            cfg.mode,
-		plans:           newPlanCache(),
-		noOptimize:      cfg.noOptimize,
-		maxOpenRows:     cfg.maxOpenRows,
-		parallelism:     cfg.parallelism,
-		parallelMinRows: cfg.parallelMinRows,
+		Store:       store.NewDatabase(),
+		mode:        cfg.mode,
+		plans:       newPlanCache(),
+		noOptimize:  cfg.noOptimize,
+		maxOpenRows: cfg.maxOpenRows,
+		parallelism: cfg.parallelism,
 	}
 	// Strictness is fixed here: every later checker and registry is a clone
 	// of this pair.
@@ -213,8 +210,8 @@ func (d *DB) recordStats(en *core.Engine) {
 	d.statsMu.Unlock()
 }
 
-// Parallelism reports the executor's configured worker fan-out
-// (WithParallelism; runtime.GOMAXPROCS(0) by default).
+// Parallelism reports how many equations of a fixpoint round are evaluated at
+// once (WithParallelism; runtime.GOMAXPROCS(0) by default).
 func (d *DB) Parallelism() int { return d.parallelism }
 
 // acquireRows claims one open-cursor slot against the WithMaxOpenRows cap,
@@ -631,8 +628,6 @@ func (d *DB) newEval(ctx context.Context, view relView) (*eval.Env, *core.Engine
 	decls, st, mode := d.current()
 	env := eval.NewEnv()
 	env.Ctx = ctx
-	env.Parallelism = d.parallelism
-	env.ParallelMinRows = d.parallelMinRows
 	env.ScanSelectors = d.noOptimize
 	env.Selectors = decls.selectors
 	if view == nil {
