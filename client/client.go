@@ -1,6 +1,6 @@
 // Package client is the network counterpart of the embedded dbpl API: a
 // client.DB speaks the dbpld wire protocol and mirrors dbpl.DB method for
-// method — Exec, Prepare/Stmt with positional parameters, streaming Rows,
+// method — Exec, Prepare/Stmt with positional parameters, Rows,
 // Begin/Tx, Explain, Health — so moving a program between an embedded
 // database and a dbpld server is a one-constructor switch (dbpl.Open ↔
 // client.Open). Sentinel errors survive the wire: errors.Is(err,
@@ -11,12 +11,12 @@
 // A DB owns one connection, and the protocol is strict request/response, so
 // methods serialize on an internal mutex; open one DB per goroutine-heavy
 // worker (connections are cheap) rather than sharing a single one under
-// contention. Rows fetch tuple batches lazily — the server materializes a
-// snapshot but ships only what is pulled, so closing a cursor early costs
-// one round trip, not the result set.
+// contention. A query's whole result arrives with its answer, in one
+// exchange: Rows iterate tuples the client already holds.
 package client
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"net"
@@ -29,15 +29,11 @@ import (
 	"repro/internal/wire"
 )
 
-// DefaultFetchSize is how many tuples a Rows pulls per round trip.
-const DefaultFetchSize = 256
-
 // Option configures Open.
 type Option func(*config)
 
 type config struct {
-	token     string
-	fetchSize int
+	token string
 }
 
 // dialTimeout bounds the TCP connect of Open.
@@ -46,24 +42,19 @@ const dialTimeout = 5 * time.Second
 // WithToken presents an auth token during the handshake.
 func WithToken(token string) Option { return func(c *config) { c.token = token } }
 
-// WithFetchSize sets the tuples-per-round-trip of Rows (default
-// DefaultFetchSize).
-func WithFetchSize(n int) Option { return func(c *config) { c.fetchSize = n } }
-
 // DB is a connection to a dbpld server, mirroring the embedded dbpl.DB.
 type DB struct {
 	mu     sync.Mutex
 	conn   net.Conn
-	f      *framer
+	br     *bufio.Reader
+	bw     *bufio.Writer
 	role   string
 	closed bool
-
-	fetchSize int
 }
 
 // Open dials a dbpld server and performs the protocol handshake.
 func Open(addr string, opts ...Option) (*DB, error) {
-	cfg := config{fetchSize: DefaultFetchSize}
+	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -71,21 +62,21 @@ func Open(addr string, opts ...Option) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := newFramer(conn)
-	role, err := wire.ClientHello(conn, f.br, cfg.token)
+	br := bufio.NewReader(conn)
+	role, err := wire.ClientHello(conn, br, cfg.token)
 	if err != nil {
 		conn.Close()
 		return nil, err
 	}
-	return &DB{conn: conn, f: f, role: role, fetchSize: cfg.fetchSize}, nil
+	return &DB{conn: conn, br: br, bw: bufio.NewWriter(conn), role: role}, nil
 }
 
 // Role reports what the server announced in the handshake: "primary" or
 // "replica".
 func (c *DB) Role() string { return c.role }
 
-// Close hangs up. Server-held state of this session (cursors, statements,
-// open transactions) is released by the server on disconnect — transactions
+// Close hangs up. Server-held state of this session (statements, open
+// transactions) is released by the server on disconnect — transactions
 // roll back.
 func (c *DB) Close() error {
 	c.mu.Lock()
@@ -101,35 +92,70 @@ func (c *DB) Close() error {
 // *wire.RemoteError (carrying the sentinel mapping); any transport failure
 // poisons the connection.
 func (c *DB) exchange(ctx context.Context, typ byte, payload []byte, want byte) ([]byte, error) {
+	var resp []byte
+	err := c.converse(ctx, typ, payload, want, func(p []byte) error {
+		resp = p
+		return nil
+	})
+	return resp, err
+}
+
+// query runs a query request. Its answer is a TRowsHeader and the row batches
+// after it, all read in the same exchange.
+func (c *DB) query(ctx context.Context, typ byte, payload []byte) (*Rows, error) {
+	var rows *Rows
+	err := c.converse(ctx, typ, payload, wire.TRowsHeader, func(header []byte) (err error) {
+		rows, err = readRows(ctx, c.br, header)
+		return err
+	})
+	return rows, err
+}
+
+// converse sends one request and hands a response of type want to read,
+// under the connection lock and the ctx deadline. A failure of read, like
+// any transport failure, poisons the connection.
+func (c *DB) converse(ctx context.Context, typ byte, payload []byte, want byte, read func([]byte) error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return nil, dbpl.ErrClosed
+		return dbpl.ErrClosed
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	if deadline, ok := ctx.Deadline(); ok {
 		c.conn.SetDeadline(deadline)
 		defer c.conn.SetDeadline(time.Time{})
 	}
-	resp, rerr, err := c.f.roundTrip(typ, payload)
+	rtyp, resp, err := c.roundTrip(typ, payload)
+	switch {
+	case err != nil:
+	case rtyp == wire.TErr:
+		// The server refused the request; the connection stays usable.
+		return wire.AsRemote(resp)
+	case rtyp != want:
+		err = fmt.Errorf("client: expected frame type %d, got %d", want, rtyp)
+	default:
+		err = read(resp)
+	}
 	if err != nil {
 		// The exchange died mid-flight; the stream position is unknown, so
 		// the connection cannot be trusted for another frame.
 		c.closed = true
 		c.conn.Close()
-		return nil, err
 	}
-	if rerr != nil {
-		return nil, rerr
+	return err
+}
+
+// roundTrip writes one request and reads the first frame of its response.
+func (c *DB) roundTrip(typ byte, payload []byte) (byte, []byte, error) {
+	if err := wire.WriteFrame(c.bw, typ, payload); err != nil {
+		return 0, nil, err
 	}
-	if resp.typ != want {
-		c.closed = true
-		c.conn.Close()
-		return nil, fmt.Errorf("client: expected frame type %d, got %d", want, resp.typ)
+	if err := c.bw.Flush(); err != nil {
+		return 0, nil, err
 	}
-	return resp.payload, nil
+	return wire.ReadFrame(c.br)
 }
 
 // millisLeft converts a context deadline into the wire's timeout field.
@@ -180,7 +206,7 @@ func (c *DB) ExecContext(ctx context.Context, src string) (string, error) {
 	return wire.NewDec(resp).Str()
 }
 
-// QueryContext evaluates a query, returning a streaming cursor. Positional
+// QueryContext evaluates a query, returning its rows. Positional
 // parameters ($1, $2, …) bind from args as in the embedded API.
 func (c *DB) QueryContext(ctx context.Context, src string, args ...any) (*Rows, error) {
 	e := wire.NewEnc()
@@ -193,11 +219,7 @@ func (c *DB) QueryContext(ctx context.Context, src string, args ...any) (*Rows, 
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.exchange(ctx, wire.TQuery, payload, wire.TRowsHeader)
-	if err != nil {
-		return nil, err
-	}
-	return c.newRows(ctx, resp)
+	return c.query(ctx, wire.TQuery, payload)
 }
 
 // Query is QueryContext without cancellation.
@@ -231,17 +253,15 @@ func (c *DB) Prepare(src string) (*Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, err := d.Uvarint()
+	n, err := d.Count(1)
 	if err != nil {
 		return nil, err
 	}
-	params := make([]string, 0, n)
-	for range n {
-		p, err := d.Str()
-		if err != nil {
+	params := make([]string, n)
+	for i := range params {
+		if params[i], err = d.Str(); err != nil {
 			return nil, err
 		}
-		params = append(params, p)
 	}
 	return &Stmt{c: c, id: id, params: params}, nil
 }
@@ -249,7 +269,7 @@ func (c *DB) Prepare(src string) (*Stmt, error) {
 // Params returns the statement's parameter names in positional order.
 func (s *Stmt) Params() []string { return s.params }
 
-// QueryRows executes the statement with positional args, returning a cursor.
+// QueryRows executes the statement with positional args, returning its rows.
 func (s *Stmt) QueryRows(ctx context.Context, args ...any) (*Rows, error) {
 	if s.closed {
 		return nil, dbpl.ErrStmtClosed
@@ -264,11 +284,7 @@ func (s *Stmt) QueryRows(ctx context.Context, args ...any) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, err := s.c.exchange(ctx, wire.TStmtQuery, payload, wire.TRowsHeader)
-	if err != nil {
-		return nil, err
-	}
-	return s.c.newRows(ctx, resp)
+	return s.c.query(ctx, wire.TStmtQuery, payload)
 }
 
 // Close releases the server-side statement.
@@ -344,11 +360,7 @@ func (t *Tx) QueryRows(ctx context.Context, src string, args ...any) (*Rows, err
 	if err != nil {
 		return nil, err
 	}
-	resp, err := t.c.exchange(ctx, wire.TTxQuery, payload, wire.TRowsHeader)
-	if err != nil {
-		return nil, err
-	}
-	return t.c.newRows(ctx, resp)
+	return t.c.query(ctx, wire.TTxQuery, payload)
 }
 
 func (t *Tx) end(commit bool) error {
@@ -464,21 +476,20 @@ func (c *DB) Vars(ctx context.Context) ([]VarInfo, error) {
 		return nil, err
 	}
 	d := wire.NewDec(resp)
-	n, err := d.Uvarint()
+	n, err := d.Count(2)
 	if err != nil {
 		return nil, err
 	}
-	vars := make([]VarInfo, 0, n)
-	for range n {
-		name, err := d.Str()
-		if err != nil {
+	vars := make([]VarInfo, n)
+	for i := range vars {
+		if vars[i].Name, err = d.Str(); err != nil {
 			return nil, err
 		}
 		count, err := d.Uvarint()
 		if err != nil {
 			return nil, err
 		}
-		vars = append(vars, VarInfo{Name: name, Tuples: int(count)})
+		vars[i].Tuples = int(count)
 	}
 	return vars, nil
 }

@@ -3,7 +3,8 @@ package client
 import (
 	"bufio"
 	"context"
-	"net"
+	"fmt"
+	"slices"
 
 	dbpl "repro"
 
@@ -11,144 +12,82 @@ import (
 	"repro/internal/wire"
 )
 
-// framer owns the buffered stream and the request/response discipline.
-type framer struct {
-	br *bufio.Reader
-	bw *bufio.Writer
-}
-
-func newFramer(conn net.Conn) *framer {
-	return &framer{br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}
-}
-
-type frame struct {
-	typ     byte
-	payload []byte
-}
-
-// roundTrip writes one request and reads one response. A TErr response is
-// returned as rerr (the connection stays usable); transport failures come
-// back as err.
-func (f *framer) roundTrip(typ byte, payload []byte) (resp frame, rerr error, err error) {
-	if err := wire.WriteFrame(f.bw, typ, payload); err != nil {
-		return frame{}, nil, err
-	}
-	if err := f.bw.Flush(); err != nil {
-		return frame{}, nil, err
-	}
-	rtyp, rpayload, err := wire.ReadFrame(f.br)
-	if err != nil {
-		return frame{}, nil, err
-	}
-	if rtyp == wire.TErr {
-		return frame{typ: rtyp}, wire.AsRemote(rpayload), nil
-	}
-	return frame{typ: rtyp, payload: rpayload}, nil, nil
-}
-
-// Rows is a streaming cursor over a remote query result, mirroring
-// dbpl.Rows: Next/Scan/Err/Close, Columns, and an up-front Len. Tuples
-// arrive in fetch-size batches pulled on demand (client-driven backpressure);
-// the server holds the materialized snapshot until the cursor is closed or
-// exhausted. Not safe for concurrent use.
+// Rows iterates a remote query result, mirroring dbpl.Rows: Next/Scan/Err/
+// Close, Columns and Len. The whole result arrives with the query's answer,
+// so iterating and closing never touch the connection. Not safe for
+// concurrent use.
 type Rows struct {
-	c     *DB
-	ctx   context.Context
-	id    uint64
-	cols  []string
-	total int
-
-	buf    []value.Tuple
+	ctx    context.Context
+	cols   []string
+	tuples []value.Tuple
 	pos    int
 	cur    value.Tuple
-	done   bool // server exhausted the cursor (it is already released there)
 	closed bool
 	err    error
 }
 
-// newRows parses a TRowsHeader payload into a cursor.
-func (c *DB) newRows(ctx context.Context, header []byte) (*Rows, error) {
+// readRows decodes a query's answer: the TRowsHeader payload, then the
+// TRowsBatch frames that follow it on the stream up to the one marked done.
+// Every count is checked against its payload before it is allocated from.
+func readRows(ctx context.Context, br *bufio.Reader, header []byte) (*Rows, error) {
 	d := wire.NewDec(header)
-	id, err := d.Uvarint()
+	ncols, err := d.Count(1)
 	if err != nil {
 		return nil, err
 	}
-	ncols, err := d.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	cols := make([]string, 0, ncols)
-	for range ncols {
-		col, err := d.Str()
-		if err != nil {
+	r := &Rows{ctx: ctx, cols: make([]string, ncols)}
+	for i := range r.cols {
+		if r.cols[i], err = d.Str(); err != nil {
 			return nil, err
 		}
-		cols = append(cols, col)
 	}
 	total, err := d.Uvarint()
 	if err != nil {
 		return nil, err
 	}
-	return &Rows{c: c, ctx: ctx, id: id, cols: cols, total: int(total)}, nil
+	arity := len(r.cols)
+	for done := false; !done; {
+		typ, payload, err := wire.ReadFrame(br)
+		if err != nil {
+			return nil, err
+		}
+		if typ != wire.TRowsBatch {
+			return nil, fmt.Errorf("client: expected a row batch, got frame type %d", typ)
+		}
+		d := wire.NewDec(payload)
+		n, err := d.Count(wire.MinValueLen * arity)
+		if err != nil {
+			return nil, err
+		}
+		vals := make([]value.Value, n*arity)
+		for i := range vals {
+			if vals[i], err = d.Value(); err != nil {
+				return nil, err
+			}
+		}
+		r.tuples = slices.Grow(r.tuples, n)
+		for i := range n {
+			r.tuples = append(r.tuples, vals[i*arity:(i+1)*arity:(i+1)*arity])
+		}
+		if done, err = d.Bool(); err != nil {
+			return nil, err
+		}
+	}
+	if uint64(len(r.tuples)) != total {
+		return nil, fmt.Errorf("client: a result of %d tuples arrived with %d", total, len(r.tuples))
+	}
+	return r, nil
 }
 
 // Columns returns the attribute names of the result relation.
 func (r *Rows) Columns() []string { return r.cols }
 
-// Len returns the total number of result tuples (known up front: DBPL
-// queries produce sets; the server materializes before the header).
-func (r *Rows) Len() int { return r.total }
+// Len returns the total number of result tuples (DBPL queries produce sets).
+func (r *Rows) Len() int { return len(r.tuples) }
 
-// fetch pulls the next batch from the server.
-func (r *Rows) fetch() bool {
-	e := wire.NewEnc()
-	e.Uvarint(r.id)
-	e.Uvarint(uint64(r.c.fetchSize))
-	payload, err := e.Payload()
-	if err != nil {
-		r.setErr(err)
-		return false
-	}
-	resp, err := r.c.exchange(r.ctx, wire.TFetch, payload, wire.TRowsBatch)
-	if err != nil {
-		r.setErr(err)
-		r.done = true // the server dropped the cursor along with the error
-		return false
-	}
-	d := wire.NewDec(resp)
-	n, err := d.Uvarint()
-	if err != nil {
-		r.setErr(err)
-		return false
-	}
-	arity := len(r.cols)
-	r.buf = r.buf[:0]
-	r.pos = 0
-	for range n {
-		tp := make(value.Tuple, arity)
-		for i := range arity {
-			v, err := d.Value()
-			if err != nil {
-				r.setErr(err)
-				return false
-			}
-			tp[i] = v
-		}
-		r.buf = append(r.buf, tp)
-	}
-	done, err := d.Bool()
-	if err != nil {
-		r.setErr(err)
-		return false
-	}
-	r.done = done
-	return n > 0
-}
-
-// Next advances to the next tuple, fetching a batch from the server when the
-// local buffer runs dry. It returns false once the cursor is exhausted,
-// closed, canceled, or a Scan has failed; Err distinguishes exhaustion from
-// failure.
+// Next advances to the next tuple. It returns false once the rows are
+// exhausted, closed, canceled, or a Scan has failed; Err distinguishes
+// exhaustion from failure.
 func (r *Rows) Next() bool {
 	if r.closed || r.err != nil {
 		return false
@@ -158,13 +97,11 @@ func (r *Rows) Next() bool {
 		r.Close()
 		return false
 	}
-	if r.pos >= len(r.buf) {
-		if r.done || !r.fetch() {
-			r.Close()
-			return false
-		}
+	if r.pos >= len(r.tuples) {
+		r.Close()
+		return false
 	}
-	r.cur = r.buf[r.pos]
+	r.cur = r.tuples[r.pos]
 	r.pos++
 	return true
 }
@@ -190,29 +127,13 @@ func (r *Rows) Scan(dest ...any) error {
 }
 
 // Err returns the first error encountered during iteration; nil after a loop
-// that simply exhausted the cursor.
+// that simply exhausted the rows.
 func (r *Rows) Err() error { return r.err }
 
-// Close releases the cursor, on the server too if it still holds it. It is
-// idempotent, safe after exhaustion, and preserves Err.
+// Close ends the iteration. It is idempotent, safe after exhaustion, and
+// preserves Err.
 func (r *Rows) Close() error {
-	if r.closed {
-		return nil
-	}
 	r.closed = true
 	r.cur = nil
-	r.buf = nil
-	if r.done {
-		return nil // exhausted: the server already dropped it
-	}
-	e := wire.NewEnc()
-	e.Uvarint(r.id)
-	payload, err := e.Payload()
-	if err != nil {
-		return err
-	}
-	// Use a background context: the query's ctx may already be canceled, and
-	// the release must still reach the server to free its limit slots.
-	_, err = r.c.exchange(context.Background(), wire.TRowsClose, payload, wire.TOK)
-	return err
+	return nil
 }

@@ -16,6 +16,7 @@ import (
 	dbpl "repro"
 	"repro/client"
 	"repro/internal/server"
+	"repro/internal/wire"
 )
 
 func openSeeded(t *testing.T, opts ...dbpl.Option) *dbpl.DB {
@@ -180,14 +181,14 @@ func TestDBCloseRacesQueryContext(t *testing.T) {
 	}
 }
 
-// TestServerShutdownRacesHeldCursors is the network edition of the race
-// above: cursors held by dbpld sessions (fetch size 1, so every tuple is a
-// separate round-trip) race a graceful server Shutdown. A cursor opened
-// before the drain began must stream every tuple to the end — the drain keeps
-// fetches serving — while new queries fail cleanly with the shutdown
-// refusal, never a panic, a short read, or a hung connection. Run under
-// -race.
-func TestServerShutdownRacesHeldCursors(t *testing.T) {
+// TestServerShutdownRacesQueries is the network edition of the race above:
+// dbpld sessions query in a loop while a graceful server Shutdown runs. Each
+// session holds an open transaction, which keeps it up through the drain.
+// Every result a client sees is whole or is an error — the shutdown
+// refusal, never a panic, a short read, or a hung connection — and the
+// transaction still rolls back, after which the server ends the session.
+// Run under -race.
+func TestServerShutdownRacesQueries(t *testing.T) {
 	ctx := context.Background()
 	db := openSeeded(t)
 	defer db.Close()
@@ -199,8 +200,6 @@ func TestServerShutdownRacesHeldCursors(t *testing.T) {
 	}
 	go srv.Serve(l) //nolint:errcheck // exits when Shutdown closes the listener
 
-	// Phase 1: every worker opens a cursor and pulls one tuple, so the server
-	// holds a mid-stream cursor per session when the drain begins.
 	const workers = 6
 	held := make(chan struct{}, workers)
 	var wg sync.WaitGroup
@@ -208,54 +207,50 @@ func TestServerShutdownRacesHeldCursors(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := client.Open(l.Addr().String(), client.WithFetchSize(1))
+			c, err := client.Open(l.Addr().String())
 			if err != nil {
 				t.Errorf("pre-shutdown connect: %v", err)
 				held <- struct{}{}
 				return
 			}
 			defer c.Close()
-			rows, err := c.QueryContext(ctx, `E`)
+			tx, err := c.Begin(ctx)
+			held <- struct{}{}
 			if err != nil {
-				t.Errorf("pre-shutdown query: %v", err)
-				held <- struct{}{}
+				t.Errorf("pre-shutdown begin: %v", err)
 				return
 			}
-			n := 0
-			if rows.Next() {
-				n++
-			}
-			held <- struct{}{} // cursor now held server-side, 2 tuples to go
-
-			// Phase 2: drain the rest while Shutdown runs concurrently.
-			for rows.Next() {
-				n++
-			}
-			if err := rows.Err(); err != nil {
-				t.Errorf("held cursor broke during drain: %v", err)
-			}
-			if n != 3 {
-				t.Errorf("held cursor streamed %d of 3 tuples through Shutdown", n)
-			}
-			if err := rows.Close(); err != nil {
-				t.Errorf("Close during drain: %v", err)
-			}
-
-			// New work must eventually be refused, not hang: a query issued
-			// before the drain flag lands may still succeed, so poll. Closing
-			// each cursor promptly keeps the session drainable throughout.
+			// Query until the drain refuses: a query issued before the drain
+			// flag lands still succeeds, so poll.
 			deadline := time.Now().Add(5 * time.Second)
-			for {
-				rows, err := c.QueryContext(ctx, `E`)
-				if err != nil {
-					break // refused mid-drain, or the session closed under us
+			for i := 0; ; i++ {
+				var rows *client.Rows
+				if i%2 == 0 {
+					rows, err = c.QueryContext(ctx, `E`)
+				} else {
+					rows, err = tx.QueryRows(ctx, `E`)
 				}
-				rows.Close()
+				if err != nil {
+					var re *wire.RemoteError
+					if !errors.As(err, &re) || re.Code != wire.CodeShutdown {
+						t.Errorf("query during Shutdown: %v, want the shutdown refusal", err)
+					}
+					break
+				}
+				n := 0
+				for rows.Next() {
+					n++
+				}
+				if rows.Err() != nil || n != 3 || rows.Len() != 3 {
+					t.Errorf("result during Shutdown: %d of %d tuples, err %v", n, rows.Len(), rows.Err())
+				}
 				if time.Now().After(deadline) {
 					t.Error("queries were never refused after Shutdown")
 					break
 				}
-				time.Sleep(time.Millisecond)
+			}
+			if err := tx.Rollback(); err != nil {
+				t.Errorf("rollback during drain: %v", err)
 			}
 		}()
 	}

@@ -1,6 +1,6 @@
 // dbpld serves a DBPL database over the wire protocol. In its default mode
 // it is a primary: it recovers (or creates) a durable store, accepts client
-// sessions — Exec, prepared queries, streaming cursors, transactions,
+// sessions — Exec, prepared queries, transactions,
 // EXPLAIN — and publishes its committed write-ahead-log batches to FOLLOW
 // subscribers. With -replica it is a read replica instead: it bootstraps
 // from the primary's current snapshot, tails the replication stream, serves
@@ -12,10 +12,10 @@
 //	dbpld -listen :7474                       # memory-only primary
 //	dbpld -listen :7475 -replica -primary host:7474
 //	dbpld -token secret ...                   # require the token at handshake
-//	dbpld -max-sessions 64 -max-open-rows 32  # per-server / per-session caps
+//	dbpld -max-sessions 64                    # cap on concurrent sessions
 //
-// SIGINT/SIGTERM trigger a graceful drain: new work is refused, open cursors
-// and transactions finish, and after -drain-timeout the rest is cut off.
+// SIGINT/SIGTERM trigger a graceful drain: new work is refused, open
+// transactions finish, and after -drain-timeout the rest is cut off.
 package main
 
 import (
@@ -41,7 +41,6 @@ func main() {
 	poolPages := flag.Int("pool-pages", 0, "buffer-pool budget of -path in 4KiB pages (0 = unbounded residency)")
 	token := flag.String("token", "", "require this auth token from every client")
 	maxSessions := flag.Int("max-sessions", 0, "cap on concurrent sessions (0 = unlimited)")
-	maxOpenRows := flag.Int("max-open-rows", 0, "cap on open cursors per session (0 = unlimited)")
 	replica := flag.Bool("replica", false, "serve as a read replica tailing -primary")
 	primary := flag.String("primary", "", "primary address to replicate from (with -replica)")
 	parallel := flag.Int("parallel", 0, "equations a fixpoint round evaluates at once (0 = all CPUs, 1 = serial)")
@@ -91,7 +90,6 @@ func main() {
 
 	srvOpts := server.Options{
 		MaxSessions: *maxSessions,
-		MaxOpenRows: *maxOpenRows,
 		AuthToken:   *token,
 		Logf:        logf,
 	}

@@ -100,18 +100,18 @@ func (e *DegradedError) Is(target error) bool { return target == ErrReadOnly }
 
 // ErrLimit is the sentinel every resource-limit failure matches:
 // errors.Is(err, ErrLimit) is true exactly when an operation was refused
-// because a configured cap — open rows per session (WithMaxOpenRows), the
-// server's concurrent-session cap — would be exceeded. It is never returned
-// directly; failures carry a *LimitError naming the exhausted resource.
+// because a configured cap — today the server's concurrent-session cap
+// (dbpld -max-sessions) — would be exceeded. It is never returned directly;
+// failures carry a *LimitError naming the exhausted resource.
 var ErrLimit = errors.New("dbpl: resource limit exceeded")
 
 // LimitError reports an operation refused by a configured resource cap. The
-// operation did not consume anything: releasing held resources (closing a
-// Rows, ending a session) and retrying is valid.
+// operation did not consume anything: releasing held resources (ending a
+// session) and retrying is valid.
 //
 // LimitError matches errors.Is(err, ErrLimit).
 type LimitError struct {
-	// Resource names the exhausted cap, e.g. "open rows" or "sessions".
+	// Resource names the exhausted cap, e.g. "sessions".
 	Resource string
 	// Limit is the configured cap that would have been exceeded.
 	Limit int

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"hash/crc32"
 
+	"repro/internal/store"
 	"repro/internal/value"
 )
 
@@ -62,36 +63,11 @@ type frame struct {
 	dirty bool
 }
 
-// appendValue encodes one scalar onto dst.
-func appendValue(dst []byte, v value.Value) ([]byte, error) {
-	dst = append(dst, byte(v.Kind()))
-	switch v.Kind() {
-	case value.KindInt:
-		var buf [binary.MaxVarintLen64]byte
-		n := binary.PutVarint(buf[:], v.AsInt())
-		return append(dst, buf[:n]...), nil
-	case value.KindString:
-		s := v.AsString()
-		var buf [binary.MaxVarintLen64]byte
-		n := binary.PutUvarint(buf[:], uint64(len(s)))
-		dst = append(dst, buf[:n]...)
-		return append(dst, s...), nil
-	case value.KindBool:
-		b := byte(0)
-		if v.AsBool() {
-			b = 1
-		}
-		return append(dst, b), nil
-	default:
-		return nil, fmt.Errorf("pagestore: cannot encode invalid value")
-	}
-}
-
 // appendTuple encodes one tuple onto dst.
 func appendTuple(dst []byte, t value.Tuple) ([]byte, error) {
 	var err error
 	for _, v := range t {
-		if dst, err = appendValue(dst, v); err != nil {
+		if dst, err = store.AppendValue(dst, v); err != nil {
 			return nil, err
 		}
 	}

@@ -1,19 +1,18 @@
 // Package server implements dbpld's network layer: a concurrent TCP server
 // exposing the full dbpl session API — Exec, prepared statements with
-// positional parameters, streaming row cursors with client-driven
-// backpressure, snapshot transactions, EXPLAIN, health — over the
-// length-prefixed wire protocol of package wire, plus the replication
-// endpoints: a primary serves FOLLOW streams off the store's log-subscription
-// hook, and a Replica tails such a stream to serve read-only queries.
+// positional parameters, queries, snapshot transactions, EXPLAIN, health —
+// over the length-prefixed wire protocol of package wire, plus the
+// replication endpoints: a primary serves FOLLOW streams off the store's
+// log-subscription hook, and a Replica tails such a stream to serve read-only
+// queries.
 //
 // One server wraps one *dbpl.DB (safe for concurrent use); each accepted
-// connection is a session with its own server-held cursors, prepared
-// statements, and transactions, all bounded by per-session and per-server
-// resource caps. Shutdown drains: new work is refused with the "shutdown"
-// code while open cursors keep serving fetches until they are exhausted or
-// the drain deadline forces the connections closed — a cursor observed by a
-// client either streams its full snapshot or fails cleanly, never silently
-// truncates.
+// connection is a session with its own prepared statements and transactions.
+// A query is answered with its whole result and leaves nothing behind.
+// Shutdown drains: new work is refused with the "shutdown" code while open
+// transactions may still commit or roll back, until each session is idle or
+// the drain deadline forces the connections closed — a result a client sees
+// is whole or is an error, never silently truncated.
 package server
 
 import (
@@ -45,10 +44,6 @@ type Options struct {
 	// succeeded; further ones are refused with the "limit" error code. 0
 	// means unlimited.
 	MaxSessions int
-	// MaxOpenRows caps the server-held cursors of one session; a query that
-	// would exceed it fails with the "limit" code until the client closes or
-	// exhausts a cursor. 0 means unlimited.
-	MaxOpenRows int
 	// AuthToken, when non-empty, must be presented by every client in the
 	// opening handshake (compared in constant time).
 	AuthToken string
@@ -194,10 +189,10 @@ func (s *Server) admit(sess *session) error {
 }
 
 // Shutdown gracefully drains the server: listeners close immediately, new
-// work is refused with the "shutdown" code, and sessions stay up while they
-// hold open cursors or transactions — fetches keep serving so an in-flight
-// streaming result either drains completely or fails cleanly. When ctx
-// expires the remaining connections are force-closed. Shutdown returns nil
+// work is refused with the "shutdown" code, and a session stays up while it
+// is mid-request or holds an open transaction, which may still commit or roll
+// back. A session closes once it is idle. When ctx expires the remaining
+// connections are force-closed. Shutdown returns nil
 // when every session ended by draining, or ctx.Err() if the deadline forced
 // the close.
 func (s *Server) Shutdown(ctx context.Context) error {

@@ -3,9 +3,10 @@ package server_test
 // Integration tests for the network layer: a real dbpld server on a loopback
 // listener, a real client.DB over TCP — the full session API, error-code
 // fidelity (errors.Is against the dbpl sentinels must hold across the wire),
-// per-session and per-server resource limits, and the graceful drain.
+// the session cap, malformed frames, and the graceful drain.
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -73,9 +74,7 @@ func TestServerSessionAPI(t *testing.T) {
 		t.Fatalf("remote Exec: %v", err)
 	}
 
-	// Query with a streaming cursor; exercise batching with fetch size 1.
-	small := openClient(t, addr, client.WithFetchSize(1))
-	rows, err := small.QueryContext(ctx, `Objs`)
+	rows, err := c.QueryContext(ctx, `Objs`)
 	if err != nil {
 		t.Fatalf("remote Query: %v", err)
 	}
@@ -99,6 +98,32 @@ func TestServerSessionAPI(t *testing.T) {
 	}
 	if len(seen) != 3 || seen["table"] != 10 || seen["cup"] != 1 {
 		t.Fatalf("streamed %v", seen)
+	}
+
+	// A result of several batches arrives whole.
+	const many = 2*wire.RowsPerBatch + 88
+	if _, err := c.ExecContext(ctx, "MODULE n; TYPE numrel = RELATION OF RECORD n: INTEGER END; VAR Nums: numrel; END n."); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < many; i++ {
+		if err := db.Insert("Nums", dbpl.NewTuple(dbpl.Int(int64(i)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nums, err := c.QueryContext(ctx, `Nums`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[int]bool{}
+	for nums.Next() {
+		var n int
+		if err := nums.Scan(&n); err != nil {
+			t.Fatal(err)
+		}
+		got[n] = true
+	}
+	if nums.Err() != nil || nums.Len() != many || len(got) != many || !got[0] || !got[many-1] {
+		t.Fatalf("%d-tuple result: Len %d, %d distinct, err %v", many, nums.Len(), len(got), nums.Err())
 	}
 
 	// Prepared statement with a positional parameter.
@@ -200,7 +225,7 @@ END t3.
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(vars) != 1 || vars[0].Name != "Objs" || vars[0].Tuples != 4 {
+	if len(vars) != 2 || vars[0].Name != "Nums" || vars[1].Name != "Objs" || vars[1].Tuples != 4 {
 		t.Fatalf("vars = %+v", vars)
 	}
 
@@ -284,8 +309,12 @@ func TestServerRefusedHandshakeHoldsNoSlot(t *testing.T) {
 	}
 }
 
-func TestServerPerSessionCursorCap(t *testing.T) {
-	ctx := context.Background()
+// TestServerSurvivesHugeCounts: a query frame whose argument count claims
+// 1<<62 scalars costs the sender its own connection and nothing else. The
+// count is checked against the bytes left before anything is allocated from
+// it, so the server neither panics nor tries the allocation, and a new client
+// still gets answers.
+func TestServerSurvivesHugeCounts(t *testing.T) {
 	db, err := dbpl.Open()
 	if err != nil {
 		t.Fatal(err)
@@ -294,41 +323,76 @@ func TestServerPerSessionCursorCap(t *testing.T) {
 	if _, err := db.Exec(objModule); err != nil {
 		t.Fatal(err)
 	}
-	_, addr := boot(t, db, server.Options{MaxOpenRows: 1})
-	c := openClient(t, addr, client.WithFetchSize(1))
+	_, addr := boot(t, db, server.Options{})
 
-	r1, err := c.QueryContext(ctx, `Objs`)
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// r1 is held open (not exhausted); a second cursor exceeds the cap.
-	if !r1.Next() {
-		t.Fatal("empty cursor")
-	}
-	if _, err := c.QueryContext(ctx, `Objs`); !errors.Is(err, dbpl.ErrLimit) {
-		t.Fatalf("second cursor: %v, want errors.Is ErrLimit", err)
-	}
-	var limErr *dbpl.LimitError
-	_, err = c.QueryContext(ctx, `Objs`)
-	if !errors.As(err, &limErr) {
-		// The wire flattens the concrete type; the sentinel must survive
-		// regardless, and the message names the resource.
-		if !strings.Contains(err.Error(), "limit") {
-			t.Fatalf("limit error lost its meaning over the wire: %v", err)
-		}
-	}
-	if err := r1.Close(); err != nil {
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	br := bufio.NewReader(conn)
+	if _, err := wire.ClientHello(conn, br, ""); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := c.QueryContext(ctx, `Objs`)
+	e := wire.NewEnc()
+	e.Str("Objs")
+	e.Uvarint(0)       // no timeout
+	e.Uvarint(1 << 62) // argument count, and no arguments
+	payload, err := e.Payload()
 	if err != nil {
-		t.Fatalf("cursor after release: %v", err)
+		t.Fatal(err)
 	}
-	r2.Close()
+	if err := wire.WriteFrame(conn, wire.TQuery, payload); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, err := wire.ReadFrame(br); err == nil {
+		t.Fatalf("malformed query answered with frame type %d; want the connection closed", typ)
+	}
+
+	c := openClient(t, addr)
+	rows, err := c.QueryContext(context.Background(), `Objs`)
+	if err != nil || rows.Len() != 3 {
+		t.Fatalf("query after a malformed frame: %v", err)
+	}
 }
 
-func TestServerGracefulDrain(t *testing.T) {
+// holdTx opens a client and a transaction on it that has overwritten Objs
+// with four tuples, not yet committed.
+func holdTx(t *testing.T, addr string) (*client.DB, *client.Tx) {
+	t.Helper()
 	ctx := context.Background()
+	c := openClient(t, addr)
+	tx, err := c.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Exec(ctx, `MODULE w; Objs := {<"table", 10>, <"vase", 2>, <"cup", 1>, <"lamp", 4>}; END w.`); err != nil {
+		t.Fatal(err)
+	}
+	return c, tx
+}
+
+// awaitRefusal polls until the server refuses new connections, which it does
+// only once every live session is draining.
+func awaitRefusal(t *testing.T, addr string) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		c, err := client.Open(addr)
+		if err != nil {
+			return
+		}
+		c.Close()
+		if time.Now().After(deadline) {
+			t.Fatal("new connections still accepted during drain")
+		}
+	}
+}
+
+// TestServerGracefulDrain: a session holding an open transaction stays up
+// through Shutdown. New connections are refused, the transaction's Commit
+// goes through and its write lands, and then the server ends the session.
+func TestServerGracefulDrain(t *testing.T) {
 	db, err := dbpl.Open()
 	if err != nil {
 		t.Fatal(err)
@@ -338,47 +402,20 @@ func TestServerGracefulDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, addr := boot(t, db, server.Options{})
-	c := openClient(t, addr, client.WithFetchSize(1))
+	_, tx := holdTx(t, addr)
 
-	rows, err := c.QueryContext(ctx, `Objs`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rows.Next() {
-		t.Fatal("empty cursor")
-	}
-
-	// Shutdown with the cursor mid-stream: the drain must let the remaining
-	// fetches finish.
 	done := make(chan error, 1)
 	sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	go func() { done <- srv.Shutdown(sctx) }()
+	awaitRefusal(t, addr)
 
-	// New connections are refused while draining.
-	refusedDeadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, err := client.Open(addr); err != nil {
-			break
-		}
-		if time.Now().After(refusedDeadline) {
-			t.Fatal("new connections still accepted during drain")
-		}
-		time.Sleep(5 * time.Millisecond)
+	if err := tx.Commit(); err != nil {
+		t.Fatalf("commit during drain: %v", err)
 	}
-
-	// The held cursor drains completely — no truncation.
-	n := 1
-	for rows.Next() {
-		n++
+	if rel, err := db.Query(`Objs`); err != nil || rel.Len() != 4 {
+		t.Fatalf("the commit during drain did not land: %v", err)
 	}
-	if err := rows.Err(); err != nil {
-		t.Fatalf("drain broke the in-flight cursor: %v", err)
-	}
-	if n != 3 {
-		t.Fatalf("cursor streamed %d of 3 tuples through the drain", n)
-	}
-
 	if err := <-done; err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
@@ -387,6 +424,10 @@ func TestServerGracefulDrain(t *testing.T) {
 	}
 }
 
+// TestServerDrainRefusesNewWork: once the drain has reached a session, every
+// new request on it is refused with the shutdown code — queries, modules and
+// work inside the open transaction — while the transaction can still commit.
+// The commit ends the session.
 func TestServerDrainRefusesNewWork(t *testing.T) {
 	ctx := context.Background()
 	db, err := dbpl.Open()
@@ -398,42 +439,71 @@ func TestServerDrainRefusesNewWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, addr := boot(t, db, server.Options{})
-	c := openClient(t, addr, client.WithFetchSize(1))
-
-	rows, err := c.QueryContext(ctx, `Objs`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rows.Next() {
-		t.Fatal("empty cursor")
-	}
+	c, tx := holdTx(t, addr)
 
 	sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	done := make(chan error, 1)
 	go func() { done <- srv.Shutdown(sctx) }()
+	awaitRefusal(t, addr)
 
-	// Wait until the drain has reached this session (new connections are
-	// already refused), then try new work on the live one: refused, while
-	// the cursor stays serviceable.
-	for {
-		if _, err := client.Open(addr); err != nil {
-			break
+	for name, run := range map[string]func() error{
+		"Exec":     func() error { _, err := c.ExecContext(ctx, "MODULE x; END x."); return err },
+		"Query":    func() error { _, err := c.QueryContext(ctx, `Objs`); return err },
+		"Tx.Query": func() error { _, err := tx.QueryRows(ctx, `Objs`); return err },
+		"Tx.Exec":  func() error { _, err := tx.Exec(ctx, "MODULE x; END x."); return err },
+	} {
+		var re *wire.RemoteError
+		if err := run(); !errors.As(err, &re) || re.Code != wire.CodeShutdown {
+			t.Errorf("%s during drain: %v, want the shutdown refusal", name, err)
 		}
-		time.Sleep(5 * time.Millisecond)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatalf("commit during drain: %v", err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("Shutdown: %v", err)
 	}
 	if _, err := c.ExecContext(ctx, "MODULE x; END x."); err == nil {
-		t.Fatal("new work accepted during drain")
+		t.Fatal("the session outlived its last transaction in the drain")
 	}
-	n := 1
+}
+
+// TestServerDrainIgnoresUnreadRows: a client that holds a query result it
+// never iterates holds nothing on the server, so Shutdown ends its session at
+// once. The rows are the client's: they still iterate after the server is
+// gone.
+func TestServerDrainIgnoresUnreadRows(t *testing.T) {
+	db, err := dbpl.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := db.Exec(objModule); err != nil {
+		t.Fatal(err)
+	}
+	srv, addr := boot(t, db, server.Options{})
+	c := openClient(t, addr)
+	rows, err := c.QueryContext(context.Background(), `Objs`)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := srv.Shutdown(sctx); err != nil {
+		t.Fatalf("Shutdown with an unread result: %v", err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("Shutdown took %v with an unread result", d)
+	}
+	n := 0
 	for rows.Next() {
 		n++
 	}
 	if rows.Err() != nil || n != 3 {
-		t.Fatalf("cursor did not drain cleanly after refused work: n=%d err=%v", n, rows.Err())
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("Shutdown: %v", err)
+		t.Fatalf("unread result after Shutdown: %d of 3 tuples, err %v", n, rows.Err())
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 
 	dbpl "repro"
 
-	"repro/internal/value"
 	"repro/internal/wal"
 	"repro/internal/wire"
 )
@@ -21,7 +20,7 @@ import (
 // so a single goroutine owns the read loop, the dispatch, and the response
 // writes; stateMu exists only for the drain handshake with Shutdown, which
 // runs on another goroutine and needs a consistent view of "is this session
-// idle" (no open cursors or transactions, not mid-request).
+// idle" (no open transactions, not mid-request).
 type session struct {
 	srv  *Server
 	conn net.Conn
@@ -40,35 +39,22 @@ type session struct {
 	draining bool // Shutdown observed: refuse new work, finish open work
 	closed   bool
 
-	nextID  uint64
-	cursors map[uint64]*cursor
-	stmts   map[uint64]*dbpl.Stmt
-	txs     map[uint64]*dbpl.Tx
-}
-
-// cursor is a server-held streaming result: the materialized snapshot plus
-// the client's fetch position. The client pulls batches with TFetch, so the
-// server ships nothing it has not been asked for. cancel releases the
-// cursor's context when it is dropped — the context must outlive the request
-// that opened it, because the rows iterate under it across many fetches.
-type cursor struct {
-	rows   *dbpl.Rows
-	cols   []string
-	cancel context.CancelFunc
+	nextID uint64
+	stmts  map[uint64]*dbpl.Stmt
+	txs    map[uint64]*dbpl.Tx
 }
 
 func newSession(s *Server, conn net.Conn) *session {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &session{
-		srv:     s,
-		conn:    conn,
-		br:      bufio.NewReader(conn),
-		bw:      bufio.NewWriter(conn),
-		ctx:     ctx,
-		cancel:  cancel,
-		cursors: make(map[uint64]*cursor),
-		stmts:   make(map[uint64]*dbpl.Stmt),
-		txs:     make(map[uint64]*dbpl.Tx),
+		srv:    s,
+		conn:   conn,
+		br:     bufio.NewReader(conn),
+		bw:     bufio.NewWriter(conn),
+		ctx:    ctx,
+		cancel: cancel,
+		stmts:  make(map[uint64]*dbpl.Stmt),
+		txs:    make(map[uint64]*dbpl.Tx),
 	}
 }
 
@@ -87,12 +73,12 @@ func (s *session) refuse(code, msg string) {
 }
 
 // beginDrain is Shutdown's entry point: refuse new work from now on, and if
-// the session is already idle — not mid-request, no cursors, no transactions
-// — close it immediately (waking a read blocked on the next request).
+// the session is already idle — not mid-request, no open transaction — close
+// it immediately (waking a read blocked on the next request).
 func (s *session) beginDrain() {
 	s.stateMu.Lock()
 	s.draining = true
-	idle := !s.busy && len(s.cursors) == 0 && len(s.txs) == 0
+	idle := !s.busy && len(s.txs) == 0
 	s.stateMu.Unlock()
 	if idle {
 		s.hardClose()
@@ -125,14 +111,8 @@ func (s *session) role() string {
 func (s *session) serve() {
 	defer func() {
 		s.hardClose()
-		// Release everything the client left open, in dependency order:
-		// cursors free WithMaxOpenRows slots, transactions roll back their
-		// overlays, statements last.
-		for id, c := range s.cursors {
-			c.rows.Close()
-			c.cancel()
-			delete(s.cursors, id)
-		}
+		// Release everything the client left open: transactions roll back
+		// their overlays, statements last.
 		for id, tx := range s.txs {
 			tx.Rollback()
 			delete(s.txs, id)
@@ -170,26 +150,24 @@ func (s *session) serve() {
 
 		s.stateMu.Lock()
 		s.busy = false
-		done := s.draining && len(s.cursors) == 0 && len(s.txs) == 0
+		done := s.draining && len(s.txs) == 0
 		s.stateMu.Unlock()
 		if err != nil {
 			s.srv.logf("dbpld: %s: %v", s.conn.RemoteAddr(), err)
 			return
 		}
 		if done {
-			return // drained: last cursor/tx released, hang up
+			return // drained: last transaction ended, hang up
 		}
 	}
 }
 
 // drainAllowed lists the operations a draining server still serves: anything
-// that finishes open work (fetching and closing cursors, ending transactions,
-// closing statements) plus read-only introspection, so an in-flight streaming
-// result drains deterministically instead of truncating.
+// that finishes open work (ending transactions, closing statements) plus
+// read-only introspection.
 func drainAllowed(typ byte) bool {
 	switch typ {
-	case wire.TFetch, wire.TRowsClose, wire.TStmtClose,
-		wire.TTxCommit, wire.TTxRollback,
+	case wire.TStmtClose, wire.TTxCommit, wire.TTxRollback,
 		wire.THealth, wire.TVars:
 		return true
 	}
@@ -245,14 +223,62 @@ func (s *session) handshake() error {
 
 // respond writes one response frame and flushes.
 func (s *session) respond(typ byte, e *wire.Enc) error {
+	if err := s.send(typ, e); err != nil {
+		return err
+	}
+	return s.bw.Flush()
+}
+
+// send writes one frame without flushing.
+func (s *session) send(typ byte, e *wire.Enc) error {
 	payload, err := e.Payload()
 	if err != nil {
 		return err
 	}
-	if err := wire.WriteFrame(s.bw, typ, payload); err != nil {
+	return wire.WriteFrame(s.bw, typ, payload)
+}
+
+// respondRows answers a query with its error, or with its whole result: a
+// TRowsHeader with the column names and the total, then TRowsBatch frames of
+// at most wire.RowsPerBatch tuples, the last one marked done. Nothing of the
+// query stays with the session.
+func (s *session) respondRows(rel *dbpl.Relation, err error) error {
+	if err != nil {
+		return s.respondErr("", err)
+	}
+	attrs := rel.Type().Element.Attrs
+	left := rel.Len()
+	e := wire.NewEnc()
+	e.Uvarint(uint64(len(attrs)))
+	for _, a := range attrs {
+		e.Str(a.Name)
+	}
+	e.Uvarint(uint64(left))
+	if err := s.send(wire.TRowsHeader, e); err != nil {
 		return err
 	}
-	return s.bw.Flush()
+	// A batch's count comes first, so each batch starts with what is left.
+	newBatch := func() *wire.Enc {
+		e := wire.NewEnc()
+		e.Uvarint(uint64(min(left, wire.RowsPerBatch)))
+		return e
+	}
+	e, n := newBatch(), 0
+	for t := range rel.All() {
+		for _, v := range t {
+			e.Value(v)
+		}
+		left--
+		if n++; n == wire.RowsPerBatch && left > 0 {
+			e.Bool(false)
+			if err := s.send(wire.TRowsBatch, e); err != nil {
+				return err
+			}
+			e, n = newBatch(), 0
+		}
+	}
+	e.Bool(true)
+	return s.respond(wire.TRowsBatch, e)
 }
 
 // respondErr maps err onto a TErr frame. A nil code picks one with codeFor.
@@ -290,10 +316,6 @@ func (s *session) dispatch(typ byte, payload []byte) error {
 		return s.handleStmtQuery(d)
 	case wire.TStmtClose:
 		return s.handleStmtClose(d)
-	case wire.TFetch:
-		return s.handleFetch(d)
-	case wire.TRowsClose:
-		return s.handleRowsClose(d)
 	case wire.TBegin:
 		return s.handleBegin()
 	case wire.TTxExec:
@@ -317,9 +339,9 @@ func (s *session) dispatch(typ byte, payload []byte) error {
 	}
 }
 
-// decodeArgs reads a uvarint count followed by that many scalars.
+// decodeArgs reads a count followed by that many scalars.
 func decodeArgs(d *wire.Dec) ([]any, error) {
-	n, err := d.Uvarint()
+	n, err := d.Count(wire.MinValueLen)
 	if err != nil {
 		return nil, err
 	}
@@ -359,51 +381,6 @@ func (s *session) handleExec(d *wire.Dec) error {
 	return s.respond(wire.TExecResult, e)
 }
 
-// queryCtx builds the context a cursor-opening query runs under: the
-// client's timeout bounds the evaluation only — the timer is disarmed by the
-// caller once the result is materialized — while the returned cancel is tied
-// to the cursor's lifetime, since the rows keep iterating under this context
-// across later fetches.
-func (s *session) queryCtx(millis uint64) (context.Context, *time.Timer, context.CancelFunc) {
-	ctx, cancel := context.WithCancel(s.ctx)
-	var timer *time.Timer
-	if millis > 0 {
-		timer = time.AfterFunc(time.Duration(millis)*time.Millisecond, cancel)
-	}
-	return ctx, timer, cancel
-}
-
-// openCursor registers rows under a fresh id and answers with the header.
-// The per-session cap guards the server's memory against one client opening
-// unbounded cursors; the embedded DB's own WithMaxOpenRows cap (shared by all
-// sessions) is enforced underneath by QueryRows itself.
-func (s *session) openCursor(rows *dbpl.Rows, cancel context.CancelFunc) error {
-	if max := s.srv.opts.MaxOpenRows; max > 0 {
-		s.stateMu.Lock()
-		over := len(s.cursors) >= max
-		s.stateMu.Unlock()
-		if over {
-			rows.Close()
-			cancel()
-			return s.respondErr("", &dbpl.LimitError{Resource: "session cursors", Limit: max})
-		}
-	}
-	s.nextID++
-	id := s.nextID
-	c := &cursor{rows: rows, cols: rows.Columns(), cancel: cancel}
-	s.stateMu.Lock()
-	s.cursors[id] = c
-	s.stateMu.Unlock()
-	e := wire.NewEnc()
-	e.Uvarint(id)
-	e.Uvarint(uint64(len(c.cols)))
-	for _, col := range c.cols {
-		e.Str(col)
-	}
-	e.Uvarint(uint64(rows.Len()))
-	return s.respond(wire.TRowsHeader, e)
-}
-
 func (s *session) handleQuery(d *wire.Dec) error {
 	src, err := d.Str()
 	if err != nil {
@@ -417,22 +394,14 @@ func (s *session) handleQuery(d *wire.Dec) error {
 	if err != nil {
 		return err
 	}
-	ctx, timer, cancel := s.queryCtx(millis)
 	st, err := s.srv.db.Prepare(src)
 	if err != nil {
-		cancel()
 		return s.respondErr("", err)
 	}
-	rows, err := st.QueryRows(ctx, args...)
-	st.Close() // the cursor holds the materialized result; the stmt can go
-	if timer != nil {
-		timer.Stop()
-	}
-	if err != nil {
-		cancel()
-		return s.respondErr("", err)
-	}
-	return s.openCursor(rows, cancel)
+	defer st.Close()
+	ctx, cancel := timeoutCtx(s.ctx, millis)
+	defer cancel()
+	return s.respondRows(st.Query(ctx, args...))
 }
 
 func (s *session) handlePrepare(d *wire.Dec) error {
@@ -474,16 +443,9 @@ func (s *session) handleStmtQuery(d *wire.Dec) error {
 	if !ok {
 		return s.respondErr("", dbpl.ErrStmtClosed)
 	}
-	ctx, timer, cancel := s.queryCtx(millis)
-	rows, err := st.QueryRows(ctx, args...)
-	if timer != nil {
-		timer.Stop()
-	}
-	if err != nil {
-		cancel()
-		return s.respondErr("", err)
-	}
-	return s.openCursor(rows, cancel)
+	ctx, cancel := timeoutCtx(s.ctx, millis)
+	defer cancel()
+	return s.respondRows(st.Query(ctx, args...))
 }
 
 func (s *session) handleStmtClose(d *wire.Dec) error {
@@ -495,70 +457,6 @@ func (s *session) handleStmtClose(d *wire.Dec) error {
 		st.Close()
 		delete(s.stmts, id)
 	}
-	return s.ok()
-}
-
-func (s *session) handleFetch(d *wire.Dec) error {
-	id, err := d.Uvarint()
-	if err != nil {
-		return err
-	}
-	max, err := d.Uvarint()
-	if err != nil {
-		return err
-	}
-	if max == 0 {
-		max = 128
-	}
-	s.stateMu.Lock()
-	c, ok := s.cursors[id]
-	s.stateMu.Unlock()
-	if !ok {
-		return s.respondErr(wire.CodeClosed, errors.New("dbpld: cursor is closed"))
-	}
-	tuples := make([]value.Tuple, 0, max)
-	for uint64(len(tuples)) < max && c.rows.Next() {
-		// Rows reuses no buffers — Tuple() hands out the relation's own
-		// tuple, safe to keep until encoded below.
-		tuples = append(tuples, c.rows.Tuple())
-	}
-	done := uint64(len(tuples)) < max
-	if done {
-		if err := c.rows.Err(); err != nil {
-			s.dropCursor(id)
-			return s.respondErr("", err)
-		}
-		s.dropCursor(id)
-	}
-	e := wire.NewEnc()
-	e.Uvarint(uint64(len(tuples)))
-	for _, tp := range tuples {
-		for _, v := range tp {
-			e.Value(v)
-		}
-	}
-	e.Bool(done)
-	return s.respond(wire.TRowsBatch, e)
-}
-
-// dropCursor closes and forgets one cursor, releasing its limit slots.
-func (s *session) dropCursor(id uint64) {
-	s.stateMu.Lock()
-	c, ok := s.cursors[id]
-	delete(s.cursors, id)
-	s.stateMu.Unlock()
-	if ok {
-		c.rows.Close()
-		c.cancel()
-	}
-}
-
-func (s *session) handleRowsClose(d *wire.Dec) error {
-	id, err := d.Uvarint()
-	if err != nil {
-		return err
-	}
-	s.dropCursor(id)
 	return s.ok()
 }
 
@@ -636,16 +534,9 @@ func (s *session) handleTxQuery(d *wire.Dec) error {
 	if !ok {
 		return s.respondErr("", dbpl.ErrTxDone)
 	}
-	ctx, timer, cancel := s.queryCtx(millis)
-	rows, err := tx.QueryRows(ctx, src, args...)
-	if timer != nil {
-		timer.Stop()
-	}
-	if err != nil {
-		cancel()
-		return s.respondErr("", err)
-	}
-	return s.openCursor(rows, cancel)
+	ctx, cancel := timeoutCtx(s.ctx, millis)
+	defer cancel()
+	return s.respondRows(tx.Query(ctx, src, args...))
 }
 
 func (s *session) handleTxEnd(d *wire.Dec, commit bool) error {

@@ -91,6 +91,26 @@ func WriteValue(w *bufio.Writer, v value.Value) error {
 	}
 }
 
+// AppendValue appends one scalar value to dst in WriteValue's format.
+func AppendValue(dst []byte, v value.Value) ([]byte, error) {
+	dst = append(dst, byte(v.Kind()))
+	switch v.Kind() {
+	case value.KindInt:
+		return binary.AppendVarint(dst, v.AsInt()), nil
+	case value.KindString:
+		s := v.AsString()
+		return append(binary.AppendUvarint(dst, uint64(len(s))), s...), nil
+	case value.KindBool:
+		b := byte(0)
+		if v.AsBool() {
+			b = 1
+		}
+		return append(dst, b), nil
+	default:
+		return dst[:len(dst)-1], fmt.Errorf("store: cannot persist invalid value")
+	}
+}
+
 // ReadValue reads one scalar value.
 func ReadValue(r ByteReader) (value.Value, error) {
 	k, err := r.ReadByte()

@@ -13,23 +13,24 @@
 // frames as length 1. Frames larger than MaxFrame are a protocol error. No
 // length prefix is trusted with memory — the server reads frames before it
 // has authenticated anyone: the frame reader grows its buffer as payload
-// bytes arrive, and the payload decoder checks every length against the
-// bytes left in the payload.
+// bytes arrive, and the payload decoder checks every length and count
+// against the bytes left in the payload.
 //
 // # Conversation shape
 //
 // A connection opens with THello (magic, protocol version, auth token) and
 // TServerHello. After that the client speaks strict request/response: one
-// request frame, one response frame (TErr for failures) — except TFollow,
-// which flips the connection into a one-way stream of TFollowSnap followed by
-// TFollowBatch frames until either side closes. Query responses return a
-// TRowsHeader naming a server-held cursor; the client pulls tuples with
-// TFetch (client-driven backpressure — the server materializes nothing it has
-// not been asked for) and frees the cursor with TRowsClose or by draining it.
+// request frame, one response frame (TErr for failures) — with two
+// exceptions. A query (TQuery, TStmtQuery, TTxQuery) is answered with its
+// whole result: one TRowsHeader (column names and the total), then TRowsBatch
+// frames of at most RowsPerBatch tuples each, the last marked done (an empty
+// result is one empty done batch). The server writes all of them before it
+// reads the next request and keeps nothing of the query afterwards. TFollow
+// flips the connection into a one-way stream of TFollowSnap followed by
+// TFollowBatch frames until either side closes.
 package wire
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -44,8 +45,15 @@ import (
 const ProtoMagic = "DBPLW"
 
 // ProtoVersion is the protocol revision; the server rejects clients with a
-// different version.
-const ProtoVersion = 1
+// different version. Version 2 answers a query with its whole result.
+const ProtoVersion = 2
+
+// RowsPerBatch bounds the tuples of one TRowsBatch frame.
+const RowsPerBatch = 256
+
+// MinValueLen is the fewest bytes a scalar value encodes to: its kind byte
+// and at least one payload byte.
+const MinValueLen = 2
 
 // MaxFrame bounds one frame (type byte plus payload). Bootstrap snapshots
 // ride in a single frame, so this is generous; it turns a corrupt length
@@ -70,10 +78,8 @@ const (
 	TPrepared    byte = 8  // stmt id uvarint, param names
 	TStmtQuery   byte = 9  // stmt id uvarint, timeout-millis, args
 	TStmtClose   byte = 10 // stmt id uvarint
-	TFetch       byte = 11 // cursor id uvarint, max uvarint
-	TRowsHeader  byte = 12 // cursor id uvarint, column names, total len uvarint
+	TRowsHeader  byte = 12 // column names, total len uvarint
 	TRowsBatch   byte = 13 // n uvarint, n*arity values, done bool
-	TRowsClose   byte = 14 // cursor id uvarint
 	TBegin       byte = 15 // (empty)
 	TTxBegun     byte = 16 // tx id uvarint
 	TTxExec      byte = 17 // tx id uvarint, src string, timeout-millis
@@ -90,6 +96,9 @@ const (
 	TFollowSnap  byte = 28 // store.Save bytes of the subscription base state
 	TFollowBatch byte = 29 // one wal.EncodeBatch record
 	TOK          byte = 30 // empty success response
+
+	// 11 and 14 are retired (version 1's cursor fetch and release) and are
+	// not reused, so a stray version-1 frame cannot mean something else.
 )
 
 // Error codes carried by TErr. The client maps them back onto the session
@@ -155,36 +164,28 @@ func ReadFrame(r io.Reader) (byte, []byte, error) {
 	}
 }
 
-// Enc builds one message payload. Write errors cannot occur against the
-// in-memory buffer, but the store codecs report them anyway; Enc keeps the
-// first and Payload returns it, so call sites stay linear.
+// Enc builds one message payload. The only encoding error is an invalid
+// value; Enc keeps the first and Payload returns it, so call sites stay
+// linear.
 type Enc struct {
-	buf bytes.Buffer
-	w   *bufio.Writer
+	buf []byte
 	err error
 }
 
 // NewEnc returns an empty payload encoder.
-func NewEnc() *Enc {
-	e := &Enc{}
-	e.w = bufio.NewWriter(&e.buf)
-	return e
-}
-
-func (e *Enc) note(err error) {
-	if e.err == nil {
-		e.err = err
-	}
-}
+func NewEnc() *Enc { return &Enc{} }
 
 // Str appends a length-prefixed string.
-func (e *Enc) Str(s string) { e.note(store.WriteString(e.w, s)) }
+func (e *Enc) Str(s string) {
+	e.Uvarint(uint64(len(s)))
+	e.buf = append(e.buf, s...)
+}
 
 // Uvarint appends an unsigned varint.
-func (e *Enc) Uvarint(u uint64) { e.note(store.WriteUvarint(e.w, u)) }
+func (e *Enc) Uvarint(u uint64) { e.buf = binary.AppendUvarint(e.buf, u) }
 
 // Byte appends one raw byte.
-func (e *Enc) Byte(b byte) { e.note(e.w.WriteByte(b)) }
+func (e *Enc) Byte(b byte) { e.buf = append(e.buf, b) }
 
 // Bool appends a bool as one byte.
 func (e *Enc) Bool(b bool) {
@@ -196,22 +197,25 @@ func (e *Enc) Bool(b bool) {
 }
 
 // Value appends one scalar in store.WriteValue format.
-func (e *Enc) Value(v value.Value) { e.note(store.WriteValue(e.w, v)) }
+func (e *Enc) Value(v value.Value) {
+	var err error
+	if e.buf, err = store.AppendValue(e.buf, v); err != nil && e.err == nil {
+		e.err = err
+	}
+}
 
 // Bytes appends a length-prefixed byte block.
 func (e *Enc) Bytes(p []byte) {
 	e.Uvarint(uint64(len(p)))
-	_, err := e.w.Write(p)
-	e.note(err)
+	e.buf = append(e.buf, p...)
 }
 
-// Payload flushes and returns the encoded payload (or the first error).
+// Payload returns the encoded payload (or the first error).
 func (e *Enc) Payload() ([]byte, error) {
-	e.note(e.w.Flush())
 	if e.err != nil {
 		return nil, e.err
 	}
-	return e.buf.Bytes(), nil
+	return e.buf, nil
 }
 
 // Dec decodes one message payload. Every length prefix is checked against
@@ -241,14 +245,26 @@ func (d *Dec) Bool() (bool, error) {
 // Value reads one scalar in store.ReadValue format.
 func (d *Dec) Value() (value.Value, error) { return store.ReadValue(d.r) }
 
-// Bytes reads a length-prefixed byte block.
-func (d *Dec) Bytes() ([]byte, error) {
+// Count reads the count of a sequence whose elements encode to at least size
+// bytes each. A count whose minimum encoding exceeds the bytes left in the
+// payload is an error, so a caller may allocate from the count it returns.
+// Elements of size 0 are zero-arity tuples, of which a set holds at most one.
+func (d *Dec) Count(size int) (int, error) {
 	n, err := d.Uvarint()
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	if n > uint64(d.r.Len()) {
-		return nil, fmt.Errorf("wire: corrupt block length %d, %d byte(s) left in the payload", n, d.r.Len())
+	if left := uint64(d.r.Len()); size == 0 && n > 1 || size > 0 && n > left/uint64(size) {
+		return 0, fmt.Errorf("wire: corrupt count %d of %d-byte elements, %d byte(s) left in the payload", n, size, left)
+	}
+	return int(n), nil
+}
+
+// Bytes reads a length-prefixed byte block.
+func (d *Dec) Bytes() ([]byte, error) {
+	n, err := d.Count(1)
+	if err != nil {
+		return nil, err
 	}
 	p := make([]byte, n)
 	if _, err := io.ReadFull(d.r, p); err != nil {

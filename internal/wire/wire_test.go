@@ -20,9 +20,9 @@ func allocated(fn func()) uint64 {
 }
 
 // A length prefix is not trusted with memory: a frame header claiming 1 GiB
-// followed by nothing, and a payload whose string length claims 1 GiB, each
-// fail with an error after allocating less than 1 MiB. The server reads both
-// before it has checked any token.
+// followed by nothing, a payload whose string length claims 1 GiB, and a
+// count of 1<<62 values each fail with an error after allocating less than
+// 1 MiB. The server reads all three before it has checked any token.
 func TestLengthPrefixesDoNotAllocate(t *testing.T) {
 	var head [5]byte
 	binary.LittleEndian.PutUint32(head[:4], 1<<30)
@@ -37,6 +37,27 @@ func TestLengthPrefixesDoNotAllocate(t *testing.T) {
 	}
 	if n := allocated(func() { _, err = NewDec(payload).Bytes() }); err == nil || n >= 1<<20 {
 		t.Errorf("Dec.Bytes of a 1 GiB block length: err=%v, %d bytes allocated", err, n)
+	}
+	huge := binary.AppendUvarint(nil, 1<<62)
+	if n := allocated(func() { _, err = NewDec(huge).Count(MinValueLen) }); err == nil || n >= 1<<20 {
+		t.Errorf("Dec.Count of 1<<62 values: err=%v, %d bytes allocated", err, n)
+	}
+	// A count is accepted exactly up to what the bytes left can hold.
+	three := append(binary.AppendUvarint(nil, 3), make([]byte, 3*MinValueLen)...)
+	for _, c := range []struct {
+		p    []byte
+		size int
+		ok   bool
+	}{
+		{three, MinValueLen, true},
+		{three[:len(three)-1], MinValueLen, false},
+		{three, 3 * MinValueLen, false},
+		{binary.AppendUvarint(nil, 1), 0, true},
+		{binary.AppendUvarint(nil, 2), 0, false},
+	} {
+		if _, err := NewDec(c.p).Count(c.size); (err == nil) != c.ok {
+			t.Errorf("Count(%d) over %x: err=%v, want ok=%v", c.size, c.p, err, c.ok)
+		}
 	}
 }
 
@@ -96,7 +117,15 @@ func FuzzDecodePayloads(f *testing.F) {
 	p, _ := e.Payload()
 	f.Add(p)
 	f.Add(binary.AppendUvarint(nil, 1<<30))
+	f.Add(binary.AppendUvarint(nil, 1<<62))
 	f.Fuzz(func(t *testing.T, p []byte) {
+		// A count accepted for elements of size bytes fits in what is left.
+		for size := range 2 * MinValueLen {
+			d := NewDec(p)
+			if n, err := d.Count(size); err == nil && (size == 0 && n > 1 || n*size > d.r.Len()) {
+				t.Fatalf("Count(%d) accepted %d elements with %d byte(s) left", size, n, d.r.Len())
+			}
+		}
 		if code, msg, err := DecodeErr(p); err == nil {
 			if c, m, err := DecodeErr(EncodeErr(code, msg)); err != nil || c != code || m != msg {
 				t.Fatalf("error %q/%q round trips to %q/%q, %v", code, msg, c, m, err)

@@ -40,9 +40,8 @@ const (
 
 // config collects the Open-time settings.
 type config struct {
-	mode        Mode
-	strict      bool
-	maxOpenRows int
+	mode   Mode
+	strict bool
 	// noOptimize disables the pass pipeline and physical access paths: every
 	// query evaluates its parsed form directly and every selector scans.
 	noOptimize bool
@@ -102,15 +101,6 @@ func WithMode(m Mode) Option {
 // detection.
 func WithStrict(strict bool) Option {
 	return func(c *config) { c.strict = strict }
-}
-
-// WithMaxOpenRows caps the number of concurrently open *Rows cursors on the
-// session: a Query that would exceed the cap fails with a *LimitError
-// (matching errors.Is(err, ErrLimit)) instead of accumulating unbounded
-// snapshot state. Closing a cursor (explicitly or by exhausting it) frees its
-// slot. 0, the default, means no cap.
-func WithMaxOpenRows(n int) Option {
-	return func(c *config) { c.maxOpenRows = n }
 }
 
 // WithPath makes the database durable, backed by the given directory

@@ -28,17 +28,13 @@ type Rows struct {
 	cur    value.Tuple
 	err    error
 	closed bool
-	// release frees the cursor's open-rows slot (WithMaxOpenRows); called
-	// exactly once, by the first Close. Nil when the session is uncapped.
-	release func()
 }
 
 // newRows wraps an already evaluated result relation. ctx is the query's
 // context; iteration stops (and Err reports the cause) once it is canceled.
-// release, if non-nil, is called exactly once when the cursor closes.
-func newRows(ctx context.Context, rel *relation.Relation, release func()) *Rows {
+func newRows(ctx context.Context, rel *relation.Relation) *Rows {
 	next, stop := iter.Pull(rel.All())
-	return &Rows{rel: rel, ctx: ctx, cols: colsOf(rel), next: next, stop: stop, release: release}
+	return &Rows{rel: rel, ctx: ctx, cols: colsOf(rel), next: next, stop: stop}
 }
 
 func colsOf(rel *relation.Relation) []string {
@@ -119,9 +115,6 @@ func (r *Rows) Close() error {
 		r.closed = true
 		r.cur = nil
 		r.stop()
-		if r.release != nil {
-			r.release()
-		}
 	}
 	return nil
 }

@@ -186,51 +186,3 @@ func TestLastStatsAcrossQueries(t *testing.T) {
 		t.Fatalf("cheap query disturbed LastStats: %+v -> %+v", first, got)
 	}
 }
-
-// TestMaxOpenRowsCap: with WithMaxOpenRows(n) the (n+1)-th concurrently open
-// cursor is refused with a limit error, for set-expression and bare-range
-// queries alike, and closing a cursor frees its slot.
-func TestMaxOpenRowsCap(t *testing.T) {
-	const n = 2
-	db, err := Open(WithMaxOpenRows(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if _, err := db.Exec(kindsModule); err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	queries := []string{`{EACH m IN M: TRUE}`, `M`}
-	var open []*Rows
-	for i := 0; i < n; i++ {
-		rows, err := db.QueryContext(ctx, queries[i%len(queries)])
-		if err != nil {
-			t.Fatalf("cursor %d of %d refused: %v", i+1, n, err)
-		}
-		open = append(open, rows)
-	}
-	for _, q := range queries {
-		if _, err := db.QueryContext(ctx, q); !errors.Is(err, ErrLimit) {
-			t.Fatalf("cursor %d on %q: err = %v, want ErrLimit", n+1, q, err)
-		}
-	}
-	if got := db.OpenRows(); got != n {
-		t.Fatalf("OpenRows = %d after a refused cursor, want %d", got, n)
-	}
-	if err := open[0].Close(); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := db.QueryContext(ctx, queries[0])
-	if err != nil {
-		t.Fatalf("closing a cursor did not free its slot: %v", err)
-	}
-	if _, err := db.QueryContext(ctx, queries[1]); !errors.Is(err, ErrLimit) {
-		t.Fatalf("cap not enforced after reuse: err = %v", err)
-	}
-	rows.Close()
-	open[1].Close()
-	if got := db.OpenRows(); got != 0 {
-		t.Fatalf("OpenRows = %d after closing every cursor, want 0", got)
-	}
-}

@@ -56,12 +56,6 @@ type DB struct {
 
 	plans *planCache
 
-	// maxOpenRows caps concurrently open Rows cursors (WithMaxOpenRows);
-	// 0 means uncapped. openRows is the current count, guarded by rowsMu.
-	maxOpenRows int
-	rowsMu      sync.Mutex
-	openRows    int
-
 	// wal is the write-ahead log of a durable database (Open with WithPath);
 	// nil for a memory-only one. It is attached to the store as its logger,
 	// so every mutation path — module DDL, Insert, Assign, LoadStore, Tx
@@ -106,7 +100,6 @@ func Open(opts ...Option) (*DB, error) {
 		mode:        cfg.mode,
 		plans:       newPlanCache(),
 		noOptimize:  cfg.noOptimize,
-		maxOpenRows: cfg.maxOpenRows,
 		parallelism: cfg.parallelism,
 	}
 	// Strictness is fixed here: every later checker and registry is a clone
@@ -213,31 +206,6 @@ func (d *DB) recordStats(en *core.Engine) {
 // Parallelism reports how many equations of a fixpoint round are evaluated at
 // once (WithParallelism; runtime.GOMAXPROCS(0) by default).
 func (d *DB) Parallelism() int { return d.parallelism }
-
-// acquireRows claims one open-cursor slot against the WithMaxOpenRows cap,
-// returning the release the cursor calls exactly once on Close. With no cap
-// configured it costs one mutex round-trip and never fails.
-func (d *DB) acquireRows() (release func(), err error) {
-	d.rowsMu.Lock()
-	defer d.rowsMu.Unlock()
-	if d.maxOpenRows > 0 && d.openRows >= d.maxOpenRows {
-		return nil, &LimitError{Resource: "open rows", Limit: d.maxOpenRows}
-	}
-	d.openRows++
-	return func() {
-		d.rowsMu.Lock()
-		d.openRows--
-		d.rowsMu.Unlock()
-	}, nil
-}
-
-// OpenRows reports the number of currently open Rows cursors (for tests and
-// monitoring).
-func (d *DB) OpenRows() int {
-	d.rowsMu.Lock()
-	defer d.rowsMu.Unlock()
-	return d.openRows
-}
 
 // Checkpoint forces a checkpoint of a durable database: the pages changed
 // since the last one are flushed, a new page manifest becomes the snapshot,

@@ -222,19 +222,13 @@ func (s *Stmt) Query(ctx context.Context, args ...any) (*Relation, error) {
 	return rel, nil
 }
 
-// QueryRows is Query with a row cursor over the evaluated result. The cursor
-// counts against the session's WithMaxOpenRows cap until it is closed.
+// QueryRows is Query with a row cursor over the evaluated result.
 func (s *Stmt) QueryRows(ctx context.Context, args ...any) (*Rows, error) {
-	release, err := s.db.acquireRows()
-	if err != nil {
-		return nil, err
-	}
 	rel, err := s.exec(ctx, args, nil)
 	if err != nil {
-		release()
 		return nil, err
 	}
-	return newRows(ctx, rel, release), nil
+	return newRows(ctx, rel), nil
 }
 
 // execStats collects per-execution counters for EXPLAIN ANALYZE.

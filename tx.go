@@ -104,19 +104,13 @@ func (t *Tx) Query(ctx context.Context, src string, args ...any) (*Relation, err
 	return st.execWith(ctx, env, en, args, nil)
 }
 
-// QueryRows is Query with a row cursor over the evaluated result. The cursor
-// counts against the session's WithMaxOpenRows cap until it is closed.
+// QueryRows is Query with a row cursor over the evaluated result.
 func (t *Tx) QueryRows(ctx context.Context, src string, args ...any) (*Rows, error) {
-	release, err := t.db.acquireRows()
-	if err != nil {
-		return nil, err
-	}
 	rel, err := t.Query(ctx, src, args...)
 	if err != nil {
-		release()
 		return nil, err
 	}
-	return newRows(ctx, rel, release), nil
+	return newRows(ctx, rel), nil
 }
 
 // Relation returns a variable's value as seen by the transaction.
