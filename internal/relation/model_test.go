@@ -50,8 +50,10 @@ func fullOf(idx *Index) *Index {
 // TestRelationMatchesMapModel interleaves every mutation, Clone and index
 // operation at random over several live generations of a relation larger
 // than minSharedClone — writing to old generations too — and checks every
-// generation against its plain-map model after each step. It runs for a
-// full-key and a partial-key type.
+// generation against its plain-map model, and every chunk's key map against
+// its rows, after each step. A delete-heavy phase then deletes from the middle
+// of a large unsealed chunk and undoes a batch that fails half-way. It runs
+// for a full-key and a partial-key type.
 func TestRelationMatchesMapModel(t *testing.T) {
 	for _, mc := range modelCases {
 		t.Run(mc.typ.Name, func(t *testing.T) {
@@ -95,6 +97,20 @@ func runModel(t *testing.T, mc modelCase, rng *rand.Rand) {
 		return err
 	}
 
+	// checkChunks checks that every chunk of g maps each key to the row
+	// holding it, and nothing else.
+	checkChunks := func(step int, op string, i int, g *generation) {
+		for ci, c := range g.rel.chunks {
+			if len(c.keys) != len(c.rows) {
+				t.Fatalf("step %d (%s): generation %d chunk %d has %d keys for %d rows", step, op, i, ci, len(c.keys), len(c.rows))
+			}
+			for k, at := range c.keys {
+				if at < 0 || at >= len(c.rows) || key(c.rows[at]) != k {
+					t.Fatalf("step %d (%s): generation %d chunk %d maps key %q to row %d of %d", step, op, i, ci, k, at, len(c.rows))
+				}
+			}
+		}
+	}
 	check := func(step int, op string) {
 		for i, g := range gens {
 			if n := len(g.rel.chunks); n > maxDepth+1 {
@@ -103,6 +119,7 @@ func runModel(t *testing.T, mc modelCase, rng *rand.Rand) {
 			if g.rel.Len() != len(g.model) {
 				t.Fatalf("step %d (%s): generation %d Len %d, model %d", step, op, i, g.rel.Len(), len(g.model))
 			}
+			checkChunks(step, op, i, g)
 			seen := make(map[string]bool, len(g.model))
 			g.rel.Each(func(tup value.Tuple) bool {
 				k := key(tup)
@@ -282,6 +299,64 @@ func runModel(t *testing.T, mc modelCase, rng *rand.Rand) {
 		}
 		check(step, op)
 	}
+
+	// fresh returns a tuple whose key neither g's model nor taken holds.
+	fresh := func(g *generation, taken map[string]bool) value.Tuple {
+		for {
+			tup := mc.tuple(rng)
+			if _, ok := g.model[key(tup)]; !ok && !taken[key(tup)] {
+				taken[key(tup)] = true
+				return tup
+			}
+		}
+	}
+	// Delete-heavy phase: grow the newest generation's unsealed chunk past 100
+	// rows, then delete from its middle, so every delete moves a row.
+	g := gens[len(gens)-1]
+	taken := make(map[string]bool)
+	for range 150 {
+		tup := fresh(g, taken)
+		g.rel.Add(tup)
+		g.model[key(tup)] = tup
+	}
+	tail := g.rel.chunks[len(g.rel.chunks)-1]
+	if tail.sealed.Load() || len(tail.rows) < 150 {
+		t.Fatalf("newest chunk sealed=%v with %d rows, want an unsealed one of 150 or more", tail.sealed.Load(), len(tail.rows))
+	}
+	for step := 1; len(tail.rows) > 50; step++ {
+		n := len(tail.rows)
+		victim := tail.rows[n/3+rng.Intn(n/3)]
+		if !g.rel.Delete(victim) {
+			t.Fatalf("delete %d: Delete(%s) = false", step, victim)
+		}
+		delete(g.model, key(victim))
+		if g.rel.chunks[len(g.rel.chunks)-1] != tail || len(tail.rows) != n-1 {
+			t.Fatalf("delete %d: did not remove in place from the unsealed chunk", step)
+		}
+		checkChunks(step, "Delete mid-chunk", len(gens)-1, g)
+		if step%10 == 0 {
+			check(step, "Delete mid-chunk")
+		}
+	}
+	check(0, "Delete mid-chunk")
+	// A batch whose invalid tuple comes after ten new ones: the undo takes the
+	// ten out of the same chunk again.
+	batch := make([]value.Tuple, 0, 21)
+	for range 10 {
+		batch = append(batch, fresh(g, taken))
+	}
+	batch = append(batch, mc.invalid)
+	for range 10 {
+		batch = append(batch, fresh(g, taken))
+	}
+	n := len(tail.rows)
+	if added, err := g.rel.InsertAll(batch...); err == nil || added != nil {
+		t.Fatalf("InsertAll with an invalid tuple mid-batch = %v, %v; want an error", added, err)
+	}
+	if len(tail.rows) != n {
+		t.Fatalf("undone InsertAll left %d rows in the chunk, want %d", len(tail.rows), n)
+	}
+	check(0, "InsertAll undo")
 }
 
 // TestRelationConcurrentReaders: goroutines Clone, IndexOn, HasIndexOn and

@@ -9,7 +9,9 @@
 //
 //	IF ALL x1,x2 IN rex (x1.key=x2.key ==> x1=x2) THEN rel := rex ELSE <exception>
 //
-// A relation's content is a slice of key-disjoint chunks. A sealed chunk is
+// A relation's content is a slice of key-disjoint chunks. A chunk keeps its
+// tuples in a dense row slice beside a map from key encoding to row position,
+// so a scan walks a slice and a lookup is one map probe. A sealed chunk is
 // never written again, so relations share sealed chunks by prefix: Clone is
 // O(1) in the relation size, and a copy-on-write republish (store writes,
 // resumed fixpoints) pays for the tuples it adds, not for the state it carries
@@ -46,12 +48,14 @@ func (e *KeyConflictError) Error() string {
 		e.Relation, e.Existing, e.Incoming)
 }
 
-// chunk is one key map of a relation's content, keyed by the key-attribute
-// encoding of each tuple. Until it is sealed only the relation whose newest
-// chunk it is writes it; once sealed it is immutable and any number of
-// relations may share it.
+// chunk is one piece of a relation's content: its tuples in rows, and keys
+// mapping the key-attribute encoding of each tuple to its position in rows.
+// Writes append to rows; a delete moves the last row into the freed slot.
+// Until it is sealed only the relation whose newest chunk it is writes it;
+// once sealed it is immutable and any number of relations may share it.
 type chunk struct {
-	tuples map[string]value.Tuple
+	rows   []value.Tuple
+	keys   map[string]int
 	sealed atomic.Bool
 	// mu guards idx: relations sharing the chunk memoize on it from several
 	// goroutines.
@@ -61,7 +65,9 @@ type chunk struct {
 	idx map[string]*Index
 }
 
-func newChunk(n int) *chunk { return &chunk{tuples: make(map[string]value.Tuple, n)} }
+func newChunk(n int) *chunk {
+	return &chunk{rows: make([]value.Tuple, 0, n), keys: make(map[string]int, n)}
+}
 
 // Relation is a mutable set of tuples of a fixed relation type. The zero
 // value is not usable; construct with New.
@@ -121,7 +127,7 @@ func (r *Relation) Type() schema.RelationType { return r.typ }
 func (r *Relation) Len() int {
 	n := 0
 	for _, c := range r.chunks {
-		n += len(c.tuples)
+		n += len(c.rows)
 	}
 	return n
 }
@@ -132,8 +138,8 @@ func (r *Relation) IsEmpty() bool { return r.Len() == 0 }
 // get resolves a key across the chunks.
 func (r *Relation) get(k string) (value.Tuple, bool) {
 	for _, c := range r.chunks {
-		if t, ok := c.tuples[k]; ok {
-			return t, true
+		if i, ok := c.keys[k]; ok {
+			return c.rows[i], true
 		}
 	}
 	return nil, false
@@ -164,7 +170,11 @@ func (r *Relation) tail() *chunk {
 func (r *Relation) flatten(keep bool) *chunk {
 	f := newChunk(r.Len())
 	for _, c := range r.chunks {
-		maps.Copy(f.tuples, c.tuples)
+		off := len(f.rows)
+		f.rows = append(f.rows, c.rows...)
+		for k, i := range c.keys {
+			f.keys[k] = off + i
+		}
 	}
 	if keep {
 		c := r.chunks[len(r.chunks)-1]
@@ -207,7 +217,9 @@ func (r *Relation) put(k string, t value.Tuple) (bool, error) {
 		}
 		return false, &KeyConflictError{Relation: r.typ.Name, Existing: old, Incoming: t}
 	}
-	r.tail().tuples[k] = t
+	c := r.tail()
+	c.keys[k] = len(c.rows)
+	c.rows = append(c.rows, t)
 	return true, nil
 }
 
@@ -236,10 +248,10 @@ func (r *Relation) InsertAll(tuples ...value.Tuple) ([]value.Tuple, error) {
 			grew, err = r.put(r.keyOf(t).Key(), t)
 		}
 		if err != nil {
-			// What this call added sits in the unsealed newest chunk, so the
-			// undo flattens nothing.
-			for _, u := range added {
-				r.Delete(u)
+			// What this call added are the last rows of the unsealed newest
+			// chunk, so the undo, newest first, flattens and moves nothing.
+			for i := len(added) - 1; i >= 0; i-- {
+				r.Delete(added[i])
 			}
 			return nil, err
 		}
@@ -270,12 +282,22 @@ func (r *Relation) Delete(t value.Tuple) bool {
 		return false
 	}
 	c := r.chunks[len(r.chunks)-1]
-	if _, own := c.tuples[k]; !own || c.sealed.Load() {
+	i, own := c.keys[k]
+	if !own || c.sealed.Load() {
 		c = r.flatten(false)
 		r.chunks = []*chunk{c}
+		i = c.keys[k]
 	}
-	delete(c.tuples, k)
-	if len(c.tuples) == 0 && len(r.chunks) > 1 {
+	last := len(c.rows) - 1
+	if i != last {
+		moved := c.rows[last]
+		c.rows[i] = moved
+		c.keys[r.keyOf(moved).Key()] = i
+	}
+	c.rows[last] = nil // the slice must not pin the deleted tuple
+	c.rows = c.rows[:last]
+	delete(c.keys, k)
+	if len(c.rows) == 0 && len(r.chunks) > 1 {
 		r.chunks = r.chunks[:len(r.chunks)-1]
 	}
 	return true
@@ -293,10 +315,11 @@ func (r *Relation) LookupKey(key value.Tuple) (value.Tuple, bool) {
 }
 
 // Each calls fn for every tuple in unspecified order; fn returning false
-// stops the iteration.
+// stops the iteration. fn must not write r: a Delete moves rows, so the
+// iteration could skip a tuple or see one twice.
 func (r *Relation) Each(fn func(value.Tuple) bool) {
 	for _, c := range r.chunks {
-		for _, t := range c.tuples {
+		for _, t := range c.rows {
 			if !fn(t) {
 				return
 			}
@@ -304,20 +327,43 @@ func (r *Relation) Each(fn func(value.Tuple) bool) {
 	}
 }
 
-// All returns a single-use iterator over the tuples in unspecified order.
-// It is the pull-based counterpart of Each, used by the streaming row cursor
-// of the public API so results need not be materialized into a slice.
+// All returns an iterator over the tuples in unspecified order: the
+// range-over-func form of Each, under the same rule that the loop body must
+// not write r.
 func (r *Relation) All() iter.Seq[value.Tuple] { return r.Each }
+
+// Cursor is a position in a relation's rows: a chunk and a row within it.
+// Unlike a pulled iterator it holds no goroutine, so a cursor that is
+// dropped half-way needs no cleanup. The relation must not be written while
+// the cursor is in use.
+type Cursor struct {
+	chunks []*chunk
+	ci, ri int
+}
+
+// Cursor returns a cursor before the first tuple of r.
+func (r *Relation) Cursor() Cursor { return Cursor{chunks: r.chunks} }
+
+// Next returns the tuple at the cursor and advances it, or false once every
+// tuple has been returned.
+func (cur *Cursor) Next() (value.Tuple, bool) {
+	for ; cur.ci < len(cur.chunks); cur.ci, cur.ri = cur.ci+1, 0 {
+		if rows := cur.chunks[cur.ci].rows; cur.ri < len(rows) {
+			cur.ri++
+			return rows[cur.ri-1], true
+		}
+	}
+	return nil, false
+}
 
 // Slice returns all tuples in unspecified order. It is the cheap counterpart
 // of Tuples for callers that scan the tuple set by position (the executor's
 // outer scan and loop joins) and do not need deterministic ordering.
 func (r *Relation) Slice() []value.Tuple {
 	out := make([]value.Tuple, 0, r.Len())
-	r.Each(func(t value.Tuple) bool {
-		out = append(out, t)
-		return true
-	})
+	for _, c := range r.chunks {
+		out = append(out, c.rows...)
+	}
 	return out
 }
 
@@ -368,7 +414,7 @@ func (r *Relation) Tuples() []value.Tuple {
 // indexes that covered the whole content.
 func (r *Relation) Clone() *Relation {
 	c := &Relation{typ: r.typ, keyPos: r.keyPos}
-	n, base := len(r.chunks), len(r.chunks[0].tuples)
+	n, base := len(r.chunks), len(r.chunks[0].rows)
 	if base < minSharedClone || n > maxDepth || r.Len()-base > base/4 {
 		c.chunks = []*chunk{r.flatten(true)}
 		return c
@@ -515,11 +561,12 @@ type Index struct {
 // BuildIndex indexes the relation on the given attribute positions.
 func BuildIndex(r *Relation, positions []int) *Index {
 	idx := &Index{positions: positions, buckets: make(map[string][]value.Tuple)}
-	r.Each(func(t value.Tuple) bool {
-		k := t.Project(positions).Key()
-		idx.buckets[k] = append(idx.buckets[k], t)
-		return true
-	})
+	for _, c := range r.chunks {
+		for _, t := range c.rows {
+			k := t.Project(positions).Key()
+			idx.buckets[k] = append(idx.buckets[k], t)
+		}
+	}
 	return idx
 }
 
@@ -596,7 +643,7 @@ func (r *Relation) carried(sig []byte) (*Index, int) {
 			}
 			return idx, i
 		}
-		later += len(c.tuples)
+		later += len(c.rows)
 	}
 	return nil, -1
 }
@@ -633,7 +680,7 @@ func extend(idx *Index, later []*chunk, positions []int) *Index {
 		buckets[k] = ts[:len(ts):len(ts)]
 	}
 	for _, c := range later {
-		for _, t := range c.tuples {
+		for _, t := range c.rows {
 			k := t.Project(positions).Key()
 			buckets[k] = append(buckets[k], t)
 		}

@@ -482,7 +482,7 @@ func TestHasIndexOn(t *testing.T) {
 		g.Add(pair(fmt.Sprintf("grow%05d", i), "x"))
 	}
 	carrier, tail := g.chunks[len(g.chunks)-2], g.chunks[len(g.chunks)-1]
-	if n := overlaySize(carrier.idx["0,"]) + len(tail.tuples); n <= g.Len()/4 {
+	if n := overlaySize(carrier.idx["0,"]) + len(tail.rows); n <= g.Len()/4 {
 		t.Fatalf("index dropped with an overlay of %d tuples of %d", n, g.Len())
 	}
 	if idx := g.IndexOn([]int{0}); idx.base != nil || idx == base {

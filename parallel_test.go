@@ -13,7 +13,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	dbpl "repro"
 
@@ -280,8 +279,9 @@ func TestCloseRacesParallelQuery(t *testing.T) {
 
 // TestRowsCloseMidIterationLeavesNoGoroutines abandons a cursor over a join's
 // materialized result after one tuple and checks that nothing outlives it —
-// the evaluation ended before the cursor opened, and Close ends the cursor's
-// iterator: goroutine accounting, no leak detector dependency.
+// the evaluation ended before the cursor opened, and the cursor is a position
+// in the result, not a goroutine: goroutine accounting, no leak detector
+// dependency.
 func TestRowsCloseMidIterationLeavesNoGoroutines(t *testing.T) {
 	db := openWith(t, cadModule, parallelOpts(4)...)
 	defer db.Close()
@@ -302,18 +302,34 @@ func TestRowsCloseMidIterationLeavesNoGoroutines(t *testing.T) {
 	if err := rows.Err(); err != nil {
 		t.Errorf("Err after mid-iteration Close = %v, want nil (closing early is not a failure)", err)
 	}
-	// Close stops the iterator, but its goroutine exits just after handing
-	// control back; allow the scheduler a moment to reap it.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if after := runtime.NumGoroutine(); after <= before {
-			return
+	if after := runtime.NumGoroutine(); after > before {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("goroutines leaked after Close: before=%d after=%d\n%s",
+			before, after, buf[:runtime.Stack(buf, true)])
+	}
+}
+
+// TestRowsDroppedWithoutCloseLeaksNothing reads one tuple from each of many
+// cursors and drops them without Close: a Rows holds no goroutine, so the
+// goroutine count does not move.
+func TestRowsDroppedWithoutCloseLeaksNothing(t *testing.T) {
+	db := openWith(t, cadModule)
+	defer db.Close()
+	assignEdges(t, db, workload.Chain(64))
+
+	before := runtime.NumGoroutine()
+	for range 1000 {
+		rows, err := db.QueryContext(context.Background(), `Infront`)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("goroutines leaked after Close: before=%d after=%d\n%s",
-				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		if !rows.Next() {
+			t.Fatalf("no first tuple: %v", rows.Err())
 		}
-		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("goroutines left by dropped cursors: before=%d after=%d\n%s",
+			before, after, buf[:runtime.Stack(buf, true)])
 	}
 }

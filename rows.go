@@ -2,7 +2,6 @@ package dbpl
 
 import (
 	"context"
-	"iter"
 
 	"repro/internal/relation"
 	"repro/internal/value"
@@ -23,8 +22,7 @@ type Rows struct {
 	rel    *relation.Relation
 	ctx    context.Context
 	cols   []string
-	next   func() (value.Tuple, bool)
-	stop   func()
+	pos    relation.Cursor
 	cur    value.Tuple
 	err    error
 	closed bool
@@ -33,8 +31,7 @@ type Rows struct {
 // newRows wraps an already evaluated result relation. ctx is the query's
 // context; iteration stops (and Err reports the cause) once it is canceled.
 func newRows(ctx context.Context, rel *relation.Relation) *Rows {
-	next, stop := iter.Pull(rel.All())
-	return &Rows{rel: rel, ctx: ctx, cols: colsOf(rel), next: next, stop: stop}
+	return &Rows{rel: rel, ctx: ctx, cols: colsOf(rel), pos: rel.Cursor()}
 }
 
 func colsOf(rel *relation.Relation) []string {
@@ -69,7 +66,7 @@ func (r *Rows) Next() bool {
 			return false
 		}
 	}
-	t, ok := r.next()
+	t, ok := r.pos.Next()
 	if !ok {
 		r.Close()
 		return false
@@ -108,13 +105,11 @@ func (r *Rows) Scan(dest ...any) error {
 // loop that simply exhausted the cursor.
 func (r *Rows) Err() error { return r.err }
 
-// Close releases the cursor. It is idempotent, safe after exhaustion, and
-// preserves Err.
+// Close ends the iteration. It is idempotent, safe after exhaustion, and
+// preserves Err. A Rows holds no goroutine or other resource, so one that is
+// dropped without Close leaks nothing.
 func (r *Rows) Close() error {
-	if !r.closed {
-		r.closed = true
-		r.cur = nil
-		r.stop()
-	}
+	r.closed = true
+	r.cur = nil
 	return nil
 }
