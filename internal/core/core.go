@@ -448,13 +448,14 @@ func (s *System) Detach() {
 // Removals are absorbed by delete-and-rederive, sound for the positive,
 // monotone systems Resumable admits: (1) over-delete everything removed
 // derives against the old base and state (fixpoint.OverDelete), (2) strip
-// it and re-derive the over-deleted tuples that keep a one-step derivation
-// from the survivors and the new base, (3) resume as for growth, seeded with
-// added and the re-derived tuples. A system whose recursive or base-using
-// branches cannot be differentiated by occurrence is solved from scratch
-// instead. In these phases the executor scans a whole state and hashes the
-// small side of its joins (eval.Env.Unindexed), so no index is built on, or
-// memoized with, a state.
+// it and derive in one step from the survivors and the new base what the
+// stripped state lacks (the over-deleted tuples that keep a derivation, and
+// any the new base adds), (3) resume as for growth, seeded with added and
+// those tuples. A system whose recursive or base-using branches cannot be
+// differentiated by occurrence is solved from scratch instead. In these
+// phases the executor scans a whole state and hashes the small side of its
+// joins (eval.Env.Unindexed), so no index is built on, or memoized with, a
+// state.
 //
 // Relations in state are never mutated (copy-on-write), so the caller may
 // keep serving them. en supplies the iteration budget and receives the
@@ -1214,7 +1215,8 @@ func (s *system) EvalFull(i int, cur []*relation.Relation) (*relation.Relation, 
 // contribute nothing after round 0; differentiable branches are evaluated
 // once per bare recursive occurrence with that occurrence restricted to the
 // referenced instance's delta; non-differentiable recursive branches are
-// re-evaluated in full.
+// re-evaluated in full. Every branch excludes cur[i], as the interface
+// requires.
 func (s *system) EvalIncrement(i int, cur, delta []*relation.Relation) (*relation.Relation, error) {
 	inst := s.instances[i]
 	out := relation.New(inst.cons.Result)
@@ -1317,12 +1319,13 @@ func (s *system) retractable(rebound []bool) bool {
 	return true
 }
 
-// rederive is phase 2 of a retraction: per instance, the over-deleted tuples
-// in dead that still have a one-step derivation from survivors — state,
-// already stripped of dead, and the instances' current bases. Each branch
-// runs with one binding restricted to what can derive a dead tuple (see
-// restricted), so the work follows the over-deleted tuples and their join
-// partners, not the state.
+// rederive is phase 2 of a retraction: per instance with over-deleted tuples,
+// what one step derives from the survivors — state, already stripped of dead,
+// and the instances' current bases — that state lacks. Such a tuple is an
+// over-deleted one that keeps a derivation, or one new with the base delta;
+// both belong to the new least fixpoint. Each branch runs with one binding
+// restricted to what can derive a dead tuple (see restricted), so the work
+// follows the over-deleted tuples and their join partners, not the state.
 func (s *system) rederive(state, dead []*relation.Relation) ([]*relation.Relation, error) {
 	out := make([]*relation.Relation, len(s.instances))
 	for i, inst := range s.instances {
@@ -1330,14 +1333,12 @@ func (s *system) rederive(state, dead []*relation.Relation) ([]*relation.Relatio
 		if dead[i].IsEmpty() {
 			continue
 		}
-		found := relation.New(inst.cons.Result)
 		for bi := range inst.body.Branches {
 			br := &inst.body.Branches[bi]
-			if err := s.evalWith(inst, br, state, s.restricted(inst, br, state, dead[i]), found, nil, true); err != nil {
+			if err := s.evalWith(inst, br, state, s.restricted(inst, br, state, dead[i]), out[i], state[i], true); err != nil {
 				return nil, err
 			}
 		}
-		out[i] = found.Intersect(dead[i])
 	}
 	return out, nil
 }

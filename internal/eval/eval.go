@@ -394,16 +394,19 @@ func (e *Env) SetExpr(s *ast.SetExpr, rt schema.RelationType) (*relation.Relatio
 
 // EvalBranchIntoExcluding evaluates a single branch, adding result tuples to
 // out, except that tuples already present in except (which may be nil) are
-// dropped by the pipeline's project stage, before the dedup into out.
-// Exposed for the semi-naive fixpoint engine, which evaluates branches
-// individually against delta relations and passes its accumulated state here,
-// so each round's merge cost is proportional to the true delta.
+// dropped — by the pipeline's project stage, before the dedup into out.
+// Exposed for the fixpoint phases, which evaluate branches individually
+// against delta relations and pass the state a result must be new to, so
+// each round's merge cost is proportional to the true delta.
 func (e *Env) EvalBranchIntoExcluding(br *ast.Branch, out, except *relation.Relation) error {
 	pb, err := e.prepareBranch(br, out.Type())
 	if err != nil {
 		return err
 	}
 	if pb.literal != nil {
+		if except != nil && except.Contains(pb.literal) {
+			return nil
+		}
 		return out.Insert(pb.literal)
 	}
 	return e.runBranchPipeline(pb, out, except)

@@ -16,7 +16,9 @@
 //
 //   - SemiNaive: the differential evaluation used by deductive databases;
 //     correct only for monotonic systems, which the positivity constraint of
-//     section 3.3 guarantees syntactically.
+//     section 3.3 guarantees syntactically. Each round keeps only the tuples
+//     the state lacks; the Evaluator drops the others as it derives them
+//     (EvalIncrement's contract), so no round's result is filtered twice.
 package fixpoint
 
 import (
@@ -40,9 +42,10 @@ type Evaluator interface {
 	NewRelation(i int) *relation.Relation
 	// EvalFull computes g_i over the full current state.
 	EvalFull(i int, cur []*relation.Relation) (*relation.Relation, error)
-	// EvalIncrement computes a superset of the new tuples derivable for
-	// equation i when the state grew by delta (per equation); it may also
-	// return already-known tuples. Used by SemiNaive only.
+	// EvalIncrement computes the tuples derivable for equation i when the
+	// state grew by delta (per equation) that cur[i] lacks, and only those:
+	// the semi-naive loops take its result unfiltered as the next delta, as
+	// OverDelete takes Deleter.EvalDecrement's.
 	EvalIncrement(i int, cur, delta []*relation.Relation) (*relation.Relation, error)
 }
 
@@ -247,7 +250,7 @@ func SemiNaive(ev Evaluator, opts Options) ([]*relation.Relation, Stats, error) 
 		return nil, stats, err
 	}
 	stats.Evaluations += n
-	return semiNaiveLoop(opts, cur, delta, nil, stats, increment(ev, cur))
+	return semiNaiveLoop(opts, cur, delta, nil, stats, ev.EvalIncrement)
 }
 
 // SemiNaiveResume continues a semi-naive iteration from a known state: cur is
@@ -268,19 +271,7 @@ func SemiNaiveResume(ev Evaluator, cur, delta []*relation.Relation, owned []bool
 	if owned != nil {
 		copy(own, owned)
 	}
-	return semiNaiveLoop(opts, state, slices.Clone(delta), own, Stats{}, increment(ev, state))
-}
-
-// increment is the semi-naive step over cur: what equation i derives from
-// the deltas that cur[i] lacks.
-func increment(ev Evaluator, cur []*relation.Relation) func(int, []*relation.Relation) (*relation.Relation, error) {
-	return func(i int, delta []*relation.Relation) (*relation.Relation, error) {
-		out, err := ev.EvalIncrement(i, cur, delta)
-		if err != nil {
-			return nil, err
-		}
-		return out.Difference(cur[i]), nil
-	}
+	return semiNaiveLoop(opts, state, slices.Clone(delta), own, Stats{}, ev.EvalIncrement)
 }
 
 // Deleter differentiates a converged system for deletion: EvalDecrement
@@ -300,18 +291,19 @@ type Deleter interface {
 // part that still has a derivation from the survivors. The seed relations
 // become the returned ones and grow in place; state is only read.
 func OverDelete(ev Deleter, state, seed []*relation.Relation, opts Options) ([]*relation.Relation, Stats, error) {
-	return semiNaiveLoop(opts, seed, slices.Clone(seed), nil, Stats{}, func(i int, gone []*relation.Relation) (*relation.Relation, error) {
-		return ev.EvalDecrement(i, state, gone, seed)
+	return semiNaiveLoop(opts, seed, slices.Clone(seed), nil, Stats{}, func(i int, dead, gone []*relation.Relation) (*relation.Relation, error) {
+		return ev.EvalDecrement(i, state, gone, dead)
 	})
 }
 
-// semiNaiveLoop is the shared differential iteration: each round, step
-// returns what equation i derives from the previous round's deltas that acc[i]
-// lacks; that joins acc[i] and is the next round's delta, until a round
+// semiNaiveLoop is the shared differential iteration: each round,
+// step(i, acc, delta) returns what equation i derives from the previous
+// round's deltas that acc[i] lacks — step's contract, which the loop does not
+// check again. That joins acc[i] and is the next round's delta, until a round
 // derives nothing. owned[i] false marks acc[i] as shared with callers; it is
-// cloned before its first growth. A nil owned means every slot may be mutated
-// in place.
-func semiNaiveLoop(opts Options, acc, delta []*relation.Relation, owned []bool, stats Stats, step func(i int, delta []*relation.Relation) (*relation.Relation, error)) ([]*relation.Relation, Stats, error) {
+// replaced by its clone, in acc itself, before its first growth. A nil owned
+// means every slot may be mutated in place.
+func semiNaiveLoop(opts Options, acc, delta []*relation.Relation, owned []bool, stats Stats, step func(i int, acc, delta []*relation.Relation) (*relation.Relation, error)) ([]*relation.Relation, Stats, error) {
 	n := len(acc)
 	for {
 		quiet := true
@@ -333,7 +325,7 @@ func semiNaiveLoop(opts Options, acc, delta []*relation.Relation, owned []bool, 
 		next := make([]*relation.Relation, n)
 		if err := opts.evalEach(n, func(i int) error {
 			var err error
-			next[i], err = step(i, delta)
+			next[i], err = step(i, acc, delta)
 			return err
 		}); err != nil {
 			return nil, stats, err

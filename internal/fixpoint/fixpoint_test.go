@@ -42,8 +42,8 @@ func (e *tcEval) EvalIncrement(_ int, cur, delta []*relation.Relation) (*relatio
 	out := relation.New(binT)
 	e.edges.Each(func(f value.Tuple) bool {
 		delta[0].Each(func(g value.Tuple) bool {
-			if f[1] == g[0] {
-				out.Add(value.NewTuple(f[0], g[1]))
+			if t := value.NewTuple(f[0], g[1]); f[1] == g[0] && !cur[0].Contains(t) {
+				out.Add(t)
 			}
 			return true
 		})

@@ -54,7 +54,8 @@ func TestSemiNaiveResumeMatchesFromScratch(t *testing.T) {
 			t.Fatalf("%+v initial: %v", tc, err)
 		}
 		seed := seedDelta(added, state[0])
-		cur := state[0].Union(seed)
+		cur := state[0].Clone()
+		cur.UnionInto(seed)
 		resumed, rs, err := SemiNaiveResume(&tcEval{edges: full},
 			[]*relation.Relation{cur}, []*relation.Relation{seed}, []bool{true}, Options{})
 		if err != nil {
@@ -84,7 +85,8 @@ func TestSemiNaiveResumeCopyOnWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	seed := seedDelta(added, state[0])
-	shared := state[0].Union(seed) // the state a reader may still hold
+	shared := state[0].Clone() // the state a reader may still hold
+	shared.UnionInto(seed)
 	before := shared.Clone()
 	resumed, _, err := SemiNaiveResume(&tcEval{edges: full},
 		[]*relation.Relation{shared}, []*relation.Relation{seed}, nil, Options{})

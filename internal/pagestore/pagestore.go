@@ -876,19 +876,13 @@ func (e *Engine) writeManifestLocked(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Load installs the newest snapshot of a durable database's directory as the
-// engine's state and returns the store over it (wal.Options.LoadSnapshot). A
-// page manifest loads as LoadManifest does. Anything else is read as a
-// store.Save image, the snapshot format written before every durable database
-// checkpointed pages, and imported into fresh pages exactly as LoadStore
-// imports one (store.LoadInto); the next checkpoint writes them out under a
-// manifest.
+// Load installs the newest snapshot of a durable database's directory, a page
+// manifest, as the engine's state and returns the store over it
+// (wal.Options.LoadSnapshot). It loads as LoadManifest does, so it refuses a
+// store.Save image, the snapshot format written before every durable
+// database checkpointed pages.
 func (e *Engine) Load(r io.Reader) (*store.Database, error) {
-	br := bufio.NewReader(r)
-	if head, err := br.Peek(len(manifestMagic)); err == nil && string(head) != manifestMagic {
-		return store.LoadInto(br, e)
-	}
-	if err := e.LoadManifest(br); err != nil {
+	if err := e.LoadManifest(r); err != nil {
 		return nil, err
 	}
 	return store.NewDatabaseWith(e), nil
@@ -907,7 +901,7 @@ func (e *Engine) LoadManifest(r io.Reader) error {
 	}
 	if string(head) != manifestMagic {
 		if string(head) == "DBPLSTOR" {
-			return fmt.Errorf("pagestore: a Save image, the memory engine's format, not a page manifest (recover it with Load)")
+			return fmt.Errorf("pagestore: a Save image, the memory engine's format, not a page manifest (import it with DB.LoadStore)")
 		}
 		return fmt.Errorf("pagestore: not a page manifest")
 	}

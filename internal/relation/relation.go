@@ -453,30 +453,11 @@ func (r *Relation) UnionInto(o *Relation) int {
 	return grew
 }
 
-// Union returns a fresh relation of r's type holding r ∪ o.
-func (r *Relation) Union(o *Relation) *Relation {
-	out := r.Clone()
-	out.UnionInto(o)
-	return out
-}
-
 // Difference returns a fresh relation of r's type holding r \ o.
 func (r *Relation) Difference(o *Relation) *Relation {
 	out := New(r.typ)
 	r.Each(func(t value.Tuple) bool {
 		if !o.Contains(t) {
-			out.Add(t)
-		}
-		return true
-	})
-	return out
-}
-
-// Intersect returns a fresh relation of r's type holding r ∩ o.
-func (r *Relation) Intersect(o *Relation) *Relation {
-	out := New(r.typ)
-	r.Each(func(t value.Tuple) bool {
-		if o.Contains(t) {
 			out.Add(t)
 		}
 		return true
@@ -491,18 +472,6 @@ func (r *Relation) Select(pred func(value.Tuple) bool) *Relation {
 		if pred(t) {
 			out.Add(t)
 		}
-		return true
-	})
-	return out
-}
-
-// Project returns a fresh relation over the given attribute positions, typed
-// with the supplied result type (projection may create duplicates, which set
-// semantics collapses).
-func (r *Relation) Project(resultType schema.RelationType, positions []int) *Relation {
-	out := New(resultType)
-	r.Each(func(t value.Tuple) bool {
-		out.Add(t.Project(positions))
 		return true
 	})
 	return out

@@ -330,8 +330,8 @@ func Load(r io.Reader) (*Database, error) {
 
 // LoadInto reads a database previously written by Save into a new database
 // over engine, which holds no variables yet: each variable is declared, then
-// published whole. A durable session imports through it into its page engine
-// twice: LoadStore, and recovery from a snapshot written as a Save image.
+// published whole. A durable session's LoadStore imports through it into its
+// page engine.
 func LoadInto(r io.Reader, engine Engine) (*Database, error) {
 	br := bufio.NewReader(r)
 	head := make([]byte, len(magic))

@@ -138,34 +138,33 @@ type simEnv struct {
 	pager *pagestore.Engine
 }
 
-// saveImageEngine is the memory engine checkpointing the store.Save image,
-// the snapshot format of every durable database before they all checkpointed
-// pages: what a directory written then holds.
+// saveImageEngine is the memory engine checkpointing the store.Save image.
+// Open treats a snapshot as one opaque file whatever its format, so a sweep
+// over this engine checks the log's own recovery protocol apart from any
+// page engine.
 type saveImageEngine struct{ store.Engine }
 
 func (e saveImageEngine) WriteCheckpoint(w io.Writer) error {
 	return store.NewDatabaseWith(e.Engine).Save(w)
 }
 
-// saveImageSimEnv runs the workload on saveImageEngine, so every snapshot
-// generation is a Save image, and recovers through the resident page engine
-// as a durable session opening such a directory does: the sweep covers that
-// upgrade at every fault point of the old format's checkpoints.
+// saveImageSimEnv runs the workload and recovers on saveImageEngine, so every
+// snapshot generation is a Save image read back into a memory store.
 func saveImageSimEnv() *simEnv {
-	env := residentSimEnv()
-	env.name = "save-image"
-	newStore := func() (*store.Database, error) {
-		return store.NewDatabaseWith(saveImageEngine{store.NewMemoryEngine()}), nil
-	}
-	env.open = func(fs fsx.FS) (*Log, *store.Database, error) {
-		opts := simOptions(fs)
-		opts.NewStore = newStore
+	open := func(opts Options) (*Log, *store.Database, error) {
+		opts.NewStore = func() (*store.Database, error) {
+			return store.NewDatabaseWith(saveImageEngine{store.NewMemoryEngine()}), nil
+		}
 		opts.LoadSnapshot = func(r io.Reader) (*store.Database, error) {
 			return store.LoadInto(r, saveImageEngine{store.NewMemoryEngine()})
 		}
 		return Open(simDir, opts)
 	}
-	return env
+	return &simEnv{
+		name:   "save-image",
+		open:   func(fs fsx.FS) (*Log, *store.Database, error) { return open(simOptions(fs)) },
+		reopen: func(fs fsx.FS) (*Log, *store.Database, error) { return open(Options{FS: fs}) },
+	}
 }
 
 // residentSimEnv wires the page engine as a durable session without
@@ -308,9 +307,9 @@ func matchesAny(got []byte, candidates [][]byte) bool {
 // ways — the operation fails with an I/O error, the machine crashes at it, or
 // (for writes) the write is torn short and then the machine crashes — and
 // recovery from the surviving state must yield exactly a committed prefix.
-// Here the workload writes Save-image snapshots, the format of a directory
-// from before every durable database checkpointed pages, and recovery reads
-// them into the resident page engine.
+// Here the snapshots are Save images over the memory engine, so the sweep
+// checks the log's generation protocol alone; the sweeps below add the page
+// engine's own fault points.
 func TestCrashSimEveryFaultPoint(t *testing.T) {
 	sweepEveryFaultPoint(t, saveImageSimEnv())
 }

@@ -45,9 +45,8 @@
 //	wal-0000000007.log     mutations committed since that checkpoint
 //
 // For every durable database the snapshot is a page manifest of
-// internal/pagestore, whose pages live in the directory's pages.heap; a
-// snapshot written before that is a store.Save image, which recovery still
-// reads (Options.LoadSnapshot decides). Generation 1 has no snapshot (the
+// internal/pagestore, whose pages live in the directory's pages.heap
+// (Options.LoadSnapshot reads it). Generation 1 has no snapshot (the
 // initial state is empty). A checkpoint writes snap-(g+1) to a temporary
 // file, fsyncs, atomically renames it into place, starts an empty
 // wal-(g+1), and only then removes generation g — so a crash at any point

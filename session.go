@@ -123,9 +123,8 @@ func Open(opts ...Option) (*DB, error) {
 		}
 		// Recovery builds the store over the page engine: an empty directory
 		// starts from blank pages, the newest snapshot loads as a page
-		// manifest (contents stay on disk and fault in on demand) or, written
-		// as a Save image, is imported, and a committed checkpoint retires
-		// superseded slots.
+		// manifest (contents stay on disk and fault in on demand), and a
+		// committed checkpoint retires superseded slots.
 		wlog, st, err := wal.Open(cfg.path, wal.Options{
 			Sync:              cfg.syncPolicy,
 			CheckpointEvery:   cfg.checkpointEvery,

@@ -2,7 +2,7 @@ package dbpl
 
 // Durable-storage coverage at the session layer: the same workload on the
 // default resident page engine and on a bounded buffer pool, recovery cycles
-// on databases larger than the pool, recovery of a directory whose snapshot
+// on databases larger than the pool, refusal of a directory whose snapshot
 // is a Save image, degraded-mode Checkpoint fast-fail, and -race streaming
 // reads under eviction pressure.
 
@@ -11,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -24,7 +23,6 @@ import (
 	"repro/internal/fsx"
 	"repro/internal/relation"
 	"repro/internal/store"
-	"repro/internal/wal"
 )
 
 const storageSchema = `
@@ -388,84 +386,44 @@ func TestStorageIncrementalCheckpointSmallDelta(t *testing.T) {
 	}
 }
 
-// saveImageEngine is the memory engine checkpointing the store.Save image,
-// as every durable database did before checkpoints flushed pages.
-type saveImageEngine struct{ store.Engine }
-
-func (e saveImageEngine) WriteCheckpoint(w io.Writer) error {
-	return store.NewDatabaseWith(e.Engine).Save(w)
-}
-
-// TestStorageRecoversSaveImageGeneration: a directory written before every
-// durable database checkpointed pages — a Save image as its newest snapshot
-// plus a log tail — reopens tuple-identically, and its next checkpoint
-// writes a page manifest that reopens the same way.
-func TestStorageRecoversSaveImageGeneration(t *testing.T) {
-	dir := t.TempDir()
-	newStore := func() (*store.Database, error) {
-		return store.NewDatabaseWith(saveImageEngine{store.NewMemoryEngine()}), nil
-	}
-	l, st, err := wal.Open(dir, wal.Options{Sync: SyncNever, NewStore: newStore, LoadSnapshot: store.Load})
-	if err != nil {
+// TestStorageRefusesSaveImageSnapshot: a directory whose newest snapshot is a
+// Save image — the checkpoint format before every durable database
+// checkpointed pages — does not open. The error names the Save image and
+// DB.LoadStore, which imports one into an open database, and the snapshot and
+// log keep their bytes.
+func TestStorageRefusesSaveImageSnapshot(t *testing.T) {
+	st := store.NewDatabase()
+	if err := st.Declare("R", faultPairType()); err != nil {
 		t.Fatal(err)
-	}
-	st.SetLogger(l)
-	for _, name := range []string{"R", "S"} {
-		if err := st.Declare(name, faultPairType()); err != nil {
-			t.Fatal(err)
-		}
 	}
 	if err := st.Insert("R", pair("a", "b"), pair("b", "c")); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Checkpoint(); err != nil {
+	var img bytes.Buffer
+	if err := st.Save(&img); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Insert("R", pair("c", "d")); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Assign("S", relation.MustFromTuples(faultPairType(), pair("s", "t"))); err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	if err := st.Save(&want); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	snapHead := func() string {
-		t.Helper()
-		snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.dbpl"))
-		if err != nil || len(snaps) != 1 {
-			t.Fatalf("snapshots %v (%v), want one", snaps, err)
-		}
-		raw, err := os.ReadFile(snaps[0])
-		if err != nil || len(raw) < 8 {
-			t.Fatalf("reading %s: %v", snaps[0], err)
-		}
-		return string(raw[:8])
-	}
-	if h := snapHead(); h != "DBPLSTOR" {
-		t.Fatalf("snapshot starts %q, want a Save image", h)
-	}
-
-	for round := 0; round < 2; round++ {
-		db, err := Open(WithPath(dir), WithSync(SyncNever))
-		if err != nil {
+	dir := t.TempDir()
+	files := map[string][]byte{"snap-0000000002.dbpl": img.Bytes(), "wal-0000000002.log": {}}
+	for name, raw := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o666); err != nil {
 			t.Fatal(err)
 		}
-		if got := saveFaultState(t, db); !bytes.Equal(got, want.Bytes()) {
-			t.Fatalf("round %d: recovered state differs from the one written", round)
+	}
+	if db, err := Open(WithPath(dir), WithSync(SyncNever)); err == nil {
+		_ = db.Close()
+		t.Fatal("Open recovered from a Save-image snapshot")
+	} else if !strings.Contains(err.Error(), "Save image") || !strings.Contains(err.Error(), "DB.LoadStore") {
+		t.Fatalf("Open over a Save-image snapshot: %v; want an error naming the Save image and DB.LoadStore", err)
+	}
+	for name, want := range files {
+		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s changed by the refused Open (%v)", name, err)
 		}
-		if err := db.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if h := snapHead(); h != "DBPLPMAN" {
-			t.Fatalf("round %d: checkpoint wrote a snapshot starting %q, want a page manifest", round, h)
+	}
+	for _, pattern := range []string{"snap-*", "wal-*"} {
+		if m, err := filepath.Glob(filepath.Join(dir, pattern)); err != nil || len(m) != 1 {
+			t.Errorf("%s files after the refused Open: %v (%v), want the one written", pattern, m, err)
 		}
 	}
 }
