@@ -28,7 +28,7 @@ func WalkRanges(s *SetExpr, fn func(*Range)) {
 			WalkRange(br.Binds[j].Range, fn)
 		}
 		if br.Where != nil {
-			walkPredRanges(br.Where, fn)
+			WalkPredRanges(br.Where, fn)
 		}
 	}
 }
@@ -52,19 +52,21 @@ func WalkRange(r *Range, fn func(*Range)) {
 	}
 }
 
-func walkPredRanges(p Pred, fn func(*Range)) {
+// WalkPredRanges calls fn for every Range reachable from the predicate, as
+// WalkRanges does for a set expression.
+func WalkPredRanges(p Pred, fn func(*Range)) {
 	switch q := p.(type) {
 	case And:
-		walkPredRanges(q.L, fn)
-		walkPredRanges(q.R, fn)
+		WalkPredRanges(q.L, fn)
+		WalkPredRanges(q.R, fn)
 	case Or:
-		walkPredRanges(q.L, fn)
-		walkPredRanges(q.R, fn)
+		WalkPredRanges(q.L, fn)
+		WalkPredRanges(q.R, fn)
 	case Not:
-		walkPredRanges(q.P, fn)
+		WalkPredRanges(q.P, fn)
 	case Quant:
 		WalkRange(q.Range, fn)
-		walkPredRanges(q.Body, fn)
+		WalkPredRanges(q.Body, fn)
 	case Member:
 		WalkRange(q.Range, fn)
 	}

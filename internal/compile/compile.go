@@ -86,7 +86,7 @@ type Program struct {
 	Registry *core.Registry
 	Graph    *quantgraph.Graph
 	// Positivity holds the per-constructor analysis from the type-checking
-	// level.
+	// level (each checked signature's report).
 	Positivity map[string]positivity.Report
 	// Recursive lists constructors on cycles of the augmented graph.
 	Recursive []string
@@ -111,16 +111,14 @@ func Compile(src string, opts Options) (*Program, error) {
 func CompileModule(m *ast.Module, opts Options) (*Program, error) {
 	chk := typecheck.New()
 	chk.Strict = opts.Strict
-	reg := core.NewRegistry()
-	reg.Strict = opts.Strict
-	return CompileModuleInto(m, chk, reg)
+	return CompileModuleInto(m, chk, core.NewRegistry())
 }
 
 // CompileModuleInto compiles a module into an existing checker and registry,
-// accumulating declarations across modules, under the strictness they already
-// carry. An error leaves both partially extended: the package dbpl façade,
-// which executes successive modules against one database this way, compiles
-// into clones and keeps them only on success.
+// accumulating declarations across modules, under the strictness the checker
+// already carries. An error leaves both partially extended: the package dbpl
+// façade, which executes successive modules against one database this way,
+// compiles into clones and keeps them only on success.
 func CompileModuleInto(m *ast.Module, chk *typecheck.Checker, reg *core.Registry) (*Program, error) {
 	if err := chk.CheckModule(m); err != nil {
 		return nil, err
@@ -142,11 +140,10 @@ func CompileModuleInto(m *ast.Module, chk *typecheck.Checker, reg *core.Registry
 		}
 		decls = append(decls, cd)
 		sig := chk.Constructors[cd.Name]
-		c, err := p.Registry.Register(cd, sig.Result)
-		if err != nil {
+		if _, err := p.Registry.Register(cd, sig.Result, sig.Positivity); err != nil {
 			return nil, err
 		}
-		p.Positivity[cd.Name] = c.Report
+		p.Positivity[cd.Name] = sig.Positivity
 	}
 
 	// Type-checking level: augmented quant graph, partitioning, cycles.

@@ -22,7 +22,7 @@ import (
 func TestAheadNSequenceConvergesToAhead(t *testing.T) {
 	const maxN = 12
 	reg := NewRegistry()
-	if _, err := reg.Register(mustParseConstructor(t, aheadSrc), aheadT); err != nil {
+	if _, err := reg.Register(checked(mustParseConstructor(t, aheadSrc), aheadT)); err != nil {
 		t.Fatal(err)
 	}
 	// ahead_1 .. ahead_maxN.
@@ -40,7 +40,7 @@ BEGIN
   <f.front, b.tail> OF EACH f IN Rel, EACH b IN Rel{ahead_%d}: f.back = b.head
 END ahead_%d;`, n, n-1, n)
 		}
-		if _, err := reg.Register(mustParseConstructor(t, src), aheadT); err != nil {
+		if _, err := reg.Register(checked(mustParseConstructor(t, src), aheadT)); err != nil {
 			t.Fatalf("register ahead_%d: %v", n, err)
 		}
 	}
@@ -90,7 +90,7 @@ BEGIN
   <rc.head, n.back> OF EACH rc IN Rel{reach(Src)}, EACH n IN Rel: rc.tail = n.front
 END reach;`
 	reg := NewRegistry()
-	if _, err := reg.Register(mustParseConstructor(t, src), aheadT); err != nil {
+	if _, err := reg.Register(checked(mustParseConstructor(t, src), aheadT)); err != nil {
 		t.Fatal(err)
 	}
 	en := NewEngine(reg, eval.NewEnv())
@@ -134,7 +134,7 @@ BEGIN
   EACH r IN Rel[not_self]: TRUE
 END clean;`
 	reg := NewRegistry()
-	if _, err := reg.Register(mustParseConstructor(t, consSrc), infrontT); err != nil {
+	if _, err := reg.Register(checked(mustParseConstructor(t, consSrc), infrontT)); err != nil {
 		t.Fatal(err)
 	}
 	env := eval.NewEnv()

@@ -43,7 +43,7 @@ type Mode uint8
 const (
 	// SemiNaive is the default differential strategy; it requires
 	// monotonicity and therefore falls back to Naive for constructors that
-	// fail the positivity check (possible only with a non-strict registry).
+	// fail the positivity check (possible only with a non-strict checker).
 	SemiNaive Mode = iota
 	// Naive is the paper's REPEAT ... UNTIL loop.
 	Naive
@@ -57,12 +57,11 @@ func (m Mode) String() string {
 }
 
 // Constructor is a registered constructor definition together with its
-// resolved result type and positivity analysis.
+// resolved result type and the checker's positivity analysis.
 type Constructor struct {
-	Decl     *ast.ConstructorDecl
-	Result   schema.RelationType
-	Report   positivity.Report
-	Positive bool
+	Decl   *ast.ConstructorDecl
+	Result schema.RelationType
+	Report positivity.Report
 }
 
 // Registry holds constructor definitions. Lookups are safe for concurrent
@@ -71,18 +70,11 @@ type Constructor struct {
 type Registry struct {
 	mu           sync.RWMutex
 	constructors map[string]*Constructor
-	// Strict rejects non-positive constructors at registration, matching
-	// the paper's DBPL compiler ("for simplicity, the DBPL compiler accepts
-	// only constructors satisfying the positivity constraint"). Turn it off
-	// to experiment with section 3.3's strange constructor. Unlike the
-	// constructor map it is not lock-guarded: it is only read on the
-	// (serialized) registration path.
-	Strict bool
 }
 
-// NewRegistry returns an empty, strict registry.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{constructors: make(map[string]*Constructor), Strict: true}
+	return &Registry{constructors: make(map[string]*Constructor)}
 }
 
 // Clone returns an independent registry holding the same definitions, so a
@@ -91,23 +83,21 @@ func NewRegistry() *Registry {
 func (r *Registry) Clone() *Registry {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return &Registry{constructors: maps.Clone(r.constructors), Strict: r.Strict}
+	return &Registry{constructors: maps.Clone(r.constructors)}
 }
 
-// Register adds a constructor with its resolved result type. It runs the
-// positivity check (the "type-checking level" of section 4) and, when the
-// registry is strict, rejects violations.
-func (r *Registry) Register(decl *ast.ConstructorDecl, result schema.RelationType) (*Constructor, error) {
+// Register adds a constructor with its resolved result type and the
+// positivity report the type checker computed for it (the "type-checking
+// level" of section 4, where a strict checker has already rejected
+// violations). Grounding reads the report: a system with a non-positive
+// instance is solved naively.
+func (r *Registry) Register(decl *ast.ConstructorDecl, result schema.RelationType, rep positivity.Report) (*Constructor, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, dup := r.constructors[decl.Name]; dup {
 		return nil, fmt.Errorf("constructor %q already defined", decl.Name)
 	}
-	rep := positivity.CheckConstructor(decl)
-	c := &Constructor{Decl: decl, Result: result, Report: rep, Positive: rep.Positive()}
-	if r.Strict && !c.Positive {
-		return nil, fmt.Errorf("constructor %q: %w", decl.Name, rep.Err(decl.Name))
-	}
+	c := &Constructor{Decl: decl, Result: result, Report: rep}
 	r.constructors[decl.Name] = c
 	return c, nil
 }
@@ -307,9 +297,11 @@ func (en *Engine) Ground(ctx context.Context, name string, base *relation.Relati
 	}
 	s := &System{en: en, sys: sys, name: name, rootKey: rootKey, mode: en.Mode, base: base}
 	for _, inst := range sys.instances {
-		if !inst.cons.Positive {
+		if v := inst.cons.Report.Violations; len(v) > 0 {
 			s.mode = Naive // semi-naive requires monotonicity
 			s.allowNonMono = true
+			sys.markNonResumable(fmt.Sprintf("constructor %s: %s occurs in a non-monotone position",
+				inst.cons.Decl.Name, v[0].Name))
 		}
 	}
 	return s, nil
@@ -808,7 +800,7 @@ func (s *system) collectDeps(inst *instance) {
 			selFormals[p.Name] = true
 		}
 		if decl.Where != nil {
-			predRangesOnly(decl.Where, func(r *ast.Range) {
+			ast.WalkPredRanges(decl.Where, func(r *ast.Range) {
 				if r.Var != "" && !selFormals[r.Var] {
 					if r.Var == inst.cons.Decl.ForVar {
 						s.markNonResumable(fmt.Sprintf("selector %s reads the base relation through the shadowed name %q", selName, r.Var))
@@ -918,7 +910,7 @@ func containsMarker(r *ast.Range, firstCons int) bool {
 	for i := 0; i <= firstCons && i < len(r.Suffixes); i++ {
 		for _, a := range r.Suffixes[i].Args {
 			if a.Rel != nil {
-				walkOne(a.Rel, check)
+				ast.WalkRange(a.Rel, check)
 			}
 		}
 	}
@@ -944,35 +936,23 @@ func mentionsVar(r *ast.Range, firstCons int, name string, skipBare bool) bool {
 	for i := 0; i <= firstCons && i < len(r.Suffixes); i++ {
 		for _, a := range r.Suffixes[i].Args {
 			if a.Rel != nil {
-				walkOne(a.Rel, check)
+				ast.WalkRange(a.Rel, check)
 			}
 		}
 	}
 	return found
 }
 
-func walkOne(r *ast.Range, fn func(*ast.Range)) {
-	fn(r)
-	if r.Sub != nil {
-		ast.WalkRanges(r.Sub, fn)
-	}
-	for i := range r.Suffixes {
-		for _, a := range r.Suffixes[i].Args {
-			if a.Rel != nil {
-				walkOne(a.Rel, fn)
-			}
-		}
-	}
-}
-
 // classifyBranches precomputes, per branch, the occurrence markers and the
 // base-formal occurrences, and whether semi-naive differentiation applies to
 // each. Bare binding ranges over the base formal are rewritten to $base#<n>
 // aliases here, so Resume can bind one occurrence at a time to a base delta.
-// Any base occurrence in a non-monotone position (under NOT, the range of an
-// ALL quantifier, a suffix argument) marks the whole system non-resumable:
-// growing the base could retract previously derived tuples, which a
-// tuple-adding resumption cannot express.
+// The polarity of every other base occurrence is the checker's judgement: a
+// system with a non-positive instance is solved naively and never resumed
+// (Ground). What remains is one shape test: a base occurrence under a suffix
+// application, in a suffix argument or inside a nested set expression is
+// computed from the base in a way no per-occurrence delta expresses, so it
+// marks the whole system non-resumable.
 func (s *system) classifyBranches(inst *instance) {
 	forVar := inst.cons.Decl.ForVar
 	inst.branches = make([]branchInfo, len(inst.body.Branches))
@@ -993,6 +973,10 @@ func (s *system) classifyBranches(inst *instance) {
 			if r.Var == forVar {
 				baseNested = true
 			}
+			if baseOccurrenceUntracked(r, forVar) {
+				s.markNonResumable(fmt.Sprintf("constructor %s: base formal %q occurs under a derived range",
+					inst.cons.Decl.Name, forVar))
+			}
 		}
 		for bi := range br.Binds {
 			bd := &br.Binds[bi]
@@ -1008,34 +992,10 @@ func (s *system) classifyBranches(inst *instance) {
 				info.baseOccs = append(info.baseOccs, alias)
 				continue
 			}
-			// A base occurrence under a suffix application (a selector body
-			// may be non-monotone in its argument) or inside a nested
-			// sub-expression (whose internal predicates carry their own
-			// polarity structure) is beyond this analysis: growing the base
-			// could retract tuples there, so refuse to resume.
-			if baseOccurrenceUntracked(bd.Range, forVar) {
-				s.markNonResumable(fmt.Sprintf("constructor %s: base formal %q occurs under a derived binding range",
-					inst.cons.Decl.Name, forVar))
-			}
-			walkOne(bd.Range, seen)
+			ast.WalkRange(bd.Range, seen)
 		}
 		if br.Where != nil {
-			predRangesOnly(br.Where, seen)
-			// The polarity scan decides monotonicity in the base; the range
-			// walk above only records that the base occurs at all.
-			if !predBaseMonotone(br.Where, forVar, true) {
-				s.markNonResumable(fmt.Sprintf("constructor %s: base formal %q occurs in a non-monotone position",
-					inst.cons.Decl.Name, forVar))
-			}
-		}
-		// A base occurrence inside a binding range's suffix arguments feeds a
-		// selector or constructor argument — monotonicity there depends on
-		// the applied body, so be conservative.
-		for bi := range br.Binds {
-			if rangeArgsMention(br.Binds[bi].Range, forVar) {
-				s.markNonResumable(fmt.Sprintf("constructor %s: base formal %q occurs in a suffix argument",
-					inst.cons.Decl.Name, forVar))
-			}
+			ast.WalkPredRanges(br.Where, seen)
 		}
 		info.recursive = nested || len(bare) > 0
 		info.differentiable = !nested && len(bare) > 0
@@ -1046,9 +1006,9 @@ func (s *system) classifyBranches(inst *instance) {
 }
 
 // baseOccurrenceUntracked reports whether name occurs inside r in a position
-// whose monotonicity the resumability analysis does not track: as the prefix
-// of a suffix application, or anywhere inside a nested set sub-expression.
-// (Suffix-argument occurrences are flagged separately by rangeArgsMention.)
+// the resumability analysis does not track: as the prefix of a suffix
+// application, in a suffix argument, or anywhere inside a nested set
+// sub-expression.
 func baseOccurrenceUntracked(r *ast.Range, name string) bool {
 	if r.Var == name && len(r.Suffixes) > 0 {
 		return true
@@ -1070,95 +1030,6 @@ func baseOccurrenceUntracked(r *ast.Range, name string) bool {
 		}
 	}
 	return found
-}
-
-// rangeArgsMention reports whether name occurs inside any suffix argument of
-// the range (at any depth), as opposed to the range's own base position.
-func rangeArgsMention(r *ast.Range, name string) bool {
-	found := false
-	check := func(rr *ast.Range) {
-		if rr.Var == name {
-			found = true
-		}
-	}
-	for i := range r.Suffixes {
-		for _, a := range r.Suffixes[i].Args {
-			if a.Rel != nil {
-				walkOne(a.Rel, check)
-			}
-		}
-	}
-	if r.Sub != nil {
-		ast.WalkRanges(r.Sub, func(rr *ast.Range) {
-			if rangeArgsMention(rr, name) {
-				found = true
-			}
-		})
-	}
-	return found
-}
-
-// predBaseMonotone reports whether every occurrence of name inside the
-// predicate is in a set-monotone position under the given polarity: NOT
-// flips polarity, an ALL quantifier's range is antitone (ALL x IN R (p) ≡
-// NOT SOME x IN R (NOT p)), and SOME/membership ranges inherit the current
-// polarity. A name occurrence in a suffix argument is conservatively
-// non-monotone regardless of polarity.
-func predBaseMonotone(p ast.Pred, name string, positive bool) bool {
-	rangeOK := func(r *ast.Range, pos bool) bool {
-		// Only a bare occurrence at the range's own base position has a
-		// polarity this scan tracks; anywhere deeper (nested sub-expression,
-		// suffix application, suffix argument) is conservatively rejected.
-		if r.Var == name && (!pos || len(r.Suffixes) > 0) {
-			return false
-		}
-		ok := true
-		walkOne(r, func(rr *ast.Range) {
-			if rr != r && rr.Var == name {
-				ok = false
-			}
-			if rangeArgsMention(rr, name) {
-				ok = false
-			}
-		})
-		return ok
-	}
-	switch q := p.(type) {
-	case ast.And:
-		return predBaseMonotone(q.L, name, positive) && predBaseMonotone(q.R, name, positive)
-	case ast.Or:
-		return predBaseMonotone(q.L, name, positive) && predBaseMonotone(q.R, name, positive)
-	case ast.Not:
-		return predBaseMonotone(q.P, name, !positive)
-	case ast.Quant:
-		rangePos := positive
-		if q.All {
-			rangePos = !positive
-		}
-		return rangeOK(q.Range, rangePos) && predBaseMonotone(q.Body, name, positive)
-	case ast.Member:
-		return rangeOK(q.Range, positive)
-	}
-	return true
-}
-
-// predRangesOnly walks ranges inside a predicate.
-func predRangesOnly(p ast.Pred, fn func(*ast.Range)) {
-	switch q := p.(type) {
-	case ast.And:
-		predRangesOnly(q.L, fn)
-		predRangesOnly(q.R, fn)
-	case ast.Or:
-		predRangesOnly(q.L, fn)
-		predRangesOnly(q.R, fn)
-	case ast.Not:
-		predRangesOnly(q.P, fn)
-	case ast.Quant:
-		walkOne(q.Range, fn)
-		predRangesOnly(q.Body, fn)
-	case ast.Member:
-		walkOne(q.Range, fn)
-	}
 }
 
 // ---------------------------------------------------------------------------

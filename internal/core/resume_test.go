@@ -170,7 +170,7 @@ BEGIN
   <f.front, f.back> OF EACH f IN Rel[small]: TRUE
 END selbase;`,
 			want:   false,
-			reason: "derived binding range",
+			reason: "derived range",
 		},
 		{
 			name: "positive quantifier over base resumable",
@@ -186,8 +186,7 @@ END posquant;`,
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := NewRegistry()
-			reg.Strict = false
-			if _, err := reg.Register(mustParseConstructor(t, tc.src), aheadT); err != nil {
+			if _, err := reg.Register(checked(mustParseConstructor(t, tc.src), aheadT)); err != nil {
 				t.Fatalf("register: %v", err)
 			}
 			env := eval.NewEnv()

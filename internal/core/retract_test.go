@@ -65,7 +65,7 @@ func newRetractEngine(t *testing.T, src string) *Engine {
 	t.Helper()
 	reg := NewRegistry()
 	for _, d := range mustParseModule(t, "MODULE m;\n"+src+"\nEND m.").Decls {
-		if _, err := reg.Register(d.(*ast.ConstructorDecl), aheadT); err != nil {
+		if _, err := reg.Register(checked(d.(*ast.ConstructorDecl), aheadT)); err != nil {
 			t.Fatalf("register: %v", err)
 		}
 	}

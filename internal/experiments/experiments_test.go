@@ -18,6 +18,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/horn"
 	"repro/internal/parser"
+	"repro/internal/positivity"
 	"repro/internal/prolog"
 	"repro/internal/relation"
 	"repro/internal/schema"
@@ -114,7 +115,7 @@ func aheadEngine(t *testing.T, mode core.Mode) (*core.Engine, schema.RelationTyp
 	}
 	reg := core.NewRegistry()
 	sig := chk.Constructors["ahead"]
-	if _, err := reg.Register(sig.Decl, sig.Result); err != nil {
+	if _, err := reg.Register(sig.Decl, sig.Result, sig.Positivity); err != nil {
 		t.Fatal(err)
 	}
 	en := core.NewEngine(reg, eval.NewEnv())
@@ -272,12 +273,12 @@ END m.
 `)
 	anyT := schema.RelationType{Element: schema.RecordType{Attrs: []schema.Attribute{
 		{Name: "a", Type: schema.StringType()}}}}
-	if _, err := core.NewRegistry().Register(nonsense, anyT); err == nil {
+	rep := positivity.CheckConstructor(nonsense, nil)
+	if rep.Positive() {
 		t.Error("strict compiler must reject nonsense")
 	}
 	loose := core.NewRegistry()
-	loose.Strict = false
-	if _, err := loose.Register(nonsense, anyT); err != nil {
+	if _, err := loose.Register(nonsense, anyT, rep); err != nil {
 		t.Fatal(err)
 	}
 	_, err := core.NewEngine(loose, eval.NewEnv()).Apply("nonsense",
@@ -298,8 +299,7 @@ END m.
 	cardT := schema.RelationType{Element: schema.RecordType{Attrs: []schema.Attribute{
 		{Name: "number", Type: schema.CardinalType()}}}}
 	loose2 := core.NewRegistry()
-	loose2.Strict = false
-	if _, err := loose2.Register(strange, cardT); err != nil {
+	if _, err := loose2.Register(strange, cardT, positivity.CheckConstructor(strange, nil)); err != nil {
 		t.Fatal(err)
 	}
 	var tups []value.Tuple
@@ -330,7 +330,7 @@ func TestE5RandomAgreement(t *testing.T) {
 		}
 		reg := core.NewRegistry()
 		for _, p := range bundle.IDB {
-			if _, err := reg.Register(bundle.Decls[p], bundle.RelTypes[p]); err != nil {
+			if _, err := reg.Register(bundle.Decls[p], bundle.RelTypes[p], positivity.CheckConstructor(bundle.Decls[p], nil)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/parser"
+	"repro/internal/positivity"
 	"repro/internal/prolog"
 	"repro/internal/relation"
 	"repro/internal/schema"
@@ -85,7 +86,7 @@ func TestEquivalenceAheadVsSLD(t *testing.T) {
 
 	// Set-oriented (constructor) evaluation.
 	reg := core.NewRegistry()
-	if _, err := reg.Register(c.Constructors["ahead"].Decl, aheadT); err != nil {
+	if _, err := reg.Register(c.Constructors["ahead"].Decl, aheadT, c.Constructors["ahead"].Positivity); err != nil {
 		t.Fatalf("register: %v", err)
 	}
 	en := core.NewEngine(reg, eval.NewEnv())
@@ -216,7 +217,7 @@ func TestEquivalenceRandomPrograms(t *testing.T) {
 
 		reg := core.NewRegistry()
 		for _, p := range bundle.IDB {
-			if _, err := reg.Register(bundle.Decls[p], bundle.RelTypes[p]); err != nil {
+			if _, err := reg.Register(bundle.Decls[p], bundle.RelTypes[p], positivity.CheckConstructor(bundle.Decls[p], nil)); err != nil {
 				t.Fatalf("trial %d: register %s: %v", trial, p, err)
 			}
 		}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/fixpoint"
 	"repro/internal/matview"
 	"repro/internal/parser"
+	"repro/internal/positivity"
 	"repro/internal/relation"
 	"repro/internal/schema"
 	"repro/internal/store"
@@ -77,7 +78,8 @@ func newHarness(t *testing.T, capacity int, srcs ...string) *harness {
 	t.Helper()
 	reg := core.NewRegistry()
 	for _, src := range srcs {
-		if _, err := reg.Register(parseConstructor(t, src), aheadT); err != nil {
+		d := parseConstructor(t, src)
+		if _, err := reg.Register(d, aheadT, positivity.CheckConstructor(d, nil)); err != nil {
 			t.Fatalf("register: %v", err)
 		}
 	}

@@ -37,9 +37,10 @@ type ElemResolver func(*ast.Range) (schema.RecordType, bool)
 // {EACH resultVar IN Rel{c}: pred}. pred refers to result attributes through
 // resultVar, typed by resultElem. The returned declaration computes exactly
 // the selected subset. elemOf may be nil when all whole-tuple branches range
-// over relations whose attribute names equal the result's.
+// over relations whose attribute names equal the result's; sels resolves the
+// selectors pred applies for its positivity check.
 func PushSelection(decl *ast.ConstructorDecl, resultElem schema.RecordType,
-	resultVar string, pred ast.Pred, elemOf ElemResolver) (*ast.ConstructorDecl, error) {
+	resultVar string, pred ast.Pred, elemOf ElemResolver, sels positivity.Selectors) (*ast.ConstructorDecl, error) {
 
 	// Recursion guard: any constructor suffix in the body disqualifies.
 	recursive := false
@@ -56,7 +57,7 @@ func PushSelection(decl *ast.ConstructorDecl, resultElem schema.RecordType,
 	// Case 3 requires positivity of the selection predicate; otherwise the
 	// constructed relation must be computed fully first (the paper cites
 	// [JaKo 83] for the counterexamples).
-	if rep := positivity.CheckPred(pred, nil); !rep.Positive() {
+	if rep := positivity.CheckPred(pred, nil, sels); !rep.Positive() {
 		return nil, fmt.Errorf("optimizer: selection predicate violates positivity; compute the constructed relation fully (section 4 case 3)")
 	}
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/parser"
+	"repro/internal/positivity"
 	"repro/internal/relation"
 	"repro/internal/schema"
 	"repro/internal/typecheck"
@@ -148,17 +149,17 @@ func TestPushSelectionNonRecursive(t *testing.T) {
 
 	pred, _ := parser.ParsePred(`res.a = "x"`)
 	specialized, err := PushSelection(sig.Decl, sig.Result.Element, "res", pred,
-		func(*ast.Range) (schema.RecordType, bool) { return sig.ForType.Element, true })
+		func(*ast.Range) (schema.RecordType, bool) { return sig.ForType.Element, true }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Evaluate both: full apply + filter vs the specialized constructor.
 	reg := core.NewRegistry()
-	if _, err := reg.Register(sig.Decl, sig.Result); err != nil {
+	if _, err := reg.Register(sig.Decl, sig.Result, sig.Positivity); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Register(specialized, sig.Result); err != nil {
+	if _, err := reg.Register(specialized, sig.Result, positivity.CheckConstructor(specialized, nil)); err != nil {
 		t.Fatal(err)
 	}
 	e := testEnv()
@@ -198,7 +199,7 @@ END m.
 	}
 	sig := chk.Constructors["tc"]
 	pred, _ := parser.ParsePred(`res.a = "x"`)
-	_, err := PushSelection(sig.Decl, sig.Result.Element, "res", pred, nil)
+	_, err := PushSelection(sig.Decl, sig.Result.Element, "res", pred, nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "recursive") {
 		t.Errorf("expected recursion rejection, got %v", err)
 	}
@@ -212,7 +213,7 @@ func TestPushSelectionRejectsNonPositivePredicate(t *testing.T) {
 	}
 	sig := chk.Constructors["combine"]
 	pred, _ := parser.ParsePred(`NOT (res IN Hidden)`)
-	_, err := PushSelection(sig.Decl, sig.Result.Element, "res", pred, nil)
+	_, err := PushSelection(sig.Decl, sig.Result.Element, "res", pred, nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "positivity") {
 		t.Errorf("expected positivity rejection, got %v", err)
 	}
@@ -277,7 +278,7 @@ func restricted(t *testing.T, cons, ad string) (*core.Engine, *Restriction, sche
 	}
 	reg := core.NewRegistry()
 	for _, sig := range chk.Constructors {
-		if _, err := reg.Register(sig.Decl, sig.Result); err != nil {
+		if _, err := reg.Register(sig.Decl, sig.Result, sig.Positivity); err != nil {
 			t.Fatal(err)
 		}
 	}

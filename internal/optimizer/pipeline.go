@@ -448,7 +448,8 @@ func pushBranch(br *ast.Branch, sig *typecheck.ConstructorSig, ctx *Context) ([]
 		}
 		return ctx.ElemOf(r)
 	}
-	specialized, err := PushSelection(decl, sig.Result.Element, bd.Var, br.Where, elemOf)
+	specialized, err := PushSelection(decl, sig.Result.Element, bd.Var, br.Where, elemOf,
+		func(name string) *ast.SelectorDecl { return ctx.Selectors[name] })
 	if err != nil {
 		return nil, fmt.Sprintf("constructor %s: %v", decl.Name, err)
 	}

@@ -6,12 +6,32 @@
 //	positivity constraint if each occurrence of a Rel_i appears under an
 //	even total number of negations (NOT) and universal quantifiers (ALL).
 //
-// A name appears under ALL if it occurs in the *body* of the quantifier, not
-// in its range expression; nesting accumulates. The paper's lemma (proved via
-// the one-sorted rewriting of range-coupled quantifiers and generalized
-// De Morgan laws, cf. [JaKo 83] and [ChHa 82]) states that positive
-// expressions are monotonic in all their arguments, which guarantees that the
-// fixpoint sequences of section 3.2 converge.
+// The paper's lemma states that positive expressions are monotonic in all
+// their arguments, which guarantees that the fixpoint sequences of section 3.2
+// converge and that semi-naive evaluation reaches the least fixpoint. Its
+// proof rewrites range-coupled quantifiers into one-sorted ones and applies
+// the generalized De Morgan laws (cf. [JaKo 83] and [ChHa 82]), and under that
+// rewriting
+//
+//	ALL x IN R (p)  =  NOT SOME x IN R (NOT p)
+//
+// puts R under one negation and p under two. So "under ALL" is read here as
+// the quantifier's range position: an ALL's range is one level deeper, its
+// body is not. (Counting the body instead is not a monotonicity criterion: it
+// accepts ALL x IN Rel{c} (...), which loses tuples as Rel{c} grows, and
+// rejects ALL x IN O (... OR x IN Rel{c}), which does not.) NOT adds one
+// level; SOME and IN ranges add none.
+//
+// A selector application passes its inputs through the selector's body, so an
+// occurrence feeding a selector also takes the selector's polarity in that
+// input: the set of parities at which the input occurs in the selector's
+// branch, computed by the same walk. An occurrence in the range's prefix feeds
+// the selector's FOR formal, one in an argument feeds the matching formal, and
+// either then feeds the FOR formal of every later selector suffix. An input
+// the selector never reads contributes nothing; one it reads at both parities
+// (ALL u IN R (u.a <= t.a), which keeps only R's maxima) makes the occurrence
+// a violation whatever its own depth. A constructor suffix adds nothing: its
+// callee is judged by the same rule on its own declaration.
 //
 // The package also implements the rewriting used in the lemma's proof sketch:
 // ToNNF pushes negations inward, flipping quantifiers and applying the double
@@ -27,21 +47,31 @@ import (
 	"repro/internal/ast"
 )
 
-// Occurrence records one use of a tracked relation name and the negation/
-// universal-quantification depth above it.
+// Selectors resolves a selector name to its declaration, or nil. A nil
+// resolver resolves none, and an unresolved selector passes its inputs
+// through unchanged.
+type Selectors func(name string) *ast.SelectorDecl
+
+// Occurrence records one use of a tracked relation name or constructor
+// application and the polarity of its position.
 type Occurrence struct {
-	Name  string
-	Depth int // total number of enclosing NOTs and ALLs
+	Name string
+	// Depth is the number of enclosing NOTs and ALL ranges, plus the selector
+	// inputs on the way that read their input at odd depth only.
+	Depth int
+	// Mixed is set when some selector input on the way reads its input at
+	// both parities.
+	Mixed bool
 	Pos   ast.Pos
 }
 
 // Even reports whether the occurrence satisfies the positivity constraint.
-func (o Occurrence) Even() bool { return o.Depth%2 == 0 }
+func (o Occurrence) Even() bool { return !o.Mixed && o.Depth%2 == 0 }
 
 // Report is the outcome of a positivity analysis.
 type Report struct {
 	Occurrences []Occurrence
-	Violations  []Occurrence // odd-depth occurrences
+	Violations  []Occurrence // odd-depth or mixed occurrences
 }
 
 // Positive reports whether every occurrence appears at even depth.
@@ -61,7 +91,11 @@ type Error struct {
 func (e *Error) Error() string {
 	parts := make([]string, len(e.Report.Violations))
 	for i, v := range e.Report.Violations {
-		parts[i] = fmt.Sprintf("%s at %s (depth %d)", v.Name, v.Pos, v.Depth)
+		if v.Mixed {
+			parts[i] = fmt.Sprintf("%s at %s (through a selector input read at both polarities)", v.Name, v.Pos)
+		} else {
+			parts[i] = fmt.Sprintf("%s at %s (depth %d)", v.Name, v.Pos, v.Depth)
+		}
 	}
 	sort.Strings(parts)
 	return "positivity constraint violated: " + strings.Join(parts, "; ")
@@ -81,20 +115,12 @@ func (r Report) Err(constructor string) error {
 	return &Error{Constructor: constructor, Report: r}
 }
 
-// CheckSetExpr analyses a set expression, tracking occurrences of the given
-// relation names (nil tracked = track every name that occurs in a range).
-func CheckSetExpr(s *ast.SetExpr, tracked map[string]bool) Report {
-	var rep Report
-	walkSet(s, 0, tracked, &rep)
-	finish(&rep)
-	return rep
-}
-
 // CheckConstructor analyses a constructor body, tracking its base-relation
-// formal, its relation-typed formal parameters, and every constructed range
-// inside the body (the recursive occurrences). This is the check the paper's
-// compiler performs at the type-checking level (section 4).
-func CheckConstructor(d *ast.ConstructorDecl) Report {
+// formal, its relation-typed formal parameters, and every constructor
+// application inside the body (the recursive occurrences: grounding makes
+// each one an equation of the system the body belongs to). This is the check
+// the paper's compiler performs at the type-checking level (section 4).
+func CheckConstructor(d *ast.ConstructorDecl, sels Selectors) Report {
 	tracked := map[string]bool{d.ForVar: true}
 	for _, p := range d.Params {
 		if _, ok := p.Type.(ast.NamedType); ok {
@@ -104,81 +130,190 @@ func CheckConstructor(d *ast.ConstructorDecl) Report {
 			tracked[p.Name] = true
 		}
 	}
-	return CheckSetExpr(d.Body, tracked)
+	w := newWalker(tracked, true, sels)
+	w.walkSet(d.Body, level{})
+	return w.finish()
 }
 
-// CheckPred analyses a bare predicate (selector bodies).
-func CheckPred(p ast.Pred, tracked map[string]bool) Report {
-	var rep Report
-	walkPred(p, 0, tracked, &rep)
-	finish(&rep)
-	return rep
+// CheckPred analyses a bare predicate (a selection predicate), tracking
+// occurrences of the given relation names (nil tracked = track every name that
+// occurs in a range, and every constructor application).
+func CheckPred(p ast.Pred, tracked map[string]bool, sels Selectors) Report {
+	w := newWalker(tracked, tracked == nil, sels)
+	w.walkPred(p, level{})
+	return w.finish()
 }
 
-func finish(rep *Report) {
-	for _, o := range rep.Occurrences {
+// level is the polarity of a position.
+type level struct {
+	depth int
+	mixed bool
+}
+
+// parities is the set of parities at which a selector reads one input.
+type parities uint8
+
+const (
+	evenParity parities = 1 << iota
+	oddParity
+)
+
+// through is the level of what an input at l feeds, given the parities at
+// which the consumer reads that input.
+func (l level) through(p parities) level {
+	switch p {
+	case oddParity:
+		l.depth++
+	case evenParity | oddParity:
+		l.mixed = true
+	}
+	return l
+}
+
+type selectorInput struct {
+	decl   *ast.SelectorDecl
+	formal string
+}
+
+type walker struct {
+	tracked map[string]bool // nil: every name
+	apps    bool            // track constructor applications
+	sels    Selectors
+	occs    []Occurrence
+	// inputs memoizes selector polarities, shared by the nested walks that
+	// compute them.
+	inputs map[selectorInput]parities
+}
+
+func newWalker(tracked map[string]bool, apps bool, sels Selectors) *walker {
+	return &walker{tracked: tracked, apps: apps, sels: sels, inputs: make(map[selectorInput]parities)}
+}
+
+func (w *walker) finish() Report {
+	rep := Report{Occurrences: w.occs}
+	for _, o := range w.occs {
 		if !o.Even() {
 			rep.Violations = append(rep.Violations, o)
 		}
 	}
+	return rep
 }
 
-func walkSet(s *ast.SetExpr, depth int, tracked map[string]bool, rep *Report) {
+func (w *walker) note(name string, l level, pos ast.Pos) {
+	w.occs = append(w.occs, Occurrence{Name: name, Depth: l.depth, Mixed: l.mixed, Pos: pos})
+}
+
+func (w *walker) walkSet(s *ast.SetExpr, l level) {
 	if s == nil {
 		return
 	}
 	for i := range s.Branches {
-		br := &s.Branches[i]
-		for j := range br.Binds {
-			walkRange(br.Binds[j].Range, depth, tracked, rep)
-		}
-		if br.Where != nil {
-			walkPred(br.Where, depth, tracked, rep)
-		}
+		w.walkBranch(&s.Branches[i], l)
 	}
 }
 
-func walkRange(r *ast.Range, depth int, tracked map[string]bool, rep *Report) {
+func (w *walker) walkBranch(br *ast.Branch, l level) {
+	for j := range br.Binds {
+		w.walkRange(br.Binds[j].Range, l)
+	}
+	if br.Where != nil {
+		w.walkPred(br.Where, l)
+	}
+}
+
+func (w *walker) walkRange(r *ast.Range, l level) {
 	if r == nil {
 		return
 	}
-	if r.Var != "" && (tracked == nil || tracked[r.Var]) {
-		rep.Occurrences = append(rep.Occurrences, Occurrence{Name: r.Var, Depth: depth, Pos: r.Pos})
+	// after[i] is the level of suffix i's output: l through the FOR formal of
+	// every later selector suffix. The prefix ends at the level of what it
+	// feeds the first suffix.
+	after := make([]level, len(r.Suffixes))
+	for i := len(r.Suffixes) - 1; i >= 0; i-- {
+		after[i] = l
+		l = l.through(w.input(r.Suffixes[i], -1))
 	}
-	if r.Sub != nil {
-		walkSet(r.Sub, depth, tracked, rep)
+	if r.Var != "" && (w.tracked == nil || w.tracked[r.Var]) {
+		w.note(r.Var, l, r.Pos)
 	}
-	for i := range r.Suffixes {
-		for j := range r.Suffixes[i].Args {
-			if rel := r.Suffixes[i].Args[j].Rel; rel != nil {
-				walkRange(rel, depth, tracked, rep)
+	w.walkSet(r.Sub, l)
+	for i, suf := range r.Suffixes {
+		for j, a := range suf.Args {
+			if a.Rel != nil {
+				w.walkRange(a.Rel, after[i].through(w.input(suf, j)))
 			}
+		}
+		if suf.Kind == ast.SuffixConstructor && w.apps {
+			app := &ast.Range{Var: r.Var, Sub: r.Sub, Suffixes: r.Suffixes[:i+1]}
+			w.note(app.String(), after[i], suf.Pos)
 		}
 	}
 }
 
-func walkPred(p ast.Pred, depth int, tracked map[string]bool, rep *Report) {
+func (w *walker) walkPred(p ast.Pred, l level) {
 	switch q := p.(type) {
 	case ast.And:
-		walkPred(q.L, depth, tracked, rep)
-		walkPred(q.R, depth, tracked, rep)
+		w.walkPred(q.L, l)
+		w.walkPred(q.R, l)
 	case ast.Or:
-		walkPred(q.L, depth, tracked, rep)
-		walkPred(q.R, depth, tracked, rep)
+		w.walkPred(q.L, l)
+		w.walkPred(q.R, l)
 	case ast.Not:
-		walkPred(q.P, depth+1, tracked, rep)
+		l.depth++
+		w.walkPred(q.P, l)
 	case ast.Quant:
-		// Names in the range expression are NOT under this quantifier
-		// (section 3.3's definition); names in the body are, when ALL.
-		walkRange(q.Range, depth, tracked, rep)
-		bodyDepth := depth
+		// ALL x IN R (p) = NOT SOME x IN R (NOT p): the range is one level
+		// deeper, the body is not.
+		rl := l
 		if q.All {
-			bodyDepth++
+			rl.depth++
 		}
-		walkPred(q.Body, bodyDepth, tracked, rep)
+		w.walkRange(q.Range, rl)
+		w.walkPred(q.Body, l)
 	case ast.Member:
-		walkRange(q.Range, depth, tracked, rep)
+		w.walkRange(q.Range, l)
 	}
+}
+
+// input returns the parities at which suffix suf reads its argument arg, or
+// its FOR formal when arg is -1. A constructor suffix, an unresolved
+// selector and an input the selector never reads all read at even parity:
+// they add nothing.
+func (w *walker) input(suf ast.Suffix, arg int) parities {
+	if suf.Kind != ast.SuffixSelector || w.sels == nil {
+		return evenParity
+	}
+	decl := w.sels(suf.Name)
+	if decl == nil || arg >= len(decl.Params) {
+		return evenParity
+	}
+	key := selectorInput{decl, decl.ForVar}
+	if arg >= 0 {
+		key.formal = decl.Params[arg].Name
+	}
+	p, ok := w.inputs[key]
+	if !ok {
+		// A selector reaching itself is rejected by the type checker; read
+		// at both parities until its polarity is known.
+		w.inputs[key] = evenParity | oddParity
+		sub := &walker{tracked: map[string]bool{key.formal: true}, sels: w.sels, inputs: w.inputs}
+		sub.walkBranch(decl.Branch, level{})
+		for _, o := range sub.occs {
+			switch {
+			case o.Mixed:
+				p |= evenParity | oddParity
+			case o.Even():
+				p |= evenParity
+			default:
+				p |= oddParity
+			}
+		}
+		w.inputs[key] = p
+	}
+	if p == 0 {
+		return evenParity
+	}
+	return p
 }
 
 // ---------------------------------------------------------------------------

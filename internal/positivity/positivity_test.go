@@ -32,12 +32,12 @@ func TestDepthCounting(t *testing.T) {
 		{`NOT (NOT (r IN Rel))`, true},
 		{`NOT (SOME s IN Other (NOT (s IN Rel)))`, true}, // Rel under two NOTs: depth 2, even
 		{`SOME s IN Rel (s.a = 1)`, true},
-		{`ALL s IN Other (s IN Rel)`, false}, // Rel under one ALL
-		{`NOT ALL s IN Other (s IN Rel)`, true},
+		{`ALL s IN Other (s IN Rel)`, true}, // an ALL's body adds no level
+		{`NOT ALL s IN Other (s IN Rel)`, false},
 		{`NOT (r IN Rel)`, false},
 	}
 	for _, c := range cases {
-		rep := CheckPred(mustPred(t, c.src), map[string]bool{"Rel": true})
+		rep := CheckPred(mustPred(t, c.src), map[string]bool{"Rel": true}, nil)
 		if rep.Positive() != c.positive {
 			t.Errorf("%q: positive=%v, want %v (occurrences %+v)",
 				c.src, rep.Positive(), c.positive, rep.Occurrences)
@@ -45,26 +45,36 @@ func TestDepthCounting(t *testing.T) {
 	}
 }
 
-func TestRangeOfQuantifierNotUnderALL(t *testing.T) {
-	// Section 3.3: in ALL r IN exp (p), names in exp are NOT under the ALL.
-	rep := CheckPred(mustPred(t, `ALL s IN Rel (s.a = 1)`), map[string]bool{"Rel": true})
+func TestALLRangeIsAntitone(t *testing.T) {
+	// ALL s IN Rel (p) = NOT SOME s IN Rel (NOT p): Rel is under one NOT.
+	rep := CheckPred(mustPred(t, `ALL s IN Rel (s.a = 1)`), map[string]bool{"Rel": true}, nil)
+	if rep.Positive() {
+		t.Errorf("an ALL range is antitone: %+v", rep.Occurrences)
+	}
+	rep = CheckPred(mustPred(t, `NOT ALL s IN Rel (s.a = 1)`), map[string]bool{"Rel": true}, nil)
 	if !rep.Positive() {
-		t.Errorf("range position of ALL must not count: %+v", rep.Occurrences)
+		t.Errorf("a negated ALL range is monotone: %+v", rep.Occurrences)
 	}
 }
 
 func TestNestedDepthAccumulates(t *testing.T) {
-	// Two ALLs over one occurrence: depth 2 = even = positive.
+	// Two ALL bodies over one occurrence add nothing: depth 0.
 	rep := CheckPred(mustPred(t,
-		`ALL a IN Other (ALL b IN Other2 (x IN Rel))`), map[string]bool{"Rel": true})
+		`ALL a IN Other (ALL b IN Other2 (x IN Rel))`), map[string]bool{"Rel": true}, nil)
 	if !rep.Positive() {
-		t.Errorf("double-ALL occurrence is even: %+v", rep.Occurrences)
+		t.Errorf("an occurrence in nested ALL bodies is even: %+v", rep.Occurrences)
 	}
-	// ALL + NOT = depth 2.
+	// An ALL body + NOT = depth 1.
 	rep2 := CheckPred(mustPred(t,
-		`ALL a IN Other (NOT (x IN Rel))`), map[string]bool{"Rel": true})
-	if !rep2.Positive() {
-		t.Errorf("ALL+NOT occurrence is even: %+v", rep2.Occurrences)
+		`ALL a IN Other (NOT (x IN Rel))`), map[string]bool{"Rel": true}, nil)
+	if rep2.Positive() {
+		t.Errorf("a negated occurrence in an ALL body is odd: %+v", rep2.Occurrences)
+	}
+	// NOT + an ALL range + NOT = depth 3.
+	rep3 := CheckPred(mustPred(t,
+		`NOT ALL a IN Other (NOT ALL b IN Rel (b.a = 1))`), map[string]bool{"Rel": true}, nil)
+	if len(rep3.Occurrences) != 1 || rep3.Occurrences[0].Depth != 3 {
+		t.Errorf("NOT, ALL range and NOT accumulate to depth 3: %+v", rep3.Occurrences)
 	}
 }
 
@@ -88,14 +98,14 @@ BEGIN
   EACH r IN Rel: TRUE,
   <f.front, b.tail> OF EACH f IN Rel, EACH b IN Rel{ahead}: f.back = b.head
 END ahead;`)
-	if rep := CheckConstructor(ahead); !rep.Positive() {
+	if rep := CheckConstructor(ahead, nil); !rep.Positive() {
 		t.Errorf("ahead must be positive: %v", rep.Error())
 	}
 
 	nonsense := parse(`
 CONSTRUCTOR nonsense FOR Rel: anytype (): anyothertype;
 BEGIN EACH r IN Rel: NOT (r IN Rel{nonsense}) END nonsense;`)
-	rep := CheckConstructor(nonsense)
+	rep := CheckConstructor(nonsense, nil)
 	if rep.Positive() {
 		t.Error("nonsense must violate positivity")
 	}
@@ -103,13 +113,77 @@ BEGIN EACH r IN Rel: NOT (r IN Rel{nonsense}) END nonsense;`)
 		t.Errorf("violation must name the occurrence: %v", err)
 	}
 
+	// Every constructor application is tracked, whatever its base.
+	global := parse(`
+CONSTRUCTOR global FOR Rel: anytype (): anyothertype;
+BEGIN EACH r IN Rel: NOT (r IN Other{global}) END global;`)
+	if err := CheckConstructor(global, nil).Error(); err == nil || !strings.Contains(err.Error(), "Other{global}") {
+		t.Errorf("a negated application over a global must be named as a violation: %v", err)
+	}
+
 	strange := parse(`
 CONSTRUCTOR strange FOR Baserel: cardrel (): cardrel;
 BEGIN
   EACH r IN Baserel: NOT SOME s IN Baserel{strange} (r.number = s.number + 1)
 END strange;`)
-	if rep := CheckConstructor(strange); rep.Positive() {
+	if rep := CheckConstructor(strange, nil); rep.Positive() {
 		t.Error("strange must violate positivity (occurrence under one NOT)")
+	}
+}
+
+// TestSelectorInputs: an occurrence feeding a selector takes the selector's
+// polarity in that input, through its arguments, its FOR formal and every
+// later suffix's FOR formal; an input read at both parities is a violation.
+func TestSelectorInputs(t *testing.T) {
+	m, err := parser.ParseModule(`
+MODULE m;
+TYPE nrel = RELATION OF RECORD a: INTEGER END;
+SELECTOR notin (S: nrel) FOR R: nrel;
+BEGIN EACH t IN R: NOT (t IN S) END notin;
+SELECTOR outside (S: nrel) FOR R: nrel;
+BEGIN EACH t IN R: ALL u IN S (u.a # t.a) END outside;
+SELECTOR top () FOR R: nrel;
+BEGIN EACH t IN R: ALL u IN R (u.a <= t.a) END top;
+SELECTOR above (k: INTEGER) FOR R: nrel;
+BEGIN EACH t IN R: t.a > k END above;
+END m.`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decls := make(map[string]*ast.SelectorDecl)
+	for _, d := range m.Decls {
+		if sd, ok := d.(*ast.SelectorDecl); ok {
+			decls[sd.Name] = sd
+		}
+	}
+	sels := func(name string) *ast.SelectorDecl { return decls[name] }
+	cases := []struct {
+		src      string
+		positive bool
+	}{
+		{`SOME x IN Rel[above(1)] (TRUE)`, true}, // a scalar formal contributes nothing
+		{`SOME x IN Rel[notin(O)] (TRUE)`, true}, // notin's FOR formal is read positively
+		{`SOME x IN O[notin(Rel)] (TRUE)`, false},
+		{`NOT SOME x IN O[notin(Rel)] (TRUE)`, true},
+		{`SOME x IN O[notin(O[notin(Rel)])] (TRUE)`, true},
+		{`SOME x IN O[outside(Rel)] (TRUE)`, false}, // S is an ALL range in outside
+		{`SOME x IN O[notin(Rel)][above(1)] (TRUE)`, false},
+		{`SOME x IN Rel[top] (TRUE)`, false}, // R at both parities in top
+		{`NOT SOME x IN Rel[top] (TRUE)`, false},
+		{`SOME x IN Rel[above(1)][top] (TRUE)`, false},
+		{`SOME x IN O[notin(Rel)][top] (TRUE)`, false},
+		{`SOME x IN O[top] (x IN Rel)`, true},
+	}
+	for _, c := range cases {
+		rep := CheckPred(mustPred(t, c.src), map[string]bool{"Rel": true}, sels)
+		if rep.Positive() != c.positive {
+			t.Errorf("%q: positive=%v, want %v (occurrences %+v)",
+				c.src, rep.Positive(), c.positive, rep.Occurrences)
+		}
+	}
+	// Without a resolver a selector passes its inputs through.
+	if rep := CheckPred(mustPred(t, `SOME x IN O[notin(Rel)] (TRUE)`), map[string]bool{"Rel": true}, nil); !rep.Positive() {
+		t.Errorf("unresolved selector changed the polarity: %+v", rep.Occurrences)
 	}
 }
 
@@ -134,63 +208,107 @@ func TestToNNFShapes(t *testing.T) {
 	}
 }
 
-// TestNNFSemanticEquivalence checks, on random data, that ToNNF preserves
-// the predicate's value — the executable core of the positivity lemma's
-// rewriting argument.
+// pairT is the element type of the random predicates' relations R and S and
+// of their free tuple variable x.
+var pairT = schema.RelationType{Element: schema.RecordType{Attrs: []schema.Attribute{
+	{Name: "a", Type: schema.IntType()},
+	{Name: "b", Type: schema.IntType()},
+}}}
+
+// randomPred generates a predicate over the tuple variable x and the
+// relations R (the tracked name) and S: comparisons, AND, OR, NOT, SOME and
+// ALL over either relation, and x's membership in either, so R occurs in
+// SOME, ALL and IN ranges under any number of negations.
+func randomPred(rng *rand.Rand, depth int) ast.Pred {
+	rel := func() *ast.Range { return ast.RangeVar([]string{"R", "S"}[rng.Intn(2)]) }
+	if depth <= 0 || rng.Intn(4) == 0 {
+		if rng.Intn(3) == 0 {
+			return ast.Member{VarTuple: "x", Range: rel()}
+		}
+		ops := []ast.CmpOp{ast.OpEq, ast.OpNe, ast.OpLt, ast.OpLe, ast.OpGt, ast.OpGe}
+		term := func() ast.Term {
+			if rng.Intn(2) == 0 {
+				return ast.Field{Var: "x", Attr: []string{"a", "b"}[rng.Intn(2)]}
+			}
+			return ast.Const{Val: value.Int(int64(rng.Intn(4)))}
+		}
+		return ast.Cmp{Op: ops[rng.Intn(len(ops))], L: term(), R: term()}
+	}
+	switch rng.Intn(5) {
+	case 0:
+		return ast.And{L: randomPred(rng, depth-1), R: randomPred(rng, depth-1)}
+	case 1:
+		return ast.Or{L: randomPred(rng, depth-1), R: randomPred(rng, depth-1)}
+	case 2:
+		return ast.Not{P: randomPred(rng, depth-1)}
+	default:
+		return ast.Quant{All: rng.Intn(2) == 0, Var: "q", Range: rel(),
+			Body: replaceVar(randomPred(rng, depth-1), rng)}
+	}
+}
+
+// randomPair returns a random tuple of pairT.
+func randomPair(rng *rand.Rand) value.Tuple {
+	return value.NewTuple(value.Int(int64(rng.Intn(4))), value.Int(int64(rng.Intn(4))))
+}
+
+// evalPred evaluates p for x = tup over the given R and S.
+func evalPred(t *testing.T, p ast.Pred, R, S *relation.Relation, tup value.Tuple) (bool, error) {
+	t.Helper()
+	env := eval.NewEnv()
+	env.Rels["R"], env.Rels["S"] = R, S
+	return env.EvalPredWithTuple(p, "x", pairT.Element, tup)
+}
+
+// allToNotSome rewrites every ALL x IN r (p) into NOT SOME x IN r (NOT p),
+// the rewriting the positivity lemma's proof reads ALL through.
+func allToNotSome(p ast.Pred) ast.Pred {
+	switch q := p.(type) {
+	case ast.And:
+		return ast.And{L: allToNotSome(q.L), R: allToNotSome(q.R)}
+	case ast.Or:
+		return ast.Or{L: allToNotSome(q.L), R: allToNotSome(q.R)}
+	case ast.Not:
+		return ast.Not{P: allToNotSome(q.P)}
+	case ast.Quant:
+		body := allToNotSome(q.Body)
+		if q.All {
+			return ast.Not{P: ast.Quant{Var: q.Var, Range: q.Range, Body: ast.Not{P: body}, Pos: q.Pos}}
+		}
+		return ast.Quant{Var: q.Var, Range: q.Range, Body: body, Pos: q.Pos}
+	}
+	return p
+}
+
+// TestNNFSemanticEquivalence checks, on random data, that ToNNF and the
+// ALL-to-NOT-SOME rewriting preserve the predicate's value — the executable
+// core of the positivity lemma's rewriting argument — and that neither
+// changes the positivity verdict on R.
 func TestNNFSemanticEquivalence(t *testing.T) {
-	relT := schema.RelationType{Element: schema.RecordType{Attrs: []schema.Attribute{
-		{Name: "a", Type: schema.IntType()},
-		{Name: "b", Type: schema.IntType()},
-	}}}
 	rng := rand.New(rand.NewSource(3))
-
-	// Random predicate generator over variable x and relation R.
-	var genPred func(depth int) ast.Pred
-	genTerm := func() ast.Term {
-		if rng.Intn(2) == 0 {
-			return ast.Field{Var: "x", Attr: []string{"a", "b"}[rng.Intn(2)]}
-		}
-		return ast.Const{Val: value.Int(int64(rng.Intn(4)))}
-	}
-	genPred = func(depth int) ast.Pred {
-		if depth <= 0 || rng.Intn(3) == 0 {
-			ops := []ast.CmpOp{ast.OpEq, ast.OpNe, ast.OpLt, ast.OpLe, ast.OpGt, ast.OpGe}
-			return ast.Cmp{Op: ops[rng.Intn(len(ops))], L: genTerm(), R: genTerm()}
-		}
-		switch rng.Intn(5) {
-		case 0:
-			return ast.And{L: genPred(depth - 1), R: genPred(depth - 1)}
-		case 1:
-			return ast.Or{L: genPred(depth - 1), R: genPred(depth - 1)}
-		case 2:
-			return ast.Not{P: genPred(depth - 1)}
-		case 3:
-			return ast.Quant{All: true, Var: "q", Range: ast.RangeVar("R"),
-				Body: replaceVar(genPred(depth-1), rng)}
-		default:
-			return ast.Quant{All: false, Var: "q", Range: ast.RangeVar("R"),
-				Body: replaceVar(genPred(depth-1), rng)}
-		}
-	}
-
-	for trial := 0; trial < 300; trial++ {
-		p := genPred(3)
-		nnf := ToNNF(p)
-		// Random data.
-		R := relation.New(relT)
+	verdict := func(p ast.Pred) bool { return CheckPred(p, map[string]bool{"R": true}, nil).Positive() }
+	for trial := 0; trial < 500; trial++ {
+		p := randomPred(rng, 4)
+		rewritten := map[string]ast.Pred{"ToNNF": ToNNF(p), "ALL-to-NOT-SOME": allToNotSome(p)}
+		R, S := relation.New(pairT), relation.New(pairT)
 		for i := 0; i < rng.Intn(4); i++ {
-			R.Add(value.NewTuple(value.Int(int64(rng.Intn(4))), value.Int(int64(rng.Intn(4)))))
+			R.Add(randomPair(rng))
+			S.Add(randomPair(rng))
 		}
-		env := eval.NewEnv()
-		env.Rels["R"] = R
-		x := value.NewTuple(value.Int(int64(rng.Intn(4))), value.Int(int64(rng.Intn(4))))
-		got1, err1 := env.EvalPredWithTuple(p, "x", relT.Element, x)
-		got2, err2 := env.EvalPredWithTuple(nnf, "x", relT.Element, x)
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("trial %d: error mismatch: %v vs %v\np=%s", trial, err1, err2, p)
-		}
-		if err1 == nil && got1 != got2 {
-			t.Fatalf("trial %d: %s = %v but NNF %s = %v", trial, p, got1, nnf, got2)
+		x := randomPair(rng)
+		got, err := evalPred(t, p, R, S, x)
+		for name, q := range rewritten {
+			if verdict(q) != verdict(p) {
+				t.Fatalf("trial %d: %s is positive=%v but its %s form %s is positive=%v",
+					trial, p, verdict(p), name, q, verdict(q))
+			}
+			got2, err2 := evalPred(t, q, R, S, x)
+			if (err == nil) != (err2 == nil) {
+				t.Fatalf("trial %d: error mismatch: %v vs %v\np=%s", trial, err, err2, p)
+			}
+			if err == nil && got != got2 {
+				t.Fatalf("trial %d: %s = %v but its %s form %s = %v", trial, p, got, name, q, got2)
+			}
 		}
 	}
 }
@@ -206,50 +324,62 @@ func replaceVar(p ast.Pred, rng *rand.Rand) ast.Pred {
 		if f, ok := q.L.(ast.Field); ok {
 			return ast.Cmp{Op: q.Op, L: ast.Field{Var: "q", Attr: f.Attr}, R: q.R}
 		}
+	case ast.Member:
+		return ast.Member{VarTuple: "q", Range: q.Range}
 	}
 	return p
 }
 
-// TestPositiveImpliesMonotonic spot-checks the lemma: for positive branch
-// predicates over a growing relation, the derived set only grows.
+// TestPositiveImpliesMonotonic checks the lemma on random predicates: a
+// predicate positive in R never loses a tuple of the universe as R grows.
 func TestPositiveImpliesMonotonic(t *testing.T) {
-	relT := schema.RelationType{Element: schema.RecordType{Attrs: []schema.Attribute{
-		{Name: "a", Type: schema.IntType()},
-	}}}
-	// Positive predicate mentioning R at even depth.
-	p := mustPred(t, `SOME s IN R (s.a = x.a) OR NOT (NOT (x IN R))`)
-	if rep := CheckPred(p, map[string]bool{"R": true}); !rep.Positive() {
-		t.Fatalf("test predicate must be positive: %v", rep.Error())
-	}
 	rng := rand.New(rand.NewSource(9))
-	base := relation.New(relT)
-	universe := relation.New(relT)
-	for i := 0; i < 6; i++ {
-		universe.Add(value.NewTuple(value.Int(int64(i))))
-	}
-	selectWith := func(R *relation.Relation) *relation.Relation {
-		env := eval.NewEnv()
-		env.Rels["R"] = R
-		out := relation.New(relT)
-		universe.Each(func(tup value.Tuple) bool {
-			ok, err := env.EvalPredWithTuple(p, "x", relT.Element, tup)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ok {
-				out.Add(tup)
-			}
-			return true
-		})
-		return out
-	}
-	prev := selectWith(base)
-	for step := 0; step < 6; step++ {
-		base.Add(value.NewTuple(value.Int(int64(rng.Intn(6)))))
-		next := selectWith(base)
-		if prev.Difference(next).Len() > 0 {
-			t.Fatalf("step %d: positive predicate lost tuples when R grew", step)
+	universe := relation.New(pairT)
+	for a := 0; a < 4; a++ {
+		for b := 0; b < 4; b++ {
+			universe.Add(value.NewTuple(value.Int(int64(a)), value.Int(int64(b))))
 		}
-		prev = next
+	}
+	preds := []ast.Pred{mustPred(t, `SOME s IN R (s.a = x.a) OR NOT (NOT (x IN R))`)}
+	for i := 0; i < 400; i++ {
+		preds = append(preds, randomPred(rng, 4))
+	}
+	checked := 0
+	for _, p := range preds {
+		rep := CheckPred(p, map[string]bool{"R": true}, nil)
+		if !rep.Positive() || len(rep.Occurrences) == 0 {
+			continue
+		}
+		checked++
+		R, S := relation.New(pairT), relation.New(pairT)
+		for i := 0; i < 3; i++ {
+			S.Add(randomPair(rng))
+		}
+		selectWith := func() *relation.Relation {
+			out := relation.New(pairT)
+			universe.Each(func(tup value.Tuple) bool {
+				ok, err := evalPred(t, p, R, S, tup)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ok {
+					out.Add(tup)
+				}
+				return true
+			})
+			return out
+		}
+		prev := selectWith()
+		for step := 0; step < 6; step++ {
+			R.Add(randomPair(rng))
+			next := selectWith()
+			if lost := prev.Difference(next); lost.Len() > 0 {
+				t.Fatalf("%s is positive in R but lost %s when R grew to %s", p, lost, R)
+			}
+			prev = next
+		}
+	}
+	if checked < 50 {
+		t.Fatalf("only %d random predicates were positive in R; the generator no longer exercises the lemma", checked)
 	}
 }

@@ -51,6 +51,9 @@ type ConstructorSig struct {
 	ForType schema.RelationType
 	Params  []ResolvedParam
 	Result  schema.RelationType
+	// Positivity is the section 3.3 analysis of the checked body: the one
+	// polarity judgement the engine reads to choose its fixpoint strategy.
+	Positivity positivity.Report
 }
 
 // SelectorSig is the resolved signature of a selector.
@@ -84,8 +87,9 @@ type Checker struct {
 	// the Type method of the store the checked statement will run against.
 	// nil (a stand-alone compilation) resolves none.
 	VarType func(name string) (schema.RelationType, bool)
-	// Strict applies the paper's positivity requirement to constructor
-	// declarations at check time.
+	// Strict rejects constructor declarations that violate the paper's
+	// positivity requirement. The analysis runs either way and is kept on the
+	// signature; the engine solves a non-positive constructor naively.
 	Strict bool
 }
 
@@ -468,13 +472,20 @@ func (c *Checker) CheckConstructorDecl(d *ast.ConstructorDecl) (*ConstructorSig,
 		delete(c.Constructors, d.Name)
 		return nil, fmt.Errorf("constructor %q: %w", d.Name, err)
 	}
-	if c.Strict {
-		if rep := positivity.CheckConstructor(d); !rep.Positive() {
-			delete(c.Constructors, d.Name)
-			return nil, fmt.Errorf("constructor %q: %w", d.Name, rep.Err(d.Name))
-		}
+	sig.Positivity = positivity.CheckConstructor(d, c.selectorDecl)
+	if c.Strict && !sig.Positivity.Positive() {
+		delete(c.Constructors, d.Name)
+		return nil, fmt.Errorf("constructor %q: %w", d.Name, sig.Positivity.Err(d.Name))
 	}
 	return sig, nil
+}
+
+// selectorDecl resolves a declared selector for the positivity analysis.
+func (c *Checker) selectorDecl(name string) *ast.SelectorDecl {
+	if sig := c.Selectors[name]; sig != nil {
+		return sig.Decl
+	}
+	return nil
 }
 
 func (c *Checker) resolveConstructorSig(d *ast.ConstructorDecl) (*ConstructorSig, error) {

@@ -102,11 +102,10 @@ func Open(opts ...Option) (*DB, error) {
 		noOptimize:  cfg.noOptimize,
 		parallelism: cfg.parallelism,
 	}
-	// Strictness is fixed here: every later checker and registry is a clone
-	// of this pair.
-	chk, reg := typecheck.New(), core.NewRegistry()
-	chk.Strict, reg.Strict = cfg.strict, cfg.strict
-	d.publish(chk, reg)
+	// Strictness is fixed here: every later checker is a clone of this one.
+	chk := typecheck.New()
+	chk.Strict = cfg.strict
+	d.publish(chk, core.NewRegistry())
 	if cfg.engine == EnginePaged && cfg.path == "" {
 		return nil, fmt.Errorf("dbpl: the paged storage engine requires WithPath (the heap file is the primary copy)")
 	}
