@@ -37,8 +37,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"os"
 	"os/signal"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -48,6 +51,24 @@ import (
 
 	"repro/internal/compile"
 )
+
+// printAnalysis writes -check's report of a compiled module: one line per
+// constructor in name order, then the partition, the recursive constructors
+// and each statement's strategy.
+func printAnalysis(w io.Writer, prog *compile.Program) {
+	fmt.Fprintf(w, "module %s: OK\n", prog.Module.Name)
+	for _, name := range slices.Sorted(maps.Keys(prog.Positivity)) {
+		rep := prog.Positivity[name]
+		fmt.Fprintf(w, "  constructor %-12s positive=%v occurrences=%d\n",
+			name, rep.Positive(), len(rep.Occurrences))
+	}
+	fmt.Fprintf(w, "  components: %v\n", prog.Components)
+	fmt.Fprintf(w, "  recursive:  %v\n", prog.Recursive)
+	for i, plan := range prog.Plans {
+		fmt.Fprintf(w, "  stmt %d: strategy=%s constructors=%v\n",
+			i+1, plan.Strategy, plan.Constructors)
+	}
+}
 
 // engine is the REPL's view of a database session, satisfied by both the
 // embedded dbpl.DB and a remote client.DB, so every command works
@@ -105,17 +126,7 @@ func main() {
 			fmt.Print(prog.Graph.DOT())
 			return
 		}
-		fmt.Printf("module %s: OK\n", prog.Module.Name)
-		for name, rep := range prog.Positivity {
-			fmt.Printf("  constructor %-12s positive=%v occurrences=%d\n",
-				name, rep.Positive(), len(rep.Occurrences))
-		}
-		fmt.Printf("  components: %v\n", prog.Components)
-		fmt.Printf("  recursive:  %v\n", prog.Recursive)
-		for i, plan := range prog.Plans {
-			fmt.Printf("  stmt %d: strategy=%s constructors=%v\n",
-				i+1, plan.Strategy, plan.Constructors)
-		}
+		printAnalysis(os.Stdout, prog)
 		return
 	}
 

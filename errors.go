@@ -4,12 +4,12 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/compile"
 	"repro/internal/fixpoint"
 	"repro/internal/lexer"
 	"repro/internal/parser"
 	"repro/internal/positivity"
 	"repro/internal/relation"
-	"repro/internal/store"
 	"repro/internal/typecheck"
 	"repro/internal/wal"
 )
@@ -47,7 +47,7 @@ type (
 	KeyConflictError = relation.KeyConflictError
 	// GuardViolationError reports a tuple rejected by a selector guard on
 	// assignment (the paper's conditional-assignment semantics).
-	GuardViolationError = store.GuardViolationError
+	GuardViolationError = compile.GuardViolationError
 	// OscillationError reports a non-converging non-monotonic fixpoint
 	// iteration (section 3.3's nonsense constructor).
 	OscillationError = fixpoint.OscillationError

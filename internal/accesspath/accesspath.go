@@ -6,9 +6,9 @@
 //	 corresponding to the query with the constants used as variables, and
 //	 partitions it according to the different constant values."
 //
-// A Logical path wraps a selector declaration into a closure instantiated
-// per constant. A Physical path partitions the base relation by the
-// parameterized attribute so that each instantiation is a hash lookup. The
+// A Physical path partitions the base relation by the parameterized
+// attribute so that each instantiation is a hash lookup; the logical path is
+// the selector's application itself (eval.Env.Select). The
 // partitioning is the relation's own memoized hash index (relation.IndexOn),
 // so the maintenance concern the paper attributes to [ShTZ 84] is handled
 // where the relation changes: a clone shares the chunk carrying the index and
@@ -18,60 +18,16 @@
 // Query evaluation does not go through this package: a selector application
 // is planned and run as a branch by package eval, which decides index or scan
 // on the base's value and probes the same relation.IndexOn index. What
-// remains here is a typed single-attribute view of that index and a reference
-// filter, kept for the benchmark's probes and the tests that compare the two.
+// remains here is a typed single-attribute view of that index, kept for the
+// benchmark's probes.
 package accesspath
 
 import (
 	"fmt"
 
-	"repro/internal/ast"
-	"repro/internal/eval"
 	"repro/internal/relation"
-	"repro/internal/schema"
 	"repro/internal/value"
 )
-
-// Logical is a compiled selector procedure with a dummy constant: calling
-// Instantiate binds the parameter and filters the base relation.
-type Logical struct {
-	Decl  *ast.SelectorDecl
-	Elem  schema.RecordType
-	Param string
-	env   *eval.Env
-}
-
-// NewLogical compiles a single-scalar-parameter selector into a logical
-// access path over the given environment (for globals its body references).
-func NewLogical(env *eval.Env, decl *ast.SelectorDecl, elem schema.RecordType) (*Logical, error) {
-	if len(decl.Params) != 1 {
-		return nil, fmt.Errorf("accesspath: selector %q must have exactly one parameter", decl.Name)
-	}
-	return &Logical{Decl: decl, Elem: elem, Param: decl.Params[0].Name, env: env}, nil
-}
-
-// Instantiate evaluates the selector over base with the parameter bound.
-func (l *Logical) Instantiate(base *relation.Relation, arg value.Value) (*relation.Relation, error) {
-	scoped := l.env.Clone()
-	scoped.Scalars[l.Param] = arg
-	out := relation.New(base.Type())
-	var iterErr error
-	base.Each(func(t value.Tuple) bool {
-		ok, err := scoped.EvalPredWithTuple(l.Decl.Where, l.Decl.BodyVar, l.Elem, t)
-		if err != nil {
-			iterErr = err
-			return false
-		}
-		if ok {
-			out.Add(t)
-		}
-		return true
-	})
-	if iterErr != nil {
-		return nil, iterErr
-	}
-	return out, nil
-}
 
 // Physical is the paper's physical access path: the base relation
 // partitioned by the values of one attribute. It is a typed single-attribute

@@ -3,35 +3,12 @@ package accesspath
 import (
 	"testing"
 
-	"repro/internal/ast"
-	"repro/internal/eval"
-	"repro/internal/parser"
 	"repro/internal/relation"
 	"repro/internal/value"
 	"repro/internal/workload"
 )
 
 var binT = workload.BinaryStringRelType("infrontrel", "front", "back")
-
-func selector(t *testing.T) *ast.SelectorDecl {
-	t.Helper()
-	m, err := parser.ParseModule(`
-MODULE m;
-SELECTOR hidden_by (Obj: STRING) FOR Rel: infrontrel;
-BEGIN EACH r IN Rel: r.front = Obj END hidden_by;
-END m.
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range m.Decls {
-		if sd, ok := d.(*ast.SelectorDecl); ok {
-			return sd
-		}
-	}
-	t.Fatal("no selector")
-	return nil
-}
 
 func sample() *relation.Relation {
 	r := relation.New(binT)
@@ -41,38 +18,22 @@ func sample() *relation.Relation {
 	return r
 }
 
-func TestLogicalPath(t *testing.T) {
-	decl := selector(t)
-	lp, err := NewLogical(eval.NewEnv(), decl, binT.Element)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := lp.Instantiate(sample(), value.Str("table"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 2 {
-		t.Errorf("logical path: %s", got)
-	}
-}
-
-// agreesWithLogical checks the physical path against the logical path (a
-// filtering scan of the same base) for every constant.
-func agreesWithLogical(t *testing.T, base *relation.Relation, pp *Physical, consts ...string) {
+// agreesWithFilter checks the physical path on "front" against a filtering
+// scan of the same base for every constant.
+func agreesWithFilter(t *testing.T, base *relation.Relation, pp *Physical, consts ...string) {
 	t.Helper()
-	lp, err := NewLogical(eval.NewEnv(), selector(t), binT.Element)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, c := range consts {
-		want, err := lp.Instantiate(base, value.Str(c))
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := relation.New(binT)
+		base.Each(func(tup value.Tuple) bool {
+			if tup[0] == value.Str(c) {
+				want.Add(tup)
+			}
+			return true
+		})
 		got := relation.New(binT)
 		pp.Lookup(value.Str(c)).Each(func(tup value.Tuple) bool { return got.Add(tup) })
 		if !got.Equal(want) || len(pp.Lookup(value.Str(c))) != want.Len() {
-			t.Errorf("physical/logical disagree on %q: %v vs %s", c, pp.Lookup(value.Str(c)), want)
+			t.Errorf("physical path and filter disagree on %q: %v vs %s", c, pp.Lookup(value.Str(c)), want)
 		}
 	}
 }
@@ -92,7 +53,7 @@ func TestPhysicalPathLookupAndMaintenance(t *testing.T) {
 	if got := pp.Lookup(value.Str("ghost")); len(got) != 0 {
 		t.Errorf("Lookup(ghost): %v", got)
 	}
-	agreesWithLogical(t, base, pp, "table", "vase", "ghost")
+	agreesWithFilter(t, base, pp, "table", "vase", "ghost")
 
 	// Maintenance under insert/delete ([ShTZ 84] concern) happens where the
 	// relation changes. Growth: the next value is a clone of the base plus
@@ -108,7 +69,7 @@ func TestPhysicalPathLookupAndMaintenance(t *testing.T) {
 	if len(gp.Lookup(value.Str("ghost"))) != 1 || gp.Partitions() != 3 {
 		t.Error("insert maintenance failed")
 	}
-	agreesWithLogical(t, grown, gp, "table", "vase", "ghost")
+	agreesWithFilter(t, grown, gp, "table", "vase", "ghost")
 	if len(pp.Lookup(value.Str("ghost"))) != 0 || pp.Partitions() != 2 {
 		t.Error("growing a clone must not change the base's path")
 	}
@@ -126,7 +87,7 @@ func TestPhysicalPathLookupAndMaintenance(t *testing.T) {
 	if sp.Partitions() != 2 {
 		t.Error("empty partitions must be pruned")
 	}
-	agreesWithLogical(t, shrunk, sp, "table", "vase", "ghost")
+	agreesWithFilter(t, shrunk, sp, "table", "vase", "ghost")
 
 	// Mutating a relation in place after its path was built invalidates the
 	// memoized index by version: the rebuilt path reflects the mutation.
@@ -135,7 +96,7 @@ func TestPhysicalPathLookupAndMaintenance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agreesWithLogical(t, grown, gp, "table", "vase", "ghost")
+	agreesWithFilter(t, grown, gp, "table", "vase", "ghost")
 }
 
 func TestBuildPhysicalUnknownAttr(t *testing.T) {

@@ -16,7 +16,11 @@
 //     assignment. RunStmt is that level, one statement at a time: the caller
 //     supplies the environment the statement reads and the store or
 //     transaction it writes through, so module execution and transactions
-//     share one executor.
+//     share one executor. A guard is its selector's application (section
+//     2.3): V[sel(args)] := rex holds iff rex[sel(args)] = rex, the selector
+//     evaluated with its FOR variable bound to rex by the same pipeline as a
+//     read of rex[sel(args)]. CheckGuards is that test, at write time and
+//     again at a transaction's commit.
 package compile
 
 import (
@@ -31,7 +35,6 @@ import (
 	"repro/internal/positivity"
 	"repro/internal/quantgraph"
 	"repro/internal/relation"
-	"repro/internal/schema"
 	"repro/internal/store"
 	"repro/internal/typecheck"
 	"repro/internal/value"
@@ -278,16 +281,22 @@ func walkRangeDeep(r *ast.Range, fn func(*ast.Range)) {
 // *store.Database and *store.Tx share, so a statement executes the same way
 // against the store and inside a transaction.
 type Assigner interface {
-	Assign(name string, rel *relation.Relation, guards ...store.Guard) error
+	Assign(name string, rel *relation.Relation) error
 }
 
-// GuardSpec is one selector guard of an executed guarded assignment, with its
-// arguments kept as syntax: a transaction re-resolves them against its final
-// state for the commit-time re-check.
-type GuardSpec struct {
-	Decl *ast.SelectorDecl
-	Elem schema.RecordType
-	Args []ast.Arg
+// GuardViolationError reports a tuple rejected by a selector guard: the first
+// tuple of the assigned value, in its iteration order, that the selector's
+// application over the value does not return.
+type GuardViolationError struct {
+	Variable string
+	Guard    string
+	Tuple    value.Tuple
+}
+
+// Error implements error.
+func (e *GuardViolationError) Error() string {
+	return fmt.Sprintf("assignment to %s[%s] rejected: tuple %s violates the selector predicate",
+		e.Variable, e.Guard, e.Tuple)
 }
 
 // DeclareVars declares the relation variables of the checked module that the
@@ -305,12 +314,12 @@ func DeclareVars(chk *typecheck.Checker, db *store.Database) error {
 }
 
 // RunStmt executes one statement: env holds the declarations and the relation
-// bindings the statement reads, selectors the checked signatures its guards
-// compile from, db takes its write, and out its SHOW rendering (nil discards
-// it). An assignment reports the variable it wrote and the specs of the
-// guards it passed — the paper's Infront[refint] := rex (section 2.3);
-// target is "" for SHOW.
-func RunStmt(env *eval.Env, selectors map[string]*typecheck.SelectorSig, db Assigner, out io.Writer, s ast.Stmt) (target string, specs []GuardSpec, err error) {
+// bindings the statement reads, db takes its write, and out its SHOW rendering
+// (nil discards it). An assignment reports the variable it wrote and the
+// selector suffixes it was guarded by — the paper's Infront[refint] := rex
+// (section 2.3), checked by CheckGuards before the write; target is "" for
+// SHOW.
+func RunStmt(env *eval.Env, db Assigner, out io.Writer, s ast.Stmt) (target string, guards []ast.Suffix, err error) {
 	switch t := s.(type) {
 	case *ast.Show:
 		rel, err := env.Range(t.Expr)
@@ -327,60 +336,48 @@ func RunStmt(env *eval.Env, selectors map[string]*typecheck.SelectorSig, db Assi
 		_, err = io.WriteString(out, "\n")
 		return "", nil, err
 	case *ast.Assign:
+		for _, suf := range t.Suffixes {
+			if suf.Kind != ast.SuffixSelector {
+				return "", nil, fmt.Errorf("assignment through a constructed relation %q is not defined (constructors derive, they do not store)", suf.Name)
+			}
+		}
 		rel, err := env.Range(t.Expr)
 		if err != nil {
 			return "", nil, err
 		}
-		guards := make([]store.Guard, 0, len(t.Suffixes))
-		for i := range t.Suffixes {
-			suf := &t.Suffixes[i]
-			if suf.Kind != ast.SuffixSelector {
-				return "", nil, fmt.Errorf("assignment through a constructed relation %q is not defined (constructors derive, they do not store)", suf.Name)
-			}
-			sig, ok := selectors[suf.Name]
-			if !ok {
-				return "", nil, fmt.Errorf("unknown selector %q", suf.Name)
-			}
-			args, err := env.ResolveArgs(suf.Args)
-			if err != nil {
-				return "", nil, err
-			}
-			g, err := SelectorGuard(env, sig.Decl, sig.ForType.Element, args)
-			if err != nil {
-				return "", nil, err
-			}
-			guards = append(guards, g)
-			specs = append(specs, GuardSpec{Decl: sig.Decl, Elem: sig.ForType.Element, Args: suf.Args})
-		}
-		if err := db.Assign(t.Target, rel, guards...); err != nil {
+		if err := CheckGuards(env, t.Target, rel, t.Suffixes); err != nil {
 			return "", nil, err
 		}
-		return t.Target, specs, nil
+		if err := db.Assign(t.Target, rel); err != nil {
+			return "", nil, err
+		}
+		return t.Target, t.Suffixes, nil
 	default:
 		return "", nil, fmt.Errorf("unknown statement %T", s)
 	}
 }
 
-// SelectorGuard compiles a selector declaration plus actual arguments into a
-// store.Guard closure — the paper's "logical access path": a compiled
-// procedure with the parameters substituted.
-func SelectorGuard(env *eval.Env, decl *ast.SelectorDecl, elem schema.RecordType, args []eval.Resolved) (store.Guard, error) {
-	if len(args) != len(decl.Params) {
-		return store.Guard{}, fmt.Errorf("selector %q expects %d argument(s), got %d",
-			decl.Name, len(decl.Params), len(args))
-	}
-	scoped := env.Clone()
-	for i, p := range decl.Params {
-		if args[i].IsScalar {
-			scoped.Scalars[p.Name] = args[i].Scalar
-		} else {
-			scoped.Rels[p.Name] = args[i].Rel
+// CheckGuards checks rel, a value assigned to the variable name, against the
+// selector applications guarding the assignment: each must return all of rel
+// (rel[sel(args)] = rel). It fails with a *GuardViolationError naming the
+// first tuple of rel the first failing selector drops.
+func CheckGuards(env *eval.Env, name string, rel *relation.Relation, guards []ast.Suffix) error {
+	for i := range guards {
+		sel, err := env.Select(&guards[i], rel, false, false)
+		if err != nil {
+			return err
 		}
+		if sel.Len() == rel.Len() {
+			continue
+		}
+		var dropped value.Tuple
+		rel.Each(func(t value.Tuple) bool {
+			if !sel.Contains(t) {
+				dropped = t
+			}
+			return dropped == nil
+		})
+		return &GuardViolationError{Variable: name, Guard: guards[i].Name, Tuple: dropped}
 	}
-	return store.Guard{
-		Name: decl.Name,
-		Pred: func(t value.Tuple) (bool, error) {
-			return scoped.EvalPredWithTuple(decl.Where, decl.BodyVar, elem, t)
-		},
-	}, nil
+	return nil
 }

@@ -89,20 +89,28 @@ func runProgram(t *testing.T, p *Program, db *store.Database, out io.Writer) err
 		t.Fatal(err)
 	}
 	for _, s := range p.Module.Stmts {
-		env := eval.NewEnv()
-		for name, sig := range p.Checker.Selectors {
-			env.Selectors[name] = sig.Decl
-		}
-		var err error
-		if env.Rels, err = db.Snapshot(); err != nil {
-			t.Fatal(err)
-		}
+		env := programEnv(t, p, db)
 		core.NewEngine(p.Registry, env)
-		if _, _, err := RunStmt(env, p.Checker.Selectors, db, out, s); err != nil {
+		if _, _, err := RunStmt(env, db, out, s); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// programEnv is an environment over the database's current state that knows
+// the program's selectors.
+func programEnv(t *testing.T, p *Program, db *store.Database) *eval.Env {
+	t.Helper()
+	env := eval.NewEnv()
+	for name, sig := range p.Checker.Selectors {
+		env.Selectors[name] = sig.Decl
+	}
+	var err error
+	if env.Rels, err = db.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	return env
 }
 
 func TestRunStmtExecution(t *testing.T) {
@@ -139,8 +147,9 @@ func TestRunStmtExecution(t *testing.T) {
 }
 
 // TestRunStmtGuards pins the write side: a guarded assignment reports its
-// target and guard specs, writes through whichever Assigner it is given (the
-// database or a transaction), and a violated guard leaves the state alone.
+// target and guards, writes through whichever Assigner it is given (the
+// database or a transaction), and a violated guard names the variable, the
+// selector and the first tuple it drops, and leaves the state alone.
 func TestRunStmtGuards(t *testing.T) {
 	src := strings.Replace(cadSrc, "SHOW Infront;", `Infront[hidden_by("a")] := {<"a","z">};`, 1)
 	p, err := Compile(src, Options{Strict: true})
@@ -151,22 +160,19 @@ func TestRunStmtGuards(t *testing.T) {
 	if err := runProgram(t, p, db, nil); err != nil {
 		t.Fatal(err)
 	}
-	env := eval.NewEnv()
-	if env.Rels, err = db.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
+	env := programEnv(t, p, db)
 	guarded := p.Module.Stmts[2]
 
 	tx, err := db.Begin()
 	if err != nil {
 		t.Fatal(err)
 	}
-	target, specs, err := RunStmt(env, p.Checker.Selectors, tx, nil, guarded)
+	target, guards, err := RunStmt(env, tx, nil, guarded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if target != "Infront" || len(specs) != 1 || specs[0].Decl.Name != "hidden_by" || len(specs[0].Args) != 1 {
-		t.Errorf("target %q specs %+v", target, specs)
+	if target != "Infront" || len(guards) != 1 || guards[0].Name != "hidden_by" || len(guards[0].Args) != 1 {
+		t.Errorf("target %q guards %+v", target, guards)
 	}
 	if rel, _ := tx.Get("Infront"); rel.Len() != 1 {
 		t.Errorf("transaction did not take the write: %s", rel)
@@ -175,25 +181,37 @@ func TestRunStmtGuards(t *testing.T) {
 		t.Errorf("database state after the module: %s", rel)
 	}
 
-	bad, err := parser.ParseModule(`MODULE b; Infront[hidden_by("q")] := {<"a","z">}; Infront[nosuch] := {<"a","z">}; END b.`)
+	bad, err := parser.ParseModule(`MODULE b;
+Infront[hidden_by("q")] := {<"a","z">};
+Infront[hidden_by("a")] := {<"a","1">, <"b","2">};
+Infront[nosuch] := {<"a","z">};
+END b.`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Checked like every statement the session runs; the unknown selector is
 	// the checker's to reject, the guard violation the runtime level's.
-	var gv *store.GuardViolationError
-	if err := p.Checker.CheckStmt(bad.Stmts[0]); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := RunStmt(env, p.Checker.Selectors, db, nil, bad.Stmts[0]); !errors.As(err, &gv) {
-		t.Errorf("want a guard violation, got %v", err)
+	for i, dropped := range []value.Tuple{
+		value.NewTuple(value.Str("a"), value.Str("z")),
+		value.NewTuple(value.Str("b"), value.Str("2")),
+	} {
+		if err := p.Checker.CheckStmt(bad.Stmts[i]); err != nil {
+			t.Fatal(err)
+		}
+		var gv *GuardViolationError
+		_, _, err := RunStmt(env, db, nil, bad.Stmts[i])
+		if !errors.As(err, &gv) {
+			t.Errorf("%s: want a guard violation, got %v", bad.Stmts[i], err)
+		} else if gv.Variable != "Infront" || gv.Guard != "hidden_by" || !gv.Tuple.Equal(dropped) {
+			t.Errorf("%s: violation %+v, want Infront[hidden_by] dropping %s", bad.Stmts[i], gv, dropped)
+		}
 	}
 	var te *typecheck.Error
-	if err := p.Checker.CheckStmt(bad.Stmts[1]); !errors.As(err, &te) {
+	if err := p.Checker.CheckStmt(bad.Stmts[2]); !errors.As(err, &te) {
 		t.Errorf("want a type error, got %v", err)
 	}
-	if _, _, err := RunStmt(env, p.Checker.Selectors, db, nil, bad.Stmts[1]); err == nil {
-		t.Errorf("%s must fail at the runtime level too", bad.Stmts[1])
+	if _, _, err := RunStmt(env, db, nil, bad.Stmts[2]); err == nil {
+		t.Errorf("%s must fail at the runtime level too", bad.Stmts[2])
 	}
 	if rel, _ := db.Get("Infront"); rel.Len() != 1 {
 		t.Errorf("failed assignments changed the database: %s", rel)
@@ -218,11 +236,7 @@ func TestAssignThroughConstructorRejected(t *testing.T) {
 	if err := p.Checker.CheckStmt(m.Stmts[0]); err != nil {
 		t.Fatal(err)
 	}
-	env := eval.NewEnv()
-	if env.Rels, err = db.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = RunStmt(env, p.Checker.Selectors, db, nil, m.Stmts[0])
+	_, _, err = RunStmt(programEnv(t, p, db), db, nil, m.Stmts[0])
 	if err == nil || !strings.Contains(err.Error(), "assignment through a constructed relation") {
 		t.Errorf("assignment through a constructed relation must fail, got %v", err)
 	}

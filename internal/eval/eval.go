@@ -203,7 +203,10 @@ func (e *Env) applySuffix(base *relation.Relation, r *ast.Range, i int) (*relati
 	s := &r.Suffixes[i]
 	switch s.Kind {
 	case ast.SuffixSelector:
-		return e.applySelector(base, r, i)
+		// The base is a relation name's value only as the first suffix of a
+		// range without a subexpression.
+		named := r.Sub == nil && i == 0
+		return e.Select(s, base, named, named && e.Unindexed[r.Var])
 	default:
 		if e.Constructors == nil {
 			return nil, fmt.Errorf("%s: constructor %q applied but no constructor resolver installed", s.Pos, s.Name)
@@ -286,7 +289,7 @@ func (e *Env) ResolveArgs(args []ast.Arg) ([]Resolved, error) {
 // equality PlanBranch turns into a probe on the branch's only binding.
 // indexed reports that the application applies directly to a relation name,
 // whose value is served from the hash index memoized on it. An execution
-// decides on the base's value instead (applySelector): a derived base is
+// decides on the base's value instead (Select): a derived base is
 // probed too when its value already carries the index on attr.
 func SelectorAccess(decl *ast.SelectorDecl, r *ast.Range, i int) (attr string, indexed bool) {
 	plan, err := PlanBranch(decl.Branch, nil)
@@ -320,15 +323,16 @@ func SelectorElem(decl *ast.SelectorDecl, base schema.RecordType) schema.RecordT
 	return rangeElem(decl.Branch.Binds[0].Range, base)
 }
 
-// applySelector evaluates suffix i of r, a selector application, over base —
-// the paper's Rel[sel(args)] (section 2.3, Fig 1), by its definition: the set
-// expression {EACH r IN Rel: pred(r)} with the parameters substituted. The
-// body's equality with the parameter is a probe of base's hash index when
-// base is a relation name's value, or a derived value already carrying that
-// index (bindIndexes); it is a filter over a scan of base when the session
-// scans selectors, the body has no such equality, or base is in Unindexed.
-func (e *Env) applySelector(base *relation.Relation, r *ast.Range, i int) (*relation.Relation, error) {
-	s := &r.Suffixes[i]
+// Select evaluates the selector application s over base — the paper's
+// Rel[sel(args)] (section 2.3, Fig 1), by its definition: the set expression
+// {EACH r IN Rel: pred(r)} with the parameters substituted and the
+// For-variable bound to base. The body's equality with the parameter is a
+// probe of base's hash index when base is a relation name's value (named), or
+// a derived value already carrying that index (bindIndexes); it is a filter
+// over a scan of base when scan is set, the session scans selectors, or the
+// body has no such equality. It is also the guard of a selected variable:
+// V[sel(args)] := rex holds iff Select over rex returns all of rex.
+func (e *Env) Select(s *ast.Suffix, base *relation.Relation, named, scan bool) (*relation.Relation, error) {
 	decl, ok := e.Selectors[s.Name]
 	if !ok {
 		return nil, fmt.Errorf("%s: unknown selector %q", s.Pos, s.Name)
@@ -358,8 +362,7 @@ func (e *Env) applySelector(base *relation.Relation, r *ast.Range, i int) (*rela
 		return nil, err
 	}
 	plan.app = s
-	named := r.Sub == nil && i == 0
-	if e.ScanSelectors || plan.selectorAttr(decl) == "" || named && e.Unindexed[r.Var] {
+	if scan || e.ScanSelectors || plan.selectorAttr(decl) == "" {
 		plan.scanOuter()
 	}
 	pb, err := scoped.bindPlan(&preparedBranch{plan: plan, derived: !named,
@@ -811,14 +814,6 @@ func (e *Env) bindIndexes(pb *preparedBranch) []*relation.Index {
 // ---------------------------------------------------------------------------
 // Predicates and terms
 // ---------------------------------------------------------------------------
-
-// EvalPredWithTuple evaluates a predicate with a single tuple variable bound
-// — the evaluation shape of selector guards on assignment (section 2.3).
-func (e *Env) EvalPredWithTuple(p ast.Pred, varName string, elem schema.RecordType, t value.Tuple) (bool, error) {
-	var b bindings
-	b.push(varName, t, elem)
-	return e.Pred(p, &b)
-}
 
 // Pred evaluates a predicate under the current bindings.
 func (e *Env) Pred(p ast.Pred, b *bindings) (bool, error) {

@@ -56,7 +56,7 @@ func conjoin(ps []ast.Pred) ast.Pred {
 //
 // The input is not modified; the rewritten branch is returned together with
 // the number of conjuncts moved.
-func NestBranch(br ast.Branch, resultVarHint string) (ast.Branch, int) {
+func NestBranch(br ast.Branch) (ast.Branch, int) {
 	if br.Literal != nil || br.Where == nil {
 		return ast.CopyBranch(br), 0
 	}
@@ -89,7 +89,6 @@ func NestBranch(br ast.Branch, resultVarHint string) (ast.Branch, int) {
 		}
 	}
 	out.Where = conjoin(residual)
-	_ = resultVarHint
 	return out, moved
 }
 

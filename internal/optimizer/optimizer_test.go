@@ -75,7 +75,7 @@ func TestN1PreservesSemantics(t *testing.T) {
 		}
 		e := testEnv()
 		orig := evalBranchSet(t, e, s.Branches[0])
-		nested, moved := NestBranch(s.Branches[0], "")
+		nested, moved := NestBranch(s.Branches[0])
 		got := evalBranchSet(t, e, nested)
 		if !got.Equal(orig) {
 			t.Errorf("%q: nesting changed the result (%d vs %d tuples, %d moved)",

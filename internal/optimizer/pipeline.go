@@ -191,7 +191,7 @@ func (nestPass) Run(q *Query, _ *Context) (bool, string, error) {
 	}
 	total := 0
 	for i := range s.Branches {
-		nb, n := NestBranch(s.Branches[i], "")
+		nb, n := NestBranch(s.Branches[i])
 		if n > 0 {
 			s.Branches[i] = nb
 			total += n

@@ -252,12 +252,19 @@ func randomPair(rng *rand.Rand) value.Tuple {
 	return value.NewTuple(value.Int(int64(rng.Intn(4))), value.Int(int64(rng.Intn(4))))
 }
 
-// evalPred evaluates p for x = tup over the given R and S.
+// evalPred evaluates p for x = tup over the given R and S, as the set
+// expression {EACH x IN X: p} over the one-tuple relation X = {tup}.
 func evalPred(t *testing.T, p ast.Pred, R, S *relation.Relation, tup value.Tuple) (bool, error) {
 	t.Helper()
 	env := eval.NewEnv()
 	env.Rels["R"], env.Rels["S"] = R, S
-	return env.EvalPredWithTuple(p, "x", pairT.Element, tup)
+	env.Rels["X"] = relation.MustFromTuples(pairT, tup)
+	sel, err := env.SetExpr(&ast.SetExpr{Branches: []ast.Branch{{
+		Binds: []ast.Binding{{Var: "x", Range: ast.RangeVar("X")}}, Where: p}}}, pairT)
+	if err != nil {
+		return false, err
+	}
+	return sel.Len() == 1, nil
 }
 
 // allToNotSome rewrites every ALL x IN r (p) into NOT SOME x IN r (NOT p),

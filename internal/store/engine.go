@@ -1,6 +1,6 @@
 package store
 
-// The storage-engine split: Database owns semantics (guarded assignment,
+// The storage-engine split: Database owns semantics (checked assignment,
 // write-ahead logging, subscriptions, observers, transactions) and delegates
 // the physical binding of variable names to relation values to a pluggable
 // Engine. The memory engine below keeps everything resident and has no

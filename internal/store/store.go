@@ -1,14 +1,12 @@
 // Package store implements the database-variable layer of the DBPL
-// environment: named, typed relation variables with the paper's guarded
-// assignment semantics (section 2.2–2.3), snapshot transactions, and binary
+// environment: named, typed relation variables with the paper's checked
+// assignment semantics (section 2.2), snapshot transactions, and binary
 // persistence.
 //
 // Assignment to a relation variable re-checks the key constraint (the
-// run-time test of section 2.2) and any selector guards: the paper defines
-// assignment through a selected relation variable, Infront[refint] := rex,
-// to be equivalent to
-//
-//	IF ALL x IN rex (pred(x)) THEN Infront := rex ELSE <exception>
+// run-time test of section 2.2) and is atomic. Selector guards (section 2.3's
+// Infront[refint] := rex) are checked above the store, by package compile,
+// before the assignment reaches it.
 package store
 
 import (
@@ -86,26 +84,6 @@ type Logger interface {
 type Observer interface {
 	CommittedGrow(name string, tuples []value.Tuple, next *relation.Relation)
 	CommittedReset(name string, next *relation.Relation)
-}
-
-// Guard is a tuple predicate enforced on assignment (a selector's predicate
-// with its parameters instantiated).
-type Guard struct {
-	Name string
-	Pred func(value.Tuple) (bool, error)
-}
-
-// GuardViolationError reports a tuple rejected by a selector guard.
-type GuardViolationError struct {
-	Variable string
-	Guard    string
-	Tuple    value.Tuple
-}
-
-// Error implements error.
-func (e *GuardViolationError) Error() string {
-	return fmt.Sprintf("store: assignment to %s[%s] rejected: tuple %s violates the selector predicate",
-		e.Variable, e.Guard, e.Tuple)
 }
 
 // Database is a set of named, typed relation variables.
@@ -396,8 +374,8 @@ func (db *Database) Names() []string {
 }
 
 // checkedValue re-types rex into the variable's declared type, enforcing the
-// key constraint and element domains, and applies the guards.
-func checkedValue(name string, typ schema.RelationType, rex *relation.Relation, guards []Guard) (*relation.Relation, error) {
+// key constraint and element domains.
+func checkedValue(name string, typ schema.RelationType, rex *relation.Relation) (*relation.Relation, error) {
 	// Kind compatibility statically; the per-tuple Insert below re-checks
 	// the element domains (subranges) and the key constraint.
 	if !rex.Type().Element.KindCompatibleWith(typ.Element) {
@@ -407,22 +385,8 @@ func checkedValue(name string, typ schema.RelationType, rex *relation.Relation, 
 	out := relation.New(typ)
 	var failure error
 	rex.Each(func(t value.Tuple) bool {
-		for _, g := range guards {
-			ok, err := g.Pred(t)
-			if err != nil {
-				failure = err
-				return false
-			}
-			if !ok {
-				failure = &GuardViolationError{Variable: name, Guard: g.Name, Tuple: t}
-				return false
-			}
-		}
-		if err := out.Insert(t); err != nil {
-			failure = err
-			return false
-		}
-		return true
+		failure = out.Insert(t)
+		return failure == nil
 	})
 	if failure != nil {
 		return nil, failure
@@ -431,21 +395,17 @@ func checkedValue(name string, typ schema.RelationType, rex *relation.Relation, 
 }
 
 // Assign replaces the variable's value with rex after re-checking the key
-// constraint and the given guards. On any violation the variable keeps its
-// previous value (assignment is atomic, as the paper's conditional pattern
-// requires).
-//
-// The checks run outside db.mu: guard predicates are arbitrary caller code
-// that may itself read the store (which read-locks db.mu), so holding the
-// write lock across them would self-deadlock. The check examines only rex —
-// never the variable's current value — so check-then-swap preserves the
-// atomic last-writer-wins semantics.
-func (db *Database) Assign(name string, rex *relation.Relation, guards ...Guard) error {
+// constraint. On any violation the variable keeps its previous value
+// (assignment is atomic, as the paper's conditional pattern requires). The
+// check examines only rex — never the variable's current value — so it runs
+// outside db.mu, and check-then-swap preserves the atomic last-writer-wins
+// semantics.
+func (db *Database) Assign(name string, rex *relation.Relation) error {
 	typ, ok := db.Type(name)
 	if !ok {
 		return fmt.Errorf("store: assignment to undeclared variable %q", name)
 	}
-	out, err := checkedValue(name, typ, rex, guards)
+	out, err := checkedValue(name, typ, rex)
 	if err != nil {
 		return err
 	}
@@ -585,7 +545,7 @@ func (tx *Tx) Get(name string) (*relation.Relation, bool) {
 
 // Assign writes a variable inside the transaction (checked like
 // Database.Assign).
-func (tx *Tx) Assign(name string, rex *relation.Relation, guards ...Guard) error {
+func (tx *Tx) Assign(name string, rex *relation.Relation) error {
 	if tx.done {
 		return fmt.Errorf("store: transaction already finished")
 	}
@@ -593,7 +553,7 @@ func (tx *Tx) Assign(name string, rex *relation.Relation, guards ...Guard) error
 	if !ok {
 		return fmt.Errorf("store: assignment to undeclared variable %q", name)
 	}
-	out, err := checkedValue(name, typ, rex, guards)
+	out, err := checkedValue(name, typ, rex)
 	if err != nil {
 		return err
 	}

@@ -45,36 +45,6 @@ func TestDeclareAssignGet(t *testing.T) {
 	}
 }
 
-func TestGuardedAssignmentAtomicity(t *testing.T) {
-	db := NewDatabase()
-	_ = db.Declare("R", binT)
-	_ = db.Assign("R", relation.MustFromTuples(binT, pair("keep", "me")))
-	guard := Guard{Name: "onlyx", Pred: func(t value.Tuple) (bool, error) {
-		return t[0] == value.Str("x"), nil
-	}}
-	bad := relation.MustFromTuples(binT, pair("x", "1"), pair("y", "2"))
-	err := db.Assign("R", bad, guard)
-	var gv *GuardViolationError
-	if err == nil {
-		t.Fatal("guard must reject")
-	}
-	if g, ok := err.(*GuardViolationError); ok {
-		gv = g
-	} else {
-		t.Fatalf("expected GuardViolationError, got %T", err)
-	}
-	if gv.Guard != "onlyx" {
-		t.Errorf("violation names guard %q", gv.Guard)
-	}
-	got, _ := db.Get("R")
-	if got.Len() != 1 || !got.Contains(pair("keep", "me")) {
-		t.Error("failed assignment must leave the old value")
-	}
-	if err := db.Assign("R", relation.MustFromTuples(binT, pair("x", "1")), guard); err != nil {
-		t.Errorf("conforming assignment rejected: %v", err)
-	}
-}
-
 func TestKeyConstraintOnAssign(t *testing.T) {
 	db := NewDatabase()
 	_ = db.Declare("K", keyedT)

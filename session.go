@@ -498,9 +498,7 @@ func (d *DB) ExecToContext(ctx context.Context, out io.Writer, src string) error
 // their guards for its commit-time re-check). Every statement evaluates its
 // parsed form in a fresh environment, so it sees its predecessors' writes.
 func (d *DB) runStmts(ctx context.Context, out io.Writer, stmts []ast.Stmt, tx *Tx) error {
-	// Sampled once: declarations only accumulate, so a selector found here is
-	// the same in any later snapshot a statement's environment is built from.
-	decls, st, _ := d.current()
+	_, st, _ := d.current()
 	var view relView
 	var w compile.Assigner = st
 	if tx != nil {
@@ -511,7 +509,7 @@ func (d *DB) runStmts(ctx context.Context, out io.Writer, stmts []ast.Stmt, tx *
 		if err != nil {
 			return fmt.Errorf("statement %d (%s): %w", i+1, s, err)
 		}
-		target, specs, err := compile.RunStmt(env, decls.checker.Selectors, w, out, s)
+		target, guards, err := compile.RunStmt(env, w, out, s)
 		d.recordStats(en)
 		if err != nil {
 			return fmt.Errorf("statement %d (%s): %w", i+1, s, err)
@@ -522,7 +520,7 @@ func (d *DB) runStmts(ctx context.Context, out io.Writer, stmts []ast.Stmt, tx *
 			// same target (an unguarded assignment clears them) — matching
 			// the non-transactional semantics, where each assignment is
 			// checked independently.
-			tx.guards[target] = specs
+			tx.guards[target] = guards
 		}
 	}
 	return nil

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/ast"
 	"repro/internal/compile"
 	"repro/internal/parser"
 	"repro/internal/store"
@@ -18,14 +19,15 @@ import (
 // transaction; declarations are not transactional — execute modules that
 // declare types, selectors, or constructors with DB.Exec before Begin.
 //
-// Guarded assignments (`Infront[refint] := rex`) are checked twice: at write
-// time against the transaction's state then, and again at Commit against the
-// transaction's final state — a later write inside the transaction may have
-// invalidated a guard whose predicate references another relation, and the
-// commit-time re-check keeps the paper's conditional-assignment semantics
-// over the state that actually becomes visible. A failed commit check leaves
-// the transaction open, so the caller can correct the offending write or
-// Rollback.
+// A guarded assignment (`Infront[refint] := rex`) holds iff rex[refint] = rex:
+// the selector applied to rex, with its FOR variable bound to rex. It is
+// checked twice: at write time against the transaction's state then, and
+// again at Commit against the transaction's final state — a later write
+// inside the transaction may have invalidated a guard whose predicate
+// references another relation, and the commit-time re-check keeps the
+// paper's conditional-assignment semantics over the state that actually
+// becomes visible. A failed commit check leaves the transaction open, so the
+// caller can correct the offending write or Rollback.
 //
 // A Tx is not safe for concurrent use by multiple goroutines.
 type Tx struct {
@@ -34,10 +36,10 @@ type Tx struct {
 
 	mu   sync.Mutex
 	done bool
-	// guards records, per written variable, the guards its latest assignment
-	// passed, as syntax: Commit re-resolves their arguments (and any relation
-	// the guard body reads) against the state that actually becomes visible.
-	guards map[string][]compile.GuardSpec
+	// guards records, per written variable, the selector suffixes its latest
+	// assignment passed: Commit re-applies them to the state that actually
+	// becomes visible.
+	guards map[string][]ast.Suffix
 }
 
 // Begin starts a transaction over a stable snapshot of the relation
@@ -50,7 +52,7 @@ func (d *DB) Begin(ctx context.Context) (*Tx, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Tx{db: d, tx: tx, guards: make(map[string][]compile.GuardSpec)}, nil
+	return &Tx{db: d, tx: tx, guards: make(map[string][]ast.Suffix)}, nil
 }
 
 // Exec runs a DBPL module's statements (SHOW and assignment, including
@@ -167,38 +169,9 @@ func (t *Tx) Commit() error {
 		return err
 	}
 	for _, name := range t.tx.Writes() {
-		specs := t.guards[name]
-		if len(specs) == 0 {
-			continue
-		}
-		rel, ok := t.tx.Get(name)
-		if !ok {
-			continue
-		}
-		for _, spec := range specs {
-			args, err := env.ResolveArgs(spec.Args)
-			if err != nil {
+		if rel, ok := t.tx.Get(name); ok {
+			if err := compile.CheckGuards(env, name, rel, t.guards[name]); err != nil {
 				return wrapErr(err)
-			}
-			g, err := compile.SelectorGuard(env, spec.Decl, spec.Elem, args)
-			if err != nil {
-				return wrapErr(err)
-			}
-			var failure error
-			rel.Each(func(tp Tuple) bool {
-				ok, err := g.Pred(tp)
-				if err != nil {
-					failure = err
-					return false
-				}
-				if !ok {
-					failure = &GuardViolationError{Variable: name, Guard: g.Name, Tuple: tp}
-					return false
-				}
-				return true
-			})
-			if failure != nil {
-				return wrapErr(failure)
 			}
 		}
 	}
